@@ -7,13 +7,17 @@ Run directly:
 The workload builds a deformed system with D={1,2}, extracts the
 recurrence table for Y=1 and solves the closure relation; these steps
 dominate real verification runs.  The backend is chosen per-process via
-DUALRACAH_BACKEND, so each candidate runs in a fresh subprocess.
+DUALRACAH_BACKEND, so each candidate runs in a fresh subprocess with the
+checkout's ``src`` on its path.  An absent gmpy2 is reported as skipped.
 """
 
+import importlib.util
 import os
 import subprocess
 import sys
-import time
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 _WORK = r"""
 import time
@@ -31,25 +35,33 @@ t = rec.extract_r(s, xp)
 dual = ds.dual_values(s)
 h = ds.build_hamiltonians(s, xp, t, dual)
 trip = cl.solve_closure(h)
-assert cl.verify_closure(h, trip).is_zero()
+if not cl.verify_closure(h, trip).is_zero():
+    raise SystemExit(f"{{BACKEND}}: closure residual is not zero")
 print(f"{{BACKEND}}: {{time.perf_counter() - t0:.3f}}s")
 """
 
 
 def run(backend: str, n: int) -> None:
-    env = dict(os.environ, DUALRACAH_BACKEND=backend)
+    path = [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, DUALRACAH_BACKEND=backend, PYTHONPATH=os.pathsep.join(path))
     subprocess.run([sys.executable, "-c", _WORK.format(N=n)], env=env, check=True)
 
 
-def main() -> None:
+def main() -> int:
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 8
     print(f"workload: R family, N={n}, D={{1,2}}, build+recurrence+closure")
+    failed = False
     for backend in ("gmpy2", "fraction"):
+        if backend == "gmpy2" and importlib.util.find_spec("gmpy2") is None:
+            print("gmpy2: skipped (not installed)")
+            continue
         try:
             run(backend, n)
         except subprocess.CalledProcessError as e:
-            print(f"{backend}: failed ({e})")
+            print(f"{backend}: failed (exit status {e.returncode})")
+            failed = True
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

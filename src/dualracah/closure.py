@@ -1,28 +1,27 @@
-"""Closure relation and spectral-calculus ladder operators.
+"""Closure relation and ladder operators, worked in the dual eigenbasis.
 
 The three closure polynomials are degree-N interpolants through node data
-built from the X grid; the double-commutator identity is then checked as an
-exact matrix equation.  Ladder operators are assembled entirely through
-exact spectral calculus (the square roots hidden in the half-difference
-functions are rational on the spectrum).
+built from the X grid.  The dual polynomials are the eigenvectors of the
+Hamiltonian, h_tilde*V = V*diag(X), and dual orthogonality gives the inverse
+in closed form, V^(-1) = diag(ground_weight)*V^T*diag(dDn_sq).  So every
+polynomial in h_tilde is a diagonal scaling in that basis: the
+double-commutator identity is checked as an exact matrix equation after
+multiplying it by V (two dense products), and each ladder operator is
+assembled with one product by V^(-1) (the square roots hidden in the
+half-difference functions are rational on the spectrum).  Both facts the
+route rests on are certified exactly before use, h_tilde*V = V*diag(X) and
+V*V^(-1) = I; either mismatch raises CrossCheckMismatch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Tuple
 
 from .backend import rat
 from .dualsystem import DualHamiltonian
 from .errors import CrossCheckMismatch, SingularR0
-from .linalg import (
-    SquareMatrix,
-    commutator,
-    exact_det,
-    exact_inverse,
-    exact_solve,
-    matrix_poly,
-)
+from .linalg import SquareMatrix, exact_det, exact_solve
 from .poly import Poly
 
 
@@ -64,32 +63,69 @@ def solve_closure(h: DualHamiltonian) -> ClosureTriple:
 
     for j in range(N + 1):
         z = nodes[j]
-        assert r0(z) == beta0[j] and r1(z) == beta1[j] and rm1(z) == betam1[j]
-        assert r1(z) ** 2 + 4 * r0(z) == (X[j + 1] - X[j - 1]) ** 2
+        if not (r0(z) == beta0[j] and r1(z) == beta1[j] and rm1(z) == betam1[j]):
+            raise CrossCheckMismatch(f"closure polynomials miss their node data at j={j}")
+        if r1(z) ** 2 + 4 * r0(z) != (X[j + 1] - X[j - 1]) ** 2:
+            raise CrossCheckMismatch(f"R1^2 + 4*R0 is not the squared node gap at j={j}")
 
     return ClosureTriple(R0=r0, R1=r1, Rm1=rm1, r0_vanishes_at_zero=(r0(rat(0)) == 0))
 
 
+def _spectrum(h: DualHamiltonian) -> list:
+    return [h.x_grid[n] for n in range(h.h_tilde.n)]
+
+
+def eigen_inverse(h: DualHamiltonian) -> SquareMatrix:
+    """V^(-1) = diag(ground_weight)*V^T*diag(dDn_sq), the dual orthogonality
+    relation; certified V*V^(-1) = I once and cached on h."""
+    if "vinv" not in h.cache:
+        vinv = h.V.transpose().scale_rows(h.ground_weight).scale_cols(h.dDn_sq)
+        if h.V @ vinv != SquareMatrix.identity(h.V.n):
+            raise CrossCheckMismatch("closed-form inverse fails V*V^(-1) = I")
+        h.cache["vinv"] = vinv
+    return h.cache["vinv"]
+
+
+def _eigen_products(h: DualHamiltonian) -> Tuple[SquareMatrix, SquareMatrix]:
+    """(W, h_tilde*W) with W = diag(ebar)*V, once h_tilde*V = V*diag(X) is
+    certified; cached on h."""
+    if "hW" not in h.cache:
+        if not (h.h_tilde @ h.V - h.V.scale_cols(_spectrum(h))).is_zero():
+            raise CrossCheckMismatch("h_tilde*V differs from V*diag(X)")
+        w = h.V.scale_rows(h.ebar)
+        h.cache["hW"] = (w, h.h_tilde @ w)
+    return h.cache["hW"]
+
+
 def verify_closure(h: DualHamiltonian, c: ClosureTriple) -> SquareMatrix:
-    """Exact residual of the double-commutator identity (zero matrix = pass)."""
-    ht = h.h_tilde
-    ebar = SquareMatrix.diagonal(list(h.ebar))
-    inner = commutator(ht, ebar)
-    lhs = commutator(ht, inner)
-    rhs = (
-        ebar @ matrix_poly(c.R0.coeffs, ht)
-        + inner @ matrix_poly(c.R1.coeffs, ht)
-        + matrix_poly(c.Rm1.coeffs, ht)
+    """Exact residual of the double-commutator identity (zero matrix = pass).
+
+    With W = diag(ebar)*V, hW = h_tilde*W and h_tilde*V = V*diag(X), every
+    R(h_tilde)*V is V*diag(R(X)), so
+
+        (LHS - RHS)*V = h_tilde*hW - hW*diag(2X + R1(X))
+                        + W*diag(X^2 - R0(X) + X*R1(X)) - V*diag(Rm1(X)).
+
+    A non-zero result is mapped back by V^(-1), giving LHS - RHS itself.
+    """
+    X = _spectrum(h)
+    vinv = eigen_inverse(h)
+    w, hw = _eigen_products(h)
+    r0 = [c.R0(x) for x in X]
+    r1 = [c.R1(x) for x in X]
+    diff = (
+        h.h_tilde @ hw
+        - hw.scale_cols([2 * x + b for x, b in zip(X, r1)])
+        + w.scale_cols([x * x - a + x * b for x, a, b in zip(X, r0, r1)])
+        - h.V.scale_cols([c.Rm1(x) for x in X])
     )
-    return lhs - rhs
+    return diff if diff.is_zero() else diff @ vinv
 
 
 def spectral_fn(h: DualHamiltonian, node_values: Sequence) -> SquareMatrix:
     """V diag(node_values) V^(-1): the function of h_tilde taking the given
     value on each eigenvalue."""
-    if not hasattr(h, "_vinv"):
-        h._vinv = exact_inverse(h.V)
-    return h.V @ SquareMatrix.diagonal(list(node_values)) @ h._vinv
+    return h.V.scale_cols(list(node_values)) @ eigen_inverse(h)
 
 
 @dataclass
@@ -106,21 +142,28 @@ def build_ladder(h: DualHamiltonian, c: ClosureTriple) -> LadderPair:
         raise SingularR0("R0 vanishes on the spectrum (degenerate seed with Y(0)=0)")
 
     # -Rm1/R0 on the spectrum must reproduce the middle dual coefficient
+    corr = [c.Rm1(X[n]) / r0_vals[n] for n in range(N + 1)]
     for n in range(N + 1):
-        if -c.Rm1(X[n]) / r0_vals[n] != h.dual.b_dual[n]:
+        if -corr[n] != h.dual.b_dual[n]:
             raise CrossCheckMismatch(f"-Rm1/R0 differs from dual coefficient at n={n}")
 
-    alpha_p = spectral_fn(h, [X[n + 1] - X[n] for n in range(N + 1)])
-    alpha_m = spectral_fn(h, [X[n - 1] - X[n] for n in range(N + 1)])
-    gap_inv = spectral_fn(h, [1 / (X[n + 1] - X[n - 1]) for n in range(N + 1)])
-    corr = spectral_fn(h, [c.Rm1(X[n]) / r0_vals[n] for n in range(N + 1)])
+    vinv = eigen_inverse(h)
+    w, hw = _eigen_products(h)
 
-    ebar = SquareMatrix.diagonal(list(h.ebar))
-    inner = commutator(h.h_tilde, ebar)
-    shifted = ebar + corr
-    a_plus = (inner - shifted @ alpha_m) @ gap_inv
-    a_minus = ((inner - shifted @ alpha_p) @ gap_inv).scale(-1)
-    return LadderPair(a_plus=a_plus, a_minus=a_minus)
+    def ladder(step: int, sign: int) -> SquareMatrix:
+        # ([h,Ebar] - (Ebar + corr(h))*alpha(h)) * sign*gap_inv(h), with
+        # alpha(n) = X[n+step] - X[n]; times V this is
+        # [hW - W*diag(X[n+step]) - V*diag(corr*alpha)] * diag(sign*gap_inv)
+        alpha = [X[n + step] - X[n] for n in range(N + 1)]
+        bracket = (
+            hw
+            - w.scale_cols([X[n + step] for n in range(N + 1)])
+            - h.V.scale_cols([k * a for k, a in zip(corr, alpha)])
+        )
+        gap_inv = [sign / (X[n + 1] - X[n - 1]) for n in range(N + 1)]
+        return bracket.scale_cols(gap_inv) @ vinv
+
+    return LadderPair(a_plus=ladder(-1, 1), a_minus=ladder(1, -1))
 
 
 def verify_ladder(h: DualHamiltonian, lp: LadderPair) -> list:

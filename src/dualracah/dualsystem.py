@@ -8,7 +8,7 @@ full polynomial eigenbasis with zero tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Tuple
 
 import mpmath
@@ -91,10 +91,13 @@ class DualHamiltonian:
     energies: Tuple          # eigenvalues X(n), strictly increasing
     V: SquareMatrix          # columns are polynomial eigenvectors
     dDn_sq: Tuple
+    ground_weight: Tuple     # w_x * P_0(x)^2: with dDn_sq, the closed-form V^(-1)
     L: int
     ebar: Tuple              # dual sinusoidal coordinate: base energies E_x
     x_grid: dict             # X values on the extended range -1..N+1
     dual: "DualTable"
+    # certified eigenbasis data, filled lazily by the closure module
+    cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def build_hamiltonians(
@@ -129,7 +132,9 @@ def build_hamiltonians(
     V = SquareMatrix(v_rows)
     return DualHamiltonian(
         h_tilde=h_tilde, h_sym=h_sym, energies=energies, V=V,
-        dDn_sq=s.dDn_sq, L=L,
+        dDn_sq=s.dDn_sq,
+        ground_weight=tuple(s.weights[x] * s.pdn_grid[0][x] ** 2 for x in range(n1)),
+        L=L,
         ebar=tuple(energy(x, s.params) for x in range(n1)),
         x_grid=dict(xp.grid),
         dual=dual,

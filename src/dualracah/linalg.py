@@ -128,6 +128,18 @@ class SquareMatrix:
             [[c * v for v in row] for row in self.rows], self.kind, self.prec
         )
 
+    def scale_rows(self, values: Sequence) -> "SquareMatrix":
+        """diag(values) @ self, without the dense product."""
+        return SquareMatrix(
+            [[c * v for v in row] for c, row in zip(values, self.rows)], self.kind, self.prec
+        )
+
+    def scale_cols(self, values: Sequence) -> "SquareMatrix":
+        """self @ diag(values), without the dense product."""
+        return SquareMatrix(
+            [[v * c for v, c in zip(row, values)] for row in self.rows], self.kind, self.prec
+        )
+
     def transpose(self) -> "SquareMatrix":
         return SquareMatrix(list(zip(*self.rows)), self.kind, self.prec)
 
@@ -205,6 +217,11 @@ def exact_solve(a: SquareMatrix, b: Sequence) -> list:
 
 
 def exact_inverse(a: SquareMatrix) -> SquareMatrix:
+    """Inverse by one exact solve per column.
+
+    A test oracle: the library inverts its eigenvector matrix in closed form
+    (``closure.eigen_inverse``); this generic route checks that at small N.
+    """
     n = a.n
     cols = []
     for j in range(n):
@@ -250,7 +267,11 @@ def solve_overdetermined(rows: List[list], rhs: list) -> list:
 
 
 def matrix_poly(coeffs: Sequence, h: SquareMatrix) -> SquareMatrix:
-    """Evaluate sum_k coeffs[k] * h^k by matrix Horner, exactly."""
+    """Evaluate sum_k coeffs[k] * h^k by matrix Horner, exactly.
+
+    A test oracle: the library evaluates polynomials in the Hamiltonian as
+    diagonal scalings in its eigenbasis; this route checks that at small N.
+    """
     n = h.n
     acc = SquareMatrix.identity(n).scale(rat(0))
     for c in reversed(list(coeffs)):
@@ -259,6 +280,7 @@ def matrix_poly(coeffs: Sequence, h: SquareMatrix) -> SquareMatrix:
 
 
 def commutator(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
+    """a*b - b*a; a test oracle, like ``matrix_poly``."""
     return a @ b - b @ a
 
 

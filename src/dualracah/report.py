@@ -192,6 +192,11 @@ class _Ctx:
             )
         return self._cache["h"]
 
+    def closure(self):
+        if "closure" not in self._cache:
+            self._cache["closure"] = closure.solve_closure(self.hamiltonian())
+        return self._cache["closure"]
+
 
 def _suite_base(ctx: _Ctx) -> dict:
     p = ctx.cfg.params()
@@ -257,7 +262,7 @@ def _suite_dual(ctx: _Ctx) -> dict:
 
 def _suite_closure(ctx: _Ctx) -> dict:
     h = ctx.hamiltonian()
-    trip = closure.solve_closure(h)
+    trip = ctx.closure()
     residual = closure.verify_closure(h, trip)
     nz = residual.nonzero_entries()
     return {
@@ -272,7 +277,7 @@ def _suite_closure(ctx: _Ctx) -> dict:
 
 def _suite_ladder(ctx: _Ctx) -> dict:
     h = ctx.hamiltonian()
-    trip = closure.solve_closure(h)
+    trip = ctx.closure()
     try:
         lp = closure.build_ladder(h, trip)
     except SingularR0 as e:

@@ -1,20 +1,72 @@
 """Closure relation residuals and spectral-calculus ladder operators."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
 from dualracah.backend import rat
 from dualracah.closure import (
     build_ladder,
+    eigen_inverse,
     spectral_fn,
     verify_closure,
     verify_ladder,
 )
-from dualracah.errors import SingularR0
-from dualracah.linalg import SquareMatrix
+from dualracah.errors import CrossCheckMismatch, SingularR0
+from dualracah.linalg import SquareMatrix, commutator, exact_inverse, matrix_poly
 from dualracah.params import QR, R
+from dualracah.poly import Poly
 
 FAMILIES = (R, QR)
 CASES = [((1,), "1"), ((2,), "1"), ((1, 2), "1"), ((1,), "eta")]
+
+
+# The generic routes the eigenbasis route replaced, kept as oracles.
+
+
+def _horner_residual(h, trip):
+    """[h,[h,E]] - (E*R0(h) + [h,E]*R1(h) + Rm1(h)) by matrix Horner."""
+    ht = h.h_tilde
+    ebar = SquareMatrix.diagonal(list(h.ebar))
+    inner = commutator(ht, ebar)
+    rhs = (
+        ebar @ matrix_poly(trip.R0.coeffs, ht)
+        + inner @ matrix_poly(trip.R1.coeffs, ht)
+        + matrix_poly(trip.Rm1.coeffs, ht)
+    )
+    return commutator(ht, inner) - rhs
+
+
+def _spectral_ladder(h, trip):
+    """Both ladder operators by V*diag*exact_inverse(V) spectral calculus."""
+    N = h.h_tilde.n - 1
+    X = h.x_grid
+    vinv = exact_inverse(h.V)
+
+    def fn(values):
+        return h.V @ SquareMatrix.diagonal(values) @ vinv
+
+    alpha_p = fn([X[n + 1] - X[n] for n in range(N + 1)])
+    alpha_m = fn([X[n - 1] - X[n] for n in range(N + 1)])
+    gap_inv = fn([1 / (X[n + 1] - X[n - 1]) for n in range(N + 1)])
+    corr = fn([trip.Rm1(X[n]) / trip.R0(X[n]) for n in range(N + 1)])
+    ebar = SquareMatrix.diagonal(list(h.ebar))
+    inner = commutator(h.h_tilde, ebar)
+    shifted = ebar + corr
+    a_plus = (inner - shifted @ alpha_m) @ gap_inv
+    a_minus = ((inner - shifted @ alpha_p) @ gap_inv).scale(-1)
+    return a_plus, a_minus
+
+
+def _corrupt(m: SquareMatrix, i: int, j: int) -> SquareMatrix:
+    rows = [list(r) for r in m.rows]
+    rows[i][j] += rat(1, 7)
+    return SquareMatrix(rows)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -23,7 +75,9 @@ CASES = [((1,), "1"), ((2,), "1"), ((1, 2), "1"), ((1,), "eta")]
 def test_closure_residual_is_zero(family, D, y, N, pipe):
     h = pipe.hamiltonian(family, N, D, y)
     trip = pipe.closure_triple(family, N, D, y)
-    assert verify_closure(h, trip).is_zero()
+    residual = verify_closure(h, trip)
+    assert residual.is_zero()
+    assert residual == _horner_residual(h, trip)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -114,3 +168,111 @@ def test_middle_coefficient_from_closure(family, pipe):
     for n in range(7):
         z = h.x_grid[n]
         assert -trip.Rm1(z) / trip.R0(z) == h.dual.b_dual[n]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("D,y", CASES)
+@pytest.mark.parametrize("N", [4, 5, 6])
+def test_inverse_and_ladder_match_generic_oracles(family, D, y, N, pipe):
+    h = pipe.hamiltonian(family, N, D, y)
+    trip = pipe.closure_triple(family, N, D, y)
+    assert eigen_inverse(h) == exact_inverse(h.V)
+    if trip.r0_vanishes_at_zero:
+        with pytest.raises(SingularR0):
+            build_ladder(h, trip)
+        return
+    lp = build_ladder(h, trip)
+    assert (lp.a_plus, lp.a_minus) == _spectral_ladder(h, trip)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_corrupted_r1_residual_equals_horner(family, pipe):
+    h = pipe.hamiltonian(family, 5, (1, 2))
+    trip = pipe.closure_triple(family, 5, (1, 2))
+    bad = replace(trip, R1=Poly([trip.R1[0] + rat(1, 3)] + list(trip.R1.coeffs[1:])))
+    residual = verify_closure(h, bad)
+    assert not residual.is_zero()
+    assert residual == _horner_residual(h, bad)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_corrupted_inverse_data_raises(family, pipe):
+    h = pipe.hamiltonian(family, 5, (1,))
+    trip = pipe.closure_triple(family, 5, (1,))
+    # replace() copies h with an empty certification cache
+    bad_v = replace(h, V=_corrupt(h.V, 2, 3))
+    gw = list(h.ground_weight)
+    gw[4] *= 2
+    bad_gw = replace(h, ground_weight=tuple(gw))
+    for bad in (bad_v, bad_gw):
+        with pytest.raises(CrossCheckMismatch, match=r"V\*V\^\(-1\) = I"):
+            eigen_inverse(bad)
+        with pytest.raises(CrossCheckMismatch, match=r"V\*V\^\(-1\) = I"):
+            verify_closure(bad, trip)
+        with pytest.raises(CrossCheckMismatch, match=r"V\*V\^\(-1\) = I"):
+            build_ladder(bad, trip)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_corrupted_hamiltonian_fails_eigen_certification(family, pipe):
+    h = pipe.hamiltonian(family, 5, (1,))
+    trip = pipe.closure_triple(family, 5, (1,))
+    for fn in (verify_closure, build_ladder):
+        bad = replace(h, h_tilde=_corrupt(h.h_tilde, 1, 2))
+        with pytest.raises(CrossCheckMismatch, match=r"h_tilde\*V differs"):
+            fn(bad, trip)
+
+
+def test_certifications_survive_python_O():
+    """Under -O the closure checks still raise: none of them is an assert."""
+    script = textwrap.dedent(
+        """
+        from dataclasses import replace
+        from dualracah import closure, multiindexed, recurrence, dualsystem
+        from dualracah.backend import rat
+        from dualracah.errors import CrossCheckMismatch
+        from dualracah.linalg import SquareMatrix
+        from dualracah.params import make_params
+        from dualracah.poly import Poly
+
+        assert False, "asserts must be stripped"
+        s = multiindexed.build_mi_system(make_params("R", 4, b=9, c=rat(1, 2), d=rat(2, 5)), (1,))
+        xp = recurrence.build_X(s, Poly([rat(1)]), for_hamiltonian=True)
+        h = dualsystem.build_hamiltonians(
+            s, xp, recurrence.extract_r(s, xp), dualsystem.dual_values(s))
+
+        solve = closure.exact_solve
+        calls = []
+
+        def skewed_solve(a, b):
+            # corrupt the constant coefficient of R1, the second solve
+            x = solve(a, b)
+            calls.append(1)
+            if len(calls) == 2:
+                x[0] += 1
+            return x
+
+        closure.exact_solve = skewed_solve
+        try:
+            closure.solve_closure(h)
+        except CrossCheckMismatch as e:
+            print("node:", e)
+        closure.exact_solve = solve
+
+        trip = closure.solve_closure(h)
+        rows = [list(r) for r in h.h_tilde.rows]
+        rows[1][2] += 1
+        try:
+            closure.verify_closure(replace(h, h_tilde=SquareMatrix(rows)), trip)
+        except CrossCheckMismatch as e:
+            print("eigen:", e)
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout
+    assert "node: closure polynomials miss their node data" in out
+    assert "eigen: h_tilde*V differs from V*diag(X)" in out
