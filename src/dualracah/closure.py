@@ -90,7 +90,7 @@ def _eigen_products(h: DualHamiltonian) -> Tuple[SquareMatrix, SquareMatrix]:
     """(W, h_tilde*W) with W = diag(ebar)*V, once h_tilde*V = V*diag(X) is
     certified; cached on h."""
     if "hW" not in h.cache:
-        if not (h.h_tilde @ h.V - h.V.scale_cols(_spectrum(h))).is_zero():
+        if not (h.hv() - h.V.scale_cols(_spectrum(h))).is_zero():
             raise CrossCheckMismatch("h_tilde*V differs from V*diag(X)")
         w = h.V.scale_rows(h.ebar)
         h.cache["hW"] = (w, h.h_tilde @ w)

@@ -96,8 +96,14 @@ class DualHamiltonian:
     ebar: Tuple              # dual sinusoidal coordinate: base energies E_x
     x_grid: dict             # X values on the extended range -1..N+1
     dual: "DualTable"
-    # certified eigenbasis data, filled lazily by the closure module
+    # h_tilde*V and certified eigenbasis data, filled lazily
     cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def hv(self) -> SquareMatrix:
+        """h_tilde*V, one dense product shared by every eigen-check."""
+        if "hV" not in self.cache:
+            self.cache["hV"] = self.h_tilde @ self.V
+        return self.cache["hV"]
 
 
 def build_hamiltonians(
@@ -145,9 +151,7 @@ def verify_spectrum(h: DualHamiltonian) -> list:
     """Exact eigen-check h_tilde*V = V*diag(energies); empty = pass."""
     n1 = h.h_tilde.n
     failures = []
-    lhs = h.h_tilde @ h.V
-    rhs = h.V @ SquareMatrix.diagonal(list(h.energies))
-    diff = lhs - rhs
+    diff = h.hv() - h.V.scale_cols(h.energies)
     failures.extend(("eigen", i, j) for i, j, _ in diff.nonzero_entries())
     if h.energies[0] != 0:
         failures.append(("ground", 0))

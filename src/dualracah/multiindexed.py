@@ -4,7 +4,14 @@ The denominator polynomial and the deformed polynomials are built from
 bordered Casoratians of virtual-state values, then recovered as dense
 polynomials in the sinusoidal variable by exact interpolation with
 certified degrees.  Every normalization, positivity, and leading
-coefficient claim is asserted during the build.
+coefficient claim is certified during the build: a failure raises, under
+every interpreter flag.
+
+Only the last Casoratian column depends on the label n.  The virtual-state
+rows, the Pochhammer factors r_j(x), the Vandermonde products and the
+normalization C_D are evaluated once per (parameters, D) by a ``GridTable``
+that lives for one build; ``pdn_check_value`` and ``xi_check_value`` read
+a single entry through a fresh table.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from .basefamily import (
     xi_v,
 )
 from .errors import (
+    CrossCheckMismatch,
     DegreeMismatch,
     IndexOutOfRange,
     InadmissibleParams,
@@ -117,31 +125,70 @@ def dtn_sq_value(n: int, D: Sequence[int], p: ParamSet):
     return acc
 
 
-def norm_const_cdn(n: int, D: Sequence[int], p: ParamSet):
-    return (-1) ** len(D) * norm_const_cd(D, p) * dtn_sq_value(n, D, p)
+class GridTable:
+    """Grid values of the Casoratians at one (parameters, D), each
+    n-independent piece evaluated once.
+
+    Entries are filled on first use and held only as long as the table, so
+    float values stay tied to the working precision they were made at.  The
+    determinants see the same rows in the same order as a per-entry
+    evaluation, so float results agree bit for bit.
+    """
+
+    def __init__(self, D: Sequence[int], p: ParamSet):
+        self.D, self.p, self.M = tuple(D), p, len(D)
+        self._memo: dict = {}
+
+    def _get(self, key, make):
+        if key not in self._memo:
+            self._memo[key] = make()
+        return self._memo[key]
+
+    def xi_row(self, y: int) -> list:
+        """Virtual-state values xi_{d_k}(y), k = 1..M (do not mutate)."""
+        return self._get(("xi", y), lambda: [xi_v(dk, y, self.p) for dk in self.D])
+
+    def varphi(self, x: int, M: int):
+        return self._get(("varphi", x, M), lambda: varphi_m(x, M, self.p))
+
+    def dtn(self, n: int):
+        return self._get(("dtn", n), lambda: dtn_sq_value(n, self.D, self.p))
+
+    def cd(self):
+        return self._get("cd", lambda: norm_const_cd(self.D, self.p))
+
+    def cdn(self, n: int):
+        return (-1) ** self.M * self.cd() * self.dtn(n)
+
+    def xi(self, x: int):
+        """Grid value of the denominator polynomial (any integer x)."""
+        M, p = self.M, self.p
+        if M == 0:
+            return rat(1) if p.is_exact() else p.b * 0 + 1
+        det = generic_det([self.xi_row(x + j) for j in range(M)])
+        return det / (self.cd() * self.varphi(x, M))
+
+    def pdn(self, n: int, x: int):
+        """Grid value of the deformed polynomial via the bordered determinant;
+        only the last column, r_j(x) * P_n(x+j-1), depends on n."""
+        M, p = self.M, self.p
+        rows = []
+        for j in range(1, M + 2):
+            y = x + j - 1
+            rj = self._get(("rj", j, x), lambda: rj_factor(j, x, M, p))
+            base = self._get(("P", n, y), lambda: racah_value(n, y, p))
+            rows.append(self.xi_row(y) + [rj * base])
+        return generic_det(rows) / (self.cdn(n) * self.varphi(x, M + 1))
 
 
 def xi_check_value(x: int, D: Sequence[int], p: ParamSet):
     """Grid value of the denominator polynomial (any integer x)."""
-    M = len(D)
-    if M == 0:
-        return rat(1) if p.is_exact() else p.b * 0 + 1
-    det = generic_det(
-        [[xi_v(dk, x + j, p) for dk in D] for j in range(M)]
-    )
-    return det / (norm_const_cd(D, p) * varphi_m(x, M, p))
+    return GridTable(D, p).xi(x)
 
 
 def pdn_check_value(n: int, x: int, D: Sequence[int], p: ParamSet):
     """Grid value of the deformed polynomial via the bordered determinant."""
-    M = len(D)
-    rows = []
-    for j in range(1, M + 2):
-        row = [xi_v(dk, x + j - 1, p) for dk in D]
-        row.append(rj_factor(j, x, M, p) * racah_value(n, x + j - 1, p))
-        rows.append(row)
-    det = generic_det(rows)
-    return det / (norm_const_cdn(n, D, p) * varphi_m(x, M + 1, p))
+    return GridTable(D, p).pdn(n, x)
 
 
 def leading_xi(D: Sequence[int], p: ParamSet):
@@ -243,9 +290,11 @@ def build_mi_system(p: ParamSet, D: Sequence[int]) -> MISystem:
     p_ximinus = shift(p, M - 1, "delta")
     p_pdn = shift(p, M, "delta")
     p_delta = shift(p, 1, "delta")
+    tab = GridTable(D, p)
 
-    xi_grid = {x: xi_check_value(x, D, p) for x in range(0, max(N + 2, ellD + 1))}
-    assert xi_grid[0] == 1
+    xi_grid = {x: tab.xi(x) for x in range(0, max(N + 2, ellD + 1))}
+    if xi_grid[0] != 1:
+        raise CrossCheckMismatch(f"denominator polynomial is {xi_grid[0]} at x=0, not 1")
     for x in range(N + 1):
         if not xi_grid[x] > 0:
             raise InadmissibleParams(f"denominator polynomial not positive at x={x}")
@@ -259,32 +308,40 @@ def build_mi_system(p: ParamSet, D: Sequence[int]) -> MISystem:
         raise DegreeMismatch("denominator polynomial degree/leading coefficient")
     # certify the interpolant against the determinant route on the whole grid
     for x in range(N + 2):
-        assert xi_poly(eta(x, p_ximinus)) == xi_grid[x]
+        if xi_poly(eta(x, p_ximinus)) != xi_grid[x]:
+            raise CrossCheckMismatch(f"denominator interpolant misses the grid at x={x}")
 
     pdn_polys: List[Poly] = []
     pdn_grid: List[tuple] = []
     for n in range(N + 1):
         deg = ellD + n
         nodes = [eta(x, p_pdn) for x in range(deg + 1)]
-        vals = [pdn_check_value(n, x, D, p) for x in range(deg + 1)]
+        vals = [tab.pdn(n, x) for x in range(deg + 1)]
         pol = interpolate(nodes, vals, max_degree=deg)
         if (pol.degree or 0) != deg or pol[deg] != leading_pdn(n, D, p):
             raise DegreeMismatch(f"deformed polynomial n={n} degree/leading coefficient")
         row = []
         for x in range(N + 1):
             v = pol(eta(x, p_pdn))
-            if x > deg:
-                assert v == pdn_check_value(n, x, D, p)
+            if x > deg and v != tab.pdn(n, x):
+                raise CrossCheckMismatch(
+                    f"deformed polynomial n={n} interpolant misses the grid at x={x}"
+                )
             row.append(v)
-        assert row[0] == 1
+        if row[0] != 1:
+            raise CrossCheckMismatch(f"deformed polynomial n={n} is {row[0]} at x=0, not 1")
         pdn_polys.append(pol)
         pdn_grid.append(tuple(row))
 
-    xi_grid_delta = {x: xi_check_value(x, D, p_delta) for x in range(-1, N + 2)}
+    tab_delta = GridTable(D, p_delta)
+    xi_grid_delta = {x: tab_delta.xi(x) for x in range(-1, N + 2)}
     for x in range(N + 1):
-        assert pdn_grid[0][x] == xi_grid_delta[x]
+        if pdn_grid[0][x] != xi_grid_delta[x]:
+            raise CrossCheckMismatch(
+                f"ground state differs from the shifted denominator at x={x}"
+            )
 
-    dtn = [dtn_sq_value(n, D, p) for n in range(N + 1)]
+    dtn = [tab.dtn(n) for n in range(N + 1)]
     dDn = [dn_sq(n, p) * t for n, t in zip(range(N + 1), dtn)]
     p_tilde = shift(p, M, "tilde")
     weights = []

@@ -16,14 +16,15 @@ from typing import Sequence, Tuple
 import mpmath
 
 from .bigreal import DEFAULT_PRECISION, to_real
-from .multiindexed import build_mi_system, pdn_check_value
-from .params import QR, ParamSet, R, validate
+from .multiindexed import GridTable, MISystem
+from .params import QR, ParamSet, R
 from .errors import InadmissibleParams
 
 
 def matched_q_params(p_r: ParamSet, k: int, precision: int = DEFAULT_PRECISION) -> ParamSet:
     """The q-family tuple (q^-N, q^b, q^c, q^d) at q = 1 - 10^-k, in floats."""
-    assert p_r.family == R and p_r.is_exact()
+    if p_r.family != R or not p_r.is_exact():
+        raise InadmissibleParams("the q->1 reference must be an exact additive-family tuple")
     with mpmath.workprec(precision):
         q = 1 - mpmath.mpf(10) ** (-k)
         return ParamSet(
@@ -41,10 +42,8 @@ def float_tables(p: ParamSet, D: Sequence[int], precision: int = DEFAULT_PRECISI
     """Normalized polynomial table and its dual ratio table, both in floats."""
     N = p.N
     with mpmath.workprec(precision):
-        pdn = [
-            [pdn_check_value(n, x, tuple(D), p) for x in range(N + 1)]
-            for n in range(N + 1)
-        ]
+        tab = GridTable(D, p)
+        pdn = [[tab.pdn(n, x) for x in range(N + 1)] for n in range(N + 1)]
         qvals = [
             [pdn[n][x] / pdn[0][x] for n in range(N + 1)] for x in range(N + 1)
         ]
@@ -62,17 +61,12 @@ class QLimitReport:
 
 
 def qlimit_check(
-    p_r: ParamSet,
-    D: Sequence[int],
+    s: MISystem,
     ks: Sequence[int] = (3, 4, 5, 6),
     precision: int = DEFAULT_PRECISION,
 ) -> QLimitReport:
-    D = tuple(D)
-    bad = validate(p_r, D)
-    if bad:
-        raise InadmissibleParams(f"reference tuple violates ranges: {bad}")
-    s = build_mi_system(p_r, D)
-    N = p_r.N
+    """Gap ladder of the q-family tables against the built additive system s."""
+    p_r, D, N = s.params, s.D, s.params.N
     with mpmath.workprec(precision):
         ref_p = [
             [to_real(s.pdn_grid[n][x], precision) for x in range(N + 1)]

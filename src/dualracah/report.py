@@ -64,6 +64,11 @@ def _cfg_rat(raw, key: str):
         raise ConfigError(f"bad rational for {key!r}: {e}") from e
 
 
+def _is_int(v) -> bool:
+    # JSON true/false arrive as bool, which is an int subclass
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def parse_config(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
@@ -77,7 +82,7 @@ def parse_config(data: dict) -> RunConfig:
     if family not in (R, QR):
         raise ConfigError(f"family must be {R!r} or {QR!r}, got {family!r}")
     N = data["N"]
-    if not isinstance(N, int) or N < 1:
+    if not _is_int(N) or N < 1:
         raise ConfigError(f"N must be a positive integer, got {N!r}")
     b = _cfg_rat(data["b"], "b")
     c = _cfg_rat(data["c"], "c")
@@ -89,8 +94,11 @@ def parse_config(data: dict) -> RunConfig:
         q = _cfg_rat(data["q"], "q")
     elif "q" in data:
         raise ConfigError("'q' is only valid for the q-family")
+    d_raw = data.get("D", [])
+    if not isinstance(d_raw, list) or not all(_is_int(v) for v in d_raw):
+        raise ConfigError(f"D must be a list of integers, got {d_raw!r}")
     try:
-        D = index_set(data.get("D", []))
+        D = index_set(d_raw)
     except DualRacahError as e:
         raise ConfigError(str(e)) from e
     y_raw = data.get("Y", ["1"])
@@ -102,7 +110,10 @@ def parse_config(data: dict) -> RunConfig:
     precision = data.get("precision", DEFAULT_PRECISION)
     if not isinstance(precision, int) or precision < 53:
         raise ConfigError(f"precision must be an integer >= 53, got {precision!r}")
-    suites = tuple(data.get("suites", list(SUITES)))
+    suites_raw = data.get("suites", list(SUITES))
+    if not isinstance(suites_raw, list) or not all(isinstance(s, str) for s in suites_raw):
+        raise ConfigError(f"suites must be a list of suite names, got {suites_raw!r}")
+    suites = tuple(suites_raw)
     bad = [s for s in suites if s not in SUITES]
     if bad:
         raise ConfigError(f"unknown suites: {bad}")
@@ -112,9 +123,15 @@ def parse_config(data: dict) -> RunConfig:
     for entry in data.get("si_candidates", []):
         try:
             name, slots = entry["name"], entry["slots"]
-            cands.append((str(name), tuple(str(v) for v in slots)))
         except (TypeError, KeyError) as e:
             raise ConfigError(f"bad si_candidates entry {entry!r}") from e
+        if not isinstance(slots, list) or len(slots) != 4:
+            raise ConfigError(
+                f"si_candidates slots must be four rational strings (a, b, c, d), got {slots!r}"
+            )
+        for v in slots:
+            _cfg_rat(v, "si_candidates slot")
+        cands.append((str(name), tuple(slots)))
     out = data.get("out")
     if out is not None and not isinstance(out, str):
         raise ConfigError("out must be a path string")
@@ -202,20 +219,19 @@ def _suite_base(ctx: _Ctx) -> dict:
     p = ctx.cfg.params()
     N = p.N
     pd = p.dual()
+    grid = range(N + 1)
+    P = [[basefamily.racah_value(n, x, p) for x in grid] for n in grid]
+    phi0 = [basefamily.phi0_sq(x, p) for x in grid]
+    dn = [basefamily.dn_sq(n, p) for n in grid]
     fails = []
-    for n in range(N + 1):
+    for n in grid:
         for m in range(n, N + 1):
-            total = sum(
-                basefamily.phi0_sq(x, p)
-                * basefamily.racah_value(n, x, p)
-                * basefamily.racah_value(m, x, p)
-                for x in range(N + 1)
-            ) * basefamily.dn_sq(n, p)
+            total = sum(phi0[x] * P[n][x] * P[m][x] for x in grid) * dn[n]
             if total != (1 if n == m else 0):
                 fails.append(["ortho", n, m])
-    for n in range(N + 1):
-        for x in range(N + 1):
-            if basefamily.racah_value(n, x, p) != basefamily.racah_value(x, n, pd):
+    for n in grid:
+        for x in grid:
+            if P[n][x] != basefamily.racah_value(x, n, pd):
                 fails.append(["duality", n, x])
     return {"pass": not fails, "failures": fails}
 
@@ -327,7 +343,7 @@ def _suite_shape(ctx: _Ctx) -> dict:
 
 
 def _suite_qlimit(ctx: _Ctx) -> dict:
-    rep = qlimit.qlimit_check(ctx.cfg.params(), ctx.cfg.D, precision=ctx.cfg.precision)
+    rep = qlimit.qlimit_check(ctx.system(), precision=ctx.cfg.precision)
     ok = rep.within_tolerance and rep.monotone
     return {
         "pass": ok,

@@ -20,7 +20,6 @@ from .errors import InadmissibleCandidate, NegativePivot
 from .linalg import SquareMatrix
 from .multiindexed import MISystem, build_mi_system
 from .params import R, ParamSet, validate
-from .poly import Poly
 from .recurrence import XPoly, build_X, extract_r
 
 
@@ -115,14 +114,6 @@ class SIReport:
         return any(v.admissible and v.spectral_pass for v in self.verdicts)
 
 
-def _pipeline(p: ParamSet, D, Y: Poly):
-    s = build_mi_system(p, D)
-    xp = build_X(s, Y, for_hamiltonian=True)
-    t = extract_r(s, xp)
-    dt = dual_values(s)
-    return s, xp, build_hamiltonians(s, xp, t, dt)
-
-
 def si_test(
     s: MISystem,
     xp: XPoly,
@@ -157,7 +148,9 @@ def si_test(
                 t = extract_r(s, xp)
                 dt = dual_values(s)
                 h_self = build_hamiltonians(s, xp, t, dt, precision=precision)
-            _, _, h2 = _pipeline(p2, D, Y)
+            h2 = build_hamiltonians(
+                s2, xp2, extract_r(s2, xp2), dual_values(s2), precision=precision
+            )
             A = factor_upper(h_self.h_sym).A
             A2 = factor_upper(h2.h_sym).A
             with mpmath.workprec(precision):

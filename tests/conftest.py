@@ -9,6 +9,8 @@ import pytest
 
 from dualracah import closure, dualsystem, multiindexed, recurrence
 from dualracah.backend import rat
+from dualracah.basefamily import racah_value, xi_v
+from dualracah.linalg import generic_det
 from dualracah.params import QR, R, make_params
 from dualracah.poly import Poly
 
@@ -23,6 +25,30 @@ def std_params(family: str, N: int):
         return make_params(R, N, b=N + 5, c=rat(1, 2), d=rat(2, 5))
     q = rat(1, 2)
     return make_params(QR, N, b=q ** (N + 5), c=rat(1, 2), d=rat(2, 5), q=q)
+
+
+def per_entry_xi(x, D, p):
+    """Denominator grid value, every factor evaluated afresh (the route
+    ``multiindexed.GridTable`` replaced, kept as an oracle)."""
+    M = len(D)
+    if M == 0:
+        return rat(1) if p.is_exact() else p.b * 0 + 1
+    det = generic_det([[xi_v(dk, x + j, p) for dk in D] for j in range(M)])
+    return det / (multiindexed.norm_const_cd(D, p) * multiindexed.varphi_m(x, M, p))
+
+
+def per_entry_pdn(n, x, D, p):
+    """Deformed polynomial grid value by the bordered determinant, every
+    factor evaluated afresh (oracle, like ``per_entry_xi``)."""
+    M = len(D)
+    rows = []
+    for j in range(1, M + 2):
+        row = [xi_v(dk, x + j - 1, p) for dk in D]
+        row.append(multiindexed.rj_factor(j, x, M, p) * racah_value(n, x + j - 1, p))
+        rows.append(row)
+    det = generic_det(rows)
+    cdn = (-1) ** M * multiindexed.norm_const_cd(D, p) * multiindexed.dtn_sq_value(n, D, p)
+    return det / (cdn * multiindexed.varphi_m(x, M + 1, p))
 
 
 class Pipeline:

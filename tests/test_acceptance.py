@@ -23,7 +23,12 @@ from dualracah.comparators import (
 )
 from dualracah.dualsystem import commutator_check, dual_ortho, verify_spectrum
 from dualracah.errors import SingularR0
-from dualracah.multiindexed import sign_changes, verify_difference_eq, verify_ortho
+from dualracah.multiindexed import (
+    build_mi_system,
+    sign_changes,
+    verify_difference_eq,
+    verify_ortho,
+)
 from dualracah.params import QR, R, ParamSet, ipow, validate
 from dualracah.qlimit import qlimit_check
 from dualracah.recurrence import verify_recurrence
@@ -217,6 +222,6 @@ def test_criterion_9_shape_invariance_verdicts(pipe):
 def test_criterion_10_q_to_1_limits():
     with criterion(10, "q->1 convergence, monotone within tolerance"):
         for D in ((1,), (2,), (1, 2)):
-            rep = qlimit_check(std_params(R, 5), D)
+            rep = qlimit_check(build_mi_system(std_params(R, 5), D))
             assert rep.within_tolerance
             assert rep.monotone

@@ -153,3 +153,64 @@ def test_precision_override(tmp_path):
     report, ok = run_suite(cfg)
     assert ok and report["config"]["precision"] == 128
     assert main(["verify", "--config", cfg_path, "--precision", "10"]) == 2
+
+
+@pytest.mark.parametrize("mutation,msg", [
+    ({"si_candidates": [{"name": "short", "slots": ["-4", "11", "3/2"]}]}, "four rational"),
+    ({"si_candidates": [{"name": "bad", "slots": ["-4", "11", "3/2", "z"]}]}, "bad rational"),
+    ({"N": True}, "N must be a positive integer"),
+    ({"D": [1.7]}, "D must be a list of integers"),
+    ({"D": ["2"]}, "D must be a list of integers"),
+    ({"D": [True]}, "D must be a list of integers"),
+    ({"suites": "mi"}, "suites must be a list"),
+    ({"suites": ["mi", 3]}, "suites must be a list"),
+])
+def test_malformed_config_exits_2_with_message(tmp_path, capsys, mutation, msg):
+    cfg_path = _write(tmp_path, "cfg.json", dict(BASE_CFG, **mutation))
+    assert main(["verify", "--config", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and msg in err
+    assert "Traceback" not in err
+
+
+def test_corrupted_base_value_fails_ortho_and_duality(monkeypatch):
+    """The base suite reads one filled table in both loops, so one wrong
+    P_n(x) shows up in the orthogonality sums and in the duality check."""
+    from dualracah import basefamily
+
+    cfg = parse_config(dict(BASE_CFG, suites=["base"]))
+    p = cfg.params()
+    orig = basefamily.racah_value
+
+    def corrupted(n, x, q):
+        v = orig(n, x, q)
+        return v + 1 if (n, x, q) == (2, 3, p) else v
+
+    monkeypatch.setattr(basefamily, "racah_value", corrupted)
+    report, ok = run_suite(cfg)
+    fails = report["suites"]["base"]["failures"]
+    assert not ok
+    assert [f for f in fails if f[0] == "duality"] == [["duality", 2, 3]]
+    ortho = {tuple(f[1:]) for f in fails if f[0] == "ortho"}
+    assert {(0, 2), (2, 2), (2, 5)} <= ortho and all(2 in nm for nm in ortho)
+
+
+def test_run_builds_each_system_once(monkeypatch):
+    """One system for the pipeline (shared with the qlimit suite) and one per
+    admissible shape candidate."""
+    from dualracah import multiindexed, shapeinv
+
+    built = []
+    build = multiindexed.build_mi_system
+
+    def counted(p, D):
+        built.append(p)
+        return build(p, D)
+
+    monkeypatch.setattr(multiindexed, "build_mi_system", counted)
+    monkeypatch.setattr(shapeinv, "build_mi_system", counted)
+    report, ok = run_suite(parse_config(dict(BASE_CFG, suites=["mi", "shape", "qlimit"])))
+    assert ok
+    admissible = [v for v in report["suites"]["shape"]["verdicts"] if v["admissible"]]
+    assert admissible and len(built) == 1 + len(admissible)
+    assert len(set(built)) == len(built)

@@ -152,3 +152,32 @@ def test_eigenbasis_shared_across_seeds(family, pipe):
     lhs = h2.h_tilde @ h2.V
     rhs = h2.V @ SquareMatrix.diagonal(list(h2.energies))
     assert (lhs - rhs).is_zero()
+
+
+def test_spectrum_reports_each_entry_and_shares_hv(pipe, monkeypatch):
+    from dataclasses import replace
+
+    from dualracah import closure
+    from dualracah.backend import rat
+
+    h = pipe.hamiltonian(R, 5, (1,))
+    trip = pipe.closure_triple(R, 5, (1,))
+    fresh = replace(h)  # same matrices, empty cache
+    calls = []
+    matmul = SquareMatrix.__matmul__
+
+    def counted(a, b):
+        calls.append((a, b))
+        return matmul(a, b)
+
+    monkeypatch.setattr(SquareMatrix, "__matmul__", counted)
+    assert verify_spectrum(fresh) == []
+    assert closure.verify_closure(fresh, trip).is_zero()
+    assert sum(a is fresh.h_tilde and b is fresh.V for a, b in calls) == 1
+    monkeypatch.undo()
+
+    rows = [list(r) for r in h.h_tilde.rows]
+    rows[1][2] += rat(1, 7)
+    bad = replace(h, h_tilde=SquareMatrix(rows))
+    eigen = [f for f in verify_spectrum(bad) if f[0] == "eigen"]
+    assert eigen == [("eigen", 1, j) for j in range(6) if h.V[2, j] != 0]

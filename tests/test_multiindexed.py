@@ -1,12 +1,21 @@
 """Determinant-built deformed systems: normalization, orthogonality,
 difference equations, norms, oscillation counts."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from contextlib import contextmanager
+from pathlib import Path
+
 import pytest
 
+from dualracah import multiindexed
 from dualracah.backend import rat
 from dualracah.basefamily import racah_value, rec_coeffs
-from dualracah.errors import IndexOutOfRange, InadmissibleParams, ZeroEntry
+from dualracah.errors import CrossCheckMismatch, IndexOutOfRange, InadmissibleParams, ZeroEntry
 from dualracah.multiindexed import (
+    GridTable,
     build_mi_system,
     casoratian,
     pdn_check_value,
@@ -16,8 +25,8 @@ from dualracah.multiindexed import (
     verify_ortho,
     xi_check_value,
 )
-from dualracah.params import QR, R, make_params
-from conftest import std_params
+from dualracah.params import QR, R, make_params, shift
+from conftest import per_entry_pdn, per_entry_xi, std_params
 
 FAMILIES = (R, QR)
 INDEX_SETS = ((1,), (2,), (1, 2))
@@ -165,3 +174,108 @@ def test_denominator_positive_beyond_grid(family, pipe):
     s = pipe.system(family, 6, (1, 2))
     assert s.xi_grid[s.params.N + 1] > 0
     assert xi_check_value(0, s.D, s.params) == 1
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("D", ((),) + INDEX_SETS)
+@pytest.mark.parametrize("N", [4, 5, 6])
+def test_table_matches_per_entry_route(family, D, N, pipe):
+    p = std_params(family, N)
+    p_delta = shift(p, 1, "delta")
+    tab, tab_delta = GridTable(D, p), GridTable(D, p_delta)
+    s = pipe.system(family, N, D)
+    for x in range(N + 2):
+        assert tab.xi(x) == per_entry_xi(x, D, p) == s.xi_grid[x]
+    for x in range(-1, N + 2):
+        assert tab_delta.xi(x) == per_entry_xi(x, D, p_delta) == s.xi_grid_delta[x]
+    for n in range(N + 1):
+        for x in range(N + 1):
+            v = per_entry_pdn(n, x, D, p)
+            assert tab.pdn(n, x) == v == pdn_check_value(n, x, D, p) == s.pdn_grid[n][x]
+        assert tab.dtn(n) == s.dtn_sq[n]
+
+
+# Each fault corrupts one table entry (doubles it) so that exactly one build
+# certification sees it, at R, N=5, D=(1,2).
+FAULTS = {
+    "xi_at_zero": ("xi", lambda t, p, x: t.p == p and x == 0, r"at x=0, not 1"),
+    "xi_interpolant": ("xi", lambda t, p, x: t.p == p and x == 6,
+                       r"denominator interpolant misses the grid at x=6"),
+    "pdn_off_nodes": ("pdn", lambda t, p, n, x: (n, x) == (0, 5),
+                      r"n=0 interpolant misses the grid at x=5"),
+    # a doubled C_(D,n) halves P_2 on the whole grid; with a leading
+    # coefficient that is wrong the same way, only the x=0 value shows it
+    "pdn_at_zero": ("cdn", lambda t, p, n: n == 2, r"n=2 is 1/2 at x=0, not 1"),
+    "ground_state": ("xi", lambda t, p, x: t.p != p and x == 3,
+                     r"shifted denominator at x=3"),
+}
+
+
+@contextmanager
+def corrupted_table(fault):
+    """GridTable (and, for pdn_at_zero, leading_pdn) with one entry doubled."""
+    attr, hit, _ = FAULTS[fault]
+    p = std_params(R, 5)
+    orig = getattr(GridTable, attr)
+    orig_lead = multiindexed.leading_pdn
+
+    def corrupted(self, *args):
+        v = orig(self, *args)
+        return 2 * v if hit(self, p, *args) else v
+
+    def halved_lead(n, D, q):
+        return orig_lead(n, D, q) / (2 if n == 2 else 1)
+
+    setattr(GridTable, attr, corrupted)
+    if fault == "pdn_at_zero":
+        multiindexed.leading_pdn = halved_lead
+    try:
+        yield p, (1, 2)
+    finally:
+        setattr(GridTable, attr, orig)
+        multiindexed.leading_pdn = orig_lead
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_corrupted_table_entry_raises(fault):
+    with corrupted_table(fault) as (p, D):
+        with pytest.raises(CrossCheckMismatch, match=FAULTS[fault][2]):
+            build_mi_system(p, D)
+    build_mi_system(p, D)  # the patch is gone again
+
+
+def test_build_certifications_survive_python_O():
+    """Under -O every build certification still raises: none is an assert."""
+    tests = Path(__file__).resolve().parent
+    script = textwrap.dedent(
+        """
+        from dualracah.errors import CrossCheckMismatch, InadmissibleParams
+        from dualracah.multiindexed import build_mi_system
+        from dualracah.qlimit import matched_q_params
+        from conftest import std_params
+        from test_multiindexed import FAULTS, corrupted_table
+
+        assert False, "asserts must be stripped"
+        for fault in sorted(FAULTS):
+            with corrupted_table(fault) as (p, D):
+                try:
+                    build_mi_system(p, D)
+                    print(fault, "passed")
+                except CrossCheckMismatch as e:
+                    print(fault, "raised:", e)
+        try:
+            matched_q_params(std_params("qR", 4), 3)
+        except InadmissibleParams:
+            print("matched_q_params raised")
+        """
+    )
+    src = str(tests.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, str(tests), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout
+    for fault in FAULTS:
+        assert f"{fault} raised:" in out
+    assert "matched_q_params raised" in out

@@ -5,14 +5,15 @@ import pytest
 
 from dualracah.backend import rat
 from dualracah.errors import InadmissibleParams
-from dualracah.params import R, make_params
+from dualracah.multiindexed import build_mi_system
+from dualracah.params import QR, R, make_params
 from dualracah.qlimit import float_tables, matched_q_params, qlimit_check
-from conftest import std_params
+from conftest import per_entry_pdn, std_params
 
 
 @pytest.mark.parametrize("D", [(), (1,), (1, 2)])
-def test_convergence_ladder(D):
-    rep = qlimit_check(std_params(R, 5), D)
+def test_convergence_ladder(D, pipe):
+    rep = qlimit_check(pipe.system(R, 5, D))
     assert rep.within_tolerance
     assert rep.monotone
     with mpmath.workprec(rep.precision):
@@ -40,7 +41,28 @@ def test_float_tables_normalization():
             assert qvals[x][0] == 1
 
 
-def test_inadmissible_reference_rejected():
+def test_inadmissible_reference_rejected(pipe):
     bad = make_params(R, 5, b=5, c=rat(1, 2), d=rat(2, 5))
     with pytest.raises(InadmissibleParams):
-        qlimit_check(bad, (1,))
+        qlimit_check(build_mi_system(bad, (1,)))
+    with pytest.raises(InadmissibleParams):
+        qlimit_check(pipe.system(QR, 5, (1,)))  # no additive reference
+
+
+def test_matched_tuple_needs_exact_additive_reference():
+    with pytest.raises(InadmissibleParams):
+        matched_q_params(std_params(QR, 4), 3)
+
+
+@pytest.mark.parametrize("D", [(1,), (1, 2)])
+def test_float_tables_equal_per_entry_route(D):
+    """The table route reproduces every float of the per-entry route, bit
+    for bit: same rows, same order, same working precision."""
+    p = std_params(R, 4)
+    pq = matched_q_params(p, 4)
+    pdn, qvals = float_tables(pq, D)
+    with mpmath.workprec(256):
+        for n in range(5):
+            for x in range(5):
+                assert pdn[n][x] == per_entry_pdn(n, x, D, pq)
+                assert qvals[x][n] == pdn[n][x] / pdn[0][x]
