@@ -4,9 +4,11 @@ All exact computations run over arbitrary-precision rationals.  Two
 interchangeable backends are supported:
 
 * ``gmpy2.mpq`` -- compiled GMP rationals, the default when gmpy2 is
-  importable.  The fraction-free elimination and Casoratian kernels are
-  dominated by bignum arithmetic, so GMP gives a large constant-factor
-  speedup.
+  importable.  Rational arithmetic (the Casoratian grid, sums, scalings)
+  is dominated by bignum work, so GMP gives a constant-factor speedup;
+  the dense products, eliminations and Horner evaluations in ``linalg``
+  and ``poly`` clear denominators and run on Python integers with either
+  backend.
 * ``fractions.Fraction`` -- pure-Python fallback, always available.
 
 Set ``DUALRACAH_BACKEND=fraction`` (or ``gmpy2``) to force a choice; see

@@ -21,7 +21,7 @@ from typing import Sequence, Tuple
 from .backend import rat
 from .dualsystem import DualHamiltonian
 from .errors import CrossCheckMismatch, SingularR0
-from .linalg import SquareMatrix, exact_det, exact_solve
+from .linalg import SquareMatrix, exact_det, exact_solve_many
 from .poly import Poly
 
 
@@ -48,11 +48,7 @@ def solve_closure(h: DualHamiltonian) -> ClosureTriple:
     betam1 = [-b0 * b_dual[j] for j, b0 in enumerate(beta0)]
 
     vm = _vandermonde(nodes)
-    tripel = []
-    for beta in (beta0, beta1, betam1):
-        coeffs = exact_solve(vm, beta)
-        tripel.append(Poly(coeffs))
-    r0, r1, rm1 = tripel
+    r0, r1, rm1 = (Poly(cs) for cs in exact_solve_many(vm, [beta0, beta1, betam1]))
 
     # Cramer cross-check on the leading coefficient of R0
     top = SquareMatrix(

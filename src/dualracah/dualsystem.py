@@ -49,7 +49,8 @@ def dual_values(s: MISystem) -> DualTable:
     a_dual = tuple(-s.bd(x) for x in range(N + 1))
     c_dual = tuple(-s.dd(x) for x in range(N + 1))
     b_dual = tuple(-a - c for a, c in zip(a_dual, c_dual))
-    assert a_dual[N] == 0 and c_dual[0] == 0
+    if a_dual[N] != 0 or c_dual[0] != 0:
+        raise CrossCheckMismatch("dual recurrence coefficients do not vanish at the edges")
 
     # independent route: dual three-term recurrence in x
     for n in range(N + 1):

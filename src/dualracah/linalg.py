@@ -1,13 +1,24 @@
 """Exact linear algebra on small dense matrices.
 
-Determinants and solves use fraction-free (Bareiss) elimination on a
-denominator-cleared integer matrix, so no rounding occurs anywhere and
-intermediate entries stay polynomially bounded.
+Exact work runs on Python integers. Each row (or column) is cleared of
+denominators once by its lcm (``_cleared_int_rows``):
+
+* a product takes integer dot products and forms one rational per entry,
+  ``rat(dot, row_factor * col_factor)``;
+* determinants, square solves with one or several right-hand sides and
+  overdetermined solves share one fraction-free echelon kernel (Bareiss,
+  Math. Comp. 22, 1968) with row pivoting, followed by integer
+  back-substitution, ``x_i = rat(y_i, det)``.
+
+Results are canonical rationals, equal to those of rational arithmetic
+entry for entry.  Matrices of kind "real" (floats) keep plain scalar
+arithmetic, and ``generic_det`` serves them and the small Casoratians.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from math import lcm, prod
+from operator import mul
 from typing import List, Sequence
 
 from .backend import rat, rat_to_str
@@ -19,43 +30,73 @@ def _cleared_int_rows(rows):
     int_rows = []
     factors = []
     for row in rows:
-        lcm = 1
-        for v in row:
-            den = v.denominator
-            lcm = lcm * den // gcd(lcm, den)
-        int_rows.append([int(v.numerator * (lcm // v.denominator)) for v in row])
-        factors.append(lcm)
+        f = lcm(*[int(v.denominator) for v in row])
+        int_rows.append([int(v.numerator) * (f // int(v.denominator)) for v in row])
+        factors.append(f)
     return int_rows, factors
 
 
-def _bareiss_det_int(m: List[List[int]]) -> int:
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        piv = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * piv - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
+def _bareiss(m: List[List[int]], ncols: int) -> int:
+    """Fraction-free echelon form of the integer rows m, in place.
+
+    Pivots run down the first ncols columns, swapping rows as needed; any
+    further columns (right-hand sides) are carried along.  Every entry
+    below the pivots is a minor of the row-permuted matrix, so each
+    division by the previous pivot is exact.  Returns the signed
+    determinant of the leading ncols x ncols block, or 0 if some column
+    has no pivot.
+    """
+    sign, prev = 1, 1
+    for k in range(ncols):
+        piv_row = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if piv_row is None:
+            return 0
+        if piv_row != k:
+            m[k], m[piv_row] = m[piv_row], m[k]
+            sign = -sign
+        top = m[k]
+        piv = top[k]
+        for row in m[k + 1:]:
+            f = row[k]
+            row[k:] = [0] + [
+                (v * piv - f * t) // prev for v, t in zip(row[k + 1:], top[k + 1:])
+            ]
         prev = piv
-    return sign * m[n - 1][n - 1]
+    return sign * prev
+
+
+def _solve(rows: Sequence[Sequence], rhs_cols: Sequence[Sequence]) -> List[list]:
+    """Unique solutions of rows*x = b for each b in rhs_cols.
+
+    ``rows`` may have more rows than columns; the surplus equations must
+    then be consistent.  Raises SingularMatrix on rank deficiency or on an
+    inconsistent right-hand side.
+    """
+    n = len(rows[0]) if rows else 0
+    m, _ = _cleared_int_rows(
+        [list(row) + [b[i] for b in rhs_cols] for i, row in enumerate(rows)]
+    )
+    det = _bareiss(m, n)
+    if det == 0:
+        raise SingularMatrix("rank-deficient system")
+    for row in m[n:]:
+        if any(row[n:]):
+            raise SingularMatrix("inconsistent overdetermined system")
+    # det*x is integral (Cramer), so each division below is exact
+    sols = []
+    for c in range(n, n + len(rhs_cols)):
+        y = [0] * n
+        for i in range(n - 1, -1, -1):
+            row = m[i]
+            y[i] = (det * row[c] - sum(map(mul, row[i + 1:n], y[i + 1:]))) // row[i]
+        sols.append([rat(v, det) for v in y])
+    return sols
 
 
 class SquareMatrix:
     """Dense square matrix; kind is "exact" (rationals) or "real" (floats).
 
-    Exact matrices support exact det/solve/inverse; real matrices only carry
+    Exact matrices support exact det/solve; real matrices only carry
     entries plus their working precision in bits.
     """
 
@@ -115,13 +156,21 @@ class SquareMatrix:
 
     def __matmul__(self, other: "SquareMatrix") -> "SquareMatrix":
         self._check(other)
-        n = self.n
-        cols = list(zip(*other.rows))
+        prec = max(self.prec, other.prec)
+        if self.kind != "exact":
+            cols = list(zip(*other.rows))
+            out = [
+                [sum((a * b for a, b in zip(row, col)), rat(0)) for col in cols]
+                for row in self.rows
+            ]
+            return SquareMatrix(out, self.kind, prec)
+        left, row_f = _cleared_int_rows(self.rows)
+        right, col_f = _cleared_int_rows(zip(*other.rows))
         out = [
-            [sum((a * b for a, b in zip(row, col)), rat(0)) for col in cols]
-            for row in self.rows
+            [rat(sum(map(mul, row, col)), f * g) for col, g in zip(right, col_f)]
+            for row, f in zip(left, row_f)
         ]
-        return SquareMatrix(out, self.kind, max(self.prec, other.prec))
+        return SquareMatrix(out, self.kind, prec)
 
     def scale(self, c) -> "SquareMatrix":
         return SquareMatrix(
@@ -144,7 +193,11 @@ class SquareMatrix:
         return SquareMatrix(list(zip(*self.rows)), self.kind, self.prec)
 
     def matvec(self, v: Sequence) -> list:
-        return [sum((a * b for a, b in zip(row, v)), rat(0)) for row in self.rows]
+        if self.kind != "exact":
+            return [sum((a * b for a, b in zip(row, v)), rat(0)) for row in self.rows]
+        left, row_f = _cleared_int_rows(self.rows)
+        (col,), (g,) = _cleared_int_rows([v])
+        return [rat(sum(map(mul, row, col)), f * g) for row, f in zip(left, row_f)]
 
     def column(self, j: int) -> list:
         return [row[j] for row in self.rows]
@@ -171,124 +224,44 @@ class SquareMatrix:
 
 
 def exact_det(a: SquareMatrix):
-    """Exact determinant via fraction-free Bareiss elimination."""
+    """Exact determinant by the fraction-free echelon kernel."""
     if a.kind != "exact":
         raise ShapeMismatch("exact_det requires an exact matrix")
-    int_rows, factors = _cleared_int_rows(a.rows)
-    det = rat(_bareiss_det_int(int_rows))
-    for f in factors:
-        det = det / f
-    return det
+    m, factors = _cleared_int_rows(a.rows)
+    return rat(_bareiss(m, a.n), prod(factors))
 
 
 def exact_solve(a: SquareMatrix, b: Sequence) -> list:
     """Unique exact solution of a*x = b (SingularMatrix if none)."""
+    return exact_solve_many(a, [b])[0]
+
+
+def exact_solve_many(a: SquareMatrix, rhs_cols: Sequence[Sequence]) -> List[list]:
+    """Unique exact solutions of a*x = b for several right-hand sides b,
+    from one elimination (SingularMatrix if a is singular)."""
     if a.kind != "exact":
         raise ShapeMismatch("exact_solve requires an exact matrix")
-    n = a.n
-    if len(b) != n:
+    if any(len(b) != a.n for b in rhs_cols):
         raise ShapeMismatch("right-hand side length mismatch")
-    aug = [list(row) + [rat(b[i])] for i, row in enumerate(a.rows)]
-    m, _ = _cleared_int_rows(aug)
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    break
-            else:
-                raise SingularMatrix(f"zero pivot column {k}")
-        piv = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n + 1):
-                m[i][j] = (m[i][j] * piv - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = piv
-    if m[n - 1][n - 1] == 0:
-        raise SingularMatrix(f"zero pivot column {n - 1}")
-    x = [rat(0)] * n
-    for i in range(n - 1, -1, -1):
-        acc = rat(m[i][n])
-        for j in range(i + 1, n):
-            acc -= m[i][j] * x[j]
-        x[i] = acc / m[i][i]
-    return x
-
-
-def exact_inverse(a: SquareMatrix) -> SquareMatrix:
-    """Inverse by one exact solve per column.
-
-    A test oracle: the library inverts its eigenvector matrix in closed form
-    (``closure.eigen_inverse``); this generic route checks that at small N.
-    """
-    n = a.n
-    cols = []
-    for j in range(n):
-        e = [1 if i == j else 0 for i in range(n)]
-        cols.append(exact_solve(a, e))
-    return SquareMatrix(list(zip(*cols)))
+    return _solve(a.rows, rhs_cols)
 
 
 def solve_overdetermined(rows: List[list], rhs: list) -> list:
     """Exact solution of a consistent (possibly overdetermined) system.
 
-    Row-reduces [rows | rhs] over the rationals; raises SingularMatrix if the
-    system is inconsistent or the solution is not unique.
+    Raises SingularMatrix if the system is inconsistent or the solution is
+    not unique.
     """
-    m = len(rows)
-    if m == 0:
+    if not rows:
         return []
-    ncols = len(rows[0])
-    aug = [[rat(v) for v in rows[i]] + [rat(rhs[i])] for i in range(m)]
-    piv_rows = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, m):
-            if aug[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            raise SingularMatrix(f"rank-deficient column {c}")
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pv = aug[r][c]
-        aug[r] = [v / pv for v in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
-        piv_rows.append(c)
-        r += 1
-    for i in range(r, m):
-        if aug[i][ncols] != 0:
-            raise SingularMatrix("inconsistent overdetermined system")
-    return [aug[i][ncols] for i in range(ncols)]
-
-
-def matrix_poly(coeffs: Sequence, h: SquareMatrix) -> SquareMatrix:
-    """Evaluate sum_k coeffs[k] * h^k by matrix Horner, exactly.
-
-    A test oracle: the library evaluates polynomials in the Hamiltonian as
-    diagonal scalings in its eigenbasis; this route checks that at small N.
-    """
-    n = h.n
-    acc = SquareMatrix.identity(n).scale(rat(0))
-    for c in reversed(list(coeffs)):
-        acc = acc @ h + SquareMatrix.identity(n).scale(rat(c))
-    return acc
-
-
-def commutator(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
-    """a*b - b*a; a test oracle, like ``matrix_poly``."""
-    return a @ b - b @ a
+    return _solve(rows, [rhs])[0]
 
 
 def generic_det(rows) -> object:
-    """Determinant over any field scalars (cofactor/Bareiss hybrid).
+    """Determinant over any field scalars by Gaussian elimination.
 
-    Used where entries may be floats (q->1 checks); for rationals the
-    division steps are exact.
+    Serves the small Casoratians, whose entries are floats in the q->1
+    checks; for rationals the division steps are exact.
     """
     m = [list(r) for r in rows]
     n = len(m)

@@ -63,14 +63,6 @@ def varphi_m(x: int, M: int, p: ParamSet):
     return acc
 
 
-def casoratian(fs: Sequence, x: int):
-    """det(f_k(x+j-1)); empty set gives 1."""
-    n = len(fs)
-    if n == 0:
-        return 1
-    return generic_det([[fs[k](x + j) for k in range(n)] for j in range(n)])
-
-
 def rj_factor(j: int, x: int, M: int, p: ParamSet):
     """Pochhammer-ratio factor multiplying the bordered column entry in row j."""
     if not 1 <= j <= M + 1:

@@ -5,7 +5,7 @@ values are the q-powers themselves, so shifts become multiplications by
 powers of q.  All parameters are concrete rationals (q included), which
 keeps the whole grid theory inside exact arithmetic.  The same formulas
 also accept high-precision floats for the q->1 limit checks, where no
-exactness assertions are made.
+exactness checks are made.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 from .backend import is_rational, rat
-from .errors import BadN, BadQ, IndexOutOfRange
+from .errors import BadN, BadQ, CrossCheckMismatch, IndexOutOfRange
 
 R = "R"
 QR = "qR"
@@ -47,9 +47,6 @@ class ParamSet:
     def is_exact(self) -> bool:
         return is_rational(self.b)
 
-    def with_d(self, new_d) -> "ParamSet":
-        return replace(self, d=new_d)
-
     def dual(self) -> "ParamSet":
         """Swap d with dtilde (an involution)."""
         return replace(self, d=self.dtilde)
@@ -79,7 +76,8 @@ def index_set(values: Sequence[int]) -> Tuple[int, ...]:
     for i, v in enumerate(D):
         if v < 1 or (i > 0 and v <= D[i - 1]):
             raise IndexOutOfRange(f"index set must be strictly increasing positive: {D}")
-    assert ell(D) >= len(D)
+    if ell(D) < len(D):
+        raise CrossCheckMismatch(f"ell(D) = {ell(D)} is below |D| = {len(D)}")
     return D
 
 
@@ -144,5 +142,6 @@ def twist(p: ParamSet) -> ParamSet:
         t = replace(p, a=p.d * p.q / p.a, b=p.d * p.q / p.b)
     if p.is_exact():
         for x in range(p.N + 1):
-            assert eta(x, t) == eta(x, p)
+            if eta(x, t) != eta(x, p):
+                raise CrossCheckMismatch(f"twist changes the sinusoidal coordinate at x={x}")
     return t

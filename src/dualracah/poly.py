@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .backend import rat
+from .backend import is_rational, rat
 from .errors import DegreeMismatch, SingularMatrix
+from .linalg import _cleared_int_rows
 
 
 class Poly:
@@ -84,19 +85,26 @@ class Poly:
         return Poly([c * a for a in self.coeffs])
 
     def __call__(self, point):
-        """Horner evaluation; exact for rational arguments."""
-        acc = rat(0)
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
+        """Horner evaluation; exact for rational arguments.
 
-    def compose_affine(self, alpha, beta) -> "Poly":
-        """p(alpha*x + beta), exact."""
-        acc = Poly.zero()
-        lin = Poly((beta, alpha))
-        for c in reversed(self.coeffs):
-            acc = acc * lin + Poly.constant(c)
-        return acc
+        At a rational point a/b the coefficients are cleared to one
+        denominator D and Horner runs on integers, homogenized in b:
+        p(a/b) = (sum_k D*c_k * a^k * b^(deg-k)) / (D * b^deg).
+        """
+        if not is_rational(point):
+            acc = rat(0)
+            for c in reversed(self.coeffs):
+                acc = acc * point + c
+            return acc
+        if not self.coeffs:
+            return rat(0)
+        a, b = int(point.numerator), int(point.denominator)
+        (nums,), (den,) = _cleared_int_rows([self.coeffs])
+        acc, bpow = nums[-1], 1
+        for c in reversed(nums[:-1]):
+            bpow *= b
+            acc = acc * a + c * bpow
+        return rat(acc, den * bpow)
 
     def __repr__(self) -> str:
         if self.is_zero():

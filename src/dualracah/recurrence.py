@@ -103,7 +103,8 @@ def map_I(pol: Poly, p: ParamSet) -> Poly:
             acc = acc - gprime(j, j - k, p) * b[j + 1]
         b[k + 1] = acc / gprime(k, 0, p)
     out = Poly(b)
-    assert out.degree == n + 1
+    if out.degree != n + 1:
+        raise CrossCheckMismatch(f"antiderivative has degree {out.degree}, expected {n + 1}")
     return out
 
 
@@ -128,14 +129,17 @@ def build_X(s: MISystem, Y: Poly, for_hamiltonian: bool = False) -> XPoly:
     p_m = shift(p, M, "delta")
     p_prev = shift(p, M - 1, "delta")
     x_poly = map_I(s.xi_poly * Y, p_m)
-    assert x_poly[0] == 0
+    if x_poly[0] != 0:
+        raise CrossCheckMismatch(f"X has constant term {x_poly[0]}, expected 0")
     L = s.ellD + Y.degree + 1
-    assert x_poly.degree == L
+    if x_poly.degree != L:
+        raise CrossCheckMismatch(f"X has degree {x_poly.degree}, expected L={L}")
     grid = {x: x_poly(eta(x, p_m)) for x in range(-1, N + 2)}
 
     # telescoping consistency with the sum form of the recurrence theorem
     acc = grid[0] * 0
-    assert grid[0] == 0
+    if grid[0] != 0:
+        raise CrossCheckMismatch(f"X(0) = {grid[0]}, expected 0")
     for x in range(1, N + 1):
         acc = acc + (eta(x, p_m) - eta(x - 1, p_m)) * s.xi_grid[x] * Y(eta(x, p_prev))
         if acc != grid[x]:
@@ -196,13 +200,19 @@ def extract_r(s: MISystem, xp: XPoly) -> RecTable:
                 raise CrossCheckMismatch(f"projection vs solve differ at (n,k)=({n},{k})")
 
     table = RecTable(r=r, L=L, N=N)
-    # symmetry and row-sum identities
-    for n in range(N + 1):
-        for k in range(1, L + 1):
-            if n + k <= N:
-                assert table.r[(n + k, -k)] == s.dDn_sq[n] / s.dDn_sq[n + k] * table.r[(n, k)]
-        assert sum(table.r[(n, k)] for k in table.band(n)) == 0
+    _check_band_identities(s, table)
     return table
+
+
+def _check_band_identities(s: MISystem, t: RecTable) -> None:
+    """Mirror symmetry r[n+k,-k] = dDn_sq[n]/dDn_sq[n+k] * r[n,k] and zero
+    row sums; CrossCheckMismatch on the first violation."""
+    for n in range(t.N + 1):
+        for k in range(1, t.L + 1):
+            if n + k <= t.N and t.r[(n + k, -k)] != s.dDn_sq[n] / s.dDn_sq[n + k] * t.r[(n, k)]:
+                raise CrossCheckMismatch(f"mirror symmetry fails at (n,k)=({n},{k})")
+        if sum(t.r[(n, k)] for k in t.band(n)) != 0:
+            raise CrossCheckMismatch(f"row {n} of the band does not sum to zero")
 
 
 def verify_recurrence(s: MISystem, xp: XPoly, t: RecTable) -> list:

@@ -119,8 +119,11 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigError(f"unknown suites: {bad}")
     if "qlimit" in suites and family != R:
         raise ConfigError("the qlimit suite needs an additive-family reference tuple")
+    cands_raw = data.get("si_candidates", [])
+    if not isinstance(cands_raw, list):
+        raise ConfigError(f"si_candidates must be a list, got {cands_raw!r}")
     cands = []
-    for entry in data.get("si_candidates", []):
+    for entry in cands_raw:
         try:
             name, slots = entry["name"], entry["slots"]
         except (TypeError, KeyError) as e:
@@ -326,7 +329,7 @@ def _suite_shape(ctx: _Ctx) -> dict:
         from dataclasses import replace
         extra.append((name, replace(p, N=p.N - 1, a=vals[0], b=vals[1], c=vals[2], d=vals[3])))
     rep = shapeinv.si_test(ctx.system(), ctx.xpoly(), extra_candidates=extra,
-                           precision=ctx.cfg.precision)
+                           precision=ctx.cfg.precision, h=ctx.hamiltonian())
     verdicts = []
     for v in rep.verdicts:
         verdicts.append({

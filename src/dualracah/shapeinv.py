@@ -15,8 +15,8 @@ from typing import List, Optional, Tuple
 import mpmath
 
 from .bigreal import to_real
-from .dualsystem import build_hamiltonians, dual_values
-from .errors import InadmissibleCandidate, NegativePivot
+from .dualsystem import DualHamiltonian, build_hamiltonians, dual_values
+from .errors import CrossCheckMismatch, InadmissibleCandidate, NegativePivot
 from .linalg import SquareMatrix
 from .multiindexed import MISystem, build_mi_system
 from .params import R, ParamSet, validate
@@ -57,7 +57,8 @@ def factor_upper(h_sym: SquareMatrix) -> UpperFactor:
             for x in range(n)
             for y in range(n)
         )
-        assert err <= tol * 4 * n
+        if err > tol * 4 * n:
+            raise CrossCheckMismatch(f"A^T*A misses h_sym by {err} (tolerance {tol * 4 * n})")
     return UpperFactor(A=SquareMatrix(a, kind="real", prec=prec), precision=prec)
 
 
@@ -119,11 +120,15 @@ def si_test(
     xp: XPoly,
     extra_candidates: Optional[List[Tuple[str, ParamSet]]] = None,
     precision: int = 256,
-    with_matrix_residual: bool = True,
+    h: Optional[DualHamiltonian] = None,
 ) -> SIReport:
+    """Shape-invariance verdict for each candidate.
+
+    ``h`` is the Hamiltonian of (s, xp) itself; when given, every admissible
+    candidate also gets the high-precision matrix residual.
+    """
     p, D, Y, N = s.params, s.D, xp.Y, s.params.N
     verdicts = []
-    h_self = None
     for name, p2 in builtin_candidates(p) + list(extra_candidates or []):
         try:
             check_candidate(p2, D)
@@ -143,15 +148,11 @@ def si_test(
                 spectral_pass, first_fail, mismatch = False, x, got - want
                 break
         residual = None
-        if with_matrix_residual:
-            if h_self is None:
-                t = extract_r(s, xp)
-                dt = dual_values(s)
-                h_self = build_hamiltonians(s, xp, t, dt, precision=precision)
+        if h is not None:
             h2 = build_hamiltonians(
                 s2, xp2, extract_r(s2, xp2), dual_values(s2), precision=precision
             )
-            A = factor_upper(h_self.h_sym).A
+            A = factor_upper(h.h_sym).A
             A2 = factor_upper(h2.h_sym).A
             with mpmath.workprec(precision):
                 k = to_real(kappa, precision)

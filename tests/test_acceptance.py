@@ -201,7 +201,8 @@ def test_criterion_9_shape_invariance_verdicts(pipe):
     with criterion(9, "shape invariance holds undeformed, fails deformed"):
         for family in FAMILIES:
             s0 = pipe.system(family, 6, ())
-            rep0 = si_test(s0, pipe.xpoly(family, 6, (), "1"))
+            rep0 = si_test(s0, pipe.xpoly(family, 6, (), "1"),
+                           h=pipe.hamiltonian(family, 6, (), "1"))
             assert rep0.shape_invariant
             win = {v.name: v for v in rep0.verdicts}["delta_dplus"]
             assert win.kappa == (1 if family == R else 1 / s0.params.q)
@@ -210,8 +211,7 @@ def test_criterion_9_shape_invariance_verdicts(pipe):
             for N in (4, 5, 6):
                 for D, y in CLOSURE_CASES:
                     s = pipe.system(family, N, D)
-                    rep = si_test(s, pipe.xpoly(family, N, D, y),
-                                  with_matrix_residual=False)
+                    rep = si_test(s, pipe.xpoly(family, N, D, y))
                     assert not rep.shape_invariant
                     for v in rep.verdicts:
                         assert not v.spectral_pass

@@ -4,10 +4,12 @@ import csv
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualracah.cli import main
 from dualracah.errors import ConfigError
-from dualracah.report import load_config, parse_config, run_suite
+from dualracah.report import _ALLOWED_KEYS, RunConfig, load_config, parse_config, run_suite
 
 BASE_CFG = {
     "family": "R", "N": 5, "b": "10", "c": "1/2", "d": "2/5",
@@ -214,3 +216,49 @@ def test_run_builds_each_system_once(monkeypatch):
     admissible = [v for v in report["suites"]["shape"]["verdicts"] if v["admissible"]]
     assert admissible and len(built) == 1 + len(admissible)
     assert len(set(built)) == len(built)
+
+
+def test_shape_suite_reuses_the_pipeline_hamiltonian(monkeypatch):
+    """extract_r runs once for the pipeline and once per admissible shape
+    candidate; the original system's Hamiltonian is not built again."""
+    from dualracah import recurrence, shapeinv
+
+    calls = []
+    extract = recurrence.extract_r
+
+    def counted(s, xp):
+        calls.append(s.params)
+        return extract(s, xp)
+
+    monkeypatch.setattr(recurrence, "extract_r", counted)
+    monkeypatch.setattr(shapeinv, "extract_r", counted)
+    cfg = parse_config(dict(BASE_CFG, suites=["recurrence", "shape"]))
+    report, ok = run_suite(cfg)
+    assert ok
+    admissible = [v for v in report["suites"]["shape"]["verdicts"] if v["admissible"]]
+    assert admissible and len(calls) == 1 + len(admissible)
+    assert calls.count(cfg.params()) == 1
+
+
+# JSON-like values: what json.load can hand to parse_config
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**6, 10**6) | st.floats(allow_nan=False)
+    | st.text(max_size=8) | st.sampled_from(["1/2", "3/0", "-4", "1/2/3", "R", "qR", "mi"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                               max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    _json,
+    st.dictionaries(st.sampled_from(sorted(_ALLOWED_KEYS)), _json, max_size=4)
+    .map(lambda patch: dict(BASE_CFG, **patch)),
+))
+def test_parse_config_fuzz_only_raises_config_error(data):
+    try:
+        cfg = parse_config(data)
+    except ConfigError:
+        return
+    assert isinstance(cfg, RunConfig)

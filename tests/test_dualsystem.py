@@ -8,11 +8,12 @@ from dualracah.dualsystem import (
     DualTable,
     commutator_check,
     dual_ortho,
+    dual_values,
     verify_spectrum,
 )
-from dualracah.errors import ShapeMismatch
+from dualracah.errors import CrossCheckMismatch, ShapeMismatch
 from dualracah.linalg import SquareMatrix
-from dualracah.multiindexed import sign_changes
+from dualracah.multiindexed import MISystem, sign_changes
 from dualracah.params import QR, R
 
 FAMILIES = (R, QR)
@@ -181,3 +182,12 @@ def test_spectrum_reports_each_entry_and_shares_hv(pipe, monkeypatch):
     bad = replace(h, h_tilde=SquareMatrix(rows))
     eigen = [f for f in verify_spectrum(bad) if f[0] == "eigen"]
     assert eigen == [("eigen", 1, j) for j in range(6) if h.V[2, j] != 0]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_dual_edge_coefficients_must_vanish(family, pipe, monkeypatch):
+    s = pipe.system(family, 5, (1,))
+    birth = MISystem.bd
+    monkeypatch.setattr(MISystem, "bd", lambda self, x: birth(self, x) + (x == 5))
+    with pytest.raises(CrossCheckMismatch, match="do not vanish at the edges"):
+        dual_values(s)

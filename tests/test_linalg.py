@@ -1,7 +1,10 @@
-"""Exact linear algebra: fraction-free determinants, solves, inverses."""
+"""Exact linear algebra: cleared-integer products, the fraction-free
+echelon kernel (determinants, square, multi-RHS and overdetermined
+solves), checked against the rational-arithmetic routes they replaced."""
 
 from itertools import permutations
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,16 +13,63 @@ from dualracah.backend import rat
 from dualracah.errors import SingularMatrix
 from dualracah.linalg import (
     SquareMatrix,
-    commutator,
     exact_det,
-    exact_inverse,
     exact_solve,
+    exact_solve_many,
     generic_det,
-    matrix_poly,
     solve_overdetermined,
 )
+from test_closure import commutator, exact_inverse, matrix_poly
 
 entry = st.fractions(min_value=-50, max_value=50, max_denominator=10)
+# small rationals with zeros and signs well represented
+small = st.one_of(st.just(0), st.integers(-3, 3), st.fractions(-9, 9, max_denominator=7))
+
+
+# The rational-arithmetic routes replaced by the integer kernels, kept as
+# oracles.
+
+
+def _naive_matmul(a, b):
+    cols = list(zip(*b.rows))
+    return [[sum((x * y for x, y in zip(row, col)), rat(0)) for col in cols] for row in a.rows]
+
+
+def _naive_matvec(a, v):
+    return [sum((x * y for x, y in zip(row, v)), rat(0)) for row in a.rows]
+
+
+def _gauss_jordan(rows, rhs):
+    """Row reduction over the rationals; None if not uniquely solvable."""
+    m, ncols = len(rows), len(rows[0])
+    aug = [[rat(v) for v in rows[i]] + [rat(rhs[i])] for i in range(m)]
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, m) if aug[i][c] != 0), None)
+        if pivot is None:
+            return None
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        aug[r] = [v / aug[r][c] for v in aug[r]]
+        for i in range(m):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
+        r += 1
+    if any(aug[i][ncols] != 0 for i in range(r, m)):
+        return None
+    return [aug[i][ncols] for i in range(ncols)]
+
+
+@st.composite
+def square(draw, max_n=4):
+    """A square matrix of small rationals; one draw in three copies a scaled
+    row into another to force singularity."""
+    n = draw(st.integers(1, max_n))
+    rows = [[rat(draw(small)) for _ in range(n)] for _ in range(n)]
+    if draw(st.integers(0, 2)) == 0 and n > 1:
+        i, j = draw(st.permutations(range(n)))[:2]
+        rows[i] = [rat(draw(small)) * v for v in rows[j]]
+    return SquareMatrix(rows)
 
 
 def _rand_matrix(vals, n):
@@ -146,3 +196,85 @@ def test_matmul_column_transpose():
     at = a.transpose()
     assert at[0, 1] == 3
     assert (a @ SquareMatrix.identity(2) - a).is_zero()
+
+
+@settings(max_examples=60)
+@given(square(), st.data())
+def test_products_equal_rational_route(a, data):
+    b = SquareMatrix([[rat(data.draw(small)) for _ in range(a.n)] for _ in range(a.n)])
+    v = [rat(data.draw(small)) for _ in range(a.n)]
+    assert (a @ b).rows == _naive_matmul(a, b)
+    assert a.matvec(v) == _naive_matvec(a, v)
+    assert a.matvec([int(x) for x in range(a.n)]) == _naive_matvec(a, range(a.n))
+
+
+@settings(max_examples=60)
+@given(square(max_n=5))
+def test_det_equals_leibniz(a):
+    assert exact_det(a) == _leibniz_det(a)
+
+
+@settings(max_examples=60)
+@given(square(), st.data())
+def test_multi_rhs_solve_equals_one_solve_per_column(a, data):
+    k = data.draw(st.integers(1, 3))
+    rhs = [[rat(data.draw(small)) for _ in range(a.n)] for _ in range(k)]
+    if exact_det(a) == 0:
+        with pytest.raises(SingularMatrix):
+            exact_solve_many(a, rhs)
+        for b in rhs:
+            with pytest.raises(SingularMatrix):
+                exact_solve(a, b)
+        return
+    xs = exact_solve_many(a, rhs)
+    assert xs == [exact_solve(a, b) for b in rhs]
+    assert xs == [_gauss_jordan(a.rows, b) for b in rhs]
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 3), st.integers(0, 3), st.data())
+def test_overdetermined_solve_equals_gauss_jordan(ncols, extra, data):
+    """Consistent, inconsistent and rank-deficient tall systems."""
+    rows = [[rat(data.draw(small)) for _ in range(ncols)] for _ in range(ncols + extra)]
+    if data.draw(st.booleans()):
+        x = [rat(data.draw(small)) for _ in range(ncols)]
+        rhs = [sum((a * b for a, b in zip(row, x)), rat(0)) for row in rows]
+    else:
+        rhs = [rat(data.draw(small)) for _ in rows]
+    want = _gauss_jordan(rows, rhs)
+    if want is None:
+        with pytest.raises(SingularMatrix):
+            solve_overdetermined(rows, rhs)
+    else:
+        assert solve_overdetermined(rows, rhs) == want
+
+
+def test_overdetermined_rank_deficient_raises():
+    rows = [[rat(1), rat(2)], [rat(2), rat(4)], [rat(-1), rat(-2)]]
+    with pytest.raises(SingularMatrix):
+        solve_overdetermined(rows, [rat(1), rat(2), rat(-1)])
+
+
+def test_overdetermined_inconsistent_extra_row_raises():
+    # the square part is solvable; only the surplus row disagrees
+    rows = [[rat(1), rat(0)], [rat(0), rat(1)], [rat(1), rat(1)]]
+    assert solve_overdetermined(rows, [rat(1), rat(2), rat(3)]) == [rat(1), rat(2)]
+    with pytest.raises(SingularMatrix):
+        solve_overdetermined(rows, [rat(1), rat(2), rat(4)])
+
+
+@settings(max_examples=30)
+@given(st.integers(1, 4), st.data())
+def test_real_product_is_bit_identical(n, data):
+    floats = st.floats(-1e6, 1e6, allow_nan=False)
+    with mpmath.workprec(200):
+        rows_a = [[mpmath.mpf(data.draw(floats)) / 3 for _ in range(n)] for _ in range(n)]
+        rows_b = [[mpmath.mpf(data.draw(floats)) / 7 for _ in range(n)] for _ in range(n)]
+        a = SquareMatrix(rows_a, kind="real", prec=200)
+        b = SquareMatrix(rows_b, kind="real", prec=200)
+        prod = a @ b
+        want = _naive_matmul(a, b)
+        v = [row[0] for row in rows_b]
+        assert a.matvec(v) == _naive_matvec(a, v)
+    assert prod.kind == "real" and prod.prec == 200
+    assert prod.rows == want

@@ -17,7 +17,6 @@ from dualracah.errors import CrossCheckMismatch, IndexOutOfRange, InadmissiblePa
 from dualracah.multiindexed import (
     GridTable,
     build_mi_system,
-    casoratian,
     pdn_check_value,
     rj_factor,
     sign_changes,
@@ -30,15 +29,6 @@ from conftest import per_entry_pdn, per_entry_xi, std_params
 
 FAMILIES = (R, QR)
 INDEX_SETS = ((1,), (2,), (1, 2))
-
-
-def test_casoratian_small_oracles():
-    assert casoratian([], 3) == 1
-    assert casoratian([lambda x: rat(x)], 5) == 5
-    # det [[f(x), g(x)], [f(x+1), g(x+1)]] for f=x, g=x^2
-    f, g = (lambda x: rat(x)), (lambda x: rat(x) ** 2)
-    x = 3
-    assert casoratian([f, g], x) == f(x) * g(x + 1) - g(x) * f(x + 1)
 
 
 def test_rj_factor_range():

@@ -1,5 +1,6 @@
 """Polynomial arithmetic and certified exact interpolation."""
 
+import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -35,15 +36,38 @@ def test_known_product():
     assert Poly([1, 1]) * Poly([1, -1]) == Poly([1, 0, -1])
 
 
-def test_compose_affine():
-    p = Poly([0, 0, 1])  # x^2
-    assert p.compose_affine(rat(2), rat(-1)) == Poly([1, -4, 4])
-
-
 def test_evaluation_horner():
     p = Poly([rat(1), rat(-3), rat(1, 2)])
     x = rat(4)
     assert p(x) == 1 - 3 * 4 + rat(1, 2) * 16
+
+
+def _rational_horner(p, point):
+    """The rational-arithmetic Horner route, kept as the oracle."""
+    acc = rat(0)
+    for c in reversed(p.coeffs):
+        acc = acc * point + c
+    return acc
+
+
+small = st.one_of(st.just(0), st.integers(-5, 5), st.fractions(-9, 9, max_denominator=7))
+
+
+@given(st.lists(small, max_size=7).map(Poly), small)
+def test_integer_horner_equals_rational_horner(p, z):
+    z = rat(z)
+    assert p(z) == _rational_horner(p, z)
+    assert p(int(z.numerator)) == _rational_horner(p, int(z.numerator))
+    assert type(p(z)) is type(rat(0))
+
+
+@given(polys, st.floats(-100, 100, allow_nan=False))
+def test_float_evaluation_unchanged(p, z):
+    with mpmath.workprec(256):
+        point = mpmath.mpf(z) / 3
+        got = p(point)
+        want = _rational_horner(p, point)
+    assert got == want and type(got) is type(want)
 
 
 @given(polys, polys, points)

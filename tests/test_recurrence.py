@@ -1,10 +1,18 @@
 """Antiderivative map, the recurrence polynomial X, and its coefficients."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+from dualracah import recurrence
 from dualracah.backend import rat
 from dualracah.basefamily import rec_coeffs
 from dualracah.errors import (
+    CrossCheckMismatch,
     IndexOutOfRange,
     NegativeYCoefficient,
     ZeroPolynomial,
@@ -159,3 +167,74 @@ def test_x_monotone_for_hamiltonian_seeds(family, pipe):
         xp = pipe.xpoly(family, 6, (1, 2), y)
         assert xp.monotone
         assert xp.grid[0] == 0
+
+
+def _skew_table(key, delta):
+    """A RecTable constructor that adds delta to one entry, applied after
+    projection and solve have agreed."""
+    table = recurrence.RecTable
+
+    def skewed(r, L, N):
+        return table(r={**r, key: r[key] + delta}, L=L, N=N)
+
+    return skewed
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("key,msg", [
+    ((2, 1), r"mirror symmetry fails at \(n,k\)=\(2,1\)"),
+    ((6, 0), "row 6 of the band does not sum to zero"),
+])
+def test_corrupted_r_entry_fails_band_identities(family, key, msg, pipe, monkeypatch):
+    s = pipe.system(family, 6, (1,))
+    xp = pipe.xpoly(family, 6, (1,), "1")
+    monkeypatch.setattr(recurrence, "RecTable", _skew_table(key, rat(1, 3)))
+    with pytest.raises(CrossCheckMismatch, match=msg):
+        extract_r(s, xp)
+
+
+@pytest.mark.parametrize("bend,msg", [
+    (lambda x: x + Poly([rat(1)]), "X has constant term 1, expected 0"),
+    (lambda x: x * Poly([0, 1]), "X has degree 3, expected L=2"),
+])
+def test_corrupted_antiderivative_fails_x_checks(bend, msg, pipe, monkeypatch):
+    s = pipe.system(R, 6, (1,))
+    antiderivative = recurrence.map_I
+    monkeypatch.setattr(recurrence, "map_I", lambda pol, p: bend(antiderivative(pol, p)))
+    with pytest.raises(CrossCheckMismatch, match=msg):
+        build_X(s, Poly([rat(1)]), for_hamiltonian=True)
+
+
+def test_band_identities_survive_python_O():
+    """Under -O a corrupted r-table entry still raises: the identities that
+    certify extract_r are explicit checks, not asserts."""
+    script = textwrap.dedent(
+        """
+        from dualracah import multiindexed, recurrence
+        from dualracah.backend import rat
+        from dualracah.errors import CrossCheckMismatch
+        from dualracah.params import make_params
+        from dualracah.poly import Poly
+
+        assert False, "asserts must be stripped"
+        s = multiindexed.build_mi_system(make_params("R", 5, b=10, c=rat(1, 2), d=rat(2, 5)), (1,))
+        xp = recurrence.build_X(s, Poly([rat(1)]), for_hamiltonian=True)
+        table = recurrence.RecTable
+
+        def skewed(r, L, N):
+            return table(r={**r, (1, 2): r[(1, 2)] + 1}, L=L, N=N)
+
+        recurrence.RecTable = skewed
+        try:
+            recurrence.extract_r(s, xp)
+        except CrossCheckMismatch as e:
+            print("band:", e)
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout
+    assert "band: mirror symmetry fails at (n,k)=(1,2)" in out

@@ -3,7 +3,7 @@
 import mpmath
 import pytest
 
-from dualracah.errors import NegativePivot
+from dualracah.errors import CrossCheckMismatch, NegativePivot
 from dualracah.linalg import SquareMatrix
 from dualracah.params import QR, R
 from dualracah.shapeinv import (
@@ -45,6 +45,14 @@ def test_factor_upper_full_rank_oracle():
         assert abs(a[1][1] - 1) < mpmath.mpf(10) ** -35
 
 
+def test_factor_upper_reconstruction_check_fires():
+    # the factor reads only the upper triangle, so a lower entry that
+    # disagrees with it cannot be reconstructed
+    h = _real([[4, 2], [0, 2]])
+    with pytest.raises(CrossCheckMismatch, match=r"A\^T\*A misses h_sym"):
+        factor_upper(h)
+
+
 def test_factor_upper_rejects_indefinite():
     h = _real([[1, 2], [2, 1]])  # eigenvalues 3, -1
     with pytest.raises(NegativePivot):
@@ -73,7 +81,7 @@ def test_candidate_admissibility(family):
 def test_undeformed_control_is_shape_invariant(family, pipe):
     s = pipe.system(family, 6, ())
     xp = pipe.xpoly(family, 6, (), "1")
-    rep = si_test(s, xp)
+    rep = si_test(s, xp, h=pipe.hamiltonian(family, 6, ()))
     assert rep.shape_invariant
     byname = {v.name: v for v in rep.verdicts}
     win = byname["delta_dplus"]
@@ -89,7 +97,7 @@ def test_undeformed_control_is_shape_invariant(family, pipe):
 def test_deformed_systems_are_not_shape_invariant(family, D, pipe):
     s = pipe.system(family, 6, D)
     xp = pipe.xpoly(family, 6, D, "1")
-    rep = si_test(s, xp, with_matrix_residual=False)
+    rep = si_test(s, xp)
     assert not rep.shape_invariant
     for v in rep.verdicts:
         assert not v.spectral_pass
@@ -103,8 +111,7 @@ def test_extra_candidate_is_tested(pipe):
     xp = pipe.xpoly(R, 6, (1,), "1")
     p = s.params
     wild = dataclasses.replace(p, N=5, a=p.a + 1, b=p.b + 1, c=p.c + 2, d=p.d + 1)
-    rep = si_test(s, xp, extra_candidates=[("wild", wild)],
-                  with_matrix_residual=False)
+    rep = si_test(s, xp, extra_candidates=[("wild", wild)])
     names = [v.name for v in rep.verdicts]
     assert "wild" in names
     assert not rep.shape_invariant
