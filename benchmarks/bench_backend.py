@@ -22,20 +22,16 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 _WORK = r"""
 import time
 from dualracah.backend import BACKEND, rat
+from dualracah.closure import verify_closure
 from dualracah.params import make_params, R
-from dualracah import multiindexed as mi, recurrence as rec, dualsystem as ds, closure as cl
+from dualracah.pipeline import Pipeline
 from dualracah.poly import Poly
 
 N = {N}
+Y = Poly([rat(1)])
 t0 = time.perf_counter()
-p = make_params(R, N, b=N + 5, c=rat(1, 2), d=rat(2, 5))
-s = mi.build_mi_system(p, (1, 2))
-xp = rec.build_X(s, Poly([rat(1)]), for_hamiltonian=True)
-t = rec.extract_r(s, xp)
-dual = ds.dual_values(s)
-h = ds.build_hamiltonians(s, xp, t, dual)
-trip = cl.solve_closure(h)
-if not cl.verify_closure(h, trip).is_zero():
+pipe = Pipeline(make_params(R, N, b=N + 5, c=rat(1, 2), d=rat(2, 5)), (1, 2))
+if not verify_closure(pipe.hamiltonian(Y), pipe.closure(Y)).is_zero():
     raise SystemExit(f"{{BACKEND}}: closure residual is not zero")
 print(f"{{BACKEND}}: {{time.perf_counter() - t0:.3f}}s")
 """

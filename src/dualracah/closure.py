@@ -16,12 +16,13 @@ V*V^(-1) = I; either mismatch raises CrossCheckMismatch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Sequence, Tuple
 
 from .backend import rat
 from .dualsystem import DualHamiltonian
 from .errors import CrossCheckMismatch, SingularR0
-from .linalg import SquareMatrix, exact_det, exact_solve_many
+from .linalg import SquareMatrix, exact_solve_many
 from .poly import Poly
 
 
@@ -50,12 +51,14 @@ def solve_closure(h: DualHamiltonian) -> ClosureTriple:
     vm = _vandermonde(nodes)
     r0, r1, rm1 = (Poly(cs) for cs in exact_solve_many(vm, [beta0, beta1, betam1]))
 
-    # Cramer cross-check on the leading coefficient of R0
-    top = SquareMatrix(
-        [[nodes[j] ** i for i in range(N)] + [beta0[j]] for j in range(N + 1)]
+    # independent route to the leading coefficient of R0: the N-th divided
+    # difference of the node data, sum_j beta0[j] / prod_{i != j} (z_j - z_i)
+    lead = sum(
+        beta0[j] / prod(nodes[j] - nodes[i] for i in range(N + 1) if i != j)
+        for j in range(N + 1)
     )
-    if r0[N] != exact_det(top) / exact_det(vm):
-        raise CrossCheckMismatch("Cramer determinant ratio disagrees with solve")
+    if r0[N] != lead:
+        raise CrossCheckMismatch("divided-difference leading coefficient disagrees with solve")
 
     for j in range(N + 1):
         z = nodes[j]
@@ -116,12 +119,6 @@ def verify_closure(h: DualHamiltonian, c: ClosureTriple) -> SquareMatrix:
         - h.V.scale_cols([c.Rm1(x) for x in X])
     )
     return diff if diff.is_zero() else diff @ vinv
-
-
-def spectral_fn(h: DualHamiltonian, node_values: Sequence) -> SquareMatrix:
-    """V diag(node_values) V^(-1): the function of h_tilde taking the given
-    value on each eigenvalue."""
-    return h.V.scale_cols(list(node_values)) @ eigen_inverse(h)
 
 
 @dataclass

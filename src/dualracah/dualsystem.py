@@ -16,7 +16,6 @@ import mpmath
 from .bigreal import big_sqrt, to_real
 from .errors import (
     CrossCheckMismatch,
-    NegativeUnderSqrt,
     ShapeMismatch,
     SymmetryViolation,
     ZeroDenominator,
@@ -69,12 +68,12 @@ def dual_ortho(s: MISystem, t: DualTable) -> list:
     """Exact residuals of the dual orthogonality sums; empty = pass."""
     N = s.params.N
     xi1 = s.xi_grid[1]
+    dual_w = [s.dDn_sq[n] / xi1 for n in range(N + 1)]
     failures = []
     for x in range(N + 1):
         for y in range(x, N + 1):
             total = sum(
-                s.dDn_sq[n] / xi1 * t.q_vals[x][n] * t.q_vals[y][n]
-                for n in range(N + 1)
+                dual_w[n] * t.q_vals[x][n] * t.q_vals[y][n] for n in range(N + 1)
             )
             # squared dual weight: (Xi(1) * weight * ground value^2)^(-1)
             expect = (
@@ -129,8 +128,8 @@ def build_hamiltonians(
                 ratio = s.dDn_sq[x] / s.dDn_sq[y]
                 if r * r * ratio != r * mirror:
                     raise SymmetryViolation(f"band symmetry broken at ({x},{y})")
-                if r * mirror < 0:
-                    raise NegativeUnderSqrt(f"negative mirror product at ({x},{y})")
+                # r*mirror = r^2*ratio, so a negative mirror product is a
+                # negative ratio, which big_sqrt rejects (NegativeRadicand)
                 sym_rows[x][y] = to_real(r, precision) * big_sqrt(ratio, precision)
     h_sym = SquareMatrix(sym_rows, kind="real", prec=precision)
 

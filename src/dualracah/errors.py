@@ -77,10 +77,6 @@ class NegativePivot(DualRacahError):
     pass
 
 
-class NegativeUnderSqrt(DualRacahError):
-    pass
-
-
 class SymmetryViolation(DualRacahError):
     pass
 

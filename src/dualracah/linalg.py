@@ -21,7 +21,7 @@ from math import lcm, prod
 from operator import mul
 from typing import List, Sequence
 
-from .backend import rat, rat_to_str
+from .backend import rat
 from .errors import ShapeMismatch, SingularMatrix
 
 
@@ -209,18 +209,6 @@ class SquareMatrix:
         return [
             (i, j, v) for i, row in enumerate(self.rows) for j, v in enumerate(row) if v != 0
         ]
-
-    def to_json(self):
-        if self.kind == "exact":
-            return {
-                "kind": "exact",
-                "entries": [[rat_to_str(v) for v in row] for row in self.rows],
-            }
-        return {
-            "kind": "real",
-            "precision_bits": self.prec,
-            "entries": [[str(v) for v in row] for row in self.rows],
-        }
 
 
 def exact_det(a: SquareMatrix):

@@ -50,6 +50,10 @@ def float_tables(p: ParamSet, D: Sequence[int], precision: int = DEFAULT_PRECISI
     return pdn, qvals
 
 
+#: exponents k of the ladder q = 1 - 10^-k
+LADDER_KS = (3, 4, 5, 6)
+
+
 @dataclass
 class QLimitReport:
     ks: Tuple[int, ...]
@@ -60,12 +64,9 @@ class QLimitReport:
     precision: int
 
 
-def qlimit_check(
-    s: MISystem,
-    ks: Sequence[int] = (3, 4, 5, 6),
-    precision: int = DEFAULT_PRECISION,
-) -> QLimitReport:
-    """Gap ladder of the q-family tables against the built additive system s."""
+def qlimit_check(s: MISystem, precision: int = DEFAULT_PRECISION) -> QLimitReport:
+    """Gap ladder of the q-family tables against the built additive system s,
+    at q = 1 - 10^-k for k in LADDER_KS."""
     p_r, D, N = s.params, s.D, s.params.N
     with mpmath.workprec(precision):
         ref_p = [
@@ -76,7 +77,7 @@ def qlimit_check(
             [ref_p[n][x] / ref_p[0][x] for n in range(N + 1)] for x in range(N + 1)
         ]
         p_gaps, q_gaps = [], []
-        for k in ks:
+        for k in LADDER_KS:
             pq = matched_q_params(p_r, k, precision)
             pdn, qvals = float_tables(pq, D, precision)
             p_gaps.append(
@@ -96,7 +97,7 @@ def qlimit_check(
         within = all(
             g < mpmath.mpf(10) ** (-k + 2)
             for gaps in (p_gaps, q_gaps)
-            for k, g in zip(ks, gaps)
+            for k, g in zip(LADDER_KS, gaps)
         )
         mono = all(
             gaps[i] > gaps[i + 1]
@@ -104,7 +105,7 @@ def qlimit_check(
             for i in range(len(gaps) - 1)
         )
     return QLimitReport(
-        ks=tuple(ks),
+        ks=LADDER_KS,
         p_gaps=tuple(p_gaps),
         q_gaps=tuple(q_gaps),
         within_tolerance=within,

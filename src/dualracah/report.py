@@ -13,7 +13,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from . import basefamily, closure, dualsystem, multiindexed, qlimit, recurrence, shapeinv
@@ -26,6 +26,7 @@ from .errors import (
     SingularR0,
 )
 from .params import QR, R, energy, index_set, make_params, validate
+from .pipeline import Pipeline
 from .poly import Poly
 
 SUITES = ("base", "mi", "recurrence", "dual", "closure", "ladder", "commute", "shape", "qlimit")
@@ -177,49 +178,8 @@ class _Timer:
         print(f"[timing] {self.label}: {dt:.3f}s", file=sys.stderr)
 
 
-@dataclass
-class _Ctx:
-    """Lazily built pipeline shared between suites."""
-
-    cfg: RunConfig
-    _cache: dict = field(default_factory=dict)
-
-    def system(self):
-        if "s" not in self._cache:
-            self._cache["s"] = multiindexed.build_mi_system(self.cfg.params(), self.cfg.D)
-        return self._cache["s"]
-
-    def xpoly(self):
-        if "xp" not in self._cache:
-            self._cache["xp"] = recurrence.build_X(self.system(), self.cfg.Y, for_hamiltonian=True)
-        return self._cache["xp"]
-
-    def rectable(self):
-        if "t" not in self._cache:
-            self._cache["t"] = recurrence.extract_r(self.system(), self.xpoly())
-        return self._cache["t"]
-
-    def dual(self):
-        if "dual" not in self._cache:
-            self._cache["dual"] = dualsystem.dual_values(self.system())
-        return self._cache["dual"]
-
-    def hamiltonian(self):
-        if "h" not in self._cache:
-            self._cache["h"] = dualsystem.build_hamiltonians(
-                self.system(), self.xpoly(), self.rectable(), self.dual(),
-                precision=self.cfg.precision,
-            )
-        return self._cache["h"]
-
-    def closure(self):
-        if "closure" not in self._cache:
-            self._cache["closure"] = closure.solve_closure(self.hamiltonian())
-        return self._cache["closure"]
-
-
-def _suite_base(ctx: _Ctx) -> dict:
-    p = ctx.cfg.params()
+def _suite_base(cfg: RunConfig, pipe: Pipeline) -> dict:
+    p = pipe.params
     N = p.N
     pd = p.dual()
     grid = range(N + 1)
@@ -239,8 +199,8 @@ def _suite_base(ctx: _Ctx) -> dict:
     return {"pass": not fails, "failures": fails}
 
 
-def _suite_mi(ctx: _Ctx) -> dict:
-    s = ctx.system()
+def _suite_mi(cfg: RunConfig, pipe: Pipeline) -> dict:
+    s = pipe.system()
     fails = [list(map(str, f)) for f in multiindexed.verify_ortho(s)]
     fails += [list(map(str, f)) for f in multiindexed.verify_difference_eq(s)]
     signs = []
@@ -252,9 +212,9 @@ def _suite_mi(ctx: _Ctx) -> dict:
     return {"pass": not fails, "failures": fails, "sign_changes": signs}
 
 
-def _suite_recurrence(ctx: _Ctx) -> dict:
-    s, xp = ctx.system(), ctx.xpoly()
-    t = ctx.rectable()
+def _suite_recurrence(cfg: RunConfig, pipe: Pipeline) -> dict:
+    s, xp = pipe.system(), pipe.xpoly(cfg.Y)
+    t = pipe.rectable(cfg.Y)
     recurrence.xhat_minus1(xp, s)
     fails = [list(map(str, f)) for f in recurrence.verify_recurrence(s, xp, t)]
     return {
@@ -266,11 +226,11 @@ def _suite_recurrence(ctx: _Ctx) -> dict:
     }
 
 
-def _suite_dual(ctx: _Ctx) -> dict:
-    s = ctx.system()
-    dual = ctx.dual()
+def _suite_dual(cfg: RunConfig, pipe: Pipeline) -> dict:
+    s = pipe.system()
+    dual = pipe.dual()
     fails = [[x, y, _fmt(r)] for x, y, r in dualsystem.dual_ortho(s, dual)]
-    h = ctx.hamiltonian()
+    h = pipe.hamiltonian(cfg.Y)
     fails += [list(map(str, f)) for f in dualsystem.verify_spectrum(h)]
     for x in range(s.params.N + 1):
         k = multiindexed.sign_changes([dual.q_vals[x][n] for n in range(s.params.N + 1)])
@@ -279,9 +239,9 @@ def _suite_dual(ctx: _Ctx) -> dict:
     return {"pass": not fails, "failures": fails}
 
 
-def _suite_closure(ctx: _Ctx) -> dict:
-    h = ctx.hamiltonian()
-    trip = ctx.closure()
+def _suite_closure(cfg: RunConfig, pipe: Pipeline) -> dict:
+    h = pipe.hamiltonian(cfg.Y)
+    trip = pipe.closure(cfg.Y)
     residual = closure.verify_closure(h, trip)
     nz = residual.nonzero_entries()
     return {
@@ -294,9 +254,9 @@ def _suite_closure(ctx: _Ctx) -> dict:
     }
 
 
-def _suite_ladder(ctx: _Ctx) -> dict:
-    h = ctx.hamiltonian()
-    trip = ctx.closure()
+def _suite_ladder(cfg: RunConfig, pipe: Pipeline) -> dict:
+    h = pipe.hamiltonian(cfg.Y)
+    trip = pipe.closure(cfg.Y)
     try:
         lp = closure.build_ladder(h, trip)
     except SingularR0 as e:
@@ -306,14 +266,9 @@ def _suite_ladder(ctx: _Ctx) -> dict:
     return {"pass": not fails, "failures": fails}
 
 
-def _suite_commute(ctx: _Ctx) -> dict:
-    h1 = ctx.hamiltonian()
-    other = Poly([rat(0), rat(1)]) if ctx.cfg.Y == Poly([rat(1)]) else Poly([rat(1)])
-    s = ctx.system()
-    xp2 = recurrence.build_X(s, other, for_hamiltonian=True)
-    t2 = recurrence.extract_r(s, xp2)
-    h2 = dualsystem.build_hamiltonians(s, xp2, t2, ctx.dual(), precision=ctx.cfg.precision)
-    nz = dualsystem.commutator_check(h1, h2)
+def _suite_commute(cfg: RunConfig, pipe: Pipeline) -> dict:
+    other = Poly([rat(0), rat(1)]) if cfg.Y == Poly([rat(1)]) else Poly([rat(1)])
+    nz = dualsystem.commutator_check(pipe.hamiltonian(cfg.Y), pipe.hamiltonian(other))
     return {
         "pass": not nz,
         "failures": [[i, j, _fmt(v)] for i, j, v in nz],
@@ -321,15 +276,13 @@ def _suite_commute(ctx: _Ctx) -> dict:
     }
 
 
-def _suite_shape(ctx: _Ctx) -> dict:
+def _suite_shape(cfg: RunConfig, pipe: Pipeline) -> dict:
     extra = []
-    p = ctx.cfg.params()
-    for name, slots in ctx.cfg.si_candidates:
+    p = pipe.params
+    for name, slots in cfg.si_candidates:
         vals = [rat_from_str(v) for v in slots]
-        from dataclasses import replace
         extra.append((name, replace(p, N=p.N - 1, a=vals[0], b=vals[1], c=vals[2], d=vals[3])))
-    rep = shapeinv.si_test(ctx.system(), ctx.xpoly(), extra_candidates=extra,
-                           precision=ctx.cfg.precision, h=ctx.hamiltonian())
+    rep = shapeinv.si_test(pipe, cfg.Y, extra_candidates=extra)
     verdicts = []
     for v in rep.verdicts:
         verdicts.append({
@@ -345,8 +298,8 @@ def _suite_shape(ctx: _Ctx) -> dict:
             "failures": []}
 
 
-def _suite_qlimit(ctx: _Ctx) -> dict:
-    rep = qlimit.qlimit_check(ctx.system(), precision=ctx.cfg.precision)
+def _suite_qlimit(cfg: RunConfig, pipe: Pipeline) -> dict:
+    rep = qlimit.qlimit_check(pipe.system(), precision=cfg.precision)
     ok = rep.within_tolerance and rep.monotone
     return {
         "pass": ok,
@@ -392,13 +345,13 @@ def run_suite(cfg: RunConfig) -> Tuple[dict, bool]:
     bad = validate(cfg.params(), cfg.D)
     if bad:
         raise InadmissibleParams(f"config parameters violate ranges: {bad}")
-    ctx = _Ctx(cfg)
+    pipe = Pipeline(cfg.params(), cfg.D, cfg.precision)
     ordered = [s for s in SUITES if s in cfg.suites]
     results: Dict[str, dict] = {}
     all_ok = True
     for name in ordered:
         with _Timer(f"suite {name}"):
-            results[name] = _SUITE_FNS[name](ctx)
+            results[name] = _SUITE_FNS[name](cfg, pipe)
         all_ok = all_ok and results[name]["pass"]
     report = {"config": _config_echo(cfg), "suites": results, "pass": all_ok}
     return report, all_ok
@@ -418,8 +371,8 @@ def emit_tables(cfg: RunConfig, what: str, out_dir: str) -> List[str]:
     if what not in TABLE_KINDS:
         raise ConfigError(f"unknown table kind {what!r}; choose from {TABLE_KINDS}")
     os.makedirs(out_dir, exist_ok=True)
-    ctx = _Ctx(cfg)
-    s = ctx.system()
+    pipe = Pipeline(cfg.params(), cfg.D, cfg.precision)
+    s = pipe.system()
     N = cfg.N
     csv_path = os.path.join(out_dir, f"{what}.csv")
     json_path = os.path.join(out_dir, f"{what}.json")
@@ -432,7 +385,7 @@ def emit_tables(cfg: RunConfig, what: str, out_dir: str) -> List[str]:
                     w.writerow([n, x, _fmt(s.pdn_grid[n][x])])
             payload = {"coefficients": {str(n): _poly_str(s.pdn_polys[n]) for n in range(N + 1)}}
         elif what == "rnk":
-            t = ctx.rectable()
+            t = pipe.rectable(cfg.Y)
             w.writerow(["n", "k", "r"])
             rows = []
             for n in range(N + 1):
@@ -441,7 +394,7 @@ def emit_tables(cfg: RunConfig, what: str, out_dir: str) -> List[str]:
                     rows.append({"n": n, "k": k, "r": _fmt(t.r[(n, k)])})
             payload = {"L": t.L, "rows": rows}
         elif what == "hamiltonian":
-            h = ctx.hamiltonian()
+            h = pipe.hamiltonian(cfg.Y)
             w.writerow(["x", "y", "exact", "symmetric"])
             for x in range(N + 1):
                 for y in range(N + 1):
@@ -455,14 +408,14 @@ def emit_tables(cfg: RunConfig, what: str, out_dir: str) -> List[str]:
                 "precision": cfg.precision,
             }
         elif what == "spectrum":
-            xp = ctx.xpoly()
+            xp = pipe.xpoly(cfg.Y)
             w.writerow(["n", "X"])
             for n in range(N + 1):
                 w.writerow([n, _fmt(xp.grid[n])])
             payload = {"X_coeffs": _poly_str(xp.poly),
                        "values": {str(n): _fmt(xp.grid[n]) for n in range(N + 1)}}
         else:
-            dual = ctx.dual()
+            dual = pipe.dual()
             w.writerow(["x", "n", "value"])
             for x in range(N + 1):
                 for n in range(N + 1):

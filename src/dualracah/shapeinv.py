@@ -15,12 +15,11 @@ from typing import List, Optional, Tuple
 import mpmath
 
 from .bigreal import to_real
-from .dualsystem import DualHamiltonian, build_hamiltonians, dual_values
 from .errors import CrossCheckMismatch, InadmissibleCandidate, NegativePivot
 from .linalg import SquareMatrix
-from .multiindexed import MISystem, build_mi_system
 from .params import R, ParamSet, validate
-from .recurrence import XPoly, build_X, extract_r
+from .pipeline import Pipeline
+from .poly import Poly
 
 
 @dataclass
@@ -116,18 +115,16 @@ class SIReport:
 
 
 def si_test(
-    s: MISystem,
-    xp: XPoly,
+    pipe: Pipeline,
+    Y: Poly,
     extra_candidates: Optional[List[Tuple[str, ParamSet]]] = None,
-    precision: int = 256,
-    h: Optional[DualHamiltonian] = None,
 ) -> SIReport:
-    """Shape-invariance verdict for each candidate.
-
-    ``h`` is the Hamiltonian of (s, xp) itself; when given, every admissible
-    candidate also gets the high-precision matrix residual.
-    """
-    p, D, Y, N = s.params, s.D, xp.Y, s.params.N
+    """Shape-invariance verdict for each candidate of the pipeline's system
+    with seed Y; every admissible candidate also gets the high-precision
+    matrix residual."""
+    p, D, N, precision = pipe.params, pipe.D, pipe.params.N, pipe.precision
+    xp = pipe.xpoly(Y)
+    A = None  # factor of the pipeline's own Hamiltonian, built once when first needed
     verdicts = []
     for name, p2 in builtin_candidates(p) + list(extra_candidates or []):
         try:
@@ -137,8 +134,8 @@ def si_test(
                 CandidateVerdict(name, False, None, False, None, None, None)
             )
             continue
-        s2 = build_mi_system(p2, D)
-        xp2 = build_X(s2, Y, for_hamiltonian=True)
+        cand = Pipeline(p2, D, precision)
+        xp2 = cand.xpoly(Y)
         kappa = (xp.grid[2] - xp.grid[1]) / xp2.grid[1]
         spectral_pass, first_fail, mismatch = True, None, None
         for x in range(N):
@@ -147,23 +144,19 @@ def si_test(
             if got != want:
                 spectral_pass, first_fail, mismatch = False, x, got - want
                 break
-        residual = None
-        if h is not None:
-            h2 = build_hamiltonians(
-                s2, xp2, extract_r(s2, xp2), dual_values(s2), precision=precision
-            )
-            A = factor_upper(h.h_sym).A
-            A2 = factor_upper(h2.h_sym).A
-            with mpmath.workprec(precision):
-                k = to_real(kappa, precision)
-                e1 = to_real(xp.grid[1], precision)
-                residual = mpmath.mpf(0)
-                for x in range(N):
-                    for y in range(N):
-                        aad = sum(A.rows[x][z] * A.rows[y][z] for z in range(N + 1))
-                        ata = sum(A2.rows[z][x] * A2.rows[z][y] for z in range(N))
-                        target = aad - k * ata - (e1 if x == y else 0)
-                        residual = max(residual, abs(target))
+        if A is None:
+            A = factor_upper(pipe.hamiltonian(Y).h_sym).A
+        A2 = factor_upper(cand.hamiltonian(Y).h_sym).A
+        with mpmath.workprec(precision):
+            k = to_real(kappa, precision)
+            e1 = to_real(xp.grid[1], precision)
+            residual = mpmath.mpf(0)
+            for x in range(N):
+                for y in range(N):
+                    aad = sum(A.rows[x][z] * A.rows[y][z] for z in range(N + 1))
+                    ata = sum(A2.rows[z][x] * A2.rows[z][y] for z in range(N))
+                    target = aad - k * ata - (e1 if x == y else 0)
+                    residual = max(residual, abs(target))
         verdicts.append(
             CandidateVerdict(name, True, kappa, spectral_pass, first_fail, mismatch, residual)
         )

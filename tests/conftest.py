@@ -5,18 +5,21 @@ systems per (family, N, D, Y) keeps the whole suite fast while letting
 every test module ask for exactly the configurations it needs.
 """
 
+import functools
+
 import pytest
 
-from dualracah import closure, dualsystem, multiindexed, recurrence
+from dualracah import multiindexed
 from dualracah.backend import rat
 from dualracah.basefamily import racah_value, xi_v
 from dualracah.linalg import generic_det
 from dualracah.params import QR, R, make_params
+from dualracah.pipeline import Pipeline
 from dualracah.poly import Poly
 
 Y_ONE = Poly([rat(1)])
 Y_ETA = Poly([rat(0), rat(1)])
-_Y = {"1": Y_ONE, "eta": Y_ETA}
+SEEDS = {"1": Y_ONE, "eta": Y_ETA}
 
 
 def std_params(family: str, N: int):
@@ -51,67 +54,11 @@ def per_entry_pdn(n, x, D, p):
     return det / (cdn * multiindexed.varphi_m(x, M + 1, p))
 
 
-class Pipeline:
-    """Lazily built and memoized verification objects."""
-
-    def __init__(self):
-        self._cache = {}
-
-    def _get(self, key, build):
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
-
-    def system(self, family, N, D):
-        D = tuple(D)
-        return self._get(
-            ("s", family, N, D),
-            lambda: multiindexed.build_mi_system(std_params(family, N), D),
-        )
-
-    def xpoly(self, family, N, D, y="1"):
-        return self._get(
-            ("xp", family, N, tuple(D), y),
-            lambda: recurrence.build_X(
-                self.system(family, N, D), _Y[y], for_hamiltonian=True
-            ),
-        )
-
-    def rectable(self, family, N, D, y="1"):
-        return self._get(
-            ("t", family, N, tuple(D), y),
-            lambda: recurrence.extract_r(
-                self.system(family, N, D), self.xpoly(family, N, D, y)
-            ),
-        )
-
-    def dual(self, family, N, D):
-        return self._get(
-            ("dual", family, N, tuple(D)),
-            lambda: dualsystem.dual_values(self.system(family, N, D)),
-        )
-
-    def hamiltonian(self, family, N, D, y="1"):
-        return self._get(
-            ("h", family, N, tuple(D), y),
-            lambda: dualsystem.build_hamiltonians(
-                self.system(family, N, D),
-                self.xpoly(family, N, D, y),
-                self.rectable(family, N, D, y),
-                self.dual(family, N, D),
-            ),
-        )
-
-    def closure_triple(self, family, N, D, y="1"):
-        return self._get(
-            ("cl", family, N, tuple(D), y),
-            lambda: closure.solve_closure(self.hamiltonian(family, N, D, y)),
-        )
-
-
 @pytest.fixture(scope="session")
 def pipe():
-    return Pipeline()
+    """Session map from (family, N, D) to the library ``Pipeline`` of the
+    standard tuple; each stage is built once per session."""
+    return functools.cache(lambda family, N, D: Pipeline(std_params(family, N), D))
 
 
 #: (criterion number, verdict line) pairs filled in by the acceptance tests

@@ -33,7 +33,7 @@ from dualracah.params import QR, R, ParamSet, ipow, validate
 from dualracah.qlimit import qlimit_check
 from dualracah.recurrence import verify_recurrence
 from dualracah.shapeinv import si_test
-from conftest import std_params
+from conftest import SEEDS, Y_ETA, Y_ONE, std_params
 
 FAMILIES = (R, QR)
 MI_MATRIX = [(family, N, D) for family in FAMILIES for N in (5, 6)
@@ -101,7 +101,7 @@ def test_criterion_2_multi_indexed_construction(pipe):
             t0 = time.perf_counter()
             # the build itself asserts degrees, leading coefficients,
             # normalization, and positivity
-            s = pipe.system(family, N, D)
+            s = pipe(family, N, D).system()
             assert s.pdn_grid[0] == tuple(
                 s.xi_grid_delta[x] for x in range(N + 1)
             )
@@ -114,9 +114,9 @@ def test_criterion_3_constant_coefficient_recurrences(pipe):
     with criterion(3, "band recurrences exact, both routes, both seeds"):
         for family, N, D in MI_MATRIX:
             for y in ("1", "eta"):
-                s = pipe.system(family, N, D)
-                xp = pipe.xpoly(family, N, D, y)
-                t = pipe.rectable(family, N, D, y)  # includes the solve route
+                s = pipe(family, N, D).system()
+                xp = pipe(family, N, D).xpoly(SEEDS[y])
+                t = pipe(family, N, D).rectable(SEEDS[y])  # includes the solve route
                 for n in range(N + 1):
                     for k in t.band(n):
                         if k > 0:
@@ -132,9 +132,9 @@ def test_criterion_4_closed_form_examples(pipe):
             family = R if name.startswith("R") else QR
             ex = closed_form_comparators(name, std_params(family, 8))
             y = "eta" if name.endswith("/eta") else "1"
-            s = pipe.system(family, 8, ex.D)
-            xp = pipe.xpoly(family, 8, ex.D, y)
-            t = pipe.rectable(family, 8, ex.D, y) if ex.r_nk is not None else None
+            s = pipe(family, 8, ex.D).system()
+            xp = pipe(family, 8, ex.D).xpoly(SEEDS[y])
+            t = pipe(family, 8, ex.D).rectable(SEEDS[y]) if ex.r_nk is not None else None
             assert compare_example(ex, s, xp, t) == []
         # the two fully tabulated cases really exercised the r route
         assert closed_form_comparators("R:{1}/1", std_params(R, 8)).r_nk is not None
@@ -144,10 +144,10 @@ def test_criterion_4_closed_form_examples(pipe):
 def test_criterion_5_dual_system_exact(pipe):
     with criterion(5, "dual tables, dual orthogonality, exact spectra"):
         for family, N, D in MI_MATRIX:
-            s = pipe.system(family, N, D)
-            dual = pipe.dual(family, N, D)  # ratio and recurrence routes agree
+            s = pipe(family, N, D).system()
+            dual = pipe(family, N, D).dual()  # ratio and recurrence routes agree
             assert dual_ortho(s, dual) == []
-            h = pipe.hamiltonian(family, N, D)
+            h = pipe(family, N, D).hamiltonian(Y_ONE)
             assert verify_spectrum(h) == []
             for n in range(N + 1):
                 assert sign_changes([s.pdn_grid[n][x] for x in range(N + 1)]) == n
@@ -161,13 +161,13 @@ def test_criterion_6_closure_relation_evidence(pipe):
             for N in (4, 5, 6):
                 for D, y in CLOSURE_CASES:
                     t0 = time.perf_counter()
-                    h = pipe.hamiltonian(family, N, D, y)
-                    trip = pipe.closure_triple(family, N, D, y)
+                    h = pipe(family, N, D).hamiltonian(SEEDS[y])
+                    trip = pipe(family, N, D).closure(SEEDS[y])
                     assert verify_closure(h, trip).is_zero()
                     assert time.perf_counter() - t0 < 300
             # undeformed control: classical degree pattern (2, 1, 2)
-            h0 = pipe.hamiltonian(family, 5, ())
-            trip0 = pipe.closure_triple(family, 5, ())
+            h0 = pipe(family, 5, ()).hamiltonian(Y_ONE)
+            trip0 = pipe(family, 5, ()).closure(Y_ONE)
             assert verify_closure(h0, trip0).is_zero()
             assert (trip0.R0.degree or 0) <= 2
             assert (trip0.R1.degree or 0) <= 1
@@ -179,8 +179,8 @@ def test_criterion_7_ladder_operators(pipe):
         for family in FAMILIES:
             for N in (4, 5, 6):
                 for D, y in CLOSURE_CASES:
-                    h = pipe.hamiltonian(family, N, D, y)
-                    trip = pipe.closure_triple(family, N, D, y)
+                    h = pipe(family, N, D).hamiltonian(SEEDS[y])
+                    trip = pipe(family, N, D).closure(SEEDS[y])
                     if y == "eta":
                         with pytest.raises(SingularR0):
                             build_ladder(h, trip)
@@ -192,17 +192,16 @@ def test_criterion_7_ladder_operators(pipe):
 def test_criterion_8_commutativity(pipe):
     with criterion(8, "Hamiltonians from different seeds commute exactly"):
         for family in FAMILIES:
-            h1 = pipe.hamiltonian(family, 6, (1,), "1")
-            h2 = pipe.hamiltonian(family, 6, (1,), "eta")
+            h1 = pipe(family, 6, (1,)).hamiltonian(Y_ONE)
+            h2 = pipe(family, 6, (1,)).hamiltonian(Y_ETA)
             assert commutator_check(h1, h2) == []
 
 
 def test_criterion_9_shape_invariance_verdicts(pipe):
     with criterion(9, "shape invariance holds undeformed, fails deformed"):
         for family in FAMILIES:
-            s0 = pipe.system(family, 6, ())
-            rep0 = si_test(s0, pipe.xpoly(family, 6, (), "1"),
-                           h=pipe.hamiltonian(family, 6, (), "1"))
+            s0 = pipe(family, 6, ()).system()
+            rep0 = si_test(pipe(family, 6, ()), Y_ONE)
             assert rep0.shape_invariant
             win = {v.name: v for v in rep0.verdicts}["delta_dplus"]
             assert win.kappa == (1 if family == R else 1 / s0.params.q)
@@ -210,8 +209,7 @@ def test_criterion_9_shape_invariance_verdicts(pipe):
                 assert win.matrix_residual < mpmath.mpf(10) ** -60
             for N in (4, 5, 6):
                 for D, y in CLOSURE_CASES:
-                    s = pipe.system(family, N, D)
-                    rep = si_test(s, pipe.xpoly(family, N, D, y))
+                    rep = si_test(pipe(family, N, D), SEEDS[y])
                     assert not rep.shape_invariant
                     for v in rep.verdicts:
                         assert not v.spectral_pass

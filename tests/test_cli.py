@@ -200,7 +200,7 @@ def test_corrupted_base_value_fails_ortho_and_duality(monkeypatch):
 def test_run_builds_each_system_once(monkeypatch):
     """One system for the pipeline (shared with the qlimit suite) and one per
     admissible shape candidate."""
-    from dualracah import multiindexed, shapeinv
+    from dualracah import multiindexed
 
     built = []
     build = multiindexed.build_mi_system
@@ -210,7 +210,6 @@ def test_run_builds_each_system_once(monkeypatch):
         return build(p, D)
 
     monkeypatch.setattr(multiindexed, "build_mi_system", counted)
-    monkeypatch.setattr(shapeinv, "build_mi_system", counted)
     report, ok = run_suite(parse_config(dict(BASE_CFG, suites=["mi", "shape", "qlimit"])))
     assert ok
     admissible = [v for v in report["suites"]["shape"]["verdicts"] if v["admissible"]]
@@ -221,7 +220,7 @@ def test_run_builds_each_system_once(monkeypatch):
 def test_shape_suite_reuses_the_pipeline_hamiltonian(monkeypatch):
     """extract_r runs once for the pipeline and once per admissible shape
     candidate; the original system's Hamiltonian is not built again."""
-    from dualracah import recurrence, shapeinv
+    from dualracah import recurrence
 
     calls = []
     extract = recurrence.extract_r
@@ -231,13 +230,30 @@ def test_shape_suite_reuses_the_pipeline_hamiltonian(monkeypatch):
         return extract(s, xp)
 
     monkeypatch.setattr(recurrence, "extract_r", counted)
-    monkeypatch.setattr(shapeinv, "extract_r", counted)
     cfg = parse_config(dict(BASE_CFG, suites=["recurrence", "shape"]))
     report, ok = run_suite(cfg)
     assert ok
     admissible = [v for v in report["suites"]["shape"]["verdicts"] if v["admissible"]]
     assert admissible and len(calls) == 1 + len(admissible)
     assert calls.count(cfg.params()) == 1
+
+
+def test_commute_suite_reuses_the_system_and_dual_table(monkeypatch):
+    """The commute suite's second seed shares the pipeline's system and
+    dual table; only the seed-dependent stages run once per seed."""
+    from dualracah import dualsystem, multiindexed, recurrence
+
+    calls = {}
+    for mod, name in ((multiindexed, "build_mi_system"), (dualsystem, "dual_values"),
+                      (recurrence, "extract_r")):
+        def counted(*args, _name=name, _fn=getattr(mod, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
+
+        monkeypatch.setattr(mod, name, counted)
+    report, ok = run_suite(parse_config(dict(BASE_CFG, suites=["dual", "commute"])))
+    assert ok and report["suites"]["commute"]["other_seed"] == ["0/1", "1/1"]
+    assert calls == {"build_mi_system": 1, "dual_values": 1, "extract_r": 2}
 
 
 # JSON-like values: what json.load can hand to parse_config

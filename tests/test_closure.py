@@ -9,11 +9,11 @@ from pathlib import Path
 
 import pytest
 
+from dualracah import closure
 from dualracah.backend import rat
 from dualracah.closure import (
     build_ladder,
     eigen_inverse,
-    spectral_fn,
     verify_closure,
     verify_ladder,
 )
@@ -21,6 +21,7 @@ from dualracah.errors import CrossCheckMismatch, SingularR0
 from dualracah.linalg import SquareMatrix, exact_solve
 from dualracah.params import QR, R
 from dualracah.poly import Poly
+from conftest import SEEDS, Y_ETA, Y_ONE
 
 FAMILIES = (R, QR)
 CASES = [((1,), "1"), ((2,), "1"), ((1, 2), "1"), ((1,), "eta")]
@@ -94,8 +95,8 @@ def _corrupt(m: SquareMatrix, i: int, j: int) -> SquareMatrix:
 @pytest.mark.parametrize("D,y", CASES)
 @pytest.mark.parametrize("N", [4, 5, 6])
 def test_closure_residual_is_zero(family, D, y, N, pipe):
-    h = pipe.hamiltonian(family, N, D, y)
-    trip = pipe.closure_triple(family, N, D, y)
+    h = pipe(family, N, D).hamiltonian(SEEDS[y])
+    trip = pipe(family, N, D).closure(SEEDS[y])
     residual = verify_closure(h, trip)
     assert residual.is_zero()
     assert residual == _horner_residual(h, trip)
@@ -105,8 +106,8 @@ def test_closure_residual_is_zero(family, D, y, N, pipe):
 def test_undeformed_control_degrees(family, pipe):
     """Without deformation the closure polynomials have the classical
     degree pattern (2, 1, 2) and the residual still vanishes."""
-    h = pipe.hamiltonian(family, 5, ())
-    trip = pipe.closure_triple(family, 5, ())
+    h = pipe(family, 5, ()).hamiltonian(Y_ONE)
+    trip = pipe(family, 5, ()).closure(Y_ONE)
     assert verify_closure(h, trip).is_zero()
     assert (trip.R0.degree or 0) <= 2
     assert (trip.R1.degree or 0) <= 1
@@ -118,9 +119,9 @@ def test_node_identities_fail_off_grid_when_deformed(family, pipe):
     """For a genuine deformation the interpolated closure polynomials do
     not extend to the node just past the grid."""
     from dualracah.params import eta, shift
-    s = pipe.system(family, 5, (1,))
-    xp = pipe.xpoly(family, 5, (1,), "1")
-    trip = pipe.closure_triple(family, 5, (1,))
+    s = pipe(family, 5, (1,)).system()
+    xp = pipe(family, 5, (1,)).xpoly(Y_ONE)
+    trip = pipe(family, 5, (1,)).closure(Y_ONE)
     p_m = shift(s.params, s.M, "delta")
     j = s.params.N + 1  # one step off the spectrum
     X = {i: xp.poly(eta(i, p_m)) for i in (j - 1, j, j + 1)}
@@ -130,8 +131,8 @@ def test_node_identities_fail_off_grid_when_deformed(family, pipe):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_discriminant_is_a_square_on_nodes(family, pipe):
-    h = pipe.hamiltonian(family, 6, (1, 2))
-    trip = pipe.closure_triple(family, 6, (1, 2))
+    h = pipe(family, 6, (1, 2)).hamiltonian(Y_ONE)
+    trip = pipe(family, 6, (1, 2)).closure(Y_ONE)
     X = h.x_grid
     for j in range(7):
         z = X[j]
@@ -140,40 +141,41 @@ def test_discriminant_is_a_square_on_nodes(family, pipe):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_r0_vanishes_iff_degenerate_seed(family, pipe):
-    assert not pipe.closure_triple(family, 5, (1,), "1").r0_vanishes_at_zero
-    assert pipe.closure_triple(family, 5, (1,), "eta").r0_vanishes_at_zero
+    assert not pipe(family, 5, (1,)).closure(Y_ONE).r0_vanishes_at_zero
+    assert pipe(family, 5, (1,)).closure(Y_ETA).r0_vanishes_at_zero
 
 
 def test_spectral_fn_reproduces_polynomials(pipe):
-    h = pipe.hamiltonian(R, 5, (1,))
-    # the function n -> X(n)^2 of the Hamiltonian is the matrix square
-    sq = spectral_fn(h, [v * v for v in h.energies])
+    h = pipe(R, 5, (1,)).hamiltonian(Y_ONE)
+    # V diag(f(X)) V^(-1) is the function f of the Hamiltonian: for
+    # f(X) = X^2 it is the matrix square
+    sq = h.V.scale_cols([v * v for v in h.energies]) @ eigen_inverse(h)
     assert (sq - h.h_tilde @ h.h_tilde).is_zero()
-    ident = spectral_fn(h, [rat(1)] * 6)
+    ident = h.V.scale_cols([rat(1)] * 6) @ eigen_inverse(h)
     assert (ident - SquareMatrix.identity(6)).is_zero()
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("D", [(1,), (2,), (1, 2)])
 def test_ladder_actions_exact(family, D, pipe):
-    h = pipe.hamiltonian(family, 6, D)
-    trip = pipe.closure_triple(family, 6, D)
+    h = pipe(family, 6, D).hamiltonian(Y_ONE)
+    trip = pipe(family, 6, D).closure(Y_ONE)
     lp = build_ladder(h, trip)
     assert verify_ladder(h, lp) == []
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_ladder_degenerate_seed_raises(family, pipe):
-    h = pipe.hamiltonian(family, 6, (1,), "eta")
-    trip = pipe.closure_triple(family, 6, (1,), "eta")
+    h = pipe(family, 6, (1,)).hamiltonian(Y_ETA)
+    trip = pipe(family, 6, (1,)).closure(Y_ETA)
     with pytest.raises(SingularR0):
         build_ladder(h, trip)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_ladder_boundary_annihilation(family, pipe):
-    h = pipe.hamiltonian(family, 5, (1,))
-    lp = build_ladder(h, pipe.closure_triple(family, 5, (1,)))
+    h = pipe(family, 5, (1,)).hamiltonian(Y_ONE)
+    lp = build_ladder(h, pipe(family, 5, (1,)).closure(Y_ONE))
     top = lp.a_plus.matvec(h.V.column(5))
     bottom = lp.a_minus.matvec(h.V.column(0))
     assert all(v == 0 for v in top)
@@ -184,8 +186,8 @@ def test_ladder_boundary_annihilation(family, pipe):
 def test_middle_coefficient_from_closure(family, pipe):
     """-Rm1/R0 on the spectrum equals the middle dual recurrence
     coefficient; this ties the closure data to the dual table."""
-    h = pipe.hamiltonian(family, 6, (2,))
-    trip = pipe.closure_triple(family, 6, (2,))
+    h = pipe(family, 6, (2,)).hamiltonian(Y_ONE)
+    trip = pipe(family, 6, (2,)).closure(Y_ONE)
     for n in range(7):
         z = h.x_grid[n]
         assert -trip.Rm1(z) / trip.R0(z) == h.dual.b_dual[n]
@@ -195,8 +197,8 @@ def test_middle_coefficient_from_closure(family, pipe):
 @pytest.mark.parametrize("D,y", CASES)
 @pytest.mark.parametrize("N", [4, 5, 6])
 def test_inverse_and_ladder_match_generic_oracles(family, D, y, N, pipe):
-    h = pipe.hamiltonian(family, N, D, y)
-    trip = pipe.closure_triple(family, N, D, y)
+    h = pipe(family, N, D).hamiltonian(SEEDS[y])
+    trip = pipe(family, N, D).closure(SEEDS[y])
     assert eigen_inverse(h) == exact_inverse(h.V)
     if trip.r0_vanishes_at_zero:
         with pytest.raises(SingularR0):
@@ -208,8 +210,8 @@ def test_inverse_and_ladder_match_generic_oracles(family, D, y, N, pipe):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_corrupted_r1_residual_equals_horner(family, pipe):
-    h = pipe.hamiltonian(family, 5, (1, 2))
-    trip = pipe.closure_triple(family, 5, (1, 2))
+    h = pipe(family, 5, (1, 2)).hamiltonian(Y_ONE)
+    trip = pipe(family, 5, (1, 2)).closure(Y_ONE)
     bad = replace(trip, R1=Poly([trip.R1[0] + rat(1, 3)] + list(trip.R1.coeffs[1:])))
     residual = verify_closure(h, bad)
     assert not residual.is_zero()
@@ -218,8 +220,8 @@ def test_corrupted_r1_residual_equals_horner(family, pipe):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_corrupted_inverse_data_raises(family, pipe):
-    h = pipe.hamiltonian(family, 5, (1,))
-    trip = pipe.closure_triple(family, 5, (1,))
+    h = pipe(family, 5, (1,)).hamiltonian(Y_ONE)
+    trip = pipe(family, 5, (1,)).closure(Y_ONE)
     # replace() copies h with an empty certification cache
     bad_v = replace(h, V=_corrupt(h.V, 2, 3))
     gw = list(h.ground_weight)
@@ -236,12 +238,28 @@ def test_corrupted_inverse_data_raises(family, pipe):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_corrupted_hamiltonian_fails_eigen_certification(family, pipe):
-    h = pipe.hamiltonian(family, 5, (1,))
-    trip = pipe.closure_triple(family, 5, (1,))
+    h = pipe(family, 5, (1,)).hamiltonian(Y_ONE)
+    trip = pipe(family, 5, (1,)).closure(Y_ONE)
     for fn in (verify_closure, build_ladder):
         bad = replace(h, h_tilde=_corrupt(h.h_tilde, 1, 2))
         with pytest.raises(CrossCheckMismatch, match=r"h_tilde\*V differs"):
             fn(bad, trip)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_shifted_leading_coefficient_fails_divided_difference(family, pipe, monkeypatch):
+    h = pipe(family, 5, (1, 2)).hamiltonian(Y_ONE)
+    solve = closure.exact_solve_many
+
+    def skewed_solve(a, rhs_cols):
+        # shift the leading coefficient of R0, the first solution
+        xs = solve(a, rhs_cols)
+        xs[0][-1] += 1
+        return xs
+
+    monkeypatch.setattr(closure, "exact_solve_many", skewed_solve)
+    with pytest.raises(CrossCheckMismatch, match="divided-difference leading coefficient"):
+        closure.solve_closure(h)
 
 
 def test_certifications_survive_python_O():
@@ -275,6 +293,18 @@ def test_certifications_survive_python_O():
             closure.solve_closure(h)
         except CrossCheckMismatch as e:
             print("node:", e)
+
+        def skewed_lead(a, rhs_cols):
+            # shift the leading coefficient of R0, the first solution
+            xs = solve(a, rhs_cols)
+            xs[0][-1] += 1
+            return xs
+
+        closure.exact_solve_many = skewed_lead
+        try:
+            closure.solve_closure(h)
+        except CrossCheckMismatch as e:
+            print("lead:", e)
         closure.exact_solve_many = solve
 
         trip = closure.solve_closure(h)
@@ -293,4 +323,5 @@ def test_certifications_survive_python_O():
         check=True,
     ).stdout
     assert "node: closure polynomials miss their node data" in out
+    assert "lead: divided-difference leading coefficient disagrees with solve" in out
     assert "eigen: h_tilde*V differs from V*diag(X)" in out

@@ -9,7 +9,7 @@ from dualracah.comparators import (
 )
 from dualracah.errors import UnknownExample
 from dualracah.params import QR, R
-from conftest import std_params
+from conftest import SEEDS, std_params
 
 
 def _check(name, N, pipe):
@@ -17,9 +17,9 @@ def _check(name, N, pipe):
     p = std_params(family, N)
     ex = closed_form_comparators(name, p)
     y = "eta" if name.endswith("/eta") else "1"
-    s = pipe.system(family, N, ex.D)
-    xp = pipe.xpoly(family, N, ex.D, y)
-    t = pipe.rectable(family, N, ex.D, y) if ex.r_nk is not None else None
+    s = pipe(family, N, ex.D).system()
+    xp = pipe(family, N, ex.D).xpoly(SEEDS[y])
+    t = pipe(family, N, ex.D).rectable(SEEDS[y]) if ex.r_nk is not None else None
     assert compare_example(ex, s, xp, t) == []
     assert xp.L == ex.L
 

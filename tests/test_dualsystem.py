@@ -3,18 +3,22 @@
 import mpmath
 import pytest
 
+from dualracah.backend import rat
 from dualracah.basefamily import racah_value
+from dualracah.bigreal import big_sqrt
 from dualracah.dualsystem import (
     DualTable,
+    build_hamiltonians,
     commutator_check,
     dual_ortho,
     dual_values,
     verify_spectrum,
 )
-from dualracah.errors import CrossCheckMismatch, ShapeMismatch
+from dualracah.errors import CrossCheckMismatch, NegativeRadicand, ShapeMismatch
 from dualracah.linalg import SquareMatrix
 from dualracah.multiindexed import MISystem, sign_changes
 from dualracah.params import QR, R
+from conftest import Y_ETA, Y_ONE
 
 FAMILIES = (R, QR)
 INDEX_SETS = ((1,), (2,), (1, 2))
@@ -23,7 +27,7 @@ INDEX_SETS = ((1,), (2,), (1, 2))
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("D", INDEX_SETS)
 def test_dual_table_edges(family, D, pipe):
-    dual = pipe.dual(family, 6, D)
+    dual = pipe(family, 6, D).dual()
     for n in range(7):
         assert dual.q_vals[0][n] == 1
     for x in range(7):
@@ -35,8 +39,8 @@ def test_dual_table_edges(family, D, pipe):
 def test_base_dual_is_parameter_swap(family, pipe):
     """Undeformed dual values coincide with the original family at the
     swapped fourth parameter."""
-    s = pipe.system(family, 6, ())
-    dual = pipe.dual(family, 6, ())
+    s = pipe(family, 6, ()).system()
+    dual = pipe(family, 6, ()).dual()
     pd = s.params.dual()
     for x in range(7):
         for n in range(7):
@@ -46,13 +50,13 @@ def test_base_dual_is_parameter_swap(family, pipe):
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("D", INDEX_SETS)
 def test_dual_orthogonality(family, D, pipe):
-    s = pipe.system(family, 6, D)
-    assert dual_ortho(s, pipe.dual(family, 6, D)) == []
+    s = pipe(family, 6, D).system()
+    assert dual_ortho(s, pipe(family, 6, D).dual()) == []
 
 
 def test_dual_ortho_checker_sanity(pipe):
-    s = pipe.system(R, 5, (1,))
-    dual = pipe.dual(R, 5, (1,))
+    s = pipe(R, 5, (1,)).system()
+    dual = pipe(R, 5, (1,)).dual()
     rows = [list(r) for r in dual.q_vals]
     rows[2][3] = rows[2][3] + 1
     corrupt = DualTable(
@@ -66,7 +70,7 @@ def test_dual_ortho_checker_sanity(pipe):
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("D", INDEX_SETS)
 def test_dual_oscillation(family, D, pipe):
-    dual = pipe.dual(family, 6, D)
+    dual = pipe(family, 6, D).dual()
     for x in range(7):
         assert sign_changes([dual.q_vals[x][n] for n in range(7)]) == x
 
@@ -74,7 +78,7 @@ def test_dual_oscillation(family, D, pipe):
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("D", INDEX_SETS)
 def test_spectrum_exact(family, D, pipe):
-    h = pipe.hamiltonian(family, 6, D)
+    h = pipe(family, 6, D).hamiltonian(Y_ONE)
     assert verify_spectrum(h) == []
     assert h.energies[0] == 0
 
@@ -82,8 +86,8 @@ def test_spectrum_exact(family, D, pipe):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_first_energy_single_step(family, pipe):
     """The first eigenvalue is the one-term telescoping sum."""
-    s = pipe.system(family, 6, (1,))
-    h = pipe.hamiltonian(family, 6, (1,))
+    s = pipe(family, 6, (1,)).system()
+    h = pipe(family, 6, (1,)).hamiltonian(Y_ONE)
     from dualracah.params import eta, shift
     p_m = shift(s.params, s.M, "delta")
     p_prev = shift(s.params, s.M - 1, "delta")
@@ -93,7 +97,7 @@ def test_first_energy_single_step(family, pipe):
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("D", INDEX_SETS)
 def test_band_structure(family, D, pipe):
-    h = pipe.hamiltonian(family, 6, D)
+    h = pipe(family, 6, D).hamiltonian(Y_ONE)
     for x in range(7):
         for y in range(7):
             if abs(x - y) > h.L:
@@ -104,9 +108,9 @@ def test_band_structure(family, D, pipe):
 def test_symmetric_form(family, pipe):
     """Products of mirrored symmetric entries equal the exact rational
     mirror products; the symmetric matrix is numerically symmetric."""
-    s = pipe.system(family, 5, (1,))
-    t = pipe.rectable(family, 5, (1,), "1")
-    h = pipe.hamiltonian(family, 5, (1,))
+    s = pipe(family, 5, (1,)).system()
+    t = pipe(family, 5, (1,)).rectable(Y_ONE)
+    h = pipe(family, 5, (1,)).hamiltonian(Y_ONE)
     from dualracah.bigreal import to_real
     with mpmath.workprec(256):
         tol = mpmath.mpf(2) ** -120
@@ -121,14 +125,14 @@ def test_symmetric_form(family, pipe):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_commutativity_of_seeds(family, pipe):
-    h1 = pipe.hamiltonian(family, 6, (1,), "1")
-    h2 = pipe.hamiltonian(family, 6, (1,), "eta")
+    h1 = pipe(family, 6, (1,)).hamiltonian(Y_ONE)
+    h2 = pipe(family, 6, (1,)).hamiltonian(Y_ETA)
     assert commutator_check(h1, h2) == []
     assert commutator_check(h1, h1) == []
 
 
 def test_commutator_checker_sanity(pipe):
-    h1 = pipe.hamiltonian(R, 5, (1,))
+    h1 = pipe(R, 5, (1,)).hamiltonian(Y_ONE)
     rows = [list(r) for r in h1.h_tilde.rows]
     rows[0][1] = rows[0][1] + 1
     import dataclasses
@@ -137,8 +141,8 @@ def test_commutator_checker_sanity(pipe):
 
 
 def test_commutator_shape_mismatch(pipe):
-    h1 = pipe.hamiltonian(R, 5, (1,))
-    h2 = pipe.hamiltonian(R, 6, (1,))
+    h1 = pipe(R, 5, (1,)).hamiltonian(Y_ONE)
+    h2 = pipe(R, 6, (1,)).hamiltonian(Y_ONE)
     with pytest.raises(ShapeMismatch):
         commutator_check(h1, h2)
 
@@ -147,8 +151,8 @@ def test_commutator_shape_mismatch(pipe):
 def test_eigenbasis_shared_across_seeds(family, pipe):
     """Both seed choices are diagonalized by the same dual eigenvector
     matrix, with eigenvalues given by their own X grids."""
-    h1 = pipe.hamiltonian(family, 6, (1,), "1")
-    h2 = pipe.hamiltonian(family, 6, (1,), "eta")
+    h1 = pipe(family, 6, (1,)).hamiltonian(Y_ONE)
+    h2 = pipe(family, 6, (1,)).hamiltonian(Y_ETA)
     assert h1.V.rows == h2.V.rows
     lhs = h2.h_tilde @ h2.V
     rhs = h2.V @ SquareMatrix.diagonal(list(h2.energies))
@@ -159,10 +163,9 @@ def test_spectrum_reports_each_entry_and_shares_hv(pipe, monkeypatch):
     from dataclasses import replace
 
     from dualracah import closure
-    from dualracah.backend import rat
 
-    h = pipe.hamiltonian(R, 5, (1,))
-    trip = pipe.closure_triple(R, 5, (1,))
+    h = pipe(R, 5, (1,)).hamiltonian(Y_ONE)
+    trip = pipe(R, 5, (1,)).closure(Y_ONE)
     fresh = replace(h)  # same matrices, empty cache
     calls = []
     matmul = SquareMatrix.__matmul__
@@ -186,8 +189,31 @@ def test_spectrum_reports_each_entry_and_shares_hv(pipe, monkeypatch):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_dual_edge_coefficients_must_vanish(family, pipe, monkeypatch):
-    s = pipe.system(family, 5, (1,))
+    s = pipe(family, 5, (1,)).system()
     birth = MISystem.bd
     monkeypatch.setattr(MISystem, "bd", lambda self, x: birth(self, x) + (x == 5))
     with pytest.raises(CrossCheckMismatch, match="do not vanish at the edges"):
         dual_values(s)
+
+
+def test_big_sqrt_rejects_negative_rational():
+    with pytest.raises(NegativeRadicand):
+        big_sqrt(rat(-1, 3))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_negative_norm_ratio_raises_negative_radicand(family, pipe):
+    """Negating d_x^2 together with the off-diagonal band entries of row x
+    keeps the mirror identity r^2*ratio = r*mirror, but the norm ratios of
+    row x turn negative, so the symmetric form has no real square root."""
+    from dataclasses import replace
+
+    pl = pipe(family, 5, (1,))
+    s, t, x = pl.system(), pl.rectable(Y_ONE), 2
+    norms = list(s.dDn_sq)
+    norms[x] = -norms[x]
+    r = {(n, k): -v if n == x and k != 0 else v for (n, k), v in t.r.items()}
+    with pytest.raises(NegativeRadicand):
+        build_hamiltonians(
+            replace(s, dDn_sq=tuple(norms)), pl.xpoly(Y_ONE), replace(t, r=r), pl.dual()
+        )

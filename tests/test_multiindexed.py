@@ -58,7 +58,7 @@ def test_inadmissible_rejected():
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("D", INDEX_SETS)
 def test_normalization_and_degrees(family, D, pipe):
-    s = pipe.system(family, 6, D)
+    s = pipe(family, 6, D).system()
     assert (s.xi_poly.degree or 0) == s.ellD
     for n in range(7):
         assert s.pdn_grid[n][0] == 1
@@ -69,7 +69,7 @@ def test_normalization_and_degrees(family, D, pipe):
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("D", INDEX_SETS)
 def test_positivity(family, D, pipe):
-    s = pipe.system(family, 6, D)
+    s = pipe(family, 6, D).system()
     for x in range(7):
         assert s.xi_grid[x] > 0
         assert s.weights[x] > 0
@@ -80,7 +80,7 @@ def test_positivity(family, D, pipe):
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("D", INDEX_SETS)
 def test_ground_state_is_shifted_denominator(family, D, pipe):
-    s = pipe.system(family, 6, D)
+    s = pipe(family, 6, D).system()
     for x in range(7):
         assert s.pdn_grid[0][x] == s.xi_grid_delta[x]
 
@@ -88,19 +88,19 @@ def test_ground_state_is_shifted_denominator(family, D, pipe):
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("D", INDEX_SETS)
 def test_orthogonality(family, D, pipe):
-    assert verify_ortho(pipe.system(family, 6, D)) == []
+    assert verify_ortho(pipe(family, 6, D).system()) == []
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("D", INDEX_SETS)
 def test_difference_equation(family, D, pipe):
-    assert verify_difference_eq(pipe.system(family, 6, D)) == []
+    assert verify_difference_eq(pipe(family, 6, D).system()) == []
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("D", INDEX_SETS)
 def test_oscillation_counts(family, D, pipe):
-    s = pipe.system(family, 6, D)
+    s = pipe(family, 6, D).system()
     for n in range(7):
         assert sign_changes([s.pdn_grid[n][x] for x in range(7)]) == n
 
@@ -109,7 +109,7 @@ def test_oscillation_counts(family, D, pipe):
 def test_norm_ratio_closed_form(family, pipe):
     """d^2 ratio against the independent route through the base recurrence
     data: d_n^2/d_0^2 = prod A_{m}/C_{m+1} times the deformation factors."""
-    s = pipe.system(family, 6, (1, 2))
+    s = pipe(family, 6, (1, 2)).system()
     p = s.params
     for n in range(1, 7):
         ratio = s.dDn_sq[n] / s.dDn_sq[0]
@@ -124,13 +124,13 @@ def test_norm_ratio_closed_form(family, pipe):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_boundary_potentials_vanish(family, pipe):
-    s = pipe.system(family, 6, (1,))
+    s = pipe(family, 6, (1,)).system()
     assert s.bd(s.params.N) == 0
     assert s.dd(0) == 0
 
 
 def test_checker_flags_corruption(pipe):
-    s = pipe.system(R, 5, (1,))
+    s = pipe(R, 5, (1,)).system()
     weights = list(s.weights)
     weights[2] = weights[2] + 1
     corrupt = type(s)(
@@ -151,7 +151,7 @@ def test_sign_changes_basics():
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_value_route_matches_interpolant_off_grid(family, pipe):
-    s = pipe.system(family, 5, (1, 2))
+    s = pipe(family, 5, (1, 2)).system()
     p = s.params
     for n in (0, 3, 5):
         x = p.N + 1
@@ -161,7 +161,7 @@ def test_value_route_matches_interpolant_off_grid(family, pipe):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_denominator_positive_beyond_grid(family, pipe):
     # positivity extends to x = N+1, which the weights at x = N rely on
-    s = pipe.system(family, 6, (1, 2))
+    s = pipe(family, 6, (1, 2)).system()
     assert s.xi_grid[s.params.N + 1] > 0
     assert xi_check_value(0, s.D, s.params) == 1
 
@@ -173,7 +173,7 @@ def test_table_matches_per_entry_route(family, D, N, pipe):
     p = std_params(family, N)
     p_delta = shift(p, 1, "delta")
     tab, tab_delta = GridTable(D, p), GridTable(D, p_delta)
-    s = pipe.system(family, N, D)
+    s = pipe(family, N, D).system()
     for x in range(N + 2):
         assert tab.xi(x) == per_entry_xi(x, D, p) == s.xi_grid[x]
     for x in range(-1, N + 2):

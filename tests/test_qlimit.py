@@ -13,7 +13,7 @@ from conftest import per_entry_pdn, std_params
 
 @pytest.mark.parametrize("D", [(), (1,), (1, 2)])
 def test_convergence_ladder(D, pipe):
-    rep = qlimit_check(pipe.system(R, 5, D))
+    rep = qlimit_check(pipe(R, 5, D).system())
     assert rep.within_tolerance
     assert rep.monotone
     with mpmath.workprec(rep.precision):
@@ -46,7 +46,7 @@ def test_inadmissible_reference_rejected(pipe):
     with pytest.raises(InadmissibleParams):
         qlimit_check(build_mi_system(bad, (1,)))
     with pytest.raises(InadmissibleParams):
-        qlimit_check(pipe.system(QR, 5, (1,)))  # no additive reference
+        qlimit_check(pipe(QR, 5, (1,)).system())  # no additive reference
 
 
 def test_matched_tuple_needs_exact_additive_reference():

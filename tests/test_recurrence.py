@@ -27,7 +27,7 @@ from dualracah.recurrence import (
     verify_recurrence,
     xhat_minus1,
 )
-from conftest import std_params
+from conftest import SEEDS, Y_ETA, Y_ONE, std_params
 
 FAMILIES = (R, QR)
 MATRIX = [(D, y) for D in ((1,), (2,), (1, 2)) for y in ("1", "eta")]
@@ -67,9 +67,9 @@ def test_map_i_rejects_zero():
 def test_base_case_reduces_to_three_term(family, pipe):
     """With no deformation and trivial seed the band is tridiagonal and the
     coefficients are the classical recurrence triple."""
-    s = pipe.system(family, 6, ())
-    xp = pipe.xpoly(family, 6, (), "1")
-    t = pipe.rectable(family, 6, (), "1")
+    s = pipe(family, 6, ()).system()
+    xp = pipe(family, 6, ()).xpoly(Y_ONE)
+    t = pipe(family, 6, ()).rectable(Y_ONE)
     assert t.L == 1
     for n in range(7):
         up, mid, low = rec_coeffs(n, s.params)
@@ -83,18 +83,18 @@ def test_base_case_reduces_to_three_term(family, pipe):
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("D,y", MATRIX)
 def test_recurrence_exact(family, D, y, pipe):
-    s = pipe.system(family, 6, D)
-    xp = pipe.xpoly(family, 6, D, y)
-    t = pipe.rectable(family, 6, D, y)
+    s = pipe(family, 6, D).system()
+    xp = pipe(family, 6, D).xpoly(SEEDS[y])
+    t = pipe(family, 6, D).rectable(SEEDS[y])
     assert verify_recurrence(s, xp, t) == []
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("D,y", MATRIX)
 def test_bandwidth_and_row_sums(family, D, y, pipe):
-    s = pipe.system(family, 6, D)
-    xp = pipe.xpoly(family, 6, D, y)
-    t = pipe.rectable(family, 6, D, y)
+    s = pipe(family, 6, D).system()
+    xp = pipe(family, 6, D).xpoly(SEEDS[y])
+    t = pipe(family, 6, D).rectable(SEEDS[y])
     assert t.L == s.ellD + xp.Y.degree + 1
     n_mid = 3
     if t.L <= 3:  # full band fits at the middle label
@@ -105,8 +105,8 @@ def test_bandwidth_and_row_sums(family, D, y, pipe):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_symmetry_relation(family, pipe):
-    s = pipe.system(family, 6, (1,))
-    t = pipe.rectable(family, 6, (1,), "1")
+    s = pipe(family, 6, (1,)).system()
+    t = pipe(family, 6, (1,)).rectable(Y_ONE)
     for n in range(7):
         for k in t.band(n):
             if k > 0:
@@ -115,8 +115,8 @@ def test_symmetry_relation(family, pipe):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_off_grid_value_closed_form(family, pipe):
-    s = pipe.system(family, 6, (1,))
-    xp = pipe.xpoly(family, 6, (1,), "1")
+    s = pipe(family, 6, (1,)).system()
+    xp = pipe(family, 6, (1,)).xpoly(Y_ONE)
     p = s.params
     if family == R:
         assert xhat_minus1(xp, s) == -(p.d + s.M - 1)
@@ -126,17 +126,17 @@ def test_off_grid_value_closed_form(family, pipe):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_off_grid_value_zero_for_degenerate_seed(family, pipe):
-    xp = pipe.xpoly(family, 6, (1,), "eta")
-    s = pipe.system(family, 6, (1,))
+    xp = pipe(family, 6, (1,)).xpoly(Y_ETA)
+    s = pipe(family, 6, (1,)).system()
     assert xhat_minus1(xp, s) == 0
 
 
 def test_polynomial_identity_fails_off_band(pipe):
     """The polynomial form of the recurrence is only claimed for labels with
     full band room; pushing it to the top label must break."""
-    s = pipe.system(R, 6, (1,))
-    xp = pipe.xpoly(R, 6, (1,), "1")
-    t = pipe.rectable(R, 6, (1,), "1")
+    s = pipe(R, 6, (1,)).system()
+    xp = pipe(R, 6, (1,)).xpoly(Y_ONE)
+    t = pipe(R, 6, (1,)).rectable(Y_ONE)
     n = s.params.N
     lhs = xp.poly * s.pdn_polys[n]
     rhs = Poly.zero()
@@ -148,13 +148,13 @@ def test_polynomial_identity_fails_off_band(pipe):
 
 
 def test_negative_seed_rejected_for_hamiltonian(pipe):
-    s = pipe.system(R, 5, (1,))
+    s = pipe(R, 5, (1,)).system()
     with pytest.raises(NegativeYCoefficient):
         build_X(s, Poly([rat(1), rat(-1)]), for_hamiltonian=True)
 
 
 def test_negative_seed_allowed_for_recurrence_only(pipe):
-    s = pipe.system(R, 5, (1,))
+    s = pipe(R, 5, (1,)).system()
     y = Poly([rat(3), rat(-1, 7)])
     xp = build_X(s, y, for_hamiltonian=False)
     t = extract_r(s, xp)
@@ -164,7 +164,7 @@ def test_negative_seed_allowed_for_recurrence_only(pipe):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_x_monotone_for_hamiltonian_seeds(family, pipe):
     for y in ("1", "eta"):
-        xp = pipe.xpoly(family, 6, (1, 2), y)
+        xp = pipe(family, 6, (1, 2)).xpoly(SEEDS[y])
         assert xp.monotone
         assert xp.grid[0] == 0
 
@@ -186,8 +186,8 @@ def _skew_table(key, delta):
     ((6, 0), "row 6 of the band does not sum to zero"),
 ])
 def test_corrupted_r_entry_fails_band_identities(family, key, msg, pipe, monkeypatch):
-    s = pipe.system(family, 6, (1,))
-    xp = pipe.xpoly(family, 6, (1,), "1")
+    s = pipe(family, 6, (1,)).system()
+    xp = pipe(family, 6, (1,)).xpoly(Y_ONE)
     monkeypatch.setattr(recurrence, "RecTable", _skew_table(key, rat(1, 3)))
     with pytest.raises(CrossCheckMismatch, match=msg):
         extract_r(s, xp)
@@ -198,7 +198,7 @@ def test_corrupted_r_entry_fails_band_identities(family, key, msg, pipe, monkeyp
     (lambda x: x * Poly([0, 1]), "X has degree 3, expected L=2"),
 ])
 def test_corrupted_antiderivative_fails_x_checks(bend, msg, pipe, monkeypatch):
-    s = pipe.system(R, 6, (1,))
+    s = pipe(R, 6, (1,)).system()
     antiderivative = recurrence.map_I
     monkeypatch.setattr(recurrence, "map_I", lambda pol, p: bend(antiderivative(pol, p)))
     with pytest.raises(CrossCheckMismatch, match=msg):

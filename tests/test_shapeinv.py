@@ -13,7 +13,7 @@ from dualracah.shapeinv import (
     si_test,
 )
 from dualracah.errors import InadmissibleCandidate
-from conftest import std_params
+from conftest import Y_ONE, std_params
 
 FAMILIES = (R, QR)
 
@@ -61,7 +61,7 @@ def test_factor_upper_rejects_indefinite():
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_hamiltonian_factorization_reconstructs(family, pipe):
-    h = pipe.hamiltonian(family, 5, (1,))
+    h = pipe(family, 5, (1,)).hamiltonian(Y_ONE)
     uf = factor_upper(h.h_sym)
     # zero ground level forces a zero last row
     assert all(v == 0 for v in uf.A.rows[5])
@@ -79,9 +79,8 @@ def test_candidate_admissibility(family):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_undeformed_control_is_shape_invariant(family, pipe):
-    s = pipe.system(family, 6, ())
-    xp = pipe.xpoly(family, 6, (), "1")
-    rep = si_test(s, xp, h=pipe.hamiltonian(family, 6, ()))
+    s = pipe(family, 6, ()).system()
+    rep = si_test(pipe(family, 6, ()), Y_ONE)
     assert rep.shape_invariant
     byname = {v.name: v for v in rep.verdicts}
     win = byname["delta_dplus"]
@@ -95,9 +94,7 @@ def test_undeformed_control_is_shape_invariant(family, pipe):
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("D", [(1,), (2,), (1, 2)])
 def test_deformed_systems_are_not_shape_invariant(family, D, pipe):
-    s = pipe.system(family, 6, D)
-    xp = pipe.xpoly(family, 6, D, "1")
-    rep = si_test(s, xp)
+    rep = si_test(pipe(family, 6, D), Y_ONE)
     assert not rep.shape_invariant
     for v in rep.verdicts:
         assert not v.spectral_pass
@@ -107,11 +104,30 @@ def test_deformed_systems_are_not_shape_invariant(family, D, pipe):
 
 def test_extra_candidate_is_tested(pipe):
     import dataclasses
-    s = pipe.system(R, 6, (1,))
-    xp = pipe.xpoly(R, 6, (1,), "1")
-    p = s.params
+    pl = pipe(R, 6, (1,))
+    p = pl.params
     wild = dataclasses.replace(p, N=5, a=p.a + 1, b=p.b + 1, c=p.c + 2, d=p.d + 1)
-    rep = si_test(s, xp, extra_candidates=[("wild", wild)])
+    rep = si_test(pl, Y_ONE, extra_candidates=[("wild", wild)])
     names = [v.name for v in rep.verdicts]
     assert "wild" in names
     assert not rep.shape_invariant
+
+
+def test_si_test_factors_each_hamiltonian_once(pipe, monkeypatch):
+    """One factorization of the pipeline's own Hamiltonian per call and one
+    per admissible candidate."""
+    from dualracah import shapeinv
+
+    factored = []
+    factor = shapeinv.factor_upper
+
+    def counted(h_sym):
+        factored.append(h_sym)
+        return factor(h_sym)
+
+    monkeypatch.setattr(shapeinv, "factor_upper", counted)
+    pl = pipe(R, 6, ())
+    rep = si_test(pl, Y_ONE)
+    admissible = [v for v in rep.verdicts if v.admissible]
+    assert len(admissible) == 2 and len(factored) == 1 + len(admissible)
+    assert sum(h is pl.hamiltonian(Y_ONE).h_sym for h in factored) == 1
