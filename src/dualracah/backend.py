@@ -11,8 +11,9 @@ interchangeable backends are supported:
   backend.
 * ``fractions.Fraction`` -- pure-Python fallback, always available.
 
-Set ``DUALRACAH_BACKEND=fraction`` (or ``gmpy2``) to force a choice; see
-``benchmarks/bench_backend.py`` for a head-to-head comparison.
+Set ``DUALRACAH_BACKEND=fraction`` (or ``gmpy2``) to force a choice.
+``BACKEND`` names the one in use; ``perfbench`` records it with every
+sample.
 """
 
 from __future__ import annotations

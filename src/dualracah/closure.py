@@ -1,29 +1,31 @@
 """Closure relation and ladder operators, worked in the dual eigenbasis.
 
-The three closure polynomials are degree-N interpolants through node data
-built from the X grid.  The dual polynomials are the eigenvectors of the
+The three closure polynomials are the interpolants of degree <= N through
+node data built from the X grid, by the library's one interpolation
+(``poly.interpolate``, Newton divided differences); each node value is
+then checked exactly.  The dual polynomials are the eigenvectors of the
 Hamiltonian, h_tilde*V = V*diag(X), and dual orthogonality gives the inverse
 in closed form, V^(-1) = diag(ground_weight)*V^T*diag(dDn_sq).  So every
 polynomial in h_tilde is a diagonal scaling in that basis: the
 double-commutator identity is checked as an exact matrix equation after
-multiplying it by V (two dense products), and each ladder operator is
+multiplying it by V (two dense products), each ladder operator is
 assembled with one product by V^(-1) (the square roots hidden in the
-half-difference functions are rational on the spectrum).  Both facts the
-route rests on are certified exactly before use, h_tilde*V = V*diag(X) and
-V*V^(-1) = I; either mismatch raises CrossCheckMismatch.
+half-difference functions are rational on the spectrum), and each ladder
+action is checked on all eigenvectors at once with one product by V.  Both
+facts the route rests on are certified exactly before use, h_tilde*V =
+V*diag(X) and V*V^(-1) = I; either mismatch raises CrossCheckMismatch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from .backend import rat
 from .dualsystem import DualHamiltonian
 from .errors import CrossCheckMismatch, SingularR0
-from .linalg import SquareMatrix, exact_solve_many
-from .poly import Poly
+from .linalg import SquareMatrix
+from .poly import Poly, interpolate
 
 
 @dataclass
@@ -34,44 +36,26 @@ class ClosureTriple:
     r0_vanishes_at_zero: bool
 
 
-def _vandermonde(nodes: Sequence) -> SquareMatrix:
-    return SquareMatrix([[z ** i for i in range(len(nodes))] for z in nodes])
-
-
 def solve_closure(h: DualHamiltonian) -> ClosureTriple:
-    N = h.h_tilde.n - 1
+    """R0, R1 and Rm1 as the interpolants of degree <= N through their node
+    data on the spectrum; each node value and the discriminant identity
+    R1^2 + 4*R0 = (X(j+1) - X(j-1))^2 are then checked exactly."""
     X = h.x_grid
-    nodes = [X[j] for j in range(N + 1)]
+    nodes = h.energies
     b_dual = h.dual.b_dual
 
-    beta0 = [(X[j + 1] - X[j]) * (X[j] - X[j - 1]) for j in range(N + 1)]
-    beta1 = [X[j + 1] - 2 * X[j] + X[j - 1] for j in range(N + 1)]
+    beta0 = [(X[j + 1] - X[j]) * (X[j] - X[j - 1]) for j in range(len(nodes))]
+    beta1 = [X[j + 1] - 2 * X[j] + X[j - 1] for j in range(len(nodes))]
     betam1 = [-b0 * b_dual[j] for j, b0 in enumerate(beta0)]
+    r0, r1, rm1 = (interpolate(nodes, beta) for beta in (beta0, beta1, betam1))
 
-    vm = _vandermonde(nodes)
-    r0, r1, rm1 = (Poly(cs) for cs in exact_solve_many(vm, [beta0, beta1, betam1]))
-
-    # independent route to the leading coefficient of R0: the N-th divided
-    # difference of the node data, sum_j beta0[j] / prod_{i != j} (z_j - z_i)
-    lead = sum(
-        beta0[j] / prod(nodes[j] - nodes[i] for i in range(N + 1) if i != j)
-        for j in range(N + 1)
-    )
-    if r0[N] != lead:
-        raise CrossCheckMismatch("divided-difference leading coefficient disagrees with solve")
-
-    for j in range(N + 1):
-        z = nodes[j]
+    for j, z in enumerate(nodes):
         if not (r0(z) == beta0[j] and r1(z) == beta1[j] and rm1(z) == betam1[j]):
             raise CrossCheckMismatch(f"closure polynomials miss their node data at j={j}")
         if r1(z) ** 2 + 4 * r0(z) != (X[j + 1] - X[j - 1]) ** 2:
             raise CrossCheckMismatch(f"R1^2 + 4*R0 is not the squared node gap at j={j}")
 
     return ClosureTriple(R0=r0, R1=r1, Rm1=rm1, r0_vanishes_at_zero=(r0(rat(0)) == 0))
-
-
-def _spectrum(h: DualHamiltonian) -> list:
-    return [h.x_grid[n] for n in range(h.h_tilde.n)]
 
 
 def eigen_inverse(h: DualHamiltonian) -> SquareMatrix:
@@ -89,7 +73,7 @@ def _eigen_products(h: DualHamiltonian) -> Tuple[SquareMatrix, SquareMatrix]:
     """(W, h_tilde*W) with W = diag(ebar)*V, once h_tilde*V = V*diag(X) is
     certified; cached on h."""
     if "hW" not in h.cache:
-        if not (h.hv() - h.V.scale_cols(_spectrum(h))).is_zero():
+        if not (h.hv() - h.V.scale_cols(h.energies)).is_zero():
             raise CrossCheckMismatch("h_tilde*V differs from V*diag(X)")
         w = h.V.scale_rows(h.ebar)
         h.cache["hW"] = (w, h.h_tilde @ w)
@@ -107,7 +91,7 @@ def verify_closure(h: DualHamiltonian, c: ClosureTriple) -> SquareMatrix:
 
     A non-zero result is mapped back by V^(-1), giving LHS - RHS itself.
     """
-    X = _spectrum(h)
+    X = h.energies
     vinv = eigen_inverse(h)
     w, hw = _eigen_products(h)
     r0 = [c.R0(x) for x in X]
@@ -160,21 +144,20 @@ def build_ladder(h: DualHamiltonian, c: ClosureTriple) -> LadderPair:
 
 
 def verify_ladder(h: DualHamiltonian, lp: LadderPair) -> list:
-    """Exact residuals of both ladder actions on every eigenvector column."""
+    """Exact residuals of both ladder actions on every eigenvector column.
+
+    Column n of a+*V must be a_dual[n] times column n+1 of V, and column n
+    of a-*V must be c_dual[n] times column n-1; each is zero at the edge.
+    """
     N = h.h_tilde.n - 1
+    up, down = lp.a_plus @ h.V, lp.a_minus @ h.V
+    zero = [0] * (N + 1)
     failures = []
     for n in range(N + 1):
-        col = h.V.column(n)
-        up = lp.a_plus.matvec(col)
-        expect_up = (
-            [h.dual.a_dual[n] * v for v in h.V.column(n + 1)] if n < N else [0] * (N + 1)
-        )
-        if up != [rat(0) + v for v in expect_up]:
+        expect_up = [h.dual.a_dual[n] * v for v in h.V.column(n + 1)] if n < N else zero
+        if up.column(n) != expect_up:
             failures.append(("plus", n))
-        down = lp.a_minus.matvec(col)
-        expect_dn = (
-            [h.dual.c_dual[n] * v for v in h.V.column(n - 1)] if n > 0 else [0] * (N + 1)
-        )
-        if down != [rat(0) + v for v in expect_dn]:
+        expect_dn = [h.dual.c_dual[n] * v for v in h.V.column(n - 1)] if n > 0 else zero
+        if down.column(n) != expect_dn:
             failures.append(("minus", n))
     return failures

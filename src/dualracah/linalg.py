@@ -5,10 +5,9 @@ denominators once by its lcm (``_cleared_int_rows``):
 
 * a product takes integer dot products and forms one rational per entry,
   ``rat(dot, row_factor * col_factor)``;
-* determinants, square solves with one or several right-hand sides and
-  overdetermined solves share one fraction-free echelon kernel (Bareiss,
-  Math. Comp. 22, 1968) with row pivoting, followed by integer
-  back-substitution, ``x_i = rat(y_i, det)``.
+* the (possibly overdetermined) solve of ``recurrence.extract_r`` runs a
+  fraction-free echelon kernel (Bareiss, Math. Comp. 22, 1968) with row
+  pivoting, followed by integer back-substitution, ``x_i = rat(y_i, det)``.
 
 Results are canonical rationals, equal to those of rational arithmetic
 entry for entry.  Matrices of kind "real" (floats) keep plain scalar
@@ -17,7 +16,7 @@ arithmetic, and ``generic_det`` serves them and the small Casoratians.
 
 from __future__ import annotations
 
-from math import lcm, prod
+from math import lcm
 from operator import mul
 from typing import List, Sequence
 
@@ -65,39 +64,11 @@ def _bareiss(m: List[List[int]], ncols: int) -> int:
     return sign * prev
 
 
-def _solve(rows: Sequence[Sequence], rhs_cols: Sequence[Sequence]) -> List[list]:
-    """Unique solutions of rows*x = b for each b in rhs_cols.
-
-    ``rows`` may have more rows than columns; the surplus equations must
-    then be consistent.  Raises SingularMatrix on rank deficiency or on an
-    inconsistent right-hand side.
-    """
-    n = len(rows[0]) if rows else 0
-    m, _ = _cleared_int_rows(
-        [list(row) + [b[i] for b in rhs_cols] for i, row in enumerate(rows)]
-    )
-    det = _bareiss(m, n)
-    if det == 0:
-        raise SingularMatrix("rank-deficient system")
-    for row in m[n:]:
-        if any(row[n:]):
-            raise SingularMatrix("inconsistent overdetermined system")
-    # det*x is integral (Cramer), so each division below is exact
-    sols = []
-    for c in range(n, n + len(rhs_cols)):
-        y = [0] * n
-        for i in range(n - 1, -1, -1):
-            row = m[i]
-            y[i] = (det * row[c] - sum(map(mul, row[i + 1:n], y[i + 1:]))) // row[i]
-        sols.append([rat(v, det) for v in y])
-    return sols
-
-
 class SquareMatrix:
     """Dense square matrix; kind is "exact" (rationals) or "real" (floats).
 
-    Exact matrices support exact det/solve; real matrices only carry
-    entries plus their working precision in bits.
+    Exact matrices take their products on cleared integers; real matrices
+    only carry entries plus their working precision in bits.
     """
 
     __slots__ = ("n", "rows", "kind", "prec")
@@ -192,13 +163,6 @@ class SquareMatrix:
     def transpose(self) -> "SquareMatrix":
         return SquareMatrix(list(zip(*self.rows)), self.kind, self.prec)
 
-    def matvec(self, v: Sequence) -> list:
-        if self.kind != "exact":
-            return [sum((a * b for a, b in zip(row, v)), rat(0)) for row in self.rows]
-        left, row_f = _cleared_int_rows(self.rows)
-        (col,), (g,) = _cleared_int_rows([v])
-        return [rat(sum(map(mul, row, col)), f * g) for row, f in zip(left, row_f)]
-
     def column(self, j: int) -> list:
         return [row[j] for row in self.rows]
 
@@ -211,29 +175,6 @@ class SquareMatrix:
         ]
 
 
-def exact_det(a: SquareMatrix):
-    """Exact determinant by the fraction-free echelon kernel."""
-    if a.kind != "exact":
-        raise ShapeMismatch("exact_det requires an exact matrix")
-    m, factors = _cleared_int_rows(a.rows)
-    return rat(_bareiss(m, a.n), prod(factors))
-
-
-def exact_solve(a: SquareMatrix, b: Sequence) -> list:
-    """Unique exact solution of a*x = b (SingularMatrix if none)."""
-    return exact_solve_many(a, [b])[0]
-
-
-def exact_solve_many(a: SquareMatrix, rhs_cols: Sequence[Sequence]) -> List[list]:
-    """Unique exact solutions of a*x = b for several right-hand sides b,
-    from one elimination (SingularMatrix if a is singular)."""
-    if a.kind != "exact":
-        raise ShapeMismatch("exact_solve requires an exact matrix")
-    if any(len(b) != a.n for b in rhs_cols):
-        raise ShapeMismatch("right-hand side length mismatch")
-    return _solve(a.rows, rhs_cols)
-
-
 def solve_overdetermined(rows: List[list], rhs: list) -> list:
     """Exact solution of a consistent (possibly overdetermined) system.
 
@@ -242,7 +183,19 @@ def solve_overdetermined(rows: List[list], rhs: list) -> list:
     """
     if not rows:
         return []
-    return _solve(rows, [rhs])[0]
+    n = len(rows[0])
+    m, _ = _cleared_int_rows([list(row) + [rhs[i]] for i, row in enumerate(rows)])
+    det = _bareiss(m, n)
+    if det == 0:
+        raise SingularMatrix("rank-deficient system")
+    if any(row[n] for row in m[n:]):
+        raise SingularMatrix("inconsistent overdetermined system")
+    # det*x is integral (Cramer), so each division below is exact
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = m[i]
+        y[i] = (det * row[n] - sum(map(mul, row[i + 1:n], y[i + 1:]))) // row[i]
+    return [rat(v, det) for v in y]
 
 
 def generic_det(rows) -> object:

@@ -10,8 +10,7 @@ every interpreter flag.
 Only the last Casoratian column depends on the label n.  The virtual-state
 rows, the Pochhammer factors r_j(x), the Vandermonde products and the
 normalization C_D are evaluated once per (parameters, D) by a ``GridTable``
-that lives for one build; ``pdn_check_value`` and ``xi_check_value`` read
-a single entry through a fresh table.
+that lives for one build.
 """
 
 from __future__ import annotations
@@ -171,16 +170,6 @@ class GridTable:
             base = self._get(("P", n, y), lambda: racah_value(n, y, p))
             rows.append(self.xi_row(y) + [rj * base])
         return generic_det(rows) / (self.cdn(n) * self.varphi(x, M + 1))
-
-
-def xi_check_value(x: int, D: Sequence[int], p: ParamSet):
-    """Grid value of the denominator polynomial (any integer x)."""
-    return GridTable(D, p).xi(x)
-
-
-def pdn_check_value(n: int, x: int, D: Sequence[int], p: ParamSet):
-    """Grid value of the deformed polynomial via the bordered determinant."""
-    return GridTable(D, p).pdn(n, x)
 
 
 def leading_xi(D: Sequence[int], p: ParamSet):

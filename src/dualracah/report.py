@@ -108,6 +108,8 @@ def parse_config(data: dict) -> RunConfig:
     Y = Poly([_cfg_rat(v, "Y") for v in y_raw])
     if Y.is_zero():
         raise ConfigError("Y must be a nonzero polynomial")
+    if any(v < 0 for v in Y.coeffs):
+        raise ConfigError("Y must have non-negative coefficients")
     precision = data.get("precision", DEFAULT_PRECISION)
     if not isinstance(precision, int) or precision < 53:
         raise ConfigError(f"precision must be an integer >= 53, got {precision!r}")

@@ -1,11 +1,8 @@
 """Rational backend: construction, serialization, backend selection."""
 
-import importlib.util
 import os
-import re
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -83,16 +80,3 @@ def test_default_backend_is_gmpy2_when_available():
         pytest.skip("gmpy2 not installed")
     if os.environ.get("DUALRACAH_BACKEND", "") in ("", "gmpy2"):
         assert BACKEND == "gmpy2"
-
-
-def test_bench_backend_script_runs():
-    """benchmarks/bench_backend.py runs its workload on every installed
-    backend and reports an absent gmpy2 as skipped."""
-    script = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_backend.py"
-    out = subprocess.run(
-        [sys.executable, str(script), "4"], capture_output=True, text=True, timeout=300,
-    )
-    assert out.returncode == 0, out.stdout + out.stderr
-    assert re.search(r"^fraction: \d+\.\d+s$", out.stdout, re.M)
-    if importlib.util.find_spec("gmpy2") is None:
-        assert "gmpy2: skipped (not installed)" in out.stdout.splitlines()

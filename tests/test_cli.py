@@ -1,6 +1,7 @@
 """Config ingestion, suite orchestration, reports, tables, exit codes."""
 
 import csv
+import hashlib
 import json
 
 import pytest
@@ -9,7 +10,15 @@ from hypothesis import strategies as st
 
 from dualracah.cli import main
 from dualracah.errors import ConfigError
-from dualracah.report import _ALLOWED_KEYS, RunConfig, load_config, parse_config, run_suite
+from dualracah.report import (
+    _ALLOWED_KEYS,
+    SUITES,
+    RunConfig,
+    load_config,
+    parse_config,
+    run_suite,
+    write_report,
+)
 
 BASE_CFG = {
     "family": "R", "N": 5, "b": "10", "c": "1/2", "d": "2/5",
@@ -166,6 +175,7 @@ def test_precision_override(tmp_path):
     ({"D": [True]}, "D must be a list of integers"),
     ({"suites": "mi"}, "suites must be a list"),
     ({"suites": ["mi", 3]}, "suites must be a list"),
+    ({"Y": ["1", "-1"]}, "Y must have non-negative coefficients"),
 ])
 def test_malformed_config_exits_2_with_message(tmp_path, capsys, mutation, msg):
     cfg_path = _write(tmp_path, "cfg.json", dict(BASE_CFG, **mutation))
@@ -173,6 +183,30 @@ def test_malformed_config_exits_2_with_message(tmp_path, capsys, mutation, msg):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and msg in err
     assert "Traceback" not in err
+
+
+# sha256 of the report bytes; any change to a verdict, a table entry or the
+# report layout changes them
+PINNED_REPORTS = [
+    (
+        {"family": "R", "N": 6, "b": "11", "c": "1/2", "d": "2/5", "D": [1, 2], "Y": ["1"]},
+        "cec03477d9139d0f1e99f9a1b45c26eaf1b512eb48ccf7da2de16870452630e9",
+    ),
+    (
+        {"family": "qR", "N": 6, "b": "1/2048", "c": "1/2", "d": "2/5", "q": "1/2",
+         "D": [1, 2], "Y": ["1"], "suites": [s for s in SUITES if s != "qlimit"]},
+        "dee37016b82ca5654b7c5356e31a0c49538e23f24e06325a33f72b88b09e8afd",
+    ),
+]
+
+
+@pytest.mark.parametrize("data,digest", PINNED_REPORTS, ids=["R", "qR"])
+def test_report_bytes_are_pinned(tmp_path, data, digest):
+    report, ok = run_suite(parse_config(data))
+    assert ok
+    path = tmp_path / "report.json"
+    write_report(report, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_corrupted_base_value_fails_ortho_and_duality(monkeypatch):

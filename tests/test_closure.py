@@ -18,7 +18,7 @@ from dualracah.closure import (
     verify_ladder,
 )
 from dualracah.errors import CrossCheckMismatch, SingularR0
-from dualracah.linalg import SquareMatrix, exact_solve
+from dualracah.linalg import SquareMatrix, solve_overdetermined
 from dualracah.params import QR, R
 from dualracah.poly import Poly
 from conftest import SEEDS, Y_ETA, Y_ONE
@@ -33,8 +33,20 @@ CASES = [((1,), "1"), ((2,), "1"), ((1, 2), "1"), ((1,), "eta")]
 def exact_inverse(a: SquareMatrix) -> SquareMatrix:
     """Inverse by one exact solve per column."""
     n = a.n
-    cols = [exact_solve(a, [1 if i == j else 0 for i in range(n)]) for j in range(n)]
+    cols = [solve_overdetermined(a.rows, [1 if i == j else 0 for i in range(n)])
+            for j in range(n)]
     return SquareMatrix(list(zip(*cols)))
+
+
+def vandermonde_closure(h):
+    """(R0, R1, Rm1) by solving the square Vandermonde system of the
+    spectrum for each of the three node-data vectors."""
+    X, nodes = h.x_grid, h.energies
+    beta0 = [(X[j + 1] - X[j]) * (X[j] - X[j - 1]) for j in range(len(nodes))]
+    beta1 = [X[j + 1] - 2 * X[j] + X[j - 1] for j in range(len(nodes))]
+    betam1 = [-b0 * h.dual.b_dual[j] for j, b0 in enumerate(beta0)]
+    vm = [[z ** i for i in range(len(nodes))] for z in nodes]
+    return tuple(Poly(solve_overdetermined(vm, beta)) for beta in (beta0, beta1, betam1))
 
 
 def matrix_poly(coeffs, h: SquareMatrix) -> SquareMatrix:
@@ -97,6 +109,7 @@ def _corrupt(m: SquareMatrix, i: int, j: int) -> SquareMatrix:
 def test_closure_residual_is_zero(family, D, y, N, pipe):
     h = pipe(family, N, D).hamiltonian(SEEDS[y])
     trip = pipe(family, N, D).closure(SEEDS[y])
+    assert (trip.R0, trip.R1, trip.Rm1) == vandermonde_closure(h)
     residual = verify_closure(h, trip)
     assert residual.is_zero()
     assert residual == _horner_residual(h, trip)
@@ -176,8 +189,8 @@ def test_ladder_degenerate_seed_raises(family, pipe):
 def test_ladder_boundary_annihilation(family, pipe):
     h = pipe(family, 5, (1,)).hamiltonian(Y_ONE)
     lp = build_ladder(h, pipe(family, 5, (1,)).closure(Y_ONE))
-    top = lp.a_plus.matvec(h.V.column(5))
-    bottom = lp.a_minus.matvec(h.V.column(0))
+    top = (lp.a_plus @ h.V).column(5)
+    bottom = (lp.a_minus @ h.V).column(0)
     assert all(v == 0 for v in top)
     assert all(v == 0 for v in bottom)
 
@@ -247,19 +260,37 @@ def test_corrupted_hamiltonian_fails_eigen_certification(family, pipe):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_shifted_leading_coefficient_fails_divided_difference(family, pipe, monkeypatch):
+def test_shifted_leading_coefficient_fails_node_check(family, pipe, monkeypatch):
     h = pipe(family, 5, (1, 2)).hamiltonian(Y_ONE)
-    solve = closure.exact_solve_many
+    interpolate, calls = closure.interpolate, []
 
-    def skewed_solve(a, rhs_cols):
-        # shift the leading coefficient of R0, the first solution
-        xs = solve(a, rhs_cols)
-        xs[0][-1] += 1
-        return xs
+    def skewed(nodes, values):
+        # shift the leading coefficient of R0, the first interpolant
+        p = interpolate(nodes, values)
+        calls.append(p)
+        return Poly(p.coeffs[:-1] + (p.coeffs[-1] + 1,)) if len(calls) == 1 else p
 
-    monkeypatch.setattr(closure, "exact_solve_many", skewed_solve)
-    with pytest.raises(CrossCheckMismatch, match="divided-difference leading coefficient"):
+    monkeypatch.setattr(closure, "interpolate", skewed)
+    with pytest.raises(CrossCheckMismatch, match="closure polynomials miss their node data"):
         closure.solve_closure(h)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_corrupted_dual_coefficient_fails_exactly_its_column(family, pipe):
+    """verify_ladder checks a+ against a_dual and a- against c_dual column
+    by column: one wrong coefficient is reported at its own column only."""
+    h = pipe(family, 5, (1,)).hamiltonian(Y_ONE)
+    lp = build_ladder(h, pipe(family, 5, (1,)).closure(Y_ONE))
+    for k in (0, 2, 4):
+        a_dual = list(h.dual.a_dual)
+        a_dual[k] += rat(1, 3)
+        bad = replace(h, dual=replace(h.dual, a_dual=tuple(a_dual)))
+        assert verify_ladder(bad, lp) == [("plus", k)]
+    for k in (1, 3, 5):
+        c_dual = list(h.dual.c_dual)
+        c_dual[k] += rat(1, 3)
+        bad = replace(h, dual=replace(h.dual, c_dual=tuple(c_dual)))
+        assert verify_ladder(bad, lp) == [("minus", k)]
 
 
 def test_certifications_survive_python_O():
@@ -280,32 +311,28 @@ def test_certifications_survive_python_O():
         h = dualsystem.build_hamiltonians(
             s, xp, recurrence.extract_r(s, xp), dualsystem.dual_values(s))
 
-        solve = closure.exact_solve_many
+        interpolate = closure.interpolate
 
-        def skewed_solve(a, rhs_cols):
-            # corrupt the constant coefficient of R1, the second solution
-            xs = solve(a, rhs_cols)
-            xs[1][0] += 1
-            return xs
+        def skewed_run(tag, which, skew):
+            calls = []
 
-        closure.exact_solve_many = skewed_solve
-        try:
-            closure.solve_closure(h)
-        except CrossCheckMismatch as e:
-            print("node:", e)
+            def skewed(nodes, values):
+                p = interpolate(nodes, values)
+                calls.append(p)
+                return Poly(skew(p.coeffs)) if len(calls) == which + 1 else p
 
-        def skewed_lead(a, rhs_cols):
-            # shift the leading coefficient of R0, the first solution
-            xs = solve(a, rhs_cols)
-            xs[0][-1] += 1
-            return xs
+            closure.interpolate = skewed
+            try:
+                closure.solve_closure(h)
+            except CrossCheckMismatch as e:
+                print(f"{tag}:", e)
+            finally:
+                closure.interpolate = interpolate
 
-        closure.exact_solve_many = skewed_lead
-        try:
-            closure.solve_closure(h)
-        except CrossCheckMismatch as e:
-            print("lead:", e)
-        closure.exact_solve_many = solve
+        # corrupt the constant coefficient of R1, the second interpolant
+        skewed_run("node", 1, lambda cs: (cs[0] + 1,) + cs[1:])
+        # shift the leading coefficient of R0, the first interpolant
+        skewed_run("lead", 0, lambda cs: cs[:-1] + (cs[-1] + 1,))
 
         trip = closure.solve_closure(h)
         rows = [list(r) for r in h.h_tilde.rows]
@@ -323,5 +350,5 @@ def test_certifications_survive_python_O():
         check=True,
     ).stdout
     assert "node: closure polynomials miss their node data" in out
-    assert "lead: divided-difference leading coefficient disagrees with solve" in out
+    assert "lead: closure polynomials miss their node data" in out
     assert "eigen: h_tilde*V differs from V*diag(X)" in out

@@ -17,12 +17,10 @@ from dualracah.errors import CrossCheckMismatch, IndexOutOfRange, InadmissiblePa
 from dualracah.multiindexed import (
     GridTable,
     build_mi_system,
-    pdn_check_value,
     rj_factor,
     sign_changes,
     verify_difference_eq,
     verify_ortho,
-    xi_check_value,
 )
 from dualracah.params import QR, R, make_params, shift
 from conftest import per_entry_pdn, per_entry_xi, std_params
@@ -155,7 +153,7 @@ def test_value_route_matches_interpolant_off_grid(family, pipe):
     p = s.params
     for n in (0, 3, 5):
         x = p.N + 1
-        assert s.pdn_polys[n](s.eta_node(x)) == pdn_check_value(n, x, s.D, p)
+        assert s.pdn_polys[n](s.eta_node(x)) == GridTable(s.D, p).pdn(n, x)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -163,7 +161,7 @@ def test_denominator_positive_beyond_grid(family, pipe):
     # positivity extends to x = N+1, which the weights at x = N rely on
     s = pipe(family, 6, (1, 2)).system()
     assert s.xi_grid[s.params.N + 1] > 0
-    assert xi_check_value(0, s.D, s.params) == 1
+    assert GridTable(s.D, s.params).xi(0) == 1
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -181,7 +179,7 @@ def test_table_matches_per_entry_route(family, D, N, pipe):
     for n in range(N + 1):
         for x in range(N + 1):
             v = per_entry_pdn(n, x, D, p)
-            assert tab.pdn(n, x) == v == pdn_check_value(n, x, D, p) == s.pdn_grid[n][x]
+            assert tab.pdn(n, x) == v == GridTable(D, p).pdn(n, x) == s.pdn_grid[n][x]
         assert tab.dtn(n) == s.dtn_sq[n]
 
 
