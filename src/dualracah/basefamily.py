@@ -17,7 +17,7 @@ from .poly import Poly
 
 
 def poch(u, n: int):
-    """Rising factorial (u)_n."""
+    """Pochhammer symbol (u)_n = u(u+1)...(u+n-1)."""
     acc = u * 0 + 1
     for i in range(n):
         acc = acc * (u + i)
@@ -25,7 +25,7 @@ def poch(u, n: int):
 
 
 def qpoch(u, n: int, q):
-    """q-shifted factorial (u;q)_n."""
+    """q-Pochhammer symbol (u;q)_n = (1-u)(1-uq)...(1-uq^(n-1))."""
     acc = u * 0 + 1
     for i in range(n):
         acc = acc * (1 - u * ipow(q, i))

@@ -35,10 +35,6 @@ class Poly:
     def x(cls) -> "Poly":
         return cls((0, 1))
 
-    @classmethod
-    def constant(cls, c) -> "Poly":
-        return cls((c,))
-
     @property
     def degree(self):
         """Degree, or None for the zero polynomial."""
@@ -130,10 +126,16 @@ def interpolate(nodes: Sequence, values: Sequence, max_degree: int = None) -> Po
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
             coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (nodes[i] - nodes[i - j])
-    # Newton -> monomial basis.
-    p = Poly.zero()
-    for i in range(n - 1, -1, -1):
-        p = p * Poly((-nodes[i], 1)) + Poly.constant(coeffs[i])
+    # Newton -> monomial basis, Horner-style in one coefficient list:
+    # out <- out * (eta - nodes[i]) + coeffs[i].
+    out = coeffs[-1:]
+    for i in range(n - 2, -1, -1):
+        z = nodes[i]
+        out.append(out[-1])
+        for k in range(len(out) - 2, 0, -1):
+            out[k] = out[k - 1] - z * out[k]
+        out[0] = coeffs[i] - z * out[0]
+    p = Poly(out)
     if max_degree is not None and p.degree is not None and p.degree > max_degree:
         raise DegreeMismatch(
             f"interpolant has degree {p.degree}, expected <= {max_degree}"

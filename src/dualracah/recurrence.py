@@ -1,111 +1,30 @@
 """Discrete antiderivative map and the band recurrence it generates.
 
-Applying the antiderivative to (denominator polynomial) x (seed polynomial Y)
-yields a polynomial X whose grid values drive recurrence relations with
-constant coefficients for the deformed polynomials.  Coefficients are
-extracted by exact orthogonality projection and independently cross-checked
-by an exact linear solve.
+The antiderivative X = I[Xi_D * Y] of (denominator polynomial) x (seed
+polynomial Y) is defined by its steps on the lattice, so X is built as the
+interpolant of their telescoping sums, certified against the sums on the
+whole grid.  Its grid values drive recurrence relations with constant
+coefficients for the deformed polynomials.  Coefficients are extracted by
+exact orthogonality projection and independently cross-checked by an exact
+linear solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial
 from typing import Dict, Tuple
 
 from .backend import rat
 from .errors import (
     CrossCheckMismatch,
-    IndexOutOfRange,
     NegativeYCoefficient,
     NonMonotone,
     ZeroPolynomial,
 )
 from .linalg import solve_overdetermined
 from .multiindexed import MISystem
-from .params import R, ParamSet, eta, ipow, shift
-from .poly import Poly
-
-
-def _comb0(n: int, k: int) -> int:
-    if k < 0 or n < 0 or k > n:
-        return 0
-    return comb(n, k)
-
-
-def gprime(n: int, k: int, p: ParamSet):
-    """Coefficients expanding a divided power difference of eta over the
-    back-shifted parameter set; the engine of the antiderivative map."""
-    if not 0 <= k <= n:
-        raise IndexOutOfRange(f"need 0 <= k <= n, got k={k}, n={n}")
-    d = p.d
-    total = d * 0
-    if p.family == R:
-        half_d_sq = d * d / 4
-        half_dm1_sq = (d - 1) * (d - 1) / 4
-        for r in range(k + 1):
-            for l in range(k - r + 1):
-                outer = _comb0(n + 1, r) * _comb0(n - r - l, n - k)
-                if outer == 0:
-                    continue
-                gw = rat((-1) ** l * comb(2 * (n - r) + 2, 2 * l + 1), 2 ** (2 * l + 1))
-                total = total + (
-                    outer
-                    * (-1) ** (r + l)
-                    * half_d_sq ** r
-                    * half_dm1_sq ** (k - r - l)
-                    * gw
-                )
-        return total
-    q = p.q
-    for r in range(k + 1):
-        for l in range(0, k - r + 1, 2):
-            outer = _comb0(n + 1, r) * _comb0(n - r - l, n - k)
-            if outer == 0:
-                continue
-            m = n - r
-            # inner sum with the half-powers of q already cancelled against
-            # the outer factor (l is even, so d**(l//2) is exact)
-            inner = q * 0
-            for s in range(l // 2 + 1):
-                cb = _comb0(m - l + s, s)
-                if cb == 0:
-                    continue
-                inner = inner + (
-                    cb
-                    * (-1) ** s
-                    * ipow(q, -s)
-                    / (factorial(l // 2 - s) * factorial(m - l // 2 + 1 + s))
-                    * (1 - ipow(q, m - l + 1 + 2 * s))
-                    / (1 - q)
-                )
-            total = total + (
-                outer
-                * (-1) ** r
-                * ipow(d, l // 2)
-                * (1 + d) ** r
-                * (1 + d / q) ** (k - r - l)
-                * factorial(m + 1)
-                * inner
-            )
-    return total
-
-
-def map_I(pol: Poly, p: ParamSet) -> Poly:
-    """Discrete antiderivative: raises degree by one, constant term zero."""
-    if pol.is_zero():
-        raise ZeroPolynomial("antiderivative of the zero polynomial")
-    n = pol.degree
-    b = [rat(0)] * (n + 2)
-    for k in range(n, -1, -1):
-        acc = pol[k]
-        for j in range(k + 1, n + 1):
-            acc = acc - gprime(j, j - k, p) * b[j + 1]
-        b[k + 1] = acc / gprime(k, 0, p)
-    out = Poly(b)
-    if out.degree != n + 1:
-        raise CrossCheckMismatch(f"antiderivative has degree {out.degree}, expected {n + 1}")
-    return out
+from .params import R, eta, ipow, shift
+from .poly import Poly, interpolate
 
 
 @dataclass
@@ -120,6 +39,14 @@ class XPoly:
 
 
 def build_X(s: MISystem, Y: Poly, for_hamiltonian: bool = False) -> XPoly:
+    """X = I[Xi_D * Y], the discrete antiderivative: the polynomial of degree
+    L = ell_D + deg Y + 1 with X(eta(0)) = 0 and steps
+    X(eta(x)) - X(eta(x-1)) = (eta(x) - eta(x-1)) * Xi_D(eta'(x)) * Y(eta'(x)),
+    eta taken at lambda + M*delta and eta' at lambda + (M-1)*delta.
+
+    X interpolates the telescoping sums S(x) of those steps at x = 0..L and
+    is certified against S on the whole grid x = 0..N+1.
+    """
     if Y.is_zero():
         raise ZeroPolynomial("seed polynomial Y must be nonzero")
     nonneg = all(c >= 0 for c in Y.coeffs)
@@ -128,21 +55,20 @@ def build_X(s: MISystem, Y: Poly, for_hamiltonian: bool = False) -> XPoly:
     p, M, N = s.params, s.M, s.params.N
     p_m = shift(p, M, "delta")
     p_prev = shift(p, M - 1, "delta")
-    x_poly = map_I(s.xi_poly * Y, p_m)
+    L = s.ellD + Y.degree + 1
+    etas = [eta(x, p_m) for x in range(max(L, N + 1) + 1)]
+    sums = [rat(0)]
+    for x in range(1, len(etas)):
+        e_prev = eta(x, p_prev)
+        sums.append(sums[-1] + (etas[x] - etas[x - 1]) * s.xi_poly(e_prev) * Y(e_prev))
+    x_poly = interpolate(etas[: L + 1], sums[: L + 1])
     if x_poly[0] != 0:
         raise CrossCheckMismatch(f"X has constant term {x_poly[0]}, expected 0")
-    L = s.ellD + Y.degree + 1
     if x_poly.degree != L:
         raise CrossCheckMismatch(f"X has degree {x_poly.degree}, expected L={L}")
     grid = {x: x_poly(eta(x, p_m)) for x in range(-1, N + 2)}
-
-    # telescoping consistency with the sum form of the recurrence theorem
-    acc = grid[0] * 0
-    if grid[0] != 0:
-        raise CrossCheckMismatch(f"X(0) = {grid[0]}, expected 0")
-    for x in range(1, N + 1):
-        acc = acc + (eta(x, p_m) - eta(x - 1, p_m)) * s.xi_grid[x] * Y(eta(x, p_prev))
-        if acc != grid[x]:
+    for x in range(N + 2):
+        if grid[x] != sums[x]:
             raise CrossCheckMismatch(f"telescoping sum differs from X at x={x}")
 
     monotone = all(grid[x] < grid[x + 1] for x in range(N))

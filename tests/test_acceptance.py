@@ -5,14 +5,17 @@ The verdict lines are echoed in the terminal summary so a full run shows
 one [PASS]/[FAIL] line per criterion.
 """
 
+import ast
 import random
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import mpmath
 import pytest
 
 import conftest
+import dualracah
 from dualracah.basefamily import dn_sq, phi0_sq, racah_value
 from dualracah.backend import rat
 from dualracah.closure import build_ladder, verify_closure, verify_ladder
@@ -223,3 +226,16 @@ def test_criterion_10_q_to_1_limits():
             rep = qlimit_check(build_mi_system(std_params(R, 5), D))
             assert rep.within_tolerance
             assert rep.monotone
+
+
+def test_library_has_no_assert_statements():
+    """Every certification is an explicit raise, so "zero residual or
+    raise" holds under ``python -O``, which strips assert statements."""
+    src = Path(dualracah.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -1,5 +1,7 @@
 """Dual tables, dual orthogonality, and the band Hamiltonians."""
 
+from dataclasses import replace
+
 import mpmath
 import pytest
 
@@ -14,7 +16,13 @@ from dualracah.dualsystem import (
     dual_values,
     verify_spectrum,
 )
-from dualracah.errors import CrossCheckMismatch, NegativeRadicand, ShapeMismatch
+from dualracah.errors import (
+    CrossCheckMismatch,
+    NegativeRadicand,
+    ShapeMismatch,
+    SymmetryViolation,
+    ZeroDenominator,
+)
 from dualracah.linalg import SquareMatrix
 from dualracah.multiindexed import MISystem, sign_changes
 from dualracah.params import QR, R
@@ -135,8 +143,7 @@ def test_commutator_checker_sanity(pipe):
     h1 = pipe(R, 5, (1,)).hamiltonian(Y_ONE)
     rows = [list(r) for r in h1.h_tilde.rows]
     rows[0][1] = rows[0][1] + 1
-    import dataclasses
-    h2 = dataclasses.replace(h1, h_tilde=SquareMatrix(rows))
+    h2 = replace(h1, h_tilde=SquareMatrix(rows))
     assert commutator_check(h1, h2) != []
 
 
@@ -160,8 +167,6 @@ def test_eigenbasis_shared_across_seeds(family, pipe):
 
 
 def test_spectrum_reports_each_entry_and_shares_hv(pipe, monkeypatch):
-    from dataclasses import replace
-
     from dualracah import closure
 
     h = pipe(R, 5, (1,)).hamiltonian(Y_ONE)
@@ -206,8 +211,6 @@ def test_negative_norm_ratio_raises_negative_radicand(family, pipe):
     """Negating d_x^2 together with the off-diagonal band entries of row x
     keeps the mirror identity r^2*ratio = r*mirror, but the norm ratios of
     row x turn negative, so the symmetric form has no real square root."""
-    from dataclasses import replace
-
     pl = pipe(family, 5, (1,))
     s, t, x = pl.system(), pl.rectable(Y_ONE), 2
     norms = list(s.dDn_sq)
@@ -217,3 +220,24 @@ def test_negative_norm_ratio_raises_negative_radicand(family, pipe):
         build_hamiltonians(
             replace(s, dDn_sq=tuple(norms)), pl.xpoly(Y_ONE), replace(t, r=r), pl.dual()
         )
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_skewed_band_entry_raises_symmetry_violation(family, pipe):
+    """One off-diagonal r-table entry skewed breaks the mirror identity
+    r^2 * ratio = r * mirror at its matrix position."""
+    pl = pipe(family, 5, (1,))
+    t = pl.rectable(Y_ONE)
+    r = {**t.r, (2, 1): t.r[(2, 1)] + rat(1, 3)}
+    with pytest.raises(SymmetryViolation, match=r"band symmetry broken at \(2,3\)"):
+        build_hamiltonians(pl.system(), pl.xpoly(Y_ONE), replace(t, r=r), pl.dual())
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_vanishing_ground_state_raises_zero_denominator(family, pipe):
+    s = pipe(family, 5, (1,)).system()
+    ground = list(s.pdn_grid[0])
+    ground[1] = 0
+    bad = replace(s, pdn_grid=(tuple(ground),) + s.pdn_grid[1:])
+    with pytest.raises(ZeroDenominator, match="ground-state polynomial vanishes at x=1"):
+        dual_values(bad)

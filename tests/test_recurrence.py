@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
@@ -13,17 +15,15 @@ from dualracah.backend import rat
 from dualracah.basefamily import rec_coeffs
 from dualracah.errors import (
     CrossCheckMismatch,
-    IndexOutOfRange,
     NegativeYCoefficient,
+    NonMonotone,
     ZeroPolynomial,
 )
-from dualracah.params import QR, R, eta, ipow, shift
+from dualracah.params import QR, R, ParamSet, eta, ipow, shift
 from dualracah.poly import Poly
 from dualracah.recurrence import (
     build_X,
     extract_r,
-    gprime,
-    map_I,
     verify_recurrence,
     xhat_minus1,
 )
@@ -33,13 +33,83 @@ FAMILIES = (R, QR)
 MATRIX = [(D, y) for D in ((1,), (2,), (1, 2)) for y in ("1", "eta")]
 
 
-@pytest.mark.parametrize("family", FAMILIES)
-def test_gprime_index_range(family):
-    p = std_params(family, 5)
-    with pytest.raises(IndexOutOfRange):
-        gprime(2, 3, p)
-    with pytest.raises(IndexOutOfRange):
-        gprime(2, -1, p)
+# The antiderivative by its hand-expanded coefficient formulas: a route to X
+# independent of the interpolated sums, kept as a test oracle for build_X.
+
+
+def _comb0(n: int, k: int) -> int:
+    if k < 0 or n < 0 or k > n:
+        return 0
+    return comb(n, k)
+
+
+def gprime(n: int, k: int, p: ParamSet):
+    """Coefficients expanding a divided power difference of eta over the
+    back-shifted parameter set; the engine of the antiderivative map."""
+    d = p.d
+    total = d * 0
+    if p.family == R:
+        half_d_sq = d * d / 4
+        half_dm1_sq = (d - 1) * (d - 1) / 4
+        for r in range(k + 1):
+            for l in range(k - r + 1):
+                outer = _comb0(n + 1, r) * _comb0(n - r - l, n - k)
+                if outer == 0:
+                    continue
+                gw = rat((-1) ** l * comb(2 * (n - r) + 2, 2 * l + 1), 2 ** (2 * l + 1))
+                total = total + (
+                    outer
+                    * (-1) ** (r + l)
+                    * half_d_sq ** r
+                    * half_dm1_sq ** (k - r - l)
+                    * gw
+                )
+        return total
+    q = p.q
+    for r in range(k + 1):
+        for l in range(0, k - r + 1, 2):
+            outer = _comb0(n + 1, r) * _comb0(n - r - l, n - k)
+            if outer == 0:
+                continue
+            m = n - r
+            # inner sum with the half-powers of q already cancelled against
+            # the outer factor (l is even, so d**(l//2) is exact)
+            inner = q * 0
+            for s in range(l // 2 + 1):
+                cb = _comb0(m - l + s, s)
+                if cb == 0:
+                    continue
+                inner = inner + (
+                    cb
+                    * (-1) ** s
+                    * ipow(q, -s)
+                    / (factorial(l // 2 - s) * factorial(m - l // 2 + 1 + s))
+                    * (1 - ipow(q, m - l + 1 + 2 * s))
+                    / (1 - q)
+                )
+            total = total + (
+                outer
+                * (-1) ** r
+                * ipow(d, l // 2)
+                * (1 + d) ** r
+                * (1 + d / q) ** (k - r - l)
+                * factorial(m + 1)
+                * inner
+            )
+    return total
+
+
+def map_I(pol: Poly, p: ParamSet) -> Poly:
+    """Discrete antiderivative by the hand-expanded coefficient formulas:
+    raises degree by one, constant term zero."""
+    n = pol.degree
+    b = [rat(0)] * (n + 2)
+    for k in range(n, -1, -1):
+        acc = pol[k]
+        for j in range(k + 1, n + 1):
+            acc = acc - gprime(j, j - k, p) * b[j + 1]
+        b[k + 1] = acc / gprime(k, 0, p)
+    return Poly(b)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -58,9 +128,23 @@ def test_antiderivative_defining_property(family):
             assert step == gap * mono(eta(x, p_prev))
 
 
-def test_map_i_rejects_zero():
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("D", [(), (1,), (2,), (1, 2)])
+@pytest.mark.parametrize("y", ["1", "eta", "1+2eta+3eta^2"])
+@pytest.mark.parametrize("N", [3, 4, 6])
+def test_build_x_matches_coefficient_formulas(family, D, y, N, pipe):
+    """X interpolated through its defining sums is the polynomial that the
+    hand-expanded antiderivative formulas give.  N=3 with D=(2,) or (1,2)
+    and the quadratic seed has L=5 > N+1: every grid point is a node."""
+    seed = {**SEEDS, "1+2eta+3eta^2": Poly([rat(1), rat(2), rat(3)])}[y]
+    s = pipe(family, N, D).system()
+    xp = build_X(s, seed)
+    assert xp.poly == map_I(s.xi_poly * seed, shift(s.params, s.M, "delta"))
+
+
+def test_zero_seed_rejected(pipe):
     with pytest.raises(ZeroPolynomial):
-        map_I(Poly.zero(), std_params(R, 5))
+        build_X(pipe(R, 5, (1,)).system(), Poly.zero())
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -194,20 +278,37 @@ def test_corrupted_r_entry_fails_band_identities(family, key, msg, pipe, monkeyp
 
 
 @pytest.mark.parametrize("bend,msg", [
-    (lambda x: x + Poly([rat(1)]), "X has constant term 1, expected 0"),
-    (lambda x: x * Poly([0, 1]), "X has degree 3, expected L=2"),
+    (lambda f, nodes, vals: f(nodes, vals) + Poly([rat(1)]), "X has constant term 1, expected 0"),
+    (lambda f, nodes, vals: f(nodes, vals) * Poly([0, 1]), "X has degree 3, expected L=2"),
+    (lambda f, nodes, vals: f(nodes, vals[:-1] + [vals[-1] + 1]),
+     "telescoping sum differs from X at x=2"),
 ])
 def test_corrupted_antiderivative_fails_x_checks(bend, msg, pipe, monkeypatch):
+    """A bent interpolant, or one through a corrupted last node value
+    (x = L = 2), fails the degree, constant-term or telescoping check."""
     s = pipe(R, 6, (1,)).system()
-    antiderivative = recurrence.map_I
-    monkeypatch.setattr(recurrence, "map_I", lambda pol, p: bend(antiderivative(pol, p)))
+    interpolate = recurrence.interpolate
+    monkeypatch.setattr(
+        recurrence, "interpolate", lambda nodes, vals: bend(interpolate, nodes, vals)
+    )
     with pytest.raises(CrossCheckMismatch, match=msg):
         build_X(s, Poly([rat(1)]), for_hamiltonian=True)
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_negated_denominator_fails_monotonicity(family, pipe):
+    """With Xi_D negated, X steps downwards although the seed is
+    non-negative: NonMonotone."""
+    s = pipe(family, 6, (1,)).system()
+    bad = replace(s, xi_poly=-s.xi_poly, xi_grid={x: -v for x, v in s.xi_grid.items()})
+    with pytest.raises(NonMonotone):
+        build_X(bad, Y_ONE)
+
+
 def test_band_identities_survive_python_O():
-    """Under -O a corrupted r-table entry still raises: the identities that
-    certify extract_r are explicit checks, not asserts."""
+    """Under -O a corrupted r-table entry and a corrupted node value of X
+    still raise: the identities that certify extract_r and build_X are
+    explicit checks, not asserts."""
     script = textwrap.dedent(
         """
         from dualracah import multiindexed, recurrence
@@ -229,6 +330,13 @@ def test_band_identities_survive_python_O():
             recurrence.extract_r(s, xp)
         except CrossCheckMismatch as e:
             print("band:", e)
+
+        interpolate = recurrence.interpolate
+        recurrence.interpolate = lambda nodes, vals: interpolate(nodes, vals[:-1] + [vals[-1] + 1])
+        try:
+            recurrence.build_X(s, Poly([rat(1)]), for_hamiltonian=True)
+        except CrossCheckMismatch as e:
+            print("X:", e)
         """
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -238,3 +346,4 @@ def test_band_identities_survive_python_O():
         check=True,
     ).stdout
     assert "band: mirror symmetry fails at (n,k)=(1,2)" in out
+    assert "X: telescoping sum differs from X at x=2" in out
