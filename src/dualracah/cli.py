@@ -8,7 +8,8 @@ Two subcommands:
   coefficients, Hamiltonians, spectra, dual tables).
 
 Exit status: 0 all checks passed, 1 a verification failed, 2 bad
-configuration or inadmissible parameters.
+configuration (an unwritable ``--out`` included) or inadmissible
+parameters.
 """
 
 from __future__ import annotations
@@ -33,10 +34,13 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", required=True, help="path to a JSON run config")
     common.add_argument("--precision", type=int, default=None,
                         help="override the working precision (bits)")
-    common.add_argument("--out", default=None, help="output directory or report path")
 
-    sub.add_parser("verify", parents=[common], help="run verification suites")
+    vp = sub.add_parser("verify", parents=[common], help="run verification suites")
+    vp.add_argument("--out", default=None,
+                    help="path of the JSON report (default: standard output)")
     tp = sub.add_parser("tables", parents=[common], help="emit data tables")
+    tp.add_argument("--out", default=None,
+                    help="directory for the CSV/JSON tables (default: current directory)")
     tp.add_argument("--what", required=True, choices=TABLE_KINDS,
                     help="which table to emit")
     return ap
@@ -56,14 +60,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "verify":
             report, ok = run_suite(cfg)
             if cfg.out:
-                write_report(report, cfg.out)
+                try:
+                    write_report(report, cfg.out)
+                except OSError as e:
+                    raise ConfigError(f"cannot write report: {e}") from e
                 print(f"report written to {cfg.out}", file=sys.stderr)
             else:
                 json.dump(report, sys.stdout, indent=2, sort_keys=True)
                 sys.stdout.write("\n")
             return 0 if ok else 1
 
-        paths = emit_tables(cfg, args.what, cfg.out or ".")
+        try:
+            paths = emit_tables(cfg, args.what, cfg.out or ".")
+        except OSError as e:
+            raise ConfigError(f"cannot write tables: {e}") from e
         for path in paths:
             print(path, file=sys.stderr)
         return 0

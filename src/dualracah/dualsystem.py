@@ -20,7 +20,7 @@ from .errors import (
     SymmetryViolation,
     ZeroDenominator,
 )
-from .linalg import SquareMatrix
+from .linalg import SquareMatrix, gram_residuals
 from .multiindexed import MISystem
 from .params import energy
 from .recurrence import RecTable, XPoly
@@ -69,19 +69,9 @@ def dual_ortho(s: MISystem, t: DualTable) -> list:
     N = s.params.N
     xi1 = s.xi_grid[1]
     dual_w = [s.dDn_sq[n] / xi1 for n in range(N + 1)]
-    failures = []
-    for x in range(N + 1):
-        for y in range(x, N + 1):
-            total = sum(
-                dual_w[n] * t.q_vals[x][n] * t.q_vals[y][n] for n in range(N + 1)
-            )
-            # squared dual weight: (Xi(1) * weight * ground value^2)^(-1)
-            expect = (
-                1 / (xi1 * s.weights[x] * s.pdn_grid[0][x] ** 2) if x == y else 0
-            )
-            if total != expect:
-                failures.append((x, y, total - expect))
-    return failures
+    # squared dual norm: (Xi(1) * weight * ground value^2)^(-1)
+    norms = [1 / (xi1 * s.weights[x] * s.pdn_grid[0][x] ** 2) for x in range(N + 1)]
+    return gram_residuals(t.q_vals, dual_w, norms)
 
 
 @dataclass

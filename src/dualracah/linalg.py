@@ -1,27 +1,25 @@
 """Exact linear algebra on small dense matrices.
 
-Exact work runs on Python integers. Each row (or column) is cleared of
-denominators once by its lcm (``_cleared_int_rows``):
+Exact products run on Python integers: each row of the left factor and
+each column of the right factor is cleared of denominators once by its lcm
+(``_cleared_int_rows``), the dot products are taken on integers, and each
+entry is one rational, ``rat(dot, row_factor * col_factor)``.  Results are
+canonical rationals, equal to those of rational arithmetic entry for entry.
 
-* a product takes integer dot products and forms one rational per entry,
-  ``rat(dot, row_factor * col_factor)``;
-* the (possibly overdetermined) solve of ``recurrence.extract_r`` runs a
-  fraction-free echelon kernel (Bareiss, Math. Comp. 22, 1968) with row
-  pivoting, followed by integer back-substitution, ``x_i = rat(y_i, det)``.
-
-Results are canonical rationals, equal to those of rational arithmetic
-entry for entry.  Matrices of kind "real" (floats) keep plain scalar
-arithmetic, and ``generic_det`` serves them and the small Casoratians.
+Orthogonality relations are checked as one such product, the Gram matrix
+of a square table under a weight (``gram_residuals``).  Matrices of kind
+"real" (floats) keep plain scalar arithmetic, and ``generic_det`` serves
+them and the small Casoratians.
 """
 
 from __future__ import annotations
 
 from math import lcm
 from operator import mul
-from typing import List, Sequence
+from typing import Sequence
 
 from .backend import rat
-from .errors import ShapeMismatch, SingularMatrix
+from .errors import ShapeMismatch
 
 
 def _cleared_int_rows(rows):
@@ -33,35 +31,6 @@ def _cleared_int_rows(rows):
         int_rows.append([int(v.numerator) * (f // int(v.denominator)) for v in row])
         factors.append(f)
     return int_rows, factors
-
-
-def _bareiss(m: List[List[int]], ncols: int) -> int:
-    """Fraction-free echelon form of the integer rows m, in place.
-
-    Pivots run down the first ncols columns, swapping rows as needed; any
-    further columns (right-hand sides) are carried along.  Every entry
-    below the pivots is a minor of the row-permuted matrix, so each
-    division by the previous pivot is exact.  Returns the signed
-    determinant of the leading ncols x ncols block, or 0 if some column
-    has no pivot.
-    """
-    sign, prev = 1, 1
-    for k in range(ncols):
-        piv_row = next((i for i in range(k, len(m)) if m[i][k]), None)
-        if piv_row is None:
-            return 0
-        if piv_row != k:
-            m[k], m[piv_row] = m[piv_row], m[k]
-            sign = -sign
-        top = m[k]
-        piv = top[k]
-        for row in m[k + 1:]:
-            f = row[k]
-            row[k:] = [0] + [
-                (v * piv - f * t) // prev for v, t in zip(row[k + 1:], top[k + 1:])
-            ]
-        prev = piv
-    return sign * prev
 
 
 class SquareMatrix:
@@ -175,27 +144,23 @@ class SquareMatrix:
         ]
 
 
-def solve_overdetermined(rows: List[list], rhs: list) -> list:
-    """Exact solution of a consistent (possibly overdetermined) system.
+def gram_residuals(rows, weights, norms) -> list:
+    """Residuals of the weighted Gram matrix against its expected diagonal.
 
-    Raises SingularMatrix if the system is inconsistent or the solution is
-    not unique.
+    G = rows @ diag(weights) @ rows^T is formed as one exact product; the
+    result lists (i, j, G[i][j] - delta_ij * norms[i]) for every i <= j
+    where that residual is nonzero, in row-major order.  Empty = the rows
+    are orthogonal under the weights with squared norms ``norms``.
     """
-    if not rows:
-        return []
-    n = len(rows[0])
-    m, _ = _cleared_int_rows([list(row) + [rhs[i]] for i, row in enumerate(rows)])
-    det = _bareiss(m, n)
-    if det == 0:
-        raise SingularMatrix("rank-deficient system")
-    if any(row[n] for row in m[n:]):
-        raise SingularMatrix("inconsistent overdetermined system")
-    # det*x is integral (Cramer), so each division below is exact
-    y = [0] * n
-    for i in range(n - 1, -1, -1):
-        row = m[i]
-        y[i] = (det * row[n] - sum(map(mul, row[i + 1:n], y[i + 1:]))) // row[i]
-    return [rat(v, det) for v in y]
+    a = SquareMatrix(rows)
+    g = a.scale_cols(weights) @ a.transpose()
+    out = []
+    for i, row in enumerate(g.rows):
+        for j in range(i, a.n):
+            residual = row[j] - norms[i] if i == j else row[j]
+            if residual != 0:
+                out.append((i, j, residual))
+    return out
 
 
 def generic_det(rows) -> object:

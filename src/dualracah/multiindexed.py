@@ -43,7 +43,7 @@ from .errors import (
     NonPositiveWeight,
     ZeroEntry,
 )
-from .linalg import generic_det
+from .linalg import generic_det, gram_residuals
 from .params import R, ParamSet, ell, energy, eta, ipow, shift, validate
 from .poly import Poly, interpolate
 
@@ -351,18 +351,7 @@ def build_mi_system(p: ParamSet, D: Sequence[int]) -> MISystem:
 
 def verify_ortho(s: MISystem) -> list:
     """Exact residuals of the weighted orthogonality sums; empty = pass."""
-    N = s.params.N
-    failures = []
-    for n in range(N + 1):
-        for m in range(n, N + 1):
-            total = sum(
-                s.weights[x] * s.pdn_grid[n][x] * s.pdn_grid[m][x]
-                for x in range(N + 1)
-            )
-            expect = 1 / s.dDn_sq[n] if n == m else 0
-            if total != expect:
-                failures.append((n, m, total - expect))
-    return failures
+    return gram_residuals(s.pdn_grid, s.weights, [1 / v for v in s.dDn_sq])
 
 
 def verify_difference_eq(s: MISystem) -> list:

@@ -5,8 +5,9 @@ polynomial Y) is defined by its steps on the lattice, so X is built as the
 interpolant of their telescoping sums, certified against the sums on the
 whole grid.  Its grid values drive recurrence relations with constant
 coefficients for the deformed polynomials.  Coefficients are extracted by
-exact orthogonality projection and independently cross-checked by an exact
-linear solve.
+exact orthogonality projection, one weighted Gram product of the grid
+table, and certified by the relation that defines them: read on the grid,
+the band recurrence is the matrix identity R @ P = P @ diag(X).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .errors import (
     NonMonotone,
     ZeroPolynomial,
 )
-from .linalg import solve_overdetermined
+from .linalg import SquareMatrix
 from .multiindexed import MISystem
 from .params import R, eta, ipow, shift
 from .poly import Poly, interpolate
@@ -105,25 +106,25 @@ class RecTable:
 
 
 def extract_r(s: MISystem, xp: XPoly) -> RecTable:
+    """r[(n,k)] by orthogonality projection, certified by the band
+    recurrence itself on the grid: with R the band matrix of r and P the
+    table P[n][x], R @ P = P @ diag(X) must hold exactly."""
     N, L = s.params.N, xp.L
-    r = {}
-    for n in range(N + 1):
-        for k in range(-min(L, n), min(L, N - n) + 1):
-            val = s.dDn_sq[n + k] * sum(
-                s.weights[x] * xp.grid[x] * s.pdn_grid[n][x] * s.pdn_grid[n + k][x]
-                for x in range(N + 1)
-            )
-            r[(n, k)] = val
+    n1 = N + 1
+    X = [xp.grid[x] for x in range(n1)]
+    P = SquareMatrix(s.pdn_grid)
+    gram = P.scale_cols([w * v for w, v in zip(s.weights, X)]) @ P.transpose()
+    r = {
+        (n, k): s.dDn_sq[n + k] * gram[n, n + k]
+        for n in range(n1)
+        for k in range(-min(L, n), min(L, N - n) + 1)
+    }
 
-    # independent route: exact least-structure solve of the defining relations
-    for n in range(N + 1):
-        ks = list(range(-min(L, n), min(L, N - n) + 1))
-        rows = [[s.pdn_grid[n + k][x] for k in ks] for x in range(N + 1)]
-        rhs = [xp.grid[x] * s.pdn_grid[n][x] for x in range(N + 1)]
-        sol = solve_overdetermined(rows, rhs)
-        for k, v in zip(ks, sol):
-            if v != r[(n, k)]:
-                raise CrossCheckMismatch(f"projection vs solve differ at (n,k)=({n},{k})")
+    band = SquareMatrix([[r.get((n, m - n), 0) for m in range(n1)] for n in range(n1)])
+    miss = (band @ P - P.scale_cols(X)).nonzero_entries()
+    if miss:
+        n, x, _ = miss[0]
+        raise CrossCheckMismatch(f"band recurrence misses the grid at (n,x)=({n},{x})")
 
     table = RecTable(r=r, L=L, N=N)
     _check_band_identities(s, table)

@@ -25,6 +25,7 @@ from .errors import (
     InadmissibleParams,
     SingularR0,
 )
+from .linalg import gram_residuals
 from .params import QR, R, energy, index_set, make_params, validate
 from .pipeline import Pipeline
 from .poly import Poly
@@ -127,17 +128,23 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigError(f"si_candidates must be a list, got {cands_raw!r}")
     cands = []
     for entry in cands_raw:
-        try:
-            name, slots = entry["name"], entry["slots"]
-        except (TypeError, KeyError) as e:
-            raise ConfigError(f"bad si_candidates entry {entry!r}") from e
+        if (
+            not isinstance(entry, dict)
+            or set(entry) != {"name", "slots"}
+            or not isinstance(entry["name"], str)
+        ):
+            raise ConfigError(
+                "si_candidates entries must be objects with exactly a string 'name'"
+                f" and 'slots', got {entry!r}"
+            )
+        name, slots = entry["name"], entry["slots"]
         if not isinstance(slots, list) or len(slots) != 4:
             raise ConfigError(
                 f"si_candidates slots must be four rational strings (a, b, c, d), got {slots!r}"
             )
         for v in slots:
             _cfg_rat(v, "si_candidates slot")
-        cands.append((str(name), tuple(slots)))
+        cands.append((name, tuple(slots)))
     out = data.get("out")
     if out is not None and not isinstance(out, str):
         raise ConfigError("out must be a path string")
@@ -188,12 +195,7 @@ def _suite_base(cfg: RunConfig, pipe: Pipeline) -> dict:
     P = [[basefamily.racah_value(n, x, p) for x in grid] for n in grid]
     phi0 = [basefamily.phi0_sq(x, p) for x in grid]
     dn = [basefamily.dn_sq(n, p) for n in grid]
-    fails = []
-    for n in grid:
-        for m in range(n, N + 1):
-            total = sum(phi0[x] * P[n][x] * P[m][x] for x in grid) * dn[n]
-            if total != (1 if n == m else 0):
-                fails.append(["ortho", n, m])
+    fails = [["ortho", n, m] for n, m, _ in gram_residuals(P, phi0, [1 / v for v in dn])]
     for n in grid:
         for x in grid:
             if P[n][x] != basefamily.racah_value(x, n, pd):

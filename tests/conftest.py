@@ -6,13 +6,15 @@ every test module ask for exactly the configurations it needs.
 """
 
 import functools
+from operator import mul
 
 import pytest
 
 from dualracah import multiindexed
 from dualracah.backend import rat
 from dualracah.basefamily import racah_value, xi_v
-from dualracah.linalg import generic_det
+from dualracah.errors import SingularMatrix
+from dualracah.linalg import _cleared_int_rows, generic_det
 from dualracah.params import QR, R, make_params
 from dualracah.pipeline import Pipeline
 from dualracah.poly import Poly
@@ -52,6 +54,76 @@ def per_entry_pdn(n, x, D, p):
     det = generic_det(rows)
     cdn = (-1) ** M * multiindexed.norm_const_cd(D, p) * multiindexed.dtn_sq_value(n, D, p)
     return det / (cdn * multiindexed.varphi_m(x, M + 1, p))
+
+
+def _bareiss(m, ncols: int) -> int:
+    """Fraction-free echelon form of the integer rows m, in place (Bareiss,
+    Math. Comp. 22, 1968).
+
+    Pivots run down the first ncols columns, swapping rows as needed; any
+    further columns (right-hand sides) are carried along.  Every entry
+    below the pivots is a minor of the row-permuted matrix, so each
+    division by the previous pivot is exact.  Returns the signed
+    determinant of the leading ncols x ncols block, or 0 if some column
+    has no pivot.
+    """
+    sign, prev = 1, 1
+    for k in range(ncols):
+        piv_row = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if piv_row is None:
+            return 0
+        if piv_row != k:
+            m[k], m[piv_row] = m[piv_row], m[k]
+            sign = -sign
+        top = m[k]
+        piv = top[k]
+        for row in m[k + 1:]:
+            f = row[k]
+            row[k:] = [0] + [
+                (v * piv - f * t) // prev for v, t in zip(row[k + 1:], top[k + 1:])
+            ]
+        prev = piv
+    return sign * prev
+
+
+def solve_overdetermined(rows, rhs) -> list:
+    """Exact solution of a consistent (possibly overdetermined) system, on
+    cleared integers by ``_bareiss`` and integer back-substitution (the
+    elimination route the library's products and projections replaced,
+    kept as an oracle).
+
+    Raises SingularMatrix if the system is inconsistent or the solution is
+    not unique.
+    """
+    if not rows:
+        return []
+    n = len(rows[0])
+    m, _ = _cleared_int_rows([list(row) + [rhs[i]] for i, row in enumerate(rows)])
+    det = _bareiss(m, n)
+    if det == 0:
+        raise SingularMatrix("rank-deficient system")
+    if any(row[n] for row in m[n:]):
+        raise SingularMatrix("inconsistent overdetermined system")
+    # det*x is integral (Cramer), so each division below is exact
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = m[i]
+        y[i] = (det * row[n] - sum(map(mul, row[i + 1:n], y[i + 1:]))) // row[i]
+    return [rat(v, det) for v in y]
+
+
+def r_by_solve(s, xp) -> dict:
+    """r[(n,k)] by one overdetermined solve per label n of the band
+    recurrence on the grid, X(x) P_n(x) = sum_k r[(n,k)] P_{n+k}(x): the
+    route ``recurrence.extract_r`` used to cross-check its projections."""
+    N, L = s.params.N, xp.L
+    r = {}
+    for n in range(N + 1):
+        ks = list(range(-min(L, n), min(L, N - n) + 1))
+        rows = [[s.pdn_grid[n + k][x] for k in ks] for x in range(N + 1)]
+        rhs = [xp.grid[x] * s.pdn_grid[n][x] for x in range(N + 1)]
+        r.update({(n, k): v for k, v in zip(ks, solve_overdetermined(rows, rhs))})
+    return r
 
 
 @pytest.fixture(scope="session")

@@ -119,7 +119,8 @@ def test_criterion_3_constant_coefficient_recurrences(pipe):
             for y in ("1", "eta"):
                 s = pipe(family, N, D).system()
                 xp = pipe(family, N, D).xpoly(SEEDS[y])
-                t = pipe(family, N, D).rectable(SEEDS[y])  # includes the solve route
+                t = pipe(family, N, D).rectable(SEEDS[y])
+                assert t.r == conftest.r_by_solve(s, xp)
                 for n in range(N + 1):
                     for k in t.band(n):
                         if k > 0:

@@ -176,12 +176,40 @@ def test_precision_override(tmp_path):
     ({"suites": "mi"}, "suites must be a list"),
     ({"suites": ["mi", 3]}, "suites must be a list"),
     ({"Y": ["1", "-1"]}, "Y must have non-negative coefficients"),
+    ({"si_candidates": [{"name": 5, "slots": ["-4", "11", "3/2", "2/5"]}]}, "string 'name'"),
+    ({"si_candidates": [{"name": None, "slots": ["-4", "11", "3/2", "2/5"]}]},
+     "string 'name'"),
+    ({"si_candidates": [{"name": "x", "slots": ["-4", "11", "3/2", "2/5"], "frob": 1}]},
+     "exactly a string 'name'"),
+    ({"si_candidates": [{"slots": ["-4", "11", "3/2", "2/5"]}]}, "exactly a string 'name'"),
+    ({"si_candidates": ["x"]}, "si_candidates entries must be objects"),
 ])
 def test_malformed_config_exits_2_with_message(tmp_path, capsys, mutation, msg):
     cfg_path = _write(tmp_path, "cfg.json", dict(BASE_CFG, **mutation))
     assert main(["verify", "--config", cfg_path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and msg in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,out", [
+    ("verify", "dir"),
+    ("verify", "missing/dir/r.json"),
+    ("tables", "file"),
+])
+def test_unwritable_out_exits_2_with_message(tmp_path, capsys, command, out):
+    """A directory as report path, a report path under a missing directory
+    and an existing file as table directory are bad configuration, not a
+    failed verification."""
+    cfg_path = _write(tmp_path, "cfg.json", dict(BASE_CFG, suites=["base"]))
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("")
+    argv = [command, "--config", cfg_path, "--out", str(tmp_path / out)]
+    if command == "tables":
+        argv += ["--what", "spectrum"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith("error: cannot write ")
     assert "Traceback" not in err
 
 

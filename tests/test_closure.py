@@ -18,10 +18,10 @@ from dualracah.closure import (
     verify_ladder,
 )
 from dualracah.errors import CrossCheckMismatch, SingularR0
-from dualracah.linalg import SquareMatrix, solve_overdetermined
+from dualracah.linalg import SquareMatrix
 from dualracah.params import QR, R
 from dualracah.poly import Poly
-from conftest import SEEDS, Y_ETA, Y_ONE
+from conftest import SEEDS, Y_ETA, Y_ONE, solve_overdetermined
 
 FAMILIES = (R, QR)
 CASES = [((1,), "1"), ((2,), "1"), ((1, 2), "1"), ((1,), "eta")]

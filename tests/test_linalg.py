@@ -1,6 +1,7 @@
-"""Exact linear algebra: cleared-integer products and the fraction-free
-echelon kernel (its determinant, square and overdetermined solves),
-checked against the rational-arithmetic routes they replaced."""
+"""Exact linear algebra: cleared-integer products and Gram residuals,
+checked against the rational-arithmetic routes they replaced, and the
+fraction-free echelon kernel kept as a test oracle in conftest (its
+determinant, square and overdetermined solves)."""
 
 import math
 from itertools import permutations
@@ -12,13 +13,8 @@ from hypothesis import strategies as st
 
 from dualracah.backend import rat
 from dualracah.errors import SingularMatrix
-from dualracah.linalg import (
-    SquareMatrix,
-    _bareiss,
-    _cleared_int_rows,
-    generic_det,
-    solve_overdetermined,
-)
+from dualracah.linalg import SquareMatrix, _cleared_int_rows, generic_det, gram_residuals
+from conftest import _bareiss, solve_overdetermined
 from test_closure import commutator, exact_inverse, matrix_poly
 
 entry = st.fractions(min_value=-50, max_value=50, max_denominator=10)
@@ -40,9 +36,23 @@ def _naive_matvec(a, v):
 
 
 def exact_det(a: SquareMatrix):
-    """Determinant by the library's fraction-free echelon kernel."""
+    """Determinant by the fraction-free echelon kernel."""
     m, factors = _cleared_int_rows(a.rows)
     return rat(_bareiss(m, a.n), math.prod(factors))
+
+
+def _ortho_loop(rows, weights, norms):
+    """The weighted orthogonality sums, one triple loop per relation (the
+    route ``gram_residuals`` replaced in the library's three checks)."""
+    n = len(rows)
+    failures = []
+    for i in range(n):
+        for j in range(i, n):
+            total = sum(weights[x] * rows[i][x] * rows[j][x] for x in range(n))
+            expect = norms[i] if i == j else 0
+            if total != expect:
+                failures.append((i, j, total - expect))
+    return failures
 
 
 def _gauss_jordan(rows, rhs):
@@ -262,3 +272,21 @@ def test_real_product_is_bit_identical(n, data):
         want = _naive_matmul(a, b)
     assert prod.kind == "real" and prod.prec == 200
     assert prod.rows == want
+
+
+@settings(max_examples=80)
+@given(st.integers(1, 5), st.data())
+def test_gram_residuals_equal_triple_loop(n, data):
+    """Same residual values in the same order as the loop sums.  One draw in
+    two takes permuted unit rows, which are orthogonal under any weights,
+    and keeps or misses each squared norm, so empty and partial residual
+    lists both occur."""
+    weights = [rat(data.draw(small)) for _ in range(n)]
+    if data.draw(st.booleans()):
+        perm = data.draw(st.permutations(range(n)))
+        rows = [[rat(1) if x == perm[i] else rat(0) for x in range(n)] for i in range(n)]
+        norms = [weights[perm[i]] + data.draw(st.sampled_from([0, 0, 1])) for i in range(n)]
+    else:
+        rows = [[rat(data.draw(small)) for _ in range(n)] for _ in range(n)]
+        norms = [rat(data.draw(small)) for _ in range(n)]
+    assert gram_residuals(rows, weights, norms) == _ortho_loop(rows, weights, norms)

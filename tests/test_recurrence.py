@@ -27,7 +27,7 @@ from dualracah.recurrence import (
     verify_recurrence,
     xhat_minus1,
 )
-from conftest import SEEDS, Y_ETA, Y_ONE, std_params
+from conftest import SEEDS, Y_ETA, Y_ONE, r_by_solve, std_params
 
 FAMILIES = (R, QR)
 MATRIX = [(D, y) for D in ((1,), (2,), (1, 2)) for y in ("1", "eta")]
@@ -253,9 +253,38 @@ def test_x_monotone_for_hamiltonian_seeds(family, pipe):
         assert xp.grid[0] == 0
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("D", [(), (1,), (2,), (1, 2)])
+@pytest.mark.parametrize("y", ["1", "eta"])
+@pytest.mark.parametrize("N", [3, 4, 6])
+def test_extract_r_equals_solve_route(family, D, y, N, pipe):
+    """The projected table is the one the overdetermined solves of the grid
+    relations give, entry for entry."""
+    s = pipe(family, N, D).system()
+    xp = pipe(family, N, D).xpoly(SEEDS[y])
+    assert extract_r(s, xp).r == r_by_solve(s, xp)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("corrupt", ["X", "weight"])
+def test_corrupted_input_fails_band_recurrence(family, corrupt, pipe):
+    """A wrong X grid value, or a wrong weight in the projections, gives a
+    table that misses R @ P = P @ diag(X).  (The weight at x=0 meets
+    X(0) = 0 and never enters a projection, so x=2 is corrupted.)"""
+    s = pipe(family, 6, (1,)).system()
+    xp = pipe(family, 6, (1,)).xpoly(Y_ONE)
+    if corrupt == "X":
+        xp = replace(xp, grid={**xp.grid, 3: xp.grid[3] + 1})
+    else:
+        s = replace(s, weights=s.weights[:2] + (2 * s.weights[2],) + s.weights[3:])
+    msg = r"band recurrence misses the grid at \(n,x\)=\(\d+,\d+\)"
+    with pytest.raises(CrossCheckMismatch, match=msg):
+        extract_r(s, xp)
+
+
 def _skew_table(key, delta):
     """A RecTable constructor that adds delta to one entry, applied after
-    projection and solve have agreed."""
+    the projections have passed the grid check."""
     table = recurrence.RecTable
 
     def skewed(r, L, N):
@@ -306,11 +335,13 @@ def test_negated_denominator_fails_monotonicity(family, pipe):
 
 
 def test_band_identities_survive_python_O():
-    """Under -O a corrupted r-table entry and a corrupted node value of X
-    still raise: the identities that certify extract_r and build_X are
-    explicit checks, not asserts."""
+    """Under -O a corrupted X grid value, a corrupted r-table entry and a
+    corrupted node value of X still raise: the identities that certify
+    extract_r and build_X are explicit checks, not asserts."""
     script = textwrap.dedent(
         """
+        from dataclasses import replace
+
         from dualracah import multiindexed, recurrence
         from dualracah.backend import rat
         from dualracah.errors import CrossCheckMismatch
@@ -320,6 +351,11 @@ def test_band_identities_survive_python_O():
         assert False, "asserts must be stripped"
         s = multiindexed.build_mi_system(make_params("R", 5, b=10, c=rat(1, 2), d=rat(2, 5)), (1,))
         xp = recurrence.build_X(s, Poly([rat(1)]), for_hamiltonian=True)
+        try:
+            recurrence.extract_r(s, replace(xp, grid={**xp.grid, 3: xp.grid[3] + 1}))
+        except CrossCheckMismatch as e:
+            print("grid:", e)
+
         table = recurrence.RecTable
 
         def skewed(r, L, N):
@@ -345,5 +381,6 @@ def test_band_identities_survive_python_O():
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True,
         check=True,
     ).stdout
+    assert "grid: band recurrence misses the grid at (n,x)=" in out
     assert "band: mirror symmetry fails at (n,k)=(1,2)" in out
     assert "X: telescoping sum differs from X at x=2" in out
