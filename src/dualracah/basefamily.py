@@ -63,9 +63,6 @@ def potential(x: int, p: ParamSet, which: str = "B"):
         elif which == "Bprime":
             num = -(x + d - a + 1) * (x + d - b + 1) * (x + c) * (x + d)
             den = (2 * x + d) * (2 * x + 1 + d)
-        elif which == "Dprime":
-            num = -(x + a - 1) * (x + b - 1) * (x + d - c) * x
-            den = (2 * x - 1 + d) * (2 * x + d)
         else:
             raise ValueError(f"unknown potential {which!r}")
     else:
@@ -80,9 +77,6 @@ def potential(x: int, p: ParamSet, which: str = "B"):
         elif which == "Bprime":
             num = -(1 - d * qx * q / a) * (1 - d * qx * q / b) * (1 - c * qx) * (1 - d * qx)
             den = (1 - d * ipow(q, 2 * x)) * (1 - d * ipow(q, 2 * x + 1))
-        elif which == "Dprime":
-            num = -(c * d * q / (a * b)) * (1 - a * qx / q) * (1 - b * qx / q) * (1 - d * qx / c) * (1 - qx)
-            den = (1 - d * ipow(q, 2 * x - 1)) * (1 - d * ipow(q, 2 * x))
         else:
             raise ValueError(f"unknown potential {which!r}")
     if den == 0:

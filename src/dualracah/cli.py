@@ -9,13 +9,14 @@ Two subcommands:
 
 Exit status: 0 all checks passed, 1 a verification failed, 2 bad
 configuration (an unwritable ``--out`` included) or inadmissible
-parameters.
+parameters.  A ``verify`` report path is checked before any suite runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -46,6 +47,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _check_writable(path: str) -> None:
+    """Open the report path for appending, then remove it again if it did
+    not exist, so a failed run leaves no empty report behind."""
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a"):
+            pass
+    except OSError as e:
+        raise ConfigError(f"cannot write report: {e}") from e
+    if not existed:
+        os.remove(path)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -58,6 +72,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             cfg.out = args.out
 
         if args.command == "verify":
+            if cfg.out:
+                _check_writable(cfg.out)
             report, ok = run_suite(cfg)
             if cfg.out:
                 try:

@@ -4,6 +4,9 @@ Duality swaps the grid variable and the polynomial label.  The dual table
 is filled by the ratio definition and independently re-derived through the
 dual three-term recurrence; the Hamiltonians are verified against their
 full polynomial eigenbasis with zero tolerance.
+
+Everything here is exact: h_tilde is only checked to be similar to a real
+symmetric matrix; ``shapeinv.symmetric_form`` builds that matrix in floats.
 """
 
 from __future__ import annotations
@@ -11,11 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Tuple
 
-import mpmath
-
-from .bigreal import big_sqrt, to_real
 from .errors import (
     CrossCheckMismatch,
+    NegativeRadicand,
     ShapeMismatch,
     SymmetryViolation,
     ZeroDenominator,
@@ -77,7 +78,6 @@ def dual_ortho(s: MISystem, t: DualTable) -> list:
 @dataclass
 class DualHamiltonian:
     h_tilde: SquareMatrix
-    h_sym: SquareMatrix
     energies: Tuple          # eigenvalues X(n), strictly increasing
     V: SquareMatrix          # columns are polynomial eigenvectors
     dDn_sq: Tuple
@@ -96,38 +96,31 @@ class DualHamiltonian:
         return self.cache["hV"]
 
 
-def build_hamiltonians(
-    s: MISystem, xp: XPoly, t: RecTable, dual: DualTable, precision: int = 256
-) -> DualHamiltonian:
+def build_hamiltonians(s: MISystem, xp: XPoly, t: RecTable, dual: DualTable) -> DualHamiltonian:
     N, L = s.params.N, xp.L
     n1 = N + 1
     rows = [[t.r.get((x, y - x), 0) for y in range(n1)] for x in range(n1)]
     h_tilde = SquareMatrix(rows)
 
-    # exact symmetry: the similarity-scaled entries square to the product of
-    # the two mirror-image band entries
-    sym_rows = [[to_real(0, precision)] * n1 for _ in range(n1)]
-    with mpmath.workprec(precision):
-        for x in range(n1):
-            for y in range(n1):
-                r = h_tilde[x, y]
-                if x == y or r == 0:
-                    sym_rows[x][y] = to_real(r, precision)
-                    continue
-                mirror = h_tilde[y, x]
-                ratio = s.dDn_sq[x] / s.dDn_sq[y]
-                if r * r * ratio != r * mirror:
-                    raise SymmetryViolation(f"band symmetry broken at ({x},{y})")
-                # r*mirror = r^2*ratio, so a negative mirror product is a
-                # negative ratio, which big_sqrt rejects (NegativeRadicand)
-                sym_rows[x][y] = to_real(r, precision) * big_sqrt(ratio, precision)
-    h_sym = SquareMatrix(sym_rows, kind="real", prec=precision)
+    # h_tilde is similar to a real symmetric matrix: the similarity-scaled
+    # entries r*sqrt(ratio) square to the product of the two mirror-image
+    # band entries, and every norm ratio under the root is nonnegative
+    for x in range(n1):
+        for y in range(n1):
+            r = h_tilde[x, y]
+            if x == y or r == 0:
+                continue
+            ratio = s.dDn_sq[x] / s.dDn_sq[y]
+            if r * r * ratio != r * h_tilde[y, x]:
+                raise SymmetryViolation(f"band symmetry broken at ({x},{y})")
+            if ratio < 0:
+                raise NegativeRadicand(f"negative norm ratio {ratio} at ({x},{y})")
 
     energies = tuple(xp.grid[n] for n in range(n1))
     v_rows = [[dual.q_vals[n][x] for n in range(n1)] for x in range(n1)]
     V = SquareMatrix(v_rows)
     return DualHamiltonian(
-        h_tilde=h_tilde, h_sym=h_sym, energies=energies, V=V,
+        h_tilde=h_tilde, energies=energies, V=V,
         dDn_sq=s.dDn_sq,
         ground_weight=tuple(s.weights[x] * s.pdn_grid[0][x] ** 2 for x in range(n1)),
         L=L,

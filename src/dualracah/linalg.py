@@ -7,9 +7,9 @@ entry is one rational, ``rat(dot, row_factor * col_factor)``.  Results are
 canonical rationals, equal to those of rational arithmetic entry for entry.
 
 Orthogonality relations are checked as one such product, the Gram matrix
-of a square table under a weight (``gram_residuals``).  Matrices of kind
-"real" (floats) keep plain scalar arithmetic, and ``generic_det`` serves
-them and the small Casoratians.
+of a square table under a weight (``gram_residuals``).  ``generic_det``
+works over any field and serves the small Casoratians, whose entries are
+floats in the q->1 checks; nothing here imports a float library.
 """
 
 from __future__ import annotations
@@ -34,103 +34,63 @@ def _cleared_int_rows(rows):
 
 
 class SquareMatrix:
-    """Dense square matrix; kind is "exact" (rationals) or "real" (floats).
+    """Dense square matrix of exact rationals."""
 
-    Exact matrices take their products on cleared integers; real matrices
-    only carry entries plus their working precision in bits.
-    """
+    __slots__ = ("n", "rows")
 
-    __slots__ = ("n", "rows", "kind", "prec")
-
-    def __init__(self, rows, kind: str = "exact", prec: int = 0):
-        if kind == "exact":
-            self.rows = [[rat(v) for v in row] for row in rows]
-        else:
-            self.rows = [list(row) for row in rows]
+    def __init__(self, rows):
+        self.rows = [[rat(v) for v in row] for row in rows]
         self.n = len(self.rows)
         for row in self.rows:
             if len(row) != self.n:
                 raise ShapeMismatch("matrix is not square")
-        self.kind = kind
-        self.prec = prec
 
     @classmethod
     def identity(cls, n: int) -> "SquareMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def diagonal(cls, values: Sequence) -> "SquareMatrix":
-        n = len(values)
-        return cls([[values[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i][j]
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SquareMatrix)
-            and self.kind == other.kind
-            and self.rows == other.rows
-        )
+        return isinstance(other, SquareMatrix) and self.rows == other.rows
 
     def _check(self, other: "SquareMatrix"):
-        if self.n != other.n or self.kind != other.kind:
+        if self.n != other.n:
             raise ShapeMismatch("incompatible matrices")
 
     def __add__(self, other: "SquareMatrix") -> "SquareMatrix":
         self._check(other)
         return SquareMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-            self.kind,
-            max(self.prec, other.prec),
+            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
         )
 
     def __sub__(self, other: "SquareMatrix") -> "SquareMatrix":
         self._check(other)
         return SquareMatrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-            self.kind,
-            max(self.prec, other.prec),
+            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
         )
 
     def __matmul__(self, other: "SquareMatrix") -> "SquareMatrix":
         self._check(other)
-        prec = max(self.prec, other.prec)
-        if self.kind != "exact":
-            cols = list(zip(*other.rows))
-            out = [
-                [sum((a * b for a, b in zip(row, col)), rat(0)) for col in cols]
-                for row in self.rows
-            ]
-            return SquareMatrix(out, self.kind, prec)
         left, row_f = _cleared_int_rows(self.rows)
         right, col_f = _cleared_int_rows(zip(*other.rows))
-        out = [
+        return SquareMatrix([
             [rat(sum(map(mul, row, col)), f * g) for col, g in zip(right, col_f)]
             for row, f in zip(left, row_f)
-        ]
-        return SquareMatrix(out, self.kind, prec)
-
-    def scale(self, c) -> "SquareMatrix":
-        return SquareMatrix(
-            [[c * v for v in row] for row in self.rows], self.kind, self.prec
-        )
+        ])
 
     def scale_rows(self, values: Sequence) -> "SquareMatrix":
         """diag(values) @ self, without the dense product."""
-        return SquareMatrix(
-            [[c * v for v in row] for c, row in zip(values, self.rows)], self.kind, self.prec
-        )
+        return SquareMatrix([[c * v for v in row] for c, row in zip(values, self.rows)])
 
     def scale_cols(self, values: Sequence) -> "SquareMatrix":
         """self @ diag(values), without the dense product."""
-        return SquareMatrix(
-            [[v * c for v, c in zip(row, values)] for row in self.rows], self.kind, self.prec
-        )
+        return SquareMatrix([[v * c for v, c in zip(row, values)] for row in self.rows])
 
     def transpose(self) -> "SquareMatrix":
-        return SquareMatrix(list(zip(*self.rows)), self.kind, self.prec)
+        return SquareMatrix(list(zip(*self.rows)))
 
     def column(self, j: int) -> list:
         return [row[j] for row in self.rows]

@@ -12,14 +12,13 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import closure, dualsystem, multiindexed, recurrence
-from .bigreal import DEFAULT_PRECISION
 from .params import ParamSet
 from .poly import Poly
 
 
 class Pipeline:
-    def __init__(self, params: ParamSet, D: Sequence[int], precision: int = DEFAULT_PRECISION):
-        self.params, self.D, self.precision = params, tuple(D), precision
+    def __init__(self, params: ParamSet, D: Sequence[int]):
+        self.params, self.D = params, tuple(D)
         self._memo = {}
 
     def _get(self, key, build):
@@ -45,8 +44,7 @@ class Pipeline:
 
     def hamiltonian(self, Y: Poly) -> dualsystem.DualHamiltonian:
         return self._get(("hamiltonian", Y), lambda: dualsystem.build_hamiltonians(
-            self.system(), self.xpoly(Y), self.rectable(Y), self.dual(),
-            precision=self.precision,
+            self.system(), self.xpoly(Y), self.rectable(Y), self.dual()
         ))
 
     def closure(self, Y: Poly) -> closure.ClosureTriple:

@@ -286,7 +286,7 @@ def _suite_shape(cfg: RunConfig, pipe: Pipeline) -> dict:
     for name, slots in cfg.si_candidates:
         vals = [rat_from_str(v) for v in slots]
         extra.append((name, replace(p, N=p.N - 1, a=vals[0], b=vals[1], c=vals[2], d=vals[3])))
-    rep = shapeinv.si_test(pipe, cfg.Y, extra_candidates=extra)
+    rep = shapeinv.si_test(pipe, cfg.Y, precision=cfg.precision, extra_candidates=extra)
     verdicts = []
     for v in rep.verdicts:
         verdicts.append({
@@ -349,7 +349,7 @@ def run_suite(cfg: RunConfig) -> Tuple[dict, bool]:
     bad = validate(cfg.params(), cfg.D)
     if bad:
         raise InadmissibleParams(f"config parameters violate ranges: {bad}")
-    pipe = Pipeline(cfg.params(), cfg.D, cfg.precision)
+    pipe = Pipeline(cfg.params(), cfg.D)
     ordered = [s for s in SUITES if s in cfg.suites]
     results: Dict[str, dict] = {}
     all_ok = True
@@ -375,7 +375,7 @@ def emit_tables(cfg: RunConfig, what: str, out_dir: str) -> List[str]:
     if what not in TABLE_KINDS:
         raise ConfigError(f"unknown table kind {what!r}; choose from {TABLE_KINDS}")
     os.makedirs(out_dir, exist_ok=True)
-    pipe = Pipeline(cfg.params(), cfg.D, cfg.precision)
+    pipe = Pipeline(cfg.params(), cfg.D)
     s = pipe.system()
     N = cfg.N
     csv_path = os.path.join(out_dir, f"{what}.csv")
@@ -399,16 +399,16 @@ def emit_tables(cfg: RunConfig, what: str, out_dir: str) -> List[str]:
             payload = {"L": t.L, "rows": rows}
         elif what == "hamiltonian":
             h = pipe.hamiltonian(cfg.Y)
+            sym = shapeinv.symmetric_form(h, cfg.precision)
             w.writerow(["x", "y", "exact", "symmetric"])
             for x in range(N + 1):
                 for y in range(N + 1):
                     w.writerow([
-                        x, y, _fmt(h.h_tilde[x, y]),
-                        real_str(h.h_sym[x, y], cfg.precision),
+                        x, y, _fmt(h.h_tilde[x, y]), real_str(sym[x][y], cfg.precision),
                     ])
             payload = {
                 "exact": [[_fmt(v) for v in row] for row in h.h_tilde.rows],
-                "symmetric": [[real_str(v, cfg.precision) for v in row] for row in h.h_sym.rows],
+                "symmetric": [[real_str(v, cfg.precision) for v in row] for row in sym],
                 "precision": cfg.precision,
             }
         elif what == "spectrum":

@@ -1,10 +1,13 @@
 """Semidefinite factorization and the shape-invariance test.
 
-The band Hamiltonian is positive semi-definite with a zero ground level, so
-its upper-triangular factor has a zero last row.  Shape invariance would
-force the spectrum at shrunk size N-1 to be an affine rescaling of the tail
-of the original spectrum; that necessary condition is checked exactly, and
-the full matrix condition is reported as a high-precision float residual.
+The band Hamiltonian h_tilde is exact; its similarity transform to a real
+symmetric matrix needs square roots, so it is formed here, at the working
+precision the caller gives (``symmetric_form``).  That matrix is positive
+semi-definite with a zero ground level, so its upper-triangular factor has
+a zero last row.  Shape invariance would force the spectrum at shrunk size
+N-1 to be an affine rescaling of the tail of the original spectrum; that
+necessary condition is checked exactly, and the full matrix condition is
+reported as a high-precision float residual.
 """
 
 from __future__ import annotations
@@ -14,51 +17,62 @@ from typing import List, Optional, Tuple
 
 import mpmath
 
-from .bigreal import to_real
+from .bigreal import DEFAULT_PRECISION, big_sqrt, to_real
+from .dualsystem import DualHamiltonian
 from .errors import CrossCheckMismatch, InadmissibleCandidate, NegativePivot
-from .linalg import SquareMatrix
 from .params import R, ParamSet, validate
 from .pipeline import Pipeline
 from .poly import Poly
 
 
-@dataclass
-class UpperFactor:
-    A: SquareMatrix      # real upper triangular, last row zero
-    precision: int
+def symmetric_form(h: DualHamiltonian, precision: int) -> list:
+    """Rows of the real symmetric matrix similar to h.h_tilde, entry (x, y)
+    being h_tilde[x, y] * sqrt(d_x^2 / d_y^2), at ``precision`` bits.
+
+    A negative norm ratio raises NegativeRadicand (``big_sqrt``).
+    """
+    with mpmath.workprec(precision):
+        return [
+            [
+                to_real(r, precision) * big_sqrt(h.dDn_sq[x] / h.dDn_sq[y], precision)
+                if x != y and r != 0 else to_real(r, precision)
+                for y, r in enumerate(row)
+            ]
+            for x, row in enumerate(h.h_tilde.rows)
+        ]
 
 
-def factor_upper(h_sym: SquareMatrix) -> UpperFactor:
-    """Upper-triangular factor with nonnegative diagonal, A^T A = h_sym.
+def factor_upper(h_sym, precision: int) -> list:
+    """Rows of the upper-triangular factor A with nonnegative diagonal,
+    A^T A = h_sym, for the rows of a real symmetric matrix.
 
     Zero pivots (within tolerance) yield zero rows, as required for a
     positive semi-definite matrix with nontrivial kernel.
     """
-    n = h_sym.n
-    prec = h_sym.prec or 256
-    with mpmath.workprec(prec):
-        scale = max((abs(v) for row in h_sym.rows for v in row), default=mpmath.mpf(1))
-        tol = mpmath.mpf(2) ** (-(prec // 2)) * (scale if scale > 0 else 1)
+    n = len(h_sym)
+    with mpmath.workprec(precision):
+        scale = max((abs(v) for row in h_sym for v in row), default=mpmath.mpf(1))
+        tol = mpmath.mpf(2) ** (-(precision // 2)) * (scale if scale > 0 else 1)
         a = [[mpmath.mpf(0)] * n for _ in range(n)]
         for x in range(n):
-            pivot = h_sym.rows[x][x] - sum(a[z][x] ** 2 for z in range(x))
+            pivot = h_sym[x][x] - sum(a[z][x] ** 2 for z in range(x))
             if pivot < -tol:
                 raise NegativePivot(f"pivot {pivot} at row {x}")
             if pivot <= tol:
                 continue  # zero row
             a[x][x] = mpmath.sqrt(pivot)
             for y in range(x + 1, n):
-                hxy = h_sym.rows[x][y] - sum(a[z][x] * a[z][y] for z in range(x))
+                hxy = h_sym[x][y] - sum(a[z][x] * a[z][y] for z in range(x))
                 a[x][y] = hxy / a[x][x]
         # reconstruction check
         err = max(
-            abs(sum(a[z][x] * a[z][y] for z in range(n)) - h_sym.rows[x][y])
+            abs(sum(a[z][x] * a[z][y] for z in range(n)) - h_sym[x][y])
             for x in range(n)
             for y in range(n)
         )
         if err > tol * 4 * n:
             raise CrossCheckMismatch(f"A^T*A misses h_sym by {err} (tolerance {tol * 4 * n})")
-    return UpperFactor(A=SquareMatrix(a, kind="real", prec=prec), precision=prec)
+    return a
 
 
 def builtin_candidates(p: ParamSet) -> List[Tuple[str, ParamSet]]:
@@ -100,7 +114,6 @@ class CandidateVerdict:
     kappa: Optional[object]
     spectral_pass: bool
     first_fail_x: Optional[int]
-    mismatch: Optional[object]
     matrix_residual: Optional[object]
 
 
@@ -117,12 +130,13 @@ class SIReport:
 def si_test(
     pipe: Pipeline,
     Y: Poly,
+    precision: int = DEFAULT_PRECISION,
     extra_candidates: Optional[List[Tuple[str, ParamSet]]] = None,
 ) -> SIReport:
     """Shape-invariance verdict for each candidate of the pipeline's system
-    with seed Y; every admissible candidate also gets the high-precision
-    matrix residual."""
-    p, D, N, precision = pipe.params, pipe.D, pipe.params.N, pipe.precision
+    with seed Y; every admissible candidate also gets the matrix residual
+    at ``precision`` bits."""
+    p, D, N = pipe.params, pipe.D, pipe.params.N
     xp = pipe.xpoly(Y)
     A = None  # factor of the pipeline's own Hamiltonian, built once when first needed
     verdicts = []
@@ -130,34 +144,30 @@ def si_test(
         try:
             check_candidate(p2, D)
         except InadmissibleCandidate:
-            verdicts.append(
-                CandidateVerdict(name, False, None, False, None, None, None)
-            )
+            verdicts.append(CandidateVerdict(name, False, None, False, None, None))
             continue
-        cand = Pipeline(p2, D, precision)
+        cand = Pipeline(p2, D)
         xp2 = cand.xpoly(Y)
         kappa = (xp.grid[2] - xp.grid[1]) / xp2.grid[1]
-        spectral_pass, first_fail, mismatch = True, None, None
+        spectral_pass, first_fail = True, None
         for x in range(N):
-            want = xp.grid[x + 1] - xp.grid[1]
-            got = kappa * xp2.grid[x]
-            if got != want:
-                spectral_pass, first_fail, mismatch = False, x, got - want
+            if kappa * xp2.grid[x] != xp.grid[x + 1] - xp.grid[1]:
+                spectral_pass, first_fail = False, x
                 break
         if A is None:
-            A = factor_upper(pipe.hamiltonian(Y).h_sym).A
-        A2 = factor_upper(cand.hamiltonian(Y).h_sym).A
+            A = factor_upper(symmetric_form(pipe.hamiltonian(Y), precision), precision)
+        A2 = factor_upper(symmetric_form(cand.hamiltonian(Y), precision), precision)
         with mpmath.workprec(precision):
             k = to_real(kappa, precision)
             e1 = to_real(xp.grid[1], precision)
             residual = mpmath.mpf(0)
             for x in range(N):
                 for y in range(N):
-                    aad = sum(A.rows[x][z] * A.rows[y][z] for z in range(N + 1))
-                    ata = sum(A2.rows[z][x] * A2.rows[z][y] for z in range(N))
+                    aad = sum(A[x][z] * A[y][z] for z in range(N + 1))
+                    ata = sum(A2[z][x] * A2[z][y] for z in range(N))
                     target = aad - k * ata - (e1 if x == y else 0)
                     residual = max(residual, abs(target))
         verdicts.append(
-            CandidateVerdict(name, True, kappa, spectral_pass, first_fail, mismatch, residual)
+            CandidateVerdict(name, True, kappa, spectral_pass, first_fail, residual)
         )
     return SIReport(verdicts=verdicts, precision=precision)

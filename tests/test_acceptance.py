@@ -240,3 +240,28 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+EXACT_MODULES = (
+    "poly", "linalg", "params", "basefamily", "multiindexed", "recurrence",
+    "dualsystem", "closure", "pipeline",
+)
+
+
+def test_exact_modules_import_no_float_library():
+    """Only the float side (shapeinv, qlimit, bigreal, report) may import
+    mpmath or the bigreal helpers; the exact modules stay float-free."""
+    src = Path(dualracah.__file__).parent
+    found = []
+    for name in EXACT_MODULES:
+        path = src / f"{name}.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                dotted = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                dotted = [node.module or ""] + [a.name for a in node.names]
+            else:
+                continue
+            if any({"mpmath", "bigreal"} & set(d.split(".")) for d in dotted):
+                found.append(f"{name}.py:{node.lineno}")
+    assert found == []

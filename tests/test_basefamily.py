@@ -125,7 +125,6 @@ def test_primed_potentials_are_twisted(family):
     t = twisted(p)
     for x in range(p.N + 1):
         assert potential(x, p, "Bprime") == potential(x, t, "B")
-        assert potential(x, p, "Dprime") == potential(x, t, "D")
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -211,6 +211,30 @@ def test_unwritable_out_exits_2_with_message(tmp_path, capsys, command, out):
     err = capsys.readouterr().err
     assert err.splitlines()[-1].startswith("error: cannot write ")
     assert "Traceback" not in err
+    if command == "verify":
+        assert "[timing] suite" not in err  # found before any suite runs
+
+
+def test_verify_out_gets_the_report_bytes_or_nothing(tmp_path, monkeypatch):
+    """The early write check leaves a writable path to the report; a
+    verification error leaves no report file behind."""
+    from dualracah import cli
+    from dualracah.errors import CrossCheckMismatch
+
+    data = dict(BASE_CFG, suites=["mi", "dual"])
+    cfg_path = _write(tmp_path, "cfg.json", data)
+    out, want = tmp_path / "r.json", tmp_path / "want.json"
+    assert main(["verify", "--config", cfg_path, "--out", str(out)]) == 0
+    write_report(run_suite(parse_config(data))[0], str(want))
+    assert out.read_bytes() == want.read_bytes()
+
+    def broken(cfg):
+        raise CrossCheckMismatch("corrupted on purpose")
+
+    monkeypatch.setattr(cli, "run_suite", broken)
+    out.unlink()
+    assert main(["verify", "--config", cfg_path, "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 # sha256 of the report bytes; any change to a verdict, a table entry or the
@@ -235,6 +259,51 @@ def test_report_bytes_are_pinned(tmp_path, data, digest):
     path = tmp_path / "report.json"
     write_report(report, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+# sha256 of hamiltonian.csv and hamiltonian.json from `tables --what
+# hamiltonian` for the pinned report configs, at the default precision and
+# at 128 bits; they cover the exact and the symmetric columns
+PINNED_HAMILTONIAN_TABLES = [
+    (PINNED_REPORTS[0][0], None,
+     ("5d327ba6ac318d9ed5de4d33f2a12736a846ceaf8a60857481a2552ea7724d8a",
+      "c27f0256d6010976896b089314a1c13ede8c02003fdcfc93ef1dd0a4ca5e098b")),
+    (PINNED_REPORTS[0][0], 128,
+     ("d00cb77b365a797be072c625a92ee40345194631e8ad1ecf789fde143db4d513",
+      "b6c9898bd71501c500ac4a6957cb292d9731c370001c519a3393126579aa8edf")),
+    (PINNED_REPORTS[1][0], None,
+     ("1599c5011fc3f5d5731e27d52d49cd382d78a9c8d615ec140dd421639fec9cb0",
+      "664843ef5857824fdb78d21d63c98f48798c4fc96c56f39c5d2a76381197b570")),
+]
+
+
+@pytest.mark.parametrize("data,precision,digests", PINNED_HAMILTONIAN_TABLES,
+                         ids=["R", "R-128", "qR"])
+def test_hamiltonian_table_bytes_are_pinned(tmp_path, data, precision, digests):
+    cfg_path = _write(tmp_path, "cfg.json", data)
+    argv = ["tables", "--config", cfg_path, "--what", "hamiltonian", "--out", str(tmp_path)]
+    if precision is not None:
+        argv += ["--precision", str(precision)]
+    assert main(argv) == 0
+    got = tuple(
+        hashlib.sha256((tmp_path / f"hamiltonian.{ext}").read_bytes()).hexdigest()
+        for ext in ("csv", "json")
+    )
+    assert got == digests
+
+
+def test_exact_suites_do_no_float_work(monkeypatch):
+    """Without the shape and qlimit suites a run never enters a working
+    precision: the exact pipeline carries no floats."""
+    import mpmath
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("mpmath.workprec entered by an exact suite")
+
+    monkeypatch.setattr(mpmath, "workprec", refuse)
+    suites = ["base", "mi", "recurrence", "dual", "closure", "ladder", "commute"]
+    report, ok = run_suite(parse_config(dict(BASE_CFG, suites=suites)))
+    assert ok and set(report["suites"]) == set(suites)
 
 
 def test_corrupted_base_value_fails_ortho_and_duality(monkeypatch):

@@ -52,9 +52,9 @@ def vandermonde_closure(h):
 def matrix_poly(coeffs, h: SquareMatrix) -> SquareMatrix:
     """sum_k coeffs[k] * h^k by matrix Horner, exactly."""
     n = h.n
-    acc = SquareMatrix.identity(n).scale(rat(0))
+    acc = SquareMatrix.identity(n).scale_cols([rat(0)] * n)
     for c in reversed(list(coeffs)):
-        acc = acc @ h + SquareMatrix.identity(n).scale(rat(c))
+        acc = acc @ h + SquareMatrix.identity(n).scale_cols([rat(c)] * n)
     return acc
 
 
@@ -66,7 +66,7 @@ def commutator(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
 def _horner_residual(h, trip):
     """[h,[h,E]] - (E*R0(h) + [h,E]*R1(h) + Rm1(h)) by matrix Horner."""
     ht = h.h_tilde
-    ebar = SquareMatrix.diagonal(list(h.ebar))
+    ebar = SquareMatrix.identity(ht.n).scale_cols(h.ebar)
     inner = commutator(ht, ebar)
     rhs = (
         ebar @ matrix_poly(trip.R0.coeffs, ht)
@@ -83,17 +83,17 @@ def _spectral_ladder(h, trip):
     vinv = exact_inverse(h.V)
 
     def fn(values):
-        return h.V @ SquareMatrix.diagonal(values) @ vinv
+        return h.V @ SquareMatrix.identity(N + 1).scale_cols(values) @ vinv
 
     alpha_p = fn([X[n + 1] - X[n] for n in range(N + 1)])
     alpha_m = fn([X[n - 1] - X[n] for n in range(N + 1)])
     gap_inv = fn([1 / (X[n + 1] - X[n - 1]) for n in range(N + 1)])
     corr = fn([trip.Rm1(X[n]) / trip.R0(X[n]) for n in range(N + 1)])
-    ebar = SquareMatrix.diagonal(list(h.ebar))
+    ebar = SquareMatrix.identity(N + 1).scale_cols(h.ebar)
     inner = commutator(h.h_tilde, ebar)
     shifted = ebar + corr
     a_plus = (inner - shifted @ alpha_m) @ gap_inv
-    a_minus = ((inner - shifted @ alpha_p) @ gap_inv).scale(-1)
+    a_minus = ((inner - shifted @ alpha_p) @ gap_inv).scale_cols([-1] * (N + 1))
     return a_plus, a_minus
 
 

@@ -6,7 +6,6 @@ determinant, square and overdetermined solves)."""
 import math
 from itertools import permutations
 
-import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -201,7 +200,7 @@ def test_commutator_antisymmetric():
 
 
 def test_diagonal_and_identity():
-    d = SquareMatrix.diagonal([rat(1), rat(2)])
+    d = SquareMatrix.identity(2).scale_cols([rat(1), rat(2)])
     assert d[0, 0] == 1 and d[1, 1] == 2 and d[0, 1] == 0
     assert SquareMatrix.identity(3)[2, 2] == 1
 
@@ -257,21 +256,6 @@ def test_overdetermined_inconsistent_extra_row_raises():
     assert solve_overdetermined(rows, [rat(1), rat(2), rat(3)]) == [rat(1), rat(2)]
     with pytest.raises(SingularMatrix):
         solve_overdetermined(rows, [rat(1), rat(2), rat(4)])
-
-
-@settings(max_examples=30)
-@given(st.integers(1, 4), st.data())
-def test_real_product_is_bit_identical(n, data):
-    floats = st.floats(-1e6, 1e6, allow_nan=False)
-    with mpmath.workprec(200):
-        rows_a = [[mpmath.mpf(data.draw(floats)) / 3 for _ in range(n)] for _ in range(n)]
-        rows_b = [[mpmath.mpf(data.draw(floats)) / 7 for _ in range(n)] for _ in range(n)]
-        a = SquareMatrix(rows_a, kind="real", prec=200)
-        b = SquareMatrix(rows_b, kind="real", prec=200)
-        prod = a @ b
-        want = _naive_matmul(a, b)
-    assert prod.kind == "real" and prod.prec == 200
-    assert prod.rows == want
 
 
 @settings(max_examples=80)

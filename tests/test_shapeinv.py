@@ -4,13 +4,13 @@ import mpmath
 import pytest
 
 from dualracah.errors import CrossCheckMismatch, NegativePivot
-from dualracah.linalg import SquareMatrix
 from dualracah.params import QR, R
 from dualracah.shapeinv import (
     builtin_candidates,
     check_candidate,
     factor_upper,
     si_test,
+    symmetric_form,
 )
 from dualracah.errors import InadmissibleCandidate
 from conftest import Y_ONE, std_params
@@ -20,26 +20,23 @@ FAMILIES = (R, QR)
 
 def _real(rows, prec=128):
     with mpmath.workprec(prec):
-        return SquareMatrix(
-            [[mpmath.mpf(v) for v in row] for row in rows], kind="real", prec=prec
-        )
+        return [[mpmath.mpf(v) for v in row] for row in rows]
 
 
 def test_factor_upper_rank_one_oracle():
     # [[2,1],[1,1/2]] = A^T A with A = [[sqrt2, 1/sqrt2],[0,0]]
     h = _real([[2, 1], [1, "0.5"]])
-    uf = factor_upper(h)
+    a = factor_upper(h, 128)
     with mpmath.workprec(128):
-        assert abs(uf.A.rows[0][0] ** 2 - 2) < mpmath.mpf(10) ** -35
-        assert abs(uf.A.rows[0][0] * uf.A.rows[0][1] - 1) < mpmath.mpf(10) ** -35
-    assert uf.A.rows[1][0] == 0 and uf.A.rows[1][1] == 0
+        assert abs(a[0][0] ** 2 - 2) < mpmath.mpf(10) ** -35
+        assert abs(a[0][0] * a[0][1] - 1) < mpmath.mpf(10) ** -35
+    assert a[1][0] == 0 and a[1][1] == 0
 
 
 def test_factor_upper_full_rank_oracle():
     h = _real([[4, 2], [2, 2]])
-    uf = factor_upper(h)
+    a = factor_upper(h, 128)
     with mpmath.workprec(128):
-        a = uf.A.rows
         assert abs(a[0][0] - 2) < mpmath.mpf(10) ** -35
         assert abs(a[0][1] - 1) < mpmath.mpf(10) ** -35
         assert abs(a[1][1] - 1) < mpmath.mpf(10) ** -35
@@ -50,21 +47,21 @@ def test_factor_upper_reconstruction_check_fires():
     # disagrees with it cannot be reconstructed
     h = _real([[4, 2], [0, 2]])
     with pytest.raises(CrossCheckMismatch, match=r"A\^T\*A misses h_sym"):
-        factor_upper(h)
+        factor_upper(h, 128)
 
 
 def test_factor_upper_rejects_indefinite():
     h = _real([[1, 2], [2, 1]])  # eigenvalues 3, -1
     with pytest.raises(NegativePivot):
-        factor_upper(h)
+        factor_upper(h, 128)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_hamiltonian_factorization_reconstructs(family, pipe):
     h = pipe(family, 5, (1,)).hamiltonian(Y_ONE)
-    uf = factor_upper(h.h_sym)
+    a = factor_upper(symmetric_form(h, 256), 256)
     # zero ground level forces a zero last row
-    assert all(v == 0 for v in uf.A.rows[5])
+    assert all(v == 0 for v in a[5])
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -114,20 +111,26 @@ def test_extra_candidate_is_tested(pipe):
 
 
 def test_si_test_factors_each_hamiltonian_once(pipe, monkeypatch):
-    """One factorization of the pipeline's own Hamiltonian per call and one
-    per admissible candidate."""
+    """One symmetric form and one factorization of the pipeline's own
+    Hamiltonian per call, and one of each per admissible candidate."""
     from dualracah import shapeinv
 
-    factored = []
-    factor = shapeinv.factor_upper
+    formed, factored = [], []
+    form, factor = shapeinv.symmetric_form, shapeinv.factor_upper
 
-    def counted(h_sym):
+    def counted_form(h, precision):
+        formed.append(h)
+        return form(h, precision)
+
+    def counted_factor(h_sym, precision):
         factored.append(h_sym)
-        return factor(h_sym)
+        return factor(h_sym, precision)
 
-    monkeypatch.setattr(shapeinv, "factor_upper", counted)
+    monkeypatch.setattr(shapeinv, "symmetric_form", counted_form)
+    monkeypatch.setattr(shapeinv, "factor_upper", counted_factor)
     pl = pipe(R, 6, ())
     rep = si_test(pl, Y_ONE)
     admissible = [v for v in rep.verdicts if v.admissible]
     assert len(admissible) == 2 and len(factored) == 1 + len(admissible)
-    assert sum(h is pl.hamiltonian(Y_ONE).h_sym for h in factored) == 1
+    assert len({id(h) for h in formed}) == len(formed) == 1 + len(admissible)
+    assert sum(h is pl.hamiltonian(Y_ONE) for h in formed) == 1
