@@ -4,6 +4,13 @@ and the virtual-state objects obtained through the parameter twist.
 All functions are duck-typed over the scalar field: exact rationals give
 exact results, high-precision floats give the float path used by the
 q->1 limit checks.
+
+Base values P_n(y) are filled a column (all n at one y) at a time by
+``RacahColumns``: exact parameters by the three-term recurrence of
+``rec_coeffs``, float ones by the terminating q-sum with its factors shared
+across the table.  ``racah_value``, the sum for a single value, serves the
+virtual-state values at the twisted parameters (``xi_v``) and the base
+suite's spot row.
 """
 
 from __future__ import annotations
@@ -11,9 +18,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .backend import rat
-from .errors import IndexOutOfRange, NonPositiveWeight, ZeroDenominator
-from .params import R, ParamSet, ipow, twist
-from .poly import Poly
+from .errors import IndexOutOfRange, InadmissibleParams, NonPositiveWeight, ZeroDenominator
+from .params import R, ParamSet, eta, ipow, twist
 
 
 def poch(u, n: int):
@@ -136,23 +142,61 @@ def rec_coeffs(n: int, p: ParamSet):
     return A, -A - C, C
 
 
-@lru_cache(maxsize=None)
-def _racah_polys(p: ParamSet):
-    """All base polynomials P_0..P_N in eta, via the three-term recurrence."""
-    polys = [Poly.one()]
-    prev = Poly.zero()
-    for n in range(p.N):
-        A, B, C = rec_coeffs(n, p)
-        nxt = (Poly.x() * polys[n] - polys[n].scale(B) - prev.scale(C)).scale(1 / A)
-        prev = polys[n]
-        polys.append(nxt)
-    return tuple(polys)
+class RacahColumns:
+    """Base values P_0(y)..P_N(y) at one parameter set, filled one column
+    (one y, on or off the grid) at a time.
 
+    Exact parameters run the three-term recurrence in n,
+    P_{n+1} = ((eta(y) - B_n) P_n - C_n P_{n-1}) / A_n, with the coefficients
+    of ``rec_coeffs``: O(N) per column.  Float parameters (the q-family
+    tuples of the q->1 check) keep the terminating q-sum of ``racah_value``,
+    with its k, (n, k) and (y, k) factors each formed once and combined in
+    the sum's own operation order, so every value equals ``racah_value``'s
+    bit for bit.  The factors are rounded at the working precision in force
+    when the instance is made; use it only inside that precision.
+    """
 
-def racah_poly(n: int, p: ParamSet) -> Poly:
-    if not 0 <= n <= p.N:
-        raise IndexOutOfRange(f"n={n} outside 0..{p.N}")
-    return _racah_polys(p)[n]
+    def __init__(self, p: ParamSet):
+        self.p, N = p, p.N
+        if p.is_exact():
+            self._rec = [rec_coeffs(n, p) for n in range(N)]
+            return
+        if p.family == R:
+            raise InadmissibleParams("float base columns are filled for the q-family only")
+        q, dt = p.q, p.dtilde
+        self._qk = [p.a * 0 + 1]  # q^k, k < N, by repeated products as in the sum
+        while len(self._qk) < N:
+            self._qk.append(self._qk[-1] * q)
+        self._den = [
+            (1 - p.a * u) * (1 - p.b * u) * (1 - p.c * u) * (1 - u * q) for u in self._qk
+        ]
+        self._nk = []
+        for n in range(N + 1):
+            qmn, qn = ipow(q, -n), ipow(q, n)
+            self._nk.append([(1 - qmn * u) * (1 - dt * qn * u) for u in self._qk[:n]])
+
+    def column(self, y: int) -> tuple:
+        """(P_0(y), ..., P_N(y))."""
+        p = self.p
+        one = p.a * 0 + 1
+        if p.is_exact():
+            e = eta(y, p)
+            col, prev = [one], 0
+            for n, (A, B, C) in enumerate(self._rec):
+                col.append(((e - B) * col[n] - C * prev) / A)
+                prev = col[n]
+            return tuple(col)
+        q, d = p.q, p.d
+        qmx, qx = ipow(q, -y), ipow(q, y)
+        yk = [(1 - qmx * u, 1 - d * qx * u) for u in self._qk]
+        col = []
+        for nk in self._nk:
+            term = total = one
+            for k, f in enumerate(nk):
+                term = term * (f * yk[k][0] * yk[k][1]) / self._den[k] * q
+                total = total + term
+            col.append(total)
+        return tuple(col)
 
 
 def phi0_sq(x: int, p: ParamSet):

@@ -8,9 +8,9 @@ coefficient claim is certified during the build: a failure raises, under
 every interpreter flag.
 
 Only the last Casoratian column depends on the label n.  The virtual-state
-rows, the Pochhammer factors r_j(x), the Vandermonde products and the
-normalization C_D are evaluated once per (parameters, D) by a ``GridTable``
-that lives for one build.
+rows, the Pochhammer factors r_j(x), the base-value columns P_0(y)..P_N(y),
+the Vandermonde products and the normalization C_D are evaluated once per
+(parameters, D) by a ``GridTable`` that lives for one build.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .backend import rat
 from .basefamily import (
+    RacahColumns,
     alpha_const,
     c_n,
     ctilde_v,
@@ -31,7 +32,6 @@ from .basefamily import (
     poch,
     potential,
     qpoch,
-    racah_value,
     varphi,
     xi_v,
 )
@@ -120,10 +120,13 @@ class GridTable:
     """Grid values of the Casoratians at one (parameters, D), each
     n-independent piece evaluated once.
 
-    Entries are filled on first use and held only as long as the table, so
-    float values stay tied to the working precision they were made at.  The
-    determinants see the same rows in the same order as a per-entry
-    evaluation, so float results agree bit for bit.
+    Base values come a column P_0(y)..P_N(y) at a time from one
+    ``basefamily.RacahColumns`` (the three-term recurrence for exact
+    parameters; for float ones the q-sum, whose factors that object holds).
+    Entries and the column fill are made on first use and held only as long
+    as the table, so float values and factors stay tied to the working
+    precision they were made at.  The determinants see the same rows in the
+    same order as a per-entry evaluation, so float results agree bit for bit.
     """
 
     def __init__(self, D: Sequence[int], p: ParamSet):
@@ -138,6 +141,11 @@ class GridTable:
     def xi_row(self, y: int) -> list:
         """Virtual-state values xi_{d_k}(y), k = 1..M (do not mutate)."""
         return self._get(("xi", y), lambda: [xi_v(dk, y, self.p) for dk in self.D])
+
+    def base_column(self, y: int) -> tuple:
+        """Base values (P_0(y), ..., P_N(y))."""
+        fill = self._get("columns", lambda: RacahColumns(self.p))
+        return self._get(("P", y), lambda: fill.column(y))
 
     def varphi(self, x: int, M: int):
         return self._get(("varphi", x, M), lambda: varphi_m(x, M, self.p))
@@ -167,7 +175,7 @@ class GridTable:
         for j in range(1, M + 2):
             y = x + j - 1
             rj = self._get(("rj", j, x), lambda: rj_factor(j, x, M, p))
-            base = self._get(("P", n, y), lambda: racah_value(n, y, p))
+            base = self.base_column(y)[n]
             rows.append(self.xi_row(y) + [rj * base])
         return generic_det(rows) / (self.cdn(n) * self.varphi(x, M + 1))
 

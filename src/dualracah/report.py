@@ -21,6 +21,7 @@ from .backend import rat, rat_to_str, rat_from_str
 from .bigreal import DEFAULT_PRECISION, real_str
 from .errors import (
     ConfigError,
+    CrossCheckMismatch,
     DualRacahError,
     InadmissibleParams,
     SingularR0,
@@ -188,17 +189,29 @@ class _Timer:
 
 
 def _suite_base(cfg: RunConfig, pipe: Pipeline) -> dict:
+    """Orthogonality of the base table and its duality P_n(x) = P_x(n) at the
+    dual tuple.  Both sides are recurrence columns (in n at p, in x at the
+    dual); the top row n = N, which every recurrence step feeds, is checked
+    against the hypergeometric sum first."""
     p = pipe.params
     N = p.N
-    pd = p.dual()
     grid = range(N + 1)
-    P = [[basefamily.racah_value(n, x, p) for x in grid] for n in grid]
+    fill = basefamily.RacahColumns(p)
+    cols = [fill.column(x) for x in grid]
+    for x in grid:
+        if cols[x][N] != basefamily.racah_value(N, x, p):
+            raise CrossCheckMismatch(
+                f"base value P_{N}({x}) differs from the hypergeometric sum"
+            )
+    P = list(zip(*cols))
+    dual = basefamily.RacahColumns(p.dual())
     phi0 = [basefamily.phi0_sq(x, p) for x in grid]
     dn = [basefamily.dn_sq(n, p) for n in grid]
     fails = [["ortho", n, m] for n, m, _ in gram_residuals(P, phi0, [1 / v for v in dn])]
     for n in grid:
+        dual_col = dual.column(n)
         for x in grid:
-            if P[n][x] != basefamily.racah_value(x, n, pd):
+            if P[n][x] != dual_col[x]:
                 fails.append(["duality", n, x])
     return {"pass": not fails, "failures": fails}
 

@@ -1,19 +1,21 @@
 """Undeformed finite orthogonal families: values, duality, orthogonality."""
 
+import mpmath
 import pytest
 
 from dualracah.basefamily import (
+    RacahColumns,
     dn_sq,
     phi0_sq,
     potential,
-    racah_poly,
     racah_value,
     rec_coeffs,
     twisted,
     xi_v,
 )
-from dualracah.errors import NonPositiveWeight
-from dualracah.params import QR, R, energy, eta, make_params
+from dualracah.errors import InadmissibleParams, NonPositiveWeight
+from dualracah.params import QR, R, ParamSet, energy, eta, make_params
+from dualracah.qlimit import matched_q_params
 from dualracah.backend import rat
 from conftest import std_params
 
@@ -30,12 +32,30 @@ def test_normalization_at_origin(family):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_value_matches_polynomial(family):
-    p = std_params(family, 6)
-    for n in range(p.N + 1):
-        pol = racah_poly(n, p)
-        assert pol.degree == (n if n else None) or n == 0
-        for x in range(p.N + 1):
-            assert pol(eta(x, p)) == racah_value(n, x, p)
+    """The exact column fill (the three-term recurrence of the polynomials)
+    equals the hypergeometric sum, on and off the grid, at p and its dual."""
+    for N in (4, 7):
+        for p in (std_params(family, N), std_params(family, N).dual()):
+            fill = RacahColumns(p)
+            for y in range(N + 3):
+                assert fill.column(y) == tuple(racah_value(n, y, p) for n in range(N + 1))
+
+
+@pytest.mark.parametrize("precision", [53, 256])
+@pytest.mark.parametrize("k", [3, 6])
+def test_float_column_is_bit_identical(k, precision):
+    """The factored q-sum rounds every operation as racah_value does."""
+    p = matched_q_params(std_params(R, 6), k, precision)
+    with mpmath.workprec(precision):
+        fill = RacahColumns(p)
+        for y in range(p.N + 3):
+            assert fill.column(y) == tuple(racah_value(n, y, p) for n in range(p.N + 1))
+
+
+def test_float_additive_columns_rejected():
+    p = ParamSet(R, 4, *map(mpmath.mpf, (-4, 9, 0.5, 0.375)))
+    with pytest.raises(InadmissibleParams):
+        RacahColumns(p)
 
 
 @pytest.mark.parametrize("family", FAMILIES)

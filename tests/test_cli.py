@@ -307,9 +307,33 @@ def test_exact_suites_do_no_float_work(monkeypatch):
 
 
 def test_corrupted_base_value_fails_ortho_and_duality(monkeypatch):
-    """The base suite reads one filled table in both loops, so one wrong
-    P_n(x) shows up in the orthogonality sums and in the duality check."""
+    """The base suite reads one column fill of p in both loops, so one wrong
+    P_2(3) shows up in the orthogonality sums and in the duality check
+    against the columns of the dual tuple."""
+    from dualracah.basefamily import RacahColumns
+
+    cfg = parse_config(dict(BASE_CFG, suites=["base"]))
+    p = cfg.params()
+    orig = RacahColumns.column
+
+    def corrupted(self, y):
+        col = orig(self, y)
+        return col[:2] + (col[2] + 1,) + col[3:] if (self.p, y) == (p, 3) else col
+
+    monkeypatch.setattr(RacahColumns, "column", corrupted)
+    report, ok = run_suite(cfg)
+    fails = report["suites"]["base"]["failures"]
+    assert not ok
+    assert [f for f in fails if f[0] == "duality"] == [["duality", 2, 3]]
+    ortho = {tuple(f[1:]) for f in fails if f[0] == "ortho"}
+    assert {(0, 2), (2, 2), (2, 5)} <= ortho and all(2 in nm for nm in ortho)
+
+
+def test_corrupted_spot_row_raises(monkeypatch):
+    """One wrong hypergeometric value in the spot row n = N stops the base
+    suite: the recurrence columns no longer match the sum."""
     from dualracah import basefamily
+    from dualracah.errors import CrossCheckMismatch
 
     cfg = parse_config(dict(BASE_CFG, suites=["base"]))
     p = cfg.params()
@@ -317,15 +341,50 @@ def test_corrupted_base_value_fails_ortho_and_duality(monkeypatch):
 
     def corrupted(n, x, q):
         v = orig(n, x, q)
-        return v + 1 if (n, x, q) == (2, 3, p) else v
+        return v + 1 if (n, x, q) == (p.N, 3, p) else v
 
     monkeypatch.setattr(basefamily, "racah_value", corrupted)
+    with pytest.raises(CrossCheckMismatch, match=r"P_5\(3\) differs from the hypergeometric sum"):
+        run_suite(cfg)
+
+
+@pytest.mark.parametrize("family", ["R", "qR"])
+def test_exact_suites_sum_only_virtual_states_and_spot_row(family, monkeypatch):
+    """Over a run of every exact suite, the only single-value hypergeometric
+    sums are the virtual-state values (``xi_v``, at twisted parameters) and
+    the base suite's spot row n = N; every other base value comes from a
+    column fill."""
+    import sys
+    from collections import Counter
+
+    from dualracah import basefamily
+
+    orig_value, orig_xi = basefamily.racah_value, basefamily.xi_v
+    calls, virtual = Counter(), Counter()
+
+    def counted_value(n, x, p):
+        calls[(n, x, p)] += 1
+        return orig_value(n, x, p)
+
+    def counted_xi(v, x, p):
+        virtual[(v, x, basefamily.twisted(p))] += 1
+        return orig_xi(v, x, p)
+
+    # every module-level binding, so an import by name cannot hide a call
+    wrap = {"racah_value": (orig_value, counted_value), "xi_v": (orig_xi, counted_xi)}
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("dualracah"):
+            for name, (fn, counted) in wrap.items():
+                if getattr(mod, name, None) is fn:
+                    monkeypatch.setattr(mod, name, counted)
+    data = dict(BASE_CFG, suites=[s for s in SUITES if s != "qlimit"])
+    if family == "qR":
+        data.update(family="qR", b="1/2048", q="1/2")
+    cfg = parse_config(data)
     report, ok = run_suite(cfg)
-    fails = report["suites"]["base"]["failures"]
-    assert not ok
-    assert [f for f in fails if f[0] == "duality"] == [["duality", 2, 3]]
-    ortho = {tuple(f[1:]) for f in fails if f[0] == "ortho"}
-    assert {(0, 2), (2, 2), (2, 5)} <= ortho and all(2 in nm for nm in ortho)
+    p = cfg.params()
+    assert ok and virtual
+    assert calls == virtual + Counter((p.N, x, p) for x in range(p.N + 1))
 
 
 def test_run_builds_each_system_once(monkeypatch):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from dualracah import multiindexed
+from dualracah import basefamily, multiindexed
 from dualracah.backend import rat
 from dualracah.basefamily import racah_value, rec_coeffs
 from dualracah.errors import CrossCheckMismatch, IndexOutOfRange, InadmissibleParams, ZeroEntry
@@ -230,6 +230,21 @@ def test_corrupted_table_entry_raises(fault):
         with pytest.raises(CrossCheckMismatch, match=FAULTS[fault][2]):
             build_mi_system(p, D)
     build_mi_system(p, D)  # the patch is gone again
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_perturbed_recurrence_coefficient_raises(family, monkeypatch):
+    """A wrong B_5 keeps the degree and the leading coefficient of every
+    base column but breaks P_6(0) = 1, which the build certifies."""
+    p = std_params(family, 8)
+
+    def perturbed(n, q):
+        A, B, C = rec_coeffs(n, q)
+        return (A, B + rat(1, 7), C) if (n, q) == (5, p) else (A, B, C)
+
+    monkeypatch.setattr(basefamily, "rec_coeffs", perturbed)
+    with pytest.raises(CrossCheckMismatch, match=r"deformed polynomial n=6 is .* at x=0, not 1"):
+        build_mi_system(p, (1, 2))
 
 
 def test_build_certifications_survive_python_O():

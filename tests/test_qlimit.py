@@ -7,7 +7,7 @@ from dualracah.backend import rat
 from dualracah.errors import InadmissibleParams
 from dualracah.multiindexed import build_mi_system
 from dualracah.params import QR, R, make_params
-from dualracah.qlimit import float_tables, matched_q_params, qlimit_check
+from dualracah.qlimit import LADDER_KS, float_tables, matched_q_params, qlimit_check
 from conftest import per_entry_pdn, std_params
 
 
@@ -66,3 +66,19 @@ def test_float_tables_equal_per_entry_route(D):
             for x in range(5):
                 assert pdn[n][x] == per_entry_pdn(n, x, D, pq)
                 assert qvals[x][n] == pdn[n][x] / pdn[0][x]
+
+
+def test_float_columns_stay_at_their_precision(pipe):
+    """qlimit_check at 53, 256 and again 53 bits in one process; after each,
+    the float tables of every ladder step equal the per-entry racah_value
+    route at that precision: the q-sum factors of one table never reach
+    another table or precision."""
+    s = pipe(R, 5, (1,)).system()
+    D = s.D
+    for prec in (53, 256, 53):
+        qlimit_check(s, prec)
+        for k in LADDER_KS:
+            pq = matched_q_params(s.params, k, prec)
+            pdn, _ = float_tables(pq, D, prec)
+            with mpmath.workprec(prec):
+                assert pdn == [[per_entry_pdn(n, x, D, pq) for x in range(6)] for n in range(6)]
