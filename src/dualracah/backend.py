@@ -63,19 +63,48 @@ def is_rational(x) -> bool:
     return BACKEND == "gmpy2" and isinstance(x, type(ZERO))
 
 
+def _int_from_str(s: str) -> int:
+    """int(s) for a decimal string of any length: a string past the
+    interpreter's int<->str digit limit is split and joined by a power of 10."""
+    try:
+        return int(s)
+    except ValueError:
+        body = s.strip()
+        sign = -1 if body[:1] == "-" else 1
+        if body[:1] in ("+", "-"):
+            body = body[1:]
+        if len(body) < 2 or not (body.isascii() and body.isdigit()):
+            raise
+    k = len(body) // 2
+    return sign * (_int_from_str(body[:-k]) * 10 ** k + _int_from_str(body[-k:]))
+
+
+def _int_to_str(n) -> str:
+    """str(n) for an integer of any size: one past the interpreter's
+    int<->str digit limit is split by a power of 10 into two halves."""
+    try:
+        return str(n)
+    except ValueError:
+        if n < 0:
+            return "-" + _int_to_str(-n)
+    k = int(n.bit_length() * 0.30103) // 2  # about half the decimal digits
+    high, low = divmod(n, 10 ** k)
+    return _int_to_str(high) + _int_to_str(low).zfill(k)
+
+
 def rat_from_str(s: str):
     """Parse the canonical "p/q" (or plain "p") serialization."""
     s = s.strip()
     if "/" in s:
         p_str, q_str = s.split("/", 1)
-        p, q = int(p_str), int(q_str)
+        p, q = _int_from_str(p_str), _int_from_str(q_str)
         if q == 0:
             raise ZeroDivisionError(f"zero denominator in {s!r}")
         return rat(p, q)
-    return rat(int(s))
+    return rat(_int_from_str(s))
 
 
 def rat_to_str(x) -> str:
     """Canonical "p/q" serialization with the sign on the numerator."""
     x = rat(x)
-    return f"{x.numerator}/{x.denominator}"
+    return f"{_int_to_str(x.numerator)}/{_int_to_str(x.denominator)}"

@@ -215,39 +215,51 @@ def phi0_sq(x: int, p: ParamSet):
     return v
 
 
-def dn_sq(n: int, p: ParamSet):
+def dn_sq_table(p: ParamSet) -> tuple:
+    """(d_0^2, ..., d_N^2), the squared norms: an n-dependent ratio times a
+    factor that depends on the tuple only, formed once for the table."""
     a, b, c, d, N = p.a, p.b, p.c, p.d, p.N
     dt = p.dtilde
     if p.family == R:
-        v = (
-            multi_poch((a, b, c, dt), n)
-            / multi_poch((dt - a + 1, dt - b + 1, dt - c + 1, rat(1)), n)
-            * (2 * n + dt)
-            / dt
-        )
-        v = v * (
+
+        def ratio(n):
+            return (
+                multi_poch((a, b, c, dt), n)
+                / multi_poch((dt - a + 1, dt - b + 1, dt - c + 1, rat(1)), n)
+                * (2 * n + dt)
+                / dt
+            )
+
+        factor = (
             (-1) ** N
             * multi_poch((d - a + 1, d - b + 1, d - c + 1), N)
             / (poch(dt + 1, N) * poch(d + 1, 2 * N))
         )
     else:
         q = p.q
-        v = (
-            multi_qpoch((a, b, c, dt), n, q)
-            / (multi_qpoch((dt * q / a, dt * q / b, dt * q / c, q), n, q) * ipow(d, n))
-            * (1 - dt * ipow(q, 2 * n))
-            / (1 - dt)
-        )
-        v = v * (
+
+        def ratio(n):
+            return (
+                multi_qpoch((a, b, c, dt), n, q)
+                / (multi_qpoch((dt * q / a, dt * q / b, dt * q / c, q), n, q) * ipow(d, n))
+                * (1 - dt * ipow(q, 2 * n))
+                / (1 - dt)
+            )
+
+        factor = (
             (-1) ** N
             * multi_qpoch((d * q / a, d * q / b, d * q / c), N, q)
             * ipow(dt, N)
             * ipow(q, N * (N + 1) // 2)
             / (qpoch(dt * q, N, q) * qpoch(d * q, 2 * N, q))
         )
-    if p.is_exact() and not v > 0:
-        raise NonPositiveWeight(f"d_{n}^2 = {v}")
-    return v
+    table = []
+    for n in range(N + 1):
+        v = ratio(n) * factor
+        if p.is_exact() and not v > 0:
+            raise NonPositiveWeight(f"d_{n}^2 = {v}")
+        table.append(v)
+    return tuple(table)
 
 
 def xi_v(v: int, x: int, p: ParamSet):

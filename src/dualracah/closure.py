@@ -1,30 +1,43 @@
-"""Closure relation and ladder operators, worked in the dual eigenbasis.
+"""Closure relation and ladder operators, checked as tridiagonal identities
+in the dual eigenbasis.
 
 The three closure polynomials are the interpolants of degree <= N through
 node data built from the X grid, by the library's one interpolation
 (``poly.interpolate``, Newton divided differences); each node value is
-then checked exactly.  The dual polynomials are the eigenvectors of the
-Hamiltonian, h_tilde*V = V*diag(X), and dual orthogonality gives the inverse
-in closed form, V^(-1) = diag(ground_weight)*V^T*diag(dDn_sq).  So every
-polynomial in h_tilde is a diagonal scaling in that basis: the
-double-commutator identity is checked as an exact matrix equation after
-multiplying it by V (two dense products), each ladder operator is
-assembled with one product by V^(-1) (the square roots hidden in the
-half-difference functions are rational on the spectrum), and each ladder
-action is checked on all eigenvectors at once with one product by V.  Both
-facts the route rests on are certified exactly before use, h_tilde*V =
-V*diag(X) and V*V^(-1) = I; either mismatch raises CrossCheckMismatch.
+then checked exactly.
+
+The columns of V are the dual polynomials on the grid.  Three facts are
+certified exactly, once per Hamiltonian, before anything rests on them:
+h_tilde*V = V*diag(X); diag(Ebar)*V = V*T on every entry, the dual
+three-term recurrence with T the dual Jacobi matrix (T[n+1][n] = a_dual[n],
+T[n][n] = b_dual[n], T[n-1][n] = c_dual[n]); and X strictly increasing.
+Row 0 of V is nonzero, so no column vanishes; with distinct eigenvalues V
+is invertible.  Every operator built from h_tilde and diag(Ebar) then acts
+on V as V times a tridiagonal matrix, and an identity between two such
+operators holds iff the two tridiagonal matrices agree, entry for entry:
+
+* closure: (LHS - RHS)*V = V*M, M tridiagonal in T, X and the closure
+  polynomials on the spectrum, so the identity is 3(N+1) scalar
+  identities;
+* ladder: a+*V and a-*V are V times tridiagonal matrices whose columns
+  must be a_dual[n]*e_(n+1) and c_dual[n]*e_(n-1).
+
+A passing run takes no dense product beyond the shared h_tilde*V.  A
+failing closure residual is mapped back to LHS - RHS = V*M*V^(-1), and
+``build_ladder`` returns the explicit operator matrices, both with the
+closed-form inverse from dual orthogonality,
+V^(-1) = diag(ground_weight)*V^T*diag(dDn_sq), certified V*V^(-1) = I.
+Every mismatch raises CrossCheckMismatch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 from .backend import rat
 from .dualsystem import DualHamiltonian
 from .errors import CrossCheckMismatch, SingularR0
-from .linalg import SquareMatrix
+from .linalg import SquareMatrix, _cleared_int_rows
 from .poly import Poly, interpolate
 
 
@@ -49,10 +62,10 @@ def solve_closure(h: DualHamiltonian) -> ClosureTriple:
     betam1 = [-b0 * b_dual[j] for j, b0 in enumerate(beta0)]
     r0, r1, rm1 = (interpolate(nodes, beta) for beta in (beta0, beta1, betam1))
 
-    for j, z in enumerate(nodes):
-        if not (r0(z) == beta0[j] and r1(z) == beta1[j] and rm1(z) == betam1[j]):
+    for j, (v0, v1, vm1) in enumerate(zip(r0.values(nodes), r1.values(nodes), rm1.values(nodes))):
+        if not (v0 == beta0[j] and v1 == beta1[j] and vm1 == betam1[j]):
             raise CrossCheckMismatch(f"closure polynomials miss their node data at j={j}")
-        if r1(z) ** 2 + 4 * r0(z) != (X[j + 1] - X[j - 1]) ** 2:
+        if v1 ** 2 + 4 * v0 != (X[j + 1] - X[j - 1]) ** 2:
             raise CrossCheckMismatch(f"R1^2 + 4*R0 is not the squared node gap at j={j}")
 
     return ClosureTriple(R0=r0, R1=r1, Rm1=rm1, r0_vanishes_at_zero=(r0(rat(0)) == 0))
@@ -69,40 +82,89 @@ def eigen_inverse(h: DualHamiltonian) -> SquareMatrix:
     return h.cache["vinv"]
 
 
-def _eigen_products(h: DualHamiltonian) -> Tuple[SquareMatrix, SquareMatrix]:
-    """(W, h_tilde*W) with W = diag(ebar)*V, once h_tilde*V = V*diag(X) is
-    certified; cached on h."""
-    if "hW" not in h.cache:
-        if not (h.hv() - h.V.scale_cols(h.energies)).is_zero():
-            raise CrossCheckMismatch("h_tilde*V differs from V*diag(X)")
-        w = h.V.scale_rows(h.ebar)
-        h.cache["hW"] = (w, h.h_tilde @ w)
-    return h.cache["hW"]
+# A tridiagonal matrix B is held as its columns (B[n-1][n], B[n][n],
+# B[n+1][n]); the two entries that fall outside the matrix are zero.
+
+
+def _clip(cols: list) -> list:
+    """Zero the entries of the first and last column outside the matrix."""
+    cols[0] = (0,) + tuple(cols[0][1:])
+    cols[-1] = tuple(cols[-1][:2]) + (0,)
+    return cols
+
+
+def _jacobi(h: DualHamiltonian) -> list:
+    """The dual Jacobi matrix T."""
+    d = h.dual
+    return _clip(list(zip(d.c_dual, d.b_dual, d.a_dual)))
+
+
+def _v_times(v: SquareMatrix, cols: list) -> SquareMatrix:
+    """V*B for B tridiagonal: three terms per entry, no dense product."""
+    last = v.n - 1
+    return SquareMatrix([
+        [
+            (row[n - 1] * lo if n else 0) + row[n] * mid + (row[n + 1] * hi if n < last else 0)
+            for n, (lo, mid, hi) in enumerate(cols)
+        ]
+        for row in v.rows
+    ])
+
+
+def _certify_eigenbasis(h: DualHamiltonian) -> None:
+    """h_tilde*V = V*diag(X), X strictly increasing, diag(Ebar)*V = V*T and
+    no zero in row 0 of V, so V is an invertible eigenbasis; once per h."""
+    if "eigenbasis" in h.cache:
+        return
+    if not h.eigen_residual().is_zero():
+        raise CrossCheckMismatch("h_tilde*V differs from V*diag(X)")
+    X = h.energies
+    for n in range(len(X) - 1):
+        if not X[n] < X[n + 1]:
+            raise CrossCheckMismatch(f"eigenvalues X are not strictly increasing at n={n}")
+    # row x of V and column n of T cleared to integers by their lcms
+    v_rows, _ = _cleared_int_rows(h.V.rows)
+    t_cols, t_dens = _cleared_int_rows(_jacobi(h))
+    last = h.V.n - 1
+    for x, (v, e) in enumerate(zip(v_rows, h.ebar)):
+        num, den = int(e.numerator), int(e.denominator)
+        for n, ((lo, mid, hi), t_den) in enumerate(zip(t_cols, t_dens)):
+            vt = (v[n - 1] * lo if n else 0) + v[n] * mid + (v[n + 1] * hi if n < last else 0)
+            if vt * den != v[n] * num * t_den:
+                raise CrossCheckMismatch(f"diag(Ebar)*V differs from V*T at (x,n)=({x},{n})")
+    if any(v == 0 for v in h.V.rows[0]):
+        raise CrossCheckMismatch("row 0 of V has a zero: an eigenvector column may vanish")
+    h.cache["eigenbasis"] = True
 
 
 def verify_closure(h: DualHamiltonian, c: ClosureTriple) -> SquareMatrix:
-    """Exact residual of the double-commutator identity (zero matrix = pass).
+    """Exact residual LHS - RHS of the double-commutator identity (zero
+    matrix = pass).
 
-    With W = diag(ebar)*V, hW = h_tilde*W and h_tilde*V = V*diag(X), every
-    R(h_tilde)*V is V*diag(R(X)), so
+    In the certified eigenbasis (LHS - RHS)*V = V*M, with M tridiagonal:
 
-        (LHS - RHS)*V = h_tilde*hW - hW*diag(2X + R1(X))
-                        + W*diag(X^2 - R0(X) + X*R1(X)) - V*diag(Rm1(X)).
+        M[m][n] = T[m][n]*((X_m - X_n)^2 - (X_m - X_n)*R1(X_n) - R0(X_n)), m = n+-1,
+        M[n][n] = -b_dual[n]*R0(X_n) - Rm1(X_n).
 
-    A non-zero result is mapped back by V^(-1), giving LHS - RHS itself.
+    The triple's own polynomials are evaluated once on the spectrum.  A
+    nonzero M is mapped back to LHS - RHS = V*M*V^(-1).
     """
+    _certify_eigenbasis(h)
     X = h.energies
-    vinv = eigen_inverse(h)
-    w, hw = _eigen_products(h)
-    r0 = [c.R0(x) for x in X]
-    r1 = [c.R1(x) for x in X]
-    diff = (
-        h.h_tilde @ hw
-        - hw.scale_cols([2 * x + b for x, b in zip(X, r1)])
-        + w.scale_cols([x * x - a + x * b for x, a, b in zip(X, r0, r1)])
-        - h.V.scale_cols([c.Rm1(x) for x in X])
-    )
-    return diff if diff.is_zero() else diff @ vinv
+    last = len(X) - 1
+    cols = []
+    spectrum = zip(_jacobi(h), X, c.R0.values(X), c.R1.values(X), c.Rm1.values(X))
+    for n, ((lo, mid, hi), x, r0, r1, rm1) in enumerate(spectrum):
+        lo_gap = X[n - 1] - x if n else 0
+        hi_gap = X[n + 1] - x if n < last else 0
+        cols.append((
+            lo * (lo_gap * lo_gap - lo_gap * r1 - r0),
+            -mid * r0 - rm1,
+            hi * (hi_gap * hi_gap - hi_gap * r1 - r0),
+        ))
+    if all(v == 0 for col in cols for v in col):
+        return SquareMatrix([[0] * (last + 1)] * (last + 1))
+    return _v_times(h.V, cols) @ eigen_inverse(h)
 
 
 @dataclass
@@ -111,53 +173,72 @@ class LadderPair:
     a_minus: SquareMatrix
 
 
-def build_ladder(h: DualHamiltonian, c: ClosureTriple) -> LadderPair:
-    N = h.h_tilde.n - 1
-    X = h.x_grid
-    r0_vals = [c.R0(X[n]) for n in range(N + 1)]
+def _ladder_corr(h: DualHamiltonian, c: ClosureTriple) -> list:
+    """corr = Rm1/R0 on the spectrum; -corr must reproduce b_dual."""
+    X = [h.x_grid[n] for n in range(len(h.energies))]
+    r0_vals = c.R0.values(X)
     if any(v == 0 for v in r0_vals):
         raise SingularR0("R0 vanishes on the spectrum (degenerate seed with Y(0)=0)")
-
-    # -Rm1/R0 on the spectrum must reproduce the middle dual coefficient
-    corr = [c.Rm1(X[n]) / r0_vals[n] for n in range(N + 1)]
-    for n in range(N + 1):
-        if -corr[n] != h.dual.b_dual[n]:
+    corr = [rm1 / r0 for rm1, r0 in zip(c.Rm1.values(X), r0_vals)]
+    for n, b in enumerate(h.dual.b_dual):
+        if -corr[n] != b:
             raise CrossCheckMismatch(f"-Rm1/R0 differs from dual coefficient at n={n}")
+    return corr
 
+
+def _ladder_columns(h: DualHamiltonian, corr: list, step: int, sign: int) -> list:
+    """The tridiagonal B with a*V = V*B for one ladder operator.
+
+    a = ([h,Ebar] - (Ebar + corr(h))*alpha(h)) * sign*gap_inv(h), with
+    alpha(n) = X[n+step] - X[n] and gap(n) = X[n+1] - X[n-1].  Since
+    [h,Ebar]*V = V*(diag(X)*T - T*diag(X)), column n of B is
+    (T[m][n]*(X_m - X[n+step]) - [m=n]*corr_n*alpha_n) * sign/gap_n.
+    """
+    X, E = h.x_grid, h.energies
+    last = len(E) - 1
+    cols = []
+    for n, (lo, mid, hi) in enumerate(_jacobi(h)):
+        shifted = X[n + step]
+        g = sign / (X[n + 1] - X[n - 1])
+        cols.append((
+            lo * (E[n - 1] - shifted) * g if n else 0,
+            (mid * (E[n] - shifted) - corr[n] * (shifted - X[n])) * g,
+            hi * (E[n + 1] - shifted) * g if n < last else 0,
+        ))
+    return cols
+
+
+def build_ladder(h: DualHamiltonian, c: ClosureTriple) -> LadderPair:
+    """The creation and annihilation operators as explicit matrices,
+    a = V*B*V^(-1) with B from ``_ladder_columns``."""
+    corr = _ladder_corr(h, c)
     vinv = eigen_inverse(h)
-    w, hw = _eigen_products(h)
-
-    def ladder(step: int, sign: int) -> SquareMatrix:
-        # ([h,Ebar] - (Ebar + corr(h))*alpha(h)) * sign*gap_inv(h), with
-        # alpha(n) = X[n+step] - X[n]; times V this is
-        # [hW - W*diag(X[n+step]) - V*diag(corr*alpha)] * diag(sign*gap_inv)
-        alpha = [X[n + step] - X[n] for n in range(N + 1)]
-        bracket = (
-            hw
-            - w.scale_cols([X[n + step] for n in range(N + 1)])
-            - h.V.scale_cols([k * a for k, a in zip(corr, alpha)])
-        )
-        gap_inv = [sign / (X[n + 1] - X[n - 1]) for n in range(N + 1)]
-        return bracket.scale_cols(gap_inv) @ vinv
-
-    return LadderPair(a_plus=ladder(-1, 1), a_minus=ladder(1, -1))
+    _certify_eigenbasis(h)
+    return LadderPair(
+        a_plus=_v_times(h.V, _ladder_columns(h, corr, -1, 1)) @ vinv,
+        a_minus=_v_times(h.V, _ladder_columns(h, corr, 1, -1)) @ vinv,
+    )
 
 
-def verify_ladder(h: DualHamiltonian, lp: LadderPair) -> list:
-    """Exact residuals of both ladder actions on every eigenvector column.
+def verify_ladder(h: DualHamiltonian, c: ClosureTriple) -> list:
+    """Exact check of both ladder actions on every eigenvector column.
 
     Column n of a+*V must be a_dual[n] times column n+1 of V, and column n
     of a-*V must be c_dual[n] times column n-1; each is zero at the edge.
+    With a*V = V*B and V invertible, that is column n of B against
+    a_dual[n]*e_(n+1) (plus) or c_dual[n]*e_(n-1) (minus).  Returns the
+    failing ("plus", n) / ("minus", n) in column order; empty = pass.
     """
-    N = h.h_tilde.n - 1
-    up, down = lp.a_plus @ h.V, lp.a_minus @ h.V
-    zero = [0] * (N + 1)
-    failures = []
-    for n in range(N + 1):
-        expect_up = [h.dual.a_dual[n] * v for v in h.V.column(n + 1)] if n < N else zero
-        if up.column(n) != expect_up:
-            failures.append(("plus", n))
-        expect_dn = [h.dual.c_dual[n] * v for v in h.V.column(n - 1)] if n > 0 else zero
-        if down.column(n) != expect_dn:
-            failures.append(("minus", n))
-    return failures
+    corr = _ladder_corr(h, c)
+    _certify_eigenbasis(h)
+    d = h.dual
+    actions = (
+        ("plus", _ladder_columns(h, corr, -1, 1), _clip([(0, 0, a) for a in d.a_dual])),
+        ("minus", _ladder_columns(h, corr, 1, -1), _clip([(cd, 0, 0) for cd in d.c_dual])),
+    )
+    return [
+        (name, n)
+        for n in range(len(d.b_dual))
+        for name, got, expect in actions
+        if got[n] != expect[n]
+    ]

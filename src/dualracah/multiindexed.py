@@ -24,7 +24,7 @@ from .basefamily import (
     alpha_const,
     c_n,
     ctilde_v,
-    dn_sq,
+    dn_sq_table,
     etilde_v,
     multi_poch,
     multi_qpoch,
@@ -331,7 +331,7 @@ def build_mi_system(p: ParamSet, D: Sequence[int]) -> MISystem:
             )
 
     dtn = [tab.dtn(n) for n in range(N + 1)]
-    dDn = [dn_sq(n, p) * t for n, t in zip(range(N + 1), dtn)]
+    dDn = [v * t for v, t in zip(dn_sq_table(p), dtn)]
     p_tilde = shift(p, M, "tilde")
     weights = []
     for x in range(N + 1):

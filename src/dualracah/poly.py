@@ -81,26 +81,36 @@ class Poly:
         return Poly([c * a for a in self.coeffs])
 
     def __call__(self, point):
-        """Horner evaluation; exact for rational arguments.
+        """Horner evaluation; exact for rational arguments (see ``values``)."""
+        return self.values([point])[0]
 
-        At a rational point a/b the coefficients are cleared to one
+    def values(self, points) -> list:
+        """The values at each point, by Horner.
+
+        At rational points a/b the coefficients are cleared once to one
         denominator D and Horner runs on integers, homogenized in b:
         p(a/b) = (sum_k D*c_k * a^k * b^(deg-k)) / (D * b^deg).
         """
-        if not is_rational(point):
-            acc = rat(0)
-            for c in reversed(self.coeffs):
-                acc = acc * point + c
-            return acc
+        if not all(is_rational(z) for z in points):
+            out = []
+            for z in points:
+                acc = rat(0)
+                for c in reversed(self.coeffs):
+                    acc = acc * z + c
+                out.append(acc)
+            return out
         if not self.coeffs:
-            return rat(0)
-        a, b = int(point.numerator), int(point.denominator)
+            return [rat(0)] * len(points)
         (nums,), (den,) = _cleared_int_rows([self.coeffs])
-        acc, bpow = nums[-1], 1
-        for c in reversed(nums[:-1]):
-            bpow *= b
-            acc = acc * a + c * bpow
-        return rat(acc, den * bpow)
+        out = []
+        for z in points:
+            a, b = int(z.numerator), int(z.denominator)
+            acc, bpow = nums[-1], 1
+            for c in reversed(nums[:-1]):
+                bpow *= b
+                acc = acc * a + c * bpow
+            out.append(rat(acc, den * bpow))
+        return out
 
     def __repr__(self) -> str:
         if self.is_zero():

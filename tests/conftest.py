@@ -12,10 +12,10 @@ import pytest
 
 from dualracah import multiindexed
 from dualracah.backend import rat
-from dualracah.basefamily import racah_value, xi_v
-from dualracah.errors import SingularMatrix
+from dualracah.basefamily import multi_poch, multi_qpoch, poch, qpoch, racah_value, xi_v
+from dualracah.errors import NonPositiveWeight, SingularMatrix
 from dualracah.linalg import _cleared_int_rows, generic_det
-from dualracah.params import QR, R, make_params
+from dualracah.params import QR, R, ipow, make_params
 from dualracah.pipeline import Pipeline
 from dualracah.poly import Poly
 
@@ -30,6 +30,43 @@ def std_params(family: str, N: int):
         return make_params(R, N, b=N + 5, c=rat(1, 2), d=rat(2, 5))
     q = rat(1, 2)
     return make_params(QR, N, b=q ** (N + 5), c=rat(1, 2), d=rat(2, 5), q=q)
+
+
+def dn_sq(n: int, p):
+    """Squared norm d_n^2 of one n, its n-independent factor formed afresh
+    (the route ``basefamily.dn_sq_table`` replaced, kept as an oracle)."""
+    a, b, c, d, N = p.a, p.b, p.c, p.d, p.N
+    dt = p.dtilde
+    if p.family == R:
+        v = (
+            multi_poch((a, b, c, dt), n)
+            / multi_poch((dt - a + 1, dt - b + 1, dt - c + 1, rat(1)), n)
+            * (2 * n + dt)
+            / dt
+        )
+        v = v * (
+            (-1) ** N
+            * multi_poch((d - a + 1, d - b + 1, d - c + 1), N)
+            / (poch(dt + 1, N) * poch(d + 1, 2 * N))
+        )
+    else:
+        q = p.q
+        v = (
+            multi_qpoch((a, b, c, dt), n, q)
+            / (multi_qpoch((dt * q / a, dt * q / b, dt * q / c, q), n, q) * ipow(d, n))
+            * (1 - dt * ipow(q, 2 * n))
+            / (1 - dt)
+        )
+        v = v * (
+            (-1) ** N
+            * multi_qpoch((d * q / a, d * q / b, d * q / c), N, q)
+            * ipow(dt, N)
+            * ipow(q, N * (N + 1) // 2)
+            / (qpoch(dt * q, N, q) * qpoch(d * q, 2 * N, q))
+        )
+    if p.is_exact() and not v > 0:
+        raise NonPositiveWeight(f"d_{n}^2 = {v}")
+    return v
 
 
 def per_entry_xi(x, D, p):

@@ -37,6 +37,22 @@ def test_zero_denominator_rejected():
         rat_from_str("3/0")
 
 
+def test_round_trip_past_the_digit_limit():
+    """Values longer than the interpreter's 4300-digit int<->str limit
+    serialize and parse, and the limit itself is left as it was."""
+    limit = sys.get_int_max_str_digits()
+    repunit = (10 ** 5000 - 1) // 9  # 5000 ones
+    x = rat(-repunit, 10 ** 5999 + 3)
+    text = "-" + "1" * 5000 + "/1" + "0" * 5998 + "3"
+    assert rat_to_str(x) == text
+    assert rat_from_str(text) == x
+    assert rat_from_str(" +" + "1" * 5000 + " ") == repunit
+    assert rat_from_str(rat_to_str(x ** 3)) == x ** 3
+    assert sys.get_int_max_str_digits() == limit
+    with pytest.raises(ValueError):
+        rat_from_str("1" * 5000 + "x")
+
+
 @given(st.integers(-10**12, 10**12), st.integers(1, 10**12))
 def test_serialization_round_trip(p, q):
     x = rat(p, q)

@@ -5,7 +5,7 @@ import pytest
 
 from dualracah.basefamily import (
     RacahColumns,
-    dn_sq,
+    dn_sq_table,
     phi0_sq,
     potential,
     racah_value,
@@ -17,7 +17,7 @@ from dualracah.errors import InadmissibleParams, NonPositiveWeight
 from dualracah.params import QR, R, ParamSet, energy, eta, make_params
 from dualracah.qlimit import matched_q_params
 from dualracah.backend import rat
-from conftest import std_params
+from conftest import dn_sq, std_params
 
 FAMILIES = (R, QR)
 
@@ -52,6 +52,27 @@ def test_float_column_is_bit_identical(k, precision):
             assert fill.column(y) == tuple(racah_value(n, y, p) for n in range(p.N + 1))
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("N", [1, 6, 11])
+def test_norm_table_matches_per_n_oracle(family, N):
+    p = std_params(family, N)
+    assert dn_sq_table(p) == tuple(dn_sq(n, p) for n in range(N + 1))
+
+
+@pytest.mark.parametrize("precision", [53, 256])
+def test_float_norm_table_is_bit_identical(precision):
+    """The factor formed once rounds as the per-n expression does."""
+    p = matched_q_params(std_params(R, 6), 3, precision)
+    with mpmath.workprec(precision):
+        assert dn_sq_table(p) == tuple(dn_sq(n, p) for n in range(p.N + 1))
+
+
+def test_nonpositive_norm_detected():
+    p = make_params(R, 4, b=9, c=4, d=rat(2, 5))
+    with pytest.raises(NonPositiveWeight, match=r"d_\d\^2"):
+        dn_sq_table(p)
+
+
 def test_float_additive_columns_rejected():
     p = ParamSet(R, 4, *map(mpmath.mpf, (-4, 9, 0.5, 0.375)))
     with pytest.raises(InadmissibleParams):
@@ -71,9 +92,10 @@ def test_duality(family):
 def test_orthogonality(family):
     p = std_params(family, 5)
     N = p.N
+    norms = dn_sq_table(p)
     for n in range(N + 1):
         for m in range(n, N + 1):
-            total = dn_sq(n, p) * sum(
+            total = norms[n] * sum(
                 phi0_sq(x, p) * racah_value(n, x, p) * racah_value(m, x, p)
                 for x in range(N + 1)
             )
@@ -85,8 +107,7 @@ def test_weights_positive(family):
     p = std_params(family, 6)
     for x in range(p.N + 1):
         assert phi0_sq(x, p) > 0
-    for n in range(p.N + 1):
-        assert dn_sq(n, p) > 0
+    assert all(v > 0 for v in dn_sq_table(p))
 
 
 def test_nonpositive_weight_detected():

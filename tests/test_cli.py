@@ -88,6 +88,20 @@ def test_verify_full_run(tmp_path):
     assert report["suites"]["shape"]["shape_invariant"] is False
 
 
+def test_closure_report_past_the_digit_limit(tmp_path):
+    """At N=38 the closure coefficients pass the interpreter's 4300-digit
+    int->str limit; the run still ends in exit 0 and a passing report."""
+    cfg_path = _write(tmp_path, "cfg.json", {
+        "family": "R", "N": 38, "b": "43", "c": "1/2", "d": "2/5",
+        "D": [1, 2], "Y": ["1"], "suites": ["closure"],
+    })
+    out = str(tmp_path / "report.json")
+    assert main(["verify", "--config", cfg_path, "--out", out]) == 0
+    report = json.loads(open(out).read())
+    assert report["pass"] is True
+    assert max(len(v) for v in report["suites"]["closure"]["R0"]) > 4300
+
+
 def test_reports_are_byte_deterministic(tmp_path):
     cfg_path = _write(tmp_path, "cfg.json", dict(BASE_CFG, suites=["mi", "dual"]))
     out1, out2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")

@@ -1,4 +1,6 @@
-"""Closure relation residuals and spectral-calculus ladder operators."""
+"""Closure relation residuals and ladder operators: the tridiagonal route of
+``closure`` against the dense and spectral-calculus routes kept here as
+oracles."""
 
 import os
 import subprocess
@@ -9,19 +11,21 @@ from pathlib import Path
 
 import pytest
 
-from dualracah import closure
-from dualracah.backend import rat
+from dualracah import closure, report
+from dualracah.backend import rat, rat_to_str
 from dualracah.closure import (
     build_ladder,
     eigen_inverse,
     verify_closure,
     verify_ladder,
 )
+from dualracah.dualsystem import verify_spectrum
 from dualracah.errors import CrossCheckMismatch, SingularR0
 from dualracah.linalg import SquareMatrix
 from dualracah.params import QR, R
-from dualracah.poly import Poly
-from conftest import SEEDS, Y_ETA, Y_ONE, solve_overdetermined
+from dualracah.pipeline import Pipeline
+from dualracah.poly import Poly, interpolate
+from conftest import SEEDS, Y_ETA, Y_ONE, solve_overdetermined, std_params
 
 FAMILIES = (R, QR)
 CASES = [((1,), "1"), ((2,), "1"), ((1, 2), "1"), ((1,), "eta")]
@@ -97,6 +101,82 @@ def _spectral_ladder(h, trip):
     return a_plus, a_minus
 
 
+def _eigen_products(h):
+    """(W, h_tilde*W) with W = diag(ebar)*V, once h_tilde*V = V*diag(X) is
+    certified."""
+    if not h.eigen_residual().is_zero():
+        raise CrossCheckMismatch("h_tilde*V differs from V*diag(X)")
+    w = h.V.scale_rows(h.ebar)
+    return w, h.h_tilde @ w
+
+
+def dense_verify_closure(h, c) -> SquareMatrix:
+    """LHS - RHS by the dense route: with hW = h_tilde*W and every R(h_tilde)*V
+    = V*diag(R(X)),
+
+        (LHS - RHS)*V = h_tilde*hW - hW*diag(2X + R1(X))
+                        + W*diag(X^2 - R0(X) + X*R1(X)) - V*diag(Rm1(X)),
+
+    mapped back by V^(-1) when nonzero."""
+    X = h.energies
+    vinv = eigen_inverse(h)
+    w, hw = _eigen_products(h)
+    r0 = [c.R0(x) for x in X]
+    r1 = [c.R1(x) for x in X]
+    diff = (
+        h.h_tilde @ hw
+        - hw.scale_cols([2 * x + b for x, b in zip(X, r1)])
+        + w.scale_cols([x * x - a + x * b for x, a, b in zip(X, r0, r1)])
+        - h.V.scale_cols([c.Rm1(x) for x in X])
+    )
+    return diff if diff.is_zero() else diff @ vinv
+
+
+def dense_build_ladder(h, c):
+    """Both ladder operators from the dense bracket hW - W*diag(X[n+step])
+    - V*diag(corr*alpha), scaled by sign/gap and multiplied by V^(-1)."""
+    N = h.h_tilde.n - 1
+    X = h.x_grid
+    r0_vals = [c.R0(X[n]) for n in range(N + 1)]
+    if any(v == 0 for v in r0_vals):
+        raise SingularR0("R0 vanishes on the spectrum (degenerate seed with Y(0)=0)")
+    corr = [c.Rm1(X[n]) / r0_vals[n] for n in range(N + 1)]
+    for n in range(N + 1):
+        if -corr[n] != h.dual.b_dual[n]:
+            raise CrossCheckMismatch(f"-Rm1/R0 differs from dual coefficient at n={n}")
+    vinv = eigen_inverse(h)
+    w, hw = _eigen_products(h)
+
+    def ladder(step, sign):
+        alpha = [X[n + step] - X[n] for n in range(N + 1)]
+        bracket = (
+            hw
+            - w.scale_cols([X[n + step] for n in range(N + 1)])
+            - h.V.scale_cols([k * a for k, a in zip(corr, alpha)])
+        )
+        gap_inv = [sign / (X[n + 1] - X[n - 1]) for n in range(N + 1)]
+        return bracket.scale_cols(gap_inv) @ vinv
+
+    return closure.LadderPair(a_plus=ladder(-1, 1), a_minus=ladder(1, -1))
+
+
+def dense_verify_ladder(h, lp) -> list:
+    """Both ladder actions on every eigenvector column, by one product by V
+    per operator."""
+    N = h.h_tilde.n - 1
+    up, down = lp.a_plus @ h.V, lp.a_minus @ h.V
+    zero = [0] * (N + 1)
+    failures = []
+    for n in range(N + 1):
+        expect_up = [h.dual.a_dual[n] * v for v in h.V.column(n + 1)] if n < N else zero
+        if up.column(n) != expect_up:
+            failures.append(("plus", n))
+        expect_dn = [h.dual.c_dual[n] * v for v in h.V.column(n - 1)] if n > 0 else zero
+        if down.column(n) != expect_dn:
+            failures.append(("minus", n))
+    return failures
+
+
 def _corrupt(m: SquareMatrix, i: int, j: int) -> SquareMatrix:
     rows = [list(r) for r in m.rows]
     rows[i][j] += rat(1, 7)
@@ -112,7 +192,7 @@ def test_closure_residual_is_zero(family, D, y, N, pipe):
     assert (trip.R0, trip.R1, trip.Rm1) == vandermonde_closure(h)
     residual = verify_closure(h, trip)
     assert residual.is_zero()
-    assert residual == _horner_residual(h, trip)
+    assert residual == _horner_residual(h, trip) == dense_verify_closure(h, trip)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -173,8 +253,8 @@ def test_spectral_fn_reproduces_polynomials(pipe):
 def test_ladder_actions_exact(family, D, pipe):
     h = pipe(family, 6, D).hamiltonian(Y_ONE)
     trip = pipe(family, 6, D).closure(Y_ONE)
-    lp = build_ladder(h, trip)
-    assert verify_ladder(h, lp) == []
+    assert verify_ladder(h, trip) == []
+    assert dense_verify_ladder(h, build_ladder(h, trip)) == []
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -183,6 +263,8 @@ def test_ladder_degenerate_seed_raises(family, pipe):
     trip = pipe(family, 6, (1,)).closure(Y_ETA)
     with pytest.raises(SingularR0):
         build_ladder(h, trip)
+    with pytest.raises(SingularR0):
+        verify_ladder(h, trip)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -219,6 +301,7 @@ def test_inverse_and_ladder_match_generic_oracles(family, D, y, N, pipe):
         return
     lp = build_ladder(h, trip)
     assert (lp.a_plus, lp.a_minus) == _spectral_ladder(h, trip)
+    assert lp == dense_build_ladder(h, trip)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -228,7 +311,7 @@ def test_corrupted_r1_residual_equals_horner(family, pipe):
     bad = replace(trip, R1=Poly([trip.R1[0] + rat(1, 3)] + list(trip.R1.coeffs[1:])))
     residual = verify_closure(h, bad)
     assert not residual.is_zero()
-    assert residual == _horner_residual(h, bad)
+    assert residual == _horner_residual(h, bad) == dense_verify_closure(h, bad)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -244,16 +327,20 @@ def test_corrupted_inverse_data_raises(family, pipe):
         with pytest.raises(CrossCheckMismatch, match=r"V\*V\^\(-1\) = I"):
             eigen_inverse(bad)
         with pytest.raises(CrossCheckMismatch, match=r"V\*V\^\(-1\) = I"):
-            verify_closure(bad, trip)
-        with pytest.raises(CrossCheckMismatch, match=r"V\*V\^\(-1\) = I"):
             build_ladder(bad, trip)
+    # a passing closure check reads no inverse; a failing one maps its
+    # residual back through V^(-1), which is certified there
+    assert verify_closure(replace(bad_gw), trip).is_zero()
+    failing = replace(trip, Rm1=trip.Rm1 + Poly([rat(1, 3)]))
+    with pytest.raises(CrossCheckMismatch, match=r"V\*V\^\(-1\) = I"):
+        verify_closure(replace(bad_gw), failing)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_corrupted_hamiltonian_fails_eigen_certification(family, pipe):
     h = pipe(family, 5, (1,)).hamiltonian(Y_ONE)
     trip = pipe(family, 5, (1,)).closure(Y_ONE)
-    for fn in (verify_closure, build_ladder):
+    for fn in (verify_closure, build_ladder, verify_ladder):
         bad = replace(h, h_tilde=_corrupt(h.h_tilde, 1, 2))
         with pytest.raises(CrossCheckMismatch, match=r"h_tilde\*V differs"):
             fn(bad, trip)
@@ -277,20 +364,161 @@ def test_shifted_leading_coefficient_fails_node_check(family, pipe, monkeypatch)
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_corrupted_dual_coefficient_fails_exactly_its_column(family, pipe):
-    """verify_ladder checks a+ against a_dual and a- against c_dual column
-    by column: one wrong coefficient is reported at its own column only."""
+    """The dense ladder check compares a+ with a_dual and a- with c_dual
+    column by column, so one wrong coefficient fails at its own column
+    only; the tridiagonal route stops earlier, at the certification
+    diag(Ebar)*V = V*T, and names that column (row 0 of V is all ones)."""
     h = pipe(family, 5, (1,)).hamiltonian(Y_ONE)
-    lp = build_ladder(h, pipe(family, 5, (1,)).closure(Y_ONE))
+    trip = pipe(family, 5, (1,)).closure(Y_ONE)
+    lp = build_ladder(h, trip)
+    bad_duals = []
     for k in (0, 2, 4):
         a_dual = list(h.dual.a_dual)
         a_dual[k] += rat(1, 3)
-        bad = replace(h, dual=replace(h.dual, a_dual=tuple(a_dual)))
-        assert verify_ladder(bad, lp) == [("plus", k)]
+        bad_duals.append((k, "plus", replace(h.dual, a_dual=tuple(a_dual))))
     for k in (1, 3, 5):
         c_dual = list(h.dual.c_dual)
         c_dual[k] += rat(1, 3)
-        bad = replace(h, dual=replace(h.dual, c_dual=tuple(c_dual)))
-        assert verify_ladder(bad, lp) == [("minus", k)]
+        bad_duals.append((k, "minus", replace(h.dual, c_dual=tuple(c_dual))))
+    for k, name, dual in bad_duals:
+        bad = replace(h, dual=dual)
+        assert dense_verify_ladder(bad, lp) == [(name, k)]
+        for fn in (verify_closure, verify_ladder, build_ladder):
+            with pytest.raises(CrossCheckMismatch, match=rf"V\*T at \(x,n\)=\(0,{k}\)"):
+                fn(replace(bad), trip)
+
+
+def _swap_eigenpairs(h, k):
+    """h with eigenpairs k and k+1 exchanged: still eigenpairs, X out of order."""
+    rows = [list(r) for r in h.V.rows]
+    for r in rows:
+        r[k], r[k + 1] = r[k + 1], r[k]
+    X = list(h.energies)
+    X[k], X[k + 1] = X[k + 1], X[k]
+    return replace(h, V=SquareMatrix(rows), energies=tuple(X))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_eigenbasis_certification_faults(family, pipe):
+    """Each certified fact of the eigenbasis fires on its own fault, where
+    the eigen-check h_tilde*V = V*diag(X) alone still passes."""
+    N = 5
+    h = pipe(family, N, (1, 2)).hamiltonian(Y_ONE)
+    trip = pipe(family, N, (1, 2)).closure(Y_ONE)
+    # column N of V doubled: still an eigenvector, no longer the dual
+    # polynomial of degree N
+    doubled = replace(h, V=h.V.scale_cols([1] * N + [2]))
+    # every column of V zero: eigen-check and recurrence hold trivially
+    zero_v = replace(h, V=h.V.scale_cols([0] * (N + 1)))
+    cases = [
+        (doubled, rf"diag\(Ebar\)\*V differs from V\*T at \(x,n\)=\(0,{N - 1}\)"),
+        (_swap_eigenpairs(h, 2), "not strictly increasing at n=2"),
+        (zero_v, "row 0 of V has a zero"),
+    ]
+    for bad, message in cases:
+        assert not [f for f in verify_spectrum(replace(bad)) if f[0] == "eigen"]
+        for fn in (verify_closure, verify_ladder):
+            with pytest.raises(CrossCheckMismatch, match=message):
+                fn(replace(bad), trip)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_wrong_beta_node_value_fails(family, which, pipe, monkeypatch):
+    """One wrong node value of beta0 or beta1 breaks the discriminant check
+    of solve_closure; one wrong value of beta-1 passes it, and then both the
+    closure residual (equal to the dense oracle's) and the ladder's
+    -Rm1/R0 = b_dual check fail at that node."""
+    j = 3
+    h = pipe(family, 5, (1, 2)).hamiltonian(Y_ONE)
+    calls = []
+
+    def skewed(nodes, values):
+        # in place: the node check then reads the same wrong value
+        calls.append(None)
+        if len(calls) == which + 1:
+            values[j] += rat(1, 7)
+        return interpolate(nodes, values)
+
+    monkeypatch.setattr(closure, "interpolate", skewed)
+    if which < 2:
+        with pytest.raises(CrossCheckMismatch, match=f"squared node gap at j={j}"):
+            closure.solve_closure(h)
+        return
+    bad = closure.solve_closure(h)
+    residual = verify_closure(h, bad)
+    assert not residual.is_zero()
+    assert residual == dense_verify_closure(h, bad) == _horner_residual(h, bad)
+    with pytest.raises(CrossCheckMismatch, match=f"dual coefficient at n={j}"):
+        verify_ladder(h, bad)
+
+
+def _ladder_outcome(fn):
+    try:
+        return fn()
+    except CrossCheckMismatch as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("family,N", [(R, 5), (QR, 5), (R, 10), (QR, 10), (R, 18)])
+def test_scalar_route_matches_dense_oracle(family, N, pipe):
+    """The tridiagonal route and the dense one give the same verdicts, the
+    same closure residual matrices and the same ladder outcomes (failure
+    list or error), on the true data and under corruption."""
+    D = (1, 2)
+    h = pipe(family, N, D).hamiltonian(Y_ONE)
+    trip = pipe(family, N, D).closure(Y_ONE)
+    c = rat(1, 3)
+    triples = [trip] + [
+        replace(trip, **{name: getattr(trip, name) + Poly([c])}) for name in ("R0", "R1", "Rm1")
+    ]
+    for t in triples:
+        residual = verify_closure(h, t)
+        assert residual == dense_verify_closure(h, t)
+        assert residual.is_zero() == (t is trip)
+    # off-spectrum grid values enter only through the gaps; an interior one
+    # also moves the point at which -Rm1/R0 is read
+    hs = [h]
+    for k in (-1, N // 2, N + 1):
+        grid = dict(h.x_grid)
+        grid[k] += c
+        hs.append(replace(h, x_grid=grid))
+    outcomes = []
+    for hh in hs:
+        for t in triples:
+            got = _ladder_outcome(lambda: verify_ladder(hh, t))
+            dense = _ladder_outcome(lambda: dense_verify_ladder(hh, dense_build_ladder(hh, t)))
+            assert got == dense
+            outcomes.append(got)
+    assert outcomes[0] == []
+    assert any(isinstance(o, str) for o in outcomes)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_closure_and_ladder_suites_take_one_dense_product(family, monkeypatch):
+    """A passing run of the closure and ladder suites forms no dense product
+    but the shared h_tilde*V."""
+    params = std_params(family, 10)
+    raw = {"family": family, "N": 10, "D": [1, 2], "suites": ["closure", "ladder"]}
+    raw.update({k: rat_to_str(getattr(params, k)) for k in ("b", "c", "d")})
+    if family == QR:
+        raw["q"] = rat_to_str(params.q)
+    cfg = report.parse_config(raw)
+    p = Pipeline(cfg.params(), cfg.D)
+    p.closure(cfg.Y)  # build every stage the two suites read
+    calls = []
+    matmul = SquareMatrix.__matmul__
+
+    def counted(a, b):
+        calls.append((a, b))
+        return matmul(a, b)
+
+    monkeypatch.setattr(SquareMatrix, "__matmul__", counted)
+    h = p.hamiltonian(cfg.Y)
+    assert report._suite_closure(cfg, p)["pass"]
+    assert report._suite_ladder(cfg, p)["pass"]
+    assert len(calls) <= 1
+    assert all(a is h.h_tilde and b is h.V for a, b in calls)
 
 
 def test_certifications_survive_python_O():
@@ -341,6 +569,13 @@ def test_certifications_survive_python_O():
             closure.verify_closure(replace(h, h_tilde=SquareMatrix(rows)), trip)
         except CrossCheckMismatch as e:
             print("eigen:", e)
+
+        a_dual = list(h.dual.a_dual)
+        a_dual[2] += 1
+        try:
+            closure.verify_closure(replace(h, dual=replace(h.dual, a_dual=tuple(a_dual))), trip)
+        except CrossCheckMismatch as e:
+            print("jacobi:", e)
         """
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -352,3 +587,4 @@ def test_certifications_survive_python_O():
     assert "node: closure polynomials miss their node data" in out
     assert "lead: closure polynomials miss their node data" in out
     assert "eigen: h_tilde*V differs from V*diag(X)" in out
+    assert "jacobi: diag(Ebar)*V differs from V*T at (x,n)=(0,2)" in out

@@ -61,6 +61,15 @@ def test_integer_horner_equals_rational_horner(p, z):
     assert type(p(z)) is type(rat(0))
 
 
+@given(st.lists(small, max_size=7).map(Poly), st.lists(small, max_size=5))
+def test_values_at_many_points_equal_rational_horner(p, zs):
+    """One clearing of the coefficients serves every point."""
+    zs = [rat(z) for z in zs]
+    got = p.values(zs)
+    assert got == [_rational_horner(p, z) for z in zs]
+    assert all(type(v) is type(rat(0)) for v in got)
+
+
 @given(polys, st.floats(-100, 100, allow_nan=False))
 def test_float_evaluation_unchanged(p, z):
     with mpmath.workprec(256):
