@@ -6,15 +6,17 @@ node data built from the X grid, by the library's one interpolation
 (``poly.interpolate``, Newton divided differences); each node value is
 then checked exactly.
 
-The columns of V are the dual polynomials on the grid.  Three facts are
-certified exactly, once per Hamiltonian, before anything rests on them:
-h_tilde*V = V*diag(X); diag(Ebar)*V = V*T on every entry, the dual
-three-term recurrence with T the dual Jacobi matrix (T[n+1][n] = a_dual[n],
-T[n][n] = b_dual[n], T[n-1][n] = c_dual[n]); and X strictly increasing.
-Row 0 of V is nonzero, so no column vanishes; with distinct eigenvalues V
-is invertible.  Every operator built from h_tilde and diag(Ebar) then acts
-on V as V times a tridiagonal matrix, and an identity between two such
-operators holds iff the two tridiagonal matrices agree, entry for entry:
+The columns of V are the dual polynomials on the grid (``DualTable``).
+Three facts are certified exactly, once per Hamiltonian, before anything
+rests on them: h_tilde*V = V*diag(X) (the shared eigen residual); X
+strictly increasing; and the dual table's recurrence diag(Ebar)*V = V*T on
+every entry, with T the dual Jacobi matrix (T[n+1][n] = a_dual[n],
+T[n][n] = b_dual[n], T[n-1][n] = c_dual[n]), read from the table's one
+residual.  Row 0 of V is nonzero, so no column vanishes; with distinct
+eigenvalues V is invertible.  Every operator built from h_tilde and
+diag(Ebar) then acts on V as V times a tridiagonal matrix, and an identity
+between two such operators holds iff the two tridiagonal matrices agree,
+entry for entry:
 
 * closure: (LHS - RHS)*V = V*M, M tridiagonal in T, X and the closure
   polynomials on the spectrum, so the identity is 3(N+1) scalar
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 from .backend import rat
 from .dualsystem import DualHamiltonian
 from .errors import CrossCheckMismatch, SingularR0
-from .linalg import SquareMatrix, _cleared_int_rows
+from .linalg import SquareMatrix
 from .poly import Poly, interpolate
 
 
@@ -93,12 +95,6 @@ def _clip(cols: list) -> list:
     return cols
 
 
-def _jacobi(h: DualHamiltonian) -> list:
-    """The dual Jacobi matrix T."""
-    d = h.dual
-    return _clip(list(zip(d.c_dual, d.b_dual, d.a_dual)))
-
-
 def _v_times(v: SquareMatrix, cols: list) -> SquareMatrix:
     """V*B for B tridiagonal: three terms per entry, no dense product."""
     last = v.n - 1
@@ -122,16 +118,7 @@ def _certify_eigenbasis(h: DualHamiltonian) -> None:
     for n in range(len(X) - 1):
         if not X[n] < X[n + 1]:
             raise CrossCheckMismatch(f"eigenvalues X are not strictly increasing at n={n}")
-    # row x of V and column n of T cleared to integers by their lcms
-    v_rows, _ = _cleared_int_rows(h.V.rows)
-    t_cols, t_dens = _cleared_int_rows(_jacobi(h))
-    last = h.V.n - 1
-    for x, (v, e) in enumerate(zip(v_rows, h.ebar)):
-        num, den = int(e.numerator), int(e.denominator)
-        for n, ((lo, mid, hi), t_den) in enumerate(zip(t_cols, t_dens)):
-            vt = (v[n - 1] * lo if n else 0) + v[n] * mid + (v[n + 1] * hi if n < last else 0)
-            if vt * den != v[n] * num * t_den:
-                raise CrossCheckMismatch(f"diag(Ebar)*V differs from V*T at (x,n)=({x},{n})")
+    h.dual.certify_recurrence()
     if any(v == 0 for v in h.V.rows[0]):
         raise CrossCheckMismatch("row 0 of V has a zero: an eigenvector column may vanish")
     h.cache["eigenbasis"] = True
@@ -153,7 +140,7 @@ def verify_closure(h: DualHamiltonian, c: ClosureTriple) -> SquareMatrix:
     X = h.energies
     last = len(X) - 1
     cols = []
-    spectrum = zip(_jacobi(h), X, c.R0.values(X), c.R1.values(X), c.Rm1.values(X))
+    spectrum = zip(h.dual.jacobi(), X, c.R0.values(X), c.R1.values(X), c.Rm1.values(X))
     for n, ((lo, mid, hi), x, r0, r1, rm1) in enumerate(spectrum):
         lo_gap = X[n - 1] - x if n else 0
         hi_gap = X[n + 1] - x if n < last else 0
@@ -197,7 +184,7 @@ def _ladder_columns(h: DualHamiltonian, corr: list, step: int, sign: int) -> lis
     X, E = h.x_grid, h.energies
     last = len(E) - 1
     cols = []
-    for n, (lo, mid, hi) in enumerate(_jacobi(h)):
+    for n, (lo, mid, hi) in enumerate(h.dual.jacobi()):
         shifted = X[n + step]
         g = sign / (X[n + 1] - X[n - 1])
         cols.append((

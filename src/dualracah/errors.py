@@ -77,10 +77,6 @@ class NegativePivot(DualRacahError):
     pass
 
 
-class SymmetryViolation(DualRacahError):
-    pass
-
-
 class InadmissibleCandidate(DualRacahError):
     pass
 

@@ -11,6 +11,10 @@ Only the last Casoratian column depends on the label n.  The virtual-state
 rows, the Pochhammer factors r_j(x), the base-value columns P_0(y)..P_N(y),
 the Vandermonde products and the normalization C_D are evaluated once per
 (parameters, D) by a ``GridTable`` that lives for one build.
+
+The second-order difference equations in x are not checked here: divided
+by the ground state P_0 they are the dual three-term recurrence, whose one
+residual the dual table computes (``dualsystem.DualTable``).
 """
 
 from __future__ import annotations
@@ -296,27 +300,26 @@ def build_mi_system(p: ParamSet, D: Sequence[int]) -> MISystem:
     if (xi_poly.degree or 0) != ellD or xi_poly[ellD] != leading_xi(D, p):
         raise DegreeMismatch("denominator polynomial degree/leading coefficient")
     # certify the interpolant against the determinant route on the whole grid
-    for x in range(N + 2):
-        if xi_poly(eta(x, p_ximinus)) != xi_grid[x]:
+    xi_vals = xi_poly.values([eta(x, p_ximinus) for x in range(N + 2)])
+    for x, v in enumerate(xi_vals):
+        if v != xi_grid[x]:
             raise CrossCheckMismatch(f"denominator interpolant misses the grid at x={x}")
 
     pdn_polys: List[Poly] = []
     pdn_grid: List[tuple] = []
+    etas = [eta(x, p_pdn) for x in range(ellD + N + 1)]
     for n in range(N + 1):
         deg = ellD + n
-        nodes = [eta(x, p_pdn) for x in range(deg + 1)]
         vals = [tab.pdn(n, x) for x in range(deg + 1)]
-        pol = interpolate(nodes, vals, max_degree=deg)
+        pol = interpolate(etas[: deg + 1], vals, max_degree=deg)
         if (pol.degree or 0) != deg or pol[deg] != leading_pdn(n, D, p):
             raise DegreeMismatch(f"deformed polynomial n={n} degree/leading coefficient")
-        row = []
-        for x in range(N + 1):
-            v = pol(eta(x, p_pdn))
-            if x > deg and v != tab.pdn(n, x):
+        row = pol.values(etas[: N + 1])
+        for x in range(deg + 1, N + 1):
+            if row[x] != tab.pdn(n, x):
                 raise CrossCheckMismatch(
                     f"deformed polynomial n={n} interpolant misses the grid at x={x}"
                 )
-            row.append(v)
         if row[0] != 1:
             raise CrossCheckMismatch(f"deformed polynomial n={n} is {row[0]} at x=0, not 1")
         pdn_polys.append(pol)
@@ -360,29 +363,6 @@ def build_mi_system(p: ParamSet, D: Sequence[int]) -> MISystem:
 def verify_ortho(s: MISystem) -> list:
     """Exact residuals of the weighted orthogonality sums; empty = pass."""
     return gram_residuals(s.pdn_grid, s.weights, [1 / v for v in s.dDn_sq])
-
-
-def verify_difference_eq(s: MISystem) -> list:
-    """Exact residuals of the second-order difference equations; empty = pass."""
-    p, N = s.params, s.params.N
-    failures = []
-    for n in range(N + 1):
-        en = energy(n, p)
-        for x in range(N + 1):
-            acc = 0
-            bc = s.bd(x)
-            if bc != 0:
-                acc = acc + bc * (
-                    s.pdn_grid[n][x] - s.xi_grid_delta[x] / s.xi_grid_delta[x + 1] * s.pdn_grid[n][x + 1]
-                )
-            dc = s.dd(x)
-            if dc != 0:
-                acc = acc + dc * (
-                    s.pdn_grid[n][x] - s.xi_grid_delta[x] / s.xi_grid_delta[x - 1] * s.pdn_grid[n][x - 1]
-                )
-            if acc != en * s.pdn_grid[n][x]:
-                failures.append((n, x, acc - en * s.pdn_grid[n][x]))
-    return failures
 
 
 def sign_changes(seq: Sequence) -> int:

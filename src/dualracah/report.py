@@ -27,7 +27,7 @@ from .errors import (
     SingularR0,
 )
 from .linalg import gram_residuals
-from .params import QR, R, energy, index_set, make_params, validate
+from .params import QR, R, index_set, make_params, validate
 from .pipeline import Pipeline
 from .poly import Poly
 
@@ -219,7 +219,12 @@ def _suite_base(cfg: RunConfig, pipe: Pipeline) -> dict:
 def _suite_mi(cfg: RunConfig, pipe: Pipeline) -> dict:
     s = pipe.system()
     fails = [list(map(str, f)) for f in multiindexed.verify_ortho(s)]
-    fails += [list(map(str, f)) for f in multiindexed.verify_difference_eq(s)]
+    # the difference equation of P_n at x is P_0(x) times entry (n, x) of
+    # the dual table's recurrence residual
+    fails += [
+        [str(n), str(x), str(s.xi_grid_delta[x] * r)]
+        for n, x, r in pipe.dual().recurrence_residual()
+    ]
     signs = []
     for n in range(s.params.N + 1):
         k = multiindexed.sign_changes([s.pdn_grid[n][x] for x in range(s.params.N + 1)])
@@ -246,11 +251,12 @@ def _suite_recurrence(cfg: RunConfig, pipe: Pipeline) -> dict:
 def _suite_dual(cfg: RunConfig, pipe: Pipeline) -> dict:
     s = pipe.system()
     dual = pipe.dual()
+    dual.certify_recurrence()
     fails = [[x, y, _fmt(r)] for x, y, r in dualsystem.dual_ortho(s, dual)]
     h = pipe.hamiltonian(cfg.Y)
     fails += [list(map(str, f)) for f in dualsystem.verify_spectrum(h)]
     for x in range(s.params.N + 1):
-        k = multiindexed.sign_changes([dual.q_vals[x][n] for n in range(s.params.N + 1)])
+        k = multiindexed.sign_changes(dual.V.column(x))
         if k != x:
             fails.append(["dual-sign-changes", str(x), str(k)])
     return {"pass": not fails, "failures": fails}
@@ -435,12 +441,12 @@ def emit_tables(cfg: RunConfig, what: str, out_dir: str) -> List[str]:
             w.writerow(["x", "n", "value"])
             for x in range(N + 1):
                 for n in range(N + 1):
-                    w.writerow([x, n, _fmt(dual.q_vals[x][n])])
+                    w.writerow([x, n, _fmt(dual.V[n, x])])
             payload = {
                 "a_dual": [_fmt(v) for v in dual.a_dual],
                 "b_dual": [_fmt(v) for v in dual.b_dual],
                 "c_dual": [_fmt(v) for v in dual.c_dual],
-                "energies": [_fmt(energy(n, cfg.params())) for n in range(N + 1)],
+                "energies": [_fmt(v) for v in dual.ebar],
             }
     with open(json_path, "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)

@@ -13,12 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
-from .basefamily import poch, qpoch
-from .errors import UnknownExample
-from .multiindexed import MISystem
-from .params import QR, R, ParamSet, ipow
-from .poly import Poly
-from .recurrence import RecTable, XPoly
+from dualracah.basefamily import poch, qpoch
+from dualracah.errors import UnknownExample
+from dualracah.multiindexed import MISystem
+from dualracah.params import QR, R, ParamSet, ipow
+from dualracah.poly import Poly
+from dualracah.recurrence import RecTable, XPoly
 
 #: canonical example identifiers
 EXAMPLE_NAMES = (

@@ -15,7 +15,7 @@ from dualracah.backend import rat
 from dualracah.basefamily import multi_poch, multi_qpoch, poch, qpoch, racah_value, xi_v
 from dualracah.errors import NonPositiveWeight, SingularMatrix
 from dualracah.linalg import _cleared_int_rows, generic_det
-from dualracah.params import QR, R, ipow, make_params
+from dualracah.params import QR, R, energy, ipow, make_params
 from dualracah.pipeline import Pipeline
 from dualracah.poly import Poly
 
@@ -91,6 +91,32 @@ def per_entry_pdn(n, x, D, p):
     det = generic_det(rows)
     cdn = (-1) ** M * multiindexed.norm_const_cd(D, p) * multiindexed.dtn_sq_value(n, D, p)
     return det / (cdn * multiindexed.varphi_m(x, M + 1, p))
+
+
+def verify_difference_eq(s) -> list:
+    """Residuals (n, x, r) of the second-order difference equations of the
+    deformed polynomials, in rational arithmetic on the grid table (the
+    route ``dualsystem.DualTable.recurrence_residual`` replaced, kept as an
+    oracle); empty = pass."""
+    p, N = s.params, s.params.N
+    failures = []
+    for n in range(N + 1):
+        en = energy(n, p)
+        for x in range(N + 1):
+            acc = 0
+            bc = s.bd(x)
+            if bc != 0:
+                acc = acc + bc * (
+                    s.pdn_grid[n][x] - s.xi_grid_delta[x] / s.xi_grid_delta[x + 1] * s.pdn_grid[n][x + 1]
+                )
+            dc = s.dd(x)
+            if dc != 0:
+                acc = acc + dc * (
+                    s.pdn_grid[n][x] - s.xi_grid_delta[x] / s.xi_grid_delta[x - 1] * s.pdn_grid[n][x - 1]
+                )
+            if acc != en * s.pdn_grid[n][x]:
+                failures.append((n, x, acc - en * s.pdn_grid[n][x]))
+    return failures
 
 
 def _bareiss(m, ncols: int) -> int:

@@ -19,24 +19,15 @@ import dualracah
 from dualracah.basefamily import dn_sq_table, phi0_sq, racah_value
 from dualracah.backend import rat
 from dualracah.closure import build_ladder, verify_closure, verify_ladder
-from dualracah.comparators import (
-    EXAMPLE_NAMES,
-    closed_form_comparators,
-    compare_example,
-)
 from dualracah.dualsystem import commutator_check, dual_ortho, verify_spectrum
 from dualracah.errors import SingularR0
-from dualracah.multiindexed import (
-    build_mi_system,
-    sign_changes,
-    verify_difference_eq,
-    verify_ortho,
-)
+from dualracah.multiindexed import build_mi_system, sign_changes, verify_ortho
 from dualracah.params import QR, R, ParamSet, ipow, validate
 from dualracah.qlimit import qlimit_check
 from dualracah.recurrence import verify_recurrence
 from dualracah.shapeinv import si_test
-from conftest import SEEDS, Y_ETA, Y_ONE, std_params
+from comparators import EXAMPLE_NAMES, closed_form_comparators, compare_example
+from conftest import SEEDS, Y_ETA, Y_ONE, std_params, verify_difference_eq
 
 FAMILIES = (R, QR)
 MI_MATRIX = [(family, N, D) for family in FAMILIES for N in (5, 6)
@@ -150,14 +141,15 @@ def test_criterion_5_dual_system_exact(pipe):
     with criterion(5, "dual tables, dual orthogonality, exact spectra"):
         for family, N, D in MI_MATRIX:
             s = pipe(family, N, D).system()
-            dual = pipe(family, N, D).dual()  # ratio and recurrence routes agree
+            dual = pipe(family, N, D).dual()
+            assert dual.recurrence_residual() == []
             assert dual_ortho(s, dual) == []
             h = pipe(family, N, D).hamiltonian(Y_ONE)
             assert verify_spectrum(h) == []
             for n in range(N + 1):
                 assert sign_changes([s.pdn_grid[n][x] for x in range(N + 1)]) == n
             for x in range(N + 1):
-                assert sign_changes([dual.q_vals[x][n] for n in range(N + 1)]) == x
+                assert sign_changes(dual.V.column(x)) == x
 
 
 def test_criterion_6_closure_relation_evidence(pipe):

@@ -401,6 +401,22 @@ def test_exact_suites_sum_only_virtual_states_and_spot_row(family, monkeypatch):
     assert calls == virtual + Counter((p.N, x, p) for x in range(p.N + 1))
 
 
+@pytest.mark.parametrize("suites", [["dual"], ["closure"], ["mi", "dual"]])
+def test_corrupted_potential_fails_the_dual_recurrence(tmp_path, capsys, monkeypatch, suites):
+    """A wrong deformed potential B_D(3) breaks the dual recurrence at
+    column 3 in every row but row 0 (all ones: a_dual and b_dual move by
+    opposite amounts).  The dual suite and the closure certification stop
+    there, exit 1; the mi suite before them lists the residuals."""
+    from dualracah.multiindexed import MISystem
+
+    birth = MISystem.bd
+    monkeypatch.setattr(MISystem, "bd", lambda self, x: birth(self, x) + (x == 3))
+    cfg = _write(tmp_path, "cfg.json", dict(BASE_CFG, suites=suites))
+    assert main(["verify", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "verification error: diag(Ebar)*V differs from V*T at (x,n)=(1,3)" in err
+
+
 def test_run_builds_each_system_once(monkeypatch):
     """One system for the pipeline (shared with the qlimit suite) and one per
     admissible shape candidate."""

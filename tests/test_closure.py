@@ -70,7 +70,7 @@ def commutator(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
 def _horner_residual(h, trip):
     """[h,[h,E]] - (E*R0(h) + [h,E]*R1(h) + Rm1(h)) by matrix Horner."""
     ht = h.h_tilde
-    ebar = SquareMatrix.identity(ht.n).scale_cols(h.ebar)
+    ebar = SquareMatrix.identity(ht.n).scale_cols(h.dual.ebar)
     inner = commutator(ht, ebar)
     rhs = (
         ebar @ matrix_poly(trip.R0.coeffs, ht)
@@ -93,7 +93,7 @@ def _spectral_ladder(h, trip):
     alpha_m = fn([X[n - 1] - X[n] for n in range(N + 1)])
     gap_inv = fn([1 / (X[n + 1] - X[n - 1]) for n in range(N + 1)])
     corr = fn([trip.Rm1(X[n]) / trip.R0(X[n]) for n in range(N + 1)])
-    ebar = SquareMatrix.identity(N + 1).scale_cols(h.ebar)
+    ebar = SquareMatrix.identity(N + 1).scale_cols(h.dual.ebar)
     inner = commutator(h.h_tilde, ebar)
     shifted = ebar + corr
     a_plus = (inner - shifted @ alpha_m) @ gap_inv
@@ -106,7 +106,7 @@ def _eigen_products(h):
     certified."""
     if not h.eigen_residual().is_zero():
         raise CrossCheckMismatch("h_tilde*V differs from V*diag(X)")
-    w = h.V.scale_rows(h.ebar)
+    w = h.V.scale_rows(h.dual.ebar)
     return w, h.h_tilde @ w
 
 
@@ -319,7 +319,7 @@ def test_corrupted_inverse_data_raises(family, pipe):
     h = pipe(family, 5, (1,)).hamiltonian(Y_ONE)
     trip = pipe(family, 5, (1,)).closure(Y_ONE)
     # replace() copies h with an empty certification cache
-    bad_v = replace(h, V=_corrupt(h.V, 2, 3))
+    bad_v = _with_v(h, _corrupt(h.V, 2, 3))
     gw = list(h.ground_weight)
     gw[4] *= 2
     bad_gw = replace(h, ground_weight=tuple(gw))
@@ -388,6 +388,11 @@ def test_corrupted_dual_coefficient_fails_exactly_its_column(family, pipe):
                 fn(replace(bad), trip)
 
 
+def _with_v(h, v):
+    """h over a dual table with V replaced; both caches start empty."""
+    return replace(h, dual=replace(h.dual, V=v))
+
+
 def _swap_eigenpairs(h, k):
     """h with eigenpairs k and k+1 exchanged: still eigenpairs, X out of order."""
     rows = [list(r) for r in h.V.rows]
@@ -395,7 +400,7 @@ def _swap_eigenpairs(h, k):
         r[k], r[k + 1] = r[k + 1], r[k]
     X = list(h.energies)
     X[k], X[k + 1] = X[k + 1], X[k]
-    return replace(h, V=SquareMatrix(rows), energies=tuple(X))
+    return replace(_with_v(h, SquareMatrix(rows)), energies=tuple(X))
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -407,9 +412,9 @@ def test_eigenbasis_certification_faults(family, pipe):
     trip = pipe(family, N, (1, 2)).closure(Y_ONE)
     # column N of V doubled: still an eigenvector, no longer the dual
     # polynomial of degree N
-    doubled = replace(h, V=h.V.scale_cols([1] * N + [2]))
+    doubled = _with_v(h, h.V.scale_cols([1] * N + [2]))
     # every column of V zero: eigen-check and recurrence hold trivially
-    zero_v = replace(h, V=h.V.scale_cols([0] * (N + 1)))
+    zero_v = _with_v(h, h.V.scale_cols([0] * (N + 1)))
     cases = [
         (doubled, rf"diag\(Ebar\)\*V differs from V\*T at \(x,n\)=\(0,{N - 1}\)"),
         (_swap_eigenpairs(h, 2), "not strictly increasing at n=2"),
@@ -572,10 +577,15 @@ def test_certifications_survive_python_O():
 
         a_dual = list(h.dual.a_dual)
         a_dual[2] += 1
+        bad_dual = replace(h.dual, a_dual=tuple(a_dual))
         try:
-            closure.verify_closure(replace(h, dual=replace(h.dual, a_dual=tuple(a_dual))), trip)
+            bad_dual.certify_recurrence()
         except CrossCheckMismatch as e:
             print("jacobi:", e)
+        try:
+            closure.verify_closure(replace(h, dual=bad_dual), trip)
+        except CrossCheckMismatch as e:
+            print("closure:", e)
         """
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -588,3 +598,4 @@ def test_certifications_survive_python_O():
     assert "lead: closure polynomials miss their node data" in out
     assert "eigen: h_tilde*V differs from V*diag(X)" in out
     assert "jacobi: diag(Ebar)*V differs from V*T at (x,n)=(0,2)" in out
+    assert "closure: diag(Ebar)*V differs from V*T at (x,n)=(0,2)" in out

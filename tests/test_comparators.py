@@ -2,13 +2,9 @@
 
 import pytest
 
-from dualracah.comparators import (
-    EXAMPLE_NAMES,
-    closed_form_comparators,
-    compare_example,
-)
 from dualracah.errors import UnknownExample
 from dualracah.params import QR, R
+from comparators import EXAMPLE_NAMES, closed_form_comparators, compare_example
 from conftest import SEEDS, std_params
 
 

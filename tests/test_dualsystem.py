@@ -5,11 +5,11 @@ from dataclasses import replace
 import mpmath
 import pytest
 
+from dualracah import recurrence
 from dualracah.backend import rat
 from dualracah.basefamily import racah_value
 from dualracah.bigreal import big_sqrt
 from dualracah.dualsystem import (
-    DualTable,
     build_hamiltonians,
     commutator_check,
     dual_ortho,
@@ -20,7 +20,6 @@ from dualracah.errors import (
     CrossCheckMismatch,
     NegativeRadicand,
     ShapeMismatch,
-    SymmetryViolation,
     ZeroDenominator,
 )
 from dualracah.linalg import SquareMatrix
@@ -36,10 +35,7 @@ INDEX_SETS = ((1,), (2,), (1, 2))
 @pytest.mark.parametrize("D", INDEX_SETS)
 def test_dual_table_edges(family, D, pipe):
     dual = pipe(family, 6, D).dual()
-    for n in range(7):
-        assert dual.q_vals[0][n] == 1
-    for x in range(7):
-        assert dual.q_vals[x][0] == 1
+    assert dual.V.column(0) == [1] * 7 and dual.V.rows[0] == [1] * 7
     assert dual.a_dual[6] == 0 and dual.c_dual[0] == 0
 
 
@@ -52,7 +48,7 @@ def test_base_dual_is_parameter_swap(family, pipe):
     pd = s.params.dual()
     for x in range(7):
         for n in range(7):
-            assert dual.q_vals[x][n] == racah_value(x, n, pd)
+            assert dual.V[n, x] == racah_value(x, n, pd)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -65,12 +61,9 @@ def test_dual_orthogonality(family, D, pipe):
 def test_dual_ortho_checker_sanity(pipe):
     s = pipe(R, 5, (1,)).system()
     dual = pipe(R, 5, (1,)).dual()
-    rows = [list(r) for r in dual.q_vals]
-    rows[2][3] = rows[2][3] + 1
-    corrupt = DualTable(
-        q_vals=tuple(tuple(r) for r in rows),
-        a_dual=dual.a_dual, b_dual=dual.b_dual, c_dual=dual.c_dual,
-    )
+    rows = [list(r) for r in dual.V.rows]
+    rows[3][2] = rows[3][2] + 1
+    corrupt = replace(dual, V=SquareMatrix(rows))
     fails = dual_ortho(s, corrupt)
     assert fails and all(2 in (x, y) for x, y, _ in fails)
 
@@ -80,7 +73,7 @@ def test_dual_ortho_checker_sanity(pipe):
 def test_dual_oscillation(family, D, pipe):
     dual = pipe(family, 6, D).dual()
     for x in range(7):
-        assert sign_changes([dual.q_vals[x][n] for n in range(7)]) == x
+        assert sign_changes(dual.V.column(x)) == x
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -208,30 +201,35 @@ def test_big_sqrt_rejects_negative_rational():
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_negative_norm_ratio_raises_negative_radicand(family, pipe):
-    """Negating d_x^2 together with the off-diagonal band entries of row x
-    keeps the mirror identity r^2*ratio = r*mirror, but the norm ratios of
-    row x turn negative, so the symmetric form has no real square root."""
-    pl = pipe(family, 5, (1,))
-    s, t, x = pl.system(), pl.rectable(Y_ONE), 2
-    norms = list(s.dDn_sq)
-    norms[x] = -norms[x]
-    r = {(n, k): -v if n == x and k != 0 else v for (n, k), v in t.r.items()}
-    with pytest.raises(NegativeRadicand):
-        build_hamiltonians(
-            replace(s, dDn_sq=tuple(norms)), pl.xpoly(Y_ONE), replace(t, r=r), pl.dual()
-        )
-
-
-@pytest.mark.parametrize("family", FAMILIES)
-def test_skewed_band_entry_raises_symmetry_violation(family, pipe):
-    """One off-diagonal r-table entry skewed breaks the mirror identity
-    r^2 * ratio = r * mirror at its matrix position."""
+def test_skewed_band_entry_fails_mirror_and_eigen_checks(family, pipe):
+    """One off-diagonal r-table entry skewed breaks the mirror identity,
+    which extract_r certifies on every table it returns; a Hamiltonian
+    built from that table anyway fails the eigen-check in exactly the
+    skewed row."""
     pl = pipe(family, 5, (1,))
     t = pl.rectable(Y_ONE)
-    r = {**t.r, (2, 1): t.r[(2, 1)] + rat(1, 3)}
-    with pytest.raises(SymmetryViolation, match=r"band symmetry broken at \(2,3\)"):
-        build_hamiltonians(pl.system(), pl.xpoly(Y_ONE), replace(t, r=r), pl.dual())
+    bad = replace(t, r={**t.r, (2, 1): t.r[(2, 1)] + rat(1, 3)})
+    with pytest.raises(CrossCheckMismatch, match=r"mirror symmetry fails at \(n,k\)=\(2,1\)"):
+        recurrence._check_band_identities(pl.system(), bad)
+    h = build_hamiltonians(pl.system(), pl.xpoly(Y_ONE), bad, pl.dual())
+    eigen = [f for f in verify_spectrum(h) if f[0] == "eigen"]
+    assert eigen == [("eigen", 2, j) for j in range(6) if h.V[3, j] != 0]
+
+
+def test_dual_table_keeps_no_stale_verdict(pipe):
+    """replace() gives a table with an empty residual cache, and V is the
+    dual table's own matrix on every Hamiltonian built from it."""
+    pl = pipe(R, 5, (1,))
+    dual = pl.dual()
+    assert dual.recurrence_residual() == [] and "residual" in dual.cache
+    assert pl.hamiltonian(Y_ONE).V is dual.V is pl.hamiltonian(Y_ETA).V
+    b_dual = list(dual.b_dual)
+    b_dual[4] += rat(1, 5)
+    bad = replace(dual, b_dual=tuple(b_dual))
+    assert bad.cache == {}
+    assert [(x, n) for x, n, _ in bad.recurrence_residual()] == [(x, 4) for x in range(6)]
+    with pytest.raises(CrossCheckMismatch, match=r"V\*T at \(x,n\)=\(0,4\)"):
+        bad.certify_recurrence()
 
 
 @pytest.mark.parametrize("family", FAMILIES)

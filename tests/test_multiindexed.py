@@ -6,24 +6,32 @@ import subprocess
 import sys
 import textwrap
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from dualracah import basefamily, multiindexed
+from dualracah import basefamily, multiindexed, report
 from dualracah.backend import rat
 from dualracah.basefamily import racah_value, rec_coeffs
-from dualracah.errors import CrossCheckMismatch, IndexOutOfRange, InadmissibleParams, ZeroEntry
+from dualracah.errors import (
+    CrossCheckMismatch,
+    IndexOutOfRange,
+    InadmissibleParams,
+    NonPositiveWeight,
+    ZeroEntry,
+)
 from dualracah.multiindexed import (
     GridTable,
+    MISystem,
     build_mi_system,
     rj_factor,
     sign_changes,
-    verify_difference_eq,
     verify_ortho,
 )
 from dualracah.params import QR, R, make_params, shift
-from conftest import per_entry_pdn, per_entry_xi, std_params
+from dualracah.pipeline import Pipeline
+from conftest import per_entry_pdn, per_entry_xi, std_params, verify_difference_eq
 
 FAMILIES = (R, QR)
 INDEX_SETS = ((1,), (2,), (1, 2))
@@ -92,7 +100,41 @@ def test_orthogonality(family, D, pipe):
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("D", INDEX_SETS)
 def test_difference_equation(family, D, pipe):
+    """Divided by P_0 the difference equations are the dual recurrence."""
+    assert pipe(family, 6, D).dual().recurrence_residual() == []
     assert verify_difference_eq(pipe(family, 6, D).system()) == []
+
+
+def _mi_failures(s, monkeypatch):
+    """The mi suite's failure list for the system s, built under the
+    current patches."""
+    monkeypatch.setattr(multiindexed, "build_mi_system", lambda p, D: s)
+    return report._suite_mi(None, Pipeline(s.params, s.D))["failures"]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("N", [5, 10])
+@pytest.mark.parametrize("D", [(1,), (1, 2)])
+@pytest.mark.parametrize("fault", ["none", "bd", "dd", "value"])
+def test_mi_suite_difference_equation_matches_oracle(family, N, D, fault, pipe, monkeypatch):
+    """The mi suite lists the dual table's recurrence residual, scaled by
+    P_0(x), as the difference-equation failures [n, x, residual]: the same
+    entries in the same order as the rational oracle, with and without a
+    corrupted potential or table value."""
+    s = pipe(family, N, D).system()
+    if fault in ("bd", "dd"):
+        orig = getattr(MISystem, fault)
+        monkeypatch.setattr(MISystem, fault, lambda self, x: orig(self, x) + (x == 3) * rat(1, 3))
+    elif fault == "value":
+        row = list(s.pdn_grid[2])
+        row[3] += rat(1, 7)
+        s = replace(s, pdn_grid=s.pdn_grid[:2] + (tuple(row),) + s.pdn_grid[3:])
+    oracle = [list(map(str, f)) for f in verify_difference_eq(s)]
+    ortho = [list(map(str, f)) for f in verify_ortho(s)]
+    fails = _mi_failures(s, monkeypatch)
+    assert (oracle == []) == (fault == "none")
+    signs = [f for f in fails if f[0] == "sign-changes"]
+    assert fails == ortho + oracle + signs
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -245,6 +287,30 @@ def test_perturbed_recurrence_coefficient_raises(family, monkeypatch):
     monkeypatch.setattr(basefamily, "rec_coeffs", perturbed)
     with pytest.raises(CrossCheckMismatch, match=r"deformed polynomial n=6 is .* at x=0, not 1"):
         build_mi_system(p, (1, 2))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("fault,msg", [
+    ("norm", "squared norm not positive"),
+    ("weight", r"weight\(2\) = -"),
+], ids=["norm", "weight"])
+def test_nonpositive_norm_or_weight_raises(family, fault, msg, monkeypatch):
+    """One negative squared norm, or one negative weight, stops the build;
+    the Hamiltonian's similarity to a symmetric matrix rests on the
+    positive norms.  The base norm d_2^2 is negated: the deformation factor
+    also normalizes P_2, whose leading-coefficient check would fire first."""
+    if fault == "norm":
+        orig = multiindexed.dn_sq_table
+        monkeypatch.setattr(
+            multiindexed, "dn_sq_table", lambda p: [-v if n == 2 else v for n, v in enumerate(orig(p))]
+        )
+    else:
+        orig = multiindexed.phi0_sq
+        monkeypatch.setattr(
+            multiindexed, "phi0_sq", lambda x, p: -orig(x, p) if x == 2 else orig(x, p)
+        )
+    with pytest.raises(NonPositiveWeight, match=msg):
+        build_mi_system(std_params(family, 5), (1,))
 
 
 def test_build_certifications_survive_python_O():
