@@ -3,8 +3,8 @@ in the dual eigenbasis.
 
 The three closure polynomials are the interpolants of degree <= N through
 node data built from the X grid, by the library's one interpolation
-(``poly.interpolate``, Newton divided differences); each node value is
-then checked exactly.
+(``poly.interpolate``, on cleared integers); each node value is then
+checked exactly.
 
 The columns of V are the dual polynomials on the grid (``DualTable``).
 Three facts are certified exactly, once per Hamiltonian, before anything

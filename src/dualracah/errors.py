@@ -61,10 +61,6 @@ class NegativeYCoefficient(DualRacahError):
     pass
 
 
-class UnknownExample(DualRacahError):
-    pass
-
-
 class ShapeMismatch(DualRacahError):
     pass
 

@@ -7,9 +7,16 @@ entry is one rational, ``rat(dot, row_factor * col_factor)``.  Results are
 canonical rationals, equal to those of rational arithmetic entry for entry.
 
 Orthogonality relations are checked as one such product, the Gram matrix
-of a square table under a weight (``gram_residuals``).  ``generic_det``
-works over any field and serves the small Casoratians, whose entries are
-floats in the q->1 checks; nothing here imports a float library.
+of a square table under a weight (``gram_residuals``).
+
+The small Casoratians have one elimination kernel over any field (their
+entries are floats in the q->1 checks; nothing here imports a float
+library).  ``LeadingElimination`` eliminates the leading columns of a
+matrix once and records the pivot rows, the multipliers, the sign and the
+running product of the pivots; ``det`` then reduces any last column with
+those records.  A bordered Casoratian whose leading columns do not depend
+on the label is thus eliminated once for every label.  ``generic_det`` is
+the same kernel on one whole matrix.
 """
 
 from __future__ import annotations
@@ -123,33 +130,63 @@ def gram_residuals(rows, weights, norms) -> list:
     return out
 
 
-def generic_det(rows) -> object:
-    """Determinant over any field scalars by Gaussian elimination.
+class LeadingElimination:
+    """Gaussian elimination of the n-1 leading columns of an n x n matrix,
+    recorded for any last column.
 
-    Serves the small Casoratians, whose entries are floats in the q->1
-    checks; for rationals the division steps are exact.
+    ``rows`` holds the n rows of leading entries.  Each step takes the
+    first row with a nonzero entry in its column as the pivot row.  The
+    last column sees the same operations, in the same order, as in one
+    elimination of the whole matrix, and the last pivot is multiplied onto
+    the running product last, so float determinants agree bit for bit with
+    that elimination.  If some leading column has no pivot, every last
+    column gives a zero determinant.
     """
-    m = [list(r) for r in rows]
-    n = len(m)
-    if n == 0:
+
+    __slots__ = ("pivots", "multipliers", "sign", "product", "zero")
+
+    def __init__(self, rows):
+        m = [list(r) for r in rows]
+        n = len(m)
+        self.pivots, self.multipliers = [], []
+        self.sign, self.product, self.zero = 1, None, None
+        for k in range(n - 1):
+            pivot = next((i for i in range(k, n) if m[i][k] != 0), None)
+            if pivot is None:
+                self.zero = m[0][0] * 0
+                return
+            if pivot != k:
+                m[k], m[pivot] = m[pivot], m[k]
+                self.sign = -self.sign
+            top = m[k]
+            fs = []
+            for row in m[k + 1:]:
+                f = row[k] / top[k]
+                for j in range(k + 1, n - 1):
+                    row[j] = row[j] - f * top[j]
+                fs.append(f)
+            self.pivots.append(pivot)
+            self.multipliers.append(fs)
+            self.product = top[k] if k == 0 else self.product * top[k]
+
+    def det(self, column) -> object:
+        """Determinant of the matrix bordered by ``column`` on the right."""
+        if self.zero is not None:
+            return self.zero
+        c = list(column)
+        for k, (pivot, fs) in enumerate(zip(self.pivots, self.multipliers)):
+            if pivot != k:
+                c[k], c[pivot] = c[pivot], c[k]
+            top = c[k]
+            for i, f in enumerate(fs, start=k + 1):
+                c[i] = c[i] - f * top
+        acc = c[-1] if self.product is None else self.product * c[-1]
+        return self.sign * acc
+
+
+def generic_det(rows) -> object:
+    """Determinant over any field scalars: ``LeadingElimination`` of the
+    whole matrix (for rationals the division steps are exact)."""
+    if not rows:
         return 1
-    sign = 1
-    for k in range(n - 1):
-        pivot = None
-        for i in range(k, n):
-            if m[i][k] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            return m[0][0] * 0
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            f = m[i][k] / m[k][k]
-            for j in range(k, n):
-                m[i][j] = m[i][j] - f * m[k][j]
-    acc = m[0][0]
-    for k in range(1, n):
-        acc = acc * m[k][k]
-    return sign * acc
+    return LeadingElimination([r[:-1] for r in rows]).det([r[-1] for r in rows])

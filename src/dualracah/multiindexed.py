@@ -2,15 +2,19 @@
 
 The denominator polynomial and the deformed polynomials are built from
 bordered Casoratians of virtual-state values, then recovered as dense
-polynomials in the sinusoidal variable by exact interpolation with
-certified degrees.  Every normalization, positivity, and leading
-coefficient claim is certified during the build: a failure raises, under
-every interpreter flag.
+polynomials in the sinusoidal variable by the library's one exact
+interpolation (``poly.interpolate``, on integers) with certified degrees.
+Every normalization, positivity, and leading coefficient claim is
+certified during the build: a failure raises, under every interpreter
+flag.
 
 Only the last Casoratian column depends on the label n.  The virtual-state
 rows, the Pochhammer factors r_j(x), the base-value columns P_0(y)..P_N(y),
-the Vandermonde products and the normalization C_D are evaluated once per
-(parameters, D) by a ``GridTable`` that lives for one build.
+the Vandermonde products and the normalizations C_D and C_(D,n) are
+evaluated once per (parameters, D) by a ``GridTable`` that lives for one
+build.  The M virtual-state columns of each bordered Casoratian are
+eliminated once per x (``linalg.LeadingElimination``); each P_(D,n)(x)
+then reduces only its bordered column.
 
 The second-order difference equations in x are not checked here: divided
 by the ground state P_0 they are the dual three-term recurrence, whose one
@@ -47,7 +51,7 @@ from .errors import (
     NonPositiveWeight,
     ZeroEntry,
 )
-from .linalg import generic_det, gram_residuals
+from .linalg import LeadingElimination, generic_det, gram_residuals
 from .params import R, ParamSet, ell, energy, eta, ipow, shift, validate
 from .poly import Poly, interpolate
 
@@ -130,7 +134,8 @@ class GridTable:
     Entries and the column fill are made on first use and held only as long
     as the table, so float values and factors stay tied to the working
     precision they were made at.  The determinants see the same rows in the
-    same order as a per-entry evaluation, so float results agree bit for bit.
+    same order, and the same elimination steps, as a per-entry evaluation,
+    so float results agree bit for bit.
     """
 
     def __init__(self, D: Sequence[int], p: ParamSet):
@@ -161,7 +166,18 @@ class GridTable:
         return self._get("cd", lambda: norm_const_cd(self.D, self.p))
 
     def cdn(self, n: int):
-        return (-1) ** self.M * self.cd() * self.dtn(n)
+        return self._get(("cdn", n), lambda: (-1) ** self.M * self.cd() * self.dtn(n))
+
+    def rj(self, j: int, x: int):
+        return self._get(("rj", j, x), lambda: rj_factor(j, x, self.M, self.p))
+
+    def elimination(self, x: int) -> LeadingElimination:
+        """The M virtual-state columns of the bordered Casoratian at x,
+        eliminated once for every label n."""
+        return self._get(
+            ("elim", x),
+            lambda: LeadingElimination([self.xi_row(x + j) for j in range(self.M + 1)]),
+        )
 
     def xi(self, x: int):
         """Grid value of the denominator polynomial (any integer x)."""
@@ -174,14 +190,9 @@ class GridTable:
     def pdn(self, n: int, x: int):
         """Grid value of the deformed polynomial via the bordered determinant;
         only the last column, r_j(x) * P_n(x+j-1), depends on n."""
-        M, p = self.M, self.p
-        rows = []
-        for j in range(1, M + 2):
-            y = x + j - 1
-            rj = self._get(("rj", j, x), lambda: rj_factor(j, x, M, p))
-            base = self.base_column(y)[n]
-            rows.append(self.xi_row(y) + [rj * base])
-        return generic_det(rows) / (self.cdn(n) * self.varphi(x, M + 1))
+        M = self.M
+        column = [self.rj(j, x) * self.base_column(x + j - 1)[n] for j in range(1, M + 2)]
+        return self.elimination(x).det(column) / (self.cdn(n) * self.varphi(x, M + 1))
 
 
 def leading_xi(D: Sequence[int], p: ParamSet):
@@ -207,8 +218,10 @@ def leading_xi(D: Sequence[int], p: ParamSet):
     return acc
 
 
-def leading_pdn(n: int, D: Sequence[int], p: ParamSet):
-    acc = leading_xi(D, p) * c_n(n, p)
+def leading_pdn(n: int, D: Sequence[int], p: ParamSet, lead_xi):
+    """Closed-form leading coefficient of P_(D,n); ``lead_xi`` is
+    ``leading_xi(D, p)``, which does not depend on n."""
+    acc = lead_xi * c_n(n, p)
     if p.family == R:
         for j, dj in enumerate(D, start=1):
             acc = acc * (p.c + j - 1) / (p.c + dj + n)
@@ -240,10 +253,6 @@ class MISystem:
     @property
     def ellD(self) -> int:
         return ell(self.D)
-
-    def eta_node(self, x: int):
-        """Interpolation node for the deformed polynomials."""
-        return eta(x, shift(self.params, self.M, "delta"))
 
     def bd(self, x: int):
         """Deformed birth-type potential."""
@@ -297,7 +306,8 @@ def build_mi_system(p: ParamSet, D: Sequence[int]) -> MISystem:
         [xi_grid[x] for x in range(ellD + 1)],
         max_degree=ellD,
     )
-    if (xi_poly.degree or 0) != ellD or xi_poly[ellD] != leading_xi(D, p):
+    lead_xi = leading_xi(D, p)
+    if (xi_poly.degree or 0) != ellD or xi_poly[ellD] != lead_xi:
         raise DegreeMismatch("denominator polynomial degree/leading coefficient")
     # certify the interpolant against the determinant route on the whole grid
     xi_vals = xi_poly.values([eta(x, p_ximinus) for x in range(N + 2)])
@@ -312,7 +322,7 @@ def build_mi_system(p: ParamSet, D: Sequence[int]) -> MISystem:
         deg = ellD + n
         vals = [tab.pdn(n, x) for x in range(deg + 1)]
         pol = interpolate(etas[: deg + 1], vals, max_degree=deg)
-        if (pol.degree or 0) != deg or pol[deg] != leading_pdn(n, D, p):
+        if (pol.degree or 0) != deg or pol[deg] != leading_pdn(n, D, p, lead_xi):
             raise DegreeMismatch(f"deformed polynomial n={n} degree/leading coefficient")
         row = pol.values(etas[: N + 1])
         for x in range(deg + 1, N + 1):

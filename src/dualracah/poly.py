@@ -3,10 +3,17 @@
 The indeterminate is the sinusoidal variable throughout the library, but
 nothing here depends on that interpretation.  The zero polynomial has
 ``degree is None`` (an explicit sentinel, never -1).
+
+``interpolate`` is the library's one interpolation kernel and serves every
+interpolant: the denominator polynomial, each deformed polynomial, X and
+the closure triple.  It runs on integers (Lagrange basis polynomials of
+the cleared nodes by synthetic division) and makes one rational per
+coefficient.
 """
 
 from __future__ import annotations
 
+from math import lcm, prod
 from typing import Sequence
 
 from .backend import is_rational, rat
@@ -120,31 +127,49 @@ class Poly:
 
 
 def interpolate(nodes: Sequence, values: Sequence, max_degree: int = None) -> Poly:
-    """Exact polynomial interpolation through distinct nodes.
+    """Exact polynomial interpolation through distinct rational nodes, on
+    integers.
 
-    Uses Newton divided differences.  If ``max_degree`` is given, the result
-    must not exceed it (DegreeMismatch otherwise); this certifies degree
-    bounds on determinant-built grid data.
+    The nodes are scaled to integers a_j = L*z_j by their common
+    denominator L, the values to integers b_j = D*v_j by theirs.  With the
+    integer master polynomial m(s) = prod_k (s - a_k), the j-th Lagrange
+    basis polynomial is m(s)/(s - a_j) (synthetic division) over the weight
+    w_j = prod_(k != j) (a_j - a_k).  With W = lcm(w_j) the interpolant in
+    s = L*z has the integer coefficients c = sum_j b_j*(W/w_j)*m(s)/(s - a_j)
+    over D*W, one basis polynomial at a time, so the coefficient of z^i is
+    the one rational c_i*L^i / (D*W).
+
+    If ``max_degree`` is given, the result must not exceed it
+    (DegreeMismatch otherwise); this certifies degree bounds on
+    determinant-built grid data.
     """
     n = len(nodes)
     if n != len(values):
         raise ValueError("nodes/values length mismatch")
     if len(set(nodes)) != n:
         raise SingularMatrix("coincident interpolation nodes")
-    nodes = [rat(v) for v in nodes]
-    coeffs = [rat(v) for v in values]  # divided differences, in place
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (nodes[i] - nodes[i - j])
-    # Newton -> monomial basis, Horner-style in one coefficient list:
-    # out <- out * (eta - nodes[i]) + coeffs[i].
-    out = coeffs[-1:]
-    for i in range(n - 2, -1, -1):
-        z = nodes[i]
-        out.append(out[-1])
-        for k in range(len(out) - 2, 0, -1):
-            out[k] = out[k - 1] - z * out[k]
-        out[0] = coeffs[i] - z * out[0]
+    (a, b), (L, D) = _cleared_int_rows([[rat(v) for v in nodes], [rat(v) for v in values]])
+    master = [1]
+    for ak in a:
+        master = [0] + master
+        for i in range(len(master) - 1):
+            master[i] -= ak * master[i + 1]
+    weights = [prod(aj - ak for k, ak in enumerate(a) if k != j) for j, aj in enumerate(a)]
+    W = lcm(*weights)
+    c = [0] * n
+    for aj, bj, wj in zip(a, b, weights):
+        if bj == 0:
+            continue
+        t = bj * (W // wj)
+        q = master[n]
+        c[n - 1] += t * q
+        for i in range(n - 1, 0, -1):
+            q = master[i] + aj * q
+            c[i - 1] += t * q
+    den, Lpow, out = D * W, 1, []
+    for ci in c:
+        out.append(rat(ci * Lpow, den))
+        Lpow *= L
     p = Poly(out)
     if max_degree is not None and p.degree is not None and p.degree > max_degree:
         raise DegreeMismatch(

@@ -6,6 +6,10 @@ recurrence coefficients) in a fixed traditional normalization.  They serve
 as independent oracles for the antiderivative construction: the machine
 route must reproduce them up to one global positive factor, which is pinned
 down by matching the eta^1 coefficient.
+
+Two replaced library routes live here too, as oracles for the kernels that
+replaced them: Newton divided differences for ``poly.interpolate`` and one
+full Gaussian elimination per matrix for ``linalg.LeadingElimination``.
 """
 
 from __future__ import annotations
@@ -14,11 +18,16 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 from dualracah.basefamily import poch, qpoch
-from dualracah.errors import UnknownExample
+from dualracah.backend import rat
+from dualracah.errors import DegreeMismatch, DualRacahError, SingularMatrix
 from dualracah.multiindexed import MISystem
 from dualracah.params import QR, R, ParamSet, ipow
 from dualracah.poly import Poly
 from dualracah.recurrence import RecTable, XPoly
+
+class UnknownExample(DualRacahError):
+    """No closed form is registered under the requested name and family."""
+
 
 #: canonical example identifiers
 EXAMPLE_NAMES = (
@@ -327,3 +336,64 @@ def compare_example(ex: ClosedFormExample, s: MISystem, xp: XPoly, t: Optional[R
                 if t.r[(n, k)] != want:
                     failures.append(("r", n, k, t.r[(n, k)] - want))
     return failures
+
+
+def newton_interpolate(nodes, values, max_degree: int = None) -> Poly:
+    """Interpolation by Newton divided differences on rationals (the route
+    ``poly.interpolate`` replaced, kept as an oracle), with the same
+    length, coincident-node and ``max_degree`` checks."""
+    n = len(nodes)
+    if n != len(values):
+        raise ValueError("nodes/values length mismatch")
+    if len(set(nodes)) != n:
+        raise SingularMatrix("coincident interpolation nodes")
+    nodes = [rat(v) for v in nodes]
+    coeffs = [rat(v) for v in values]  # divided differences, in place
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (nodes[i] - nodes[i - j])
+    # Newton -> monomial basis, Horner-style in one coefficient list:
+    # out <- out * (eta - nodes[i]) + coeffs[i].
+    out = coeffs[-1:]
+    for i in range(n - 2, -1, -1):
+        z = nodes[i]
+        out.append(out[-1])
+        for k in range(len(out) - 2, 0, -1):
+            out[k] = out[k - 1] - z * out[k]
+        out[0] = coeffs[i] - z * out[0]
+    p = Poly(out)
+    if max_degree is not None and p.degree is not None and p.degree > max_degree:
+        raise DegreeMismatch(
+            f"interpolant has degree {p.degree}, expected <= {max_degree}"
+        )
+    return p
+
+
+def naive_det(rows) -> object:
+    """Determinant over any field by one Gaussian elimination of the whole
+    matrix, first nonzero entry as pivot (the route
+    ``linalg.LeadingElimination`` replaced, kept as an oracle)."""
+    m = [list(r) for r in rows]
+    n = len(m)
+    if n == 0:
+        return 1
+    sign = 1
+    for k in range(n - 1):
+        pivot = None
+        for i in range(k, n):
+            if m[i][k] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            return m[0][0] * 0
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            f = m[i][k] / m[k][k]
+            for j in range(k, n):
+                m[i][j] = m[i][j] - f * m[k][j]
+    acc = m[0][0]
+    for k in range(1, n):
+        acc = acc * m[k][k]
+    return sign * acc

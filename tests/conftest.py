@@ -14,10 +14,11 @@ from dualracah import multiindexed
 from dualracah.backend import rat
 from dualracah.basefamily import multi_poch, multi_qpoch, poch, qpoch, racah_value, xi_v
 from dualracah.errors import NonPositiveWeight, SingularMatrix
-from dualracah.linalg import _cleared_int_rows, generic_det
+from dualracah.linalg import _cleared_int_rows
 from dualracah.params import QR, R, energy, ipow, make_params
 from dualracah.pipeline import Pipeline
 from dualracah.poly import Poly
+from comparators import naive_det
 
 Y_ONE = Poly([rat(1)])
 Y_ETA = Poly([rat(0), rat(1)])
@@ -75,7 +76,7 @@ def per_entry_xi(x, D, p):
     M = len(D)
     if M == 0:
         return rat(1) if p.is_exact() else p.b * 0 + 1
-    det = generic_det([[xi_v(dk, x + j, p) for dk in D] for j in range(M)])
+    det = naive_det([[xi_v(dk, x + j, p) for dk in D] for j in range(M)])
     return det / (multiindexed.norm_const_cd(D, p) * multiindexed.varphi_m(x, M, p))
 
 
@@ -88,7 +89,7 @@ def per_entry_pdn(n, x, D, p):
         row = [xi_v(dk, x + j - 1, p) for dk in D]
         row.append(multiindexed.rj_factor(j, x, M, p) * racah_value(n, x + j - 1, p))
         rows.append(row)
-    det = generic_det(rows)
+    det = naive_det(rows)
     cdn = (-1) ** M * multiindexed.norm_const_cd(D, p) * multiindexed.dtn_sq_value(n, D, p)
     return det / (cdn * multiindexed.varphi_m(x, M + 1, p))
 

@@ -2,9 +2,8 @@
 
 import pytest
 
-from dualracah.errors import UnknownExample
 from dualracah.params import QR, R
-from comparators import EXAMPLE_NAMES, closed_form_comparators, compare_example
+from comparators import EXAMPLE_NAMES, UnknownExample, closed_form_comparators, compare_example
 from conftest import SEEDS, std_params
 
 

@@ -1,19 +1,32 @@
 """Exact linear algebra: cleared-integer products and Gram residuals,
 checked against the rational-arithmetic routes they replaced, and the
 fraction-free echelon kernel kept as a test oracle in conftest (its
-determinant, square and overdetermined solves)."""
+determinant, square and overdetermined solves).  The Casoratian kernel,
+``LeadingElimination``, is checked against ``comparators.naive_det``,
+exactly and bit for bit in floats."""
 
 import math
 from itertools import permutations
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualracah.backend import rat
 from dualracah.errors import SingularMatrix
-from dualracah.linalg import SquareMatrix, _cleared_int_rows, generic_det, gram_residuals
-from conftest import _bareiss, solve_overdetermined
+from dualracah.linalg import (
+    LeadingElimination,
+    SquareMatrix,
+    _cleared_int_rows,
+    generic_det,
+    gram_residuals,
+)
+from dualracah.multiindexed import GridTable
+from dualracah.params import R
+from dualracah.qlimit import matched_q_params
+from comparators import naive_det
+from conftest import _bareiss, solve_overdetermined, std_params
 from test_closure import commutator, exact_inverse, matrix_poly
 
 entry = st.fractions(min_value=-50, max_value=50, max_denominator=10)
@@ -137,6 +150,80 @@ def test_generic_det_agrees_with_exact():
     rows = [[rat(i * 3 + j + 1) ** 2 + rat(1, i + 1) for j in range(3)] for i in range(3)]
     m = SquareMatrix(rows)
     assert generic_det([row[:] for row in rows]) == exact_det(m)
+
+
+# Leading columns (3 rows of 2) that force each branch of the elimination:
+# a row swap at step 0 and at step 1 (pivot != k), and no pivot in some
+# column (zero determinant for every last column).
+LEADING = {
+    "swap_first": [[0, 2], [3, 1], [5, 7]],
+    "swap_second": [[1, 2], [2, 4], [3, 7]],
+    "no_pivot_second": [[1, 2], [2, 4], [3, 6]],
+    "no_pivot_first": [[0, 1], [0, 2], [0, 3]],
+    "no_swap": [[2, 1], [1, 3], [4, 1]],
+}
+LAST_COLUMNS = ([1, 1, 1], [rat(1, 3), rat(-2, 7), rat(5, 11)], [0, 0, rat(9, 13)])
+
+
+def _floats(rows, prec):
+    with mpmath.workprec(prec):
+        return [[mpmath.mpf(v.numerator) / v.denominator for v in map(rat, row)] for row in rows]
+
+
+@pytest.mark.parametrize("case", sorted(LEADING))
+def test_leading_elimination_equals_naive_det(case):
+    lead = [[rat(v) for v in row] for row in LEADING[case]]
+    elim = LeadingElimination(lead)
+    for col in LAST_COLUMNS:
+        rows = [row + [rat(c)] for row, c in zip(lead, col)]
+        assert elim.det([rat(c) for c in col]) == naive_det(rows) == generic_det(rows)
+        if case.startswith("no_pivot"):
+            assert naive_det(rows) == 0
+    assert (elim.zero is not None) == case.startswith("no_pivot")
+    assert (elim.sign == -1) == case.startswith("swap")
+
+
+@pytest.mark.parametrize("prec", [53, 256])
+@pytest.mark.parametrize("case", sorted(LEADING))
+def test_leading_elimination_is_bit_identical_in_floats(case, prec):
+    """Same operations in the same order as one whole elimination, so the
+    float determinants agree to the last bit (the q->1 tables rely on it)."""
+    for col in LAST_COLUMNS:
+        rows = _floats([row + [c] for row, c in zip(LEADING[case], col)], prec)
+        with mpmath.workprec(prec):
+            got = LeadingElimination([r[:-1] for r in rows]).det([r[-1] for r in rows])
+            want = naive_det(rows)
+        assert type(got) is type(want) and got == want
+        assert repr(got) == repr(want)
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(small, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_leading_elimination_random(rows):
+    rows = [[rat(v) for v in row] for row in rows]
+    assert generic_det(rows) == naive_det(rows)
+    frows = _floats(rows, 53)
+    with mpmath.workprec(53):
+        got, want = generic_det(frows), naive_det(frows)
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("prec", [None, 53, 256])
+@pytest.mark.parametrize("case", sorted(LEADING))
+def test_grid_table_reaches_every_elimination_branch(case, prec):
+    """GridTable.pdn over hand-made virtual-state rows equals the bordered
+    determinant by one whole elimination, exactly and in floats."""
+    p = std_params(R, 4) if prec is None else matched_q_params(std_params(R, 4), 3, prec)
+    with mpmath.workprec(prec or 53):
+        tab = GridTable((1, 2), p)
+        lead = _floats(LEADING[case], prec) if prec else [list(map(rat, r)) for r in LEADING[case]]
+        tab.xi_row = lambda y: list(lead[y - 1])
+        for n in range(p.N + 1):
+            rows = [lead[j] + [tab.rj(j + 1, 1) * tab.base_column(1 + j)[n]] for j in range(3)]
+            want = naive_det(rows) / (tab.cdn(n) * tab.varphi(1, 3))
+            got = tab.pdn(n, 1)
+            assert type(got) is type(want) and repr(got) == repr(want)
 
 
 def test_solve_hand_2x2():

@@ -1,6 +1,7 @@
 """Determinant-built deformed systems: normalization, orthogonality,
 difference equations, norms, oscillation counts."""
 
+import copy
 import os
 import subprocess
 import sys
@@ -16,11 +17,13 @@ from dualracah.backend import rat
 from dualracah.basefamily import racah_value, rec_coeffs
 from dualracah.errors import (
     CrossCheckMismatch,
+    DegreeMismatch,
     IndexOutOfRange,
     InadmissibleParams,
     NonPositiveWeight,
     ZeroEntry,
 )
+from dualracah.linalg import LeadingElimination
 from dualracah.multiindexed import (
     GridTable,
     MISystem,
@@ -29,7 +32,7 @@ from dualracah.multiindexed import (
     sign_changes,
     verify_ortho,
 )
-from dualracah.params import QR, R, make_params, shift
+from dualracah.params import QR, R, eta, make_params, shift
 from dualracah.pipeline import Pipeline
 from conftest import per_entry_pdn, per_entry_xi, std_params, verify_difference_eq
 
@@ -195,7 +198,7 @@ def test_value_route_matches_interpolant_off_grid(family, pipe):
     p = s.params
     for n in (0, 3, 5):
         x = p.N + 1
-        assert s.pdn_polys[n](s.eta_node(x)) == GridTable(s.D, p).pdn(n, x)
+        assert s.pdn_polys[n](eta(x, shift(p, s.M, "delta"))) == GridTable(s.D, p).pdn(n, x)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -233,6 +236,10 @@ FAULTS = {
                        r"denominator interpolant misses the grid at x=6"),
     "pdn_off_nodes": ("pdn", lambda t, p, n, x: (n, x) == (0, 5),
                       r"n=0 interpolant misses the grid at x=5"),
+    # a doubled pivot product of the virtual-state elimination at x=5
+    # doubles P_(D,n)(5) for every n
+    "pdn_elimination": ("elimination", lambda t, p, x: t.p == p and x == 5,
+                        r"n=0 interpolant misses the grid at x=5"),
     # a doubled C_(D,n) halves P_2 on the whole grid; with a leading
     # coefficient that is wrong the same way, only the x=0 value shows it
     "pdn_at_zero": ("cdn", lambda t, p, n: n == 2, r"n=2 is 1/2 at x=0, not 1"),
@@ -251,10 +258,16 @@ def corrupted_table(fault):
 
     def corrupted(self, *args):
         v = orig(self, *args)
-        return 2 * v if hit(self, p, *args) else v
+        if not hit(self, p, *args):
+            return v
+        if isinstance(v, LeadingElimination):
+            v = copy.copy(v)
+            v.product = 2 * v.product
+            return v
+        return 2 * v
 
-    def halved_lead(n, D, q):
-        return orig_lead(n, D, q) / (2 if n == 2 else 1)
+    def halved_lead(n, *args):
+        return orig_lead(n, *args) / (2 if n == 2 else 1)
 
     setattr(GridTable, attr, corrupted)
     if fault == "pdn_at_zero":
@@ -272,6 +285,26 @@ def test_corrupted_table_entry_raises(fault):
         with pytest.raises(CrossCheckMismatch, match=FAULTS[fault][2]):
             build_mi_system(p, D)
     build_mi_system(p, D)  # the patch is gone again
+
+
+def test_leading_xi_formed_once_per_build(monkeypatch):
+    """The n-independent factor of every leading coefficient is formed once;
+    a wrong factor in one label's closed form still stops the build."""
+    calls = []
+    orig = multiindexed.leading_xi
+
+    def counted(D, p):
+        calls.append(D)
+        return orig(D, p)
+
+    monkeypatch.setattr(multiindexed, "leading_xi", counted)
+    build_mi_system(std_params(R, 6), (1, 2))
+    assert len(calls) == 1
+    orig_pdn = multiindexed.leading_pdn
+    monkeypatch.setattr(multiindexed, "leading_pdn",
+                        lambda n, D, p, lead: orig_pdn(n, D, p, 2 * lead if n == 3 else lead))
+    with pytest.raises(DegreeMismatch, match=r"deformed polynomial n=3 degree/leading"):
+        build_mi_system(std_params(R, 6), (1, 2))
 
 
 @pytest.mark.parametrize("family", FAMILIES)

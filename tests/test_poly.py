@@ -1,13 +1,15 @@
-"""Polynomial arithmetic and certified exact interpolation."""
+"""Polynomial arithmetic and certified exact interpolation, the integer
+kernel checked against the Newton route it replaced."""
 
 import mpmath
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualracah.backend import rat
 from dualracah.errors import DegreeMismatch, SingularMatrix
 from dualracah.poly import Poly, interpolate
+from comparators import newton_interpolate
 
 coeff = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 polys = st.lists(coeff, max_size=6).map(Poly)
@@ -123,3 +125,38 @@ def test_interpolate_degree_certificate():
 def test_interpolate_coincident_nodes():
     with pytest.raises(SingularMatrix):
         interpolate([rat(1), rat(1)], [rat(0), rat(1)])
+
+
+nodes = st.lists(
+    st.fractions(min_value=-60, max_value=60, max_denominator=12), min_size=1, max_size=9,
+    unique=True,
+)
+
+
+@settings(max_examples=150)
+@given(st.data(), nodes)
+def test_integer_kernel_equals_newton(data, zs):
+    """Random rational values, or the values of a polynomial of lower
+    degree than the node count (degenerate data, trailing zeros to trim)."""
+    zs = [rat(z) for z in zs]
+    if data.draw(st.booleans()):
+        vals = [rat(v) for v in data.draw(st.lists(coeff, min_size=len(zs), max_size=len(zs)))]
+    else:
+        low = Poly(data.draw(st.lists(coeff, max_size=len(zs) - 1)))
+        vals = low.values(zs)
+    got = interpolate(zs, vals)
+    assert got == newton_interpolate(zs, vals)
+    assert all(type(c) is type(rat(0)) for c in got.coeffs)
+    assert got.values(zs) == vals
+
+
+def test_integer_kernel_keeps_the_checks():
+    assert interpolate([], []) == newton_interpolate([], []) == Poly.zero()
+    with pytest.raises(ValueError):
+        interpolate([rat(1)], [])
+    with pytest.raises(SingularMatrix):
+        interpolate([rat(1, 2), rat(2, 4)], [rat(0), rat(1)])
+    zs = [rat(-3, 2), rat(1, 3), rat(2)]
+    with pytest.raises(DegreeMismatch):
+        interpolate(zs, [z * z for z in zs], max_degree=1)
+    assert interpolate(zs, [z * z for z in zs], max_degree=2) == Poly([0, 0, 1])

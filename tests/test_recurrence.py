@@ -227,8 +227,9 @@ def test_polynomial_identity_fails_off_band(pipe):
     for k in t.band(n):
         rhs = rhs + s.pdn_polys[n + k].scale(t.r[(n, k)])
     assert lhs != rhs  # off-grid disagreement
+    node = shift(s.params, s.M, "delta")
     for x in range(s.params.N + 1):  # ... yet on-grid equality
-        assert lhs(s.eta_node(x)) == rhs(s.eta_node(x))
+        assert lhs(eta(x, node)) == rhs(eta(x, node))
 
 
 def test_negative_seed_rejected_for_hamiltonian(pipe):
