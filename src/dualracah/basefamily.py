@@ -11,6 +11,12 @@ Base values P_n(y) are filled a column (all n at one y) at a time by
 across the table.  ``racah_value``, the sum for a single value, serves the
 virtual-state values at the twisted parameters (``xi_v``) and the base
 suite's spot row.
+
+The squared ground state phi0^2(0..N) and the squared norms d_0^2..d_N^2
+are tables (``phi0_sq_table``, ``dn_sq_table``): each (q-)Pochhammer symbol
+is run once along x or n, in the order of its direct product, so every
+entry equals the per-point formula (kept in the tests as an oracle), bit
+for bit in floats.
 """
 
 from __future__ import annotations
@@ -199,36 +205,67 @@ class RacahColumns:
         return tuple(col)
 
 
-def phi0_sq(x: int, p: ParamSet):
-    a, b, c, d = p.a, p.b, p.c, p.d
+def _pochhammer_rows(us, N: int, q=None) -> list:
+    """Row n = 0..N is ``multi_poch(us, n)`` (``multi_qpoch(us, n, q)`` when
+    q is given).  Each (u)_n is the running product of ``poch``'s (or
+    ``qpoch``'s) factors, in their order, so every row equals the direct
+    product, bit for bit in floats, at O(N) cost for the table."""
+    runs = []
+    for u in us:
+        acc = u * 0 + 1
+        run = [acc]
+        for i in range(N):
+            acc = acc * (u + i if q is None else 1 - u * ipow(q, i))
+            run.append(acc)
+        runs.append(run)
+    rows = []
+    for n in range(N + 1):
+        acc = 1
+        for run in runs:
+            acc = acc * run[n]
+        rows.append(acc)
+    return rows
+
+
+def phi0_sq_table(p: ParamSet) -> tuple:
+    """(phi0^2(0), ..., phi0^2(N)), the squared ground state, its
+    Pochhammer products run once along x."""
+    a, b, c, d, N = p.a, p.b, p.c, p.d, p.N
     if p.family == R:
-        v = multi_poch((a, b, c, d), x) / multi_poch(
-            (d - a + 1, d - b + 1, d - c + 1, rat(1)), x
-        ) * (2 * x + d) / d
+        num = _pochhammer_rows((a, b, c, d), N)
+        den = _pochhammer_rows((d - a + 1, d - b + 1, d - c + 1, rat(1)), N)
+
+        def value(x):
+            return num[x] / den[x] * (2 * x + d) / d
     else:
-        q = p.q
-        v = multi_qpoch((a, b, c, d), x, q) / (
-            multi_qpoch((d * q / a, d * q / b, d * q / c, q), x, q) * ipow(p.dtilde, x)
-        ) * (1 - d * ipow(q, 2 * x)) / (1 - d)
-    if p.is_exact() and not v > 0:
-        raise NonPositiveWeight(f"phi0^2({x}) = {v}")
-    return v
+        q, dt = p.q, p.dtilde
+        num = _pochhammer_rows((a, b, c, d), N, q)
+        den = _pochhammer_rows((d * q / a, d * q / b, d * q / c, q), N, q)
+
+        def value(x):
+            return num[x] / (den[x] * ipow(dt, x)) * (1 - d * ipow(q, 2 * x)) / (1 - d)
+
+    table = []
+    for x in range(N + 1):
+        v = value(x)
+        if p.is_exact() and not v > 0:
+            raise NonPositiveWeight(f"phi0^2({x}) = {v}")
+        table.append(v)
+    return tuple(table)
 
 
 def dn_sq_table(p: ParamSet) -> tuple:
-    """(d_0^2, ..., d_N^2), the squared norms: an n-dependent ratio times a
-    factor that depends on the tuple only, formed once for the table."""
+    """(d_0^2, ..., d_N^2), the squared norms: an n-dependent ratio, its
+    Pochhammer products run once along n, times a factor that depends on
+    the tuple only, formed once for the table."""
     a, b, c, d, N = p.a, p.b, p.c, p.d, p.N
     dt = p.dtilde
     if p.family == R:
+        num = _pochhammer_rows((a, b, c, dt), N)
+        den = _pochhammer_rows((dt - a + 1, dt - b + 1, dt - c + 1, rat(1)), N)
 
         def ratio(n):
-            return (
-                multi_poch((a, b, c, dt), n)
-                / multi_poch((dt - a + 1, dt - b + 1, dt - c + 1, rat(1)), n)
-                * (2 * n + dt)
-                / dt
-            )
+            return num[n] / den[n] * (2 * n + dt) / dt
 
         factor = (
             (-1) ** N
@@ -237,14 +274,11 @@ def dn_sq_table(p: ParamSet) -> tuple:
         )
     else:
         q = p.q
+        num = _pochhammer_rows((a, b, c, dt), N, q)
+        den = _pochhammer_rows((dt * q / a, dt * q / b, dt * q / c, q), N, q)
 
         def ratio(n):
-            return (
-                multi_qpoch((a, b, c, dt), n, q)
-                / (multi_qpoch((dt * q / a, dt * q / b, dt * q / c, q), n, q) * ipow(d, n))
-                * (1 - dt * ipow(q, 2 * n))
-                / (1 - dt)
-            )
+            return num[n] / (den[n] * ipow(d, n)) * (1 - dt * ipow(q, 2 * n)) / (1 - dt)
 
         factor = (
             (-1) ** N

@@ -7,7 +7,9 @@ entry is one rational, ``rat(dot, row_factor * col_factor)``.  Results are
 canonical rationals, equal to those of rational arithmetic entry for entry.
 
 Orthogonality relations are checked as one such product, the Gram matrix
-of a square table under a weight (``gram_residuals``).
+of a square table under a weight (``gram_residuals``); a projection that
+reads only a band of that matrix takes only the band's dot products
+(``gram_band``).
 
 The small Casoratians have one elimination kernel over any field (their
 entries are floats in the q->1 checks; nothing here imports a float
@@ -128,6 +130,23 @@ def gram_residuals(rows, weights, norms) -> list:
             if residual != 0:
                 out.append((i, j, residual))
     return out
+
+
+def gram_band(rows, weights, w: int) -> dict:
+    """Entries (i, j) with |i - j| <= w of G = rows @ diag(weights) @ rows^T.
+
+    The rows are cleared to integers as for the dense product and only the
+    band's dot products are taken, so each entry is the canonical rational
+    of that product.
+    """
+    a = SquareMatrix(rows)
+    left, row_f = _cleared_int_rows(a.scale_cols(weights).rows)
+    right, col_f = _cleared_int_rows(a.rows)
+    return {
+        (i, j): rat(sum(map(mul, left[i], right[j])), row_f[i] * col_f[j])
+        for i in range(a.n)
+        for j in range(max(0, i - w), min(a.n, i + w + 1))
+    }
 
 
 class LeadingElimination:

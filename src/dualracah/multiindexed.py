@@ -12,9 +12,24 @@ Only the last Casoratian column depends on the label n.  The virtual-state
 rows, the Pochhammer factors r_j(x), the base-value columns P_0(y)..P_N(y),
 the Vandermonde products and the normalizations C_D and C_(D,n) are
 evaluated once per (parameters, D) by a ``GridTable`` that lives for one
-build.  The M virtual-state columns of each bordered Casoratian are
-eliminated once per x (``linalg.LeadingElimination``); each P_(D,n)(x)
-then reduces only its bordered column.
+build.  Within the table, the pieces that depend on neither n, x nor j are
+formed once:
+
+- the shifted parameter sets lambda + i*delta, i < M;
+- the pairs (etilde_(d_j), alpha*B'(j)) shared by C_D and every dtn(n);
+- the ratio varphi_M(0)/varphi_(M+1)(0) that starts every dtn(n);
+- the denominator of r_j(x): one constant for R; for qR the powers of
+  ab/(dq) by j and the two q-Pochhammer symbols, multiplied with q^(Mx)
+  in the per-entry order.
+
+varphi_(M+1)(x) extends the held varphi_M(x) by its last factors.  The
+M virtual-state columns of each bordered Casoratian are eliminated once
+per x (``linalg.LeadingElimination``); each P_(D,n)(x) then reduces only
+its bordered column.  The per-entry formulas live in the tests as
+oracles; floats agree with them bit for bit.
+
+The weights come from ``basefamily.phi0_sq_table`` and the squared norms
+from ``basefamily.dn_sq_table``, one table each per build.
 
 The second-order difference equations in x are not checked here: divided
 by the ground state P_0 they are the dual three-term recurrence, whose one
@@ -36,7 +51,7 @@ from .basefamily import (
     etilde_v,
     multi_poch,
     multi_qpoch,
-    phi0_sq,
+    phi0_sq_table,
     poch,
     potential,
     qpoch,
@@ -46,7 +61,6 @@ from .basefamily import (
 from .errors import (
     CrossCheckMismatch,
     DegreeMismatch,
-    IndexOutOfRange,
     InadmissibleParams,
     NonPositiveWeight,
     ZeroEntry,
@@ -61,69 +75,6 @@ def _one(p: ParamSet):
     return p.b * 0 + 1
 
 
-def varphi_m(x: int, M: int, p: ParamSet):
-    """Vandermonde-type product of eta differences; 1 for M <= 1."""
-    acc = _one(p)
-    for k in range(2, M + 1):
-        for j in range(1, k):
-            acc = acc * varphi(x + j - 1, shift(p, k - j - 1, "delta"))
-    return acc
-
-
-def rj_factor(j: int, x: int, M: int, p: ParamSet):
-    """Pochhammer-ratio factor multiplying the bordered column entry in row j."""
-    if not 1 <= j <= M + 1:
-        raise IndexOutOfRange(f"j={j} outside 1..{M + 1}")
-    a, b, d = p.a, p.b, p.d
-    if p.family == R:
-        num = (
-            poch(x + a, j - 1)
-            * poch(x + b, j - 1)
-            * poch(x + d - a + j, M + 1 - j)
-            * poch(x + d - b + j, M + 1 - j)
-        )
-        den = poch(d - a + 1, M) * poch(d - b + 1, M)
-        return num / den
-    q = p.q
-    qx = ipow(q, x)
-    num = (
-        qpoch(a * qx, j - 1, q)
-        * qpoch(b * qx, j - 1, q)
-        * qpoch(d * ipow(q, x + j) / a, M + 1 - j, q)
-        * qpoch(d * ipow(q, x + j) / b, M + 1 - j, q)
-    )
-    den = (
-        ipow(a * b / (d * q), j - 1)
-        * ipow(q, M * x)
-        * qpoch(d * q / a, M, q)
-        * qpoch(d * q / b, M, q)
-    )
-    return num / den
-
-
-def norm_const_cd(D: Sequence[int], p: ParamSet):
-    """Overall normalization of the denominator determinant."""
-    M = len(D)
-    acc = _one(p) / varphi_m(0, M, p)
-    al = alpha_const(p)
-    et = [etilde_v(dj, p) for dj in D]
-    for j in range(M):
-        for k in range(j + 1, M):
-            acc = acc * (et[j] - et[k]) / (al * potential(j, p, "Bprime"))
-    return acc
-
-
-def dtn_sq_value(n: int, D: Sequence[int], p: ParamSet):
-    """Deformation factor of the squared norm."""
-    M = len(D)
-    acc = varphi_m(0, M, p) / varphi_m(0, M + 1, p)
-    al = alpha_const(p)
-    en = energy(n, p)
-    for j, dj in enumerate(D):
-        acc = acc * (en - etilde_v(dj, p)) / (al * potential(j, p, "Bprime"))
-    return acc
-
-
 class GridTable:
     """Grid values of the Casoratians at one (parameters, D), each
     n-independent piece evaluated once.
@@ -131,11 +82,13 @@ class GridTable:
     Base values come a column P_0(y)..P_N(y) at a time from one
     ``basefamily.RacahColumns`` (the three-term recurrence for exact
     parameters; for float ones the q-sum, whose factors that object holds).
-    Entries and the column fill are made on first use and held only as long
-    as the table, so float values and factors stay tied to the working
-    precision they were made at.  The determinants see the same rows in the
-    same order, and the same elimination steps, as a per-entry evaluation,
-    so float results agree bit for bit.
+    The factors that depend on neither n, x nor j (listed in the module
+    docstring) are formed once per table.  Entries, factors and the column
+    fill are made on first use and held only as long as the table, so
+    float values stay tied to the working precision they were made at.
+    Every product is taken in the order of the per-entry formulas, and the
+    determinants see the same rows, in the same order, and the same
+    elimination steps, so float results agree bit for bit.
     """
 
     def __init__(self, D: Sequence[int], p: ParamSet):
@@ -156,20 +109,105 @@ class GridTable:
         fill = self._get("columns", lambda: RacahColumns(self.p))
         return self._get(("P", y), lambda: fill.column(y))
 
-    def varphi(self, x: int, M: int):
-        return self._get(("varphi", x, M), lambda: varphi_m(x, M, self.p))
+    def _shifted(self) -> list:
+        # lambda + i*delta, i = 0..M-1
+        return self._get("shifted", lambda: [shift(self.p, i, "delta") for i in range(self.M)])
+
+    def varphi(self, x: int, m: int):
+        """Vandermonde-type product of eta differences; 1 for m <= 1."""
+        if m <= 1:
+            return _one(self.p)
+
+        def extend():
+            acc, ps = self.varphi(x, m - 1), self._shifted()
+            for j in range(1, m):
+                acc = acc * varphi(x + j - 1, ps[m - j - 1])
+            return acc
+
+        return self._get(("varphi", x, m), extend)
+
+    def _energy_pairs(self) -> list:
+        # (etilde_(d_j), alpha * B'(j)), j = 0..M-1
+        def make():
+            p = self.p
+            al = alpha_const(p)
+            return [
+                (etilde_v(dj, p), al * potential(j, p, "Bprime")) for j, dj in enumerate(self.D)
+            ]
+
+        return self._get("pairs", make)
+
+    def varphi_ratio(self):
+        """varphi_M(0) / varphi_(M+1)(0), the n-independent start of dtn(n)."""
+        return self._get("ratio", lambda: self.varphi(0, self.M) / self.varphi(0, self.M + 1))
 
     def dtn(self, n: int):
-        return self._get(("dtn", n), lambda: dtn_sq_value(n, self.D, self.p))
+        """Deformation factor of the squared norm."""
+
+        def make():
+            acc, en = self.varphi_ratio(), energy(n, self.p)
+            for et, alb in self._energy_pairs():
+                acc = acc * (en - et) / alb
+            return acc
+
+        return self._get(("dtn", n), make)
 
     def cd(self):
-        return self._get("cd", lambda: norm_const_cd(self.D, self.p))
+        """Overall normalization of the denominator determinant."""
+
+        def make():
+            pairs = self._energy_pairs()
+            acc = _one(self.p) / self.varphi(0, self.M)
+            for j, (et, alb) in enumerate(pairs):
+                for et_k, _ in pairs[j + 1:]:
+                    acc = acc * (et - et_k) / alb
+            return acc
+
+        return self._get("cd", make)
 
     def cdn(self, n: int):
         return self._get(("cdn", n), lambda: (-1) ** self.M * self.cd() * self.dtn(n))
 
+    def _rj_den(self):
+        # R: the one denominator of every r_j(x); qR: the powers of
+        # ab/(dq) by j and the two q-Pochhammer symbols
+        def make():
+            p, M = self.p, self.M
+            a, b, d = p.a, p.b, p.d
+            if p.family == R:
+                return poch(d - a + 1, M) * poch(d - b + 1, M)
+            q = p.q
+            powers = [ipow(a * b / (d * q), j - 1) for j in range(1, M + 2)]
+            return powers, qpoch(d * q / a, M, q), qpoch(d * q / b, M, q)
+
+        return self._get("rj_den", make)
+
     def rj(self, j: int, x: int):
-        return self._get(("rj", j, x), lambda: rj_factor(j, x, self.M, self.p))
+        """Pochhammer-ratio factor multiplying the bordered column entry in row j."""
+
+        def make():
+            p, M = self.p, self.M
+            a, b, d = p.a, p.b, p.d
+            if p.family == R:
+                num = (
+                    poch(x + a, j - 1)
+                    * poch(x + b, j - 1)
+                    * poch(x + d - a + j, M + 1 - j)
+                    * poch(x + d - b + j, M + 1 - j)
+                )
+                return num / self._rj_den()
+            q = p.q
+            qx = ipow(q, x)
+            num = (
+                qpoch(a * qx, j - 1, q)
+                * qpoch(b * qx, j - 1, q)
+                * qpoch(d * ipow(q, x + j) / a, M + 1 - j, q)
+                * qpoch(d * ipow(q, x + j) / b, M + 1 - j, q)
+            )
+            powers, qa, qb = self._rj_den()
+            return num / (powers[j - 1] * ipow(q, M * x) * qa * qb)
+
+        return self._get(("rj", j, x), make)
 
     def elimination(self, x: int) -> LeadingElimination:
         """The M virtual-state columns of the bordered Casoratian at x,
@@ -345,10 +383,9 @@ def build_mi_system(p: ParamSet, D: Sequence[int]) -> MISystem:
 
     dtn = [tab.dtn(n) for n in range(N + 1)]
     dDn = [v * t for v, t in zip(dn_sq_table(p), dtn)]
-    p_tilde = shift(p, M, "tilde")
     weights = []
-    for x in range(N + 1):
-        w = phi0_sq(x, p_tilde) / (xi_grid[x] * xi_grid[x + 1])
+    for x, phi0 in enumerate(phi0_sq_table(shift(p, M, "tilde"))):
+        w = phi0 / (xi_grid[x] * xi_grid[x + 1])
         if not w > 0:
             raise NonPositiveWeight(f"weight({x}) = {w}")
         weights.append(w)

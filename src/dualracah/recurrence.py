@@ -5,9 +5,10 @@ polynomial Y) is defined by its steps on the lattice, so X is built as the
 interpolant of their telescoping sums, certified against the sums on the
 whole grid.  Its grid values drive recurrence relations with constant
 coefficients for the deformed polynomials.  Coefficients are extracted by
-exact orthogonality projection, one weighted Gram product of the grid
-table, and certified by the relation that defines them: read on the grid,
-the band recurrence is the matrix identity R @ P = P @ diag(X).
+exact orthogonality projection, the 1+2L band of one weighted Gram
+product of the grid table, and certified by the relation that defines
+them: read on the grid, the band recurrence is the matrix identity
+R @ P = P @ diag(X).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .errors import (
     NonMonotone,
     ZeroPolynomial,
 )
-from .linalg import SquareMatrix
+from .linalg import SquareMatrix, gram_band
 from .multiindexed import MISystem
 from .params import R, eta, ipow, shift
 from .poly import Poly, interpolate
@@ -113,7 +114,7 @@ def extract_r(s: MISystem, xp: XPoly) -> RecTable:
     n1 = N + 1
     X = [xp.grid[x] for x in range(n1)]
     P = SquareMatrix(s.pdn_grid)
-    gram = P.scale_cols([w * v for w, v in zip(s.weights, X)]) @ P.transpose()
+    gram = gram_band(P.rows, [w * v for w, v in zip(s.weights, X)], L)
     r = {
         (n, k): s.dDn_sq[n + k] * gram[n, n + k]
         for n in range(n1)

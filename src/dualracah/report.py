@@ -205,7 +205,7 @@ def _suite_base(cfg: RunConfig, pipe: Pipeline) -> dict:
             )
     P = list(zip(*cols))
     dual = basefamily.RacahColumns(p.dual())
-    phi0 = [basefamily.phi0_sq(x, p) for x in grid]
+    phi0 = basefamily.phi0_sq_table(p)
     dn = basefamily.dn_sq_table(p)
     fails = [["ortho", n, m] for n, m, _ in gram_residuals(P, phi0, [1 / v for v in dn])]
     for n in grid:

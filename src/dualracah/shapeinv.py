@@ -8,6 +8,14 @@ a zero last row.  Shape invariance would force the spectrum at shrunk size
 N-1 to be an affine rescaling of the tail of the original spectrum; that
 necessary condition is checked exactly, and the full matrix condition is
 reported as a high-precision float residual.
+
+h_tilde is a (1+2L)-band matrix, and a Cholesky factor keeps the band of
+what it factors, so ``factor_upper`` reads the bandwidth w from its input
+and sums only inside the band: O(N w^2) instead of O(N^3).  The residual
+A A^T - kappa A2^T A2 - E_1 is formed on the band only, with A A^T of the
+system's own factor formed once for every candidate.  The terms left out
+are exact zeros, so every float equals the one of the dense sums (kept in
+the tests as the oracle).
 """
 
 from __future__ import annotations
@@ -42,33 +50,48 @@ def symmetric_form(h: DualHamiltonian, precision: int) -> list:
         ]
 
 
+def _bandwidth(rows) -> int:
+    """Largest |x - y| with a nonzero entry (0 for a diagonal or zero matrix)."""
+    return max(
+        (abs(x - y) for x, row in enumerate(rows) for y, v in enumerate(row) if v), default=0
+    )
+
+
+def _band(n: int, w: int):
+    """The index pairs (x, y) of an n x n matrix with |x - y| <= w, row by row."""
+    return ((x, y) for x in range(n) for y in range(max(0, x - w), min(n, x + w + 1)))
+
+
 def factor_upper(h_sym, precision: int) -> list:
     """Rows of the upper-triangular factor A with nonnegative diagonal,
     A^T A = h_sym, for the rows of a real symmetric matrix.
 
     Zero pivots (within tolerance) yield zero rows, as required for a
-    positive semi-definite matrix with nontrivial kernel.
+    positive semi-definite matrix with nontrivial kernel.  With w the
+    bandwidth of h_sym, A[z][y] = 0 exactly whenever y - z > w, so every sum
+    runs over the band only: the terms left out are exact zeros, and each
+    float equals the one of the sum over the whole matrix.
     """
-    n = len(h_sym)
+    n, w = len(h_sym), _bandwidth(h_sym)
     with mpmath.workprec(precision):
         scale = max((abs(v) for row in h_sym for v in row), default=mpmath.mpf(1))
         tol = mpmath.mpf(2) ** (-(precision // 2)) * (scale if scale > 0 else 1)
         a = [[mpmath.mpf(0)] * n for _ in range(n)]
         for x in range(n):
-            pivot = h_sym[x][x] - sum(a[z][x] ** 2 for z in range(x))
+            pivot = h_sym[x][x] - sum(a[z][x] ** 2 for z in range(max(0, x - w), x))
             if pivot < -tol:
                 raise NegativePivot(f"pivot {pivot} at row {x}")
             if pivot <= tol:
                 continue  # zero row
             a[x][x] = mpmath.sqrt(pivot)
-            for y in range(x + 1, n):
-                hxy = h_sym[x][y] - sum(a[z][x] * a[z][y] for z in range(x))
+            for y in range(x + 1, min(n, x + w + 1)):
+                hxy = h_sym[x][y] - sum(a[z][x] * a[z][y] for z in range(max(0, y - w), x))
                 a[x][y] = hxy / a[x][x]
-        # reconstruction check
+        # reconstruction check; outside the band both sides are zero
         err = max(
-            abs(sum(a[z][x] * a[z][y] for z in range(n)) - h_sym[x][y])
-            for x in range(n)
-            for y in range(n)
+            abs(sum(a[z][x] * a[z][y] for z in range(max(0, x - w, y - w), min(x, y) + 1))
+                - h_sym[x][y])
+            for x, y in _band(n, w)
         )
         if err > tol * 4 * n:
             raise CrossCheckMismatch(f"A^T*A misses h_sym by {err} (tolerance {tol * 4 * n})")
@@ -138,7 +161,7 @@ def si_test(
     at ``precision`` bits."""
     p, D, N = pipe.params, pipe.D, pipe.params.N
     xp = pipe.xpoly(Y)
-    A = None  # factor of the pipeline's own Hamiltonian, built once when first needed
+    aad = None  # band of A*A^T, A the factor of the pipeline's own Hamiltonian, formed once
     verdicts = []
     for name, p2 in builtin_candidates(p) + list(extra_candidates or []):
         try:
@@ -154,19 +177,29 @@ def si_test(
             if kappa * xp2.grid[x] != xp.grid[x + 1] - xp.grid[1]:
                 spectral_pass, first_fail = False, x
                 break
-        if A is None:
+        if aad is None:
             A = factor_upper(symmetric_form(pipe.hamiltonian(Y), precision), precision)
+            w = _bandwidth(A)
+            with mpmath.workprec(precision):
+                # A[x][z] != 0 only for x <= z <= x + w
+                aad = {
+                    (x, y): sum(
+                        A[x][z] * A[y][z] for z in range(max(x, y), min(N, x + w, y + w) + 1)
+                    )
+                    for x, y in _band(N, w)
+                }
         A2 = factor_upper(symmetric_form(cand.hamiltonian(Y), precision), precision)
+        w2 = _bandwidth(A2)
         with mpmath.workprec(precision):
             k = to_real(kappa, precision)
             e1 = to_real(xp.grid[1], precision)
             residual = mpmath.mpf(0)
-            for x in range(N):
-                for y in range(N):
-                    aad = sum(A[x][z] * A[y][z] for z in range(N + 1))
-                    ata = sum(A2[z][x] * A2[z][y] for z in range(N))
-                    target = aad - k * ata - (e1 if x == y else 0)
-                    residual = max(residual, abs(target))
+            # outside both bands every term of the residual is an exact zero
+            for x, y in _band(N, max(w, w2)):
+                zs = range(max(0, x - w2, y - w2), min(x, y) + 1)
+                ata = sum(A2[z][x] * A2[z][y] for z in zs)
+                target = aad.get((x, y), 0) - k * ata - (e1 if x == y else 0)
+                residual = max(residual, abs(target))
         verdicts.append(
             CandidateVerdict(name, True, kappa, spectral_pass, first_fail, residual)
         )

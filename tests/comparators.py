@@ -7,21 +7,34 @@ as independent oracles for the antiderivative construction: the machine
 route must reproduce them up to one global positive factor, which is pinned
 down by matching the eta^1 coefficient.
 
-Two replaced library routes live here too, as oracles for the kernels that
-replaced them: Newton divided differences for ``poly.interpolate`` and one
-full Gaussian elimination per matrix for ``linalg.LeadingElimination``.
+Replaced library routes live here too, as oracles for the kernels that
+replaced them: Newton divided differences for ``poly.interpolate``, one
+full Gaussian elimination per matrix for ``linalg.LeadingElimination``,
+the per-entry Casoratian factors that ``multiindexed.GridTable`` forms
+from pieces held once per table (``varphi_m``, ``rj_factor``,
+``norm_const_cd``, ``dtn_sq_value``), and the dense semidefinite
+factorization that ``shapeinv.factor_upper`` restricts to the band.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
-from dualracah.basefamily import poch, qpoch
+import mpmath
+
+from dualracah.basefamily import alpha_const, etilde_v, poch, potential, qpoch, varphi
 from dualracah.backend import rat
-from dualracah.errors import DegreeMismatch, DualRacahError, SingularMatrix
+from dualracah.errors import (
+    CrossCheckMismatch,
+    DegreeMismatch,
+    DualRacahError,
+    IndexOutOfRange,
+    NegativePivot,
+    SingularMatrix,
+)
 from dualracah.multiindexed import MISystem
-from dualracah.params import QR, R, ParamSet, ipow
+from dualracah.params import QR, R, ParamSet, energy, ipow, shift
 from dualracah.poly import Poly
 from dualracah.recurrence import RecTable, XPoly
 
@@ -397,3 +410,103 @@ def naive_det(rows) -> object:
     for k in range(1, n):
         acc = acc * m[k][k]
     return sign * acc
+
+
+def _one(p: ParamSet):
+    return p.b * 0 + 1
+
+
+def varphi_m(x: int, M: int, p: ParamSet):
+    """Vandermonde-type product of eta differences; 1 for M <= 1 (the
+    per-entry route of ``GridTable.varphi``)."""
+    acc = _one(p)
+    for k in range(2, M + 1):
+        for j in range(1, k):
+            acc = acc * varphi(x + j - 1, shift(p, k - j - 1, "delta"))
+    return acc
+
+
+def rj_factor(j: int, x: int, M: int, p: ParamSet):
+    """Pochhammer-ratio factor multiplying the bordered column entry in row
+    j (the per-entry route of ``GridTable.rj``)."""
+    if not 1 <= j <= M + 1:
+        raise IndexOutOfRange(f"j={j} outside 1..{M + 1}")
+    a, b, d = p.a, p.b, p.d
+    if p.family == R:
+        num = (
+            poch(x + a, j - 1)
+            * poch(x + b, j - 1)
+            * poch(x + d - a + j, M + 1 - j)
+            * poch(x + d - b + j, M + 1 - j)
+        )
+        den = poch(d - a + 1, M) * poch(d - b + 1, M)
+        return num / den
+    q = p.q
+    qx = ipow(q, x)
+    num = (
+        qpoch(a * qx, j - 1, q)
+        * qpoch(b * qx, j - 1, q)
+        * qpoch(d * ipow(q, x + j) / a, M + 1 - j, q)
+        * qpoch(d * ipow(q, x + j) / b, M + 1 - j, q)
+    )
+    den = (
+        ipow(a * b / (d * q), j - 1)
+        * ipow(q, M * x)
+        * qpoch(d * q / a, M, q)
+        * qpoch(d * q / b, M, q)
+    )
+    return num / den
+
+
+def norm_const_cd(D: Sequence[int], p: ParamSet):
+    """Overall normalization of the denominator determinant (the per-entry
+    route of ``GridTable.cd``)."""
+    M = len(D)
+    acc = _one(p) / varphi_m(0, M, p)
+    al = alpha_const(p)
+    et = [etilde_v(dj, p) for dj in D]
+    for j in range(M):
+        for k in range(j + 1, M):
+            acc = acc * (et[j] - et[k]) / (al * potential(j, p, "Bprime"))
+    return acc
+
+
+def dtn_sq_value(n: int, D: Sequence[int], p: ParamSet):
+    """Deformation factor of the squared norm (the per-entry route of
+    ``GridTable.dtn``)."""
+    M = len(D)
+    acc = varphi_m(0, M, p) / varphi_m(0, M + 1, p)
+    al = alpha_const(p)
+    en = energy(n, p)
+    for j, dj in enumerate(D):
+        acc = acc * (en - etilde_v(dj, p)) / (al * potential(j, p, "Bprime"))
+    return acc
+
+
+def dense_factor_upper(h_sym, precision: int) -> list:
+    """Rows of the upper-triangular factor A with nonnegative diagonal,
+    A^T A = h_sym, every sum taken over the whole matrix (the route
+    ``shapeinv.factor_upper`` restricts to the band)."""
+    n = len(h_sym)
+    with mpmath.workprec(precision):
+        scale = max((abs(v) for row in h_sym for v in row), default=mpmath.mpf(1))
+        tol = mpmath.mpf(2) ** (-(precision // 2)) * (scale if scale > 0 else 1)
+        a = [[mpmath.mpf(0)] * n for _ in range(n)]
+        for x in range(n):
+            pivot = h_sym[x][x] - sum(a[z][x] ** 2 for z in range(x))
+            if pivot < -tol:
+                raise NegativePivot(f"pivot {pivot} at row {x}")
+            if pivot <= tol:
+                continue  # zero row
+            a[x][x] = mpmath.sqrt(pivot)
+            for y in range(x + 1, n):
+                hxy = h_sym[x][y] - sum(a[z][x] * a[z][y] for z in range(x))
+                a[x][y] = hxy / a[x][x]
+        err = max(
+            abs(sum(a[z][x] * a[z][y] for z in range(n)) - h_sym[x][y])
+            for x in range(n)
+            for y in range(n)
+        )
+        if err > tol * 4 * n:
+            raise CrossCheckMismatch(f"A^T*A misses h_sym by {err} (tolerance {tol * 4 * n})")
+    return a

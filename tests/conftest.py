@@ -10,7 +10,6 @@ from operator import mul
 
 import pytest
 
-from dualracah import multiindexed
 from dualracah.backend import rat
 from dualracah.basefamily import multi_poch, multi_qpoch, poch, qpoch, racah_value, xi_v
 from dualracah.errors import NonPositiveWeight, SingularMatrix
@@ -18,7 +17,7 @@ from dualracah.linalg import _cleared_int_rows
 from dualracah.params import QR, R, energy, ipow, make_params
 from dualracah.pipeline import Pipeline
 from dualracah.poly import Poly
-from comparators import naive_det
+from comparators import dtn_sq_value, naive_det, norm_const_cd, rj_factor, varphi_m
 
 Y_ONE = Poly([rat(1)])
 Y_ETA = Poly([rat(0), rat(1)])
@@ -70,6 +69,24 @@ def dn_sq(n: int, p):
     return v
 
 
+def phi0_sq(x: int, p):
+    """Squared ground state at one x, its Pochhammer products formed afresh
+    (the route ``basefamily.phi0_sq_table`` replaced, kept as an oracle)."""
+    a, b, c, d = p.a, p.b, p.c, p.d
+    if p.family == R:
+        v = multi_poch((a, b, c, d), x) / multi_poch(
+            (d - a + 1, d - b + 1, d - c + 1, rat(1)), x
+        ) * (2 * x + d) / d
+    else:
+        q = p.q
+        v = multi_qpoch((a, b, c, d), x, q) / (
+            multi_qpoch((d * q / a, d * q / b, d * q / c, q), x, q) * ipow(p.dtilde, x)
+        ) * (1 - d * ipow(q, 2 * x)) / (1 - d)
+    if p.is_exact() and not v > 0:
+        raise NonPositiveWeight(f"phi0^2({x}) = {v}")
+    return v
+
+
 def per_entry_xi(x, D, p):
     """Denominator grid value, every factor evaluated afresh (the route
     ``multiindexed.GridTable`` replaced, kept as an oracle)."""
@@ -77,7 +94,7 @@ def per_entry_xi(x, D, p):
     if M == 0:
         return rat(1) if p.is_exact() else p.b * 0 + 1
     det = naive_det([[xi_v(dk, x + j, p) for dk in D] for j in range(M)])
-    return det / (multiindexed.norm_const_cd(D, p) * multiindexed.varphi_m(x, M, p))
+    return det / (norm_const_cd(D, p) * varphi_m(x, M, p))
 
 
 def per_entry_pdn(n, x, D, p):
@@ -87,11 +104,11 @@ def per_entry_pdn(n, x, D, p):
     rows = []
     for j in range(1, M + 2):
         row = [xi_v(dk, x + j - 1, p) for dk in D]
-        row.append(multiindexed.rj_factor(j, x, M, p) * racah_value(n, x + j - 1, p))
+        row.append(rj_factor(j, x, M, p) * racah_value(n, x + j - 1, p))
         rows.append(row)
     det = naive_det(rows)
-    cdn = (-1) ** M * multiindexed.norm_const_cd(D, p) * multiindexed.dtn_sq_value(n, D, p)
-    return det / (cdn * multiindexed.varphi_m(x, M + 1, p))
+    cdn = (-1) ** M * norm_const_cd(D, p) * dtn_sq_value(n, D, p)
+    return det / (cdn * varphi_m(x, M + 1, p))
 
 
 def verify_difference_eq(s) -> list:

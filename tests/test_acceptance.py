@@ -16,7 +16,7 @@ import pytest
 
 import conftest
 import dualracah
-from dualracah.basefamily import dn_sq_table, phi0_sq, racah_value
+from dualracah.basefamily import dn_sq_table, racah_value
 from dualracah.backend import rat
 from dualracah.closure import build_ladder, verify_closure, verify_ladder
 from dualracah.dualsystem import commutator_check, dual_ortho, verify_spectrum
@@ -27,7 +27,7 @@ from dualracah.qlimit import qlimit_check
 from dualracah.recurrence import verify_recurrence
 from dualracah.shapeinv import si_test
 from comparators import EXAMPLE_NAMES, closed_form_comparators, compare_example
-from conftest import SEEDS, Y_ETA, Y_ONE, std_params, verify_difference_eq
+from conftest import SEEDS, Y_ETA, Y_ONE, phi0_sq, std_params, verify_difference_eq
 
 FAMILIES = (R, QR)
 MI_MATRIX = [(family, N, D) for family in FAMILIES for N in (5, 6)

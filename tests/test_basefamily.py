@@ -6,7 +6,7 @@ import pytest
 from dualracah.basefamily import (
     RacahColumns,
     dn_sq_table,
-    phi0_sq,
+    phi0_sq_table,
     potential,
     racah_value,
     rec_coeffs,
@@ -17,7 +17,7 @@ from dualracah.errors import InadmissibleParams, NonPositiveWeight
 from dualracah.params import QR, R, ParamSet, energy, eta, make_params
 from dualracah.qlimit import matched_q_params
 from dualracah.backend import rat
-from conftest import dn_sq, std_params
+from conftest import dn_sq, phi0_sq, std_params
 
 FAMILIES = (R, QR)
 
@@ -65,6 +65,32 @@ def test_float_norm_table_is_bit_identical(precision):
     p = matched_q_params(std_params(R, 6), 3, precision)
     with mpmath.workprec(precision):
         assert dn_sq_table(p) == tuple(dn_sq(n, p) for n in range(p.N + 1))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("N", [1, 6, 11])
+def test_weight_table_matches_per_point_oracle(family, N):
+    p = std_params(family, N)
+    for q in (p, p.dual()):
+        assert phi0_sq_table(q) == tuple(phi0_sq(x, q) for x in range(N + 1))
+
+
+@pytest.mark.parametrize("precision", [53, 256])
+def test_float_weight_table_is_bit_identical(precision):
+    """Each running Pochhammer product rounds as the direct one does."""
+    p = matched_q_params(std_params(R, 6), 3, precision)
+    with mpmath.workprec(precision):
+        assert phi0_sq_table(p) == tuple(phi0_sq(x, p) for x in range(p.N + 1))
+
+
+def test_nonpositive_weight_table_detected():
+    p = make_params(R, 4, b=9, c=4, d=rat(2, 5))
+    with pytest.raises(NonPositiveWeight) as table_err:
+        phi0_sq_table(p)
+    with pytest.raises(NonPositiveWeight) as point_err:
+        for x in range(p.N + 1):
+            phi0_sq(x, p)
+    assert str(table_err.value) == str(point_err.value)
 
 
 def test_nonpositive_norm_detected():

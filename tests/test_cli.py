@@ -263,10 +263,19 @@ PINNED_REPORTS = [
          "D": [1, 2], "Y": ["1"], "suites": [s for s in SUITES if s != "qlimit"]},
         "dee37016b82ca5654b7c5356e31a0c49538e23f24e06325a33f72b88b09e8afd",
     ),
+    # N=14, where the Hamiltonian's band (L=3) is narrower than the matrix:
+    # the shape residuals and the q->1 gaps are printed to every digit of
+    # the working precision
+    (
+        {"family": "R", "N": 14, "b": "19", "c": "1/2", "d": "2/5", "D": [1, 2], "Y": ["1"],
+         "suites": ["base", "mi", "recurrence", "dual", "closure", "ladder", "commute",
+                    "shape", "qlimit"]},
+        "ca4b56cf376d0eb9e75a8a8777aa9b297aba9cebefda77f17843bb481c9dfffb",
+    ),
 ]
 
 
-@pytest.mark.parametrize("data,digest", PINNED_REPORTS, ids=["R", "qR"])
+@pytest.mark.parametrize("data,digest", PINNED_REPORTS, ids=["R", "qR", "R-n14"])
 def test_report_bytes_are_pinned(tmp_path, data, digest):
     report, ok = run_suite(parse_config(data))
     assert ok

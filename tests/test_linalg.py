@@ -20,6 +20,7 @@ from dualracah.linalg import (
     SquareMatrix,
     _cleared_int_rows,
     generic_det,
+    gram_band,
     gram_residuals,
 )
 from dualracah.multiindexed import GridTable
@@ -361,3 +362,19 @@ def test_gram_residuals_equal_triple_loop(n, data):
         rows = [[rat(data.draw(small)) for _ in range(n)] for _ in range(n)]
         norms = [rat(data.draw(small)) for _ in range(n)]
     assert gram_residuals(rows, weights, norms) == _ortho_loop(rows, weights, norms)
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 6), st.data())
+def test_gram_band_equals_dense_product(n, data):
+    """Exactly the entries |i - j| <= w of the dense weighted Gram product,
+    for every band width from the diagonal to the full matrix."""
+    w = data.draw(st.integers(0, n - 1))
+    rows = [[rat(data.draw(entry)) for _ in range(n)] for _ in range(n)]
+    weights = [rat(data.draw(small)) for _ in range(n)]
+    a = SquareMatrix(rows)
+    dense = a.scale_cols(weights) @ a.transpose()
+    band = gram_band(rows, weights, w)
+    assert band == {
+        (i, j): dense[i, j] for i in range(n) for j in range(n) if abs(i - j) <= w
+    }

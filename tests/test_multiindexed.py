@@ -28,12 +28,12 @@ from dualracah.multiindexed import (
     GridTable,
     MISystem,
     build_mi_system,
-    rj_factor,
     sign_changes,
     verify_ortho,
 )
-from dualracah.params import QR, R, eta, make_params, shift
+from dualracah.params import QR, R, eta, make_params, shift, validate
 from dualracah.pipeline import Pipeline
+from comparators import dtn_sq_value, norm_const_cd, rj_factor, varphi_m
 from conftest import per_entry_pdn, per_entry_xi, std_params, verify_difference_eq
 
 FAMILIES = (R, QR)
@@ -228,8 +228,37 @@ def test_table_matches_per_entry_route(family, D, N, pipe):
         assert tab.dtn(n) == s.dtn_sq[n]
 
 
-# Each fault corrupts one table entry (doubles it) so that exactly one build
-# certification sees it, at R, N=5, D=(1,2).
+def _tuple_for_three_indices(family, N):
+    """An admissible tuple for D = (1, 2, 3)."""
+    if family == R:
+        return std_params(R, N)
+    q = rat(1, 2)
+    return make_params(QR, N, b=q ** (N + 7), c=rat(1, 2), d=rat(2, 5), q=q)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("D", [(), (1,), (1, 2), (1, 2, 3)])
+def test_table_factors_equal_per_entry_functions(family, D):
+    """The pieces GridTable forms once per table give the per-entry
+    factors exactly: varphi by extension, dtn and C_D from the held pairs
+    and ratio, r_j(x) over the held denominator."""
+    N = 5
+    p = _tuple_for_three_indices(family, N)
+    assert validate(p, D) == []
+    M = len(D)
+    tab = GridTable(D, p)
+    for x in range(-1, N + 3):
+        for m in range(M + 2):
+            assert tab.varphi(x, m) == varphi_m(x, m, p)
+        for j in range(1, M + 2):
+            assert tab.rj(j, x) == rj_factor(j, x, M, p)
+    assert tab.cd() == norm_const_cd(D, p)
+    for n in range(N + 1):
+        assert tab.dtn(n) == dtn_sq_value(n, D, p)
+
+
+# Each fault corrupts one table entry or held factor (doubles it) so that
+# exactly one build certification sees it, at R, N=5, D=(1,2).
 FAULTS = {
     "xi_at_zero": ("xi", lambda t, p, x: t.p == p and x == 0, r"at x=0, not 1"),
     "xi_interpolant": ("xi", lambda t, p, x: t.p == p and x == 6,
@@ -245,12 +274,20 @@ FAULTS = {
     "pdn_at_zero": ("cdn", lambda t, p, n: n == 2, r"n=2 is 1/2 at x=0, not 1"),
     "ground_state": ("xi", lambda t, p, x: t.p != p and x == 3,
                      r"shifted denominator at x=3"),
+    # a doubled varphi_M(0)/varphi_(M+1)(0), held once per table, doubles
+    # every C_(D,n): the closed-form leading coefficient of P_0 sees it
+    "dtn_constant": ("varphi_ratio", lambda t, p: t.p == p,
+                     r"deformed polynomial n=0 degree/leading coefficient"),
 }
+
+# the error a fault raises, where it is not CrossCheckMismatch
+FAULT_ERRORS = {"dtn_constant": DegreeMismatch}
 
 
 @contextmanager
 def corrupted_table(fault):
-    """GridTable (and, for pdn_at_zero, leading_pdn) with one entry doubled."""
+    """GridTable (and, for pdn_at_zero, leading_pdn) with one entry or
+    factor doubled."""
     attr, hit, _ = FAULTS[fault]
     p = std_params(R, 5)
     orig = getattr(GridTable, attr)
@@ -282,7 +319,7 @@ def corrupted_table(fault):
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 def test_corrupted_table_entry_raises(fault):
     with corrupted_table(fault) as (p, D):
-        with pytest.raises(CrossCheckMismatch, match=FAULTS[fault][2]):
+        with pytest.raises(FAULT_ERRORS.get(fault, CrossCheckMismatch), match=FAULTS[fault][2]):
             build_mi_system(p, D)
     build_mi_system(p, D)  # the patch is gone again
 
@@ -338,9 +375,10 @@ def test_nonpositive_norm_or_weight_raises(family, fault, msg, monkeypatch):
             multiindexed, "dn_sq_table", lambda p: [-v if n == 2 else v for n, v in enumerate(orig(p))]
         )
     else:
-        orig = multiindexed.phi0_sq
+        orig = multiindexed.phi0_sq_table
         monkeypatch.setattr(
-            multiindexed, "phi0_sq", lambda x, p: -orig(x, p) if x == 2 else orig(x, p)
+            multiindexed, "phi0_sq_table",
+            lambda p: [-v if x == 2 else v for x, v in enumerate(orig(p))],
         )
     with pytest.raises(NonPositiveWeight, match=msg):
         build_mi_system(std_params(family, 5), (1,))
@@ -355,7 +393,7 @@ def test_build_certifications_survive_python_O():
         from dualracah.multiindexed import build_mi_system
         from dualracah.qlimit import matched_q_params
         from conftest import std_params
-        from test_multiindexed import FAULTS, corrupted_table
+        from test_multiindexed import FAULT_ERRORS, FAULTS, corrupted_table
 
         assert False, "asserts must be stripped"
         for fault in sorted(FAULTS):
@@ -363,7 +401,7 @@ def test_build_certifications_survive_python_O():
                 try:
                     build_mi_system(p, D)
                     print(fault, "passed")
-                except CrossCheckMismatch as e:
+                except FAULT_ERRORS.get(fault, CrossCheckMismatch) as e:
                     print(fault, "raised:", e)
         try:
             matched_q_params(std_params("qR", 4), 3)

@@ -54,7 +54,7 @@ def test_matched_tuple_needs_exact_additive_reference():
         matched_q_params(std_params(QR, 4), 3)
 
 
-@pytest.mark.parametrize("D", [(1,), (1, 2)])
+@pytest.mark.parametrize("D", [(1,), (1, 2), (1, 2, 3)])
 def test_float_tables_equal_per_entry_route(D):
     """The table route reproduces every float of the per-entry route, bit
     for bit: same rows, same order, same working precision."""

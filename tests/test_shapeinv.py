@@ -1,11 +1,19 @@
-"""Semidefinite factorization and the shape-invariance verdicts."""
+"""Semidefinite factorization and the shape-invariance verdicts.
+
+The banded factorization and the banded residual are compared with the
+dense routes (``comparators.dense_factor_upper`` and the whole-matrix
+loops) with ``==``: the band leaves out only exact zeros.
+"""
 
 import mpmath
 import pytest
 
+from dualracah.bigreal import to_real
 from dualracah.errors import CrossCheckMismatch, NegativePivot
 from dualracah.params import QR, R
+from dualracah.pipeline import Pipeline
 from dualracah.shapeinv import (
+    _bandwidth,
     builtin_candidates,
     check_candidate,
     factor_upper,
@@ -13,6 +21,7 @@ from dualracah.shapeinv import (
     symmetric_form,
 )
 from dualracah.errors import InadmissibleCandidate
+from comparators import dense_factor_upper
 from conftest import Y_ONE, std_params
 
 FAMILIES = (R, QR)
@@ -134,3 +143,92 @@ def test_si_test_factors_each_hamiltonian_once(pipe, monkeypatch):
     assert len(admissible) == 2 and len(factored) == 1 + len(admissible)
     assert len({id(h) for h in formed}) == len(formed) == 1 + len(admissible)
     assert sum(h is pl.hamiltonian(Y_ONE) for h in formed) == 1
+
+
+def _dense_residuals(pl, Y, precision):
+    """si_test's matrix residual per admissible candidate, every sum over
+    the whole matrix, on the dense factors (the loops the band replaced)."""
+    N, xp = pl.params.N, pl.xpoly(Y)
+    A = dense_factor_upper(symmetric_form(pl.hamiltonian(Y), precision), precision)
+    out = {}
+    for name, p2 in builtin_candidates(pl.params):
+        try:
+            check_candidate(p2, pl.D)
+        except InadmissibleCandidate:
+            continue
+        cand = Pipeline(p2, pl.D)
+        kappa = (xp.grid[2] - xp.grid[1]) / cand.xpoly(Y).grid[1]
+        A2 = dense_factor_upper(symmetric_form(cand.hamiltonian(Y), precision), precision)
+        with mpmath.workprec(precision):
+            k, e1 = to_real(kappa, precision), to_real(xp.grid[1], precision)
+            residual = mpmath.mpf(0)
+            for x in range(N):
+                for y in range(N):
+                    aad = sum(A[x][z] * A[y][z] for z in range(N + 1))
+                    ata = sum(A2[z][x] * A2[z][y] for z in range(N))
+                    residual = max(residual, abs(aad - k * ata - (e1 if x == y else 0)))
+        out[name] = residual
+    return out
+
+
+def _assert_factors_equal(h, precision):
+    band, dense = factor_upper(h, precision), dense_factor_upper(h, precision)
+    assert len(band) == len(dense)
+    for row_b, row_d in zip(band, dense):
+        assert row_b == row_d  # entry by entry, mpf ==
+    return band
+
+
+@pytest.mark.parametrize("precision", [53, 256])
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("D", [(), (1,), (1, 2)])
+def test_band_factor_equals_dense_on_hamiltonians(family, D, precision, pipe):
+    h = pipe(family, 7, D).hamiltonian(Y_ONE)
+    sym = symmetric_form(h, precision)
+    w = _bandwidth(sym)
+    assert 0 < w < len(sym) - 1  # the band is narrower than the matrix
+    a = _assert_factors_equal(sym, precision)
+    assert _bandwidth(a) <= w
+
+
+@pytest.mark.parametrize("precision", [53, 256])
+def test_band_factor_equals_dense_with_a_zero_pivot_inside(precision):
+    # pentadiagonal, rank deficient at row 2: rows 0..2 of A^T A with A's
+    # row 2 zero, so the third pivot vanishes and the band goes on below it
+    with mpmath.workprec(precision):
+        f = [
+            [2, 1, "0.5", 0, 0, 0],
+            [0, 3, 1, "0.25", 0, 0],
+            [0, 0, 0, 0, 0, 0],
+            [0, 0, 0, 1, "0.75", 1],
+            [0, 0, 0, 0, 2, 1],
+            [0, 0, 0, 0, 0, 1],
+        ]
+        a = [[mpmath.mpf(v) for v in row] for row in f]
+        h = [[sum(a[z][x] * a[z][y] for z in range(6)) for y in range(6)] for x in range(6)]
+    assert _bandwidth(h) == 2
+    band = _assert_factors_equal(h, precision)
+    assert all(v == 0 for v in band[2])
+    assert band[3][3] != 0
+
+
+@pytest.mark.parametrize("precision", [53, 256])
+def test_band_factor_equals_dense_on_a_full_matrix(precision):
+    n = 6
+    with mpmath.workprec(precision):
+        h = [[mpmath.mpf(1) / (x + y + 1) + (n if x == y else 0) for y in range(n)]
+             for x in range(n)]
+    assert _bandwidth(h) == n - 1
+    _assert_factors_equal(h, precision)
+
+
+@pytest.mark.parametrize("precision", [53, 256])
+@pytest.mark.parametrize("family,D", [(R, ()), (QR, ()), (R, (1, 2)), (QR, (1,))])
+def test_si_residual_equals_dense_loops(family, D, precision, pipe):
+    pl = pipe(family, 6, D)
+    dense = _dense_residuals(pl, Y_ONE, precision)
+    rep = si_test(pl, Y_ONE, precision)
+    got = {v.name: v.matrix_residual for v in rep.verdicts if v.admissible}
+    assert got.keys() == dense.keys() and got
+    for name in got:
+        assert got[name] == dense[name]
