@@ -6,17 +6,13 @@ node data built from the X grid, by the library's one interpolation
 (``poly.interpolate``, on cleared integers); each node value is then
 checked exactly.
 
-The columns of V are the dual polynomials on the grid (``DualTable``).
-Three facts are certified exactly, once per Hamiltonian, before anything
-rests on them: h_tilde*V = V*diag(X) (the shared eigen residual); X
-strictly increasing; and the dual table's recurrence diag(Ebar)*V = V*T on
-every entry, with T the dual Jacobi matrix (T[n+1][n] = a_dual[n],
-T[n][n] = b_dual[n], T[n-1][n] = c_dual[n]), read from the table's one
-residual.  Row 0 of V is nonzero, so no column vanishes; with distinct
-eigenvalues V is invertible.  Every operator built from h_tilde and
-diag(Ebar) then acts on V as V times a tridiagonal matrix, and an identity
-between two such operators holds iff the two tridiagonal matrices agree,
-entry for entry:
+Everything else rests on the eigenbasis that the Hamiltonian certifies
+(``DualHamiltonian.eigenbasis``): h_tilde*V = V*diag(X), the columns of V
+the dual polynomials, and diag(Ebar)*V = V*T with T the dual Jacobi matrix
+(T[n+1][n] = a_dual[n], T[n][n] = b_dual[n], T[n-1][n] = c_dual[n]).
+Every operator built from h_tilde and diag(Ebar) then acts on V as V
+times a tridiagonal matrix, and an identity between two such operators
+holds iff the two tridiagonal matrices agree, entry for entry:
 
 * closure: (LHS - RHS)*V = V*M, M tridiagonal in T, X and the closure
   polynomials on the spectrum, so the identity is 3(N+1) scalar
@@ -24,11 +20,10 @@ entry for entry:
 * ladder: a+*V and a-*V are V times tridiagonal matrices whose columns
   must be a_dual[n]*e_(n+1) and c_dual[n]*e_(n-1).
 
-A passing run takes no dense product beyond the shared h_tilde*V.  A
-failing closure residual is mapped back to LHS - RHS = V*M*V^(-1), and
+A passing run takes no dense product beyond the Hamiltonian's h_tilde*V.
+A failing closure residual is mapped back to LHS - RHS = V*M*V^(-1), and
 ``build_ladder`` returns the explicit operator matrices, both with the
-closed-form inverse from dual orthogonality,
-V^(-1) = diag(ground_weight)*V^T*diag(dDn_sq), certified V*V^(-1) = I.
+Hamiltonian's certified closed-form inverse (``DualHamiltonian.vinv``).
 Every mismatch raises CrossCheckMismatch.
 """
 
@@ -73,17 +68,6 @@ def solve_closure(h: DualHamiltonian) -> ClosureTriple:
     return ClosureTriple(R0=r0, R1=r1, Rm1=rm1, r0_vanishes_at_zero=(r0(rat(0)) == 0))
 
 
-def eigen_inverse(h: DualHamiltonian) -> SquareMatrix:
-    """V^(-1) = diag(ground_weight)*V^T*diag(dDn_sq), the dual orthogonality
-    relation; certified V*V^(-1) = I once and cached on h."""
-    if "vinv" not in h.cache:
-        vinv = h.V.transpose().scale_rows(h.ground_weight).scale_cols(h.dDn_sq)
-        if h.V @ vinv != SquareMatrix.identity(h.V.n):
-            raise CrossCheckMismatch("closed-form inverse fails V*V^(-1) = I")
-        h.cache["vinv"] = vinv
-    return h.cache["vinv"]
-
-
 # A tridiagonal matrix B is held as its columns (B[n-1][n], B[n][n],
 # B[n+1][n]); the two entries that fall outside the matrix are zero.
 
@@ -107,26 +91,9 @@ def _v_times(v: SquareMatrix, cols: list) -> SquareMatrix:
     ])
 
 
-def _certify_eigenbasis(h: DualHamiltonian) -> None:
-    """h_tilde*V = V*diag(X), X strictly increasing, diag(Ebar)*V = V*T and
-    no zero in row 0 of V, so V is an invertible eigenbasis; once per h."""
-    if "eigenbasis" in h.cache:
-        return
-    if not h.eigen_residual().is_zero():
-        raise CrossCheckMismatch("h_tilde*V differs from V*diag(X)")
-    X = h.energies
-    for n in range(len(X) - 1):
-        if not X[n] < X[n + 1]:
-            raise CrossCheckMismatch(f"eigenvalues X are not strictly increasing at n={n}")
-    h.dual.certify_recurrence()
-    if any(v == 0 for v in h.V.rows[0]):
-        raise CrossCheckMismatch("row 0 of V has a zero: an eigenvector column may vanish")
-    h.cache["eigenbasis"] = True
-
-
-def verify_closure(h: DualHamiltonian, c: ClosureTriple) -> SquareMatrix:
-    """Exact residual LHS - RHS of the double-commutator identity (zero
-    matrix = pass).
+def verify_closure(h: DualHamiltonian, c: ClosureTriple) -> list:
+    """Nonzero entries (i, j, r) of the residual LHS - RHS of the
+    double-commutator identity, in row-major order; empty = pass.
 
     In the certified eigenbasis (LHS - RHS)*V = V*M, with M tridiagonal:
 
@@ -136,11 +103,11 @@ def verify_closure(h: DualHamiltonian, c: ClosureTriple) -> SquareMatrix:
     The triple's own polynomials are evaluated once on the spectrum.  A
     nonzero M is mapped back to LHS - RHS = V*M*V^(-1).
     """
-    _certify_eigenbasis(h)
+    d = h.eigenbasis
     X = h.energies
     last = len(X) - 1
     cols = []
-    spectrum = zip(h.dual.jacobi(), X, c.R0.values(X), c.R1.values(X), c.Rm1.values(X))
+    spectrum = zip(d.jacobi(), X, c.R0.values(X), c.R1.values(X), c.Rm1.values(X))
     for n, ((lo, mid, hi), x, r0, r1, rm1) in enumerate(spectrum):
         lo_gap = X[n - 1] - x if n else 0
         hi_gap = X[n + 1] - x if n < last else 0
@@ -150,8 +117,8 @@ def verify_closure(h: DualHamiltonian, c: ClosureTriple) -> SquareMatrix:
             hi * (hi_gap * hi_gap - hi_gap * r1 - r0),
         ))
     if all(v == 0 for col in cols for v in col):
-        return SquareMatrix([[0] * (last + 1)] * (last + 1))
-    return _v_times(h.V, cols) @ eigen_inverse(h)
+        return []
+    return (_v_times(d.V, cols) @ h.vinv).nonzero_entries()
 
 
 @dataclass
@@ -162,7 +129,7 @@ class LadderPair:
 
 def _ladder_corr(h: DualHamiltonian, c: ClosureTriple) -> list:
     """corr = Rm1/R0 on the spectrum; -corr must reproduce b_dual."""
-    X = [h.x_grid[n] for n in range(len(h.energies))]
+    X = h.energies
     r0_vals = c.R0.values(X)
     if any(v == 0 for v in r0_vals):
         raise SingularR0("R0 vanishes on the spectrum (degenerate seed with Y(0)=0)")
@@ -181,16 +148,16 @@ def _ladder_columns(h: DualHamiltonian, corr: list, step: int, sign: int) -> lis
     [h,Ebar]*V = V*(diag(X)*T - T*diag(X)), column n of B is
     (T[m][n]*(X_m - X[n+step]) - [m=n]*corr_n*alpha_n) * sign/gap_n.
     """
-    X, E = h.x_grid, h.energies
-    last = len(E) - 1
+    X = h.x_grid
+    last = len(corr) - 1
     cols = []
     for n, (lo, mid, hi) in enumerate(h.dual.jacobi()):
         shifted = X[n + step]
         g = sign / (X[n + 1] - X[n - 1])
         cols.append((
-            lo * (E[n - 1] - shifted) * g if n else 0,
-            (mid * (E[n] - shifted) - corr[n] * (shifted - X[n])) * g,
-            hi * (E[n + 1] - shifted) * g if n < last else 0,
+            lo * (X[n - 1] - shifted) * g if n else 0,
+            (mid * (X[n] - shifted) - corr[n] * (shifted - X[n])) * g,
+            hi * (X[n + 1] - shifted) * g if n < last else 0,
         ))
     return cols
 
@@ -198,12 +165,12 @@ def _ladder_columns(h: DualHamiltonian, corr: list, step: int, sign: int) -> lis
 def build_ladder(h: DualHamiltonian, c: ClosureTriple) -> LadderPair:
     """The creation and annihilation operators as explicit matrices,
     a = V*B*V^(-1) with B from ``_ladder_columns``."""
+    V = h.eigenbasis.V
     corr = _ladder_corr(h, c)
-    vinv = eigen_inverse(h)
-    _certify_eigenbasis(h)
+    vinv = h.vinv
     return LadderPair(
-        a_plus=_v_times(h.V, _ladder_columns(h, corr, -1, 1)) @ vinv,
-        a_minus=_v_times(h.V, _ladder_columns(h, corr, 1, -1)) @ vinv,
+        a_plus=_v_times(V, _ladder_columns(h, corr, -1, 1)) @ vinv,
+        a_minus=_v_times(V, _ladder_columns(h, corr, 1, -1)) @ vinv,
     )
 
 
@@ -216,9 +183,8 @@ def verify_ladder(h: DualHamiltonian, c: ClosureTriple) -> list:
     a_dual[n]*e_(n+1) (plus) or c_dual[n]*e_(n-1) (minus).  Returns the
     failing ("plus", n) / ("minus", n) in column order; empty = pass.
     """
+    d = h.eigenbasis
     corr = _ladder_corr(h, c)
-    _certify_eigenbasis(h)
-    d = h.dual
     actions = (
         ("plus", _ladder_columns(h, corr, -1, 1), _clip([(0, 0, a) for a in d.a_dual])),
         ("minus", _ladder_columns(h, corr, 1, -1), _clip([(cd, 0, 0) for cd in d.c_dual])),

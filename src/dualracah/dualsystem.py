@@ -5,9 +5,20 @@ V is filled by the ratio definition; the difference equations of the
 deformed polynomials, divided by the ground state, are its dual three-term
 recurrence diag(Ebar)*V = V*T.  That one identity is computed once per
 table (``DualTable.recurrence_residual``): the mi suite reports its
-entries, the dual suite and the closure certification raise on the first.
-The Hamiltonians are verified against their full polynomial eigenbasis V
-with zero tolerance.
+entries, the dual suite and the eigenbasis certification raise on the
+first.
+
+The Hamiltonian owns its eigenbasis.  Its eigenvalues X(0..N) are read
+from the one X grid; its eigen residual h_tilde*V - V*diag(X) is one dense
+product per Hamiltonian, listed by ``verify_spectrum``.  The eigenbasis is
+certified once per Hamiltonian (``DualHamiltonian.eigenbasis``): the eigen
+residual is zero, X is strictly increasing, the dual recurrence holds on
+every entry and row 0 of V has no zero, so V is invertible.  Its inverse
+is the closed form from dual orthogonality,
+V^(-1) = diag(ground_weight)*V^T*diag(dDn_sq), certified V*V^(-1) = I
+(``DualHamiltonian.vinv``).  Each is a cached property, which
+``dataclasses.replace()`` starts afresh.  Every certification raises
+CrossCheckMismatch, under every interpreter flag.
 
 Everything here is exact: h_tilde is only checked to be similar to a real
 symmetric matrix, by the mirror identity of its band (``recurrence``) and
@@ -17,7 +28,8 @@ that matrix in floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 from .backend import rat
@@ -43,8 +55,6 @@ class DualTable:
     b_dual: Tuple
     c_dual: Tuple      # lower recurrence coefficients, vanish at n=0
     ebar: Tuple        # dual sinusoidal coordinate: base energies E_x
-    # the recurrence residual, filled lazily; replace() starts it afresh
-    cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def jacobi(self) -> list:
         """T held as its columns (T[n-1][n], T[n][n], T[n+1][n]); the two
@@ -55,29 +65,28 @@ class DualTable:
             for n, (c, b, a) in enumerate(zip(self.c_dual, self.b_dual, self.a_dual))
         ]
 
+    @cached_property
     def recurrence_residual(self) -> list:
         """Nonzero entries (x, n, r) of V*T - diag(Ebar)*V in row-major
         order; empty = pass.  Entry (x, n) is the difference equation of
         P_x at grid point n divided by P_0(n).  Formed once on integers:
         row x of V and column n of T cleared by their lcms."""
-        if "residual" not in self.cache:
-            v_rows, v_dens = _cleared_int_rows(self.V.rows)
-            t_cols, t_dens = _cleared_int_rows(self.jacobi())
-            last = self.V.n - 1
-            out = []
-            for x, (v, v_den, e) in enumerate(zip(v_rows, v_dens, self.ebar)):
-                num, den = int(e.numerator), int(e.denominator)
-                for n, ((lo, mid, hi), t_den) in enumerate(zip(t_cols, t_dens)):
-                    vt = (v[n - 1] * lo if n else 0) + v[n] * mid + (v[n + 1] * hi if n < last else 0)
-                    r = vt * den - v[n] * num * t_den
-                    if r:
-                        out.append((x, n, rat(r, v_den * t_den * den)))
-            self.cache["residual"] = out
-        return self.cache["residual"]
+        v_rows, v_dens = _cleared_int_rows(self.V.rows)
+        t_cols, t_dens = _cleared_int_rows(self.jacobi())
+        last = self.V.n - 1
+        out = []
+        for x, (v, v_den, e) in enumerate(zip(v_rows, v_dens, self.ebar)):
+            num, den = int(e.numerator), int(e.denominator)
+            for n, ((lo, mid, hi), t_den) in enumerate(zip(t_cols, t_dens)):
+                vt = (v[n - 1] * lo if n else 0) + v[n] * mid + (v[n + 1] * hi if n < last else 0)
+                r = vt * den - v[n] * num * t_den
+                if r:
+                    out.append((x, n, rat(r, v_den * t_den * den)))
+        return out
 
     def certify_recurrence(self) -> None:
         """CrossCheckMismatch at the first nonzero recurrence residual."""
-        miss = self.recurrence_residual()
+        miss = self.recurrence_residual
         if miss:
             x, n, _ = miss[0]
             raise CrossCheckMismatch(f"diag(Ebar)*V differs from V*T at (x,n)=({x},{n})")
@@ -116,26 +125,62 @@ def dual_ortho(s: MISystem, t: DualTable) -> list:
 @dataclass
 class DualHamiltonian:
     h_tilde: SquareMatrix
-    energies: Tuple          # eigenvalues X(n), strictly increasing
     dDn_sq: Tuple
     ground_weight: Tuple     # w_x * P_0(x)^2: with dDn_sq, the closed-form V^(-1)
     L: int
     x_grid: dict             # X values on the extended range -1..N+1
     dual: DualTable
-    # the eigen residual and certified eigenbasis data, filled lazily
-    cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def V(self) -> SquareMatrix:
         """The eigenvector matrix: its columns are the dual polynomials."""
         return self.dual.V
 
-    def eigen_residual(self) -> SquareMatrix:
-        """h_tilde*V - V*diag(energies), zero for an eigenbasis: one dense
-        product, formed once and shared by every eigen-check."""
-        if "eigen" not in self.cache:
-            self.cache["eigen"] = self.h_tilde @ self.V - self.V.scale_cols(self.energies)
-        return self.cache["eigen"]
+    @property
+    def energies(self) -> tuple:
+        """The eigenvalues X(0..N), read from x_grid."""
+        return tuple(self.x_grid[n] for n in range(self.h_tilde.n))
+
+    @cached_property
+    def eigen_residual(self) -> list:
+        """Nonzero entries (x, n, r) of h_tilde*V - V*diag(X) in row-major
+        order; empty = an eigenbasis.  One dense product, formed once and
+        shared by the spectrum check and the certification."""
+        X = self.energies
+        return [
+            (x, n, r)
+            for x, (hv_row, v_row) in enumerate(zip((self.h_tilde @ self.V).rows, self.V.rows))
+            for n, (hv, v, e) in enumerate(zip(hv_row, v_row, X))
+            if (r := hv - v * e)
+        ]
+
+    @cached_property
+    def eigenbasis(self) -> DualTable:
+        """The dual table, certified as an invertible eigenbasis of h_tilde.
+
+        h_tilde*V = V*diag(X), X strictly increasing, diag(Ebar)*V = V*T and
+        no zero in row 0 of V, in that order; CrossCheckMismatch at the
+        first that fails.  With distinct eigenvalues and no vanishing
+        column, V is invertible."""
+        if self.eigen_residual:
+            raise CrossCheckMismatch("h_tilde*V differs from V*diag(X)")
+        X = self.energies
+        for n in range(len(X) - 1):
+            if not X[n] < X[n + 1]:
+                raise CrossCheckMismatch(f"eigenvalues X are not strictly increasing at n={n}")
+        self.dual.certify_recurrence()
+        if any(v == 0 for v in self.V.rows[0]):
+            raise CrossCheckMismatch("row 0 of V has a zero: an eigenvector column may vanish")
+        return self.dual
+
+    @cached_property
+    def vinv(self) -> SquareMatrix:
+        """V^(-1) = diag(ground_weight)*V^T*diag(dDn_sq), the dual
+        orthogonality relation, certified V*V^(-1) = I."""
+        vinv = self.V.transpose().scale_rows(self.ground_weight).scale_cols(self.dDn_sq)
+        if self.V @ vinv != SquareMatrix.identity(self.V.n):
+            raise CrossCheckMismatch("closed-form inverse fails V*V^(-1) = I")
+        return vinv
 
 
 def build_hamiltonians(s: MISystem, xp: XPoly, t: RecTable, dual: DualTable) -> DualHamiltonian:
@@ -145,7 +190,6 @@ def build_hamiltonians(s: MISystem, xp: XPoly, t: RecTable, dual: DualTable) -> 
     h_tilde = SquareMatrix([[t.r.get((x, y - x), 0) for y in range(n1)] for x in range(n1)])
     return DualHamiltonian(
         h_tilde=h_tilde,
-        energies=tuple(xp.grid[n] for n in range(n1)),
         dDn_sq=s.dDn_sq,
         ground_weight=tuple(s.weights[x] * s.pdn_grid[0][x] ** 2 for x in range(n1)),
         L=xp.L,
@@ -155,13 +199,14 @@ def build_hamiltonians(s: MISystem, xp: XPoly, t: RecTable, dual: DualTable) -> 
 
 
 def verify_spectrum(h: DualHamiltonian) -> list:
-    """Exact eigen-check h_tilde*V = V*diag(energies); empty = pass."""
+    """Exact eigen-check h_tilde*V = V*diag(X); empty = pass."""
     n1 = h.h_tilde.n
-    failures = [("eigen", i, j) for i, j, _ in h.eigen_residual().nonzero_entries()]
-    if h.energies[0] != 0:
+    X = h.energies
+    failures = [("eigen", x, n) for x, n, _ in h.eigen_residual]
+    if X[0] != 0:
         failures.append(("ground", 0))
     for n in range(n1 - 1):
-        if not h.energies[n] < h.energies[n + 1]:
+        if not X[n] < X[n + 1]:
             failures.append(("monotone", n))
     for x in range(n1):
         for y in range(n1):

@@ -27,8 +27,10 @@ from math import lcm
 from operator import mul
 from typing import Sequence
 
-from .backend import rat
+from .backend import ZERO, rat
 from .errors import ShapeMismatch
+
+_RAT = type(ZERO)
 
 
 def _cleared_int_rows(rows):
@@ -48,7 +50,8 @@ class SquareMatrix:
     __slots__ = ("n", "rows")
 
     def __init__(self, rows):
-        self.rows = [[rat(v) for v in row] for row in rows]
+        # an entry that is already the backend's rational is kept as it is
+        self.rows = [[v if type(v) is _RAT else rat(v) for v in row] for row in rows]
         self.n = len(self.rows)
         for row in self.rows:
             if len(row) != self.n:

@@ -3,7 +3,9 @@
 The denominator polynomial and the deformed polynomials are built from
 bordered Casoratians of virtual-state values, then recovered as dense
 polynomials in the sinusoidal variable by the library's one exact
-interpolation (``poly.interpolate``, on integers) with certified degrees.
+interpolation (``poly.interpolate``, on integers) through exactly degree+1
+nodes.  The degrees are certified by the closed-form leading
+coefficients and by the interpolants' values on the rest of the grid.
 Every normalization, positivity, and leading coefficient claim is
 certified during the build: a failure raises, under every interpreter
 flag.
@@ -342,7 +344,6 @@ def build_mi_system(p: ParamSet, D: Sequence[int]) -> MISystem:
     xi_poly = interpolate(
         [eta(x, p_ximinus) for x in range(ellD + 1)],
         [xi_grid[x] for x in range(ellD + 1)],
-        max_degree=ellD,
     )
     lead_xi = leading_xi(D, p)
     if (xi_poly.degree or 0) != ellD or xi_poly[ellD] != lead_xi:
@@ -359,7 +360,7 @@ def build_mi_system(p: ParamSet, D: Sequence[int]) -> MISystem:
     for n in range(N + 1):
         deg = ellD + n
         vals = [tab.pdn(n, x) for x in range(deg + 1)]
-        pol = interpolate(etas[: deg + 1], vals, max_degree=deg)
+        pol = interpolate(etas[: deg + 1], vals)
         if (pol.degree or 0) != deg or pol[deg] != leading_pdn(n, D, p, lead_xi):
             raise DegreeMismatch(f"deformed polynomial n={n} degree/leading coefficient")
         row = pol.values(etas[: N + 1])

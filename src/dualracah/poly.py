@@ -2,13 +2,15 @@
 
 The indeterminate is the sinusoidal variable throughout the library, but
 nothing here depends on that interpretation.  The zero polynomial has
-``degree is None`` (an explicit sentinel, never -1).
+``degree is None`` (an explicit sentinel, never -1).  Evaluation takes
+exact rational points only and runs on integers (``Poly.values``).
 
 ``interpolate`` is the library's one interpolation kernel and serves every
 interpolant: the denominator polynomial, each deformed polynomial, X and
 the closure triple.  It runs on integers (Lagrange basis polynomials of
 the cleared nodes by synthetic division) and makes one rational per
-coefficient.
+coefficient.  It has no degree option: through n nodes the interpolant
+has degree at most n - 1, and each caller certifies the degree it needs.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from __future__ import annotations
 from math import lcm, prod
 from typing import Sequence
 
-from .backend import is_rational, rat
-from .errors import DegreeMismatch, SingularMatrix
+from .backend import rat
+from .errors import SingularMatrix
 from .linalg import _cleared_int_rows
 
 
@@ -33,14 +35,6 @@ class Poly:
     @classmethod
     def zero(cls) -> "Poly":
         return cls(())
-
-    @classmethod
-    def one(cls) -> "Poly":
-        return cls((1,))
-
-    @classmethod
-    def x(cls) -> "Poly":
-        return cls((0, 1))
 
     @property
     def degree(self):
@@ -88,24 +82,16 @@ class Poly:
         return Poly([c * a for a in self.coeffs])
 
     def __call__(self, point):
-        """Horner evaluation; exact for rational arguments (see ``values``)."""
+        """Exact Horner evaluation at one rational point (see ``values``)."""
         return self.values([point])[0]
 
     def values(self, points) -> list:
-        """The values at each point, by Horner.
+        """The values at each rational point, by Horner on integers.
 
-        At rational points a/b the coefficients are cleared once to one
-        denominator D and Horner runs on integers, homogenized in b:
+        The coefficients are cleared once to one denominator D; at a/b
+        Horner is homogenized in b:
         p(a/b) = (sum_k D*c_k * a^k * b^(deg-k)) / (D * b^deg).
         """
-        if not all(is_rational(z) for z in points):
-            out = []
-            for z in points:
-                acc = rat(0)
-                for c in reversed(self.coeffs):
-                    acc = acc * z + c
-                out.append(acc)
-            return out
         if not self.coeffs:
             return [rat(0)] * len(points)
         (nums,), (den,) = _cleared_int_rows([self.coeffs])
@@ -126,7 +112,7 @@ class Poly:
         return "Poly(" + " + ".join(terms) + ")"
 
 
-def interpolate(nodes: Sequence, values: Sequence, max_degree: int = None) -> Poly:
+def interpolate(nodes: Sequence, values: Sequence) -> Poly:
     """Exact polynomial interpolation through distinct rational nodes, on
     integers.
 
@@ -137,11 +123,8 @@ def interpolate(nodes: Sequence, values: Sequence, max_degree: int = None) -> Po
     w_j = prod_(k != j) (a_j - a_k).  With W = lcm(w_j) the interpolant in
     s = L*z has the integer coefficients c = sum_j b_j*(W/w_j)*m(s)/(s - a_j)
     over D*W, one basis polynomial at a time, so the coefficient of z^i is
-    the one rational c_i*L^i / (D*W).
-
-    If ``max_degree`` is given, the result must not exceed it
-    (DegreeMismatch otherwise); this certifies degree bounds on
-    determinant-built grid data.
+    the one rational c_i*L^i / (D*W).  The degree is at most n - 1; the
+    callers certify the degree they need.
     """
     n = len(nodes)
     if n != len(values):
@@ -170,9 +153,4 @@ def interpolate(nodes: Sequence, values: Sequence, max_degree: int = None) -> Po
     for ci in c:
         out.append(rat(ci * Lpow, den))
         Lpow *= L
-    p = Poly(out)
-    if max_degree is not None and p.degree is not None and p.degree > max_degree:
-        raise DegreeMismatch(
-            f"interpolant has degree {p.degree}, expected <= {max_degree}"
-        )
-    return p
+    return Poly(out)

@@ -51,7 +51,7 @@ class RunConfig:
     Y: Poly
     precision: int
     suites: Tuple[str, ...]
-    si_candidates: Tuple[Tuple[str, Tuple[str, str, str, str]], ...]
+    si_candidates: Tuple[Tuple[str, Tuple[object, object, object, object]], ...]  # (a, b, c, d)
     out: Optional[str] = None
 
     def params(self):
@@ -143,9 +143,7 @@ def parse_config(data: dict) -> RunConfig:
             raise ConfigError(
                 f"si_candidates slots must be four rational strings (a, b, c, d), got {slots!r}"
             )
-        for v in slots:
-            _cfg_rat(v, "si_candidates slot")
-        cands.append((name, tuple(slots)))
+        cands.append((name, tuple(_cfg_rat(v, "si_candidates slot") for v in slots)))
     out = data.get("out")
     if out is not None and not isinstance(out, str):
         raise ConfigError("out must be a path string")
@@ -223,7 +221,7 @@ def _suite_mi(cfg: RunConfig, pipe: Pipeline) -> dict:
     # the dual table's recurrence residual
     fails += [
         [str(n), str(x), str(s.xi_grid_delta[x] * r)]
-        for n, x, r in pipe.dual().recurrence_residual()
+        for n, x, r in pipe.dual().recurrence_residual
     ]
     signs = []
     for n in range(s.params.N + 1):
@@ -265,8 +263,7 @@ def _suite_dual(cfg: RunConfig, pipe: Pipeline) -> dict:
 def _suite_closure(cfg: RunConfig, pipe: Pipeline) -> dict:
     h = pipe.hamiltonian(cfg.Y)
     trip = pipe.closure(cfg.Y)
-    residual = closure.verify_closure(h, trip)
-    nz = residual.nonzero_entries()
+    nz = closure.verify_closure(h, trip)
     return {
         "pass": not nz,
         "failures": [[i, j, _fmt(v)] for i, j, v in nz],
@@ -299,11 +296,11 @@ def _suite_commute(cfg: RunConfig, pipe: Pipeline) -> dict:
 
 
 def _suite_shape(cfg: RunConfig, pipe: Pipeline) -> dict:
-    extra = []
     p = pipe.params
-    for name, slots in cfg.si_candidates:
-        vals = [rat_from_str(v) for v in slots]
-        extra.append((name, replace(p, N=p.N - 1, a=vals[0], b=vals[1], c=vals[2], d=vals[3])))
+    extra = [
+        (name, replace(p, N=p.N - 1, a=a, b=b, c=c, d=d))
+        for name, (a, b, c, d) in cfg.si_candidates
+    ]
     rep = shapeinv.si_test(pipe, cfg.Y, precision=cfg.precision, extra_candidates=extra)
     verdicts = []
     for v in rep.verdicts:

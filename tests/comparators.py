@@ -27,7 +27,6 @@ from dualracah.basefamily import alpha_const, etilde_v, poch, potential, qpoch, 
 from dualracah.backend import rat
 from dualracah.errors import (
     CrossCheckMismatch,
-    DegreeMismatch,
     DualRacahError,
     IndexOutOfRange,
     NegativePivot,
@@ -351,10 +350,10 @@ def compare_example(ex: ClosedFormExample, s: MISystem, xp: XPoly, t: Optional[R
     return failures
 
 
-def newton_interpolate(nodes, values, max_degree: int = None) -> Poly:
+def newton_interpolate(nodes, values) -> Poly:
     """Interpolation by Newton divided differences on rationals (the route
     ``poly.interpolate`` replaced, kept as an oracle), with the same
-    length, coincident-node and ``max_degree`` checks."""
+    length and coincident-node checks."""
     n = len(nodes)
     if n != len(values):
         raise ValueError("nodes/values length mismatch")
@@ -374,12 +373,7 @@ def newton_interpolate(nodes, values, max_degree: int = None) -> Poly:
         for k in range(len(out) - 2, 0, -1):
             out[k] = out[k - 1] - z * out[k]
         out[0] = coeffs[i] - z * out[0]
-    p = Poly(out)
-    if max_degree is not None and p.degree is not None and p.degree > max_degree:
-        raise DegreeMismatch(
-            f"interpolant has degree {p.degree}, expected <= {max_degree}"
-        )
-    return p
+    return Poly(out)
 
 
 def naive_det(rows) -> object:

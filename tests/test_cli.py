@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualracah.backend import rat
 from dualracah.cli import main
 from dualracah.errors import ConfigError
 from dualracah.report import (
@@ -178,6 +179,20 @@ def test_precision_override(tmp_path):
     report, ok = run_suite(cfg)
     assert ok and report["config"]["precision"] == 128
     assert main(["verify", "--config", cfg_path, "--precision", "10"]) == 2
+
+
+def test_si_candidates_are_parsed_once_to_rationals():
+    """The config holds the candidate slots as rationals, and the shape
+    suite reads them as they are: a candidate with the slots of the
+    built-in delta shift gets the delta verdict."""
+    cfg = parse_config(dict(
+        BASE_CFG, suites=["shape"],
+        si_candidates=[{"name": "mine", "slots": ["-4", "11", "3/2", "7/5"]}],
+    ))
+    assert cfg.si_candidates == (("mine", (rat(-4), rat(11), rat(3, 2), rat(7, 5))),)
+    report, _ = run_suite(cfg)
+    verdicts = {v.pop("name"): v for v in report["suites"]["shape"]["verdicts"]}
+    assert verdicts["mine"]["admissible"] and verdicts["mine"] == verdicts["delta"]
 
 
 @pytest.mark.parametrize("mutation,msg", [

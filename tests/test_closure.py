@@ -13,12 +13,7 @@ import pytest
 
 from dualracah import closure, report
 from dualracah.backend import rat, rat_to_str
-from dualracah.closure import (
-    build_ladder,
-    eigen_inverse,
-    verify_closure,
-    verify_ladder,
-)
+from dualracah.closure import build_ladder, verify_closure, verify_ladder
 from dualracah.dualsystem import verify_spectrum
 from dualracah.errors import CrossCheckMismatch, SingularR0
 from dualracah.linalg import SquareMatrix
@@ -104,7 +99,7 @@ def _spectral_ladder(h, trip):
 def _eigen_products(h):
     """(W, h_tilde*W) with W = diag(ebar)*V, once h_tilde*V = V*diag(X) is
     certified."""
-    if not h.eigen_residual().is_zero():
+    if h.eigen_residual:
         raise CrossCheckMismatch("h_tilde*V differs from V*diag(X)")
     w = h.V.scale_rows(h.dual.ebar)
     return w, h.h_tilde @ w
@@ -119,7 +114,7 @@ def dense_verify_closure(h, c) -> SquareMatrix:
 
     mapped back by V^(-1) when nonzero."""
     X = h.energies
-    vinv = eigen_inverse(h)
+    vinv = h.vinv
     w, hw = _eigen_products(h)
     r0 = [c.R0(x) for x in X]
     r1 = [c.R1(x) for x in X]
@@ -144,7 +139,7 @@ def dense_build_ladder(h, c):
     for n in range(N + 1):
         if -corr[n] != h.dual.b_dual[n]:
             raise CrossCheckMismatch(f"-Rm1/R0 differs from dual coefficient at n={n}")
-    vinv = eigen_inverse(h)
+    vinv = h.vinv
     w, hw = _eigen_products(h)
 
     def ladder(step, sign):
@@ -190,9 +185,9 @@ def test_closure_residual_is_zero(family, D, y, N, pipe):
     h = pipe(family, N, D).hamiltonian(SEEDS[y])
     trip = pipe(family, N, D).closure(SEEDS[y])
     assert (trip.R0, trip.R1, trip.Rm1) == vandermonde_closure(h)
-    residual = verify_closure(h, trip)
-    assert residual.is_zero()
-    assert residual == _horner_residual(h, trip) == dense_verify_closure(h, trip)
+    assert verify_closure(h, trip) == []
+    assert _horner_residual(h, trip).is_zero()
+    assert dense_verify_closure(h, trip).is_zero()
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -201,7 +196,7 @@ def test_undeformed_control_degrees(family, pipe):
     degree pattern (2, 1, 2) and the residual still vanishes."""
     h = pipe(family, 5, ()).hamiltonian(Y_ONE)
     trip = pipe(family, 5, ()).closure(Y_ONE)
-    assert verify_closure(h, trip).is_zero()
+    assert verify_closure(h, trip) == []
     assert (trip.R0.degree or 0) <= 2
     assert (trip.R1.degree or 0) <= 1
     assert (trip.Rm1.degree or 0) <= 2
@@ -242,9 +237,9 @@ def test_spectral_fn_reproduces_polynomials(pipe):
     h = pipe(R, 5, (1,)).hamiltonian(Y_ONE)
     # V diag(f(X)) V^(-1) is the function f of the Hamiltonian: for
     # f(X) = X^2 it is the matrix square
-    sq = h.V.scale_cols([v * v for v in h.energies]) @ eigen_inverse(h)
+    sq = h.V.scale_cols([v * v for v in h.energies]) @ h.vinv
     assert (sq - h.h_tilde @ h.h_tilde).is_zero()
-    ident = h.V.scale_cols([rat(1)] * 6) @ eigen_inverse(h)
+    ident = h.V.scale_cols([rat(1)] * 6) @ h.vinv
     assert (ident - SquareMatrix.identity(6)).is_zero()
 
 
@@ -294,7 +289,7 @@ def test_middle_coefficient_from_closure(family, pipe):
 def test_inverse_and_ladder_match_generic_oracles(family, D, y, N, pipe):
     h = pipe(family, N, D).hamiltonian(SEEDS[y])
     trip = pipe(family, N, D).closure(SEEDS[y])
-    assert eigen_inverse(h) == exact_inverse(h.V)
+    assert h.vinv == exact_inverse(h.V)
     if trip.r0_vanishes_at_zero:
         with pytest.raises(SingularR0):
             build_ladder(h, trip)
@@ -310,27 +305,32 @@ def test_corrupted_r1_residual_equals_horner(family, pipe):
     trip = pipe(family, 5, (1, 2)).closure(Y_ONE)
     bad = replace(trip, R1=Poly([trip.R1[0] + rat(1, 3)] + list(trip.R1.coeffs[1:])))
     residual = verify_closure(h, bad)
-    assert not residual.is_zero()
-    assert residual == _horner_residual(h, bad) == dense_verify_closure(h, bad)
+    assert residual != []
+    assert residual == _horner_residual(h, bad).nonzero_entries()
+    assert residual == dense_verify_closure(h, bad).nonzero_entries()
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_corrupted_inverse_data_raises(family, pipe):
     h = pipe(family, 5, (1,)).hamiltonian(Y_ONE)
     trip = pipe(family, 5, (1,)).closure(Y_ONE)
-    # replace() copies h with an empty certification cache
+    # replace() copies h with every cached property started afresh
     bad_v = _with_v(h, _corrupt(h.V, 2, 3))
     gw = list(h.ground_weight)
     gw[4] *= 2
     bad_gw = replace(h, ground_weight=tuple(gw))
     for bad in (bad_v, bad_gw):
         with pytest.raises(CrossCheckMismatch, match=r"V\*V\^\(-1\) = I"):
-            eigen_inverse(bad)
-        with pytest.raises(CrossCheckMismatch, match=r"V\*V\^\(-1\) = I"):
-            build_ladder(bad, trip)
+            bad.vinv
+    # build_ladder certifies the eigenbasis first, which the corrupted V
+    # already fails; with V intact it stops at the inverse
+    with pytest.raises(CrossCheckMismatch, match=r"h_tilde\*V differs"):
+        build_ladder(replace(bad_v), trip)
+    with pytest.raises(CrossCheckMismatch, match=r"V\*V\^\(-1\) = I"):
+        build_ladder(replace(bad_gw), trip)
     # a passing closure check reads no inverse; a failing one maps its
     # residual back through V^(-1), which is certified there
-    assert verify_closure(replace(bad_gw), trip).is_zero()
+    assert verify_closure(replace(bad_gw), trip) == []
     failing = replace(trip, Rm1=trip.Rm1 + Poly([rat(1, 3)]))
     with pytest.raises(CrossCheckMismatch, match=r"V\*V\^\(-1\) = I"):
         verify_closure(replace(bad_gw), failing)
@@ -389,18 +389,20 @@ def test_corrupted_dual_coefficient_fails_exactly_its_column(family, pipe):
 
 
 def _with_v(h, v):
-    """h over a dual table with V replaced; both caches start empty."""
+    """h over a dual table with V replaced; every cached property starts
+    afresh."""
     return replace(h, dual=replace(h.dual, V=v))
 
 
 def _swap_eigenpairs(h, k):
-    """h with eigenpairs k and k+1 exchanged: still eigenpairs, X out of order."""
+    """h with eigenpairs k and k+1 exchanged, the eigenvalues in the X
+    grid: still eigenpairs, X out of order."""
     rows = [list(r) for r in h.V.rows]
     for r in rows:
         r[k], r[k + 1] = r[k + 1], r[k]
-    X = list(h.energies)
-    X[k], X[k + 1] = X[k + 1], X[k]
-    return replace(_with_v(h, SquareMatrix(rows)), energies=tuple(X))
+    grid = dict(h.x_grid)
+    grid[k], grid[k + 1] = grid[k + 1], grid[k]
+    return replace(_with_v(h, SquareMatrix(rows)), x_grid=grid)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -452,8 +454,9 @@ def test_wrong_beta_node_value_fails(family, which, pipe, monkeypatch):
         return
     bad = closure.solve_closure(h)
     residual = verify_closure(h, bad)
-    assert not residual.is_zero()
-    assert residual == dense_verify_closure(h, bad) == _horner_residual(h, bad)
+    assert residual != []
+    assert residual == dense_verify_closure(h, bad).nonzero_entries()
+    assert residual == _horner_residual(h, bad).nonzero_entries()
     with pytest.raises(CrossCheckMismatch, match=f"dual coefficient at n={j}"):
         verify_ladder(h, bad)
 
@@ -479,12 +482,20 @@ def test_scalar_route_matches_dense_oracle(family, N, pipe):
     ]
     for t in triples:
         residual = verify_closure(h, t)
-        assert residual == dense_verify_closure(h, t)
-        assert residual.is_zero() == (t is trip)
+        assert residual == dense_verify_closure(h, t).nonzero_entries()
+        assert (residual == []) == (t is trip)
     # off-spectrum grid values enter only through the gaps; an interior one
-    # also moves the point at which -Rm1/R0 is read
+    # is an eigenvalue, so it breaks h_tilde*V = V*diag(X), which both
+    # routes certify before they read the spectrum
+    interior = dict(h.x_grid)
+    interior[N // 2] += c
+    interior = replace(h, x_grid=interior)
+    for t in triples:
+        for fn in (verify_closure, verify_ladder, build_ladder):
+            with pytest.raises(CrossCheckMismatch, match=r"h_tilde\*V differs"):
+                fn(replace(interior), t)
     hs = [h]
-    for k in (-1, N // 2, N + 1):
+    for k in (-1, N + 1):
         grid = dict(h.x_grid)
         grid[k] += c
         hs.append(replace(h, x_grid=grid))
@@ -526,8 +537,29 @@ def test_closure_and_ladder_suites_take_one_dense_product(family, monkeypatch):
     assert all(a is h.h_tilde and b is h.V for a, b in calls)
 
 
+def test_passing_closure_check_builds_no_matrix(monkeypatch):
+    """Once the eigenbasis is certified, a passing closure check returns an
+    empty list and constructs no SquareMatrix."""
+    pl = Pipeline(std_params(R, 6), (1, 2))
+    h, trip = pl.hamiltonian(Y_ONE), pl.closure(Y_ONE)
+    h.eigenbasis
+    built = []
+    init = SquareMatrix.__init__
+
+    def counted(self, rows):
+        built.append(self)
+        init(self, rows)
+
+    monkeypatch.setattr(SquareMatrix, "__init__", counted)
+    assert verify_closure(h, trip) == []
+    assert built == []
+    assert verify_closure(h, replace(trip, Rm1=trip.Rm1 + Poly([rat(1, 3)]))) != []
+    assert built
+
+
 def test_certifications_survive_python_O():
-    """Under -O the closure checks still raise: none of them is an assert."""
+    """Under -O the closure checks and every eigenbasis certification still
+    raise: none of them is an assert."""
     script = textwrap.dedent(
         """
         from dataclasses import replace
@@ -586,6 +618,26 @@ def test_certifications_survive_python_O():
             closure.verify_closure(replace(h, dual=bad_dual), trip)
         except CrossCheckMismatch as e:
             print("closure:", e)
+
+        def run(tag, fn, bad, t=trip):
+            try:
+                fn(bad, t)
+            except CrossCheckMismatch as e:
+                print(f"{tag}:", e)
+
+        rows = [list(r) for r in h.V.rows]
+        for r in rows:
+            r[1], r[2] = r[2], r[1]
+        grid = dict(h.x_grid)
+        grid[1], grid[2] = grid[2], grid[1]
+        swapped = replace(h, x_grid=grid, dual=replace(h.dual, V=SquareMatrix(rows)))
+        run("monotone", closure.verify_ladder, swapped)
+        zero_v = replace(h, dual=replace(h.dual, V=h.V.scale_cols([0] * 5)))
+        run("row0", closure.verify_closure, zero_v)
+        gw = list(h.ground_weight)
+        gw[3] *= 2
+        run("inverse", closure.build_ladder, replace(h, ground_weight=tuple(gw)))
+        run("corr", closure.verify_ladder, h, replace(trip, Rm1=trip.Rm1 + Poly([rat(1, 3)])))
         """
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -599,3 +651,7 @@ def test_certifications_survive_python_O():
     assert "eigen: h_tilde*V differs from V*diag(X)" in out
     assert "jacobi: diag(Ebar)*V differs from V*T at (x,n)=(0,2)" in out
     assert "closure: diag(Ebar)*V differs from V*T at (x,n)=(0,2)" in out
+    assert "monotone: eigenvalues X are not strictly increasing at n=1" in out
+    assert "row0: row 0 of V has a zero" in out
+    assert "inverse: closed-form inverse fails V*V^(-1) = I" in out
+    assert "corr: -Rm1/R0 differs from dual coefficient at n=0" in out

@@ -1,6 +1,6 @@
 """Dual tables, dual orthogonality, and the band Hamiltonians."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import mpmath
 import pytest
@@ -165,7 +165,7 @@ def test_spectrum_reports_each_entry_and_shares_hv(pipe, monkeypatch):
 
     h = pipe(R, 5, (1,)).hamiltonian(Y_ONE)
     trip = pipe(R, 5, (1,)).closure(Y_ONE)
-    fresh = replace(h)  # same matrices, empty cache
+    fresh = replace(h)  # same matrices, no cached property carried over
     calls = []
     matmul = SquareMatrix.__matmul__
 
@@ -175,7 +175,7 @@ def test_spectrum_reports_each_entry_and_shares_hv(pipe, monkeypatch):
 
     monkeypatch.setattr(SquareMatrix, "__matmul__", counted)
     assert verify_spectrum(fresh) == []
-    assert closure.verify_closure(fresh, trip).is_zero()
+    assert closure.verify_closure(fresh, trip) == []
     assert sum(a is fresh.h_tilde and b is fresh.V for a, b in calls) == 1
     monkeypatch.undo()
 
@@ -216,18 +216,31 @@ def test_skewed_band_entry_fails_mirror_and_eigen_checks(family, pipe):
     assert eigen == [("eigen", 2, j) for j in range(6) if h.V[3, j] != 0]
 
 
+def test_hamiltonian_keeps_one_spectrum_and_no_stale_certificate(pipe):
+    """X is held once, in x_grid; the eigen residual, the certified
+    eigenbasis and V^(-1) are cached on the Hamiltonian and formed afresh
+    on a replace() copy."""
+    h = pipe(R, 5, (1,)).hamiltonian(Y_ONE)
+    assert "energies" not in {f.name for f in fields(h)}
+    assert h.energies == tuple(h.x_grid[n] for n in range(6))
+    assert h.eigenbasis is h.dual and h.vinv is h.vinv
+    cached = {"eigen_residual", "eigenbasis", "vinv"}
+    assert cached <= set(vars(h))
+    assert not cached & set(vars(replace(h)))
+
+
 def test_dual_table_keeps_no_stale_verdict(pipe):
-    """replace() gives a table with an empty residual cache, and V is the
+    """replace() gives a table whose residual is formed afresh, and V is the
     dual table's own matrix on every Hamiltonian built from it."""
     pl = pipe(R, 5, (1,))
     dual = pl.dual()
-    assert dual.recurrence_residual() == [] and "residual" in dual.cache
+    assert dual.recurrence_residual == [] and "recurrence_residual" in vars(dual)
     assert pl.hamiltonian(Y_ONE).V is dual.V is pl.hamiltonian(Y_ETA).V
     b_dual = list(dual.b_dual)
     b_dual[4] += rat(1, 5)
     bad = replace(dual, b_dual=tuple(b_dual))
-    assert bad.cache == {}
-    assert [(x, n) for x, n, _ in bad.recurrence_residual()] == [(x, 4) for x in range(6)]
+    assert "recurrence_residual" not in vars(bad)
+    assert [(x, n) for x, n, _ in bad.recurrence_residual] == [(x, 4) for x in range(6)]
     with pytest.raises(CrossCheckMismatch, match=r"V\*T at \(x,n\)=\(0,4\)"):
         bad.certify_recurrence()
 

@@ -293,6 +293,17 @@ def test_diagonal_and_identity():
     assert SquareMatrix.identity(3)[2, 2] == 1
 
 
+def test_rational_entries_are_kept_and_others_converted():
+    """An entry that is already the backend's rational is stored as the
+    same object; an int becomes a rational and a float is refused."""
+    r = rat(3, 7)
+    m = SquareMatrix([[r, 2], [rat(0), r]])
+    assert m[0, 0] is r and m[1, 1] is r
+    assert m[0, 1] == 2 and type(m[0, 1]) is type(r)
+    with pytest.raises(TypeError):
+        SquareMatrix([[0.5]])
+
+
 def test_matmul_column_transpose():
     a = SquareMatrix([[rat(1), rat(2)], [rat(3), rat(4)]])
     assert a.column(1) == [rat(2), rat(4)]

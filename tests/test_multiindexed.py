@@ -104,7 +104,7 @@ def test_orthogonality(family, D, pipe):
 @pytest.mark.parametrize("D", INDEX_SETS)
 def test_difference_equation(family, D, pipe):
     """Divided by P_0 the difference equations are the dual recurrence."""
-    assert pipe(family, 6, D).dual().recurrence_residual() == []
+    assert pipe(family, 6, D).dual().recurrence_residual == []
     assert verify_difference_eq(pipe(family, 6, D).system()) == []
 
 
