@@ -3,8 +3,10 @@ in the dual eigenbasis.
 
 The three closure polynomials are the interpolants of degree <= N through
 node data built from the X grid, by the library's one interpolation
-(``poly.interpolate``, on cleared integers); each node value is then
-checked exactly.
+(``poly.interpolate``, on cleared integers).  The triple keeps the
+spectrum it was solved on and evaluates each polynomial there once
+(``ClosureTriple.on_spectrum``); the node, closure and ladder checks read
+those values, and refuse a Hamiltonian with another spectrum.
 
 Everything else rests on the eigenbasis that the Hamiltonian certifies
 (``DualHamiltonian.eigenbasis``): h_tilde*V = V*diag(X), the columns of V
@@ -17,8 +19,8 @@ holds iff the two tridiagonal matrices agree, entry for entry:
 * closure: (LHS - RHS)*V = V*M, M tridiagonal in T, X and the closure
   polynomials on the spectrum, so the identity is 3(N+1) scalar
   identities;
-* ladder: a+*V and a-*V are V times tridiagonal matrices whose columns
-  must be a_dual[n]*e_(n+1) and c_dual[n]*e_(n-1).
+* ladder: a+*V and a-*V are V times tridiagonal matrices, zero on the
+  diagonal, whose columns must be a_dual[n]*e_(n+1) and c_dual[n]*e_(n-1).
 
 A passing run takes no dense product beyond the Hamiltonian's h_tilde*V.
 A failing closure residual is mapped back to LHS - RHS = V*M*V^(-1), and
@@ -30,9 +32,9 @@ Every mismatch raises CrossCheckMismatch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .backend import rat
-from .dualsystem import DualHamiltonian
+from .dualsystem import DualHamiltonian, DualTable
 from .errors import CrossCheckMismatch, SingularR0
 from .linalg import SquareMatrix
 from .poly import Poly, interpolate
@@ -43,7 +45,16 @@ class ClosureTriple:
     R0: Poly
     R1: Poly
     Rm1: Poly
-    r0_vanishes_at_zero: bool
+    nodes: tuple     # the spectrum X(0..N) the triple was solved on
+
+    @cached_property
+    def on_spectrum(self) -> list:
+        """(R0, R1, Rm1) at each node, one evaluation per polynomial."""
+        return list(zip(*(p.values(self.nodes) for p in (self.R0, self.R1, self.Rm1))))
+
+    @property
+    def r0_vanishes_at_zero(self) -> bool:
+        return self.R0[0] == 0
 
 
 def solve_closure(h: DualHamiltonian) -> ClosureTriple:
@@ -57,26 +68,26 @@ def solve_closure(h: DualHamiltonian) -> ClosureTriple:
     beta0 = [(X[j + 1] - X[j]) * (X[j] - X[j - 1]) for j in range(len(nodes))]
     beta1 = [X[j + 1] - 2 * X[j] + X[j - 1] for j in range(len(nodes))]
     betam1 = [-b0 * b_dual[j] for j, b0 in enumerate(beta0)]
-    r0, r1, rm1 = (interpolate(nodes, beta) for beta in (beta0, beta1, betam1))
+    trip = ClosureTriple(*(interpolate(nodes, beta) for beta in (beta0, beta1, betam1)), nodes)
 
-    for j, (v0, v1, vm1) in enumerate(zip(r0.values(nodes), r1.values(nodes), rm1.values(nodes))):
+    for j, (v0, v1, vm1) in enumerate(trip.on_spectrum):
         if not (v0 == beta0[j] and v1 == beta1[j] and vm1 == betam1[j]):
             raise CrossCheckMismatch(f"closure polynomials miss their node data at j={j}")
         if v1 ** 2 + 4 * v0 != (X[j + 1] - X[j - 1]) ** 2:
             raise CrossCheckMismatch(f"R1^2 + 4*R0 is not the squared node gap at j={j}")
+    return trip
 
-    return ClosureTriple(R0=r0, R1=r1, Rm1=rm1, r0_vanishes_at_zero=(r0(rat(0)) == 0))
+
+def _eigenbasis(h: DualHamiltonian, c: ClosureTriple) -> DualTable:
+    """h's certified eigenbasis, once c is known to be solved on h's spectrum."""
+    d = h.eigenbasis
+    if c.nodes != h.energies:
+        raise CrossCheckMismatch("closure triple was solved on another spectrum")
+    return d
 
 
 # A tridiagonal matrix B is held as its columns (B[n-1][n], B[n][n],
 # B[n+1][n]); the two entries that fall outside the matrix are zero.
-
-
-def _clip(cols: list) -> list:
-    """Zero the entries of the first and last column outside the matrix."""
-    cols[0] = (0,) + tuple(cols[0][1:])
-    cols[-1] = tuple(cols[-1][:2]) + (0,)
-    return cols
 
 
 def _v_times(v: SquareMatrix, cols: list) -> SquareMatrix:
@@ -100,17 +111,14 @@ def verify_closure(h: DualHamiltonian, c: ClosureTriple) -> list:
         M[m][n] = T[m][n]*((X_m - X_n)^2 - (X_m - X_n)*R1(X_n) - R0(X_n)), m = n+-1,
         M[n][n] = -b_dual[n]*R0(X_n) - Rm1(X_n).
 
-    The triple's own polynomials are evaluated once on the spectrum.  A
+    The triple's values on the spectrum are its own, evaluated once.  A
     nonzero M is mapped back to LHS - RHS = V*M*V^(-1).
     """
-    d = h.eigenbasis
-    X = h.energies
-    last = len(X) - 1
+    d = _eigenbasis(h, c)
+    X = h.x_grid
     cols = []
-    spectrum = zip(d.jacobi(), X, c.R0.values(X), c.R1.values(X), c.Rm1.values(X))
-    for n, ((lo, mid, hi), x, r0, r1, rm1) in enumerate(spectrum):
-        lo_gap = X[n - 1] - x if n else 0
-        hi_gap = X[n + 1] - x if n < last else 0
+    for n, ((lo, mid, hi), (r0, r1, rm1)) in enumerate(zip(d.jacobi(), c.on_spectrum)):
+        lo_gap, hi_gap = X[n - 1] - X[n], X[n + 1] - X[n]
         cols.append((
             lo * (lo_gap * lo_gap - lo_gap * r1 - r0),
             -mid * r0 - rm1,
@@ -127,50 +135,44 @@ class LadderPair:
     a_minus: SquareMatrix
 
 
-def _ladder_corr(h: DualHamiltonian, c: ClosureTriple) -> list:
-    """corr = Rm1/R0 on the spectrum; -corr must reproduce b_dual."""
-    X = h.energies
-    r0_vals = c.R0.values(X)
-    if any(v == 0 for v in r0_vals):
+def _certify_corr(h: DualHamiltonian, c: ClosureTriple) -> None:
+    """corr = Rm1/R0 on the spectrum must be -b_dual: R0 nonzero there and
+    -Rm1 = b_dual*R0, checked without dividing."""
+    vals = c.on_spectrum
+    if any(r0 == 0 for r0, _, _ in vals):
         raise SingularR0("R0 vanishes on the spectrum (degenerate seed with Y(0)=0)")
-    corr = [rm1 / r0 for rm1, r0 in zip(c.Rm1.values(X), r0_vals)]
-    for n, b in enumerate(h.dual.b_dual):
-        if -corr[n] != b:
+    for n, ((r0, _, rm1), b) in enumerate(zip(vals, h.dual.b_dual)):
+        if -rm1 != b * r0:
             raise CrossCheckMismatch(f"-Rm1/R0 differs from dual coefficient at n={n}")
-    return corr
 
 
-def _ladder_columns(h: DualHamiltonian, corr: list, step: int, sign: int) -> list:
+def _ladder_columns(h: DualHamiltonian, step: int, sign: int) -> list:
     """The tridiagonal B with a*V = V*B for one ladder operator.
 
     a = ([h,Ebar] - (Ebar + corr(h))*alpha(h)) * sign*gap_inv(h), with
     alpha(n) = X[n+step] - X[n] and gap(n) = X[n+1] - X[n-1].  Since
     [h,Ebar]*V = V*(diag(X)*T - T*diag(X)), column n of B is
-    (T[m][n]*(X_m - X[n+step]) - [m=n]*corr_n*alpha_n) * sign/gap_n.
+    (T[m][n]*(X_m - X[n+step]) - [m=n]*corr_n*alpha_n) * sign/gap_n, whose
+    diagonal is zero once corr = -b_dual is certified (``_certify_corr``).
     """
     X = h.x_grid
-    last = len(corr) - 1
     cols = []
-    for n, (lo, mid, hi) in enumerate(h.dual.jacobi()):
+    for n, (lo, _, hi) in enumerate(h.dual.jacobi()):
         shifted = X[n + step]
         g = sign / (X[n + 1] - X[n - 1])
-        cols.append((
-            lo * (X[n - 1] - shifted) * g if n else 0,
-            (mid * (X[n] - shifted) - corr[n] * (shifted - X[n])) * g,
-            hi * (X[n + 1] - shifted) * g if n < last else 0,
-        ))
+        cols.append((lo * (X[n - 1] - shifted) * g, 0, hi * (X[n + 1] - shifted) * g))
     return cols
 
 
 def build_ladder(h: DualHamiltonian, c: ClosureTriple) -> LadderPair:
     """The creation and annihilation operators as explicit matrices,
     a = V*B*V^(-1) with B from ``_ladder_columns``."""
-    V = h.eigenbasis.V
-    corr = _ladder_corr(h, c)
+    V = _eigenbasis(h, c).V
+    _certify_corr(h, c)
     vinv = h.vinv
     return LadderPair(
-        a_plus=_v_times(V, _ladder_columns(h, corr, -1, 1)) @ vinv,
-        a_minus=_v_times(V, _ladder_columns(h, corr, 1, -1)) @ vinv,
+        a_plus=_v_times(V, _ladder_columns(h, -1, 1)) @ vinv,
+        a_minus=_v_times(V, _ladder_columns(h, 1, -1)) @ vinv,
     )
 
 
@@ -183,15 +185,15 @@ def verify_ladder(h: DualHamiltonian, c: ClosureTriple) -> list:
     a_dual[n]*e_(n+1) (plus) or c_dual[n]*e_(n-1) (minus).  Returns the
     failing ("plus", n) / ("minus", n) in column order; empty = pass.
     """
-    d = h.eigenbasis
-    corr = _ladder_corr(h, c)
+    T = _eigenbasis(h, c).jacobi()
+    _certify_corr(h, c)
     actions = (
-        ("plus", _ladder_columns(h, corr, -1, 1), _clip([(0, 0, a) for a in d.a_dual])),
-        ("minus", _ladder_columns(h, corr, 1, -1), _clip([(cd, 0, 0) for cd in d.c_dual])),
+        ("plus", _ladder_columns(h, -1, 1), [(0, 0, hi) for _, _, hi in T]),
+        ("minus", _ladder_columns(h, 1, -1), [(lo, 0, 0) for lo, _, _ in T]),
     )
     return [
         (name, n)
-        for n in range(len(d.b_dual))
+        for n in range(len(T))
         for name, got, expect in actions
         if got[n] != expect[n]
     ]

@@ -282,7 +282,6 @@ class MISystem:
     xi_grid: Dict[int, object]          # x -> Xi(x; lambda), x = 0..N+1
     xi_grid_delta: Dict[int, object]    # x -> Xi(x; lambda+delta), x = 0..N+1
     pdn_grid: Tuple[tuple, ...]         # [n][x], x = 0..N
-    dtn_sq: Tuple                       # deformation norm factors
     dDn_sq: Tuple                       # full squared norms
     weights: Tuple                      # orthogonality weights, x = 0..N
 
@@ -402,7 +401,6 @@ def build_mi_system(p: ParamSet, D: Sequence[int]) -> MISystem:
         xi_grid=xi_grid,
         xi_grid_delta=xi_grid_delta,
         pdn_grid=tuple(pdn_grid),
-        dtn_sq=tuple(dtn),
         dDn_sq=tuple(dDn),
         weights=tuple(weights),
     )

@@ -438,7 +438,7 @@ def emit_tables(cfg: RunConfig, what: str, out_dir: str) -> List[str]:
             w.writerow(["x", "n", "value"])
             for x in range(N + 1):
                 for n in range(N + 1):
-                    w.writerow([x, n, _fmt(dual.V[n, x])])
+                    w.writerow([x, n, _fmt(dual.V[x, n])])
             payload = {
                 "a_dual": [_fmt(v) for v in dual.a_dual],
                 "b_dual": [_fmt(v) for v in dual.b_dual],

@@ -172,6 +172,21 @@ def test_spectrum_table_contents(tmp_path):
     assert rows[1] == ["0", "0/1"]
 
 
+def test_dual_table_rows_are_label_then_degree(tmp_path):
+    """Row (x, n) of dual.csv is V[x][n], x the label and n the degree, as
+    in the dual table: an asymmetric entry tells it from the transpose."""
+    cfg = dict(BASE_CFG, N=4, b="9")
+    cfg_path = _write(tmp_path, "cfg.json", cfg)
+    out = str(tmp_path / "tabs")
+    assert main(["tables", "--config", cfg_path, "--what", "dual", "--out", out]) == 0
+    with open(f"{out}/dual.csv") as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == ["x", "n", "value"]
+    values = {(x, n): v for x, n, v in rows[1:]}
+    assert values[("1", "2")] == "249487/948000"
+    assert values[("2", "1")] == "17774/41625"
+
+
 def test_precision_override(tmp_path):
     cfg_path = _write(tmp_path, "cfg.json", dict(BASE_CFG))
     cfg = load_config(cfg_path)

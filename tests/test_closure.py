@@ -233,6 +233,31 @@ def test_r0_vanishes_iff_degenerate_seed(family, pipe):
     assert pipe(family, 5, (1,)).closure(Y_ETA).r0_vanishes_at_zero
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_replaced_r0_reports_its_own_constant_term(family, pipe):
+    """r0_vanishes_at_zero is read from R0 itself, so a triple with R0
+    replaced never reports the flag of the polynomial it replaced."""
+    trip = pipe(family, 5, (1,)).closure(Y_ETA)
+    assert trip.r0_vanishes_at_zero
+    bad = replace(trip, R0=trip.R0 + Poly([1]))
+    assert bad.R0(rat(0)) == 1
+    assert not bad.r0_vanishes_at_zero
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_triple_of_another_spectrum_is_refused(family, pipe):
+    """The triple of seed 1 against the Hamiltonian of seed eta: the same
+    V, another spectrum X.  Values held for one spectrum are not read
+    against the other."""
+    pl = pipe(family, 5, (1,))
+    h_eta, trip = pl.hamiltonian(Y_ETA), pl.closure(Y_ONE)
+    assert h_eta.V == pl.hamiltonian(Y_ONE).V
+    assert h_eta.energies != trip.nodes
+    for fn in (verify_closure, verify_ladder, build_ladder):
+        with pytest.raises(CrossCheckMismatch, match="solved on another spectrum"):
+            fn(h_eta, trip)
+
+
 def test_spectral_fn_reproduces_polynomials(pipe):
     h = pipe(R, 5, (1,)).hamiltonian(Y_ONE)
     # V diag(f(X)) V^(-1) is the function f of the Hamiltonian: for
@@ -510,17 +535,23 @@ def test_scalar_route_matches_dense_oracle(family, N, pipe):
     assert any(isinstance(o, str) for o in outcomes)
 
 
-@pytest.mark.parametrize("family", FAMILIES)
-def test_closure_and_ladder_suites_take_one_dense_product(family, monkeypatch):
-    """A passing run of the closure and ladder suites forms no dense product
-    but the shared h_tilde*V."""
+def _closure_ladder_run(family):
+    """The config of a closure and ladder run at N=10, D={1,2}, and its
+    pipeline."""
     params = std_params(family, 10)
     raw = {"family": family, "N": 10, "D": [1, 2], "suites": ["closure", "ladder"]}
     raw.update({k: rat_to_str(getattr(params, k)) for k in ("b", "c", "d")})
     if family == QR:
         raw["q"] = rat_to_str(params.q)
     cfg = report.parse_config(raw)
-    p = Pipeline(cfg.params(), cfg.D)
+    return cfg, Pipeline(cfg.params(), cfg.D)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_closure_and_ladder_suites_take_one_dense_product(family, monkeypatch):
+    """A passing run of the closure and ladder suites forms no dense product
+    but the shared h_tilde*V."""
+    cfg, p = _closure_ladder_run(family)
     p.closure(cfg.Y)  # build every stage the two suites read
     calls = []
     matmul = SquareMatrix.__matmul__
@@ -535,6 +566,28 @@ def test_closure_and_ladder_suites_take_one_dense_product(family, monkeypatch):
     assert report._suite_ladder(cfg, p)["pass"]
     assert len(calls) <= 1
     assert all(a is h.h_tilde and b is h.V for a, b in calls)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_closure_and_ladder_suites_evaluate_the_triple_once(family, monkeypatch):
+    """Solving the triple and running the closure and ladder suites on it
+    evaluate each closure polynomial once on the spectrum: three
+    Poly.values calls on the triple in all."""
+    cfg, p = _closure_ladder_run(family)
+    p.hamiltonian(cfg.Y)
+    calls = []
+    values = Poly.values
+
+    def counted(poly, points):
+        calls.append(poly)
+        return values(poly, points)
+
+    monkeypatch.setattr(Poly, "values", counted)
+    trip = p.closure(cfg.Y)
+    assert report._suite_closure(cfg, p)["pass"]
+    assert report._suite_ladder(cfg, p)["pass"]
+    own = [c for c in calls if any(c is t for t in (trip.R0, trip.R1, trip.Rm1))]
+    assert len(own) == 3
 
 
 def test_passing_closure_check_builds_no_matrix(monkeypatch):
@@ -638,6 +691,10 @@ def test_certifications_survive_python_O():
         gw[3] *= 2
         run("inverse", closure.build_ladder, replace(h, ground_weight=tuple(gw)))
         run("corr", closure.verify_ladder, h, replace(trip, Rm1=trip.Rm1 + Poly([rat(1, 3)])))
+        xp_eta = recurrence.build_X(s, Poly([rat(0), rat(1)]), for_hamiltonian=True)
+        h_eta = dualsystem.build_hamiltonians(s, xp_eta, recurrence.extract_r(s, xp_eta), h.dual)
+        for fn in (closure.verify_closure, closure.verify_ladder, closure.build_ladder):
+            run(f"spectrum {fn.__name__}", fn, h_eta)
         """
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -655,3 +712,5 @@ def test_certifications_survive_python_O():
     assert "row0: row 0 of V has a zero" in out
     assert "inverse: closed-form inverse fails V*V^(-1) = I" in out
     assert "corr: -Rm1/R0 differs from dual coefficient at n=0" in out
+    for fn in ("verify_closure", "verify_ladder", "build_ladder"):
+        assert f"spectrum {fn}: closure triple was solved on another spectrum" in out

@@ -154,9 +154,10 @@ def test_norm_ratio_closed_form(family, pipe):
     data: d_n^2/d_0^2 = prod A_{m}/C_{m+1} times the deformation factors."""
     s = pipe(family, 6, (1, 2)).system()
     p = s.params
+    tab = GridTable(s.D, p)
     for n in range(1, 7):
         ratio = s.dDn_sq[n] / s.dDn_sq[0]
-        expect = s.dtn_sq[n] / s.dtn_sq[0]
+        expect = tab.dtn(n) / tab.dtn(0)
         acc = rat(1)
         for m in range(n):
             up, _, _ = rec_coeffs(m, p)
@@ -179,7 +180,7 @@ def test_checker_flags_corruption(pipe):
     corrupt = type(s)(
         params=s.params, D=s.D, xi_poly=s.xi_poly, pdn_polys=s.pdn_polys,
         xi_grid=s.xi_grid, xi_grid_delta=s.xi_grid_delta, pdn_grid=s.pdn_grid,
-        dtn_sq=s.dtn_sq, dDn_sq=s.dDn_sq, weights=tuple(weights),
+        dDn_sq=s.dDn_sq, weights=tuple(weights),
     )
     fails = verify_ortho(corrupt)
     assert fails and all(isinstance(f[0], int) for f in fails)
@@ -225,7 +226,7 @@ def test_table_matches_per_entry_route(family, D, N, pipe):
         for x in range(N + 1):
             v = per_entry_pdn(n, x, D, p)
             assert tab.pdn(n, x) == v == GridTable(D, p).pdn(n, x) == s.pdn_grid[n][x]
-        assert tab.dtn(n) == s.dtn_sq[n]
+        assert s.dDn_sq[n] == basefamily.dn_sq_table(p)[n] * tab.dtn(n)
 
 
 def _tuple_for_three_indices(family, N):
