@@ -22,7 +22,7 @@ holds iff the two tridiagonal matrices agree, entry for entry:
 * ladder: a+*V and a-*V are V times tridiagonal matrices, zero on the
   diagonal, whose columns must be a_dual[n]*e_(n+1) and c_dual[n]*e_(n-1).
 
-A passing run takes no dense product beyond the Hamiltonian's h_tilde*V.
+A passing run takes no dense product.
 A failing closure residual is mapped back to LHS - RHS = V*M*V^(-1), and
 ``build_ladder`` returns the explicit operator matrices, both with the
 Hamiltonian's certified closed-form inverse (``DualHamiltonian.vinv``).

@@ -9,8 +9,9 @@ entries, the dual suite and the eigenbasis certification raise on the
 first.
 
 The Hamiltonian owns its eigenbasis.  Its eigenvalues X(0..N) are read
-from the one X grid; its eigen residual h_tilde*V - V*diag(X) is one dense
-product per Hamiltonian, listed by ``verify_spectrum``.  The eigenbasis is
+from the one X grid; where h_tilde*V and V*diag(X) differ is found once
+per Hamiltonian, with no dense product (``linalg.eigen_misses``), and
+listed by ``verify_spectrum``.  The eigenbasis is
 certified once per Hamiltonian (``DualHamiltonian.eigenbasis``): the eigen
 residual is zero, X is strictly increasing, the dual recurrence holds on
 every entry and row 0 of V has no zero, so V is invertible.  Its inverse
@@ -34,7 +35,7 @@ from typing import Tuple
 
 from .backend import rat
 from .errors import CrossCheckMismatch, ShapeMismatch, ZeroDenominator
-from .linalg import SquareMatrix, _cleared_int_rows, gram_residuals
+from .linalg import SquareMatrix, _cleared_int_rows, eigen_misses, gram_residuals
 from .multiindexed import MISystem
 from .params import energy
 from .recurrence import RecTable, XPoly
@@ -143,16 +144,10 @@ class DualHamiltonian:
 
     @cached_property
     def eigen_residual(self) -> list:
-        """Nonzero entries (x, n, r) of h_tilde*V - V*diag(X) in row-major
-        order; empty = an eigenbasis.  One dense product, formed once and
-        shared by the spectrum check and the certification."""
-        X = self.energies
-        return [
-            (x, n, r)
-            for x, (hv_row, v_row) in enumerate(zip((self.h_tilde @ self.V).rows, self.V.rows))
-            for n, (hv, v, e) in enumerate(zip(hv_row, v_row, X))
-            if (r := hv - v * e)
-        ]
+        """Positions (x, n) where h_tilde*V and V*diag(X) differ, in
+        row-major order; empty = an eigenbasis.  Found once on integers
+        and shared by the spectrum check and the certification."""
+        return eigen_misses(self.h_tilde.rows, list(zip(*self.V.rows)), self.energies)
 
     @cached_property
     def eigenbasis(self) -> DualTable:
@@ -202,7 +197,7 @@ def verify_spectrum(h: DualHamiltonian) -> list:
     """Exact eigen-check h_tilde*V = V*diag(X); empty = pass."""
     n1 = h.h_tilde.n
     X = h.energies
-    failures = [("eigen", x, n) for x, n, _ in h.eigen_residual]
+    failures = [("eigen", x, n) for x, n in h.eigen_residual]
     if X[0] != 0:
         failures.append(("ground", 0))
     for n in range(n1 - 1):

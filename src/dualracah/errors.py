@@ -21,14 +21,6 @@ class IndexOutOfRange(DualRacahError):
     pass
 
 
-class BadQ(DualRacahError):
-    pass
-
-
-class BadN(DualRacahError):
-    pass
-
-
 class ZeroDenominator(DualRacahError):
     pass
 
@@ -38,6 +30,14 @@ class NonPositiveWeight(DualRacahError):
 
 
 class InadmissibleParams(DualRacahError):
+    pass
+
+
+class BadQ(InadmissibleParams):
+    pass
+
+
+class BadN(InadmissibleParams):
     pass
 
 

@@ -11,6 +11,10 @@ of a square table under a weight (``gram_residuals``); a projection that
 reads only a band of that matrix takes only the band's dot products
 (``gram_band``).
 
+Every band identity A*v_j = values[j]*v_j (the recurrence on the grid and
+at nodes, h_tilde*V = V*diag(X)) is one integer kernel, ``eigen_misses``,
+which reads a band matrix over its band only.
+
 The small Casoratians have one elimination kernel over any field (their
 entries are floats in the q->1 checks; nothing here imports a float
 library).  ``LeadingElimination`` eliminates the leading columns of a
@@ -150,6 +154,26 @@ def gram_band(rows, weights, w: int) -> dict:
         for i in range(a.n)
         for j in range(max(0, i - w), min(a.n, i + w + 1))
     }
+
+
+def eigen_misses(rows, vectors, values) -> list:
+    """Positions (i, j), in row-major order, where (A*v_j)[i] differs from
+    values[j]*v_j[i]; empty = each v_j is an eigenvector of A.
+
+    Row i of A is read from its first to its last nonzero entry, cleared to
+    integers a_i/f_i; with v_j = u_j/g_j and values[j] = p_j/q_j the check
+    is q_j*(a_i . u_j) = p_j*f_i*u_j[i], on integers only.
+    """
+    nonzero = [[k for k, v in enumerate(row) if v != 0] or [0, -1] for row in rows]
+    bands, row_f = _cleared_int_rows(row[nz[0]:nz[-1] + 1] for row, nz in zip(rows, nonzero))
+    vecs, _ = _cleared_int_rows(vectors)
+    fracs = [(int(v.numerator), int(v.denominator)) for v in values]
+    return [
+        (i, j)
+        for i, (nz, band, f) in enumerate(zip(nonzero, bands, row_f))
+        for j, (u, (p, q)) in enumerate(zip(vecs, fracs))
+        if q * sum(map(mul, band, u[nz[0]:nz[-1] + 1])) != p * f * u[i]
+    ]
 
 
 class LeadingElimination:

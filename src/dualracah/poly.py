@@ -1,9 +1,12 @@
-"""Dense univariate polynomials over exact rationals.
+"""Dense univariate polynomials over exact rationals: interpolation and
+evaluation only.
 
 The indeterminate is the sinusoidal variable throughout the library, but
 nothing here depends on that interpretation.  The zero polynomial has
-``degree is None`` (an explicit sentinel, never -1).  Evaluation takes
-exact rational points only and runs on integers (``Poly.values``).
+``degree is None`` (an explicit sentinel, never -1).  There is no ring
+arithmetic: polynomials are built by interpolation and compared at enough
+nodes.  Evaluation takes exact rational points only and runs on integers
+(``Poly.values``).
 
 ``interpolate`` is the library's one interpolation kernel and serves every
 interpolant: the denominator polynomial, each deformed polynomial, X and
@@ -32,10 +35,6 @@ class Poly:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def zero(cls) -> "Poly":
-        return cls(())
-
     @property
     def degree(self):
         """Degree, or None for the zero polynomial."""
@@ -56,30 +55,6 @@ class Poly:
     def __getitem__(self, k: int):
         """Coefficient of x^k (zero beyond the degree)."""
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else rat(0)
-
-    def __add__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self[k] + other[k] for k in range(n)])
-
-    def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        if self.is_zero() or other.is_zero():
-            return Poly.zero()
-        out = [rat(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
-
-    def scale(self, c) -> "Poly":
-        return Poly([c * a for a in self.coeffs])
 
     def __call__(self, point):
         """Exact Horner evaluation at one rational point (see ``values``)."""

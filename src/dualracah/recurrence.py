@@ -7,8 +7,9 @@ whole grid.  Its grid values drive recurrence relations with constant
 coefficients for the deformed polynomials.  Coefficients are extracted by
 exact orthogonality projection, the 1+2L band of one weighted Gram
 product of the grid table, and certified by the relation that defines
-them: read on the grid, the band recurrence is the matrix identity
-R @ P = P @ diag(X).
+them: read on the grid, the band recurrence is R*P = P*diag(X).  That
+check, and the recurrence as a polynomial identity at nodes past the grid
+(``verify_recurrence``), are one kernel, ``linalg.eigen_misses``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import (
     NonMonotone,
     ZeroPolynomial,
 )
-from .linalg import SquareMatrix, gram_band
+from .linalg import eigen_misses, gram_band
 from .multiindexed import MISystem
 from .params import R, eta, ipow, shift
 from .poly import Poly, interpolate
@@ -108,23 +109,22 @@ class RecTable:
 
 def extract_r(s: MISystem, xp: XPoly) -> RecTable:
     """r[(n,k)] by orthogonality projection, certified by the band
-    recurrence itself on the grid: with R the band matrix of r and P the
-    table P[n][x], R @ P = P @ diag(X) must hold exactly."""
+    recurrence on the grid: each grid column (P_0(x)..P_N(x)) must be an
+    eigenvector of the band matrix R of r with eigenvalue X(x), exactly."""
     N, L = s.params.N, xp.L
     n1 = N + 1
     X = [xp.grid[x] for x in range(n1)]
-    P = SquareMatrix(s.pdn_grid)
-    gram = gram_band(P.rows, [w * v for w, v in zip(s.weights, X)], L)
+    gram = gram_band(s.pdn_grid, [w * v for w, v in zip(s.weights, X)], L)
     r = {
         (n, k): s.dDn_sq[n + k] * gram[n, n + k]
         for n in range(n1)
         for k in range(-min(L, n), min(L, N - n) + 1)
     }
 
-    band = SquareMatrix([[r.get((n, m - n), 0) for m in range(n1)] for n in range(n1)])
-    miss = (band @ P - P.scale_cols(X)).nonzero_entries()
+    band = [[r.get((n, m - n), 0) for m in range(n1)] for n in range(n1)]
+    miss = eigen_misses(band, list(zip(*s.pdn_grid)), X)
     if miss:
-        n, x, _ = miss[0]
+        n, x = miss[0]
         raise CrossCheckMismatch(f"band recurrence misses the grid at (n,x)=({n},{x})")
 
     table = RecTable(r=r, L=L, N=N)
@@ -144,18 +144,22 @@ def _check_band_identities(s: MISystem, t: RecTable) -> None:
 
 
 def verify_recurrence(s: MISystem, xp: XPoly, t: RecTable) -> list:
-    """Exact residuals of the band recurrence as a polynomial identity,
+    """Exact check of the band recurrence as a polynomial identity,
     X * P_n = sum_k r[(n,k)] * P_(n+k), for every label n <= N - L whose
     full band fits; failures are ("poly", n), empty = pass.
 
-    The other rows hold only on the grid, where ``extract_r`` certifies
-    every row as R @ P = P @ diag(X).
+    Both sides have degree at most K = deg X + max_m deg P_m, so the
+    identity holds iff it holds at the K+1 distinct nodes eta(0..K), at
+    lambda + M*delta.  The other rows hold only on the grid, where
+    ``extract_r`` certifies every row.
     """
-    failures = []
-    for n in range(s.params.N - xp.L + 1):
-        rhs = Poly.zero()
-        for k in t.band(n):
-            rhs = rhs + s.pdn_polys[n + k].scale(t.r[(n, k)])
-        if xp.poly * s.pdn_polys[n] != rhs:
-            failures.append(("poly", n))
-    return failures
+    K = xp.poly.degree + max(p.degree or 0 for p in s.pdn_polys)
+    p_m = shift(s.params, s.M, "delta")
+    nodes = [eta(x, p_m) for x in range(K + 1)]
+    if len(set(nodes)) != len(nodes):
+        raise CrossCheckMismatch("coincident nodes for the polynomial recurrence check")
+    rows = range(t.N - t.L + 1)
+    band = [[t.r[(n, m - n)] if m - n in t.band(n) else 0 for m in range(t.N + 1)] for n in rows]
+    vectors = list(zip(*(p.values(nodes) for p in s.pdn_polys)))
+    misses = eigen_misses(band, vectors, xp.poly.values(nodes))
+    return [("poly", n) for n in sorted({n for n, _ in misses})]

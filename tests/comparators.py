@@ -13,7 +13,11 @@ full Gaussian elimination per matrix for ``linalg.LeadingElimination``,
 the per-entry Casoratian factors that ``multiindexed.GridTable`` forms
 from pieces held once per table (``varphi_m``, ``rj_factor``,
 ``norm_const_cd``, ``dtn_sq_value``), and the dense semidefinite
-factorization that ``shapeinv.factor_upper`` restricts to the band.
+factorization that ``shapeinv.factor_upper`` restricts to the band.  The
+ring arithmetic that ``Poly`` no longer has is here as plain functions,
+with the two checks that ``linalg.eigen_misses`` replaced: the band
+recurrence multiplied out as polynomials, and the dense product
+h_tilde*V against V*diag(X).
 """
 
 from __future__ import annotations
@@ -339,7 +343,7 @@ def compare_example(ex: ClosedFormExample, s: MISystem, xp: XPoly, t: Optional[R
     scale = xp.poly[1] / ex.x_poly[1]
     if not scale > 0:
         failures.append(("scale-sign", scale))
-    if xp.poly != ex.x_poly.scale(scale):
+    if xp.poly != poly_scale(ex.x_poly, scale):
         failures.append(("x-poly",))
     if t is not None and ex.r_nk is not None:
         for n in range(t.N + 1):
@@ -348,6 +352,54 @@ def compare_example(ex: ClosedFormExample, s: MISystem, xp: XPoly, t: Optional[R
                 if t.r[(n, k)] != want:
                     failures.append(("r", n, k, t.r[(n, k)] - want))
     return failures
+
+
+def poly_add(p: Poly, q: Poly) -> Poly:
+    n = max(len(p.coeffs), len(q.coeffs))
+    return Poly([p[k] + q[k] for k in range(n)])
+
+
+def poly_neg(p: Poly) -> Poly:
+    return Poly([-c for c in p.coeffs])
+
+
+def poly_mul(p: Poly, q: Poly) -> Poly:
+    if p.is_zero() or q.is_zero():
+        return Poly()
+    out = [rat(0)] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return Poly(out)
+
+
+def poly_scale(p: Poly, c) -> Poly:
+    return Poly([c * a for a in p.coeffs])
+
+
+def poly_recurrence_failures(s: MISystem, xp: XPoly, t: RecTable) -> list:
+    """X * P_n against sum_k r[(n,k)] * P_(n+k), multiplied out as
+    polynomials, for every n <= N - L (the route ``verify_recurrence``
+    replaced); failures are ("poly", n)."""
+    failures = []
+    for n in range(s.params.N - xp.L + 1):
+        rhs = Poly()
+        for k in t.band(n):
+            rhs = poly_add(rhs, poly_scale(s.pdn_polys[n + k], t.r[(n, k)]))
+        if poly_mul(xp.poly, s.pdn_polys[n]) != rhs:
+            failures.append(("poly", n))
+    return failures
+
+
+def dense_eigen_misses(h) -> list:
+    """Positions (x, n) where the dense product h_tilde*V differs from
+    V*diag(X), in row-major order (the route ``eigen_residual`` replaced)."""
+    return [
+        (x, n)
+        for x, (hv_row, v_row) in enumerate(zip((h.h_tilde @ h.V).rows, h.V.rows))
+        for n, (hv, v, e) in enumerate(zip(hv_row, v_row, h.energies))
+        if hv != v * e
+    ]
 
 
 def newton_interpolate(nodes, values) -> Poly:

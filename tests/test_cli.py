@@ -131,6 +131,25 @@ def test_malformed_q_exits_2(tmp_path):
     assert main(["verify", "--config", cfg_path]) == 2
 
 
+@pytest.mark.parametrize("q", ["2", "1"])
+@pytest.mark.parametrize("command", ["verify", "tables"])
+def test_q_outside_unit_interval_exits_2(tmp_path, capsys, command, q):
+    """q must lie in (0,1): bad parameters, not a failed verification, and
+    nothing is written."""
+    cfg_path = _write(tmp_path, "cfg.json", dict(BASE_CFG, family="qR", b="1/2048", q=q, suites=["mi"]))
+    out = tmp_path / "out"
+    if command == "verify":
+        argv = ["verify", "--config", cfg_path, "--out", str(out)]
+    else:
+        out.mkdir()
+        argv = ["tables", "--config", cfg_path, "--what", "spectrum", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"error: q must lie in (0,1), got {q}"
+    assert "Traceback" not in err
+    assert not out.exists() if command == "verify" else not any(out.iterdir())
+
+
 def test_inadmissible_params_exit_2(tmp_path):
     cfg_path = _write(tmp_path, "cfg.json", dict(BASE_CFG, b="5"))
     assert main(["verify", "--config", cfg_path]) == 2
@@ -302,10 +321,17 @@ PINNED_REPORTS = [
                     "shape", "qlimit"]},
         "ca4b56cf376d0eb9e75a8a8777aa9b297aba9cebefda77f17843bb481c9dfffb",
     ),
+    # N=18, the exact suites from mi to ladder: the closure polynomials
+    # printed in full
+    (
+        {"family": "R", "N": 18, "b": "23", "c": "1/2", "d": "2/5", "D": [1, 2], "Y": ["1"],
+         "suites": ["mi", "recurrence", "dual", "closure", "ladder"]},
+        "478911324238109b5a4bbd46780e1b167fb9a4b8968baff75272635574fe5b8e",
+    ),
 ]
 
 
-@pytest.mark.parametrize("data,digest", PINNED_REPORTS, ids=["R", "qR", "R-n14"])
+@pytest.mark.parametrize("data,digest", PINNED_REPORTS, ids=["R", "qR", "R-n14", "R-n18"])
 def test_report_bytes_are_pinned(tmp_path, data, digest):
     report, ok = run_suite(parse_config(data))
     assert ok

@@ -25,6 +25,7 @@ from dualracah.errors import (
 from dualracah.linalg import SquareMatrix
 from dualracah.multiindexed import MISystem, sign_changes
 from dualracah.params import QR, R
+from comparators import dense_eigen_misses
 from conftest import Y_ETA, Y_ONE
 
 FAMILIES = (R, QR)
@@ -161,22 +162,31 @@ def test_eigenbasis_shared_across_seeds(family, pipe):
 
 
 def test_spectrum_reports_each_entry_and_shares_hv(pipe, monkeypatch):
-    from dualracah import closure
+    """The spectrum check and the closure check share one run of the eigen
+    kernel, which forms no h_tilde*V product; a skewed entry of h_tilde is
+    reported at every position of its row that it reaches."""
+    from dualracah import closure, dualsystem
 
     h = pipe(R, 5, (1,)).hamiltonian(Y_ONE)
     trip = pipe(R, 5, (1,)).closure(Y_ONE)
     fresh = replace(h)  # same matrices, no cached property carried over
-    calls = []
-    matmul = SquareMatrix.__matmul__
+    calls, kernel_calls = [], []
+    matmul, kernel = SquareMatrix.__matmul__, dualsystem.eigen_misses
 
     def counted(a, b):
         calls.append((a, b))
         return matmul(a, b)
 
+    def counted_kernel(*args):
+        kernel_calls.append(args)
+        return kernel(*args)
+
     monkeypatch.setattr(SquareMatrix, "__matmul__", counted)
+    monkeypatch.setattr(dualsystem, "eigen_misses", counted_kernel)
     assert verify_spectrum(fresh) == []
     assert closure.verify_closure(fresh, trip) == []
-    assert sum(a is fresh.h_tilde and b is fresh.V for a, b in calls) == 1
+    assert not any(a is fresh.h_tilde and b is fresh.V for a, b in calls)
+    assert len(kernel_calls) == 1
     monkeypatch.undo()
 
     rows = [list(r) for r in h.h_tilde.rows]
@@ -184,6 +194,33 @@ def test_spectrum_reports_each_entry_and_shares_hv(pipe, monkeypatch):
     bad = replace(h, h_tilde=SquareMatrix(rows))
     eigen = [f for f in verify_spectrum(bad) if f[0] == "eigen"]
     assert eigen == [("eigen", 1, j) for j in range(6) if h.V[2, j] != 0]
+
+
+def _bumped(m: SquareMatrix, i: int, j: int) -> SquareMatrix:
+    rows = [list(r) for r in m.rows]
+    rows[i][j] += rat(1, 7)
+    return SquareMatrix(rows)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_eigen_residual_equals_dense_oracle_under_single_corruptions(family, pipe):
+    """Every single-entry corruption of h_tilde (in and out of its band), of
+    V and of the X grid: the kernel's positions are the dense product's,
+    and every corruption of h_tilde, V or X(0..N) is caught."""
+    h = pipe(family, 5, (1,)).hamiltonian(Y_ONE)
+    n1 = h.h_tilde.n
+    assert h.L < n1 - 1  # some entries lie outside the band
+    caught = [
+        replace(h, h_tilde=_bumped(h.h_tilde, i, j)) for i in range(n1) for j in range(n1)
+    ] + [
+        replace(h, dual=replace(h.dual, V=_bumped(h.V, i, j)))
+        for i in range(n1) for j in range(n1)
+    ] + [replace(h, x_grid={**h.x_grid, x: h.x_grid[x] + rat(1, 7)}) for x in range(n1)]
+    unread = [replace(h, x_grid={**h.x_grid, x: h.x_grid[x] + rat(1, 7)}) for x in (-1, n1)]
+    for bad in caught + unread:
+        assert bad.eigen_residual == dense_eigen_misses(bad)
+    assert all(bad.eigen_residual for bad in caught)
+    assert not any(bad.eigen_residual for bad in unread)
 
 
 @pytest.mark.parametrize("family", FAMILIES)

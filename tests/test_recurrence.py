@@ -27,6 +27,7 @@ from dualracah.recurrence import (
     verify_recurrence,
     xhat_minus1,
 )
+from comparators import poly_add, poly_mul, poly_neg, poly_recurrence_failures, poly_scale
 from conftest import SEEDS, Y_ETA, Y_ONE, r_by_solve, std_params
 
 FAMILIES = (R, QR)
@@ -139,12 +140,12 @@ def test_build_x_matches_coefficient_formulas(family, D, y, N, pipe):
     seed = {**SEEDS, "1+2eta+3eta^2": Poly([rat(1), rat(2), rat(3)])}[y]
     s = pipe(family, N, D).system()
     xp = build_X(s, seed)
-    assert xp.poly == map_I(s.xi_poly * seed, shift(s.params, s.M, "delta"))
+    assert xp.poly == map_I(poly_mul(s.xi_poly, seed), shift(s.params, s.M, "delta"))
 
 
 def test_zero_seed_rejected(pipe):
     with pytest.raises(ZeroPolynomial):
-        build_X(pipe(R, 5, (1,)).system(), Poly.zero())
+        build_X(pipe(R, 5, (1,)).system(), Poly())
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -222,14 +223,60 @@ def test_polynomial_identity_fails_off_band(pipe):
     xp = pipe(R, 6, (1,)).xpoly(Y_ONE)
     t = pipe(R, 6, (1,)).rectable(Y_ONE)
     n = s.params.N
-    lhs = xp.poly * s.pdn_polys[n]
-    rhs = Poly.zero()
+    lhs = poly_mul(xp.poly, s.pdn_polys[n])
+    rhs = Poly()
     for k in t.band(n):
-        rhs = rhs + s.pdn_polys[n + k].scale(t.r[(n, k)])
+        rhs = poly_add(rhs, poly_scale(s.pdn_polys[n + k], t.r[(n, k)]))
     assert lhs != rhs  # off-grid disagreement
     node = shift(s.params, s.M, "delta")
     for x in range(s.params.N + 1):  # ... yet on-grid equality
         assert lhs(eta(x, node)) == rhs(eta(x, node))
+
+
+FAULT_GRID = [(f, N, D) for f in FAMILIES for N in (4, 6) for D in ((), (1,), (1, 2))]
+
+
+@pytest.mark.parametrize("family,N,D", FAULT_GRID)
+def test_skewed_r_entry_fails_polynomial_identity(family, N, D, pipe):
+    """Each r entry of a row n <= N - L skewed in turn fails row n, and
+    only row n, as the Poly-product oracle finds."""
+    pl = pipe(family, N, D)
+    s, xp, t = pl.system(), pl.xpoly(Y_ONE), pl.rectable(Y_ONE)
+    for n in range(N - t.L + 1):
+        for k in t.band(n):
+            bad = replace(t, r={**t.r, (n, k): t.r[(n, k)] + rat(1, 3)})
+            got = verify_recurrence(s, xp, bad)
+            assert got == poly_recurrence_failures(s, xp, bad) == [("poly", n)]
+
+
+@pytest.mark.parametrize("family,N,D", FAULT_GRID)
+def test_change_vanishing_on_the_grid_fails_past_it(family, N, D, pipe):
+    """c * prod_(x=0..N) (eta - eta(x)) added to P_1 leaves every grid
+    value as it is; the nodes past the grid still catch it, in the rows the
+    Poly-product oracle finds."""
+    pl = pipe(family, N, D)
+    s, xp, t = pl.system(), pl.xpoly(Y_ONE), pl.rectable(Y_ONE)
+    grid = [eta(x, shift(s.params, s.M, "delta")) for x in range(N + 1)]
+    bump = Poly([rat(2, 7)])
+    for z in grid:
+        bump = poly_mul(bump, Poly([-z, 1]))
+    polys = list(s.pdn_polys)
+    polys[1] = poly_add(polys[1], bump)
+    bad = replace(s, pdn_polys=tuple(polys))
+    assert bad.pdn_polys[1].values(grid) == list(s.pdn_grid[1])
+    got = verify_recurrence(bad, xp, t)
+    assert got == poly_recurrence_failures(bad, xp, t)
+    assert ("poly", 1) in got
+
+
+@pytest.mark.parametrize("family,N,D", FAULT_GRID)
+def test_coincident_nodes_raise(family, N, D, pipe, monkeypatch):
+    pl = pipe(family, N, D)
+    s, xp, t = pl.system(), pl.xpoly(Y_ONE), pl.rectable(Y_ONE)
+    eta_at = recurrence.eta
+    monkeypatch.setattr(recurrence, "eta", lambda x, p: eta_at(min(x, N), p))
+    with pytest.raises(CrossCheckMismatch, match="coincident nodes"):
+        verify_recurrence(s, xp, t)
 
 
 def test_negative_seed_rejected_for_hamiltonian(pipe):
@@ -308,8 +355,9 @@ def test_corrupted_r_entry_fails_band_identities(family, key, msg, pipe, monkeyp
 
 
 @pytest.mark.parametrize("bend,msg", [
-    (lambda f, nodes, vals: f(nodes, vals) + Poly([rat(1)]), "X has constant term 1, expected 0"),
-    (lambda f, nodes, vals: f(nodes, vals) * Poly([0, 1]), "X has degree 3, expected L=2"),
+    (lambda f, nodes, vals: poly_add(f(nodes, vals), Poly([rat(1)])),
+     "X has constant term 1, expected 0"),
+    (lambda f, nodes, vals: poly_mul(f(nodes, vals), Poly([0, 1])), "X has degree 3, expected L=2"),
     (lambda f, nodes, vals: f(nodes, vals[:-1] + [vals[-1] + 1]),
      "telescoping sum differs from X at x=2"),
 ])
@@ -330,15 +378,16 @@ def test_negated_denominator_fails_monotonicity(family, pipe):
     """With Xi_D negated, X steps downwards although the seed is
     non-negative: NonMonotone."""
     s = pipe(family, 6, (1,)).system()
-    bad = replace(s, xi_poly=-s.xi_poly, xi_grid={x: -v for x, v in s.xi_grid.items()})
+    bad = replace(s, xi_poly=poly_neg(s.xi_poly), xi_grid={x: -v for x, v in s.xi_grid.items()})
     with pytest.raises(NonMonotone):
         build_X(bad, Y_ONE)
 
 
 def test_band_identities_survive_python_O():
-    """Under -O a corrupted X grid value, a corrupted r-table entry and a
-    corrupted node value of X still raise: the identities that certify
-    extract_r and build_X are explicit checks, not asserts."""
+    """Under -O a corrupted X grid value, a corrupted r-table entry, a
+    corrupted node value of X and coincident nodes of the polynomial
+    recurrence check still raise: the identities that certify extract_r,
+    build_X and verify_recurrence are explicit checks, not asserts."""
     script = textwrap.dedent(
         """
         from dataclasses import replace
@@ -374,6 +423,16 @@ def test_band_identities_survive_python_O():
             recurrence.build_X(s, Poly([rat(1)]), for_hamiltonian=True)
         except CrossCheckMismatch as e:
             print("X:", e)
+
+        recurrence.RecTable = table
+        recurrence.interpolate = interpolate
+        t = recurrence.extract_r(s, xp)
+        eta = recurrence.eta
+        recurrence.eta = lambda x, p: eta(min(x, 5), p)
+        try:
+            recurrence.verify_recurrence(s, xp, t)
+        except CrossCheckMismatch as e:
+            print("nodes:", e)
         """
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -385,3 +444,4 @@ def test_band_identities_survive_python_O():
     assert "grid: band recurrence misses the grid at (n,x)=" in out
     assert "band: mirror symmetry fails at (n,k)=(1,2)" in out
     assert "X: telescoping sum differs from X at x=2" in out
+    assert "nodes: coincident nodes for the polynomial recurrence check" in out
