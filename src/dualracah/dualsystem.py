@@ -10,16 +10,22 @@ first.
 
 The Hamiltonian owns its eigenbasis.  Its eigenvalues X(0..N) are read
 from the one X grid; where h_tilde*V and V*diag(X) differ is found once
-per Hamiltonian, with no dense product (``linalg.eigen_misses``), and
-listed by ``verify_spectrum``.  The eigenbasis is
+per Hamiltonian and listed by ``verify_spectrum``.  The eigenbasis is
 certified once per Hamiltonian (``DualHamiltonian.eigenbasis``): the eigen
 residual is zero, X is strictly increasing, the dual recurrence holds on
 every entry and row 0 of V has no zero, so V is invertible.  Its inverse
 is the closed form from dual orthogonality,
-V^(-1) = diag(ground_weight)*V^T*diag(dDn_sq), certified V*V^(-1) = I
-(``DualHamiltonian.vinv``).  Each is a cached property, which
-``dataclasses.replace()`` starts afresh.  Every certification raises
-CrossCheckMismatch, under every interpreter flag.
+V^(-1) = diag(ground_weight)*V^T*diag(dDn_sq), certified by the equivalent
+V*diag(ground_weight)*V^T = diag(1/dDn_sq) (``DualHamiltonian.vinv``).
+Each is a cached property, which ``dataclasses.replace()`` starts afresh.
+Two Hamiltonians commute when both certify the same V
+(``commutator_check``): each is then V*diag(X)*V^(-1).
+
+Every identity here is checked on one of the two integer kernels of
+``linalg``: the recurrence and eigen residuals on the band kernel
+(``eigen_misses``), the dual orthogonality and the inverse on the Gram
+kernel (``gram_residuals``).  None forms a dense product.  Every
+certification raises CrossCheckMismatch, under every interpreter flag.
 
 Everything here is exact: h_tilde is only checked to be similar to a real
 symmetric matrix, by the mirror identity of its band (``recurrence``) and
@@ -33,9 +39,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Tuple
 
-from .backend import rat
 from .errors import CrossCheckMismatch, ShapeMismatch, ZeroDenominator
-from .linalg import SquareMatrix, _cleared_int_rows, eigen_misses, gram_residuals
+from .linalg import SquareMatrix, eigen_misses, gram_residuals
 from .multiindexed import MISystem
 from .params import energy
 from .recurrence import RecTable, XPoly
@@ -70,20 +75,15 @@ class DualTable:
     def recurrence_residual(self) -> list:
         """Nonzero entries (x, n, r) of V*T - diag(Ebar)*V in row-major
         order; empty = pass.  Entry (x, n) is the difference equation of
-        P_x at grid point n divided by P_0(n).  Formed once on integers:
-        row x of V and column n of T cleared by their lcms."""
-        v_rows, v_dens = _cleared_int_rows(self.V.rows)
-        t_cols, t_dens = _cleared_int_rows(self.jacobi())
-        last = self.V.n - 1
-        out = []
-        for x, (v, v_den, e) in enumerate(zip(v_rows, v_dens, self.ebar)):
-            num, den = int(e.numerator), int(e.denominator)
-            for n, ((lo, mid, hi), t_den) in enumerate(zip(t_cols, t_dens)):
-                vt = (v[n - 1] * lo if n else 0) + v[n] * mid + (v[n + 1] * hi if n < last else 0)
-                r = vt * den - v[n] * num * t_den
-                if r:
-                    out.append((x, n, rat(r, v_den * t_den * den)))
-        return out
+        P_x at grid point n divided by P_0(n).  Row x of V*T is T^T times
+        row x of V, so this is the band kernel on the rows of T^T, the rows
+        of V and the values Ebar."""
+        last = len(self.b_dual) - 1
+        # row n of T^T is column n of T, its entries at n-1, n, n+1
+        t_rows = [
+            ([0] * n + list(col) + [0] * (last - n))[1:-1] for n, col in enumerate(self.jacobi())
+        ]
+        return sorted((x, n, r) for n, x, r in eigen_misses(t_rows, self.V.rows, self.ebar))
 
     def certify_recurrence(self) -> None:
         """CrossCheckMismatch at the first nonzero recurrence residual."""
@@ -144,9 +144,9 @@ class DualHamiltonian:
 
     @cached_property
     def eigen_residual(self) -> list:
-        """Positions (x, n) where h_tilde*V and V*diag(X) differ, in
-        row-major order; empty = an eigenbasis.  Found once on integers
-        and shared by the spectrum check and the certification."""
+        """Nonzero entries (x, n, r) of h_tilde*V - V*diag(X), in row-major
+        order; empty = an eigenbasis.  Found once by the band kernel and
+        shared by the spectrum check and the certification."""
         return eigen_misses(self.h_tilde.rows, list(zip(*self.V.rows)), self.energies)
 
     @cached_property
@@ -171,11 +171,13 @@ class DualHamiltonian:
     @cached_property
     def vinv(self) -> SquareMatrix:
         """V^(-1) = diag(ground_weight)*V^T*diag(dDn_sq), the dual
-        orthogonality relation, certified V*V^(-1) = I."""
-        vinv = self.V.transpose().scale_rows(self.ground_weight).scale_cols(self.dDn_sq)
-        if self.V @ vinv != SquareMatrix.identity(self.V.n):
+        orthogonality relation.  V*V^(-1) = I is certified as the equivalent
+        V*diag(ground_weight)*V^T = diag(1/dDn_sq), on the Gram kernel."""
+        if any(d == 0 for d in self.dDn_sq) or gram_residuals(
+            self.V.rows, self.ground_weight, [1 / d for d in self.dDn_sq]
+        ):
             raise CrossCheckMismatch("closed-form inverse fails V*V^(-1) = I")
-        return vinv
+        return self.V.transpose().scale_rows(self.ground_weight).scale_cols(self.dDn_sq)
 
 
 def build_hamiltonians(s: MISystem, xp: XPoly, t: RecTable, dual: DualTable) -> DualHamiltonian:
@@ -197,7 +199,7 @@ def verify_spectrum(h: DualHamiltonian) -> list:
     """Exact eigen-check h_tilde*V = V*diag(X); empty = pass."""
     n1 = h.h_tilde.n
     X = h.energies
-    failures = [("eigen", x, n) for x, n in h.eigen_residual]
+    failures = [("eigen", x, n) for x, n, _ in h.eigen_residual]
     if X[0] != 0:
         failures.append(("ground", 0))
     for n in range(n1 - 1):
@@ -211,7 +213,13 @@ def verify_spectrum(h: DualHamiltonian) -> list:
 
 
 def commutator_check(h1: DualHamiltonian, h2: DualHamiltonian) -> list:
+    """h1*h2 = h2*h1 from their certified eigenbases; empty = pass.
+
+    Each certificate gives h_i = V*diag(X_i)*V^(-1) with V invertible, so
+    two Hamiltonians certified on the same V commute.  A failed
+    certificate, or two different V, raises CrossCheckMismatch."""
     if h1.h_tilde.n != h2.h_tilde.n:
         raise ShapeMismatch("Hamiltonians have different orders")
-    diff = h1.h_tilde @ h2.h_tilde - h2.h_tilde @ h1.h_tilde
-    return diff.nonzero_entries()
+    if h1.eigenbasis.V != h2.eigenbasis.V:
+        raise CrossCheckMismatch("the Hamiltonians are not diagonal in one eigenbasis V")
+    return []

@@ -1,19 +1,24 @@
 """Exact linear algebra on small dense matrices.
 
-Exact products run on Python integers: each row of the left factor and
-each column of the right factor is cleared of denominators once by its lcm
-(``_cleared_int_rows``), the dot products are taken on integers, and each
-entry is one rational, ``rat(dot, row_factor * col_factor)``.  Results are
-canonical rationals, equal to those of rational arithmetic entry for entry.
+Every matrix identity the library certifies runs on one of two integer
+kernels, and neither forms a dense product.  Each row of a factor is cleared of
+denominators once by its lcm (``_cleared_int_rows``) and the dot products
+are taken on integers.
 
-Orthogonality relations are checked as one such product, the Gram matrix
-of a square table under a weight (``gram_residuals``); a projection that
-reads only a band of that matrix takes only the band's dot products
-(``gram_band``).
+* ``eigen_misses``, the band kernel: each identity A*v_j = values[j]*v_j
+  (the recurrence on the grid and at nodes, h_tilde*V = V*diag(X), the
+  dual recurrence V*T = diag(Ebar)*V read as T^T*v_x = Ebar[x]*v_x) reads
+  each row of A over its band only, and forms a rational residual only
+  where the identity fails.
+* ``gram_band``, the Gram kernel: the entries i <= j <= i+w of the
+  symmetric G = rows*diag(weights)*rows^T.  A projection reads a band of
+  it; an orthogonality relation, the closed-form inverse of the dual table
+  among them, is its whole upper triangle against the expected diagonal
+  (``gram_residuals``).
 
-Every band identity A*v_j = values[j]*v_j (the recurrence on the grid and
-at nodes, h_tilde*V = V*diag(X)) is one integer kernel, ``eigen_misses``,
-which reads a band matrix over its band only.
+``SquareMatrix`` holds a dense matrix.  Its product (the same integer
+clearing, each entry one canonical rational) builds explicit operators
+only, never a certificate.
 
 The small Casoratians have one elimination kernel over any field (their
 entries are floats in the q->1 checks; nothing here imports a float
@@ -61,10 +66,6 @@ class SquareMatrix:
             if len(row) != self.n:
                 raise ShapeMismatch("matrix is not square")
 
-    @classmethod
-    def identity(cls, n: int) -> "SquareMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i][j]
@@ -72,24 +73,9 @@ class SquareMatrix:
     def __eq__(self, other) -> bool:
         return isinstance(other, SquareMatrix) and self.rows == other.rows
 
-    def _check(self, other: "SquareMatrix"):
+    def __matmul__(self, other: "SquareMatrix") -> "SquareMatrix":
         if self.n != other.n:
             raise ShapeMismatch("incompatible matrices")
-
-    def __add__(self, other: "SquareMatrix") -> "SquareMatrix":
-        self._check(other)
-        return SquareMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
-        )
-
-    def __sub__(self, other: "SquareMatrix") -> "SquareMatrix":
-        self._check(other)
-        return SquareMatrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
-        )
-
-    def __matmul__(self, other: "SquareMatrix") -> "SquareMatrix":
-        self._check(other)
         left, row_f = _cleared_int_rows(self.rows)
         right, col_f = _cleared_int_rows(zip(*other.rows))
         return SquareMatrix([
@@ -111,9 +97,6 @@ class SquareMatrix:
     def column(self, j: int) -> list:
         return [row[j] for row in self.rows]
 
-    def is_zero(self) -> bool:
-        return all(v == 0 for row in self.rows for v in row)
-
     def nonzero_entries(self):
         return [
             (i, j, v) for i, row in enumerate(self.rows) for j, v in enumerate(row) if v != 0
@@ -121,59 +104,58 @@ class SquareMatrix:
 
 
 def gram_residuals(rows, weights, norms) -> list:
-    """Residuals of the weighted Gram matrix against its expected diagonal.
-
-    G = rows @ diag(weights) @ rows^T is formed as one exact product; the
-    result lists (i, j, G[i][j] - delta_ij * norms[i]) for every i <= j
-    where that residual is nonzero, in row-major order.  Empty = the rows
-    are orthogonal under the weights with squared norms ``norms``.
+    """Residuals of the weighted Gram matrix against its expected diagonal:
+    (i, j, G[i][j] - delta_ij * norms[i]) for every i <= j where that is
+    nonzero, in row-major order, from the whole upper triangle of
+    ``gram_band``.  Empty = the rows are orthogonal under the weights with
+    squared norms ``norms``.
     """
-    a = SquareMatrix(rows)
-    g = a.scale_cols(weights) @ a.transpose()
     out = []
-    for i, row in enumerate(g.rows):
-        for j in range(i, a.n):
-            residual = row[j] - norms[i] if i == j else row[j]
-            if residual != 0:
-                out.append((i, j, residual))
+    for (i, j), g in gram_band(rows, weights, len(rows)).items():
+        residual = g - norms[i] if i == j else g
+        if residual != 0:
+            out.append((i, j, residual))
     return out
 
 
 def gram_band(rows, weights, w: int) -> dict:
-    """Entries (i, j) with |i - j| <= w of G = rows @ diag(weights) @ rows^T.
+    """Entries (i, j) with i <= j <= i + w of G = rows @ diag(weights) @ rows^T,
+    in row-major order; G is symmetric, so G[j][i] is entry (i, j).
 
-    The rows are cleared to integers as for the dense product and only the
-    band's dot products are taken, so each entry is the canonical rational
-    of that product.
+    Each row, and each row times the weights, is cleared to integers once
+    and only those dot products are taken, so each entry is the canonical
+    rational of the dense product's entry.
     """
-    a = SquareMatrix(rows)
-    left, row_f = _cleared_int_rows(a.scale_cols(weights).rows)
-    right, col_f = _cleared_int_rows(a.rows)
+    left, row_f = _cleared_int_rows([[v * c for v, c in zip(row, weights)] for row in rows])
+    right, col_f = _cleared_int_rows(rows)
+    n = len(right)
     return {
         (i, j): rat(sum(map(mul, left[i], right[j])), row_f[i] * col_f[j])
-        for i in range(a.n)
-        for j in range(max(0, i - w), min(a.n, i + w + 1))
+        for i in range(n)
+        for j in range(i, min(n, i + w + 1))
     }
 
 
 def eigen_misses(rows, vectors, values) -> list:
-    """Positions (i, j), in row-major order, where (A*v_j)[i] differs from
-    values[j]*v_j[i]; empty = each v_j is an eigenvector of A.
+    """Misses (i, j, r), in row-major order, where r = (A*v_j)[i] -
+    values[j]*v_j[i] is nonzero; empty = each v_j is an eigenvector of A.
 
     Row i of A is read from its first to its last nonzero entry, cleared to
     integers a_i/f_i; with v_j = u_j/g_j and values[j] = p_j/q_j the check
-    is q_j*(a_i . u_j) = p_j*f_i*u_j[i], on integers only.
+    is q_j*(a_i . u_j) = p_j*f_i*u_j[i], on integers only, and r is formed
+    only on a miss.
     """
     nonzero = [[k for k, v in enumerate(row) if v != 0] or [0, -1] for row in rows]
     bands, row_f = _cleared_int_rows(row[nz[0]:nz[-1] + 1] for row, nz in zip(rows, nonzero))
-    vecs, _ = _cleared_int_rows(vectors)
+    vecs, vec_f = _cleared_int_rows(vectors)
     fracs = [(int(v.numerator), int(v.denominator)) for v in values]
-    return [
-        (i, j)
-        for i, (nz, band, f) in enumerate(zip(nonzero, bands, row_f))
-        for j, (u, (p, q)) in enumerate(zip(vecs, fracs))
-        if q * sum(map(mul, band, u[nz[0]:nz[-1] + 1])) != p * f * u[i]
-    ]
+    out = []
+    for i, (nz, band, f) in enumerate(zip(nonzero, bands, row_f)):
+        for j, (u, g, (p, q)) in enumerate(zip(vecs, vec_f, fracs)):
+            miss = q * sum(map(mul, band, u[nz[0]:nz[-1] + 1])) - p * f * u[i]
+            if miss:
+                out.append((i, j, rat(miss, q * f * g)))
+    return out
 
 
 class LeadingElimination:

@@ -5,8 +5,9 @@ polynomial Y) is defined by its steps on the lattice, so X is built as the
 interpolant of their telescoping sums, certified against the sums on the
 whole grid.  Its grid values drive recurrence relations with constant
 coefficients for the deformed polynomials.  Coefficients are extracted by
-exact orthogonality projection, the 1+2L band of one weighted Gram
-product of the grid table, and certified by the relation that defines
+exact orthogonality projection, the 1+2L band of the weighted Gram
+matrix of the grid table (``linalg.gram_band``, which forms its L+1 upper
+diagonals: the matrix is symmetric), and certified by the relation that defines
 them: read on the grid, the band recurrence is R*P = P*diag(X).  That
 check, and the recurrence as a polynomial identity at nodes past the grid
 (``verify_recurrence``), are one kernel, ``linalg.eigen_misses``.
@@ -116,7 +117,7 @@ def extract_r(s: MISystem, xp: XPoly) -> RecTable:
     X = [xp.grid[x] for x in range(n1)]
     gram = gram_band(s.pdn_grid, [w * v for w, v in zip(s.weights, X)], L)
     r = {
-        (n, k): s.dDn_sq[n + k] * gram[n, n + k]
+        (n, k): s.dDn_sq[n + k] * gram[min(n, n + k), max(n, n + k)]
         for n in range(n1)
         for k in range(-min(L, n), min(L, N - n) + 1)
     }
@@ -124,7 +125,7 @@ def extract_r(s: MISystem, xp: XPoly) -> RecTable:
     band = [[r.get((n, m - n), 0) for m in range(n1)] for n in range(n1)]
     miss = eigen_misses(band, list(zip(*s.pdn_grid)), X)
     if miss:
-        n, x = miss[0]
+        n, x, _ = miss[0]
         raise CrossCheckMismatch(f"band recurrence misses the grid at (n,x)=({n},{x})")
 
     table = RecTable(r=r, L=L, N=N)
@@ -162,4 +163,4 @@ def verify_recurrence(s: MISystem, xp: XPoly, t: RecTable) -> list:
     band = [[t.r[(n, m - n)] if m - n in t.band(n) else 0 for m in range(t.N + 1)] for n in rows]
     vectors = list(zip(*(p.values(nodes) for p in s.pdn_polys)))
     misses = eigen_misses(band, vectors, xp.poly.values(nodes))
-    return [("poly", n) for n in sorted({n for n, _ in misses})]
+    return [("poly", n) for n in sorted({n for n, _, _ in misses})]

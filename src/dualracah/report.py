@@ -156,12 +156,16 @@ def parse_config(data: dict) -> RunConfig:
 
 def load_config(path: str) -> RunConfig:
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             data = json.load(f)
     except OSError as e:
         raise ConfigError(f"cannot read config: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config is not UTF-8: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from e
+    except RecursionError as e:
+        raise ConfigError("config is nested too deeply") from e
     return parse_config(data)
 
 

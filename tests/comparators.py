@@ -15,9 +15,12 @@ from pieces held once per table (``varphi_m``, ``rj_factor``,
 ``norm_const_cd``, ``dtn_sq_value``), and the dense semidefinite
 factorization that ``shapeinv.factor_upper`` restricts to the band.  The
 ring arithmetic that ``Poly`` no longer has is here as plain functions,
-with the two checks that ``linalg.eigen_misses`` replaced: the band
-recurrence multiplied out as polynomials, and the dense product
-h_tilde*V against V*diag(X).
+with the checks that ``linalg.eigen_misses`` replaced: the band
+recurrence multiplied out as polynomials, the dense product h_tilde*V
+against V*diag(X) and the dual recurrence V*T by three terms per entry.
+The dense commutator h1*h2 - h2*h1 is here too, and the ``SquareMatrix``
+sum, difference, zero test and identity, which the library no longer
+calls.
 """
 
 from __future__ import annotations
@@ -34,8 +37,10 @@ from dualracah.errors import (
     DualRacahError,
     IndexOutOfRange,
     NegativePivot,
+    ShapeMismatch,
     SingularMatrix,
 )
+from dualracah.linalg import SquareMatrix, _cleared_int_rows
 from dualracah.multiindexed import MISystem
 from dualracah.params import QR, R, ParamSet, energy, ipow, shift
 from dualracah.poly import Poly
@@ -392,14 +397,62 @@ def poly_recurrence_failures(s: MISystem, xp: XPoly, t: RecTable) -> list:
 
 
 def dense_eigen_misses(h) -> list:
-    """Positions (x, n) where the dense product h_tilde*V differs from
+    """Nonzero entries (x, n, r) of the dense product h_tilde*V minus
     V*diag(X), in row-major order (the route ``eigen_residual`` replaced)."""
     return [
-        (x, n)
+        (x, n, hv - v * e)
         for x, (hv_row, v_row) in enumerate(zip((h.h_tilde @ h.V).rows, h.V.rows))
         for n, (hv, v, e) in enumerate(zip(hv_row, v_row, h.energies))
         if hv != v * e
     ]
+
+
+def loop_recurrence_residual(dual) -> list:
+    """Nonzero entries (x, n, r) of V*T - diag(Ebar)*V in row-major order,
+    by three terms per entry on cleared integers (the route
+    ``DualTable.recurrence_residual`` replaced)."""
+    v_rows, v_dens = _cleared_int_rows(dual.V.rows)
+    t_cols, t_dens = _cleared_int_rows(dual.jacobi())
+    last = dual.V.n - 1
+    out = []
+    for x, (v, v_den, e) in enumerate(zip(v_rows, v_dens, dual.ebar)):
+        num, den = int(e.numerator), int(e.denominator)
+        for n, ((lo, mid, hi), t_den) in enumerate(zip(t_cols, t_dens)):
+            vt = (v[n - 1] * lo if n else 0) + v[n] * mid + (v[n + 1] * hi if n < last else 0)
+            r = vt * den - v[n] * num * t_den
+            if r:
+                out.append((x, n, rat(r, v_den * t_den * den)))
+    return out
+
+
+def dense_commutator(h1, h2) -> list:
+    """Nonzero entries of h1*h2 - h2*h1 by two dense products (the route
+    ``commutator_check`` replaced)."""
+    a, b = h1.h_tilde, h2.h_tilde
+    return matrix_sub(a @ b, b @ a).nonzero_entries()
+
+
+# The SquareMatrix arithmetic that the library no longer calls.
+
+
+def identity_matrix(n: int) -> SquareMatrix:
+    return SquareMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+def matrix_add(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
+    if a.n != b.n:
+        raise ShapeMismatch("incompatible matrices")
+    return SquareMatrix([[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(a.rows, b.rows)])
+
+
+def matrix_sub(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
+    if a.n != b.n:
+        raise ShapeMismatch("incompatible matrices")
+    return SquareMatrix([[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(a.rows, b.rows)])
+
+
+def matrix_is_zero(m: SquareMatrix) -> bool:
+    return all(v == 0 for row in m.rows for v in row)
 
 
 def newton_interpolate(nodes, values) -> Poly:

@@ -159,6 +159,26 @@ def test_missing_config_exits_2(tmp_path):
     assert main(["verify", "--config", str(tmp_path / "nope.json")]) == 2
 
 
+@pytest.mark.parametrize("raw,msg", [
+    (b"\xff\xfe{\x00}\x00", "config is not UTF-8"),
+    (b"[" * 200_000 + b"]" * 200_000, "config is nested too deeply"),
+], ids=["not-utf8", "nested-200k-deep"])
+@pytest.mark.parametrize("command", ["verify", "tables"])
+def test_unreadable_config_exits_2(tmp_path, capsys, command, raw, msg):
+    """A config that is not UTF-8, or JSON nested past the parser's
+    recursion limit, is a bad config: exit 2 with a message, no traceback."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(raw)
+    argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    if command == "tables":
+        argv += ["--what", "spectrum"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith(f"error: {msg}")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_qr_full_run(tmp_path):
     cfg = {
         "family": "qR", "N": 4, "b": "1/512", "c": "1/2", "d": "2/5",
@@ -335,6 +355,25 @@ PINNED_REPORTS = [
 def test_report_bytes_are_pinned(tmp_path, data, digest):
     report, ok = run_suite(parse_config(data))
     assert ok
+    path = tmp_path / "report.json"
+    write_report(report, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("data,digest", PINNED_REPORTS[:3], ids=["R", "qR", "R-n14"])
+def test_passing_runs_form_no_dense_product(tmp_path, monkeypatch, data, digest):
+    """Every suite certifies on the band or the Gram kernel: with the dense
+    product refused before any stage is built, all nine suites pass on R
+    (N=6 and N=14), and the exact suites and the shape suite on qR, with
+    the pinned report bytes."""
+    from dualracah.linalg import SquareMatrix
+
+    def refuse(a, b):
+        raise AssertionError("dense SquareMatrix product in a passing run")
+
+    monkeypatch.setattr(SquareMatrix, "__matmul__", refuse)
+    report, ok = run_suite(parse_config(data))
+    assert ok and len(report["suites"]) == (8 if data["family"] == "qR" else 9)
     path = tmp_path / "report.json"
     write_report(report, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

@@ -1,6 +1,11 @@
 """Dual tables, dual orthogonality, and the band Hamiltonians."""
 
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import fields, replace
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -25,7 +30,14 @@ from dualracah.errors import (
 from dualracah.linalg import SquareMatrix
 from dualracah.multiindexed import MISystem, sign_changes
 from dualracah.params import QR, R
-from comparators import dense_eigen_misses
+from comparators import (
+    dense_commutator,
+    dense_eigen_misses,
+    identity_matrix,
+    loop_recurrence_residual,
+    matrix_is_zero,
+    matrix_sub,
+)
 from conftest import Y_ETA, Y_ONE
 
 FAMILIES = (R, QR)
@@ -130,16 +142,31 @@ def test_symmetric_form(family, pipe):
 def test_commutativity_of_seeds(family, pipe):
     h1 = pipe(family, 6, (1,)).hamiltonian(Y_ONE)
     h2 = pipe(family, 6, (1,)).hamiltonian(Y_ETA)
-    assert commutator_check(h1, h2) == []
+    assert commutator_check(h1, h2) == [] == dense_commutator(h1, h2)
     assert commutator_check(h1, h1) == []
 
 
 def test_commutator_checker_sanity(pipe):
+    """One corrupted band entry of h2: the dense commutator no longer
+    vanishes, and the check stops at h2's eigenbasis certificate."""
     h1 = pipe(R, 5, (1,)).hamiltonian(Y_ONE)
     rows = [list(r) for r in h1.h_tilde.rows]
     rows[0][1] = rows[0][1] + 1
     h2 = replace(h1, h_tilde=SquareMatrix(rows))
-    assert commutator_check(h1, h2) != []
+    assert dense_commutator(h1, h2) != []
+    with pytest.raises(CrossCheckMismatch, match=r"h_tilde\*V differs from V\*diag\(X\)"):
+        commutator_check(h1, h2)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_commutator_refuses_two_eigenbases(family, pipe):
+    """Two certified Hamiltonians of the same order on different index sets
+    have different V: not a commuting pair, whatever their products."""
+    h1 = pipe(family, 5, (1,)).hamiltonian(Y_ONE)
+    h2 = pipe(family, 5, (2,)).hamiltonian(Y_ONE)
+    assert h1.V != h2.V
+    with pytest.raises(CrossCheckMismatch, match="not diagonal in one eigenbasis V"):
+        commutator_check(h1, h2)
 
 
 def test_commutator_shape_mismatch(pipe):
@@ -157,8 +184,8 @@ def test_eigenbasis_shared_across_seeds(family, pipe):
     h2 = pipe(family, 6, (1,)).hamiltonian(Y_ETA)
     assert h1.V.rows == h2.V.rows
     lhs = h2.h_tilde @ h2.V
-    rhs = h2.V @ SquareMatrix.identity(h2.V.n).scale_cols(h2.energies)
-    assert (lhs - rhs).is_zero()
+    rhs = h2.V @ identity_matrix(h2.V.n).scale_cols(h2.energies)
+    assert matrix_is_zero(matrix_sub(lhs, rhs))
 
 
 def test_spectrum_reports_each_entry_and_shares_hv(pipe, monkeypatch):
@@ -205,8 +232,9 @@ def _bumped(m: SquareMatrix, i: int, j: int) -> SquareMatrix:
 @pytest.mark.parametrize("family", FAMILIES)
 def test_eigen_residual_equals_dense_oracle_under_single_corruptions(family, pipe):
     """Every single-entry corruption of h_tilde (in and out of its band), of
-    V and of the X grid: the kernel's positions are the dense product's,
-    and every corruption of h_tilde, V or X(0..N) is caught."""
+    V and of the X grid: the kernel's (x, n, r) entries are the dense
+    product's, in the same order, and every corruption of h_tilde, V or
+    X(0..N) is caught."""
     h = pipe(family, 5, (1,)).hamiltonian(Y_ONE)
     n1 = h.h_tilde.n
     assert h.L < n1 - 1  # some entries lie outside the band
@@ -221,6 +249,35 @@ def test_eigen_residual_equals_dense_oracle_under_single_corruptions(family, pip
         assert bad.eigen_residual == dense_eigen_misses(bad)
     assert all(bad.eigen_residual for bad in caught)
     assert not any(bad.eigen_residual for bad in unread)
+
+
+def _bumped_entry(values: tuple, k: int) -> tuple:
+    return values[:k] + (values[k] + rat(1, 7),) + values[k + 1:]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_recurrence_residual_equals_loop_oracle_under_single_corruptions(family, pipe):
+    """Every single-entry corruption of V, a_dual, b_dual, c_dual and Ebar:
+    the band kernel on the rows of T^T gives the three-term loop's (x, n, r)
+    entries, in the same order.  Only a_dual[N] and c_dual[0], which fall
+    outside T, go unread.  Two corrupted columns of T put misses in several
+    rows and columns, where the kernel's (n, x) order must be sorted back."""
+    dual = pipe(family, 5, (1,)).dual()
+    n1 = dual.V.n
+    bad = [replace(dual, V=_bumped(dual.V, i, j)) for i in range(n1) for j in range(n1)]
+    for name in ("a_dual", "b_dual", "c_dual", "ebar"):
+        bad += [replace(dual, **{name: _bumped_entry(getattr(dual, name), k)}) for k in range(n1)]
+    assert dual.recurrence_residual == [] == loop_recurrence_residual(dual)
+    unread = [replace(dual, a_dual=_bumped_entry(dual.a_dual, n1 - 1)),
+              replace(dual, c_dual=_bumped_entry(dual.c_dual, 0))]
+    for t in bad:
+        assert t.recurrence_residual == loop_recurrence_residual(t)
+        assert (t.recurrence_residual == []) == any(t == u for u in unread)
+    two = replace(dual, b_dual=_bumped_entry(_bumped_entry(dual.b_dual, 1), 3))
+    assert [(x, n) for x, n, _ in two.recurrence_residual] == [
+        (x, n) for x in range(n1) for n in (1, 3)
+    ]
+    assert two.recurrence_residual == loop_recurrence_residual(two)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -290,3 +347,46 @@ def test_vanishing_ground_state_raises_zero_denominator(family, pipe):
     bad = replace(s, pdn_grid=(tuple(ground),) + s.pdn_grid[1:])
     with pytest.raises(ZeroDenominator, match="ground-state polynomial vanishes at x=1"):
         dual_values(bad)
+
+
+def test_inverse_and_commutator_certifications_survive_python_O():
+    """Under -O a corrupted ground weight still fails the closed-form
+    inverse, and one corrupted band entry of h2 still stops the commutator
+    check: neither is an assert."""
+    script = textwrap.dedent(
+        """
+        from dataclasses import replace
+        from dualracah import dualsystem, multiindexed, recurrence
+        from dualracah.backend import rat
+        from dualracah.errors import CrossCheckMismatch
+        from dualracah.linalg import SquareMatrix
+        from dualracah.params import make_params
+        from dualracah.poly import Poly
+
+        assert False, "asserts must be stripped"
+        s = multiindexed.build_mi_system(make_params("R", 4, b=9, c=rat(1, 2), d=rat(2, 5)), (1,))
+        xp = recurrence.build_X(s, Poly([rat(1)]), for_hamiltonian=True)
+        h = dualsystem.build_hamiltonians(
+            s, xp, recurrence.extract_r(s, xp), dualsystem.dual_values(s))
+        gw = list(h.ground_weight)
+        gw[3] *= 2
+        try:
+            replace(h, ground_weight=tuple(gw)).vinv
+        except CrossCheckMismatch as e:
+            print("inverse:", e)
+        rows = [list(r) for r in h.h_tilde.rows]
+        rows[2][3] += 1
+        try:
+            dualsystem.commutator_check(h, replace(h, h_tilde=SquareMatrix(rows)))
+        except CrossCheckMismatch as e:
+            print("commute:", e)
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout
+    assert "inverse: closed-form inverse fails V*V^(-1) = I" in out
+    assert "commute: h_tilde*V differs from V*diag(X)" in out
