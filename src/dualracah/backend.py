@@ -1,66 +1,31 @@
-"""Rational arithmetic backend.
+"""The library's one exact scalar: ``fractions.Fraction``.
 
-All exact computations run over arbitrary-precision rationals.  Two
-interchangeable backends are supported:
-
-* ``gmpy2.mpq`` -- compiled GMP rationals, the default when gmpy2 is
-  importable.  Rational arithmetic (the Casoratian grid, sums, scalings)
-  is dominated by bignum work, so GMP gives a constant-factor speedup;
-  the dense products, eliminations and Horner evaluations in ``linalg``
-  and ``poly`` clear denominators and run on Python integers with either
-  backend.
-* ``fractions.Fraction`` -- pure-Python fallback, always available.
-
-Set ``DUALRACAH_BACKEND=fraction`` (or ``gmpy2``) to force a choice.
-``BACKEND`` names the one in use; ``perfbench`` records it with every
-sample.
+Every exact computation runs over arbitrary-precision rationals, and
+``rat`` is their one constructor.  The dense products, eliminations and
+Horner evaluations in ``linalg`` and ``poly`` clear denominators and run on
+Python integers.  ``BACKEND`` names the rational type; ``perfbench``
+records it with every sample.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 
-_FORCED = os.environ.get("DUALRACAH_BACKEND", "").strip().lower()
-
-if _FORCED in ("", "gmpy2"):
-    try:
-        from gmpy2 import mpq as _mpq  # type: ignore
-
-        BACKEND = "gmpy2"
-    except ImportError:
-        if _FORCED == "gmpy2":
-            raise
-        _mpq = None
-        BACKEND = "fraction"
-elif _FORCED == "fraction":
-    _mpq = None
-    BACKEND = "fraction"
-else:
-    raise ValueError(f"unknown DUALRACAH_BACKEND: {_FORCED!r}")
+BACKEND = "fraction"
 
 
-if BACKEND == "gmpy2":
+def rat(num, den=None):
+    """Exact rational from integers (or another rational).
 
-    def rat(num, den=1):
-        """Exact rational from integers (or another rational)."""
-        return _mpq(num, den)
-
-else:
-
-    def rat(num, den=1):
-        """Exact rational from integers (or another rational)."""
-        return Fraction(num, den)
-
-
-ZERO = rat(0)
-ONE = rat(1)
+    A lone ``Fraction`` is already reduced and is returned as it is; a
+    float, a string or any other non-rational raises ``TypeError``."""
+    if den is None:
+        return num if type(num) is Fraction else Fraction(num, 1)
+    return Fraction(num, den)
 
 
 def is_rational(x) -> bool:
-    if isinstance(x, (int, Fraction)):
-        return True
-    return BACKEND == "gmpy2" and isinstance(x, type(ZERO))
+    return isinstance(x, (int, Fraction))
 
 
 def _int_from_str(s: str) -> int:

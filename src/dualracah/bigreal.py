@@ -19,7 +19,7 @@ def to_real(x, prec: int = DEFAULT_PRECISION):
     with mpmath.workprec(prec):
         if isinstance(x, mpmath.mpf):
             return +x
-        return mpmath.mpf(int(x.numerator)) / mpmath.mpf(int(x.denominator))
+        return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
 
 
 def big_sqrt(x, prec: int = DEFAULT_PRECISION):

@@ -21,7 +21,9 @@ import sys
 from typing import Optional, Sequence
 
 from .errors import ConfigError, DualRacahError, InadmissibleParams
-from .report import TABLE_KINDS, emit_tables, load_config, run_suite, write_report
+from .report import (
+    TABLE_KINDS, check_precision, emit_tables, load_config, run_suite, write_report,
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -65,9 +67,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = load_config(args.config)
         if args.precision is not None:
-            if args.precision < 53:
-                raise ConfigError("precision must be >= 53 bits")
-            cfg.precision = args.precision
+            cfg.precision = check_precision(args.precision)
         if args.out is not None:
             cfg.out = args.out
 

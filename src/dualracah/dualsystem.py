@@ -212,8 +212,8 @@ def verify_spectrum(h: DualHamiltonian) -> list:
     return failures
 
 
-def commutator_check(h1: DualHamiltonian, h2: DualHamiltonian) -> list:
-    """h1*h2 = h2*h1 from their certified eigenbases; empty = pass.
+def commutator_check(h1: DualHamiltonian, h2: DualHamiltonian) -> None:
+    """Certify h1*h2 = h2*h1 from their eigenbases.
 
     Each certificate gives h_i = V*diag(X_i)*V^(-1) with V invertible, so
     two Hamiltonians certified on the same V commute.  A failed
@@ -222,4 +222,3 @@ def commutator_check(h1: DualHamiltonian, h2: DualHamiltonian) -> list:
         raise ShapeMismatch("Hamiltonians have different orders")
     if h1.eigenbasis.V != h2.eigenbasis.V:
         raise CrossCheckMismatch("the Hamiltonians are not diagonal in one eigenbasis V")
-    return []

@@ -16,9 +16,10 @@ are taken on integers.
   among them, is its whole upper triangle against the expected diagonal
   (``gram_residuals``).
 
-``SquareMatrix`` holds a dense matrix.  Its product (the same integer
-clearing, each entry one canonical rational) builds explicit operators
-only, never a certificate.
+``SquareMatrix`` holds a dense matrix of ``Fraction`` entries; ``rat``
+keeps an entry that already is one as the same object.  Its product (the
+same integer clearing, each entry one canonical rational) builds explicit
+operators only, never a certificate.
 
 The small Casoratians have one elimination kernel over any field (their
 entries are floats in the q->1 checks; nothing here imports a float
@@ -36,10 +37,8 @@ from math import lcm
 from operator import mul
 from typing import Sequence
 
-from .backend import ZERO, rat
+from .backend import rat
 from .errors import ShapeMismatch
-
-_RAT = type(ZERO)
 
 
 def _cleared_int_rows(rows):
@@ -47,8 +46,8 @@ def _cleared_int_rows(rows):
     int_rows = []
     factors = []
     for row in rows:
-        f = lcm(*[int(v.denominator) for v in row])
-        int_rows.append([int(v.numerator) * (f // int(v.denominator)) for v in row])
+        f = lcm(*[v.denominator for v in row])
+        int_rows.append([v.numerator * (f // v.denominator) for v in row])
         factors.append(f)
     return int_rows, factors
 
@@ -59,8 +58,7 @@ class SquareMatrix:
     __slots__ = ("n", "rows")
 
     def __init__(self, rows):
-        # an entry that is already the backend's rational is kept as it is
-        self.rows = [[v if type(v) is _RAT else rat(v) for v in row] for row in rows]
+        self.rows = [[rat(v) for v in row] for row in rows]
         self.n = len(self.rows)
         for row in self.rows:
             if len(row) != self.n:
@@ -148,7 +146,7 @@ def eigen_misses(rows, vectors, values) -> list:
     nonzero = [[k for k, v in enumerate(row) if v != 0] or [0, -1] for row in rows]
     bands, row_f = _cleared_int_rows(row[nz[0]:nz[-1] + 1] for row, nz in zip(rows, nonzero))
     vecs, vec_f = _cleared_int_rows(vectors)
-    fracs = [(int(v.numerator), int(v.denominator)) for v in values]
+    fracs = [(v.numerator, v.denominator) for v in values]
     out = []
     for i, (nz, band, f) in enumerate(zip(nonzero, bands, row_f)):
         for j, (u, g, (p, q)) in enumerate(zip(vecs, vec_f, fracs)):

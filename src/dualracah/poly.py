@@ -72,7 +72,7 @@ class Poly:
         (nums,), (den,) = _cleared_int_rows([self.coeffs])
         out = []
         for z in points:
-            a, b = int(z.numerator), int(z.denominator)
+            a, b = z.numerator, z.denominator
             acc, bpow = nums[-1], 1
             for c in reversed(nums[:-1]):
                 bpow *= b

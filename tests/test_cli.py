@@ -235,6 +235,28 @@ def test_precision_override(tmp_path):
     assert main(["verify", "--config", cfg_path, "--precision", "10"]) == 2
 
 
+@pytest.mark.parametrize("source", ["config", "flag"])
+@pytest.mark.parametrize("command", ["verify", "tables"])
+def test_low_precision_exits_2_with_one_message(tmp_path, capsys, command, source):
+    """A precision below 53 bits, from the config or from --precision, ends
+    in exit 2 with the same message, and nothing is written."""
+    data = dict(BASE_CFG, precision=10) if source == "config" else dict(BASE_CFG)
+    cfg_path = _write(tmp_path, "cfg.json", data)
+    out = tmp_path / "out"
+    if command == "verify":
+        argv = ["verify", "--config", cfg_path, "--out", str(out)]
+    else:
+        out.mkdir()
+        argv = ["tables", "--config", cfg_path, "--what", "spectrum", "--out", str(out)]
+    if source == "flag":
+        argv += ["--precision", "10"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == "error: precision must be an integer >= 53, got 10"
+    assert "Traceback" not in err
+    assert not out.exists() if command == "verify" else not any(out.iterdir())
+
+
 def test_si_candidates_are_parsed_once_to_rationals():
     """The config holds the candidate slots as rationals, and the shape
     suite reads them as they are: a candidate with the slots of the

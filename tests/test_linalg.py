@@ -294,8 +294,8 @@ def test_diagonal_and_identity():
 
 
 def test_rational_entries_are_kept_and_others_converted():
-    """An entry that is already the backend's rational is stored as the
-    same object; an int becomes a rational and a float is refused."""
+    """An entry that is already a Fraction is stored as the same object;
+    an int becomes a rational and a float is refused."""
     r = rat(3, 7)
     m = SquareMatrix([[r, 2], [rat(0), r]])
     assert m[0, 0] is r and m[1, 1] is r

@@ -1,10 +1,13 @@
-"""Every public module-level function and class of the library is used by
-the library itself.
+"""Every public module-level function and class of the library, and every
+public method and property of its classes, is used by the library itself.
 
 A name counts as used when some part of ``src/dualracah`` other than its
 own definition refers to it: as a plain name, as an attribute, or in an
-import.  The entry point and the documented ladder-matrix API are the
-only names the library may define for outside callers alone."""
+import.  The match is by name alone, so a method whose name another
+definition shares (``Poly.is_zero`` and a ``SquareMatrix.is_zero``, say)
+counts as used when either is.  The entry point and the documented
+ladder-matrix API are the only names the library may define for outside
+callers alone."""
 
 import ast
 from pathlib import Path
@@ -30,21 +33,28 @@ def _names(tree, skip) -> set:
     return out
 
 
-def test_every_public_definition_is_used_in_the_library():
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    public = [
-        (module, node)
-        for module, tree in trees.items()
-        for node in tree.body
+def _public(body):
+    return [
+        node for node in body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         and not node.name.startswith("_")
     ]
-    defined = {(module, node.name) for module, node in public}
+
+
+def test_every_public_definition_is_used_in_the_library():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    public = []
+    for module, tree in trees.items():
+        for node in _public(tree.body):
+            public.append((module, node.name, node))
+            if isinstance(node, ast.ClassDef):
+                public += [(module, f"{node.name}.{m.name}", m) for m in _public(node.body)]
+    defined = {(module, name) for module, name, _ in public}
     assert EXCEPTIONS <= defined, "an exception names a definition that is gone"
     unused = [
-        f"{module}.{node.name}"
-        for module, node in public
-        if (module, node.name) not in EXCEPTIONS
+        f"{module}.{name}"
+        for module, name, node in public
+        if (module, name) not in EXCEPTIONS
         and not any(node.name in _names(tree, node) for tree in trees.values())
     ]
     assert unused == []

@@ -32,6 +32,17 @@ def test_getitem_is_total():
     assert p[0] == 5 and p[1] == 7 and p[99] == 0
 
 
+def test_reduced_coefficients_are_kept():
+    """Rational coefficients are stored as the same objects, not rebuilt;
+    integers become rationals and floats are refused."""
+    cs = [rat(3, 4), rat(-10 ** 30, 7), rat(0), rat(5, 2)]
+    p = Poly(cs)
+    assert all(p.coeffs[i] is cs[i] for i in range(len(cs)))
+    assert Poly([1, 2]).coeffs == (rat(1), rat(2))
+    with pytest.raises(TypeError):
+        Poly([0.5])
+
+
 def test_known_product():
     # (1+x)(1-x) = 1 - x^2
     assert poly_mul(Poly([1, 1]), Poly([1, -1])) == Poly([1, 0, -1])
