@@ -9,6 +9,8 @@ records it with every sample.
 
 from __future__ import annotations
 
+import re
+import reprlib
 from fractions import Fraction
 
 BACKEND = "fraction"
@@ -29,17 +31,13 @@ def is_rational(x) -> bool:
 
 
 def _int_from_str(s: str) -> int:
-    """int(s) for a decimal string of any length: a string past the
-    interpreter's int<->str digit limit is split and joined by a power of 10."""
+    """int(s) for an optional sign and ASCII digits, of any length: a string
+    past the interpreter's int<->str digit limit is split and joined by a
+    power of 10."""
     try:
         return int(s)
     except ValueError:
-        body = s.strip()
-        sign = -1 if body[:1] == "-" else 1
-        if body[:1] in ("+", "-"):
-            body = body[1:]
-        if len(body) < 2 or not (body.isascii() and body.isdigit()):
-            raise
+        sign, body = (-1, s[1:]) if s[0] == "-" else (1, s.lstrip("+"))
     k = len(body) // 2
     return sign * (_int_from_str(body[:-k]) * 10 ** k + _int_from_str(body[-k:]))
 
@@ -57,16 +55,22 @@ def _int_to_str(n) -> str:
     return _int_to_str(high) + _int_to_str(low).zfill(k)
 
 
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?")
+
+
 def rat_from_str(s: str):
-    """Parse the canonical "p/q" (or plain "p") serialization."""
-    s = s.strip()
-    if "/" in s:
-        p_str, q_str = s.split("/", 1)
-        p, q = _int_from_str(p_str), _int_from_str(q_str)
-        if q == 0:
-            raise ZeroDivisionError(f"zero denominator in {s!r}")
-        return rat(p, q)
-    return rat(_int_from_str(s))
+    """Parse the canonical "p/q" (or plain "p") serialization, by one
+    grammar at every length: surrounding whitespace, an optional sign and
+    ASCII digits, then optionally "/", an optional sign and ASCII digits.
+    Anything else (digit separators, other digits) raises ValueError."""
+    m = _RATIONAL.fullmatch(s.strip())
+    if m is None:
+        raise ValueError(f"not a rational \"p/q\" of ASCII digits: {reprlib.repr(s)}")
+    p_str, q_str = m.groups()
+    q = _int_from_str(q_str or "1")
+    if q == 0:
+        raise ZeroDivisionError(f"zero denominator in {reprlib.repr(s)}")
+    return rat(_int_from_str(p_str), q)
 
 
 def rat_to_str(x) -> str:

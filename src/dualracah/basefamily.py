@@ -1,5 +1,5 @@
 """Base Racah / q-Racah data: potentials, polynomials, weights, norms,
-and the virtual-state objects obtained through the parameter twist.
+and the virtual-state energies and leading coefficients.
 
 All functions are duck-typed over the scalar field: exact rationals give
 exact results, high-precision floats give the float path used by the
@@ -9,7 +9,8 @@ Base values P_n(y) are filled a column (all n at one y) at a time by
 ``RacahColumns``: exact parameters by the three-term recurrence of
 ``rec_coeffs``, float ones by the terminating q-sum with its factors shared
 across the table.  ``racah_value``, the sum for a single value, serves the
-virtual-state values at the twisted parameters (``xi_v``) and the base
+virtual-state values (base values at the twisted parameters of
+``params.twist``, formed once per ``multiindexed.GridTable``) and the base
 suite's spot row.
 
 The squared ground state phi0^2(0..N) and the squared norms d_0^2..d_N^2
@@ -21,11 +22,9 @@ for bit in floats.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .backend import rat
 from .errors import IndexOutOfRange, InadmissibleParams, NonPositiveWeight, ZeroDenominator
-from .params import R, ParamSet, eta, ipow, twist
+from .params import R, ParamSet, eta, ipow
 
 
 def poch(u, n: int):
@@ -56,11 +55,6 @@ def multi_qpoch(us, n: int, q):
     for u in us:
         acc = acc * qpoch(u, n, q)
     return acc
-
-
-@lru_cache(maxsize=None)
-def twisted(p: ParamSet) -> ParamSet:
-    return twist(p)
 
 
 def potential(x: int, p: ParamSet, which: str = "B"):
@@ -294,13 +288,6 @@ def dn_sq_table(p: ParamSet) -> tuple:
             raise NonPositiveWeight(f"d_{n}^2 = {v}")
         table.append(v)
     return tuple(table)
-
-
-def xi_v(v: int, x: int, p: ParamSet):
-    """Virtual state polynomial grid value: the base value at the twisted set."""
-    if v < 1:
-        raise IndexOutOfRange(f"virtual degree must be >= 1, got {v}")
-    return racah_value(v, x, twisted(p))
 
 
 def etilde_v(v: int, p: ParamSet):

@@ -25,7 +25,8 @@ holds iff the two tridiagonal matrices agree, entry for entry:
 A passing run takes no dense product.
 A failing closure residual is mapped back to LHS - RHS = V*M*V^(-1), and
 ``build_ladder`` returns the explicit operator matrices, both with the
-Hamiltonian's certified closed-form inverse (``DualHamiltonian.vinv``).
+closed-form inverse of the certified dual table (``DualTable.inverse``),
+which its dual orthogonality certifies once for every seed.
 Every mismatch raises CrossCheckMismatch.
 """
 
@@ -126,7 +127,7 @@ def verify_closure(h: DualHamiltonian, c: ClosureTriple) -> list:
         ))
     if all(v == 0 for col in cols for v in col):
         return []
-    return (_v_times(d.V, cols) @ h.vinv).nonzero_entries()
+    return (_v_times(d.V, cols) @ d.inverse).nonzero_entries()
 
 
 @dataclass
@@ -167,12 +168,12 @@ def _ladder_columns(h: DualHamiltonian, step: int, sign: int) -> list:
 def build_ladder(h: DualHamiltonian, c: ClosureTriple) -> LadderPair:
     """The creation and annihilation operators as explicit matrices,
     a = V*B*V^(-1) with B from ``_ladder_columns``."""
-    V = _eigenbasis(h, c).V
+    d = _eigenbasis(h, c)
     _certify_corr(h, c)
-    vinv = h.vinv
+    vinv = d.inverse
     return LadderPair(
-        a_plus=_v_times(V, _ladder_columns(h, -1, 1)) @ vinv,
-        a_minus=_v_times(V, _ladder_columns(h, 1, -1)) @ vinv,
+        a_plus=_v_times(d.V, _ladder_columns(h, -1, 1)) @ vinv,
+        a_minus=_v_times(d.V, _ladder_columns(h, 1, -1)) @ vinv,
     )
 
 

@@ -8,24 +8,27 @@ table (``DualTable.recurrence_residual``): the mi suite reports its
 entries, the dual suite and the eigenbasis certification raise on the
 first.
 
+The table also owns the dual orthogonality V^T*diag(weights)*V =
+diag(norms), computed once (``DualTable.ortho_residual``).  It is the dual
+suite's check (``dual_ortho``) and, V being square, the certificate of the
+closed-form inverse V^(-1) = diag(1/norms)*V^T*diag(weights)
+(``DualTable.inverse``), which every seed's Hamiltonian shares.
+
 The Hamiltonian owns its eigenbasis.  Its eigenvalues X(0..N) are read
 from the one X grid; where h_tilde*V and V*diag(X) differ is found once
 per Hamiltonian and listed by ``verify_spectrum``.  The eigenbasis is
 certified once per Hamiltonian (``DualHamiltonian.eigenbasis``): the eigen
 residual is zero, X is strictly increasing, the dual recurrence holds on
-every entry and row 0 of V has no zero, so V is invertible.  Its inverse
-is the closed form from dual orthogonality,
-V^(-1) = diag(ground_weight)*V^T*diag(dDn_sq), certified by the equivalent
-V*diag(ground_weight)*V^T = diag(1/dDn_sq) (``DualHamiltonian.vinv``).
-Each is a cached property, which ``dataclasses.replace()`` starts afresh.
-Two Hamiltonians commute when both certify the same V
-(``commutator_check``): each is then V*diag(X)*V^(-1).
+every entry and row 0 of V has no zero, so V is invertible.  Each is a
+cached property, which ``dataclasses.replace()`` starts afresh.  Two
+Hamiltonians commute when both certify the same V (``commutator_check``):
+each is then V*diag(X)*V^(-1).
 
 Every identity here is checked on one of the two integer kernels of
 ``linalg``: the recurrence and eigen residuals on the band kernel
-(``eigen_misses``), the dual orthogonality and the inverse on the Gram
-kernel (``gram_residuals``).  None forms a dense product.  Every
-certification raises CrossCheckMismatch, under every interpreter flag.
+(``eigen_misses``), the dual orthogonality on the Gram kernel
+(``gram_residuals``).  None forms a dense product.  Every certification
+raises CrossCheckMismatch, under every interpreter flag.
 
 Everything here is exact: h_tilde is only checked to be similar to a real
 symmetric matrix, by the mirror identity of its band (``recurrence``) and
@@ -48,7 +51,7 @@ from .recurrence import RecTable, XPoly
 
 @dataclass
 class DualTable:
-    """The dual polynomials on the grid and their three-term recurrence.
+    """The dual polynomials on the grid, their recurrence and orthogonality.
 
     V[x][n] = P_x(n)/P_0(n): column n is the dual polynomial of degree n,
     row x its value at the dual grid point with coordinate ebar[x] = E_x,
@@ -61,6 +64,8 @@ class DualTable:
     b_dual: Tuple
     c_dual: Tuple      # lower recurrence coefficients, vanish at n=0
     ebar: Tuple        # dual sinusoidal coordinate: base energies E_x
+    weights: Tuple     # dual weights dDn_sq[n]/Xi(1), n = 0..N
+    norms: Tuple       # squared dual norms 1/(Xi(1)*w_x*P_0(x)^2), x = 0..N
 
     def jacobi(self) -> list:
         """T held as its columns (T[n-1][n], T[n][n], T[n+1][n]); the two
@@ -92,10 +97,30 @@ class DualTable:
             x, n, _ = miss[0]
             raise CrossCheckMismatch(f"diag(Ebar)*V differs from V*T at (x,n)=({x},{n})")
 
+    @cached_property
+    def ortho_residual(self) -> list:
+        """Residuals (x, y, r) of the dual orthogonality sums over the
+        columns of V, x <= y, in row-major order; empty = pass.  Computed
+        once, on the Gram kernel."""
+        return gram_residuals(list(zip(*self.V.rows)), self.weights, self.norms)
+
+    @cached_property
+    def inverse(self) -> SquareMatrix:
+        """V^(-1)[x][n] = V[n][x]*weights[n]/norms[x], read off the columns
+        of V.  V^(-1)*V = I is the orthogonality relation over norms[x], so
+        ``ortho_residual`` certifies it, and V*V^(-1) = I with it."""
+        if any(v == 0 for v in self.norms) or self.ortho_residual:
+            raise CrossCheckMismatch("closed-form inverse fails V*V^(-1) = I")
+        return SquareMatrix([
+            [v * w / norm for v, w in zip(col, self.weights)]
+            for col, norm in zip(zip(*self.V.rows), self.norms)
+        ])
+
 
 def dual_values(s: MISystem) -> DualTable:
-    """The dual table by the ratio definition; its recurrence is checked by
-    the callers that rest on it."""
+    """The dual table by the ratio definition, with its weights and squared
+    norms; its recurrence and orthogonality are checked by the callers that
+    rest on them."""
     N = s.params.N
     for x in range(N + 1):
         if s.pdn_grid[0][x] == 0:
@@ -109,25 +134,23 @@ def dual_values(s: MISystem) -> DualTable:
     if a_dual[N] != 0 or c_dual[0] != 0:
         raise CrossCheckMismatch("dual recurrence coefficients do not vanish at the edges")
     ebar = tuple(energy(x, s.params) for x in range(N + 1))
-    return DualTable(V=V, a_dual=a_dual, b_dual=b_dual, c_dual=c_dual, ebar=ebar)
-
-
-def dual_ortho(s: MISystem, t: DualTable) -> list:
-    """Exact residuals of the dual orthogonality sums over the columns of
-    V; empty = pass."""
-    N = s.params.N
     xi1 = s.xi_grid[1]
-    dual_w = [s.dDn_sq[n] / xi1 for n in range(N + 1)]
-    # squared dual norm: (Xi(1) * weight * ground value^2)^(-1)
-    norms = [1 / (xi1 * s.weights[x] * s.pdn_grid[0][x] ** 2) for x in range(N + 1)]
-    return gram_residuals(t.V.transpose().rows, dual_w, norms)
+    weights = tuple(d / xi1 for d in s.dDn_sq)
+    norms = tuple(1 / (xi1 * w * g ** 2) for w, g in zip(s.weights, s.pdn_grid[0]))
+    return DualTable(
+        V=V, a_dual=a_dual, b_dual=b_dual, c_dual=c_dual, ebar=ebar, weights=weights, norms=norms
+    )
+
+
+def dual_ortho(t: DualTable) -> list:
+    """Exact residuals of the dual orthogonality sums over the columns of
+    V (``DualTable.ortho_residual``); empty = pass."""
+    return t.ortho_residual
 
 
 @dataclass
 class DualHamiltonian:
     h_tilde: SquareMatrix
-    dDn_sq: Tuple
-    ground_weight: Tuple     # w_x * P_0(x)^2: with dDn_sq, the closed-form V^(-1)
     L: int
     x_grid: dict             # X values on the extended range -1..N+1
     dual: DualTable
@@ -168,17 +191,6 @@ class DualHamiltonian:
             raise CrossCheckMismatch("row 0 of V has a zero: an eigenvector column may vanish")
         return self.dual
 
-    @cached_property
-    def vinv(self) -> SquareMatrix:
-        """V^(-1) = diag(ground_weight)*V^T*diag(dDn_sq), the dual
-        orthogonality relation.  V*V^(-1) = I is certified as the equivalent
-        V*diag(ground_weight)*V^T = diag(1/dDn_sq), on the Gram kernel."""
-        if any(d == 0 for d in self.dDn_sq) or gram_residuals(
-            self.V.rows, self.ground_weight, [1 / d for d in self.dDn_sq]
-        ):
-            raise CrossCheckMismatch("closed-form inverse fails V*V^(-1) = I")
-        return self.V.transpose().scale_rows(self.ground_weight).scale_cols(self.dDn_sq)
-
 
 def build_hamiltonians(s: MISystem, xp: XPoly, t: RecTable, dual: DualTable) -> DualHamiltonian:
     """h_tilde is the band matrix of the r-table, whose mirror identity
@@ -187,8 +199,6 @@ def build_hamiltonians(s: MISystem, xp: XPoly, t: RecTable, dual: DualTable) -> 
     h_tilde = SquareMatrix([[t.r.get((x, y - x), 0) for y in range(n1)] for x in range(n1)])
     return DualHamiltonian(
         h_tilde=h_tilde,
-        dDn_sq=s.dDn_sq,
-        ground_weight=tuple(s.weights[x] * s.pdn_grid[0][x] ** 2 for x in range(n1)),
         L=xp.L,
         x_grid=dict(xp.grid),
         dual=dual,

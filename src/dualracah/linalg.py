@@ -12,14 +12,15 @@ are taken on integers.
   where the identity fails.
 * ``gram_band``, the Gram kernel: the entries i <= j <= i+w of the
   symmetric G = rows*diag(weights)*rows^T.  A projection reads a band of
-  it; an orthogonality relation, the closed-form inverse of the dual table
-  among them, is its whole upper triangle against the expected diagonal
-  (``gram_residuals``).
+  it; an orthogonality relation is its whole upper triangle against the
+  expected diagonal (``gram_residuals``).  The dual orthogonality is one
+  of them, and it certifies the closed-form inverse of the dual table too.
 
 ``SquareMatrix`` holds a dense matrix of ``Fraction`` entries; ``rat``
-keeps an entry that already is one as the same object.  Its product (the
-same integer clearing, each entry one canonical rational) builds explicit
-operators only, never a certificate.
+keeps an entry that already is one as the same object.  It has one
+arithmetic operation, the product (the same integer clearing, each entry
+one canonical rational), which builds explicit operators only, never a
+certificate.
 
 The small Casoratians have one elimination kernel over any field (their
 entries are floats in the q->1 checks; nothing here imports a float
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 from math import lcm
 from operator import mul
-from typing import Sequence
 
 from .backend import rat
 from .errors import ShapeMismatch
@@ -80,17 +80,6 @@ class SquareMatrix:
             [rat(sum(map(mul, row, col)), f * g) for col, g in zip(right, col_f)]
             for row, f in zip(left, row_f)
         ])
-
-    def scale_rows(self, values: Sequence) -> "SquareMatrix":
-        """diag(values) @ self, without the dense product."""
-        return SquareMatrix([[c * v for v in row] for c, row in zip(values, self.rows)])
-
-    def scale_cols(self, values: Sequence) -> "SquareMatrix":
-        """self @ diag(values), without the dense product."""
-        return SquareMatrix([[v * c for v, c in zip(row, values)] for row in self.rows])
-
-    def transpose(self) -> "SquareMatrix":
-        return SquareMatrix(list(zip(*self.rows)))
 
     def column(self, j: int) -> list:
         return [row[j] for row in self.rows]

@@ -17,7 +17,8 @@ evaluated once per (parameters, D) by a ``GridTable`` that lives for one
 build.  Within the table, the pieces that depend on neither n, x nor j are
 formed once:
 
-- the shifted parameter sets lambda + i*delta, i < M;
+- the twisted parameter set of the virtual-state values and the shifted
+  sets lambda + i*delta, i < M;
 - the pairs (etilde_(d_j), alpha*B'(j)) shared by C_D and every dtn(n);
 - the ratio varphi_M(0)/varphi_(M+1)(0) that starts every dtn(n);
 - the denominator of r_j(x): one constant for R; for qR the powers of
@@ -57,8 +58,8 @@ from .basefamily import (
     poch,
     potential,
     qpoch,
+    racah_value,
     varphi,
-    xi_v,
 )
 from .errors import (
     CrossCheckMismatch,
@@ -68,7 +69,7 @@ from .errors import (
     ZeroEntry,
 )
 from .linalg import LeadingElimination, generic_det, gram_residuals
-from .params import R, ParamSet, ell, energy, eta, ipow, shift, validate
+from .params import R, ParamSet, ell, energy, eta, index_set, ipow, shift, twist, validate
 from .poly import Poly, interpolate
 
 
@@ -103,8 +104,10 @@ class GridTable:
         return self._memo[key]
 
     def xi_row(self, y: int) -> list:
-        """Virtual-state values xi_{d_k}(y), k = 1..M (do not mutate)."""
-        return self._get(("xi", y), lambda: [xi_v(dk, y, self.p) for dk in self.D])
+        """Virtual-state values xi_{d_k}(y), k = 1..M: the base values of
+        degree d_k at the twisted parameters (do not mutate)."""
+        tw = self._get("twisted", lambda: twist(self.p))
+        return self._get(("xi", y), lambda: [racah_value(dk, y, tw) for dk in self.D])
 
     def base_column(self, y: int) -> tuple:
         """Base values (P_0(y), ..., P_N(y))."""
@@ -326,7 +329,7 @@ def build_mi_system(p: ParamSet, D: Sequence[int]) -> MISystem:
     violations = validate(p, D)
     if violations:
         raise InadmissibleParams(f"parameter ranges violated: {violations}")
-    D = tuple(D)
+    D = index_set(D)  # virtual-state degrees: strictly increasing, positive
     M, ellD, N = len(D), ell(D), p.N
     p_ximinus = shift(p, M - 1, "delta")
     p_pdn = shift(p, M, "delta")

@@ -169,6 +169,8 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"config is not UTF-8: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from e
+    except ValueError as e:  # e.g. an integer literal past the int<->str digit limit
+        raise ConfigError(f"config cannot be read as JSON: {e}") from e
     except RecursionError as e:
         raise ConfigError("config is nested too deeply") from e
     return parse_config(data)
@@ -255,7 +257,7 @@ def _suite_dual(cfg: RunConfig, pipe: Pipeline) -> dict:
     s = pipe.system()
     dual = pipe.dual()
     dual.certify_recurrence()
-    fails = [[x, y, rat_to_str(r)] for x, y, r in dualsystem.dual_ortho(s, dual)]
+    fails = [[x, y, rat_to_str(r)] for x, y, r in dualsystem.dual_ortho(dual)]
     h = pipe.hamiltonian(cfg.Y)
     fails += [list(map(str, f)) for f in dualsystem.verify_spectrum(h)]
     for x in range(s.params.N + 1):

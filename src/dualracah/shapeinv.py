@@ -35,14 +35,16 @@ from .poly import Poly
 
 def symmetric_form(h: DualHamiltonian, precision: int) -> list:
     """Rows of the real symmetric matrix similar to h.h_tilde, entry (x, y)
-    being h_tilde[x, y] * sqrt(d_x^2 / d_y^2), at ``precision`` bits.
+    being h_tilde[x, y] * sqrt(d_x^2 / d_y^2), at ``precision`` bits; the
+    norm ratio is that of the dual weights d_n^2/Xi(1), where Xi(1) cancels.
 
     A negative norm ratio raises NegativeRadicand (``big_sqrt``).
     """
+    w = h.dual.weights
     with mpmath.workprec(precision):
         return [
             [
-                to_real(r, precision) * big_sqrt(h.dDn_sq[x] / h.dDn_sq[y], precision)
+                to_real(r, precision) * big_sqrt(w[x] / w[y], precision)
                 if x != y and r != 0 else to_real(r, precision)
                 for y, r in enumerate(row)
             ]

@@ -19,8 +19,10 @@ with the checks that ``linalg.eigen_misses`` replaced: the band
 recurrence multiplied out as polynomials, the dense product h_tilde*V
 against V*diag(X) and the dual recurrence V*T by three terms per entry.
 The dense commutator h1*h2 - h2*h1 is here too, and the ``SquareMatrix``
-sum, difference, zero test and identity, which the library no longer
-calls.
+sum, difference, diagonal scalings, transpose, zero test and identity,
+which the library no longer calls.  So is the dual orthogonality with its
+weights and norms derived afresh from the system, the route
+``DualTable.ortho_residual`` replaced.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from dualracah.errors import (
     ShapeMismatch,
     SingularMatrix,
 )
-from dualracah.linalg import SquareMatrix, _cleared_int_rows
+from dualracah.linalg import SquareMatrix, _cleared_int_rows, gram_residuals
 from dualracah.multiindexed import MISystem
 from dualracah.params import QR, R, ParamSet, energy, ipow, shift
 from dualracah.poly import Poly
@@ -453,6 +455,32 @@ def matrix_sub(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
 
 def matrix_is_zero(m: SquareMatrix) -> bool:
     return all(v == 0 for row in m.rows for v in row)
+
+
+def scale_rows(m: SquareMatrix, values) -> SquareMatrix:
+    """diag(values) @ m, without the dense product."""
+    return SquareMatrix([[c * v for v in row] for c, row in zip(values, m.rows)])
+
+
+def scale_cols(m: SquareMatrix, values) -> SquareMatrix:
+    """m @ diag(values), without the dense product."""
+    return SquareMatrix([[v * c for v, c in zip(row, values)] for row in m.rows])
+
+
+def transpose(m: SquareMatrix) -> SquareMatrix:
+    return SquareMatrix(list(zip(*m.rows)))
+
+
+def system_dual_ortho(s: MISystem, dual) -> list:
+    """Residuals of the dual orthogonality sums over the columns of the
+    table's V, the weights and norms derived from the system (the route
+    ``DualTable.ortho_residual`` replaced)."""
+    N = s.params.N
+    xi1 = s.xi_grid[1]
+    dual_w = [s.dDn_sq[n] / xi1 for n in range(N + 1)]
+    # squared dual norm: (Xi(1) * weight * ground value^2)^(-1)
+    norms = [1 / (xi1 * s.weights[x] * s.pdn_grid[0][x] ** 2) for x in range(N + 1)]
+    return gram_residuals(transpose(dual.V).rows, dual_w, norms)
 
 
 def newton_interpolate(nodes, values) -> Poly:

@@ -11,10 +11,10 @@ from operator import mul
 import pytest
 
 from dualracah.backend import rat
-from dualracah.basefamily import multi_poch, multi_qpoch, poch, qpoch, racah_value, xi_v
+from dualracah.basefamily import multi_poch, multi_qpoch, poch, qpoch, racah_value
 from dualracah.errors import NonPositiveWeight, SingularMatrix
 from dualracah.linalg import _cleared_int_rows
-from dualracah.params import QR, R, energy, ipow, make_params
+from dualracah.params import QR, R, energy, ipow, make_params, twist
 from dualracah.pipeline import Pipeline
 from dualracah.poly import Poly
 from comparators import dtn_sq_value, naive_det, norm_const_cd, rj_factor, varphi_m
@@ -93,7 +93,7 @@ def per_entry_xi(x, D, p):
     M = len(D)
     if M == 0:
         return rat(1) if p.is_exact() else p.b * 0 + 1
-    det = naive_det([[xi_v(dk, x + j, p) for dk in D] for j in range(M)])
+    det = naive_det([[racah_value(dk, x + j, twist(p)) for dk in D] for j in range(M)])
     return det / (norm_const_cd(D, p) * varphi_m(x, M, p))
 
 
@@ -103,7 +103,7 @@ def per_entry_pdn(n, x, D, p):
     M = len(D)
     rows = []
     for j in range(1, M + 2):
-        row = [xi_v(dk, x + j - 1, p) for dk in D]
+        row = [racah_value(dk, x + j - 1, twist(p)) for dk in D]
         row.append(rj_factor(j, x, M, p) * racah_value(n, x + j - 1, p))
         rows.append(row)
     det = naive_det(rows)

@@ -143,7 +143,7 @@ def test_criterion_5_dual_system_exact(pipe):
             s = pipe(family, N, D).system()
             dual = pipe(family, N, D).dual()
             assert dual.recurrence_residual == []
-            assert dual_ortho(s, dual) == []
+            assert dual_ortho(dual) == []
             h = pipe(family, N, D).hamiltonian(Y_ONE)
             assert verify_spectrum(h) == []
             for n in range(N + 1):

@@ -53,6 +53,23 @@ def test_round_trip_past_the_digit_limit():
         rat_from_str("1" * 5000 + "x")
 
 
+LONG = "1" * 5000  # past the interpreter's int<->str digit limit
+
+
+@pytest.mark.parametrize("body", ["12", LONG], ids=["short", "long"])
+def test_one_grammar_at_every_length(body):
+    """Whitespace around, a sign and ASCII digits on each side of one "/":
+    accepted at any length.  Digit separators, non-ASCII digits, inner
+    spaces and empty sides are refused at any length."""
+    n = int(body) if body == "12" else (10 ** 5000 - 1) // 9
+    assert rat_from_str(f" +{body}/-{body}\t") == -1
+    assert rat_from_str(f"-{body}") == -n
+    for bad in (f"{body}_0", f"1_{body}/2", f"{body}/2_0", "\u0661" + body, f"{body} / 2",
+                f"{body}/", f"/{body}", f"+-{body}", f"{body}/2/3", f"{body}.0"):
+        with pytest.raises(ValueError):
+            rat_from_str(bad)
+
+
 @given(st.integers(-10**12, 10**12), st.integers(1, 10**12))
 def test_serialization_round_trip(p, q):
     x = rat(p, q)

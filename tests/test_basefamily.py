@@ -10,11 +10,9 @@ from dualracah.basefamily import (
     potential,
     racah_value,
     rec_coeffs,
-    twisted,
-    xi_v,
 )
 from dualracah.errors import InadmissibleParams, NonPositiveWeight
-from dualracah.params import QR, R, ParamSet, energy, eta, make_params
+from dualracah.params import QR, R, ParamSet, energy, eta, make_params, twist
 from dualracah.qlimit import matched_q_params
 from dualracah.backend import rat
 from conftest import dn_sq, phi0_sq, std_params
@@ -189,7 +187,7 @@ def test_difference_equation(family):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_primed_potentials_are_twisted(family):
     p = std_params(family, 5)
-    t = twisted(p)
+    t = twist(p)
     for x in range(p.N + 1):
         assert potential(x, p, "Bprime") == potential(x, t, "B")
 
@@ -198,6 +196,6 @@ def test_primed_potentials_are_twisted(family):
 def test_virtual_state_values_nonzero(family):
     p = std_params(family, 6)
     for v in (1, 2):
-        vals = [xi_v(v, x, p) for x in range(p.N + 2)]
+        vals = [racah_value(v, x, twist(p)) for x in range(p.N + 2)]
         assert all(val != 0 for val in vals)
         assert vals[0] == 1

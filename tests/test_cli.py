@@ -162,11 +162,13 @@ def test_missing_config_exits_2(tmp_path):
 @pytest.mark.parametrize("raw,msg", [
     (b"\xff\xfe{\x00}\x00", "config is not UTF-8"),
     (b"[" * 200_000 + b"]" * 200_000, "config is nested too deeply"),
-], ids=["not-utf8", "nested-200k-deep"])
+    (b'{"N": 1' + b"0" * 5000 + b"}", "config cannot be read as JSON"),
+], ids=["not-utf8", "nested-200k-deep", "int-5001-digits"])
 @pytest.mark.parametrize("command", ["verify", "tables"])
 def test_unreadable_config_exits_2(tmp_path, capsys, command, raw, msg):
-    """A config that is not UTF-8, or JSON nested past the parser's
-    recursion limit, is a bad config: exit 2 with a message, no traceback."""
+    """A config that is not UTF-8, JSON nested past the parser's recursion
+    limit, or an integer literal past the interpreter's int<->str digit
+    limit is a bad config: exit 2 with a message, no traceback."""
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_bytes(raw)
     argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]
@@ -175,6 +177,28 @@ def test_unreadable_config_exits_2(tmp_path, capsys, command, raw, msg):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.splitlines()[-1].startswith(f"error: {msg}")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("raw", [
+    "9_0", "1_0/2_0", "\u0661\u0662", "1 / 2", "1" * 5000 + "_0", "1/2" + "_0" * 2500,
+], ids=["separator", "separated-fraction", "arabic-indic", "inner-space", "long-separator",
+        "long-separated-denominator"])
+@pytest.mark.parametrize("key", ["b", "Y"])
+@pytest.mark.parametrize("command", ["verify", "tables"])
+def test_rational_outside_the_grammar_exits_2(tmp_path, capsys, command, key, raw):
+    """A config rational that int() would coerce (digit separators,
+    non-ASCII digits, spaces around "/") is refused, short or past the
+    digit limit: exit 2 with a message naming the key, no traceback."""
+    value = [raw] if key == "Y" else raw
+    cfg_path = _write(tmp_path, "cfg.json", dict(BASE_CFG, **{key: value}))
+    argv = [command, "--config", cfg_path, "--out", str(tmp_path / "out")]
+    if command == "tables":
+        argv += ["--what", "spectrum"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith(f"error: bad rational for {key!r}: not a rational")
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
@@ -491,27 +515,28 @@ def test_corrupted_spot_row_raises(monkeypatch):
 @pytest.mark.parametrize("family", ["R", "qR"])
 def test_exact_suites_sum_only_virtual_states_and_spot_row(family, monkeypatch):
     """Over a run of every exact suite, the only single-value hypergeometric
-    sums are the virtual-state values (``xi_v``, at twisted parameters) and
-    the base suite's spot row n = N; every other base value comes from a
-    column fill."""
+    sums are the virtual-state values (at twisted parameters,
+    ``params.twist``) and the base suite's spot row n = N; every other base
+    value comes from a column fill."""
     import sys
     from collections import Counter
 
-    from dualracah import basefamily
+    from dualracah import basefamily, params
 
-    orig_value, orig_xi = basefamily.racah_value, basefamily.xi_v
-    calls, virtual = Counter(), Counter()
+    orig_value, orig_twist = basefamily.racah_value, params.twist
+    calls, twisted = Counter(), set()
 
     def counted_value(n, x, p):
         calls[(n, x, p)] += 1
         return orig_value(n, x, p)
 
-    def counted_xi(v, x, p):
-        virtual[(v, x, basefamily.twisted(p))] += 1
-        return orig_xi(v, x, p)
+    def counted_twist(p):
+        t = orig_twist(p)
+        twisted.add(t)
+        return t
 
     # every module-level binding, so an import by name cannot hide a call
-    wrap = {"racah_value": (orig_value, counted_value), "xi_v": (orig_xi, counted_xi)}
+    wrap = {"racah_value": (orig_value, counted_value), "twist": (orig_twist, counted_twist)}
     for mod in list(sys.modules.values()):
         if getattr(mod, "__name__", "").startswith("dualracah"):
             for name, (fn, counted) in wrap.items():
@@ -523,6 +548,7 @@ def test_exact_suites_sum_only_virtual_states_and_spot_row(family, monkeypatch):
     cfg = parse_config(data)
     report, ok = run_suite(cfg)
     p = cfg.params()
+    virtual = Counter({key: k for key, k in calls.items() if key[2] in twisted})
     assert ok and virtual
     assert calls == virtual + Counter((p.N, x, p) for x in range(p.N + 1))
 

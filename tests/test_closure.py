@@ -26,6 +26,8 @@ from comparators import (
     matrix_is_zero,
     matrix_sub,
     poly_add,
+    scale_cols,
+    scale_rows,
 )
 from conftest import SEEDS, Y_ETA, Y_ONE, solve_overdetermined, std_params
 
@@ -58,9 +60,9 @@ def vandermonde_closure(h):
 def matrix_poly(coeffs, h: SquareMatrix) -> SquareMatrix:
     """sum_k coeffs[k] * h^k by matrix Horner, exactly."""
     n = h.n
-    acc = identity_matrix(n).scale_cols([rat(0)] * n)
+    acc = scale_cols(identity_matrix(n), [rat(0)] * n)
     for c in reversed(list(coeffs)):
-        acc = matrix_add(acc @ h, identity_matrix(n).scale_cols([rat(c)] * n))
+        acc = matrix_add(acc @ h, scale_cols(identity_matrix(n), [rat(c)] * n))
     return acc
 
 
@@ -72,7 +74,7 @@ def commutator(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
 def _horner_residual(h, trip):
     """[h,[h,E]] - (E*R0(h) + [h,E]*R1(h) + Rm1(h)) by matrix Horner."""
     ht = h.h_tilde
-    ebar = identity_matrix(ht.n).scale_cols(h.dual.ebar)
+    ebar = scale_cols(identity_matrix(ht.n), h.dual.ebar)
     inner = commutator(ht, ebar)
     rhs = matrix_add(
         matrix_add(ebar @ matrix_poly(trip.R0.coeffs, ht), inner @ matrix_poly(trip.R1.coeffs, ht)),
@@ -88,17 +90,17 @@ def _spectral_ladder(h, trip):
     vinv = exact_inverse(h.V)
 
     def fn(values):
-        return h.V @ identity_matrix(N + 1).scale_cols(values) @ vinv
+        return h.V @ scale_cols(identity_matrix(N + 1), values) @ vinv
 
     alpha_p = fn([X[n + 1] - X[n] for n in range(N + 1)])
     alpha_m = fn([X[n - 1] - X[n] for n in range(N + 1)])
     gap_inv = fn([1 / (X[n + 1] - X[n - 1]) for n in range(N + 1)])
     corr = fn([trip.Rm1(X[n]) / trip.R0(X[n]) for n in range(N + 1)])
-    ebar = identity_matrix(N + 1).scale_cols(h.dual.ebar)
+    ebar = scale_cols(identity_matrix(N + 1), h.dual.ebar)
     inner = commutator(h.h_tilde, ebar)
     shifted = matrix_add(ebar, corr)
     a_plus = matrix_sub(inner, shifted @ alpha_m) @ gap_inv
-    a_minus = (matrix_sub(inner, shifted @ alpha_p) @ gap_inv).scale_cols([-1] * (N + 1))
+    a_minus = scale_cols(matrix_sub(inner, shifted @ alpha_p) @ gap_inv, [-1] * (N + 1))
     return a_plus, a_minus
 
 
@@ -107,7 +109,7 @@ def _eigen_products(h):
     certified."""
     if h.eigen_residual:
         raise CrossCheckMismatch("h_tilde*V differs from V*diag(X)")
-    w = h.V.scale_rows(h.dual.ebar)
+    w = scale_rows(h.V, h.dual.ebar)
     return w, h.h_tilde @ w
 
 
@@ -120,16 +122,16 @@ def dense_verify_closure(h, c) -> SquareMatrix:
 
     mapped back by V^(-1) when nonzero."""
     X = h.energies
-    vinv = h.vinv
+    vinv = h.dual.inverse
     w, hw = _eigen_products(h)
     r0 = [c.R0(x) for x in X]
     r1 = [c.R1(x) for x in X]
     diff = matrix_sub(
         matrix_add(
-            matrix_sub(h.h_tilde @ hw, hw.scale_cols([2 * x + b for x, b in zip(X, r1)])),
-            w.scale_cols([x * x - a + x * b for x, a, b in zip(X, r0, r1)]),
+            matrix_sub(h.h_tilde @ hw, scale_cols(hw, [2 * x + b for x, b in zip(X, r1)])),
+            scale_cols(w, [x * x - a + x * b for x, a, b in zip(X, r0, r1)]),
         ),
-        h.V.scale_cols([c.Rm1(x) for x in X]),
+        scale_cols(h.V, [c.Rm1(x) for x in X]),
     )
     return diff if matrix_is_zero(diff) else diff @ vinv
 
@@ -146,17 +148,17 @@ def dense_build_ladder(h, c):
     for n in range(N + 1):
         if -corr[n] != h.dual.b_dual[n]:
             raise CrossCheckMismatch(f"-Rm1/R0 differs from dual coefficient at n={n}")
-    vinv = h.vinv
+    vinv = h.dual.inverse
     w, hw = _eigen_products(h)
 
     def ladder(step, sign):
         alpha = [X[n + step] - X[n] for n in range(N + 1)]
         bracket = matrix_sub(
-            matrix_sub(hw, w.scale_cols([X[n + step] for n in range(N + 1)])),
-            h.V.scale_cols([k * a for k, a in zip(corr, alpha)]),
+            matrix_sub(hw, scale_cols(w, [X[n + step] for n in range(N + 1)])),
+            scale_cols(h.V, [k * a for k, a in zip(corr, alpha)]),
         )
         gap_inv = [sign / (X[n + 1] - X[n - 1]) for n in range(N + 1)]
-        return bracket.scale_cols(gap_inv) @ vinv
+        return scale_cols(bracket, gap_inv) @ vinv
 
     return closure.LadderPair(a_plus=ladder(-1, 1), a_minus=ladder(1, -1))
 
@@ -268,9 +270,9 @@ def test_spectral_fn_reproduces_polynomials(pipe):
     h = pipe(R, 5, (1,)).hamiltonian(Y_ONE)
     # V diag(f(X)) V^(-1) is the function f of the Hamiltonian: for
     # f(X) = X^2 it is the matrix square
-    sq = h.V.scale_cols([v * v for v in h.energies]) @ h.vinv
+    sq = scale_cols(h.V, [v * v for v in h.energies]) @ h.dual.inverse
     assert matrix_is_zero(matrix_sub(sq, h.h_tilde @ h.h_tilde))
-    ident = h.V.scale_cols([rat(1)] * 6) @ h.vinv
+    ident = scale_cols(h.V, [rat(1)] * 6) @ h.dual.inverse
     assert matrix_is_zero(matrix_sub(ident, identity_matrix(6)))
 
 
@@ -320,7 +322,7 @@ def test_middle_coefficient_from_closure(family, pipe):
 def test_inverse_and_ladder_match_generic_oracles(family, D, y, N, pipe):
     h = pipe(family, N, D).hamiltonian(SEEDS[y])
     trip = pipe(family, N, D).closure(SEEDS[y])
-    assert h.vinv == exact_inverse(h.V)
+    assert h.dual.inverse == exact_inverse(h.V)
     if trip.r0_vanishes_at_zero:
         with pytest.raises(SingularR0):
             build_ladder(h, trip)
@@ -341,30 +343,37 @@ def test_corrupted_r1_residual_equals_horner(family, pipe):
     assert residual == dense_verify_closure(h, bad).nonzero_entries()
 
 
+def _doubled(values, k):
+    out = list(values)
+    out[k] *= 2
+    return tuple(out)
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_corrupted_inverse_data_raises(family, pipe):
     h = pipe(family, 5, (1,)).hamiltonian(Y_ONE)
     trip = pipe(family, 5, (1,)).closure(Y_ONE)
-    # replace() copies h with every cached property started afresh
+    # replace() copies h and its dual table with every cached property
+    # started afresh
     bad_v = _with_v(h, _corrupt(h.V, 2, 3))
-    gw = list(h.ground_weight)
-    gw[4] *= 2
-    bad_gw = replace(h, ground_weight=tuple(gw))
-    for bad in (bad_v, bad_gw):
+    bad_norm = replace(h, dual=replace(h.dual, norms=_doubled(h.dual.norms, 4)))
+    bad_weight = replace(h, dual=replace(h.dual, weights=_doubled(h.dual.weights, 4)))
+    for bad in (bad_v, bad_norm, bad_weight):
         with pytest.raises(CrossCheckMismatch, match=r"V\*V\^\(-1\) = I"):
-            bad.vinv
+            bad.dual.inverse
     # build_ladder certifies the eigenbasis first, which the corrupted V
     # already fails; with V intact it stops at the inverse
     with pytest.raises(CrossCheckMismatch, match=r"h_tilde\*V differs"):
         build_ladder(replace(bad_v), trip)
-    with pytest.raises(CrossCheckMismatch, match=r"V\*V\^\(-1\) = I"):
-        build_ladder(replace(bad_gw), trip)
-    # a passing closure check reads no inverse; a failing one maps its
-    # residual back through V^(-1), which is certified there
-    assert verify_closure(replace(bad_gw), trip) == []
     failing = replace(trip, Rm1=poly_add(trip.Rm1, Poly([rat(1, 3)])))
-    with pytest.raises(CrossCheckMismatch, match=r"V\*V\^\(-1\) = I"):
-        verify_closure(replace(bad_gw), failing)
+    for bad in (bad_norm, bad_weight):
+        with pytest.raises(CrossCheckMismatch, match=r"V\*V\^\(-1\) = I"):
+            build_ladder(bad, trip)
+        # a passing closure check reads no inverse; a failing one maps its
+        # residual back through V^(-1), which is certified there
+        assert verify_closure(bad, trip) == []
+        with pytest.raises(CrossCheckMismatch, match=r"V\*V\^\(-1\) = I"):
+            verify_closure(bad, failing)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -445,9 +454,9 @@ def test_eigenbasis_certification_faults(family, pipe):
     trip = pipe(family, N, (1, 2)).closure(Y_ONE)
     # column N of V doubled: still an eigenvector, no longer the dual
     # polynomial of degree N
-    doubled = _with_v(h, h.V.scale_cols([1] * N + [2]))
+    doubled = _with_v(h, scale_cols(h.V, [1] * N + [2]))
     # every column of V zero: eigen-check and recurrence hold trivially
-    zero_v = _with_v(h, h.V.scale_cols([0] * (N + 1)))
+    zero_v = _with_v(h, scale_cols(h.V, [0] * (N + 1)))
     cases = [
         (doubled, rf"diag\(Ebar\)\*V differs from V\*T at \(x,n\)=\(0,{N - 1}\)"),
         (_swap_eigenpairs(h, 2), "not strictly increasing at n=2"),
@@ -691,13 +700,18 @@ def test_certifications_survive_python_O():
         grid[1], grid[2] = grid[2], grid[1]
         swapped = replace(h, x_grid=grid, dual=replace(h.dual, V=SquareMatrix(rows)))
         run("monotone", closure.verify_ladder, swapped)
-        zero_v = replace(h, dual=replace(h.dual, V=h.V.scale_cols([0] * 5)))
+        zero_v = replace(h, dual=replace(h.dual, V=SquareMatrix([[0] * 5 for _ in range(5)])))
         run("row0", closure.verify_closure, zero_v)
-        gw = list(h.ground_weight)
-        gw[3] *= 2
-        run("inverse", closure.build_ladder, replace(h, ground_weight=tuple(gw)))
         bent = Poly((trip.Rm1[0] + rat(1, 3),) + trip.Rm1.coeffs[1:])
         run("corr", closure.verify_ladder, h, replace(trip, Rm1=bent))
+        for field in ("norms", "weights"):
+            values = list(getattr(h.dual, field))
+            values[3] *= 2
+            bad = replace(h, dual=replace(h.dual, **{field: tuple(values)}))
+            print(f"{field} listed:", dualsystem.dual_ortho(bad.dual) != [])
+            run(f"{field} inverse", lambda b, t: b.dual.inverse, bad)
+            run(f"{field} ladder", closure.build_ladder, bad)
+            run(f"{field} closure", closure.verify_closure, bad, replace(trip, Rm1=bent))
         xp_eta = recurrence.build_X(s, Poly([rat(0), rat(1)]), for_hamiltonian=True)
         h_eta = dualsystem.build_hamiltonians(s, xp_eta, recurrence.extract_r(s, xp_eta), h.dual)
         for fn in (closure.verify_closure, closure.verify_ladder, closure.build_ladder):
@@ -717,7 +731,10 @@ def test_certifications_survive_python_O():
     assert "closure: diag(Ebar)*V differs from V*T at (x,n)=(0,2)" in out
     assert "monotone: eigenvalues X are not strictly increasing at n=1" in out
     assert "row0: row 0 of V has a zero" in out
-    assert "inverse: closed-form inverse fails V*V^(-1) = I" in out
+    for field in ("norms", "weights"):
+        assert f"{field} listed: True" in out
+        for tag in ("inverse", "ladder", "closure"):
+            assert f"{field} {tag}: closed-form inverse fails V*V^(-1) = I" in out
     assert "corr: -Rm1/R0 differs from dual coefficient at n=0" in out
     for fn in ("verify_closure", "verify_ladder", "build_ladder"):
         assert f"spectrum {fn}: closure triple was solved on another spectrum" in out

@@ -10,11 +10,12 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from dualracah import recurrence
-from dualracah.backend import rat
+from dualracah import closure, dualsystem, linalg, recurrence, report
+from dualracah.backend import rat, rat_to_str
 from dualracah.basefamily import racah_value
 from dualracah.bigreal import big_sqrt
 from dualracah.dualsystem import (
+    DualTable,
     build_hamiltonians,
     commutator_check,
     dual_ortho,
@@ -30,6 +31,8 @@ from dualracah.errors import (
 from dualracah.linalg import SquareMatrix
 from dualracah.multiindexed import MISystem, sign_changes
 from dualracah.params import QR, R
+from dualracah.pipeline import Pipeline
+from dualracah.poly import Poly
 from comparators import (
     dense_commutator,
     dense_eigen_misses,
@@ -37,6 +40,8 @@ from comparators import (
     loop_recurrence_residual,
     matrix_is_zero,
     matrix_sub,
+    scale_cols,
+    system_dual_ortho,
 )
 from conftest import Y_ETA, Y_ONE
 
@@ -67,8 +72,7 @@ def test_base_dual_is_parameter_swap(family, pipe):
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("D", INDEX_SETS)
 def test_dual_orthogonality(family, D, pipe):
-    s = pipe(family, 6, D).system()
-    assert dual_ortho(s, pipe(family, 6, D).dual()) == []
+    assert dual_ortho(pipe(family, 6, D).dual()) == []
 
 
 def test_dual_ortho_checker_sanity(pipe):
@@ -77,8 +81,84 @@ def test_dual_ortho_checker_sanity(pipe):
     rows = [list(r) for r in dual.V.rows]
     rows[3][2] = rows[3][2] + 1
     corrupt = replace(dual, V=SquareMatrix(rows))
-    fails = dual_ortho(s, corrupt)
+    fails = dual_ortho(corrupt)
     assert fails and all(2 in (x, y) for x, y, _ in fails)
+    assert fails == system_dual_ortho(s, corrupt)
+
+
+def _dual_suite_run(N, D):
+    """The config of a dual-suite run of the R family, and a fresh pipeline."""
+    cfg = report.parse_config({
+        "family": "R", "N": N, "b": str(N + 5), "c": "1/2", "d": "2/5", "D": list(D),
+        "suites": ["dual"],
+    })
+    return cfg, Pipeline(cfg.params(), cfg.D)
+
+
+def test_one_gram_serves_the_dual_suite_and_every_ladder(monkeypatch):
+    """The dual suite and build_ladder for the seeds 1 and 1+eta, on one
+    pipeline, form one Gram: the orthogonality of the shared dual table,
+    which also certifies the inverse that both ladders read."""
+    cfg, pl = _dual_suite_run(6, (1, 2))
+    seeds = (cfg.Y, Poly([rat(1), rat(1)]))
+    for y in seeds:
+        pl.closure(y)  # every stage before the Gram, built uncounted
+    grams = []
+    band = linalg.gram_band
+
+    def counted(*args):
+        grams.append(args)
+        return band(*args)
+
+    monkeypatch.setattr(linalg, "gram_band", counted)
+    assert report._suite_dual(cfg, pl)["pass"]
+    for y in seeds:
+        closure.build_ladder(pl.hamiltonian(y), pl.closure(y))
+    assert pl.hamiltonian(seeds[0]).energies != pl.hamiltonian(seeds[1]).energies
+    assert len(grams) == 1
+
+
+@pytest.mark.parametrize("field", ["norms", "weights"])
+def test_dual_suite_lists_a_corrupted_norm_or_weight(field, monkeypatch):
+    """Entry 3 of the dual table's squared norms or weights doubled: the
+    dual suite lists exactly the orthogonality sums it moves, and the
+    closed-form inverse is refused."""
+    build = dualsystem.dual_values
+
+    def corrupted(s):
+        t = build(s)
+        values = list(getattr(t, field))
+        values[3] *= 2
+        return replace(t, **{field: tuple(values)})
+
+    monkeypatch.setattr(dualsystem, "dual_values", corrupted)
+    cfg, pl = _dual_suite_run(5, (1,))
+    out = report._suite_dual(cfg, pl)
+    t = pl.dual()
+    if field == "norms":
+        expect = [(3, 3, -t.norms[3] / 2)]
+    else:
+        w, v = t.weights[3] / 2, t.V.rows[3]
+        expect = [(x, y, w * v[x] * v[y]) for x in range(6) for y in range(x, 6) if v[x] * v[y]]
+    assert not out["pass"]
+    assert out["failures"] == [[x, y, rat_to_str(r)] for x, y, r in expect]
+    with pytest.raises(CrossCheckMismatch, match=r"V\*V\^\(-1\) = I"):
+        t.inverse
+
+
+def test_zero_norm_refuses_the_inverse():
+    """A zero weight and the zero norm it gives pass the orthogonality sums
+    (V = I), but V^(-1) would divide by that norm: refused, not a
+    ZeroDivisionError."""
+    one, zero = (rat(1), rat(1)), (rat(0), rat(0))
+    t = DualTable(
+        V=SquareMatrix([[1, 0], [0, 1]]), a_dual=zero, b_dual=zero, c_dual=zero, ebar=zero,
+        weights=(rat(1), rat(0)), norms=(rat(1), rat(0)),
+    )
+    assert dual_ortho(t) == []
+    with pytest.raises(CrossCheckMismatch, match=r"V\*V\^\(-1\) = I"):
+        t.inverse
+    assert replace(t, norms=one, weights=one).inverse == t.V
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -185,7 +265,7 @@ def test_eigenbasis_shared_across_seeds(family, pipe):
     h2 = pipe(family, 6, (1,)).hamiltonian(Y_ETA)
     assert h1.V.rows == h2.V.rows
     lhs = h2.h_tilde @ h2.V
-    rhs = h2.V @ identity_matrix(h2.V.n).scale_cols(h2.energies)
+    rhs = h2.V @ scale_cols(identity_matrix(h2.V.n), h2.energies)
     assert matrix_is_zero(matrix_sub(lhs, rhs))
 
 
@@ -312,16 +392,20 @@ def test_skewed_band_entry_fails_mirror_and_eigen_checks(family, pipe):
 
 
 def test_hamiltonian_keeps_one_spectrum_and_no_stale_certificate(pipe):
-    """X is held once, in x_grid; the eigen residual, the certified
-    eigenbasis and V^(-1) are cached on the Hamiltonian and formed afresh
-    on a replace() copy."""
+    """X is held once, in x_grid; the eigen residual and the certified
+    eigenbasis are cached on the Hamiltonian, the orthogonality residual
+    and V^(-1) on its dual table, and each is formed afresh on a replace()
+    copy."""
     h = pipe(R, 5, (1,)).hamiltonian(Y_ONE)
     assert "energies" not in {f.name for f in fields(h)}
     assert h.energies == tuple(h.x_grid[n] for n in range(6))
-    assert h.eigenbasis is h.dual and h.vinv is h.vinv
-    cached = {"eigen_residual", "eigenbasis", "vinv"}
+    assert h.eigenbasis is h.dual and h.dual.inverse is h.dual.inverse
+    cached = {"eigen_residual", "eigenbasis"}
     assert cached <= set(vars(h))
     assert not cached & set(vars(replace(h)))
+    table_cached = {"ortho_residual", "inverse"}
+    assert table_cached <= set(vars(h.dual))
+    assert not table_cached & set(vars(replace(h.dual)))
 
 
 def test_dual_table_keeps_no_stale_verdict(pipe):
@@ -351,7 +435,7 @@ def test_vanishing_ground_state_raises_zero_denominator(family, pipe):
 
 
 def test_inverse_and_commutator_certifications_survive_python_O():
-    """Under -O a corrupted ground weight still fails the closed-form
+    """Under -O a corrupted squared norm still fails the closed-form
     inverse, and one corrupted band entry of h2 still stops the commutator
     check: neither is an assert."""
     script = textwrap.dedent(
@@ -369,10 +453,10 @@ def test_inverse_and_commutator_certifications_survive_python_O():
         xp = recurrence.build_X(s, Poly([rat(1)]), for_hamiltonian=True)
         h = dualsystem.build_hamiltonians(
             s, xp, recurrence.extract_r(s, xp), dualsystem.dual_values(s))
-        gw = list(h.ground_weight)
-        gw[3] *= 2
+        norms = list(h.dual.norms)
+        norms[3] *= 2
         try:
-            replace(h, ground_weight=tuple(gw)).vinv
+            replace(h.dual, norms=tuple(norms)).inverse
         except CrossCheckMismatch as e:
             print("inverse:", e)
         rows = [list(r) for r in h.h_tilde.rows]

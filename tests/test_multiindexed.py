@@ -64,6 +64,14 @@ def test_inadmissible_rejected():
         build_mi_system(p, (2,))
 
 
+@pytest.mark.parametrize("D", [(0,), (0, 1), (-1,), (2, 1)])
+def test_index_set_outside_the_range_rejected(D):
+    """The virtual-state degrees must be strictly increasing and positive,
+    also for a system built directly rather than from a config."""
+    with pytest.raises(IndexOutOfRange, match="strictly increasing positive"):
+        build_mi_system(std_params(R, 5), D)
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("D", INDEX_SETS)
 def test_normalization_and_degrees(family, D, pipe):
