@@ -13,21 +13,18 @@ Everything else rests on the eigenbasis that the Hamiltonian certifies
 the dual polynomials, and diag(Ebar)*V = V*T with T the dual Jacobi matrix
 (T[n+1][n] = a_dual[n], T[n][n] = b_dual[n], T[n-1][n] = c_dual[n]).
 Every operator built from h_tilde and diag(Ebar) then acts on V as V
-times a tridiagonal matrix, and an identity between two such operators
-holds iff the two tridiagonal matrices agree, entry for entry:
+times a tridiagonal matrix, and, V being invertible, an identity between
+two such operators holds iff the two tridiagonal matrices agree, entry
+for entry:
 
 * closure: (LHS - RHS)*V = V*M, M tridiagonal in T, X and the closure
   polynomials on the spectrum, so the identity is 3(N+1) scalar
-  identities;
+  identities, and a failing check lists the nonzero entries of M;
 * ladder: a+*V and a-*V are V times tridiagonal matrices, zero on the
   diagonal, whose columns must be a_dual[n]*e_(n+1) and c_dual[n]*e_(n-1).
 
-A passing run takes no dense product.
-A failing closure residual is mapped back to LHS - RHS = V*M*V^(-1), and
-``build_ladder`` returns the explicit operator matrices, both with the
-closed-form inverse of the certified dual table (``DualTable.inverse``),
-which its dual orthogonality certifies once for every seed.
-Every mismatch raises CrossCheckMismatch.
+Neither check builds a matrix or takes a dense product, on a pass or on a
+failure.  Every mismatch raises CrossCheckMismatch.
 """
 
 from __future__ import annotations
@@ -37,7 +34,6 @@ from functools import cached_property
 
 from .dualsystem import DualHamiltonian, DualTable
 from .errors import CrossCheckMismatch, SingularR0
-from .linalg import SquareMatrix
 from .poly import Poly, interpolate
 
 
@@ -87,53 +83,30 @@ def _eigenbasis(h: DualHamiltonian, c: ClosureTriple) -> DualTable:
     return d
 
 
-# A tridiagonal matrix B is held as its columns (B[n-1][n], B[n][n],
-# B[n+1][n]); the two entries that fall outside the matrix are zero.
-
-
-def _v_times(v: SquareMatrix, cols: list) -> SquareMatrix:
-    """V*B for B tridiagonal: three terms per entry, no dense product."""
-    last = v.n - 1
-    return SquareMatrix([
-        [
-            (row[n - 1] * lo if n else 0) + row[n] * mid + (row[n + 1] * hi if n < last else 0)
-            for n, (lo, mid, hi) in enumerate(cols)
-        ]
-        for row in v.rows
-    ])
-
-
 def verify_closure(h: DualHamiltonian, c: ClosureTriple) -> list:
-    """Nonzero entries (i, j, r) of the residual LHS - RHS of the
-    double-commutator identity, in row-major order; empty = pass.
+    """Nonzero entries (m, n, r) of the tridiagonal M with (LHS - RHS)*V =
+    V*M for the double-commutator identity, in row-major order, |m - n| <= 1;
+    empty = pass.  V is certified invertible, so M = 0 iff LHS = RHS.
 
-    In the certified eigenbasis (LHS - RHS)*V = V*M, with M tridiagonal:
+    Column n of M, with T held as its columns (``DualTable.jacobi``):
 
         M[m][n] = T[m][n]*((X_m - X_n)^2 - (X_m - X_n)*R1(X_n) - R0(X_n)), m = n+-1,
         M[n][n] = -b_dual[n]*R0(X_n) - Rm1(X_n).
 
-    The triple's values on the spectrum are its own, evaluated once.  A
-    nonzero M is mapped back to LHS - RHS = V*M*V^(-1).
+    The triple's values on the spectrum are its own, evaluated once.
     """
     d = _eigenbasis(h, c)
     X = h.x_grid
-    cols = []
+    entries = []
     for n, ((lo, mid, hi), (r0, r1, rm1)) in enumerate(zip(d.jacobi(), c.on_spectrum)):
         lo_gap, hi_gap = X[n - 1] - X[n], X[n + 1] - X[n]
-        cols.append((
+        col = (
             lo * (lo_gap * lo_gap - lo_gap * r1 - r0),
             -mid * r0 - rm1,
             hi * (hi_gap * hi_gap - hi_gap * r1 - r0),
-        ))
-    if all(v == 0 for col in cols for v in col):
-        return []
-    return (_v_times(d.V, cols) @ d.inverse).nonzero_entries()
-
-
-@dataclass
-class LadderPair:
-    a_plus: SquareMatrix
-    a_minus: SquareMatrix
+        )
+        entries += [(m, n, r) for m, r in zip((n - 1, n, n + 1), col) if r != 0]
+    return sorted(entries, key=lambda e: e[:2])
 
 
 def _certify_corr(h: DualHamiltonian, c: ClosureTriple) -> None:
@@ -163,18 +136,6 @@ def _ladder_columns(h: DualHamiltonian, step: int, sign: int) -> list:
         g = sign / (X[n + 1] - X[n - 1])
         cols.append((lo * (X[n - 1] - shifted) * g, 0, hi * (X[n + 1] - shifted) * g))
     return cols
-
-
-def build_ladder(h: DualHamiltonian, c: ClosureTriple) -> LadderPair:
-    """The creation and annihilation operators as explicit matrices,
-    a = V*B*V^(-1) with B from ``_ladder_columns``."""
-    d = _eigenbasis(h, c)
-    _certify_corr(h, c)
-    vinv = d.inverse
-    return LadderPair(
-        a_plus=_v_times(d.V, _ladder_columns(h, -1, 1)) @ vinv,
-        a_minus=_v_times(d.V, _ladder_columns(h, 1, -1)) @ vinv,
-    )
 
 
 def verify_ladder(h: DualHamiltonian, c: ClosureTriple) -> list:

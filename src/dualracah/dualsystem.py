@@ -9,10 +9,8 @@ entries, the dual suite and the eigenbasis certification raise on the
 first.
 
 The table also owns the dual orthogonality V^T*diag(weights)*V =
-diag(norms), computed once (``DualTable.ortho_residual``).  It is the dual
-suite's check (``dual_ortho``) and, V being square, the certificate of the
-closed-form inverse V^(-1) = diag(1/norms)*V^T*diag(weights)
-(``DualTable.inverse``), which every seed's Hamiltonian shares.
+diag(norms), computed once (``DualTable.ortho_residual``); it is the dual
+suite's check (``dual_ortho``).
 
 The Hamiltonian owns its eigenbasis.  Its eigenvalues X(0..N) are read
 from the one X grid; where h_tilde*V and V*diag(X) differ is found once
@@ -104,18 +102,6 @@ class DualTable:
         once, on the Gram kernel."""
         return gram_residuals(list(zip(*self.V.rows)), self.weights, self.norms)
 
-    @cached_property
-    def inverse(self) -> SquareMatrix:
-        """V^(-1)[x][n] = V[n][x]*weights[n]/norms[x], read off the columns
-        of V.  V^(-1)*V = I is the orthogonality relation over norms[x], so
-        ``ortho_residual`` certifies it, and V*V^(-1) = I with it."""
-        if any(v == 0 for v in self.norms) or self.ortho_residual:
-            raise CrossCheckMismatch("closed-form inverse fails V*V^(-1) = I")
-        return SquareMatrix([
-            [v * w / norm for v, w in zip(col, self.weights)]
-            for col, norm in zip(zip(*self.V.rows), self.norms)
-        ])
-
 
 def dual_values(s: MISystem) -> DualTable:
     """The dual table by the ratio definition, with its weights and squared
@@ -192,13 +178,12 @@ class DualHamiltonian:
         return self.dual
 
 
-def build_hamiltonians(s: MISystem, xp: XPoly, t: RecTable, dual: DualTable) -> DualHamiltonian:
-    """h_tilde is the band matrix of the r-table, whose mirror identity
-    ``recurrence.extract_r`` certified; V is the dual table's own matrix."""
-    n1 = s.params.N + 1
-    h_tilde = SquareMatrix([[t.r.get((x, y - x), 0) for y in range(n1)] for x in range(n1)])
+def build_hamiltonians(xp: XPoly, t: RecTable, dual: DualTable) -> DualHamiltonian:
+    """h_tilde is the band matrix of the r-table (``RecTable.rows``), whose
+    mirror identity ``recurrence.extract_r`` certified; V is the dual
+    table's own matrix."""
     return DualHamiltonian(
-        h_tilde=h_tilde,
+        h_tilde=SquareMatrix(t.rows),
         L=xp.L,
         x_grid=dict(xp.grid),
         dual=dual,

@@ -14,13 +14,13 @@ are taken on integers.
   symmetric G = rows*diag(weights)*rows^T.  A projection reads a band of
   it; an orthogonality relation is its whole upper triangle against the
   expected diagonal (``gram_residuals``).  The dual orthogonality is one
-  of them, and it certifies the closed-form inverse of the dual table too.
+  of them.
 
 ``SquareMatrix`` holds a dense matrix of ``Fraction`` entries; ``rat``
-keeps an entry that already is one as the same object.  It has one
-arithmetic operation, the product (the same integer clearing, each entry
-one canonical rational), which builds explicit operators only, never a
-certificate.
+keeps an entry that already is one as the same object.  Its one arithmetic
+operation, the product (the same integer clearing, each entry one
+canonical rational), is the tests' dense oracle: the library forms no
+product.
 
 The small Casoratians have one elimination kernel over any field (their
 entries are floats in the q->1 checks; nothing here imports a float
@@ -84,11 +84,6 @@ class SquareMatrix:
     def column(self, j: int) -> list:
         return [row[j] for row in self.rows]
 
-    def nonzero_entries(self):
-        return [
-            (i, j, v) for i, row in enumerate(self.rows) for j, v in enumerate(row) if v != 0
-        ]
-
 
 def gram_residuals(rows, weights, norms) -> list:
     """Residuals of the weighted Gram matrix against its expected diagonal:
@@ -106,7 +101,7 @@ def gram_residuals(rows, weights, norms) -> list:
 
 
 def gram_band(rows, weights, w: int) -> dict:
-    """Entries (i, j) with i <= j <= i + w of G = rows @ diag(weights) @ rows^T,
+    """Entries (i, j) with i <= j <= i + w of G = rows*diag(weights)*rows^T,
     in row-major order; G is symmetric, so G[j][i] is entry (i, j).
 
     Each row, and each row times the weights, is cleared to integers once

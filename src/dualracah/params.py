@@ -76,8 +76,6 @@ def index_set(values: Sequence[int]) -> Tuple[int, ...]:
     for i, v in enumerate(D):
         if v < 1 or (i > 0 and v <= D[i - 1]):
             raise IndexOutOfRange(f"index set must be strictly increasing positive: {D}")
-    if ell(D) < len(D):
-        raise CrossCheckMismatch(f"ell(D) = {ell(D)} is below |D| = {len(D)}")
     return D
 
 

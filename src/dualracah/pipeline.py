@@ -44,7 +44,7 @@ class Pipeline:
 
     def hamiltonian(self, Y: Poly) -> dualsystem.DualHamiltonian:
         return self._get(("hamiltonian", Y), lambda: dualsystem.build_hamiltonians(
-            self.system(), self.xpoly(Y), self.rectable(Y), self.dual()
+            self.xpoly(Y), self.rectable(Y), self.dual()
         ))
 
     def closure(self, Y: Poly) -> closure.ClosureTriple:

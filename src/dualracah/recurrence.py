@@ -16,6 +16,7 @@ check, and the recurrence as a polynomial identity at nodes past the grid
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Tuple
 
 from .backend import rat
@@ -107,6 +108,14 @@ class RecTable:
     def band(self, n: int):
         return range(-min(self.L, n), min(self.L, self.N - n) + 1)
 
+    @cached_property
+    def rows(self) -> list:
+        """The (N+1)^2 band matrix R, R[n][n+k] = r[(n,k)] and zero off the
+        band, built once per table: the grid certificate, the polynomial
+        check and the Hamiltonian all read it."""
+        n1 = self.N + 1
+        return [[self.r.get((n, m - n), 0) for m in range(n1)] for n in range(n1)]
+
 
 def extract_r(s: MISystem, xp: XPoly) -> RecTable:
     """r[(n,k)] by orthogonality projection, certified by the band
@@ -122,13 +131,11 @@ def extract_r(s: MISystem, xp: XPoly) -> RecTable:
         for k in range(-min(L, n), min(L, N - n) + 1)
     }
 
-    band = [[r.get((n, m - n), 0) for m in range(n1)] for n in range(n1)]
-    miss = eigen_misses(band, list(zip(*s.pdn_grid)), X)
+    table = RecTable(r=r, L=L, N=N)
+    miss = eigen_misses(table.rows, list(zip(*s.pdn_grid)), X)
     if miss:
         n, x, _ = miss[0]
         raise CrossCheckMismatch(f"band recurrence misses the grid at (n,x)=({n},{x})")
-
-    table = RecTable(r=r, L=L, N=N)
     _check_band_identities(s, table)
     return table
 
@@ -159,8 +166,6 @@ def verify_recurrence(s: MISystem, xp: XPoly, t: RecTable) -> list:
     nodes = [eta(x, p_m) for x in range(K + 1)]
     if len(set(nodes)) != len(nodes):
         raise CrossCheckMismatch("coincident nodes for the polynomial recurrence check")
-    rows = range(t.N - t.L + 1)
-    band = [[t.r[(n, m - n)] if m - n in t.band(n) else 0 for m in range(t.N + 1)] for n in rows]
     vectors = list(zip(*(p.values(nodes) for p in s.pdn_polys)))
-    misses = eigen_misses(band, vectors, xp.poly.values(nodes))
+    misses = eigen_misses(t.rows[: t.N - t.L + 1], vectors, xp.poly.values(nodes))
     return [("poly", n) for n in sorted({n for n, _, _ in misses})]

@@ -19,10 +19,16 @@ with the checks that ``linalg.eigen_misses`` replaced: the band
 recurrence multiplied out as polynomials, the dense product h_tilde*V
 against V*diag(X) and the dual recurrence V*T by three terms per entry.
 The dense commutator h1*h2 - h2*h1 is here too, and the ``SquareMatrix``
-sum, difference, diagonal scalings, transpose, zero test and identity,
-which the library no longer calls.  So is the dual orthogonality with its
-weights and norms derived afresh from the system, the route
-``DualTable.ortho_residual`` replaced.
+sum, difference, diagonal scalings, transpose, zero test, identity and
+list of nonzero entries, which the library no longer calls.  So is the
+dual orthogonality with its weights and norms derived afresh from the
+system, the route ``DualTable.ortho_residual`` replaced.
+
+The closure relation and the ladder operators as explicit matrices, which
+``closure`` checks as tridiagonal matrices in the dual eigenbasis only,
+are here too: the dense closure residual times V, both ladder operators
+by the dense bracket and by spectral calculus, and the inverse of V by
+one exact solve per column.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ from dualracah.errors import (
     NegativePivot,
     ShapeMismatch,
     SingularMatrix,
+    SingularR0,
 )
 from dualracah.linalg import SquareMatrix, _cleared_int_rows, gram_residuals
 from dualracah.multiindexed import MISystem
@@ -427,11 +434,107 @@ def loop_recurrence_residual(dual) -> list:
     return out
 
 
+def commutator(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
+    """a*b - b*a."""
+    return matrix_sub(a @ b, b @ a)
+
+
 def dense_commutator(h1, h2) -> list:
     """Nonzero entries of h1*h2 - h2*h1 by two dense products (the route
     ``commutator_check`` replaced)."""
-    a, b = h1.h_tilde, h2.h_tilde
-    return matrix_sub(a @ b, b @ a).nonzero_entries()
+    return nonzero_entries(commutator(h1.h_tilde, h2.h_tilde))
+
+
+def exact_inverse(a: SquareMatrix) -> SquareMatrix:
+    """Inverse by one exact solve per column."""
+    # conftest imports this module, so its solver is imported on first use
+    from conftest import solve_overdetermined
+
+    n = a.n
+    cols = [solve_overdetermined(a.rows, [1 if i == j else 0 for i in range(n)])
+            for j in range(n)]
+    return SquareMatrix(list(zip(*cols)))
+
+
+def _eigen_products(h):
+    """(W, h_tilde*W) with W = diag(ebar)*V, once h_tilde*V = V*diag(X) is
+    certified."""
+    if h.eigen_residual:
+        raise CrossCheckMismatch("h_tilde*V differs from V*diag(X)")
+    w = scale_rows(h.V, h.dual.ebar)
+    return w, h.h_tilde @ w
+
+
+def dense_verify_closure(h, c) -> SquareMatrix:
+    """(LHS - RHS)*V by the dense route: with hW = h_tilde*W and every
+    R(h_tilde)*V = V*diag(R(X)),
+
+        (LHS - RHS)*V = h_tilde*hW - hW*diag(2X + R1(X))
+                        + W*diag(X^2 - R0(X) + X*R1(X)) - V*diag(Rm1(X)).
+
+    ``closure.verify_closure`` lists the nonzero entries of the tridiagonal
+    M with (LHS - RHS)*V = V*M."""
+    X = h.energies
+    w, hw = _eigen_products(h)
+    r0 = [c.R0(x) for x in X]
+    r1 = [c.R1(x) for x in X]
+    return matrix_sub(
+        matrix_add(
+            matrix_sub(h.h_tilde @ hw, scale_cols(hw, [2 * x + b for x, b in zip(X, r1)])),
+            scale_cols(w, [x * x - a + x * b for x, a, b in zip(X, r0, r1)]),
+        ),
+        scale_cols(h.V, [c.Rm1(x) for x in X]),
+    )
+
+
+def dense_build_ladder(h, c, vinv=None) -> tuple:
+    """(a+, a-) from the dense bracket hW - W*diag(X[n+step]) -
+    V*diag(corr*alpha), scaled by sign/gap and multiplied by V^(-1), the
+    ``exact_inverse`` of V unless given."""
+    N = h.h_tilde.n - 1
+    X = h.x_grid
+    r0_vals = [c.R0(X[n]) for n in range(N + 1)]
+    if any(v == 0 for v in r0_vals):
+        raise SingularR0("R0 vanishes on the spectrum (degenerate seed with Y(0)=0)")
+    corr = [c.Rm1(X[n]) / r0_vals[n] for n in range(N + 1)]
+    for n in range(N + 1):
+        if -corr[n] != h.dual.b_dual[n]:
+            raise CrossCheckMismatch(f"-Rm1/R0 differs from dual coefficient at n={n}")
+    w, hw = _eigen_products(h)
+    if vinv is None:
+        vinv = exact_inverse(h.V)
+
+    def ladder(step, sign):
+        alpha = [X[n + step] - X[n] for n in range(N + 1)]
+        bracket = matrix_sub(
+            matrix_sub(hw, scale_cols(w, [X[n + step] for n in range(N + 1)])),
+            scale_cols(h.V, [k * a for k, a in zip(corr, alpha)]),
+        )
+        gap_inv = [sign / (X[n + 1] - X[n - 1]) for n in range(N + 1)]
+        return scale_cols(bracket, gap_inv) @ vinv
+
+    return ladder(-1, 1), ladder(1, -1)
+
+
+def _spectral_ladder(h, trip) -> tuple:
+    """(a+, a-) by V*diag*exact_inverse(V) spectral calculus."""
+    N = h.h_tilde.n - 1
+    X = h.x_grid
+    vinv = exact_inverse(h.V)
+
+    def fn(values):
+        return h.V @ scale_cols(identity_matrix(N + 1), values) @ vinv
+
+    alpha_p = fn([X[n + 1] - X[n] for n in range(N + 1)])
+    alpha_m = fn([X[n - 1] - X[n] for n in range(N + 1)])
+    gap_inv = fn([1 / (X[n + 1] - X[n - 1]) for n in range(N + 1)])
+    corr = fn([trip.Rm1(X[n]) / trip.R0(X[n]) for n in range(N + 1)])
+    ebar = scale_cols(identity_matrix(N + 1), h.dual.ebar)
+    inner = commutator(h.h_tilde, ebar)
+    shifted = matrix_add(ebar, corr)
+    a_plus = matrix_sub(inner, shifted @ alpha_m) @ gap_inv
+    a_minus = scale_cols(matrix_sub(inner, shifted @ alpha_p) @ gap_inv, [-1] * (N + 1))
+    return a_plus, a_minus
 
 
 # The SquareMatrix arithmetic that the library no longer calls.
@@ -455,6 +558,19 @@ def matrix_sub(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
 
 def matrix_is_zero(m: SquareMatrix) -> bool:
     return all(v == 0 for row in m.rows for v in row)
+
+
+def nonzero_entries(m: SquareMatrix) -> list:
+    """(i, j, v) for every nonzero entry, in row-major order."""
+    return [(i, j, v) for i, row in enumerate(m.rows) for j, v in enumerate(row) if v != 0]
+
+
+def from_entries(n: int, entries) -> SquareMatrix:
+    """The n x n matrix with the given entries (i, j, v), zero elsewhere."""
+    rows = [[0] * n for _ in range(n)]
+    for i, j, v in entries:
+        rows[i][j] = v
+    return SquareMatrix(rows)
 
 
 def scale_rows(m: SquareMatrix, values) -> SquareMatrix:

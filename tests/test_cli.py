@@ -3,14 +3,18 @@
 import csv
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualracah import closure
 from dualracah.backend import rat
 from dualracah.cli import main
 from dualracah.errors import ConfigError
+from dualracah.linalg import SquareMatrix
+from dualracah.poly import Poly
 from dualracah.report import (
     _ALLOWED_KEYS,
     SUITES,
@@ -406,23 +410,41 @@ def test_report_bytes_are_pinned(tmp_path, data, digest):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+def _refuse_product(a, b):
+    raise AssertionError("dense SquareMatrix product in a verify run")
+
+
 @pytest.mark.parametrize("data,digest", PINNED_REPORTS[:3], ids=["R", "qR", "R-n14"])
 def test_passing_runs_form_no_dense_product(tmp_path, monkeypatch, data, digest):
     """Every suite certifies on the band or the Gram kernel: with the dense
     product refused before any stage is built, all nine suites pass on R
     (N=6 and N=14), and the exact suites and the shape suite on qR, with
     the pinned report bytes."""
-    from dualracah.linalg import SquareMatrix
-
-    def refuse(a, b):
-        raise AssertionError("dense SquareMatrix product in a passing run")
-
-    monkeypatch.setattr(SquareMatrix, "__matmul__", refuse)
+    monkeypatch.setattr(SquareMatrix, "__matmul__", _refuse_product)
     report, ok = run_suite(parse_config(data))
     assert ok and len(report["suites"]) == (8 if data["family"] == "qR" else 9)
     path = tmp_path / "report.json"
     write_report(report, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("data", [data for data, _ in PINNED_REPORTS[:2]], ids=["R", "qR"])
+def test_failing_closure_forms_no_dense_product(monkeypatch, data):
+    """With R1 shifted by 1/3 the closure suite fails with the dense product
+    refused, and lists entries [m, n, r] of the tridiagonal M in the dual
+    eigenbasis: |m - n| <= 1."""
+    solve = closure.solve_closure
+
+    def shifted(h):
+        t = solve(h)
+        return replace(t, R1=Poly((t.R1[0] + rat(1, 3),) + t.R1.coeffs[1:]))
+
+    monkeypatch.setattr(closure, "solve_closure", shifted)
+    monkeypatch.setattr(SquareMatrix, "__matmul__", _refuse_product)
+    report, ok = run_suite(parse_config({**data, "suites": ["closure"]}))
+    failures = report["suites"]["closure"]["failures"]
+    assert not ok and failures
+    assert all(abs(m - n) <= 1 for m, n, _ in failures)
 
 
 # sha256 of hamiltonian.csv and hamiltonian.json from `tables --what

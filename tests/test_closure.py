@@ -1,6 +1,6 @@
 """Closure relation residuals and ladder operators: the tridiagonal route of
-``closure`` against the dense and spectral-calculus routes kept here as
-oracles."""
+``closure`` against the dense and spectral-calculus routes kept as oracles
+in ``comparators``."""
 
 import os
 import subprocess
@@ -13,21 +13,26 @@ import pytest
 
 from dualracah import closure, report
 from dualracah.backend import rat, rat_to_str
-from dualracah.closure import build_ladder, verify_closure, verify_ladder
-from dualracah.dualsystem import verify_spectrum
+from dualracah.closure import verify_closure, verify_ladder
+from dualracah.dualsystem import dual_ortho, verify_spectrum
 from dualracah.errors import CrossCheckMismatch, SingularR0
 from dualracah.linalg import SquareMatrix
 from dualracah.params import QR, R
 from dualracah.pipeline import Pipeline
 from dualracah.poly import Poly, interpolate
 from comparators import (
+    _spectral_ladder,
+    commutator,
+    dense_build_ladder,
+    dense_verify_closure,
+    exact_inverse,
+    from_entries,
     identity_matrix,
     matrix_add,
     matrix_is_zero,
     matrix_sub,
     poly_add,
     scale_cols,
-    scale_rows,
 )
 from conftest import SEEDS, Y_ETA, Y_ONE, solve_overdetermined, std_params
 
@@ -36,14 +41,6 @@ CASES = [((1,), "1"), ((2,), "1"), ((1, 2), "1"), ((1,), "eta")]
 
 
 # The generic routes the eigenbasis route replaced, kept as oracles.
-
-
-def exact_inverse(a: SquareMatrix) -> SquareMatrix:
-    """Inverse by one exact solve per column."""
-    n = a.n
-    cols = [solve_overdetermined(a.rows, [1 if i == j else 0 for i in range(n)])
-            for j in range(n)]
-    return SquareMatrix(list(zip(*cols)))
 
 
 def vandermonde_closure(h):
@@ -66,11 +63,6 @@ def matrix_poly(coeffs, h: SquareMatrix) -> SquareMatrix:
     return acc
 
 
-def commutator(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
-    """a*b - b*a."""
-    return matrix_sub(a @ b, b @ a)
-
-
 def _horner_residual(h, trip):
     """[h,[h,E]] - (E*R0(h) + [h,E]*R1(h) + Rm1(h)) by matrix Horner."""
     ht = h.h_tilde
@@ -83,91 +75,11 @@ def _horner_residual(h, trip):
     return matrix_sub(commutator(ht, inner), rhs)
 
 
-def _spectral_ladder(h, trip):
-    """Both ladder operators by V*diag*exact_inverse(V) spectral calculus."""
+def dense_verify_ladder(h, ladder) -> list:
+    """Both ladder actions (a+, a-) on every eigenvector column, by one
+    product by V per operator."""
     N = h.h_tilde.n - 1
-    X = h.x_grid
-    vinv = exact_inverse(h.V)
-
-    def fn(values):
-        return h.V @ scale_cols(identity_matrix(N + 1), values) @ vinv
-
-    alpha_p = fn([X[n + 1] - X[n] for n in range(N + 1)])
-    alpha_m = fn([X[n - 1] - X[n] for n in range(N + 1)])
-    gap_inv = fn([1 / (X[n + 1] - X[n - 1]) for n in range(N + 1)])
-    corr = fn([trip.Rm1(X[n]) / trip.R0(X[n]) for n in range(N + 1)])
-    ebar = scale_cols(identity_matrix(N + 1), h.dual.ebar)
-    inner = commutator(h.h_tilde, ebar)
-    shifted = matrix_add(ebar, corr)
-    a_plus = matrix_sub(inner, shifted @ alpha_m) @ gap_inv
-    a_minus = scale_cols(matrix_sub(inner, shifted @ alpha_p) @ gap_inv, [-1] * (N + 1))
-    return a_plus, a_minus
-
-
-def _eigen_products(h):
-    """(W, h_tilde*W) with W = diag(ebar)*V, once h_tilde*V = V*diag(X) is
-    certified."""
-    if h.eigen_residual:
-        raise CrossCheckMismatch("h_tilde*V differs from V*diag(X)")
-    w = scale_rows(h.V, h.dual.ebar)
-    return w, h.h_tilde @ w
-
-
-def dense_verify_closure(h, c) -> SquareMatrix:
-    """LHS - RHS by the dense route: with hW = h_tilde*W and every R(h_tilde)*V
-    = V*diag(R(X)),
-
-        (LHS - RHS)*V = h_tilde*hW - hW*diag(2X + R1(X))
-                        + W*diag(X^2 - R0(X) + X*R1(X)) - V*diag(Rm1(X)),
-
-    mapped back by V^(-1) when nonzero."""
-    X = h.energies
-    vinv = h.dual.inverse
-    w, hw = _eigen_products(h)
-    r0 = [c.R0(x) for x in X]
-    r1 = [c.R1(x) for x in X]
-    diff = matrix_sub(
-        matrix_add(
-            matrix_sub(h.h_tilde @ hw, scale_cols(hw, [2 * x + b for x, b in zip(X, r1)])),
-            scale_cols(w, [x * x - a + x * b for x, a, b in zip(X, r0, r1)]),
-        ),
-        scale_cols(h.V, [c.Rm1(x) for x in X]),
-    )
-    return diff if matrix_is_zero(diff) else diff @ vinv
-
-
-def dense_build_ladder(h, c):
-    """Both ladder operators from the dense bracket hW - W*diag(X[n+step])
-    - V*diag(corr*alpha), scaled by sign/gap and multiplied by V^(-1)."""
-    N = h.h_tilde.n - 1
-    X = h.x_grid
-    r0_vals = [c.R0(X[n]) for n in range(N + 1)]
-    if any(v == 0 for v in r0_vals):
-        raise SingularR0("R0 vanishes on the spectrum (degenerate seed with Y(0)=0)")
-    corr = [c.Rm1(X[n]) / r0_vals[n] for n in range(N + 1)]
-    for n in range(N + 1):
-        if -corr[n] != h.dual.b_dual[n]:
-            raise CrossCheckMismatch(f"-Rm1/R0 differs from dual coefficient at n={n}")
-    vinv = h.dual.inverse
-    w, hw = _eigen_products(h)
-
-    def ladder(step, sign):
-        alpha = [X[n + step] - X[n] for n in range(N + 1)]
-        bracket = matrix_sub(
-            matrix_sub(hw, scale_cols(w, [X[n + step] for n in range(N + 1)])),
-            scale_cols(h.V, [k * a for k, a in zip(corr, alpha)]),
-        )
-        gap_inv = [sign / (X[n + 1] - X[n - 1]) for n in range(N + 1)]
-        return scale_cols(bracket, gap_inv) @ vinv
-
-    return closure.LadderPair(a_plus=ladder(-1, 1), a_minus=ladder(1, -1))
-
-
-def dense_verify_ladder(h, lp) -> list:
-    """Both ladder actions on every eigenvector column, by one product by V
-    per operator."""
-    N = h.h_tilde.n - 1
-    up, down = lp.a_plus @ h.V, lp.a_minus @ h.V
+    up, down = (a @ h.V for a in ladder)
     zero = [0] * (N + 1)
     failures = []
     for n in range(N + 1):
@@ -261,7 +173,7 @@ def test_triple_of_another_spectrum_is_refused(family, pipe):
     h_eta, trip = pl.hamiltonian(Y_ETA), pl.closure(Y_ONE)
     assert h_eta.V == pl.hamiltonian(Y_ONE).V
     assert h_eta.energies != trip.nodes
-    for fn in (verify_closure, verify_ladder, build_ladder):
+    for fn in (verify_closure, verify_ladder):
         with pytest.raises(CrossCheckMismatch, match="solved on another spectrum"):
             fn(h_eta, trip)
 
@@ -270,9 +182,10 @@ def test_spectral_fn_reproduces_polynomials(pipe):
     h = pipe(R, 5, (1,)).hamiltonian(Y_ONE)
     # V diag(f(X)) V^(-1) is the function f of the Hamiltonian: for
     # f(X) = X^2 it is the matrix square
-    sq = scale_cols(h.V, [v * v for v in h.energies]) @ h.dual.inverse
+    vinv = exact_inverse(h.V)
+    sq = scale_cols(h.V, [v * v for v in h.energies]) @ vinv
     assert matrix_is_zero(matrix_sub(sq, h.h_tilde @ h.h_tilde))
-    ident = scale_cols(h.V, [rat(1)] * 6) @ h.dual.inverse
+    ident = scale_cols(h.V, [rat(1)] * 6) @ vinv
     assert matrix_is_zero(matrix_sub(ident, identity_matrix(6)))
 
 
@@ -282,7 +195,7 @@ def test_ladder_actions_exact(family, D, pipe):
     h = pipe(family, 6, D).hamiltonian(Y_ONE)
     trip = pipe(family, 6, D).closure(Y_ONE)
     assert verify_ladder(h, trip) == []
-    assert dense_verify_ladder(h, build_ladder(h, trip)) == []
+    assert dense_verify_ladder(h, dense_build_ladder(h, trip)) == []
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -290,17 +203,21 @@ def test_ladder_degenerate_seed_raises(family, pipe):
     h = pipe(family, 6, (1,)).hamiltonian(Y_ETA)
     trip = pipe(family, 6, (1,)).closure(Y_ETA)
     with pytest.raises(SingularR0):
-        build_ladder(h, trip)
+        dense_build_ladder(h, trip)
     with pytest.raises(SingularR0):
         verify_ladder(h, trip)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_ladder_boundary_annihilation(family, pipe):
+    """a+ annihilates the top eigenvector and a- the ground state: checked
+    by verify_ladder, and on the dense operators."""
     h = pipe(family, 5, (1,)).hamiltonian(Y_ONE)
-    lp = build_ladder(h, pipe(family, 5, (1,)).closure(Y_ONE))
-    top = (lp.a_plus @ h.V).column(5)
-    bottom = (lp.a_minus @ h.V).column(0)
+    trip = pipe(family, 5, (1,)).closure(Y_ONE)
+    assert verify_ladder(h, trip) == []
+    a_plus, a_minus = dense_build_ladder(h, trip)
+    top = (a_plus @ h.V).column(5)
+    bottom = (a_minus @ h.V).column(0)
     assert all(v == 0 for v in top)
     assert all(v == 0 for v in bottom)
 
@@ -320,16 +237,20 @@ def test_middle_coefficient_from_closure(family, pipe):
 @pytest.mark.parametrize("D,y", CASES)
 @pytest.mark.parametrize("N", [4, 5, 6])
 def test_inverse_and_ladder_match_generic_oracles(family, D, y, N, pipe):
+    """The oracles' V^(-1) inverts V, and the dense and the spectral ladder
+    operators agree, where verify_ladder passes; on a degenerate seed the
+    dense route and verify_ladder both refuse."""
     h = pipe(family, N, D).hamiltonian(SEEDS[y])
     trip = pipe(family, N, D).closure(SEEDS[y])
-    assert h.dual.inverse == exact_inverse(h.V)
+    vinv = exact_inverse(h.V)
+    assert h.V @ vinv == identity_matrix(N + 1)
     if trip.r0_vanishes_at_zero:
-        with pytest.raises(SingularR0):
-            build_ladder(h, trip)
+        for fn in (dense_build_ladder, verify_ladder):
+            with pytest.raises(SingularR0):
+                fn(h, trip)
         return
-    lp = build_ladder(h, trip)
-    assert (lp.a_plus, lp.a_minus) == _spectral_ladder(h, trip)
-    assert lp == dense_build_ladder(h, trip)
+    assert verify_ladder(h, trip) == []
+    assert dense_build_ladder(h, trip, vinv) == _spectral_ladder(h, trip)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -339,8 +260,8 @@ def test_corrupted_r1_residual_equals_horner(family, pipe):
     bad = replace(trip, R1=Poly([trip.R1[0] + rat(1, 3)] + list(trip.R1.coeffs[1:])))
     residual = verify_closure(h, bad)
     assert residual != []
-    assert residual == _horner_residual(h, bad).nonzero_entries()
-    assert residual == dense_verify_closure(h, bad).nonzero_entries()
+    assert h.V @ from_entries(h.V.n, residual) == _horner_residual(h, bad) @ h.V
+    assert h.V @ from_entries(h.V.n, residual) == dense_verify_closure(h, bad)
 
 
 def _doubled(values, k):
@@ -350,37 +271,32 @@ def _doubled(values, k):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_corrupted_inverse_data_raises(family, pipe):
+def test_closure_and_ladder_read_no_norm_or_weight(family, pipe):
+    """A corrupted V fails the eigenbasis certification of the closure and
+    ladder checks.  A corrupted squared norm or weight is listed by the
+    dual orthogonality; the closure and ladder checks rest on the
+    eigenbasis alone and give the verdicts of the intact table."""
     h = pipe(family, 5, (1,)).hamiltonian(Y_ONE)
     trip = pipe(family, 5, (1,)).closure(Y_ONE)
     # replace() copies h and its dual table with every cached property
     # started afresh
     bad_v = _with_v(h, _corrupt(h.V, 2, 3))
-    bad_norm = replace(h, dual=replace(h.dual, norms=_doubled(h.dual.norms, 4)))
-    bad_weight = replace(h, dual=replace(h.dual, weights=_doubled(h.dual.weights, 4)))
-    for bad in (bad_v, bad_norm, bad_weight):
-        with pytest.raises(CrossCheckMismatch, match=r"V\*V\^\(-1\) = I"):
-            bad.dual.inverse
-    # build_ladder certifies the eigenbasis first, which the corrupted V
-    # already fails; with V intact it stops at the inverse
-    with pytest.raises(CrossCheckMismatch, match=r"h_tilde\*V differs"):
-        build_ladder(replace(bad_v), trip)
+    for fn in (verify_closure, verify_ladder):
+        with pytest.raises(CrossCheckMismatch, match=r"h_tilde\*V differs"):
+            fn(replace(bad_v), trip)
     failing = replace(trip, Rm1=poly_add(trip.Rm1, Poly([rat(1, 3)])))
-    for bad in (bad_norm, bad_weight):
-        with pytest.raises(CrossCheckMismatch, match=r"V\*V\^\(-1\) = I"):
-            build_ladder(bad, trip)
-        # a passing closure check reads no inverse; a failing one maps its
-        # residual back through V^(-1), which is certified there
-        assert verify_closure(bad, trip) == []
-        with pytest.raises(CrossCheckMismatch, match=r"V\*V\^\(-1\) = I"):
-            verify_closure(bad, failing)
+    for field in ("norms", "weights"):
+        bad = replace(h, dual=replace(h.dual, **{field: _doubled(getattr(h.dual, field), 4)}))
+        assert dual_ortho(bad.dual) != []
+        assert verify_closure(bad, trip) == [] and verify_ladder(bad, trip) == []
+        assert verify_closure(bad, failing) == verify_closure(h, failing) != []
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_corrupted_hamiltonian_fails_eigen_certification(family, pipe):
     h = pipe(family, 5, (1,)).hamiltonian(Y_ONE)
     trip = pipe(family, 5, (1,)).closure(Y_ONE)
-    for fn in (verify_closure, build_ladder, verify_ladder):
+    for fn in (verify_closure, verify_ladder):
         bad = replace(h, h_tilde=_corrupt(h.h_tilde, 1, 2))
         with pytest.raises(CrossCheckMismatch, match=r"h_tilde\*V differs"):
             fn(bad, trip)
@@ -410,7 +326,7 @@ def test_corrupted_dual_coefficient_fails_exactly_its_column(family, pipe):
     diag(Ebar)*V = V*T, and names that column (row 0 of V is all ones)."""
     h = pipe(family, 5, (1,)).hamiltonian(Y_ONE)
     trip = pipe(family, 5, (1,)).closure(Y_ONE)
-    lp = build_ladder(h, trip)
+    ladder = dense_build_ladder(h, trip)
     bad_duals = []
     for k in (0, 2, 4):
         a_dual = list(h.dual.a_dual)
@@ -422,8 +338,8 @@ def test_corrupted_dual_coefficient_fails_exactly_its_column(family, pipe):
         bad_duals.append((k, "minus", replace(h.dual, c_dual=tuple(c_dual))))
     for k, name, dual in bad_duals:
         bad = replace(h, dual=dual)
-        assert dense_verify_ladder(bad, lp) == [(name, k)]
-        for fn in (verify_closure, verify_ladder, build_ladder):
+        assert dense_verify_ladder(bad, ladder) == [(name, k)]
+        for fn in (verify_closure, verify_ladder):
             with pytest.raises(CrossCheckMismatch, match=rf"V\*T at \(x,n\)=\(0,{k}\)"):
                 fn(replace(bad), trip)
 
@@ -494,9 +410,9 @@ def test_wrong_beta_node_value_fails(family, which, pipe, monkeypatch):
         return
     bad = closure.solve_closure(h)
     residual = verify_closure(h, bad)
-    assert residual != []
-    assert residual == dense_verify_closure(h, bad).nonzero_entries()
-    assert residual == _horner_residual(h, bad).nonzero_entries()
+    assert [(m, n) for m, n, _ in residual] == [(j, j)]
+    assert h.V @ from_entries(h.V.n, residual) == dense_verify_closure(h, bad)
+    assert h.V @ from_entries(h.V.n, residual) == _horner_residual(h, bad) @ h.V
     with pytest.raises(CrossCheckMismatch, match=f"dual coefficient at n={j}"):
         verify_ladder(h, bad)
 
@@ -508,10 +424,15 @@ def _ladder_outcome(fn):
         return str(e)
 
 
+def _refuse_product(a, b):
+    raise AssertionError("dense SquareMatrix product in a closure check")
+
+
 @pytest.mark.parametrize("family,N", [(R, 5), (QR, 5), (R, 10), (QR, 10), (R, 18)])
-def test_scalar_route_matches_dense_oracle(family, N, pipe):
+def test_scalar_route_matches_dense_oracle(family, N, pipe, monkeypatch):
     """The tridiagonal route and the dense one give the same verdicts, the
-    same closure residual matrices and the same ladder outcomes (failure
+    same closure residuals (V*M against the dense (LHS - RHS)*V, M found
+    with the dense product refused) and the same ladder outcomes (failure
     list or error), on the true data and under corruption."""
     D = (1, 2)
     h = pipe(family, N, D).hamiltonian(Y_ONE)
@@ -522,8 +443,11 @@ def test_scalar_route_matches_dense_oracle(family, N, pipe):
         for name in ("R0", "R1", "Rm1")
     ]
     for t in triples:
-        residual = verify_closure(h, t)
-        assert residual == dense_verify_closure(h, t).nonzero_entries()
+        with monkeypatch.context() as mp:
+            mp.setattr(SquareMatrix, "__matmul__", _refuse_product)
+            residual = verify_closure(h, t)
+        assert all(abs(m - n) <= 1 for m, n, _ in residual)
+        assert h.V @ from_entries(N + 1, residual) == dense_verify_closure(h, t)
         assert (residual == []) == (t is trip)
     # off-spectrum grid values enter only through the gaps; an interior one
     # is an eigenvalue, so it breaks h_tilde*V = V*diag(X), which both
@@ -532,7 +456,7 @@ def test_scalar_route_matches_dense_oracle(family, N, pipe):
     interior[N // 2] += c
     interior = replace(h, x_grid=interior)
     for t in triples:
-        for fn in (verify_closure, verify_ladder, build_ladder):
+        for fn in (verify_closure, verify_ladder):
             with pytest.raises(CrossCheckMismatch, match=r"h_tilde\*V differs"):
                 fn(replace(interior), t)
     hs = [h]
@@ -540,11 +464,14 @@ def test_scalar_route_matches_dense_oracle(family, N, pipe):
         grid = dict(h.x_grid)
         grid[k] += c
         hs.append(replace(h, x_grid=grid))
+    # every h in hs has the same V
+    vinv = exact_inverse(h.V)
     outcomes = []
     for hh in hs:
         for t in triples:
             got = _ladder_outcome(lambda: verify_ladder(hh, t))
-            dense = _ladder_outcome(lambda: dense_verify_ladder(hh, dense_build_ladder(hh, t)))
+            dense = _ladder_outcome(
+                lambda: dense_verify_ladder(hh, dense_build_ladder(hh, t, vinv)))
             assert got == dense
             outcomes.append(got)
     assert outcomes[0] == []
@@ -607,7 +534,8 @@ def test_closure_and_ladder_suites_evaluate_the_triple_once(family, monkeypatch)
 
 def test_passing_closure_check_builds_no_matrix(monkeypatch):
     """Once the eigenbasis is certified, a passing closure check returns an
-    empty list and constructs no SquareMatrix."""
+    empty list and constructs no SquareMatrix; a failing one lists the
+    entries of M and constructs none either."""
     pl = Pipeline(std_params(R, 6), (1, 2))
     h, trip = pl.hamiltonian(Y_ONE), pl.closure(Y_ONE)
     h.eigenbasis
@@ -622,7 +550,7 @@ def test_passing_closure_check_builds_no_matrix(monkeypatch):
     assert verify_closure(h, trip) == []
     assert built == []
     assert verify_closure(h, replace(trip, Rm1=poly_add(trip.Rm1, Poly([rat(1, 3)])))) != []
-    assert built
+    assert built == []
 
 
 def test_certifications_survive_python_O():
@@ -642,7 +570,7 @@ def test_certifications_survive_python_O():
         s = multiindexed.build_mi_system(make_params("R", 4, b=9, c=rat(1, 2), d=rat(2, 5)), (1,))
         xp = recurrence.build_X(s, Poly([rat(1)]), for_hamiltonian=True)
         h = dualsystem.build_hamiltonians(
-            s, xp, recurrence.extract_r(s, xp), dualsystem.dual_values(s))
+            xp, recurrence.extract_r(s, xp), dualsystem.dual_values(s))
 
         interpolate = closure.interpolate
 
@@ -709,12 +637,9 @@ def test_certifications_survive_python_O():
             values[3] *= 2
             bad = replace(h, dual=replace(h.dual, **{field: tuple(values)}))
             print(f"{field} listed:", dualsystem.dual_ortho(bad.dual) != [])
-            run(f"{field} inverse", lambda b, t: b.dual.inverse, bad)
-            run(f"{field} ladder", closure.build_ladder, bad)
-            run(f"{field} closure", closure.verify_closure, bad, replace(trip, Rm1=bent))
         xp_eta = recurrence.build_X(s, Poly([rat(0), rat(1)]), for_hamiltonian=True)
-        h_eta = dualsystem.build_hamiltonians(s, xp_eta, recurrence.extract_r(s, xp_eta), h.dual)
-        for fn in (closure.verify_closure, closure.verify_ladder, closure.build_ladder):
+        h_eta = dualsystem.build_hamiltonians(xp_eta, recurrence.extract_r(s, xp_eta), h.dual)
+        for fn in (closure.verify_closure, closure.verify_ladder):
             run(f"spectrum {fn.__name__}", fn, h_eta)
         """
     )
@@ -733,8 +658,6 @@ def test_certifications_survive_python_O():
     assert "row0: row 0 of V has a zero" in out
     for field in ("norms", "weights"):
         assert f"{field} listed: True" in out
-        for tag in ("inverse", "ladder", "closure"):
-            assert f"{field} {tag}: closed-form inverse fails V*V^(-1) = I" in out
     assert "corr: -Rm1/R0 differs from dual coefficient at n=0" in out
-    for fn in ("verify_closure", "verify_ladder", "build_ladder"):
+    for fn in ("verify_closure", "verify_ladder"):
         assert f"spectrum {fn}: closure triple was solved on another spectrum" in out

@@ -15,7 +15,6 @@ from dualracah.backend import rat, rat_to_str
 from dualracah.basefamily import racah_value
 from dualracah.bigreal import big_sqrt
 from dualracah.dualsystem import (
-    DualTable,
     build_hamiltonians,
     commutator_check,
     dual_ortho,
@@ -96,9 +95,9 @@ def _dual_suite_run(N, D):
 
 
 def test_one_gram_serves_the_dual_suite_and_every_ladder(monkeypatch):
-    """The dual suite and build_ladder for the seeds 1 and 1+eta, on one
-    pipeline, form one Gram: the orthogonality of the shared dual table,
-    which also certifies the inverse that both ladders read."""
+    """The dual suite and the ladder checks for the seeds 1 and 1+eta, on
+    one pipeline, form one Gram: the orthogonality of the shared dual
+    table, which the ladder checks do not read."""
     cfg, pl = _dual_suite_run(6, (1, 2))
     seeds = (cfg.Y, Poly([rat(1), rat(1)]))
     for y in seeds:
@@ -113,7 +112,7 @@ def test_one_gram_serves_the_dual_suite_and_every_ladder(monkeypatch):
     monkeypatch.setattr(linalg, "gram_band", counted)
     assert report._suite_dual(cfg, pl)["pass"]
     for y in seeds:
-        closure.build_ladder(pl.hamiltonian(y), pl.closure(y))
+        assert closure.verify_ladder(pl.hamiltonian(y), pl.closure(y)) == []
     assert pl.hamiltonian(seeds[0]).energies != pl.hamiltonian(seeds[1]).energies
     assert len(grams) == 1
 
@@ -121,8 +120,7 @@ def test_one_gram_serves_the_dual_suite_and_every_ladder(monkeypatch):
 @pytest.mark.parametrize("field", ["norms", "weights"])
 def test_dual_suite_lists_a_corrupted_norm_or_weight(field, monkeypatch):
     """Entry 3 of the dual table's squared norms or weights doubled: the
-    dual suite lists exactly the orthogonality sums it moves, and the
-    closed-form inverse is refused."""
+    dual suite lists exactly the orthogonality sums it moves."""
     build = dualsystem.dual_values
 
     def corrupted(s):
@@ -142,23 +140,6 @@ def test_dual_suite_lists_a_corrupted_norm_or_weight(field, monkeypatch):
         expect = [(x, y, w * v[x] * v[y]) for x in range(6) for y in range(x, 6) if v[x] * v[y]]
     assert not out["pass"]
     assert out["failures"] == [[x, y, rat_to_str(r)] for x, y, r in expect]
-    with pytest.raises(CrossCheckMismatch, match=r"V\*V\^\(-1\) = I"):
-        t.inverse
-
-
-def test_zero_norm_refuses_the_inverse():
-    """A zero weight and the zero norm it gives pass the orthogonality sums
-    (V = I), but V^(-1) would divide by that norm: refused, not a
-    ZeroDivisionError."""
-    one, zero = (rat(1), rat(1)), (rat(0), rat(0))
-    t = DualTable(
-        V=SquareMatrix([[1, 0], [0, 1]]), a_dual=zero, b_dual=zero, c_dual=zero, ebar=zero,
-        weights=(rat(1), rat(0)), norms=(rat(1), rat(0)),
-    )
-    assert dual_ortho(t) == []
-    with pytest.raises(CrossCheckMismatch, match=r"V\*V\^\(-1\) = I"):
-        t.inverse
-    assert replace(t, norms=one, weights=one).inverse == t.V
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -386,7 +367,7 @@ def test_skewed_band_entry_fails_mirror_and_eigen_checks(family, pipe):
     bad = replace(t, r={**t.r, (2, 1): t.r[(2, 1)] + rat(1, 3)})
     with pytest.raises(CrossCheckMismatch, match=r"mirror symmetry fails at \(n,k\)=\(2,1\)"):
         recurrence._check_band_identities(pl.system(), bad)
-    h = build_hamiltonians(pl.system(), pl.xpoly(Y_ONE), bad, pl.dual())
+    h = build_hamiltonians(pl.xpoly(Y_ONE), bad, pl.dual())
     eigen = [f for f in verify_spectrum(h) if f[0] == "eigen"]
     assert eigen == [("eigen", 2, j) for j in range(6) if h.V[3, j] != 0]
 
@@ -394,16 +375,15 @@ def test_skewed_band_entry_fails_mirror_and_eigen_checks(family, pipe):
 def test_hamiltonian_keeps_one_spectrum_and_no_stale_certificate(pipe):
     """X is held once, in x_grid; the eigen residual and the certified
     eigenbasis are cached on the Hamiltonian, the orthogonality residual
-    and V^(-1) on its dual table, and each is formed afresh on a replace()
-    copy."""
+    on its dual table, and each is formed afresh on a replace() copy."""
     h = pipe(R, 5, (1,)).hamiltonian(Y_ONE)
     assert "energies" not in {f.name for f in fields(h)}
     assert h.energies == tuple(h.x_grid[n] for n in range(6))
-    assert h.eigenbasis is h.dual and h.dual.inverse is h.dual.inverse
+    assert h.eigenbasis is h.dual and h.dual.ortho_residual == []
     cached = {"eigen_residual", "eigenbasis"}
     assert cached <= set(vars(h))
     assert not cached & set(vars(replace(h)))
-    table_cached = {"ortho_residual", "inverse"}
+    table_cached = {"ortho_residual"}
     assert table_cached <= set(vars(h.dual))
     assert not table_cached & set(vars(replace(h.dual)))
 
@@ -434,10 +414,9 @@ def test_vanishing_ground_state_raises_zero_denominator(family, pipe):
         dual_values(bad)
 
 
-def test_inverse_and_commutator_certifications_survive_python_O():
-    """Under -O a corrupted squared norm still fails the closed-form
-    inverse, and one corrupted band entry of h2 still stops the commutator
-    check: neither is an assert."""
+def test_commutator_certification_survives_python_O():
+    """Under -O one corrupted band entry of h2 still stops the commutator
+    check: it is not an assert."""
     script = textwrap.dedent(
         """
         from dataclasses import replace
@@ -452,13 +431,7 @@ def test_inverse_and_commutator_certifications_survive_python_O():
         s = multiindexed.build_mi_system(make_params("R", 4, b=9, c=rat(1, 2), d=rat(2, 5)), (1,))
         xp = recurrence.build_X(s, Poly([rat(1)]), for_hamiltonian=True)
         h = dualsystem.build_hamiltonians(
-            s, xp, recurrence.extract_r(s, xp), dualsystem.dual_values(s))
-        norms = list(h.dual.norms)
-        norms[3] *= 2
-        try:
-            replace(h.dual, norms=tuple(norms)).inverse
-        except CrossCheckMismatch as e:
-            print("inverse:", e)
+            xp, recurrence.extract_r(s, xp), dualsystem.dual_values(s))
         rows = [list(r) for r in h.h_tilde.rows]
         rows[2][3] += 1
         try:
@@ -473,5 +446,4 @@ def test_inverse_and_commutator_certifications_survive_python_O():
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True,
         check=True,
     ).stdout
-    assert "inverse: closed-form inverse fails V*V^(-1) = I" in out
     assert "commute: h_tilde*V differs from V*diag(X)" in out

@@ -27,6 +27,8 @@ from dualracah.multiindexed import GridTable
 from dualracah.params import R
 from dualracah.qlimit import matched_q_params
 from comparators import (
+    commutator,
+    exact_inverse,
     identity_matrix,
     matrix_add,
     matrix_is_zero,
@@ -36,7 +38,7 @@ from comparators import (
     transpose,
 )
 from conftest import _bareiss, solve_overdetermined, std_params
-from test_closure import commutator, exact_inverse, matrix_poly
+from test_closure import matrix_poly
 
 entry = st.fractions(min_value=-50, max_value=50, max_denominator=10)
 # small rationals with zeros and signs well represented

@@ -3,6 +3,7 @@ difference equations, norms, oscillation counts."""
 
 import copy
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -269,7 +270,8 @@ def test_table_factors_equal_per_entry_functions(family, D):
 # Each fault corrupts one table entry or held factor (doubles it) so that
 # exactly one build certification sees it, at R, N=5, D=(1,2).
 FAULTS = {
-    "xi_at_zero": ("xi", lambda t, p, x: t.p == p and x == 0, r"at x=0, not 1"),
+    "xi_at_zero": ("xi", lambda t, p, x: t.p == p and x == 0,
+                   r"denominator polynomial is 2 at x=0, not 1"),
     "xi_interpolant": ("xi", lambda t, p, x: t.p == p and x == 6,
                        r"denominator interpolant misses the grid at x=6"),
     "pdn_off_nodes": ("pdn", lambda t, p, n, x: (n, x) == (0, 5),
@@ -282,7 +284,7 @@ FAULTS = {
     # coefficient that is wrong the same way, only the x=0 value shows it
     "pdn_at_zero": ("cdn", lambda t, p, n: n == 2, r"n=2 is 1/2 at x=0, not 1"),
     "ground_state": ("xi", lambda t, p, x: t.p != p and x == 3,
-                     r"shifted denominator at x=3"),
+                     r"ground state differs from the shifted denominator at x=3"),
     # a doubled varphi_M(0)/varphi_(M+1)(0), held once per table, doubles
     # every C_(D,n): the closed-form leading coefficient of P_0 sees it
     "dtn_constant": ("varphi_ratio", lambda t, p: t.p == p,
@@ -394,7 +396,8 @@ def test_nonpositive_norm_or_weight_raises(family, fault, msg, monkeypatch):
 
 
 def test_build_certifications_survive_python_O():
-    """Under -O every build certification still raises: none is an assert."""
+    """Under -O every build certification still raises, with the message
+    its fault test matches: none is an assert."""
     tests = Path(__file__).resolve().parent
     script = textwrap.dedent(
         """
@@ -425,6 +428,6 @@ def test_build_certifications_survive_python_O():
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True,
         check=True,
     ).stdout
-    for fault in FAULTS:
-        assert f"{fault} raised:" in out
+    for fault, (_, _, msg) in FAULTS.items():
+        assert re.search(rf"^{fault} raised: .*{msg}", out, re.M), fault
     assert "matched_q_params raised" in out

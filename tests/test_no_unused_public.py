@@ -5,15 +5,14 @@ A name counts as used when some part of ``src/dualracah`` other than its
 own definition refers to it: as a plain name, as an attribute, or in an
 import.  The match is by name alone, so a method whose name another
 definition shares (``Poly.is_zero`` and a ``SquareMatrix.is_zero``, say)
-counts as used when either is.  The entry point and the documented
-ladder-matrix API are the only names the library may define for outside
-callers alone."""
+counts as used when either is.  The entry point is the only name the
+library may define for outside callers alone."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "dualracah"
-EXCEPTIONS = {("cli", "main"), ("closure", "build_ladder")}
+EXCEPTIONS = {("cli", "main")}
 
 
 def _names(tree, skip) -> set:

@@ -19,7 +19,6 @@ def test_zero_degree_sentinel():
     assert Poly().degree is None
     assert Poly([0, 0]).is_zero()
     assert Poly([rat(3)]).degree == 0
-    assert not Poly()
 
 
 def test_trimming_and_equality():

@@ -1,6 +1,7 @@
 """Antiderivative map, the recurrence polynomial X, and its coefficients."""
 
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -216,6 +217,17 @@ def test_off_grid_value_zero_for_degenerate_seed(family, pipe):
     assert xhat_minus1(xp, s) == 0
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_bent_off_grid_value_fails_closed_form(family, pipe):
+    """X(-1) off by 1/3, the rest of the grid intact, fails the closed-form
+    check of the off-grid value."""
+    s = pipe(family, 6, (1,)).system()
+    xp = pipe(family, 6, (1,)).xpoly(Y_ONE)
+    bad = replace(xp, grid={**xp.grid, -1: xp.grid[-1] + rat(1, 3)})
+    with pytest.raises(CrossCheckMismatch, match=r"X\(-1\) = .* differs from closed form"):
+        xhat_minus1(bad, s)
+
+
 def test_polynomial_identity_fails_off_band(pipe):
     """The polynomial form of the recurrence is only claimed for labels with
     full band room; pushing it to the top label must break."""
@@ -331,12 +343,13 @@ def test_corrupted_input_fails_band_recurrence(family, corrupt, pipe):
 
 
 def _skew_table(key, delta):
-    """A RecTable constructor that adds delta to one entry, applied after
-    the projections have passed the grid check."""
-    table = recurrence.RecTable
+    """The band-identity check run on the table with delta added to one
+    entry: the skew comes after the table has passed the grid check, which
+    reads the table's own rows."""
+    check = recurrence._check_band_identities
 
-    def skewed(r, L, N):
-        return table(r={**r, key: r[key] + delta}, L=L, N=N)
+    def skewed(s, t):
+        check(s, replace(t, r={**t.r, key: t.r[key] + delta}))
 
     return skewed
 
@@ -349,7 +362,7 @@ def _skew_table(key, delta):
 def test_corrupted_r_entry_fails_band_identities(family, key, msg, pipe, monkeypatch):
     s = pipe(family, 6, (1,)).system()
     xp = pipe(family, 6, (1,)).xpoly(Y_ONE)
-    monkeypatch.setattr(recurrence, "RecTable", _skew_table(key, rat(1, 3)))
+    monkeypatch.setattr(recurrence, "_check_band_identities", _skew_table(key, rat(1, 3)))
     with pytest.raises(CrossCheckMismatch, match=msg):
         extract_r(s, xp)
 
@@ -385,9 +398,10 @@ def test_negated_denominator_fails_monotonicity(family, pipe):
 
 def test_band_identities_survive_python_O():
     """Under -O a corrupted X grid value, a corrupted r-table entry, a
-    corrupted node value of X and coincident nodes of the polynomial
-    recurrence check still raise: the identities that certify extract_r,
-    build_X and verify_recurrence are explicit checks, not asserts."""
+    corrupted node value of X, a bent X(-1) and coincident nodes of the
+    polynomial recurrence check still raise: the identities that certify
+    extract_r, build_X, xhat_minus1 and verify_recurrence are explicit
+    checks, not asserts."""
     script = textwrap.dedent(
         """
         from dataclasses import replace
@@ -406,12 +420,9 @@ def test_band_identities_survive_python_O():
         except CrossCheckMismatch as e:
             print("grid:", e)
 
-        table = recurrence.RecTable
-
-        def skewed(r, L, N):
-            return table(r={**r, (1, 2): r[(1, 2)] + 1}, L=L, N=N)
-
-        recurrence.RecTable = skewed
+        check = recurrence._check_band_identities
+        recurrence._check_band_identities = lambda s, t: check(
+            s, replace(t, r={**t.r, (1, 2): t.r[(1, 2)] + 1}))
         try:
             recurrence.extract_r(s, xp)
         except CrossCheckMismatch as e:
@@ -423,8 +434,12 @@ def test_band_identities_survive_python_O():
             recurrence.build_X(s, Poly([rat(1)]), for_hamiltonian=True)
         except CrossCheckMismatch as e:
             print("X:", e)
+        try:
+            recurrence.xhat_minus1(replace(xp, grid={**xp.grid, -1: xp.grid[-1] + 1}), s)
+        except CrossCheckMismatch as e:
+            print("off-grid:", e)
 
-        recurrence.RecTable = table
+        recurrence._check_band_identities = check
         recurrence.interpolate = interpolate
         t = recurrence.extract_r(s, xp)
         eta = recurrence.eta
@@ -444,4 +459,5 @@ def test_band_identities_survive_python_O():
     assert "grid: band recurrence misses the grid at (n,x)=" in out
     assert "band: mirror symmetry fails at (n,k)=(1,2)" in out
     assert "X: telescoping sum differs from X at x=2" in out
+    assert re.search(r"off-grid: X\(-1\) = .* differs from closed form", out)
     assert "nodes: coincident nodes for the polynomial recurrence check" in out
