@@ -320,8 +320,9 @@ def _suite_shape(cfg: RunConfig, pipe: Pipeline) -> dict:
             "failures": []}
 
 
-def _suite_qlimit(cfg: RunConfig, pipe: Pipeline) -> dict:
-    rep = qlimit.qlimit_check(pipe.system(), precision=cfg.precision)
+def _suite_qlimit(cfg: RunConfig, pipe: Pipeline, ladder: qlimit.Ladder) -> dict:
+    rep = qlimit.qlimit_check(pipe.system(), precision=cfg.precision, ladder=ladder)
+    print(f"[timing] qlimit ladder {ladder.route}: {ladder.compute_s:.3f}s", file=sys.stderr)
     ok = rep.within_tolerance and rep.monotone
     return {
         "pass": ok,
@@ -341,7 +342,6 @@ _SUITE_FNS = {
     "ladder": _suite_ladder,
     "commute": _suite_commute,
     "shape": _suite_shape,
-    "qlimit": _suite_qlimit,
 }
 
 
@@ -363,18 +363,31 @@ def _config_echo(cfg: RunConfig) -> dict:
 
 
 def run_suite(cfg: RunConfig) -> Tuple[dict, bool]:
-    """Execute the configured suites; returns (report, all_passed)."""
+    """Execute the configured suites; returns (report, all_passed).
+
+    With the qlimit suite, its float ladder starts first (in a worker
+    where one can be forked) and is read when that suite runs; no worker
+    outlives the call."""
     bad = validate(cfg.params(), cfg.D)
     if bad:
         raise InadmissibleParams(f"config parameters violate ranges: {bad}")
     pipe = Pipeline(cfg.params(), cfg.D)
+    ladder = qlimit.Ladder(pipe.params, pipe.D, cfg.precision)
     ordered = [s for s in SUITES if s in cfg.suites]
     results: Dict[str, dict] = {}
     all_ok = True
-    for name in ordered:
-        with _Timer(f"suite {name}"):
-            results[name] = _SUITE_FNS[name](cfg, pipe)
-        all_ok = all_ok and results[name]["pass"]
+    try:
+        if "qlimit" in ordered:
+            ladder.start()
+        for name in ordered:
+            with _Timer(f"suite {name}"):
+                if name == "qlimit":
+                    results[name] = _suite_qlimit(cfg, pipe, ladder)
+                else:
+                    results[name] = _SUITE_FNS[name](cfg, pipe)
+            all_ok = all_ok and results[name]["pass"]
+    finally:
+        ladder.close()
     report = {"config": _config_echo(cfg), "suites": results, "pass": all_ok}
     return report, all_ok
 

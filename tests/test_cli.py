@@ -3,16 +3,23 @@
 import csv
 import hashlib
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualracah import closure
+from dualracah import closure, multiindexed, qlimit
 from dualracah.backend import rat
 from dualracah.cli import main
-from dualracah.errors import ConfigError
+from dualracah.errors import ConfigError, CrossCheckMismatch, ZeroDenominator
 from dualracah.linalg import SquareMatrix
 from dualracah.poly import Poly
 from dualracah.report import (
@@ -447,6 +454,189 @@ def test_failing_closure_forms_no_dense_product(monkeypatch, data):
     assert all(abs(m - n) <= 1 for m, n, _ in failures)
 
 
+@pytest.fixture(params=["worker", "inline"])
+def ladder_route(request, monkeypatch):
+    """The route of the q->1 ladder: a forked worker (as on a host with a
+    second CPU, whatever this host has) or inline (no os.fork)."""
+    if request.param == "worker":
+        if not hasattr(os, "fork"):
+            pytest.skip("no os.fork on this platform")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    else:
+        monkeypatch.delattr(os, "fork", raising=False)
+    return request.param
+
+
+@pytest.mark.parametrize("data,digest", PINNED_REPORTS[:3], ids=["R", "qR", "R-n14"])
+def test_pinned_reports_on_both_ladder_routes(tmp_path, capsys, ladder_route, data, digest):
+    """The pinned report bytes hold whether the q->1 ladder runs in the
+    forked worker or inline.  A run with the qlimit suite prints one timing
+    line for the ladder, naming its route; a run without it prints none."""
+    cfg_path = _write(tmp_path, "cfg.json", data)
+    out = tmp_path / "report.json"
+    assert main(["verify", "--config", cfg_path, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    lines = [line for line in capsys.readouterr().err.splitlines() if "qlimit ladder" in line]
+    if "qlimit" in data.get("suites", SUITES):
+        assert len(lines) == 1
+        assert re.fullmatch(rf"\[timing\] qlimit ladder {ladder_route}: \d+\.\d{{3}}s", lines[0])
+    else:
+        assert lines == []
+
+
+def test_ladder_error_exits_1_with_the_same_line_on_both_routes(
+    tmp_path, capsys, monkeypatch, ladder_route
+):
+    """A library error raised while the ladder is computed is raised again
+    at the qlimit suite: exit 1 and the message of the inline run."""
+    def pole(*args):
+        raise ZeroDenominator("pole of the q-tuple, raised on purpose")
+
+    monkeypatch.setattr(qlimit, "float_tables", pole)
+    cfg_path = _write(tmp_path, "cfg.json", dict(BASE_CFG, suites=["mi", "qlimit"]))
+    assert main(["verify", "--config", cfg_path]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == "verification error: pole of the q-tuple, raised on purpose"
+    assert "[timing] suite mi" in err and "Traceback" not in err
+
+
+def _forks_counted(monkeypatch) -> list:
+    """Offer a second CPU and record the pid of every child forked."""
+    forks, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def test_failing_suite_leaves_no_worker(monkeypatch):
+    """The mi suite raises while the ladder worker runs: run_suite kills
+    and reaps it, and the error comes through."""
+    def broken(s):
+        raise CrossCheckMismatch("orthogonality broken on purpose")
+
+    forks = _forks_counted(monkeypatch)
+    monkeypatch.setattr(multiindexed, "verify_ortho", broken)
+    with pytest.raises(CrossCheckMismatch, match="orthogonality broken on purpose"):
+        run_suite(parse_config(dict(BASE_CFG, suites=["mi", "qlimit"])))
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("fault,message", [
+    ("kill", f"the q->1 ladder worker ended without a result (signal {signal.SIGKILL.value})"),
+    ("divide", "the q->1 ladder worker raised ZeroDivisionError: division by zero"),
+], ids=["killed", "not-a-library-error"])
+def test_worker_fault_exits_1_with_a_message(tmp_path, capsys, monkeypatch, fault, message):
+    """A worker killed by a signal, or one whose error is not a library
+    error, ends the run with exit 1 and a message naming what happened."""
+    parent = os.getpid()
+
+    def broken(*args):
+        if os.getpid() == parent:
+            raise AssertionError("the ladder ran in the test process")
+        if fault == "kill":
+            os.kill(os.getpid(), signal.SIGKILL)
+        return 1 / 0
+
+    forks = _forks_counted(monkeypatch)
+    monkeypatch.setattr(qlimit, "float_tables", broken)
+    cfg_path = _write(tmp_path, "cfg.json", dict(BASE_CFG, suites=["qlimit"]))
+    assert main(["verify", "--config", cfg_path]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"verification error: {message}"
+    assert "Traceback" not in err and len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_run_without_qlimit_never_forks(monkeypatch):
+    def refuse():
+        raise AssertionError("os.fork called by a run without the qlimit suite")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", refuse)
+    suites = [s for s in SUITES if s != "qlimit"]
+    report, ok = run_suite(parse_config(dict(BASE_CFG, suites=suites)))
+    assert ok
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+def test_ladder_faults_survive_python_O(tmp_path):
+    """Under -O: a ladder error exits 1 with one message on both routes, a
+    killed worker exits 1 with a message, and a suite that raises while the
+    worker runs leaves no child."""
+    script = textwrap.dedent(
+        """
+        import json, os, signal, sys
+
+        from dualracah import multiindexed, qlimit
+        from dualracah.cli import main
+        from dualracah.errors import CrossCheckMismatch, ZeroDenominator
+        from dualracah.report import parse_config, run_suite
+
+        assert False, "asserts must be stripped"
+        cfg = sys.argv[1]
+        os.sched_getaffinity = lambda pid: {0, 1}
+        fork, parent, tables = os.fork, os.getpid(), qlimit.float_tables
+
+        def pole(*args):
+            raise ZeroDenominator("pole of the q-tuple, raised on purpose")
+
+        qlimit.float_tables = pole
+        print("worker", main(["verify", "--config", cfg]), flush=True)
+        del os.fork
+        print("inline", main(["verify", "--config", cfg]), flush=True)
+        os.fork = fork
+
+        def killed(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return tables(*args)
+
+        qlimit.float_tables = killed
+        print("killed", main(["verify", "--config", cfg]), flush=True)
+
+        def broken(s):
+            raise CrossCheckMismatch("orthogonality broken on purpose")
+
+        qlimit.float_tables = tables
+        multiindexed.verify_ortho = broken
+        try:
+            run_suite(parse_config(json.load(open(cfg))))
+        except CrossCheckMismatch as e:
+            print("mi:", e)
+        try:
+            os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            print("no child left")
+        """
+    )
+    cfg_path = _write(tmp_path, "cfg.json", dict(BASE_CFG, suites=["mi", "qlimit"]))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, cfg_path], env=env, capture_output=True,
+        text=True, check=True,
+    )
+    assert proc.stdout.splitlines() == [
+        "worker 1", "inline 1", "killed 1", "mi: orthogonality broken on purpose", "no child left",
+    ]
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("verification")]
+    assert errors == ["verification error: pole of the q-tuple, raised on purpose"] * 2 + [
+        "verification error: the q->1 ladder worker ended without a result"
+        f" (signal {signal.SIGKILL.value})"
+    ]
+    assert "Traceback" not in proc.stderr
+
+
 # sha256 of hamiltonian.csv and hamiltonian.json from `tables --what
 # hamiltonian` for the pinned report configs, at the default precision and
 # at 128 bits; they cover the exact and the symmetric columns
@@ -530,7 +720,8 @@ def test_corrupted_spot_row_raises(monkeypatch):
         return v + 1 if (n, x, q) == (p.N, 3, p) else v
 
     monkeypatch.setattr(basefamily, "racah_value", corrupted)
-    with pytest.raises(CrossCheckMismatch, match=r"P_5\(3\) differs from the hypergeometric sum"):
+    msg = r"base value P_5\(3\) differs from the hypergeometric sum"
+    with pytest.raises(CrossCheckMismatch, match=msg):
         run_suite(cfg)
 
 

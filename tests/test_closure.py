@@ -174,7 +174,9 @@ def test_triple_of_another_spectrum_is_refused(family, pipe):
     assert h_eta.V == pl.hamiltonian(Y_ONE).V
     assert h_eta.energies != trip.nodes
     for fn in (verify_closure, verify_ladder):
-        with pytest.raises(CrossCheckMismatch, match="solved on another spectrum"):
+        with pytest.raises(
+            CrossCheckMismatch, match="closure triple was solved on another spectrum"
+        ):
             fn(h_eta, trip)
 
 
@@ -202,9 +204,10 @@ def test_ladder_actions_exact(family, D, pipe):
 def test_ladder_degenerate_seed_raises(family, pipe):
     h = pipe(family, 6, (1,)).hamiltonian(Y_ETA)
     trip = pipe(family, 6, (1,)).closure(Y_ETA)
-    with pytest.raises(SingularR0):
+    msg = r"R0 vanishes on the spectrum \(degenerate seed with Y\(0\)=0\)"
+    with pytest.raises(SingularR0, match=msg):
         dense_build_ladder(h, trip)
-    with pytest.raises(SingularR0):
+    with pytest.raises(SingularR0, match=msg):
         verify_ladder(h, trip)
 
 
@@ -314,7 +317,9 @@ def test_shifted_leading_coefficient_fails_node_check(family, pipe, monkeypatch)
         return Poly(p.coeffs[:-1] + (p.coeffs[-1] + 1,)) if len(calls) == 1 else p
 
     monkeypatch.setattr(closure, "interpolate", skewed)
-    with pytest.raises(CrossCheckMismatch, match="closure polynomials miss their node data"):
+    with pytest.raises(
+        CrossCheckMismatch, match=r"closure polynomials miss their node data at j=\d+"
+    ):
         closure.solve_closure(h)
 
 
@@ -375,8 +380,8 @@ def test_eigenbasis_certification_faults(family, pipe):
     zero_v = _with_v(h, scale_cols(h.V, [0] * (N + 1)))
     cases = [
         (doubled, rf"diag\(Ebar\)\*V differs from V\*T at \(x,n\)=\(0,{N - 1}\)"),
-        (_swap_eigenpairs(h, 2), "not strictly increasing at n=2"),
-        (zero_v, "row 0 of V has a zero"),
+        (_swap_eigenpairs(h, 2), "eigenvalues X are not strictly increasing at n=2"),
+        (zero_v, "row 0 of V has a zero: an eigenvector column may vanish"),
     ]
     for bad, message in cases:
         assert not [f for f in verify_spectrum(replace(bad)) if f[0] == "eigen"]
@@ -405,7 +410,9 @@ def test_wrong_beta_node_value_fails(family, which, pipe, monkeypatch):
 
     monkeypatch.setattr(closure, "interpolate", skewed)
     if which < 2:
-        with pytest.raises(CrossCheckMismatch, match=f"squared node gap at j={j}"):
+        with pytest.raises(
+            CrossCheckMismatch, match=rf"R1\^2 \+ 4\*R0 is not the squared node gap at j={j}"
+        ):
             closure.solve_closure(h)
         return
     bad = closure.solve_closure(h)
@@ -413,7 +420,7 @@ def test_wrong_beta_node_value_fails(family, which, pipe, monkeypatch):
     assert [(m, n) for m, n, _ in residual] == [(j, j)]
     assert h.V @ from_entries(h.V.n, residual) == dense_verify_closure(h, bad)
     assert h.V @ from_entries(h.V.n, residual) == _horner_residual(h, bad) @ h.V
-    with pytest.raises(CrossCheckMismatch, match=f"dual coefficient at n={j}"):
+    with pytest.raises(CrossCheckMismatch, match=f"-Rm1/R0 differs from dual coefficient at n={j}"):
         verify_ladder(h, bad)
 
 

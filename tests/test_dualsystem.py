@@ -227,7 +227,7 @@ def test_commutator_refuses_two_eigenbases(family, pipe):
     h1 = pipe(family, 5, (1,)).hamiltonian(Y_ONE)
     h2 = pipe(family, 5, (2,)).hamiltonian(Y_ONE)
     assert h1.V != h2.V
-    with pytest.raises(CrossCheckMismatch, match="not diagonal in one eigenbasis V"):
+    with pytest.raises(CrossCheckMismatch, match="the Hamiltonians are not diagonal in one eigenbasis V"):
         commutator_check(h1, h2)
 
 
@@ -347,7 +347,7 @@ def test_dual_edge_coefficients_must_vanish(family, pipe, monkeypatch):
     s = pipe(family, 5, (1,)).system()
     birth = MISystem.bd
     monkeypatch.setattr(MISystem, "bd", lambda self, x: birth(self, x) + (x == 5))
-    with pytest.raises(CrossCheckMismatch, match="do not vanish at the edges"):
+    with pytest.raises(CrossCheckMismatch, match="dual recurrence coefficients do not vanish at the edges"):
         dual_values(s)
 
 

@@ -275,11 +275,11 @@ FAULTS = {
     "xi_interpolant": ("xi", lambda t, p, x: t.p == p and x == 6,
                        r"denominator interpolant misses the grid at x=6"),
     "pdn_off_nodes": ("pdn", lambda t, p, n, x: (n, x) == (0, 5),
-                      r"n=0 interpolant misses the grid at x=5"),
+                      r"deformed polynomial n=0 interpolant misses the grid at x=5"),
     # a doubled pivot product of the virtual-state elimination at x=5
     # doubles P_(D,n)(5) for every n
     "pdn_elimination": ("elimination", lambda t, p, x: t.p == p and x == 5,
-                        r"n=0 interpolant misses the grid at x=5"),
+                        r"deformed polynomial n=0 interpolant misses the grid at x=5"),
     # a doubled C_(D,n) halves P_2 on the whole grid; with a leading
     # coefficient that is wrong the same way, only the x=0 value shows it
     "pdn_at_zero": ("cdn", lambda t, p, n: n == 2, r"n=2 is 1/2 at x=0, not 1"),
@@ -337,7 +337,8 @@ def test_corrupted_table_entry_raises(fault):
 
 def test_leading_xi_formed_once_per_build(monkeypatch):
     """The n-independent factor of every leading coefficient is formed once;
-    a wrong factor in one label's closed form still stops the build."""
+    a wrong factor in one label's closed form, or in the denominator's,
+    still stops the build."""
     calls = []
     orig = multiindexed.leading_xi
 
@@ -352,6 +353,9 @@ def test_leading_xi_formed_once_per_build(monkeypatch):
     monkeypatch.setattr(multiindexed, "leading_pdn",
                         lambda n, D, p, lead: orig_pdn(n, D, p, 2 * lead if n == 3 else lead))
     with pytest.raises(DegreeMismatch, match=r"deformed polynomial n=3 degree/leading"):
+        build_mi_system(std_params(R, 6), (1, 2))
+    monkeypatch.setattr(multiindexed, "leading_xi", lambda D, p: 2 * orig(D, p))
+    with pytest.raises(DegreeMismatch, match="denominator polynomial degree/leading coefficient"):
         build_mi_system(std_params(R, 6), (1, 2))
 
 

@@ -130,7 +130,7 @@ def test_twist_rejects_a_changed_coordinate(monkeypatch):
     from dualracah import params
 
     monkeypatch.setattr(params, "eta", lambda x, p: x * p.a)
-    with pytest.raises(CrossCheckMismatch, match="twist changes the sinusoidal coordinate"):
+    with pytest.raises(CrossCheckMismatch, match="twist changes the sinusoidal coordinate at x=1"):
         twist(std_params(R, 6))
 
 

@@ -1,13 +1,17 @@
 """Convergence of the q-family to the additive family as q -> 1."""
 
+import os
+
 import mpmath
 import pytest
 
+from dualracah import qlimit
 from dualracah.backend import rat
 from dualracah.errors import InadmissibleParams
 from dualracah.multiindexed import build_mi_system
 from dualracah.params import QR, R, make_params
 from dualracah.qlimit import LADDER_KS, float_tables, matched_q_params, qlimit_check
+from dualracah.report import parse_config, run_suite, write_report
 from conftest import per_entry_pdn, std_params
 
 
@@ -82,3 +86,65 @@ def test_float_columns_stay_at_their_precision(pipe):
             pdn, _ = float_tables(pq, D, prec)
             with mpmath.workprec(prec):
                 assert pdn == [[per_entry_pdn(n, x, D, pq) for x in range(6)] for n in range(6)]
+
+
+def _qlimit_run(data, tmp_path, monkeypatch):
+    """The report bytes of a run of `data`, the QLimitReport of its qlimit
+    suite as raw floats, and the route its ladder took."""
+    seen = []
+    check = qlimit.qlimit_check
+
+    def recorded(s, **kw):
+        rep = check(s, **kw)
+        seen.append(((rep.ks, [g._mpf_ for g in rep.p_gaps], [g._mpf_ for g in rep.q_gaps],
+                      rep.within_tolerance, rep.monotone, rep.precision), kw["ladder"].route))
+        return rep
+
+    monkeypatch.setattr(qlimit, "qlimit_check", recorded)
+    report, ok = run_suite(parse_config(data))
+    assert ok
+    write_report(report, str(tmp_path / "report.json"))
+    (rep, route), = seen
+    return (tmp_path / "report.json").read_bytes(), rep, route
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+@pytest.mark.parametrize("N", [4, 8, 14])
+@pytest.mark.parametrize("D", [(), (1,), (1, 2)])
+def test_worker_and_inline_routes_agree(N, D, tmp_path, monkeypatch):
+    """The ladder computed in the forked worker and inline gives the same
+    gaps, bit for bit, and the same report bytes."""
+    data = {"family": "R", "N": N, "b": str(N + 5), "c": "1/2", "d": "2/5", "D": list(D),
+            "Y": ["1"], "suites": ["qlimit"]}
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    worker = _qlimit_run(data, tmp_path, monkeypatch)
+    monkeypatch.delattr(os, "fork")
+    inline = _qlimit_run(data, tmp_path, monkeypatch)
+    assert (worker[2], inline[2]) == ("worker", "inline")
+    assert worker[:2] == inline[:2]
+
+
+@pytest.mark.parametrize("cpus,fork_error", [({0}, None), ({0, 1}, BlockingIOError)],
+                         ids=["one-cpu", "fork-fails"])
+def test_ladder_runs_inline_without_a_worker(cpus, fork_error, pipe, monkeypatch):
+    """With one CPU available start forks nothing; a fork that fails leaves
+    no open pipe.  Either way the tables are those of ladder_tables,
+    computed on first read."""
+    forks = []
+
+    def fork():
+        forks.append(1)
+        raise fork_error("no process to spare")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    monkeypatch.setattr(os, "fork", fork)
+    s = pipe(R, 4, (1,)).system()
+    ladder = qlimit.Ladder(s.params, s.D, 256)
+    fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    ladder.start()
+    assert len(forks) == (fork_error is not None)
+    assert fds is None or len(os.listdir("/proc/self/fd")) == fds
+    assert ladder.route == "inline" and ladder.compute_s is None
+    assert list(ladder.tables()) == list(qlimit.ladder_tables(s.params, s.D, 256))
+    assert ladder.compute_s >= 0
+    ladder.close()

@@ -224,7 +224,7 @@ def test_bent_off_grid_value_fails_closed_form(family, pipe):
     s = pipe(family, 6, (1,)).system()
     xp = pipe(family, 6, (1,)).xpoly(Y_ONE)
     bad = replace(xp, grid={**xp.grid, -1: xp.grid[-1] + rat(1, 3)})
-    with pytest.raises(CrossCheckMismatch, match=r"X\(-1\) = .* differs from closed form"):
+    with pytest.raises(CrossCheckMismatch, match=r"X\(-1\) = .* differs from closed form .*"):
         xhat_minus1(bad, s)
 
 
@@ -287,7 +287,7 @@ def test_coincident_nodes_raise(family, N, D, pipe, monkeypatch):
     s, xp, t = pl.system(), pl.xpoly(Y_ONE), pl.rectable(Y_ONE)
     eta_at = recurrence.eta
     monkeypatch.setattr(recurrence, "eta", lambda x, p: eta_at(min(x, N), p))
-    with pytest.raises(CrossCheckMismatch, match="coincident nodes"):
+    with pytest.raises(CrossCheckMismatch, match="coincident nodes for the polynomial recurrence check"):
         verify_recurrence(s, xp, t)
 
 
