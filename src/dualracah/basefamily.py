@@ -242,7 +242,7 @@ def phi0_sq_table(p: ParamSet) -> tuple:
     table = []
     for x in range(N + 1):
         v = value(x)
-        if p.is_exact() and not v > 0:
+        if not v > 0:
             raise NonPositiveWeight(f"phi0^2({x}) = {v}")
         table.append(v)
     return tuple(table)
@@ -284,7 +284,7 @@ def dn_sq_table(p: ParamSet) -> tuple:
     table = []
     for n in range(N + 1):
         v = ratio(n) * factor
-        if p.is_exact() and not v > 0:
+        if not v > 0:
             raise NonPositiveWeight(f"d_{n}^2 = {v}")
         table.append(v)
     return tuple(table)

@@ -44,7 +44,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from .backend import rat
 from .basefamily import (
     RacahColumns,
     alpha_const,
@@ -224,9 +223,7 @@ class GridTable:
 
     def xi(self, x: int):
         """Grid value of the denominator polynomial (any integer x)."""
-        M, p = self.M, self.p
-        if M == 0:
-            return rat(1) if p.is_exact() else p.b * 0 + 1
+        M = self.M
         det = generic_det([self.xi_row(x + j) for j in range(M)])
         return det / (self.cd() * self.varphi(x, M))
 

@@ -14,8 +14,9 @@ where `os.fork` exists, more than one CPU is available to the process and
 no other thread runs; otherwise the same function runs inline when the
 tables are first read.  The worker sends each float back as its raw
 (sign, mantissa, exponent, bit count) tuple, so both routes give the same
-bits, and the dual ratio table is formed from them where the gaps are
-taken.  The exact reference is always the caller's own built system.
+bits.  The dual ratio table P_n(x)/P_0(x) is formed from the P table only
+where the gaps are taken.  The exact reference is always the caller's own
+built system.
 """
 
 from __future__ import annotations
@@ -54,15 +55,11 @@ def matched_q_params(p_r: ParamSet, k: int, precision: int = DEFAULT_PRECISION) 
 
 
 def float_tables(p: ParamSet, D: Sequence[int], precision: int = DEFAULT_PRECISION):
-    """Normalized polynomial table and its dual ratio table, both in floats."""
+    """Normalized polynomial table P[n][x] in floats."""
     N = p.N
     with mpmath.workprec(precision):
         tab = GridTable(D, p)
-        pdn = [[tab.pdn(n, x) for x in range(N + 1)] for n in range(N + 1)]
-        qvals = [
-            [pdn[n][x] / pdn[0][x] for n in range(N + 1)] for x in range(N + 1)
-        ]
-    return pdn, qvals
+        return [[tab.pdn(n, x) for x in range(N + 1)] for n in range(N + 1)]
 
 
 #: exponents k of the ladder q = 1 - 10^-k
@@ -73,7 +70,7 @@ def ladder_tables(p_r: ParamSet, D: Sequence[int], precision: int) -> Iterator[l
     """The float P table of the matched q-tuple at each k in LADDER_KS, one
     at a time."""
     for k in LADDER_KS:
-        yield float_tables(matched_q_params(p_r, k, precision), D, precision)[0]
+        yield float_tables(matched_q_params(p_r, k, precision), D, precision)
 
 
 def _forks() -> bool:
@@ -211,6 +208,16 @@ class Ladder:
             self._pid = None
 
 
+def _ratios(pdn) -> list:
+    """The dual ratio table P_n(x)/P_0(x) of a P table, in its [n][x] order."""
+    return [[v / v0 for v, v0 in zip(row, pdn[0])] for row in pdn]
+
+
+def _gap(table, ref):
+    """The largest entrywise |table - ref|."""
+    return max(abs(v - r) for row, ref_row in zip(table, ref) for v, r in zip(row, ref_row))
+
+
 @dataclass
 class QLimitReport:
     ks: Tuple[int, ...]
@@ -227,36 +234,15 @@ def qlimit_check(
     """Gap ladder of the q-family tables against the built additive system s,
     at q = 1 - 10^-k for k in LADDER_KS.  `ladder` holds the float tables
     for (s.params, s.D, precision); without one they are computed here."""
-    p_r, D, N = s.params, s.D, s.params.N
     if ladder is None:
-        ladder = Ladder(p_r, D, precision)
+        ladder = Ladder(s.params, s.D, precision)
     with mpmath.workprec(precision):
-        ref_p = [
-            [to_real(s.pdn_grid[n][x], precision) for x in range(N + 1)]
-            for n in range(N + 1)
-        ]
-        ref_q = [
-            [ref_p[n][x] / ref_p[0][x] for n in range(N + 1)] for x in range(N + 1)
-        ]
+        ref_p = [[to_real(v, precision) for v in row] for row in s.pdn_grid]
+        ref_q = _ratios(ref_p)
         p_gaps, q_gaps = [], []
         for pdn in ladder.tables():
-            qvals = [
-                [pdn[n][x] / pdn[0][x] for n in range(N + 1)] for x in range(N + 1)
-            ]
-            p_gaps.append(
-                max(
-                    abs(pdn[n][x] - ref_p[n][x])
-                    for n in range(N + 1)
-                    for x in range(N + 1)
-                )
-            )
-            q_gaps.append(
-                max(
-                    abs(qvals[x][n] - ref_q[x][n])
-                    for x in range(N + 1)
-                    for n in range(N + 1)
-                )
-            )
+            p_gaps.append(_gap(pdn, ref_p))
+            q_gaps.append(_gap(_ratios(pdn), ref_q))
         within = all(
             g < mpmath.mpf(10) ** (-k + 2)
             for gaps in (p_gaps, q_gaps)

@@ -9,6 +9,7 @@ a given config: all timings go to stderr, never into the report.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import os
 import sys
@@ -373,6 +374,7 @@ def run_suite(cfg: RunConfig) -> Tuple[dict, bool]:
         raise InadmissibleParams(f"config parameters violate ranges: {bad}")
     pipe = Pipeline(cfg.params(), cfg.D)
     ladder = qlimit.Ladder(pipe.params, pipe.D, cfg.precision)
+    suite_fns = dict(_SUITE_FNS, qlimit=functools.partial(_suite_qlimit, ladder=ladder))
     ordered = [s for s in SUITES if s in cfg.suites]
     results: Dict[str, dict] = {}
     all_ok = True
@@ -381,10 +383,7 @@ def run_suite(cfg: RunConfig) -> Tuple[dict, bool]:
             ladder.start()
         for name in ordered:
             with _Timer(f"suite {name}"):
-                if name == "qlimit":
-                    results[name] = _suite_qlimit(cfg, pipe, ladder)
-                else:
-                    results[name] = _SUITE_FNS[name](cfg, pipe)
+                results[name] = suite_fns[name](cfg, pipe)
             all_ok = all_ok and results[name]["pass"]
     finally:
         ladder.close()

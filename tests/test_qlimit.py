@@ -7,6 +7,7 @@ import pytest
 
 from dualracah import qlimit
 from dualracah.backend import rat
+from dualracah.bigreal import to_real
 from dualracah.errors import InadmissibleParams
 from dualracah.multiindexed import build_mi_system
 from dualracah.params import QR, R, make_params
@@ -37,12 +38,11 @@ def test_matched_tuple_shape():
 def test_float_tables_normalization():
     p = std_params(R, 4)
     pq = matched_q_params(p, 3)
-    pdn, qvals = float_tables(pq, (1,))
+    pdn = float_tables(pq, (1,))
     with mpmath.workprec(256):
         for n in range(5):
             assert abs(pdn[n][0] - 1) < mpmath.mpf(10) ** -70
-        for x in range(5):
-            assert qvals[x][0] == 1
+        assert qlimit._ratios(pdn)[0] == [1] * 5
 
 
 def test_inadmissible_reference_rejected(pipe):
@@ -64,12 +64,13 @@ def test_float_tables_equal_per_entry_route(D):
     for bit: same rows, same order, same working precision."""
     p = std_params(R, 4)
     pq = matched_q_params(p, 4)
-    pdn, qvals = float_tables(pq, D)
+    pdn = float_tables(pq, D)
     with mpmath.workprec(256):
+        ratios = qlimit._ratios(pdn)
         for n in range(5):
             for x in range(5):
                 assert pdn[n][x] == per_entry_pdn(n, x, D, pq)
-                assert qvals[x][n] == pdn[n][x] / pdn[0][x]
+                assert ratios[n][x] == pdn[n][x] / pdn[0][x]
 
 
 def test_float_columns_stay_at_their_precision(pipe):
@@ -83,9 +84,43 @@ def test_float_columns_stay_at_their_precision(pipe):
         qlimit_check(s, prec)
         for k in LADDER_KS:
             pq = matched_q_params(s.params, k, prec)
-            pdn, _ = float_tables(pq, D, prec)
+            pdn = float_tables(pq, D, prec)
             with mpmath.workprec(prec):
                 assert pdn == [[per_entry_pdn(n, x, D, pq) for x in range(6)] for n in range(6)]
+
+
+def _column_route_gaps(s, tables, precision):
+    """The gaps of each float P table against s, formed as before the
+    ratio helper: both dual ratio tables in [x][n] order, each gap the max
+    over x, then n."""
+    N = s.params.N
+    with mpmath.workprec(precision):
+        ref_p = [
+            [to_real(s.pdn_grid[n][x], precision) for x in range(N + 1)] for n in range(N + 1)
+        ]
+        ref_q = [[ref_p[n][x] / ref_p[0][x] for n in range(N + 1)] for x in range(N + 1)]
+        p_gaps, q_gaps = [], []
+        for pdn in tables:
+            qvals = [[pdn[n][x] / pdn[0][x] for n in range(N + 1)] for x in range(N + 1)]
+            p_gaps.append(
+                max(abs(pdn[n][x] - ref_p[n][x]) for n in range(N + 1) for x in range(N + 1))
+            )
+            q_gaps.append(
+                max(abs(qvals[x][n] - ref_q[x][n]) for x in range(N + 1) for n in range(N + 1))
+            )
+    return p_gaps, q_gaps
+
+
+@pytest.mark.parametrize("N", [4, 8])
+@pytest.mark.parametrize("D", [(), (1,), (1, 2)])
+def test_gaps_equal_the_column_route(N, D, pipe):
+    """qlimit_check's gaps are, bit for bit, those of the [x][n] column
+    route on the same ladder tables."""
+    s = pipe(R, N, D).system()
+    rep = qlimit_check(s)
+    p_gaps, q_gaps = _column_route_gaps(s, qlimit.ladder_tables(s.params, s.D, 256), 256)
+    assert [g._mpf_ for g in rep.p_gaps] == [g._mpf_ for g in p_gaps]
+    assert [g._mpf_ for g in rep.q_gaps] == [g._mpf_ for g in q_gaps]
 
 
 def _qlimit_run(data, tmp_path, monkeypatch):
