@@ -120,7 +120,10 @@ class RecTable:
 def extract_r(s: MISystem, xp: XPoly) -> RecTable:
     """r[(n,k)] by orthogonality projection, certified by the band
     recurrence on the grid: each grid column (P_0(x)..P_N(x)) must be an
-    eigenvector of the band matrix R of r with eigenvalue X(x), exactly."""
+    eigenvector of the band matrix R of r with eigenvalue X(x), exactly.
+    r[(n,k)] and r[(n+k,-k)] scale one Gram entry, so the mirror identity
+    r[(n+k,-k)] = dDn_sq[n]/dDn_sq[n+k] * r[(n,k)] holds by construction;
+    P_n(0) = 1 and X(0) = 0, so grid column 0 reads sum_k r[(n,k)] = 0."""
     N, L = s.params.N, xp.L
     n1 = N + 1
     X = [xp.grid[x] for x in range(n1)]
@@ -136,19 +139,7 @@ def extract_r(s: MISystem, xp: XPoly) -> RecTable:
     if miss:
         n, x, _ = miss[0]
         raise CrossCheckMismatch(f"band recurrence misses the grid at (n,x)=({n},{x})")
-    _check_band_identities(s, table)
     return table
-
-
-def _check_band_identities(s: MISystem, t: RecTable) -> None:
-    """Mirror symmetry r[n+k,-k] = dDn_sq[n]/dDn_sq[n+k] * r[n,k] and zero
-    row sums; CrossCheckMismatch on the first violation."""
-    for n in range(t.N + 1):
-        for k in range(1, t.L + 1):
-            if n + k <= t.N and t.r[(n + k, -k)] != s.dDn_sq[n] / s.dDn_sq[n + k] * t.r[(n, k)]:
-                raise CrossCheckMismatch(f"mirror symmetry fails at (n,k)=({n},{k})")
-        if sum(t.r[(n, k)] for k in t.band(n)) != 0:
-            raise CrossCheckMismatch(f"row {n} of the band does not sum to zero")
 
 
 def verify_recurrence(s: MISystem, xp: XPoly, t: RecTable) -> list:

@@ -6,7 +6,14 @@ own definition refers to it: as a plain name, as an attribute, or in an
 import.  The match is by name alone, so a method whose name another
 definition shares (``Poly.is_zero`` and a ``SquareMatrix.is_zero``, say)
 counts as used when either is.  The entry point is the only name the
-library may define for outside callers alone."""
+library may define for outside callers alone.
+
+Every field of a dataclass is read as an attribute in the library, too.
+A read counts for its receiver's class, as the annotations give it:
+``self`` in a method, an annotated parameter, a local bound to a call whose
+return annotation names a class, or a field or property read on such a
+receiver.  A read on a receiver of unknown class counts for every field of
+that name."""
 
 import ast
 from pathlib import Path
@@ -57,3 +64,136 @@ def test_every_public_definition_is_used_in_the_library():
         and not any(node.name in _names(tree, node) for tree in trees.values())
     ]
     assert unused == []
+
+
+def _class_of(annotation):
+    """The class an annotation names, by its last dotted part; None for a
+    subscripted or missing annotation."""
+    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+        return annotation.value.split(".")[-1]
+    if isinstance(annotation, ast.Name):
+        return annotation.id
+    if isinstance(annotation, ast.Attribute):
+        return annotation.attr
+    return None
+
+
+def _is_field(node):
+    return isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+
+
+def _split(scope):
+    """The nodes of scope outside the functions and classes it defines, and
+    those definitions."""
+    own, defs, stack = [], [], list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs.append(node)
+        else:
+            own.append(node)
+            stack.extend(ast.iter_child_nodes(node))
+    return own, defs
+
+
+class _Reads:
+    """(receiver class or None, attribute) of every attribute read in the
+    library."""
+
+    def __init__(self, trees):
+        self.members, returns = {}, {}
+        for node in (n for tree in trees.values() for n in ast.walk(tree)):
+            if isinstance(node, ast.ClassDef):
+                returns.setdefault(node.name, set()).add(node.name)
+                self.members[node.name] = {
+                    **{m.target.id: _class_of(m.annotation) for m in node.body if _is_field(m)},
+                    **{m.name: _class_of(m.returns)
+                       for m in node.body if isinstance(m, ast.FunctionDef)},
+                }
+            elif isinstance(node, ast.FunctionDef):
+                returns.setdefault(node.name, set()).add(_class_of(node.returns))
+        # a name that several definitions share, with different returns, is unknown
+        self.returns = {name: kinds.pop() for name, kinds in returns.items() if len(kinds) == 1}
+        self.found = set()
+        for tree in trees.values():
+            self._visit(tree, {}, None)
+
+    def _type(self, node, env):
+        if isinstance(node, ast.Name):
+            return env.get(node.id)
+        if isinstance(node, ast.Attribute):
+            return self.members.get(self._type(node.value, env), {}).get(node.attr)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            owner = self._type(node.func.value, env)
+            if owner in self.members:
+                return self.members[owner].get(node.func.attr)
+            return self.returns.get(node.func.attr)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            return self.returns.get(node.func.id)
+        return None
+
+    def _bind(self, func, own, env, cls):
+        """env with the parameters and locals of func bound to their
+        classes; a name bound twice to different classes, or by a loop or
+        a with, is unknown."""
+        env = dict(env)
+        args = func.args.posonlyargs + func.args.args + func.args.kwonlyargs
+        env.update((a.arg, _class_of(a.annotation)) for a in args)
+        if cls and args:
+            env[args[0].arg] = cls
+        kinds = {name: {kind} for name, kind in env.items()}
+
+        def bind(target, value):
+            if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
+                for t, v in zip(target.elts, value.elts):
+                    bind(t, v)
+            elif isinstance(target, ast.Name):
+                env[target.id] = self._type(value, env)
+                kinds.setdefault(target.id, set()).add(env[target.id])
+
+        for node in sorted((n for n in own if isinstance(n, ast.Assign)), key=lambda n: n.lineno):
+            for target in node.targets:
+                bind(target, node.value)
+        loops = [n.target for n in own if isinstance(n, (ast.For, ast.comprehension))]
+        loops += [n.optional_vars for n in own if isinstance(n, ast.withitem) and n.optional_vars]
+        unknown = {t.id for target in loops for t in ast.walk(target) if isinstance(t, ast.Name)}
+        unknown |= {name for name, k in kinds.items() if len(k) > 1}
+        env.update((name, None) for name in unknown)
+        return env
+
+    def _visit(self, scope, env, cls):
+        own, defs = _split(scope)
+        if isinstance(scope, ast.FunctionDef):
+            env = self._bind(scope, own, env, cls)
+        self.found |= {
+            (self._type(node.value, env), node.attr)
+            for node in own
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        }
+        for node in defs:
+            self._visit(node, env, scope.name if isinstance(scope, ast.ClassDef) else None)
+
+
+def _is_dataclass(node):
+    return isinstance(node, ast.ClassDef) and any(
+        "dataclass" in {getattr(d, "id", None), getattr(getattr(d, "func", None), "id", None)}
+        for d in node.decorator_list
+    )
+
+
+def test_every_dataclass_field_is_read_in_the_library():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    found = _Reads(trees).found
+    fields = [
+        (module, node.name, field.target.id)
+        for module, tree in trees.items()
+        for node in ast.walk(tree) if _is_dataclass(node)
+        for field in node.body if _is_field(field)
+    ]
+    assert fields, "no dataclass field found"
+    unread = [
+        f"{module}.{cls}.{name}"
+        for module, cls, name in fields
+        if (cls, name) not in found and (None, name) not in found
+    ]
+    assert unread == []

@@ -191,12 +191,16 @@ def test_bandwidth_and_row_sums(family, D, y, pipe):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_symmetry_relation(family, pipe):
-    s = pipe(family, 6, (1,)).system()
-    t = pipe(family, 6, (1,)).rectable(Y_ONE)
-    for n in range(7):
-        for k in t.band(n):
-            if k > 0:
-                assert t.r[(n + k, -k)] == s.dDn_sq[n] / s.dDn_sq[n + k] * t.r[(n, k)]
+    """The mirror identity r[n+k,-k] = dDn_sq[n]/dDn_sq[n+k] * r[n,k] on
+    every index set and seed: extract_r reads both entries from one Gram
+    entry and does not check it."""
+    for D, y in MATRIX:
+        s = pipe(family, 6, D).system()
+        t = pipe(family, 6, D).rectable(SEEDS[y])
+        for n in range(7):
+            for k in t.band(n):
+                if k > 0:
+                    assert t.r[(n + k, -k)] == s.dDn_sq[n] / s.dDn_sq[n + k] * t.r[(n, k)]
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -307,10 +311,13 @@ def test_negative_seed_allowed_for_recurrence_only(pipe):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_x_monotone_for_hamiltonian_seeds(family, pipe):
-    for y in ("1", "eta"):
-        xp = pipe(family, 6, (1, 2)).xpoly(SEEDS[y])
+    """X(0) = 0 and X strictly increasing on the grid, for every index set
+    and seed: the Hamiltonian's spectrum is this grid, unchecked there."""
+    for D, y in MATRIX:
+        xp = pipe(family, 6, D).xpoly(SEEDS[y])
         assert xp.monotone
         assert xp.grid[0] == 0
+        assert all(xp.grid[x] < xp.grid[x + 1] for x in range(6))
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -342,27 +349,27 @@ def test_corrupted_input_fails_band_recurrence(family, corrupt, pipe):
         extract_r(s, xp)
 
 
-def _skew_table(key, delta):
-    """The band-identity check run on the table with delta added to one
-    entry: the skew comes after the table has passed the grid check, which
-    reads the table's own rows."""
-    check = recurrence._check_band_identities
-
-    def skewed(s, t):
-        check(s, replace(t, r={**t.r, key: t.r[key] + delta}))
-
-    return skewed
-
-
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("key,msg", [
-    ((2, 1), r"mirror symmetry fails at \(n,k\)=\(2,1\)"),
-    ((6, 0), "row 6 of the band does not sum to zero"),
-])
-def test_corrupted_r_entry_fails_band_identities(family, key, msg, pipe, monkeypatch):
+    ((2, 1), r"band recurrence misses the grid at \(n,x\)=\(2,0\)"),
+    ((6, 0), r"band recurrence misses the grid at \(n,x\)=\(6,0\)"),
+], ids=["mirror", "diagonal"])
+def test_bumped_gram_entry_fails_band_recurrence(family, key, msg, pipe, monkeypatch):
+    """The Gram entry behind r[(2,1)] and its mirror r[(3,-1)], or behind
+    the diagonal r[(6,0)], bumped by 1/3: the mirror identity still holds,
+    the row sum does not, and the grid certificate misses the first row
+    the bump reaches, at x = 0, where every P_n is 1."""
     s = pipe(family, 6, (1,)).system()
     xp = pipe(family, 6, (1,)).xpoly(Y_ONE)
-    monkeypatch.setattr(recurrence, "_check_band_identities", _skew_table(key, rat(1, 3)))
+    n, k = key
+    entry = (min(n, n + k), max(n, n + k))
+    band = recurrence.gram_band
+
+    def bumped(*args):
+        gram = band(*args)
+        return {**gram, entry: gram[entry] + rat(1, 3)}
+
+    monkeypatch.setattr(recurrence, "gram_band", bumped)
     with pytest.raises(CrossCheckMismatch, match=msg):
         extract_r(s, xp)
 
@@ -397,11 +404,10 @@ def test_negated_denominator_fails_monotonicity(family, pipe):
 
 
 def test_band_identities_survive_python_O():
-    """Under -O a corrupted X grid value, a corrupted r-table entry, a
-    corrupted node value of X, a bent X(-1) and coincident nodes of the
-    polynomial recurrence check still raise: the identities that certify
-    extract_r, build_X, xhat_minus1 and verify_recurrence are explicit
-    checks, not asserts."""
+    """Under -O a corrupted X grid value, a corrupted node value of X, a
+    bent X(-1) and coincident nodes of the polynomial recurrence check
+    still raise: the identities that certify extract_r, build_X,
+    xhat_minus1 and verify_recurrence are explicit checks, not asserts."""
     script = textwrap.dedent(
         """
         from dataclasses import replace
@@ -420,14 +426,6 @@ def test_band_identities_survive_python_O():
         except CrossCheckMismatch as e:
             print("grid:", e)
 
-        check = recurrence._check_band_identities
-        recurrence._check_band_identities = lambda s, t: check(
-            s, replace(t, r={**t.r, (1, 2): t.r[(1, 2)] + 1}))
-        try:
-            recurrence.extract_r(s, xp)
-        except CrossCheckMismatch as e:
-            print("band:", e)
-
         interpolate = recurrence.interpolate
         recurrence.interpolate = lambda nodes, vals: interpolate(nodes, vals[:-1] + [vals[-1] + 1])
         try:
@@ -439,7 +437,6 @@ def test_band_identities_survive_python_O():
         except CrossCheckMismatch as e:
             print("off-grid:", e)
 
-        recurrence._check_band_identities = check
         recurrence.interpolate = interpolate
         t = recurrence.extract_r(s, xp)
         eta = recurrence.eta
@@ -457,7 +454,6 @@ def test_band_identities_survive_python_O():
         check=True,
     ).stdout
     assert "grid: band recurrence misses the grid at (n,x)=" in out
-    assert "band: mirror symmetry fails at (n,k)=(1,2)" in out
     assert "X: telescoping sum differs from X at x=2" in out
     assert re.search(r"off-grid: X\(-1\) = .* differs from closed form", out)
     assert "nodes: coincident nodes for the polynomial recurrence check" in out
