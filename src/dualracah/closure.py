@@ -3,10 +3,10 @@ in the dual eigenbasis.
 
 The three closure polynomials are the interpolants of degree <= N through
 node data built from the X grid, by the library's one interpolation
-(``poly.interpolate``, on cleared integers).  The triple keeps the
-spectrum it was solved on and evaluates each polynomial there once
-(``ClosureTriple.on_spectrum``); the node, closure and ladder checks read
-those values, and refuse a Hamiltonian with another spectrum.
+(``poly.interpolate``, on cleared integers), which certifies each at its
+nodes; the triple keeps that node data as its values on the spectrum it
+was solved on (``ClosureTriple.on_spectrum``).  The closure and ladder
+checks read them and refuse a Hamiltonian with another spectrum.
 
 Everything else rests on the eigenbasis that the Hamiltonian certifies
 (``DualHamiltonian.eigenbasis``): h_tilde*V = V*diag(X), the columns of V
@@ -30,7 +30,6 @@ failure.  Every mismatch raises CrossCheckMismatch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .dualsystem import DualHamiltonian, DualTable
 from .errors import CrossCheckMismatch, SingularR0
@@ -42,12 +41,8 @@ class ClosureTriple:
     R0: Poly
     R1: Poly
     Rm1: Poly
-    nodes: tuple     # the spectrum X(0..N) the triple was solved on
-
-    @cached_property
-    def on_spectrum(self) -> list:
-        """(R0, R1, Rm1) at each node, one evaluation per polynomial."""
-        return list(zip(*(p.values(self.nodes) for p in (self.R0, self.R1, self.Rm1))))
+    nodes: tuple        # the spectrum X(0..N) the triple was solved on
+    on_spectrum: tuple  # (R0, R1, Rm1) at each node: the node data
 
     @property
     def r0_vanishes_at_zero(self) -> bool:
@@ -56,8 +51,8 @@ class ClosureTriple:
 
 def solve_closure(h: DualHamiltonian) -> ClosureTriple:
     """R0, R1 and Rm1 as the interpolants of degree <= N through their node
-    data on the spectrum; each node value and the discriminant identity
-    R1^2 + 4*R0 = (X(j+1) - X(j-1))^2 are then checked exactly."""
+    data on the spectrum, which ``interpolate`` certifies at every node; the
+    node data are then the triple's values on the spectrum."""
     X = h.x_grid
     nodes = h.energies
     b_dual = h.dual.b_dual
@@ -65,14 +60,8 @@ def solve_closure(h: DualHamiltonian) -> ClosureTriple:
     beta0 = [(X[j + 1] - X[j]) * (X[j] - X[j - 1]) for j in range(len(nodes))]
     beta1 = [X[j + 1] - 2 * X[j] + X[j - 1] for j in range(len(nodes))]
     betam1 = [-b0 * b_dual[j] for j, b0 in enumerate(beta0)]
-    trip = ClosureTriple(*(interpolate(nodes, beta) for beta in (beta0, beta1, betam1)), nodes)
-
-    for j, (v0, v1, vm1) in enumerate(trip.on_spectrum):
-        if not (v0 == beta0[j] and v1 == beta1[j] and vm1 == betam1[j]):
-            raise CrossCheckMismatch(f"closure polynomials miss their node data at j={j}")
-        if v1 ** 2 + 4 * v0 != (X[j + 1] - X[j - 1]) ** 2:
-            raise CrossCheckMismatch(f"R1^2 + 4*R0 is not the squared node gap at j={j}")
-    return trip
+    polys = [interpolate(nodes, beta) for beta in (beta0, beta1, betam1)]
+    return ClosureTriple(*polys, nodes, tuple(zip(beta0, beta1, betam1)))
 
 
 def _eigenbasis(h: DualHamiltonian, c: ClosureTriple) -> DualTable:
@@ -93,7 +82,7 @@ def verify_closure(h: DualHamiltonian, c: ClosureTriple) -> list:
         M[m][n] = T[m][n]*((X_m - X_n)^2 - (X_m - X_n)*R1(X_n) - R0(X_n)), m = n+-1,
         M[n][n] = -b_dual[n]*R0(X_n) - Rm1(X_n).
 
-    The triple's values on the spectrum are its own, evaluated once.
+    The triple's values on the spectrum are its node data.
     """
     d = _eigenbasis(h, c)
     X = h.x_grid

@@ -3,9 +3,9 @@
 The denominator polynomial and the deformed polynomials are built from
 bordered Casoratians of virtual-state values, then recovered as dense
 polynomials in the sinusoidal variable by the library's one exact
-interpolation (``poly.interpolate``, on integers) through exactly degree+1
-nodes.  The degrees are certified by the closed-form leading
-coefficients and by the interpolants' values on the rest of the grid.
+interpolation (``poly.interpolate``, on integers, certified at its nodes)
+through exactly degree+1 nodes.  The degrees are certified by the
+closed-form leading coefficients and the values on the rest of the grid.
 Every normalization, positivity, and leading coefficient claim is
 certified during the build: a failure raises, under every interpreter
 flag.
@@ -347,9 +347,9 @@ def build_mi_system(p: ParamSet, D: Sequence[int]) -> MISystem:
     lead_xi = leading_xi(D, p)
     if (xi_poly.degree or 0) != ellD or xi_poly[ellD] != lead_xi:
         raise DegreeMismatch("denominator polynomial degree/leading coefficient")
-    # certify the interpolant against the determinant route on the whole grid
-    xi_vals = xi_poly.values([eta(x, p_ximinus) for x in range(N + 2)])
-    for x, v in enumerate(xi_vals):
+    # certify the interpolant against the determinant route past its nodes
+    past = range(ellD + 1, N + 2)
+    for x, v in zip(past, xi_poly.values([eta(x, p_ximinus) for x in past])):
         if v != xi_grid[x]:
             raise CrossCheckMismatch(f"denominator interpolant misses the grid at x={x}")
 
@@ -358,20 +358,19 @@ def build_mi_system(p: ParamSet, D: Sequence[int]) -> MISystem:
     etas = [eta(x, p_pdn) for x in range(ellD + N + 1)]
     for n in range(N + 1):
         deg = ellD + n
-        vals = [tab.pdn(n, x) for x in range(deg + 1)]
-        pol = interpolate(etas[: deg + 1], vals)
+        row = [tab.pdn(n, x) for x in range(max(deg, N) + 1)]
+        pol = interpolate(etas[: deg + 1], row[: deg + 1])
         if (pol.degree or 0) != deg or pol[deg] != leading_pdn(n, D, p, lead_xi):
             raise DegreeMismatch(f"deformed polynomial n={n} degree/leading coefficient")
-        row = pol.values(etas[: N + 1])
-        for x in range(deg + 1, N + 1):
-            if row[x] != tab.pdn(n, x):
+        for x, v in zip(range(deg + 1, N + 1), pol.values(etas[deg + 1 : N + 1])):
+            if v != row[x]:
                 raise CrossCheckMismatch(
                     f"deformed polynomial n={n} interpolant misses the grid at x={x}"
                 )
         if row[0] != 1:
             raise CrossCheckMismatch(f"deformed polynomial n={n} is {row[0]} at x=0, not 1")
         pdn_polys.append(pol)
-        pdn_grid.append(tuple(row))
+        pdn_grid.append(tuple(row[: N + 1]))
 
     tab_delta = GridTable(D, p_delta)
     xi_grid_delta = {x: tab_delta.xi(x) for x in range(-1, N + 2)}

@@ -33,9 +33,7 @@ class Pipeline:
         return self._get("dual", lambda: dualsystem.dual_values(self.system()))
 
     def xpoly(self, Y: Poly) -> recurrence.XPoly:
-        return self._get(
-            ("xpoly", Y), lambda: recurrence.build_X(self.system(), Y, for_hamiltonian=True)
-        )
+        return self._get(("xpoly", Y), lambda: recurrence.build_X(self.system(), Y))
 
     def rectable(self, Y: Poly) -> recurrence.RecTable:
         return self._get(

@@ -11,7 +11,8 @@ nodes.  Evaluation takes exact rational points only and runs on integers
 ``interpolate`` is the library's one interpolation kernel and serves every
 interpolant: the denominator polynomial, each deformed polynomial, X and
 the closure triple.  It runs on integers (Lagrange basis polynomials of
-the cleared nodes by synthetic division) and makes one rational per
+the cleared nodes by synthetic division), certifies the interpolant at its
+nodes there, so no caller evaluates it at them, and makes one rational per
 coefficient.  It has no degree option: through n nodes the interpolant
 has degree at most n - 1, and each caller certifies the degree it needs.
 """
@@ -22,7 +23,7 @@ from math import lcm, prod
 from typing import Sequence
 
 from .backend import rat
-from .errors import SingularMatrix
+from .errors import CrossCheckMismatch, SingularMatrix
 from .linalg import _cleared_int_rows
 
 
@@ -94,9 +95,10 @@ def interpolate(nodes: Sequence, values: Sequence) -> Poly:
     basis polynomial is m(s)/(s - a_j) (synthetic division) over the weight
     w_j = prod_(k != j) (a_j - a_k).  With W = lcm(w_j) the interpolant in
     s = L*z has the integer coefficients c = sum_j b_j*(W/w_j)*m(s)/(s - a_j)
-    over D*W, one basis polynomial at a time, so the coefficient of z^i is
-    the one rational c_i*L^i / (D*W).  The degree is at most n - 1; the
-    callers certify the degree they need.
+    over D*W, one basis polynomial at a time.  Before any reduction
+    C(a_j) = W*b_j is certified at every node by integer Horner on c, or
+    CrossCheckMismatch; the coefficient of z^i is then the one rational
+    c_i*L^i / (D*W).  The degree is at most n - 1; the callers certify it.
     """
     n = len(nodes)
     if n != len(values):
@@ -121,6 +123,12 @@ def interpolate(nodes: Sequence, values: Sequence) -> Poly:
         for i in range(n - 1, 0, -1):
             q = master[i] + aj * q
             c[i - 1] += t * q
+    for j, (aj, bj) in enumerate(zip(a, b)):
+        acc = 0
+        for ci in reversed(c):
+            acc = acc * aj + ci
+        if acc != W * bj:
+            raise CrossCheckMismatch(f"interpolant misses its node value at j={j}")
     den, Lpow, out = D * W, 1, []
     for ci in c:
         out.append(rat(ci * Lpow, den))

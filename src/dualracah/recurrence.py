@@ -2,9 +2,9 @@
 
 The antiderivative X = I[Xi_D * Y] of (denominator polynomial) x (seed
 polynomial Y) is defined by its steps on the lattice, so X is built as the
-interpolant of their telescoping sums, certified against the sums on the
-whole grid.  Its grid values drive recurrence relations with constant
-coefficients for the deformed polynomials.  Coefficients are extracted by
+interpolant of their telescoping sums, certified at its nodes by
+``poly.interpolate`` and against the sums on the rest of the grid.  Its
+grid values drive recurrence relations with constant coefficients for the deformed polynomials.  Coefficients are extracted by
 exact orthogonality projection, the 1+2L band of the weighted Gram
 matrix of the grid table (``linalg.gram_band``, which forms its L+1 upper
 diagonals: the matrix is symmetric), and certified by the relation that defines
@@ -38,24 +38,23 @@ class XPoly:
 
     poly: Poly
     L: int
-    grid: Dict[int, object]   # x -> X(eta(x)), x = -1..N+1
+    grid: Dict[int, object]   # x -> X(eta(x)), x = -1..N+1, increasing on 0..N
     Y: Poly
-    monotone: bool
 
 
-def build_X(s: MISystem, Y: Poly, for_hamiltonian: bool = False) -> XPoly:
+def build_X(s: MISystem, Y: Poly) -> XPoly:
     """X = I[Xi_D * Y], the discrete antiderivative: the polynomial of degree
     L = ell_D + deg Y + 1 with X(eta(0)) = 0 and steps
     X(eta(x)) - X(eta(x-1)) = (eta(x) - eta(x-1)) * Xi_D(eta'(x)) * Y(eta'(x)),
     eta taken at lambda + M*delta and eta' at lambda + (M-1)*delta.
 
     X interpolates the telescoping sums S(x) of those steps at x = 0..L and
-    is certified against S on the whole grid x = 0..N+1.
+    is certified against S at x = L+1..N+1; the grid holds S.  X is the
+    Hamiltonian's spectrum: Y >= 0 coefficientwise, X strictly increasing.
     """
     if Y.is_zero():
         raise ZeroPolynomial("seed polynomial Y must be nonzero")
-    nonneg = all(c >= 0 for c in Y.coeffs)
-    if for_hamiltonian and not nonneg:
+    if any(c < 0 for c in Y.coeffs):
         raise NegativeYCoefficient("Hamiltonian-bound Y must have non-negative coefficients")
     p, M, N = s.params, s.M, s.params.N
     p_m = shift(p, M, "delta")
@@ -63,23 +62,24 @@ def build_X(s: MISystem, Y: Poly, for_hamiltonian: bool = False) -> XPoly:
     L = s.ellD + Y.degree + 1
     etas = [eta(x, p_m) for x in range(max(L, N + 1) + 1)]
     prevs = [eta(x, p_prev) for x in range(1, len(etas))]
+    # Xi_D(eta'(x)) is held on the system's grid x = 0..max(N+1, ell_D)
+    xis = [s.xi_grid[x] for x in range(1, len(s.xi_grid))]
+    xis += s.xi_poly.values(prevs[len(xis):])
     sums = [rat(0)]
-    for e, e_before, xi, y in zip(etas[1:], etas, s.xi_poly.values(prevs), Y.values(prevs)):
+    for e, e_before, xi, y in zip(etas[1:], etas, xis, Y.values(prevs)):
         sums.append(sums[-1] + (e - e_before) * xi * y)
     x_poly = interpolate(etas[: L + 1], sums[: L + 1])
     if x_poly[0] != 0:
         raise CrossCheckMismatch(f"X has constant term {x_poly[0]}, expected 0")
     if x_poly.degree != L:
         raise CrossCheckMismatch(f"X has degree {x_poly.degree}, expected L={L}")
-    grid = dict(zip(range(-1, N + 2), x_poly.values([eta(x, p_m) for x in range(-1, N + 2)])))
-    for x in range(N + 2):
-        if grid[x] != sums[x]:
+    for x, v in zip(range(L + 1, N + 2), x_poly.values(etas[L + 1 : N + 2])):
+        if v != sums[x]:
             raise CrossCheckMismatch(f"telescoping sum differs from X at x={x}")
-
-    monotone = all(grid[x] < grid[x + 1] for x in range(N))
-    if not monotone and (for_hamiltonian or nonneg):
+    grid = {-1: x_poly(eta(-1, p_m)), **{x: sums[x] for x in range(N + 2)}}
+    if not all(grid[x] < grid[x + 1] for x in range(N)):
         raise NonMonotone("X grid values are not strictly increasing")
-    return XPoly(poly=x_poly, L=L, grid=grid, Y=Y, monotone=monotone)
+    return XPoly(poly=x_poly, L=L, grid=grid, Y=Y)
 
 
 def xhat_minus1(xp: XPoly, s: MISystem):
@@ -149,14 +149,18 @@ def verify_recurrence(s: MISystem, xp: XPoly, t: RecTable) -> list:
 
     Both sides have degree at most K = deg X + max_m deg P_m, so the
     identity holds iff it holds at the K+1 distinct nodes eta(0..K), at
-    lambda + M*delta.  The other rows hold only on the grid, where
-    ``extract_r`` certifies every row.
+    lambda + M*delta; on the grid x <= N the values are the held grid
+    values.  The other rows hold only on the grid, where ``extract_r``
+    certifies every row.
     """
     K = xp.poly.degree + max(p.degree or 0 for p in s.pdn_polys)
     p_m = shift(s.params, s.M, "delta")
     nodes = [eta(x, p_m) for x in range(K + 1)]
     if len(set(nodes)) != len(nodes):
         raise CrossCheckMismatch("coincident nodes for the polynomial recurrence check")
-    vectors = list(zip(*(p.values(nodes) for p in s.pdn_polys)))
-    misses = eigen_misses(t.rows[: t.N - t.L + 1], vectors, xp.poly.values(nodes))
+    N = s.params.N
+    past = nodes[N + 1 :]
+    vectors = list(zip(*s.pdn_grid)) + list(zip(*(p.values(past) for p in s.pdn_polys)))
+    xs = [xp.grid[x] for x in range(N + 1)] + xp.poly.values(past)
+    misses = eigen_misses(t.rows[: t.N - t.L + 1], vectors, xs)
     return [("poly", n) for n in sorted({n for n, _, _ in misses})]

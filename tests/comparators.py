@@ -28,12 +28,15 @@ The closure relation and the ladder operators as explicit matrices, which
 ``closure`` checks as tridiagonal matrices in the dual eigenbasis only,
 are here too: the dense closure residual times V, both ladder operators
 by the dense bracket and by spectral calculus, and the inverse of V by
-one exact solve per column.
+one exact solve per column.  So are the closure polynomials' values on
+the spectrum by ``Poly.values``, the route that the certified node data
+(``ClosureTriple.on_spectrum``) replaced, and a triple with polynomials
+replaced whose values on the spectrum are re-derived by that route.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Tuple
 
 import mpmath
@@ -485,6 +488,19 @@ def dense_verify_closure(h, c) -> SquareMatrix:
         ),
         scale_cols(h.V, [c.Rm1(x) for x in X]),
     )
+
+
+def on_spectrum_by_values(c) -> tuple:
+    """(R0, R1, Rm1) at each node of c's spectrum, one ``Poly.values`` per
+    polynomial."""
+    return tuple(zip(*(p.values(c.nodes) for p in (c.R0, c.R1, c.Rm1))))
+
+
+def replace_closure(c, **polys):
+    """c with some of R0, R1 and Rm1 replaced, its values on the spectrum
+    re-derived from the polynomials it then holds."""
+    bent = replace(c, **polys)
+    return replace(bent, on_spectrum=on_spectrum_by_values(bent))
 
 
 def dense_build_ladder(h, c, vinv=None) -> tuple:

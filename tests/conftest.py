@@ -22,6 +22,8 @@ from comparators import dtn_sq_value, naive_det, norm_const_cd, rj_factor, varph
 Y_ONE = Poly([rat(1)])
 Y_ETA = Poly([rat(0), rat(1)])
 SEEDS = {"1": Y_ONE, "eta": Y_ETA}
+#: the index sets and seeds that every family is tested over
+MATRIX = [(D, y) for D in ((1,), (2,), (1, 2)) for y in ("1", "eta")]
 
 
 def std_params(family: str, N: int):

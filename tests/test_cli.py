@@ -9,7 +9,6 @@ import signal
 import subprocess
 import sys
 import textwrap
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -31,6 +30,7 @@ from dualracah.report import (
     run_suite,
     write_report,
 )
+from comparators import replace_closure
 
 BASE_CFG = {
     "family": "R", "N": 5, "b": "10", "c": "1/2", "d": "2/5",
@@ -405,10 +405,19 @@ PINNED_REPORTS = [
          "suites": ["mi", "recurrence", "dual", "closure", "ladder"]},
         "478911324238109b5a4bbd46780e1b167fb9a4b8968baff75272635574fe5b8e",
     ),
+    # N=48, the same suites: closure integers large enough that any change
+    # of route in the interpolation or the node data shows in the bytes
+    (
+        {"family": "R", "N": 48, "b": "53", "c": "1/2", "d": "2/5", "D": [1, 2], "Y": ["1"],
+         "suites": ["mi", "recurrence", "dual", "closure", "ladder"]},
+        "2dddda81eec73ee3cadb7f2bdfe181374dc27721a4ebfed8da92cf0a2eef4a90",
+    ),
 ]
 
 
-@pytest.mark.parametrize("data,digest", PINNED_REPORTS, ids=["R", "qR", "R-n14", "R-n18"])
+@pytest.mark.parametrize(
+    "data,digest", PINNED_REPORTS, ids=["R", "qR", "R-n14", "R-n18", "R-n48"]
+)
 def test_report_bytes_are_pinned(tmp_path, data, digest):
     report, ok = run_suite(parse_config(data))
     assert ok
@@ -444,7 +453,7 @@ def test_failing_closure_forms_no_dense_product(monkeypatch, data):
 
     def shifted(h):
         t = solve(h)
-        return replace(t, R1=Poly((t.R1[0] + rat(1, 3),) + t.R1.coeffs[1:]))
+        return replace_closure(t, R1=Poly((t.R1[0] + rat(1, 3),) + t.R1.coeffs[1:]))
 
     monkeypatch.setattr(closure, "solve_closure", shifted)
     monkeypatch.setattr(SquareMatrix, "__matmul__", _refuse_product)

@@ -31,10 +31,12 @@ from comparators import (
     matrix_add,
     matrix_is_zero,
     matrix_sub,
+    on_spectrum_by_values,
     poly_add,
+    replace_closure,
     scale_cols,
 )
-from conftest import SEEDS, Y_ETA, Y_ONE, solve_overdetermined, std_params
+from conftest import MATRIX, SEEDS, Y_ETA, Y_ONE, solve_overdetermined, std_params
 
 FAMILIES = (R, QR)
 CASES = [((1,), "1"), ((2,), "1"), ((1, 2), "1"), ((1,), "eta")]
@@ -148,6 +150,17 @@ def test_discriminant_is_a_square_on_nodes(family, pipe):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("N", [5, 10])
+def test_node_data_are_the_values_on_the_spectrum(family, N, pipe):
+    """The node data the triple holds are its polynomials' values on the
+    spectrum by Poly.values, the route they replaced, for every index set
+    and seed."""
+    for D, y in MATRIX:
+        trip = pipe(family, N, D).closure(SEEDS[y])
+        assert trip.on_spectrum == on_spectrum_by_values(trip)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
 def test_r0_vanishes_iff_degenerate_seed(family, pipe):
     assert not pipe(family, 5, (1,)).closure(Y_ONE).r0_vanishes_at_zero
     assert pipe(family, 5, (1,)).closure(Y_ETA).r0_vanishes_at_zero
@@ -159,7 +172,7 @@ def test_replaced_r0_reports_its_own_constant_term(family, pipe):
     replaced never reports the flag of the polynomial it replaced."""
     trip = pipe(family, 5, (1,)).closure(Y_ETA)
     assert trip.r0_vanishes_at_zero
-    bad = replace(trip, R0=poly_add(trip.R0, Poly([1])))
+    bad = replace_closure(trip, R0=poly_add(trip.R0, Poly([1])))
     assert bad.R0(rat(0)) == 1
     assert not bad.r0_vanishes_at_zero
 
@@ -260,7 +273,7 @@ def test_inverse_and_ladder_match_generic_oracles(family, D, y, N, pipe):
 def test_corrupted_r1_residual_equals_horner(family, pipe):
     h = pipe(family, 5, (1, 2)).hamiltonian(Y_ONE)
     trip = pipe(family, 5, (1, 2)).closure(Y_ONE)
-    bad = replace(trip, R1=Poly([trip.R1[0] + rat(1, 3)] + list(trip.R1.coeffs[1:])))
+    bad = replace_closure(trip, R1=Poly([trip.R1[0] + rat(1, 3)] + list(trip.R1.coeffs[1:])))
     residual = verify_closure(h, bad)
     assert residual != []
     assert h.V @ from_entries(h.V.n, residual) == _horner_residual(h, bad) @ h.V
@@ -287,7 +300,7 @@ def test_closure_and_ladder_read_no_norm_or_weight(family, pipe):
     for fn in (verify_closure, verify_ladder):
         with pytest.raises(CrossCheckMismatch, match=r"h_tilde\*V differs"):
             fn(replace(bad_v), trip)
-    failing = replace(trip, Rm1=poly_add(trip.Rm1, Poly([rat(1, 3)])))
+    failing = replace_closure(trip, Rm1=poly_add(trip.Rm1, Poly([rat(1, 3)])))
     for field in ("norms", "weights"):
         bad = replace(h, dual=replace(h.dual, **{field: _doubled(getattr(h.dual, field), 4)}))
         assert dual_ortho(bad.dual) != []
@@ -303,24 +316,6 @@ def test_corrupted_hamiltonian_fails_eigen_certification(family, pipe):
         bad = replace(h, h_tilde=_corrupt(h.h_tilde, 1, 2))
         with pytest.raises(CrossCheckMismatch, match=r"h_tilde\*V differs"):
             fn(bad, trip)
-
-
-@pytest.mark.parametrize("family", FAMILIES)
-def test_shifted_leading_coefficient_fails_node_check(family, pipe, monkeypatch):
-    h = pipe(family, 5, (1, 2)).hamiltonian(Y_ONE)
-    interpolate, calls = closure.interpolate, []
-
-    def skewed(nodes, values):
-        # shift the leading coefficient of R0, the first interpolant
-        p = interpolate(nodes, values)
-        calls.append(p)
-        return Poly(p.coeffs[:-1] + (p.coeffs[-1] + 1,)) if len(calls) == 1 else p
-
-    monkeypatch.setattr(closure, "interpolate", skewed)
-    with pytest.raises(
-        CrossCheckMismatch, match=r"closure polynomials miss their node data at j=\d+"
-    ):
-        closure.solve_closure(h)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -392,33 +387,34 @@ def test_eigenbasis_certification_faults(family, pipe):
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("which", [0, 1, 2])
 def test_wrong_beta_node_value_fails(family, which, pipe, monkeypatch):
-    """One wrong node value of beta0 or beta1 breaks the discriminant check
-    of solve_closure; one wrong value of beta-1 passes it, and then both the
-    closure residual (equal to the dense oracle's) and the ladder's
-    -Rm1/R0 = b_dual check fail at that node."""
+    """One wrong node value of beta0, beta1 or beta-1 is interpolated and
+    held alike, so solve_closure returns.  The closure residual then lists
+    column j alone, equal to the dense and Horner oracles'.  The ladder's
+    -Rm1/R0 = b_dual check fails at that node where beta0 or beta-1 is
+    wrong; the ladder does not read R1."""
     j = 3
     h = pipe(family, 5, (1, 2)).hamiltonian(Y_ONE)
     calls = []
 
     def skewed(nodes, values):
-        # in place: the node check then reads the same wrong value
+        # in place: the triple then holds the same wrong value
         calls.append(None)
         if len(calls) == which + 1:
             values[j] += rat(1, 7)
         return interpolate(nodes, values)
 
     monkeypatch.setattr(closure, "interpolate", skewed)
-    if which < 2:
-        with pytest.raises(
-            CrossCheckMismatch, match=rf"R1\^2 \+ 4\*R0 is not the squared node gap at j={j}"
-        ):
-            closure.solve_closure(h)
-        return
     bad = closure.solve_closure(h)
+    assert bad.on_spectrum == on_spectrum_by_values(bad)
     residual = verify_closure(h, bad)
-    assert [(m, n) for m, n, _ in residual] == [(j, j)]
+    assert residual and {n for _, n, _ in residual} == {j}
+    if which == 2:
+        assert [(m, n) for m, n, _ in residual] == [(j, j)]
     assert h.V @ from_entries(h.V.n, residual) == dense_verify_closure(h, bad)
     assert h.V @ from_entries(h.V.n, residual) == _horner_residual(h, bad) @ h.V
+    if which == 1:
+        assert verify_ladder(h, bad) == []
+        return
     with pytest.raises(CrossCheckMismatch, match=f"-Rm1/R0 differs from dual coefficient at n={j}"):
         verify_ladder(h, bad)
 
@@ -445,7 +441,7 @@ def test_scalar_route_matches_dense_oracle(family, N, pipe, monkeypatch):
     trip = pipe(family, N, D).closure(Y_ONE)
     c = rat(1, 3)
     triples = [trip] + [
-        replace(trip, **{name: poly_add(getattr(trip, name), Poly([c]))})
+        replace_closure(trip, **{name: poly_add(getattr(trip, name), Poly([c]))})
         for name in ("R0", "R1", "Rm1")
     ]
     for t in triples:
@@ -517,10 +513,10 @@ def test_closure_and_ladder_suites_take_no_dense_product(family, monkeypatch):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_closure_and_ladder_suites_evaluate_the_triple_once(family, monkeypatch):
+def test_closure_and_ladder_suites_evaluate_no_polynomial(family, monkeypatch):
     """Solving the triple and running the closure and ladder suites on it
-    evaluate each closure polynomial once on the spectrum: three
-    Poly.values calls on the triple in all."""
+    make no Poly.values call, on R0, R1 and Rm1 or any other polynomial:
+    the triple's values on the spectrum are its node data."""
     cfg, p = _closure_ladder_run(family)
     p.hamiltonian(cfg.Y)
     calls = []
@@ -534,8 +530,8 @@ def test_closure_and_ladder_suites_evaluate_the_triple_once(family, monkeypatch)
     trip = p.closure(cfg.Y)
     assert report._suite_closure(cfg, p)["pass"]
     assert report._suite_ladder(cfg, p)["pass"]
-    own = [c for c in calls if any(c is t for t in (trip.R0, trip.R1, trip.Rm1))]
-    assert len(own) == 3
+    assert calls == []
+    assert trip.on_spectrum == on_spectrum_by_values(trip)
 
 
 def test_passing_closure_check_builds_no_matrix(monkeypatch):
@@ -555,52 +551,41 @@ def test_passing_closure_check_builds_no_matrix(monkeypatch):
     monkeypatch.setattr(SquareMatrix, "__init__", counted)
     assert verify_closure(h, trip) == []
     assert built == []
-    assert verify_closure(h, replace(trip, Rm1=poly_add(trip.Rm1, Poly([rat(1, 3)])))) != []
+    assert verify_closure(h, replace_closure(trip, Rm1=poly_add(trip.Rm1, Poly([rat(1, 3)])))) != []
     assert built == []
 
 
 def test_certifications_survive_python_O():
-    """Under -O the closure checks and every eigenbasis certification still
-    raise: none of them is an assert.  Two eigenpairs swapped pass the
-    eigen-check and fail the dual recurrence."""
+    """Under -O the interpolation kernel's node certificate, the closure
+    checks and every eigenbasis certification still raise: none of them is
+    an assert.  Two eigenpairs swapped pass the eigen-check and fail the
+    dual recurrence."""
     script = textwrap.dedent(
         """
         from dataclasses import replace
-        from dualracah import closure, multiindexed, recurrence, dualsystem
+        from dualracah import closure, multiindexed, poly, recurrence, dualsystem
         from dualracah.backend import rat
         from dualracah.errors import CrossCheckMismatch
         from dualracah.linalg import SquareMatrix
         from dualracah.params import make_params
         from dualracah.poly import Poly
+        from comparators import replace_closure
 
         assert False, "asserts must be stripped"
         s = multiindexed.build_mi_system(make_params("R", 4, b=9, c=rat(1, 2), d=rat(2, 5)), (1,))
-        xp = recurrence.build_X(s, Poly([rat(1)]), for_hamiltonian=True)
+        xp = recurrence.build_X(s, Poly([rat(1)]))
         h = dualsystem.build_hamiltonians(
             xp, recurrence.extract_r(s, xp), dualsystem.dual_values(s))
 
-        interpolate = closure.interpolate
-
-        def skewed_run(tag, which, skew):
-            calls = []
-
-            def skewed(nodes, values):
-                p = interpolate(nodes, values)
-                calls.append(p)
-                return Poly(skew(p.coeffs)) if len(calls) == which + 1 else p
-
-            closure.interpolate = skewed
-            try:
-                closure.solve_closure(h)
-            except CrossCheckMismatch as e:
-                print(f"{tag}:", e)
-            finally:
-                closure.interpolate = interpolate
-
-        # corrupt the constant coefficient of R1, the second interpolant
-        skewed_run("node", 1, lambda cs: (cs[0] + 1,) + cs[1:])
-        # shift the leading coefficient of R0, the first interpolant
-        skewed_run("lead", 0, lambda cs: cs[:-1] + (cs[-1] + 1,))
+        # every Lagrange weight of the kernel doubled
+        prod = poly.prod
+        poly.prod = lambda factors: 2 * prod(factors)
+        try:
+            closure.solve_closure(h)
+        except CrossCheckMismatch as e:
+            print("kernel:", e)
+        finally:
+            poly.prod = prod
 
         trip = closure.solve_closure(h)
         rows = [list(r) for r in h.h_tilde.rows]
@@ -636,26 +621,26 @@ def test_certifications_survive_python_O():
         swapped = replace(h, x_grid=grid, dual=replace(h.dual, V=SquareMatrix(rows)))
         run("swapped", closure.verify_ladder, swapped)
         bent = Poly((trip.Rm1[0] + rat(1, 3),) + trip.Rm1.coeffs[1:])
-        run("corr", closure.verify_ladder, h, replace(trip, Rm1=bent))
+        run("corr", closure.verify_ladder, h, replace_closure(trip, Rm1=bent))
         for field in ("norms", "weights"):
             values = list(getattr(h.dual, field))
             values[3] *= 2
             bad = replace(h, dual=replace(h.dual, **{field: tuple(values)}))
             print(f"{field} listed:", dualsystem.dual_ortho(bad.dual) != [])
-        xp_eta = recurrence.build_X(s, Poly([rat(0), rat(1)]), for_hamiltonian=True)
+        xp_eta = recurrence.build_X(s, Poly([rat(0), rat(1)]))
         h_eta = dualsystem.build_hamiltonians(xp_eta, recurrence.extract_r(s, xp_eta), h.dual)
         for fn in (closure.verify_closure, closure.verify_ladder):
             run(f"spectrum {fn.__name__}", fn, h_eta)
         """
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    here = Path(__file__).resolve().parent
+    path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     out = subprocess.run(
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True,
         check=True,
     ).stdout
-    assert "node: closure polynomials miss their node data" in out
-    assert "lead: closure polynomials miss their node data" in out
+    assert "kernel: interpolant misses its node value at j=0" in out
     assert "eigen: h_tilde*V differs from V*diag(X)" in out
     assert "jacobi: diag(Ebar)*V differs from V*T at (x,n)=(0,2)" in out
     assert "closure: diag(Ebar)*V differs from V*T at (x,n)=(0,2)" in out

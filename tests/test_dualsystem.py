@@ -433,7 +433,7 @@ def test_commutator_certification_survives_python_O():
 
         assert False, "asserts must be stripped"
         s = multiindexed.build_mi_system(make_params("R", 4, b=9, c=rat(1, 2), d=rat(2, 5)), (1,))
-        xp = recurrence.build_X(s, Poly([rat(1)]), for_hamiltonian=True)
+        xp = recurrence.build_X(s, Poly([rat(1)]))
         h = dualsystem.build_hamiltonians(
             xp, recurrence.extract_r(s, xp), dualsystem.dual_values(s))
         rows = [list(r) for r in h.h_tilde.rows]

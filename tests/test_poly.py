@@ -1,14 +1,19 @@
 """Polynomial arithmetic and certified exact interpolation, the integer
 kernel checked against the Newton route it replaced."""
 
+from math import prod
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualracah import closure, multiindexed, poly, recurrence
 from dualracah.backend import rat
-from dualracah.errors import SingularMatrix
+from dualracah.errors import CrossCheckMismatch, SingularMatrix
+from dualracah.params import QR, R
 from dualracah.poly import Poly, interpolate
 from comparators import newton_interpolate, poly_add, poly_mul, poly_neg
+from conftest import Y_ONE, std_params
 
 coeff = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 polys = st.lists(coeff, max_size=6).map(Poly)
@@ -149,3 +154,48 @@ def test_integer_kernel_keeps_the_checks():
         interpolate([rat(1)], [])
     with pytest.raises(SingularMatrix):
         interpolate([rat(1, 2), rat(2, 4)], [rat(0), rat(1)])
+
+
+def _skew_weight(monkeypatch, k):
+    """From now on the k-th Lagrange weight w_j that the kernel forms,
+    counted over every interpolation, is doubled."""
+    calls = []
+
+    def skewed(factors):
+        calls.append(None)
+        w = prod(factors)
+        return 2 * w if len(calls) == k + 1 else w
+
+    monkeypatch.setattr(poly, "prod", skewed)
+
+
+def test_skewed_weight_misses_its_node(monkeypatch):
+    """A doubled weight w_j leaves the basis polynomial of node j at half
+    its height: the cleared interpolant misses node j alone, and the kernel
+    raises before any reduction."""
+    _skew_weight(monkeypatch, 2)
+    with pytest.raises(CrossCheckMismatch, match="interpolant misses its node value at j=2"):
+        interpolate([rat(k, 3) for k in range(5)], [rat(1, k + 1) for k in range(5)])
+
+
+# R, N=5, D=(1,2): ell_D = 2, so Xi_D and P_0 take 3 weights each and P_1
+# takes 4; X through Y = 1 has L = 3 and takes 4 (its node value at j=0 is
+# zero and reads no weight).  Each case skews one weight of one interpolant.
+KERNEL_FAULTS = {
+    "closure-R0": (2, 2, lambda pl: closure.solve_closure(pl.hamiltonian(Y_ONE))),
+    "pdn-P1": (3 + 3 + 1, 1, lambda pl: multiindexed.build_mi_system(pl.params, pl.D)),
+    "X": (3, 3, lambda pl: recurrence.build_X(pl.system(), Y_ONE)),
+}
+
+
+@pytest.mark.parametrize("family", [R, QR])
+@pytest.mark.parametrize("case", KERNEL_FAULTS)
+def test_skewed_kernel_fails_every_caller(family, case, pipe, monkeypatch):
+    """A weight skewed inside the kernel fails the node certificate for a
+    closure polynomial, a deformed polynomial and X alike, at its node."""
+    k, j, build = KERNEL_FAULTS[case]
+    pl = pipe(family, 5, (1, 2))
+    pl.hamiltonian(Y_ONE)
+    _skew_weight(monkeypatch, k)
+    with pytest.raises(CrossCheckMismatch, match=f"interpolant misses its node value at j={j}"):
+        build(pl)

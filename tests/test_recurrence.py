@@ -29,10 +29,9 @@ from dualracah.recurrence import (
     xhat_minus1,
 )
 from comparators import poly_add, poly_mul, poly_neg, poly_recurrence_failures, poly_scale
-from conftest import SEEDS, Y_ETA, Y_ONE, r_by_solve, std_params
+from conftest import MATRIX, SEEDS, Y_ETA, Y_ONE, r_by_solve, std_params
 
 FAMILIES = (R, QR)
-MATRIX = [(D, y) for D in ((1,), (2,), (1, 2)) for y in ("1", "eta")]
 
 
 # The antiderivative by its hand-expanded coefficient formulas: a route to X
@@ -298,15 +297,7 @@ def test_coincident_nodes_raise(family, N, D, pipe, monkeypatch):
 def test_negative_seed_rejected_for_hamiltonian(pipe):
     s = pipe(R, 5, (1,)).system()
     with pytest.raises(NegativeYCoefficient):
-        build_X(s, Poly([rat(1), rat(-1)]), for_hamiltonian=True)
-
-
-def test_negative_seed_allowed_for_recurrence_only(pipe):
-    s = pipe(R, 5, (1,)).system()
-    y = Poly([rat(3), rat(-1, 7)])
-    xp = build_X(s, y, for_hamiltonian=False)
-    t = extract_r(s, xp)
-    assert verify_recurrence(s, xp, t) == []
+        build_X(s, Poly([rat(1), rat(-1)]))
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -315,7 +306,6 @@ def test_x_monotone_for_hamiltonian_seeds(family, pipe):
     and seed: the Hamiltonian's spectrum is this grid, unchecked there."""
     for D, y in MATRIX:
         xp = pipe(family, 6, D).xpoly(SEEDS[y])
-        assert xp.monotone
         assert xp.grid[0] == 0
         assert all(xp.grid[x] < xp.grid[x + 1] for x in range(6))
 
@@ -379,18 +369,19 @@ def test_bumped_gram_entry_fails_band_recurrence(family, key, msg, pipe, monkeyp
      "X has constant term 1, expected 0"),
     (lambda f, nodes, vals: poly_mul(f(nodes, vals), Poly([0, 1])), "X has degree 3, expected L=2"),
     (lambda f, nodes, vals: f(nodes, vals[:-1] + [vals[-1] + 1]),
-     "telescoping sum differs from X at x=2"),
+     "telescoping sum differs from X at x=3"),
 ])
 def test_corrupted_antiderivative_fails_x_checks(bend, msg, pipe, monkeypatch):
     """A bent interpolant, or one through a corrupted last node value
-    (x = L = 2), fails the degree, constant-term or telescoping check."""
+    (x = L = 2), fails the degree, constant-term or telescoping check; the
+    telescoping check reads the grid past the nodes, from x = L+1 = 3."""
     s = pipe(R, 6, (1,)).system()
     interpolate = recurrence.interpolate
     monkeypatch.setattr(
         recurrence, "interpolate", lambda nodes, vals: bend(interpolate, nodes, vals)
     )
     with pytest.raises(CrossCheckMismatch, match=msg):
-        build_X(s, Poly([rat(1)]), for_hamiltonian=True)
+        build_X(s, Poly([rat(1)]))
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -420,7 +411,7 @@ def test_band_identities_survive_python_O():
 
         assert False, "asserts must be stripped"
         s = multiindexed.build_mi_system(make_params("R", 5, b=10, c=rat(1, 2), d=rat(2, 5)), (1,))
-        xp = recurrence.build_X(s, Poly([rat(1)]), for_hamiltonian=True)
+        xp = recurrence.build_X(s, Poly([rat(1)]))
         try:
             recurrence.extract_r(s, replace(xp, grid={**xp.grid, 3: xp.grid[3] + 1}))
         except CrossCheckMismatch as e:
@@ -429,7 +420,7 @@ def test_band_identities_survive_python_O():
         interpolate = recurrence.interpolate
         recurrence.interpolate = lambda nodes, vals: interpolate(nodes, vals[:-1] + [vals[-1] + 1])
         try:
-            recurrence.build_X(s, Poly([rat(1)]), for_hamiltonian=True)
+            recurrence.build_X(s, Poly([rat(1)]))
         except CrossCheckMismatch as e:
             print("X:", e)
         try:
@@ -454,6 +445,6 @@ def test_band_identities_survive_python_O():
         check=True,
     ).stdout
     assert "grid: band recurrence misses the grid at (n,x)=" in out
-    assert "X: telescoping sum differs from X at x=2" in out
+    assert "X: telescoping sum differs from X at x=3" in out
     assert re.search(r"off-grid: X\(-1\) = .* differs from closed form", out)
     assert "nodes: coincident nodes for the polynomial recurrence check" in out
