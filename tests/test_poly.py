@@ -13,7 +13,7 @@ from dualracah.errors import CrossCheckMismatch, SingularMatrix
 from dualracah.params import QR, R
 from dualracah.poly import Poly, interpolate
 from comparators import newton_interpolate, poly_add, poly_mul, poly_neg
-from conftest import Y_ONE, std_params
+from conftest import Y_ONE
 
 coeff = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 polys = st.lists(coeff, max_size=6).map(Poly)
@@ -179,8 +179,9 @@ def test_skewed_weight_misses_its_node(monkeypatch):
 
 
 # R, N=5, D=(1,2): ell_D = 2, so Xi_D and P_0 take 3 weights each and P_1
-# takes 4; X through Y = 1 has L = 3 and takes 4 (its node value at j=0 is
-# zero and reads no weight).  Each case skews one weight of one interpolant.
+# takes 4; X through Y = 1 has L = 3 and takes 4, and its value at j=0 is
+# zero, so a skew there would not show.  Each case skews one weight of one
+# interpolant.
 KERNEL_FAULTS = {
     "closure-R0": (2, 2, lambda pl: closure.solve_closure(pl.hamiltonian(Y_ONE))),
     "pdn-P1": (3 + 3 + 1, 1, lambda pl: multiindexed.build_mi_system(pl.params, pl.D)),
