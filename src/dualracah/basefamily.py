@@ -1,23 +1,31 @@
 """Base Racah / q-Racah data: potentials, polynomials, weights, norms,
 and the virtual-state energies and leading coefficients.
 
-All functions are duck-typed over the scalar field: exact rationals give
+The families are self-dual: swapping x with n and d with dtilde
+(``ParamSet.dual``) maps one onto the other.  So each dual formula is the
+primal one at the dual parameters: the recurrence coefficients are the
+potentials (``rec_coeffs``), the energy is the sinusoidal coordinate
+(``params.energy``) and the squared norms are the squared ground state
+(``dn_sq_table``).  Likewise the virtual-state data are the base data at
+the twisted parameters of ``params.twist``.
+
+The functions are duck-typed over the scalar field: exact rationals give
 exact results, high-precision floats give the float path used by the
-q->1 limit checks.
+q->1 limit checks (base values and energies; the weight and norm tables
+take exact tuples only).
 
 Base values P_n(y) are filled a column (all n at one y) at a time by
 ``RacahColumns``: exact parameters by the three-term recurrence of
 ``rec_coeffs``, float ones by the terminating q-sum with its factors shared
 across the table.  ``racah_value``, the sum for a single value, serves the
-virtual-state values (base values at the twisted parameters of
-``params.twist``, formed once per ``multiindexed.GridTable``) and the base
-suite's spot row.
+virtual-state values (base values at the twisted parameters, formed once
+per ``multiindexed.GridTable``) and the base suite's spot row.
 
-The squared ground state phi0^2(0..N) and the squared norms d_0^2..d_N^2
-are tables (``phi0_sq_table``, ``dn_sq_table``): each (q-)Pochhammer symbol
-is run once along x or n, in the order of its direct product, so every
-entry equals the per-point formula (kept in the tests as an oracle), bit
-for bit in floats.
+The squared ground state phi0^2(0..N) is a table (``phi0_sq_table``) run by
+detailed balance, B(x) phi0^2(x) = D(x+1) phi0^2(x+1), from phi0^2(0) = 1;
+the squared norms (``dn_sq_table``) are the closed-form d_0^2 times that
+table at the dual parameters.  The per-point Pochhammer formulas are kept
+in the tests as oracles.
 """
 
 from __future__ import annotations
@@ -58,6 +66,9 @@ def multi_qpoch(us, n: int, q):
 
 
 def potential(x: int, p: ParamSet, which: str = "B"):
+    # "Bprime" is "B" at twist(p), exactly; it is written out because the
+    # q->1 floats pin its operation order, which the twisted tuple rounds
+    # differently in the last bit.
     a, b, c, d = p.a, p.b, p.c, p.d
     if p.family == R:
         if which == "B":
@@ -122,23 +133,12 @@ def racah_value(n: int, x: int, p: ParamSet):
 
 
 def rec_coeffs(n: int, p: ParamSet):
-    """Three-term recurrence coefficients (A_n, B_n, C_n)."""
+    """Three-term recurrence coefficients (A_n, B_n, C_n): by duality,
+    A_n = -B(n) and C_n = -D(n), the potentials at the dual parameters."""
     if not 0 <= n <= p.N:
         raise IndexOutOfRange(f"n={n} outside 0..{p.N}")
-    a, b, c = p.a, p.b, p.c
-    dt = p.dtilde
-    if p.family == R:
-        A = (n + a) * (n + b) * (n + c) * (n + dt) / ((2 * n + dt) * (2 * n + 1 + dt))
-        C = (n + dt - a) * (n + dt - b) * (n + dt - c) * n / ((2 * n - 1 + dt) * (2 * n + dt))
-    else:
-        q = p.q
-        qn = ipow(q, n)
-        A = (1 - a * qn) * (1 - b * qn) * (1 - c * qn) * (1 - dt * qn) / (
-            (1 - dt * ipow(q, 2 * n)) * (1 - dt * ipow(q, 2 * n + 1))
-        )
-        C = p.d * (1 - dt * qn / a) * (1 - dt * qn / b) * (1 - dt * qn / c) * (1 - qn) / (
-            (1 - dt * ipow(q, 2 * n - 1)) * (1 - dt * ipow(q, 2 * n))
-        )
+    pd = p.dual()
+    A, C = -potential(n, pd, "B"), -potential(n, pd, "D")
     return A, -A - C, C
 
 
@@ -199,95 +199,48 @@ class RacahColumns:
         return tuple(col)
 
 
-def _pochhammer_rows(us, N: int, q=None) -> list:
-    """Row n = 0..N is ``multi_poch(us, n)`` (``multi_qpoch(us, n, q)`` when
-    q is given).  Each (u)_n is the running product of ``poch``'s (or
-    ``qpoch``'s) factors, in their order, so every row equals the direct
-    product, bit for bit in floats, at O(N) cost for the table."""
-    runs = []
-    for u in us:
-        acc = u * 0 + 1
-        run = [acc]
-        for i in range(N):
-            acc = acc * (u + i if q is None else 1 - u * ipow(q, i))
-            run.append(acc)
-        runs.append(run)
-    rows = []
-    for n in range(N + 1):
-        acc = 1
-        for run in runs:
-            acc = acc * run[n]
-        rows.append(acc)
-    return rows
-
-
-def phi0_sq_table(p: ParamSet) -> tuple:
-    """(phi0^2(0), ..., phi0^2(N)), the squared ground state, its
-    Pochhammer products run once along x."""
-    a, b, c, d, N = p.a, p.b, p.c, p.d, p.N
-    if p.family == R:
-        num = _pochhammer_rows((a, b, c, d), N)
-        den = _pochhammer_rows((d - a + 1, d - b + 1, d - c + 1, rat(1)), N)
-
-        def value(x):
-            return num[x] / den[x] * (2 * x + d) / d
-    else:
-        q, dt = p.q, p.dtilde
-        num = _pochhammer_rows((a, b, c, d), N, q)
-        den = _pochhammer_rows((d * q / a, d * q / b, d * q / c, q), N, q)
-
-        def value(x):
-            return num[x] / (den[x] * ipow(dt, x)) * (1 - d * ipow(q, 2 * x)) / (1 - d)
-
-    table = []
-    for x in range(N + 1):
-        v = value(x)
+def _balanced_table(p: ParamSet, first, label: str) -> tuple:
+    """first * phi0^2(x), x = 0..N, by detailed balance: phi0^2(0) = 1 and
+    B(x) phi0^2(x) = D(x+1) phi0^2(x+1).  Each entry must be positive;
+    ``label`` names entry x in the error."""
+    table, v = [], first
+    for x in range(p.N + 1):
+        if x:
+            v = v * potential(x - 1, p, "B") / potential(x, p, "D")
         if not v > 0:
-            raise NonPositiveWeight(f"phi0^2({x}) = {v}")
+            raise NonPositiveWeight(f"{label.format(x)} = {v}")
         table.append(v)
     return tuple(table)
 
 
+def phi0_sq_table(p: ParamSet) -> tuple:
+    """(phi0^2(0), ..., phi0^2(N)), the squared ground state, for an exact
+    tuple."""
+    return _balanced_table(p, rat(1), "phi0^2({})")
+
+
 def dn_sq_table(p: ParamSet) -> tuple:
-    """(d_0^2, ..., d_N^2), the squared norms: an n-dependent ratio, its
-    Pochhammer products run once along n, times a factor that depends on
-    the tuple only, formed once for the table."""
+    """(d_0^2, ..., d_N^2), the squared norms, for an exact tuple: by
+    duality d_n^2 = d_0^2 * phi0^2(n) at the dual parameters, with d_0^2 in
+    closed form."""
     a, b, c, d, N = p.a, p.b, p.c, p.d, p.N
     dt = p.dtilde
     if p.family == R:
-        num = _pochhammer_rows((a, b, c, dt), N)
-        den = _pochhammer_rows((dt - a + 1, dt - b + 1, dt - c + 1, rat(1)), N)
-
-        def ratio(n):
-            return num[n] / den[n] * (2 * n + dt) / dt
-
-        factor = (
+        d0 = (
             (-1) ** N
             * multi_poch((d - a + 1, d - b + 1, d - c + 1), N)
             / (poch(dt + 1, N) * poch(d + 1, 2 * N))
         )
     else:
         q = p.q
-        num = _pochhammer_rows((a, b, c, dt), N, q)
-        den = _pochhammer_rows((dt * q / a, dt * q / b, dt * q / c, q), N, q)
-
-        def ratio(n):
-            return num[n] / (den[n] * ipow(d, n)) * (1 - dt * ipow(q, 2 * n)) / (1 - dt)
-
-        factor = (
+        d0 = (
             (-1) ** N
             * multi_qpoch((d * q / a, d * q / b, d * q / c), N, q)
             * ipow(dt, N)
             * ipow(q, N * (N + 1) // 2)
             / (qpoch(dt * q, N, q) * qpoch(d * q, 2 * N, q))
         )
-    table = []
-    for n in range(N + 1):
-        v = ratio(n) * factor
-        if not v > 0:
-            raise NonPositiveWeight(f"d_{n}^2 = {v}")
-        table.append(v)
-    return tuple(table)
+    return _balanced_table(p.dual(), d0, "d_{}^2")
 
 
 def etilde_v(v: int, p: ParamSet):
@@ -317,16 +270,3 @@ def c_n(n: int, p: ParamSet):
     if p.family == R:
         return poch(dt + n, n) / multi_poch((a, b, c), n)
     return qpoch(dt * ipow(p.q, n), n, p.q) / multi_qpoch((a, b, c), n, p.q)
-
-
-def ctilde_v(v: int, p: ParamSet):
-    """Leading coefficient of the virtual state polynomial."""
-    a, b, c, d = p.a, p.b, p.c, p.d
-    if p.family == R:
-        return poch(c + d - a - b + v + 1, v) / multi_poch(
-            (d - a + 1, d - b + 1, c), v
-        )
-    q = p.q
-    return qpoch(c * d * ipow(q, v + 1) / (a * b), v, q) / multi_qpoch(
-        (d * q / a, d * q / b, c), v, q
-    )

@@ -98,17 +98,6 @@ def verify_closure(h: DualHamiltonian, c: ClosureTriple) -> list:
     return sorted(entries, key=lambda e: e[:2])
 
 
-def _certify_corr(h: DualHamiltonian, c: ClosureTriple) -> None:
-    """corr = Rm1/R0 on the spectrum must be -b_dual: R0 nonzero there and
-    -Rm1 = b_dual*R0, checked without dividing."""
-    vals = c.on_spectrum
-    if any(r0 == 0 for r0, _, _ in vals):
-        raise SingularR0("R0 vanishes on the spectrum (degenerate seed with Y(0)=0)")
-    for n, ((r0, _, rm1), b) in enumerate(zip(vals, h.dual.b_dual)):
-        if -rm1 != b * r0:
-            raise CrossCheckMismatch(f"-Rm1/R0 differs from dual coefficient at n={n}")
-
-
 def _ladder_columns(h: DualHamiltonian, step: int, sign: int) -> list:
     """The tridiagonal B with a*V = V*B for one ladder operator.
 
@@ -116,7 +105,8 @@ def _ladder_columns(h: DualHamiltonian, step: int, sign: int) -> list:
     alpha(n) = X[n+step] - X[n] and gap(n) = X[n+1] - X[n-1].  Since
     [h,Ebar]*V = V*(diag(X)*T - T*diag(X)), column n of B is
     (T[m][n]*(X_m - X[n+step]) - [m=n]*corr_n*alpha_n) * sign/gap_n, whose
-    diagonal is zero once corr = -b_dual is certified (``_certify_corr``).
+    diagonal is zero: the node data of ``solve_closure`` give corr = -b_dual
+    (betam1 = -beta0*b_dual), the diagonal entry ``verify_closure`` checks.
     """
     X = h.x_grid
     cols = []
@@ -135,9 +125,11 @@ def verify_ladder(h: DualHamiltonian, c: ClosureTriple) -> list:
     With a*V = V*B and V invertible, that is column n of B against
     a_dual[n]*e_(n+1) (plus) or c_dual[n]*e_(n-1) (minus).  Returns the
     failing ("plus", n) / ("minus", n) in column order; empty = pass.
+    corr = Rm1/R0 on the spectrum needs R0 nonzero there.
     """
     T = _eigenbasis(h, c).jacobi()
-    _certify_corr(h, c)
+    if any(r0 == 0 for r0, _, _ in c.on_spectrum):
+        raise SingularR0("R0 vanishes on the spectrum (degenerate seed with Y(0)=0)")
     actions = (
         ("plus", _ladder_columns(h, -1, 1), [(0, 0, hi) for _, _, hi in T]),
         ("minus", _ladder_columns(h, 1, -1), [(lo, 0, 0) for lo, _, _ in T]),

@@ -32,7 +32,9 @@ its bordered column.  The per-entry formulas live in the tests as
 oracles; floats agree with them bit for bit.
 
 The weights come from ``basefamily.phi0_sq_table`` and the squared norms
-from ``basefamily.dn_sq_table``, one table each per build.
+from ``basefamily.dn_sq_table``, one table each per build.  The leading
+coefficient of each virtual-state polynomial is the base one,
+``basefamily.c_n``, at the twisted parameters.
 
 The second-order difference equations in x are not checked here: divided
 by the ground state P_0 they are the dual three-term recurrence, whose one
@@ -48,7 +50,6 @@ from .basefamily import (
     RacahColumns,
     alpha_const,
     c_n,
-    ctilde_v,
     dn_sq_table,
     etilde_v,
     multi_poch,
@@ -236,25 +237,22 @@ class GridTable:
 
 
 def leading_xi(D: Sequence[int], p: ParamSet):
-    """Closed-form leading coefficient of the denominator polynomial."""
-    a, b, c, d = p.a, p.b, p.c, p.d
-    M = len(D)
+    """Closed-form leading coefficient of the denominator polynomial, read
+    at the twisted parameters, where ``c_n`` gives each virtual-state
+    polynomial's."""
+    tw = twist(p)
+    us, dt = (tw.a, tw.b, tw.c), tw.dtilde
     acc = 1
-    for dj in D:
-        acc = acc * ctilde_v(dj, p)
-    if p.family == R:
-        for j in range(1, M + 1):
-            acc = acc * multi_poch((d - a + 1, d - b + 1, c), j - 1)
-        for j in range(M):
-            for k in range(j + 1, M):
-                acc = acc / (c + d - a - b + D[j] + D[k] + 1)
-    else:
-        q = p.q
-        for j in range(1, M + 1):
-            acc = acc * multi_qpoch((d * q / a, d * q / b, c), j - 1, q)
-        for j in range(M):
-            for k in range(j + 1, M):
-                acc = acc / (1 - c * d * ipow(q, D[j] + D[k] + 1) / (a * b))
+    for j, dj in enumerate(D):
+        acc = acc * c_n(dj, tw)
+        if p.family == R:
+            acc = acc * multi_poch(us, j)
+            for dk in D[j + 1:]:
+                acc = acc / (dt + dj + dk)
+        else:
+            acc = acc * multi_qpoch(us, j, p.q)
+            for dk in D[j + 1:]:
+                acc = acc / (1 - dt * ipow(p.q, dj + dk))
     return acc
 
 

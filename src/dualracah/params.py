@@ -6,6 +6,11 @@ powers of q.  All parameters are concrete rationals (q included), which
 keeps the whole grid theory inside exact arithmetic.  The same formulas
 also accept high-precision floats for the q->1 limit checks, where no
 exactness checks are made.
+
+Two involutions act on a tuple: the duality ``ParamSet.dual`` swaps d with
+dtilde, and so x with n (the energy is the sinusoidal coordinate at the
+dual tuple, ``energy``); the twist ``twist`` maps the base data to the
+virtual-state data.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 from .backend import is_rational, rat
-from .errors import BadN, BadQ, CrossCheckMismatch, IndexOutOfRange
+from .errors import BadN, BadQ, IndexOutOfRange
 
 R = "R"
 QR = "qR"
@@ -126,20 +131,14 @@ def eta(x: int, p: ParamSet):
 
 
 def energy(n: int, p: ParamSet):
-    dt = p.dtilde
-    if p.family == R:
-        return n * (n + dt)
-    return (ipow(p.q, -n) - 1) * (1 - dt * ipow(p.q, n))
+    """Energy of level n: by duality, the sinusoidal coordinate at the dual
+    parameters."""
+    return eta(n, p.dual())
 
 
 def twist(p: ParamSet) -> ParamSet:
-    """The parameter involution generating virtual-state data."""
+    """The parameter involution generating virtual-state data; it replaces
+    a and b only, so the sinusoidal coordinate (d and q) is unchanged."""
     if p.family == R:
-        t = replace(p, a=p.d - p.a + 1, b=p.d - p.b + 1)
-    else:
-        t = replace(p, a=p.d * p.q / p.a, b=p.d * p.q / p.b)
-    if p.is_exact():
-        for x in range(p.N + 1):
-            if eta(x, t) != eta(x, p):
-                raise CrossCheckMismatch(f"twist changes the sinusoidal coordinate at x={x}")
-    return t
+        return replace(p, a=p.d - p.a + 1, b=p.d - p.b + 1)
+    return replace(p, a=p.d * p.q / p.a, b=p.d * p.q / p.b)

@@ -89,6 +89,50 @@ def phi0_sq(x: int, p):
     return v
 
 
+def rec_coeffs_closed_form(n: int, p):
+    """(A_n, B_n, C_n) by their own closed form (the route
+    ``basefamily.rec_coeffs`` replaced by the potentials at the dual tuple,
+    kept as an oracle)."""
+    a, b, c = p.a, p.b, p.c
+    dt = p.dtilde
+    if p.family == R:
+        A = (n + a) * (n + b) * (n + c) * (n + dt) / ((2 * n + dt) * (2 * n + 1 + dt))
+        C = (n + dt - a) * (n + dt - b) * (n + dt - c) * n / ((2 * n - 1 + dt) * (2 * n + dt))
+    else:
+        q = p.q
+        qn = ipow(q, n)
+        A = (1 - a * qn) * (1 - b * qn) * (1 - c * qn) * (1 - dt * qn) / (
+            (1 - dt * ipow(q, 2 * n)) * (1 - dt * ipow(q, 2 * n + 1))
+        )
+        C = p.d * (1 - dt * qn / a) * (1 - dt * qn / b) * (1 - dt * qn / c) * (1 - qn) / (
+            (1 - dt * ipow(q, 2 * n - 1)) * (1 - dt * ipow(q, 2 * n))
+        )
+    return A, -A - C, C
+
+
+def energy_closed_form(n: int, p):
+    """The energy by its own closed form (the route ``params.energy``
+    replaced by the sinusoidal coordinate at the dual tuple, kept as an
+    oracle)."""
+    dt = p.dtilde
+    if p.family == R:
+        return n * (n + dt)
+    return (ipow(p.q, -n) - 1) * (1 - dt * ipow(p.q, n))
+
+
+def ctilde_closed_form(v: int, p):
+    """Leading coefficient of the degree-v virtual-state polynomial by its
+    own closed form (the route ``basefamily.c_n`` at the twisted tuple
+    replaced, kept as an oracle)."""
+    a, b, c, d = p.a, p.b, p.c, p.d
+    if p.family == R:
+        return poch(c + d - a - b + v + 1, v) / multi_poch((d - a + 1, d - b + 1, c), v)
+    q = p.q
+    return qpoch(c * d * ipow(q, v + 1) / (a * b), v, q) / multi_qpoch(
+        (d * q / a, d * q / b, c), v, q
+    )
+
+
 def per_entry_xi(x, D, p):
     """Denominator grid value, every factor evaluated afresh (the route
     ``multiindexed.GridTable`` replaced, kept as an oracle)."""

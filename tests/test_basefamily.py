@@ -5,6 +5,7 @@ import pytest
 
 from dualracah.basefamily import (
     RacahColumns,
+    c_n,
     dn_sq_table,
     phi0_sq_table,
     potential,
@@ -13,9 +14,16 @@ from dualracah.basefamily import (
 )
 from dualracah.errors import InadmissibleParams, NonPositiveWeight
 from dualracah.params import QR, R, ParamSet, energy, eta, make_params, twist
-from dualracah.qlimit import matched_q_params
+from dualracah.qlimit import LADDER_KS, matched_q_params
 from dualracah.backend import rat
-from conftest import dn_sq, phi0_sq, std_params
+from conftest import (
+    ctilde_closed_form,
+    dn_sq,
+    energy_closed_form,
+    phi0_sq,
+    rec_coeffs_closed_form,
+    std_params,
+)
 
 FAMILIES = (R, QR)
 
@@ -52,17 +60,35 @@ def test_float_column_is_bit_identical(k, precision):
 
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("N", [1, 6, 11])
-def test_norm_table_matches_per_n_oracle(family, N):
+def test_dual_and_twisted_forms_match_closed_forms(family, N):
+    """The recurrence coefficients and the energy, read at the dual tuple,
+    and the virtual-state leading coefficients, read at the twisted tuple,
+    equal their own closed forms."""
     p = std_params(family, N)
-    assert dn_sq_table(p) == tuple(dn_sq(n, p) for n in range(N + 1))
+    t = twist(p)
+    for n in range(N + 1):
+        assert rec_coeffs(n, p) == rec_coeffs_closed_form(n, p)
+        assert energy(n, p) == energy_closed_form(n, p)
+        assert c_n(n, t) == ctilde_closed_form(n, p)
 
 
 @pytest.mark.parametrize("precision", [53, 256])
-def test_float_norm_table_is_bit_identical(precision):
-    """The factor formed once rounds as the per-n expression does."""
-    p = matched_q_params(std_params(R, 6), 3, precision)
+@pytest.mark.parametrize("k", LADDER_KS)
+def test_float_energy_is_bit_identical(k, precision):
+    """On the q->1 ladder the energy at the dual tuple rounds as its closed
+    form does."""
+    p = matched_q_params(std_params(R, 6), k, precision)
     with mpmath.workprec(precision):
-        assert dn_sq_table(p) == tuple(dn_sq(n, p) for n in range(p.N + 1))
+        assert [energy(n, p) for n in range(p.N + 1)] == [
+            energy_closed_form(n, p) for n in range(p.N + 1)
+        ]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("N", [1, 6, 11])
+def test_norm_table_matches_per_n_oracle(family, N):
+    p = std_params(family, N)
+    assert dn_sq_table(p) == tuple(dn_sq(n, p) for n in range(N + 1))
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -71,14 +97,6 @@ def test_weight_table_matches_per_point_oracle(family, N):
     p = std_params(family, N)
     for q in (p, p.dual()):
         assert phi0_sq_table(q) == tuple(phi0_sq(x, q) for x in range(N + 1))
-
-
-@pytest.mark.parametrize("precision", [53, 256])
-def test_float_weight_table_is_bit_identical(precision):
-    """Each running Pochhammer product rounds as the direct one does."""
-    p = matched_q_params(std_params(R, 6), 3, precision)
-    with mpmath.workprec(precision):
-        assert phi0_sq_table(p) == tuple(phi0_sq(x, p) for x in range(p.N + 1))
 
 
 def test_nonpositive_weight_table_detected():

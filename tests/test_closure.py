@@ -389,9 +389,9 @@ def test_eigenbasis_certification_faults(family, pipe):
 def test_wrong_beta_node_value_fails(family, which, pipe, monkeypatch):
     """One wrong node value of beta0, beta1 or beta-1 is interpolated and
     held alike, so solve_closure returns.  The closure residual then lists
-    column j alone, equal to the dense and Horner oracles'.  The ladder's
-    -Rm1/R0 = b_dual check fails at that node where beta0 or beta-1 is
-    wrong; the ladder does not read R1."""
+    column j alone, equal to the dense and Horner oracles'; its diagonal
+    entry is -Rm1 = b_dual*R0.  The ladder reads the triple only for its
+    spectrum and R0 != 0 there, so it passes."""
     j = 3
     h = pipe(family, 5, (1, 2)).hamiltonian(Y_ONE)
     calls = []
@@ -412,11 +412,7 @@ def test_wrong_beta_node_value_fails(family, which, pipe, monkeypatch):
         assert [(m, n) for m, n, _ in residual] == [(j, j)]
     assert h.V @ from_entries(h.V.n, residual) == dense_verify_closure(h, bad)
     assert h.V @ from_entries(h.V.n, residual) == _horner_residual(h, bad) @ h.V
-    if which == 1:
-        assert verify_ladder(h, bad) == []
-        return
-    with pytest.raises(CrossCheckMismatch, match=f"-Rm1/R0 differs from dual coefficient at n={j}"):
-        verify_ladder(h, bad)
+    assert verify_ladder(h, bad) == []
 
 
 def _ladder_outcome(fn):
@@ -435,7 +431,10 @@ def test_scalar_route_matches_dense_oracle(family, N, pipe, monkeypatch):
     """The tridiagonal route and the dense one give the same verdicts, the
     same closure residuals (V*M against the dense (LHS - RHS)*V, M found
     with the dense product refused) and the same ladder outcomes (failure
-    list or error), on the true data and under corruption."""
+    list or error), on the true data and under corruption.  The dense
+    ladder reads corr = Rm1/R0 off the triple, the tridiagonal one -b_dual,
+    which is the closure's diagonal entry: a bent R0 or Rm1 fails the
+    closure there and leaves the tridiagonal ladder's outcome unchanged."""
     D = (1, 2)
     h = pipe(family, N, D).hamiltonian(Y_ONE)
     trip = pipe(family, N, D).closure(Y_ONE)
@@ -444,6 +443,7 @@ def test_scalar_route_matches_dense_oracle(family, N, pipe, monkeypatch):
         replace_closure(trip, **{name: poly_add(getattr(trip, name), Poly([c]))})
         for name in ("R0", "R1", "Rm1")
     ]
+    bent_corr = (triples[1], triples[3])
     for t in triples:
         with monkeypatch.context() as mp:
             mp.setattr(SquareMatrix, "__matmul__", _refuse_product)
@@ -451,6 +451,7 @@ def test_scalar_route_matches_dense_oracle(family, N, pipe, monkeypatch):
         assert all(abs(m - n) <= 1 for m, n, _ in residual)
         assert h.V @ from_entries(N + 1, residual) == dense_verify_closure(h, t)
         assert (residual == []) == (t is trip)
+        assert any(m == n for m, n, _ in residual) == (t in bent_corr)
     # off-spectrum grid values enter only through the gaps; an interior one
     # is an eigenvalue, so it breaks h_tilde*V = V*diag(X), which both
     # routes certify before they read the spectrum
@@ -472,12 +473,15 @@ def test_scalar_route_matches_dense_oracle(family, N, pipe, monkeypatch):
     for hh in hs:
         for t in triples:
             got = _ladder_outcome(lambda: verify_ladder(hh, t))
+            if t in bent_corr:
+                assert got == _ladder_outcome(lambda: verify_ladder(hh, trip))
+                continue
             dense = _ladder_outcome(
                 lambda: dense_verify_ladder(hh, dense_build_ladder(hh, t, vinv)))
             assert got == dense
             outcomes.append(got)
-    assert outcomes[0] == []
-    assert any(isinstance(o, str) for o in outcomes)
+    # X(-1) and X(N+1) enter only the edge columns, whose gaps cancel them
+    assert outcomes == [[]] * len(outcomes)
 
 
 def _closure_ladder_run(family):
@@ -569,7 +573,6 @@ def test_certifications_survive_python_O():
         from dualracah.linalg import SquareMatrix
         from dualracah.params import make_params
         from dualracah.poly import Poly
-        from comparators import replace_closure
 
         assert False, "asserts must be stripped"
         s = multiindexed.build_mi_system(make_params("R", 4, b=9, c=rat(1, 2), d=rat(2, 5)), (1,))
@@ -620,8 +623,6 @@ def test_certifications_survive_python_O():
         grid[1], grid[2] = grid[2], grid[1]
         swapped = replace(h, x_grid=grid, dual=replace(h.dual, V=SquareMatrix(rows)))
         run("swapped", closure.verify_ladder, swapped)
-        bent = Poly((trip.Rm1[0] + rat(1, 3),) + trip.Rm1.coeffs[1:])
-        run("corr", closure.verify_ladder, h, replace_closure(trip, Rm1=bent))
         for field in ("norms", "weights"):
             values = list(getattr(h.dual, field))
             values[3] *= 2
@@ -647,6 +648,5 @@ def test_certifications_survive_python_O():
     assert "swapped: diag(Ebar)*V differs from V*T at (x,n)=(1,0)" in out
     for field in ("norms", "weights"):
         assert f"{field} listed: True" in out
-    assert "corr: -Rm1/R0 differs from dual coefficient at n=0" in out
     for fn in ("verify_closure", "verify_ladder"):
         assert f"spectrum {fn}: closure triple was solved on another spectrum" in out
