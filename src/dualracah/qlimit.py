@@ -125,10 +125,11 @@ class Ladder:
     always ends in `os._exit`; a library error in it comes back as its
     class name and message and is raised again by `tables`.  `route` and
     `compute_s` (the ladder's own compute time, set once the last table is
-    read) describe the run."""
+    read) describe the run; `precision` is the tables' working precision."""
 
     def __init__(self, p_r: ParamSet, D: Sequence[int], precision: int):
         self._args = (p_r, tuple(D), precision)
+        self.precision = precision
         self.route = "inline"
         self.compute_s = None
         self._pid = self._pipe = None
@@ -228,14 +229,14 @@ class QLimitReport:
     precision: int
 
 
-def qlimit_check(
-    s: MISystem, precision: int = DEFAULT_PRECISION, ladder: Ladder = None
-) -> QLimitReport:
+def qlimit_check(s: MISystem, ladder: Ladder = None) -> QLimitReport:
     """Gap ladder of the q-family tables against the built additive system s,
-    at q = 1 - 10^-k for k in LADDER_KS.  `ladder` holds the float tables
-    for (s.params, s.D, precision); without one they are computed here."""
+    at q = 1 - 10^-k for k in LADDER_KS, at the ladder's precision.
+    `ladder` holds the float tables for (s.params, s.D); without one they
+    are computed here at DEFAULT_PRECISION."""
     if ladder is None:
-        ladder = Ladder(s.params, s.D, precision)
+        ladder = Ladder(s.params, s.D, DEFAULT_PRECISION)
+    precision = ladder.precision
     with mpmath.workprec(precision):
         ref_p = [[to_real(v, precision) for v in row] for row in s.pdn_grid]
         ref_q = _ratios(ref_p)

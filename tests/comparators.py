@@ -24,14 +24,18 @@ list of nonzero entries, which the library no longer calls.  So is the
 dual orthogonality with its weights and norms derived afresh from the
 system, the route ``DualTable.ortho_residual`` replaced.
 
-The closure relation and the ladder operators as explicit matrices, which
-``closure`` checks as tridiagonal matrices in the dual eigenbasis only,
-are here too: the dense closure residual times V, both ladder operators
-by the dense bracket and by spectral calculus, and the inverse of V by
-one exact solve per column.  So are the closure polynomials' values on
-the spectrum by ``Poly.values``, the route that the certified node data
-(``ClosureTriple.on_spectrum``) replaced, and a triple with polynomials
-replaced whose values on the spectrum are re-derived by that route.
+The closure relation and the ladder operators, which ``closure``
+certifies through the dual eigenbasis and the node data alone, are here
+in the two routes it replaced: as tridiagonal matrices in the dual
+eigenbasis (the closure's M, listed entry by entry, and the ladder
+operators' columns against a_dual and c_dual), and as explicit matrices
+(the dense closure residual times V, both ladder operators by the dense
+bracket and by spectral calculus, and the inverse of V by one exact solve
+per column).  So are the closure node data built from the X grid, the
+closure polynomials' values on the spectrum by ``Poly.values``, the route
+that the certified node data (``ClosureTriple.r0_on_spectrum``) replaced,
+and a triple with polynomials replaced whose values on the spectrum are
+re-derived by that route.
 """
 
 from __future__ import annotations
@@ -490,6 +494,18 @@ def dense_verify_closure(h, c) -> SquareMatrix:
     )
 
 
+def closure_node_data(h) -> tuple:
+    """(R0, R1, Rm1) at each node X_n of h's spectrum as ``solve_closure``
+    builds them from the X grid: (X_(n+1) - X_n)*(X_n - X_(n-1)),
+    X_(n+1) - 2*X_n + X_(n-1) and -b_dual[n] times the first."""
+    X = h.x_grid
+    out = []
+    for n, b in enumerate(h.dual.b_dual):
+        beta0 = (X[n + 1] - X[n]) * (X[n] - X[n - 1])
+        out.append((beta0, X[n + 1] - 2 * X[n] + X[n - 1], -beta0 * b))
+    return tuple(out)
+
+
 def on_spectrum_by_values(c) -> tuple:
     """(R0, R1, Rm1) at each node of c's spectrum, one ``Poly.values`` per
     polynomial."""
@@ -497,10 +513,79 @@ def on_spectrum_by_values(c) -> tuple:
 
 
 def replace_closure(c, **polys):
-    """c with some of R0, R1 and Rm1 replaced, its values on the spectrum
-    re-derived from the polynomials it then holds."""
+    """c with some of R0, R1 and Rm1 replaced, R0's values on the spectrum
+    re-derived from the polynomial it then holds."""
     bent = replace(c, **polys)
-    return replace(bent, on_spectrum=on_spectrum_by_values(bent))
+    return replace(bent, r0_on_spectrum=tuple(bent.R0.values(bent.nodes)))
+
+
+def tridiagonal_closure(h, c) -> list:
+    """Nonzero entries (m, n, r) of the tridiagonal M with (LHS - RHS)*V =
+    V*M for the double-commutator identity, in row-major order,
+    |m - n| <= 1 (the route ``closure.verify_closure`` replaced).  Column n
+    of M, with T held as its columns (``DualTable.jacobi``) and the
+    polynomials read at X_n by ``Poly.values``:
+
+        M[m][n] = T[m][n]*((X_m - X_n)^2 - (X_m - X_n)*R1(X_n) - R0(X_n)), m = n+-1,
+        M[n][n] = -b_dual[n]*R0(X_n) - Rm1(X_n).
+
+    Neither h's eigenbasis nor c's spectrum is certified here."""
+    X = h.x_grid
+    entries = []
+    for n, ((lo, mid, hi), (r0, r1, rm1)) in enumerate(
+        zip(h.dual.jacobi(), on_spectrum_by_values(c))
+    ):
+        lo_gap, hi_gap = X[n - 1] - X[n], X[n + 1] - X[n]
+        col = (
+            lo * (lo_gap * lo_gap - lo_gap * r1 - r0),
+            -mid * r0 - rm1,
+            hi * (hi_gap * hi_gap - hi_gap * r1 - r0),
+        )
+        entries += [(m, n, r) for m, r in zip((n - 1, n, n + 1), col) if r != 0]
+    return sorted(entries, key=lambda e: e[:2])
+
+
+def ladder_columns(h, c, step: int, sign: int) -> list:
+    """Columns (B[n-1][n], B[n][n], B[n+1][n]) of the tridiagonal B with
+    a*V = V*B for one ladder operator (the route ``closure.verify_ladder``
+    replaced).
+
+    a = ([h,Ebar] - (Ebar + corr)*alpha) * sign*gap_inv, with
+    alpha(n) = X[n+step] - X[n], gap(n) = X[n+1] - X[n-1] and
+    corr(n) = Rm1(X_n)/R0(X_n).  Since [h,Ebar]*V = V*(diag(X)*T -
+    T*diag(X)), column n of B is (T[m][n]*(X_m - X[n+step]) -
+    [m=n]*(b_dual[n] + corr_n)*alpha_n) * sign/gap_n.  SingularR0 where R0
+    vanishes on the spectrum."""
+    X = h.x_grid
+    cols = []
+    for n, ((lo, mid, hi), (r0, _, rm1)) in enumerate(
+        zip(h.dual.jacobi(), on_spectrum_by_values(c))
+    ):
+        if r0 == 0:
+            raise SingularR0("R0 vanishes on the spectrum (degenerate seed with Y(0)=0)")
+        shifted = X[n + step]
+        g = sign / (X[n + 1] - X[n - 1])
+        diag = -(mid + rm1 / r0) * (shifted - X[n]) * g
+        cols.append((lo * (X[n - 1] - shifted) * g, diag, hi * (X[n + 1] - shifted) * g))
+    return cols
+
+
+def tridiagonal_ladder(h, c) -> list:
+    """Both ladder actions on every eigenvector column, in the dual
+    eigenbasis: column n of B against a_dual[n]*e_(n+1) for a+ ("plus")
+    and c_dual[n]*e_(n-1) for a- ("minus").  Returns the failing
+    ("plus", n) / ("minus", n) in column order; empty = pass."""
+    T = h.dual.jacobi()
+    actions = (
+        ("plus", ladder_columns(h, c, -1, 1), [(0, 0, hi) for _, _, hi in T]),
+        ("minus", ladder_columns(h, c, 1, -1), [(lo, 0, 0) for lo, _, _ in T]),
+    )
+    return [
+        (name, n)
+        for n in range(len(T))
+        for name, got, expect in actions
+        if got[n] != expect[n]
+    ]
 
 
 def dense_build_ladder(h, c, vinv=None) -> tuple:

@@ -1,8 +1,10 @@
-"""Closure relation residuals and ladder operators: the tridiagonal route of
-``closure`` against the dense and spectral-calculus routes kept as oracles
-in ``comparators``."""
+"""Closure relation and ladder operators: the certifications of ``closure``,
+and the routes they replaced, kept as oracles in ``comparators``: the
+tridiagonal matrices in the dual eigenbasis, which the node data make
+zero, against the dense and spectral-calculus routes."""
 
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -22,6 +24,7 @@ from dualracah.pipeline import Pipeline
 from dualracah.poly import Poly, interpolate
 from comparators import (
     _spectral_ladder,
+    closure_node_data,
     commutator,
     dense_build_ladder,
     dense_verify_closure,
@@ -35,6 +38,8 @@ from comparators import (
     poly_add,
     replace_closure,
     scale_cols,
+    tridiagonal_closure,
+    tridiagonal_ladder,
 )
 from conftest import MATRIX, SEEDS, Y_ETA, Y_ONE, solve_overdetermined, std_params
 
@@ -48,12 +53,9 @@ CASES = [((1,), "1"), ((2,), "1"), ((1, 2), "1"), ((1,), "eta")]
 def vandermonde_closure(h):
     """(R0, R1, Rm1) by solving the square Vandermonde system of the
     spectrum for each of the three node-data vectors."""
-    X, nodes = h.x_grid, h.energies
-    beta0 = [(X[j + 1] - X[j]) * (X[j] - X[j - 1]) for j in range(len(nodes))]
-    beta1 = [X[j + 1] - 2 * X[j] + X[j - 1] for j in range(len(nodes))]
-    betam1 = [-b0 * h.dual.b_dual[j] for j, b0 in enumerate(beta0)]
+    nodes = h.energies
     vm = [[z ** i for i in range(len(nodes))] for z in nodes]
-    return tuple(Poly(solve_overdetermined(vm, beta)) for beta in (beta0, beta1, betam1))
+    return tuple(Poly(solve_overdetermined(vm, list(beta))) for beta in zip(*closure_node_data(h)))
 
 
 def matrix_poly(coeffs, h: SquareMatrix) -> SquareMatrix:
@@ -107,7 +109,8 @@ def test_closure_residual_is_zero(family, D, y, N, pipe):
     h = pipe(family, N, D).hamiltonian(SEEDS[y])
     trip = pipe(family, N, D).closure(SEEDS[y])
     assert (trip.R0, trip.R1, trip.Rm1) == vandermonde_closure(h)
-    assert verify_closure(h, trip) == []
+    verify_closure(h, trip)
+    assert tridiagonal_closure(h, trip) == []
     assert matrix_is_zero(_horner_residual(h, trip))
     assert matrix_is_zero(dense_verify_closure(h, trip))
 
@@ -118,7 +121,8 @@ def test_undeformed_control_degrees(family, pipe):
     degree pattern (2, 1, 2) and the residual still vanishes."""
     h = pipe(family, 5, ()).hamiltonian(Y_ONE)
     trip = pipe(family, 5, ()).closure(Y_ONE)
-    assert verify_closure(h, trip) == []
+    verify_closure(h, trip)
+    assert tridiagonal_closure(h, trip) == []
     assert (trip.R0.degree or 0) <= 2
     assert (trip.R1.degree or 0) <= 1
     assert (trip.Rm1.degree or 0) <= 2
@@ -152,12 +156,13 @@ def test_discriminant_is_a_square_on_nodes(family, pipe):
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("N", [5, 10])
 def test_node_data_are_the_values_on_the_spectrum(family, N, pipe):
-    """The node data the triple holds are its polynomials' values on the
-    spectrum by Poly.values, the route they replaced, for every index set
-    and seed."""
+    """The node data built from the X grid are the polynomials' values on
+    the spectrum by Poly.values, the route they replaced, and the triple
+    holds R0's, for every index set and seed."""
     for D, y in MATRIX:
-        trip = pipe(family, N, D).closure(SEEDS[y])
-        assert trip.on_spectrum == on_spectrum_by_values(trip)
+        h, trip = pipe(family, N, D).hamiltonian(SEEDS[y]), pipe(family, N, D).closure(SEEDS[y])
+        assert on_spectrum_by_values(trip) == closure_node_data(h)
+        assert trip.r0_on_spectrum == tuple(r0 for r0, _, _ in closure_node_data(h))
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -209,7 +214,8 @@ def test_spectral_fn_reproduces_polynomials(pipe):
 def test_ladder_actions_exact(family, D, pipe):
     h = pipe(family, 6, D).hamiltonian(Y_ONE)
     trip = pipe(family, 6, D).closure(Y_ONE)
-    assert verify_ladder(h, trip) == []
+    verify_ladder(h, trip)
+    assert tridiagonal_ladder(h, trip) == []
     assert dense_verify_ladder(h, dense_build_ladder(h, trip)) == []
 
 
@@ -218,10 +224,9 @@ def test_ladder_degenerate_seed_raises(family, pipe):
     h = pipe(family, 6, (1,)).hamiltonian(Y_ETA)
     trip = pipe(family, 6, (1,)).closure(Y_ETA)
     msg = r"R0 vanishes on the spectrum \(degenerate seed with Y\(0\)=0\)"
-    with pytest.raises(SingularR0, match=msg):
-        dense_build_ladder(h, trip)
-    with pytest.raises(SingularR0, match=msg):
-        verify_ladder(h, trip)
+    for fn in (dense_build_ladder, tridiagonal_ladder, verify_ladder):
+        with pytest.raises(SingularR0, match=msg):
+            fn(h, trip)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -230,7 +235,7 @@ def test_ladder_boundary_annihilation(family, pipe):
     by verify_ladder, and on the dense operators."""
     h = pipe(family, 5, (1,)).hamiltonian(Y_ONE)
     trip = pipe(family, 5, (1,)).closure(Y_ONE)
-    assert verify_ladder(h, trip) == []
+    verify_ladder(h, trip)
     a_plus, a_minus = dense_build_ladder(h, trip)
     top = (a_plus @ h.V).column(5)
     bottom = (a_minus @ h.V).column(0)
@@ -265,7 +270,7 @@ def test_inverse_and_ladder_match_generic_oracles(family, D, y, N, pipe):
             with pytest.raises(SingularR0):
                 fn(h, trip)
         return
-    assert verify_ladder(h, trip) == []
+    verify_ladder(h, trip)
     assert dense_build_ladder(h, trip, vinv) == _spectral_ladder(h, trip)
 
 
@@ -274,7 +279,7 @@ def test_corrupted_r1_residual_equals_horner(family, pipe):
     h = pipe(family, 5, (1, 2)).hamiltonian(Y_ONE)
     trip = pipe(family, 5, (1, 2)).closure(Y_ONE)
     bad = replace_closure(trip, R1=Poly([trip.R1[0] + rat(1, 3)] + list(trip.R1.coeffs[1:])))
-    residual = verify_closure(h, bad)
+    residual = tridiagonal_closure(h, bad)
     assert residual != []
     assert h.V @ from_entries(h.V.n, residual) == _horner_residual(h, bad) @ h.V
     assert h.V @ from_entries(h.V.n, residual) == dense_verify_closure(h, bad)
@@ -291,7 +296,7 @@ def test_closure_and_ladder_read_no_norm_or_weight(family, pipe):
     """A corrupted V fails the eigenbasis certification of the closure and
     ladder checks.  A corrupted squared norm or weight is listed by the
     dual orthogonality; the closure and ladder checks rest on the
-    eigenbasis alone and give the verdicts of the intact table."""
+    eigenbasis alone and pass."""
     h = pipe(family, 5, (1,)).hamiltonian(Y_ONE)
     trip = pipe(family, 5, (1,)).closure(Y_ONE)
     # replace() copies h and its dual table with every cached property
@@ -300,12 +305,11 @@ def test_closure_and_ladder_read_no_norm_or_weight(family, pipe):
     for fn in (verify_closure, verify_ladder):
         with pytest.raises(CrossCheckMismatch, match=r"h_tilde\*V differs"):
             fn(replace(bad_v), trip)
-    failing = replace_closure(trip, Rm1=poly_add(trip.Rm1, Poly([rat(1, 3)])))
     for field in ("norms", "weights"):
         bad = replace(h, dual=replace(h.dual, **{field: _doubled(getattr(h.dual, field), 4)}))
         assert dual_ortho(bad.dual) != []
-        assert verify_closure(bad, trip) == [] and verify_ladder(bad, trip) == []
-        assert verify_closure(bad, failing) == verify_closure(h, failing) != []
+        verify_closure(bad, trip)
+        verify_ladder(bad, trip)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -388,10 +392,11 @@ def test_eigenbasis_certification_faults(family, pipe):
 @pytest.mark.parametrize("which", [0, 1, 2])
 def test_wrong_beta_node_value_fails(family, which, pipe, monkeypatch):
     """One wrong node value of beta0, beta1 or beta-1 is interpolated and
-    held alike, so solve_closure returns.  The closure residual then lists
-    column j alone, equal to the dense and Horner oracles'; its diagonal
-    entry is -Rm1 = b_dual*R0.  The ladder reads the triple only for its
-    spectrum and R0 != 0 there, so it passes."""
+    held alike, so solve_closure returns.  The tridiagonal closure residual
+    then lists column j alone, equal to the dense and Horner oracles'; its
+    diagonal entry is -Rm1 = b_dual*R0.  The library checks read the triple
+    only for its spectrum and R0 != 0 there, so they pass: the node data
+    are the construction they rest on."""
     j = 3
     h = pipe(family, 5, (1, 2)).hamiltonian(Y_ONE)
     calls = []
@@ -405,14 +410,15 @@ def test_wrong_beta_node_value_fails(family, which, pipe, monkeypatch):
 
     monkeypatch.setattr(closure, "interpolate", skewed)
     bad = closure.solve_closure(h)
-    assert bad.on_spectrum == on_spectrum_by_values(bad)
-    residual = verify_closure(h, bad)
+    assert bad.r0_on_spectrum == tuple(bad.R0.values(bad.nodes))
+    residual = tridiagonal_closure(h, bad)
     assert residual and {n for _, n, _ in residual} == {j}
     if which == 2:
         assert [(m, n) for m, n, _ in residual] == [(j, j)]
     assert h.V @ from_entries(h.V.n, residual) == dense_verify_closure(h, bad)
     assert h.V @ from_entries(h.V.n, residual) == _horner_residual(h, bad) @ h.V
-    assert verify_ladder(h, bad) == []
+    verify_closure(h, bad)
+    verify_ladder(h, bad)
 
 
 def _ladder_outcome(fn):
@@ -431,10 +437,11 @@ def test_scalar_route_matches_dense_oracle(family, N, pipe, monkeypatch):
     """The tridiagonal route and the dense one give the same verdicts, the
     same closure residuals (V*M against the dense (LHS - RHS)*V, M found
     with the dense product refused) and the same ladder outcomes (failure
-    list or error), on the true data and under corruption.  The dense
-    ladder reads corr = Rm1/R0 off the triple, the tridiagonal one -b_dual,
-    which is the closure's diagonal entry: a bent R0 or Rm1 fails the
-    closure there and leaves the tridiagonal ladder's outcome unchanged."""
+    list or error), on the true data and under corruption; the library
+    checks pass on every triple solved on h's spectrum.  Both ladder routes
+    read corr = Rm1/R0 off the triple: a bent R0 or Rm1 fails the closure
+    on the diagonal, the dense ladder at its corr check and the tridiagonal
+    ladder on the diagonal of B."""
     D = (1, 2)
     h = pipe(family, N, D).hamiltonian(Y_ONE)
     trip = pipe(family, N, D).closure(Y_ONE)
@@ -447,14 +454,16 @@ def test_scalar_route_matches_dense_oracle(family, N, pipe, monkeypatch):
     for t in triples:
         with monkeypatch.context() as mp:
             mp.setattr(SquareMatrix, "__matmul__", _refuse_product)
-            residual = verify_closure(h, t)
+            verify_closure(h, t)
+            verify_ladder(h, t)
+            residual = tridiagonal_closure(h, t)
         assert all(abs(m - n) <= 1 for m, n, _ in residual)
         assert h.V @ from_entries(N + 1, residual) == dense_verify_closure(h, t)
         assert (residual == []) == (t is trip)
         assert any(m == n for m, n, _ in residual) == (t in bent_corr)
     # off-spectrum grid values enter only through the gaps; an interior one
     # is an eigenvalue, so it breaks h_tilde*V = V*diag(X), which both
-    # routes certify before they read the spectrum
+    # library checks certify before they read the spectrum
     interior = dict(h.x_grid)
     interior[N // 2] += c
     interior = replace(h, x_grid=interior)
@@ -472,9 +481,10 @@ def test_scalar_route_matches_dense_oracle(family, N, pipe, monkeypatch):
     outcomes = []
     for hh in hs:
         for t in triples:
-            got = _ladder_outcome(lambda: verify_ladder(hh, t))
+            verify_ladder(hh, t)
+            got = tridiagonal_ladder(hh, t)
             if t in bent_corr:
-                assert got == _ladder_outcome(lambda: verify_ladder(hh, trip))
+                assert got != []
                 continue
             dense = _ladder_outcome(
                 lambda: dense_verify_ladder(hh, dense_build_ladder(hh, t, vinv)))
@@ -482,6 +492,42 @@ def test_scalar_route_matches_dense_oracle(family, N, pipe, monkeypatch):
             outcomes.append(got)
     # X(-1) and X(N+1) enter only the edge columns, whose gaps cancel them
     assert outcomes == [[]] * len(outcomes)
+
+
+def _random_grid_and_duals(h, rng):
+    """h with a random strictly increasing X grid on -1..N+1 and random
+    rational a_dual, b_dual and c_dual; V and h_tilde are h's."""
+    N = h.h_tilde.n - 1
+    grid, x = {}, rat(rng.randint(-9, 9), rng.randint(1, 9))
+    for n in range(-1, N + 2):
+        grid[n] = x
+        x += rat(rng.randint(1, 30), rng.randint(1, 9))
+
+    def coeffs():
+        return tuple(rat(rng.randint(-30, 30), rng.randint(1, 9)) for _ in range(N + 1))
+
+    dual = replace(h.dual, a_dual=coeffs(), b_dual=coeffs(), c_dual=coeffs())
+    return replace(h, x_grid=grid, dual=dual)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("N", [4, 7, 10])
+def test_node_data_make_the_tridiagonal_identities_hold(family, N, pipe):
+    """The argument on which verify_closure and verify_ladder rest: for any
+    dual coefficients and any strictly increasing X grid, the triple that
+    solve_closure builds there makes the tridiagonal M of the closure and
+    both ladder operators' columns vanish against a_dual and c_dual (Vieta
+    on R0 and R1, Rm1 = -b_dual*R0 on the diagonal).  R1 shifted off its
+    node data leaves M nonzero, so M is not zero for every triple."""
+    h = pipe(family, N, (1, 2)).hamiltonian(Y_ONE)
+    rng = random.Random(N)
+    for _ in range(4):
+        hh = _random_grid_and_duals(h, rng)
+        trip = closure.solve_closure(hh)
+        assert tridiagonal_closure(hh, trip) == []
+        assert tridiagonal_ladder(hh, trip) == []
+        bent = replace_closure(trip, R1=poly_add(trip.R1, Poly([rat(1, 3)])))
+        assert tridiagonal_closure(hh, bent) != []
 
 
 def _closure_ladder_run(family):
@@ -535,13 +581,12 @@ def test_closure_and_ladder_suites_evaluate_no_polynomial(family, monkeypatch):
     assert report._suite_closure(cfg, p)["pass"]
     assert report._suite_ladder(cfg, p)["pass"]
     assert calls == []
-    assert trip.on_spectrum == on_spectrum_by_values(trip)
+    assert trip.r0_on_spectrum == tuple(trip.R0.values(trip.nodes))
 
 
 def test_passing_closure_check_builds_no_matrix(monkeypatch):
-    """Once the eigenbasis is certified, a passing closure check returns an
-    empty list and constructs no SquareMatrix; a failing one lists the
-    entries of M and constructs none either."""
+    """Once the eigenbasis is certified, the closure and ladder checks
+    construct no SquareMatrix."""
     pl = Pipeline(std_params(R, 6), (1, 2))
     h, trip = pl.hamiltonian(Y_ONE), pl.closure(Y_ONE)
     h.eigenbasis
@@ -553,9 +598,8 @@ def test_passing_closure_check_builds_no_matrix(monkeypatch):
         init(self, rows)
 
     monkeypatch.setattr(SquareMatrix, "__init__", counted)
-    assert verify_closure(h, trip) == []
-    assert built == []
-    assert verify_closure(h, replace_closure(trip, Rm1=poly_add(trip.Rm1, Poly([rat(1, 3)])))) != []
+    verify_closure(h, trip)
+    verify_ladder(h, trip)
     assert built == []
 
 

@@ -81,7 +81,7 @@ def test_float_columns_stay_at_their_precision(pipe):
     s = pipe(R, 5, (1,)).system()
     D = s.D
     for prec in (53, 256, 53):
-        qlimit_check(s, prec)
+        qlimit_check(s, qlimit.Ladder(s.params, D, prec))
         for k in LADDER_KS:
             pq = matched_q_params(s.params, k, prec)
             pdn = float_tables(pq, D, prec)
