@@ -148,7 +148,9 @@ class RacahColumns:
 
     Exact parameters run the three-term recurrence in n,
     P_{n+1} = ((eta(y) - B_n) P_n - C_n P_{n-1}) / A_n, with the coefficients
-    of ``rec_coeffs``: O(N) per column.  Float parameters (the q-family
+    of ``rec_coeffs``: O(N) per column.  Each step runs on the integer
+    numerators and denominators over one common denominator and is reduced
+    once, to the same rational.  Float parameters (the q-family
     tuples of the q->1 check) keep the terminating q-sum of ``racah_value``,
     with its k, (n, k) and (y, k) factors each formed once and combined in
     the sum's own operation order, so every value equals ``racah_value``'s
@@ -159,7 +161,9 @@ class RacahColumns:
     def __init__(self, p: ParamSet):
         self.p, N = p, p.N
         if p.is_exact():
-            self._rec = [rec_coeffs(n, p) for n in range(N)]
+            self._rec = [
+                [(v.numerator, v.denominator) for v in rec_coeffs(n, p)] for n in range(N)
+            ]
             return
         if p.family == R:
             raise InadmissibleParams("float base columns are filled for the q-family only")
@@ -181,10 +185,14 @@ class RacahColumns:
         one = p.a * 0 + 1
         if p.is_exact():
             e = eta(y, p)
-            col, prev = [one], 0
-            for n, (A, B, C) in enumerate(self._rec):
-                col.append(((e - B) * col[n] - C * prev) / A)
-                prev = col[n]
+            en, ed = e.numerator, e.denominator
+            col = [one]
+            pn, pd, qn, qd = 1, 1, 0, 1  # P_n = pn/pd, P_{n-1} = qn/qd
+            for (an, ad), (bn, bd), (cn, cd) in self._rec:
+                num = (en * bd - bn * ed) * pn * cd * qd - cn * qn * ed * bd * pd
+                v = rat(num * ad, ed * bd * pd * cd * qd * an)
+                col.append(v)
+                pn, pd, qn, qd = v.numerator, v.denominator, pn, pd
             return tuple(col)
         q, d = p.q, p.d
         qmx, qx = ipow(q, -y), ipow(q, y)

@@ -27,14 +27,30 @@ formed once:
 
 varphi_(M+1)(x) extends the held varphi_M(x) by its last factors.  The
 M virtual-state columns of each bordered Casoratian are eliminated once
-per x (``linalg.LeadingElimination``); each P_(D,n)(x) then reduces only
-its bordered column.  The per-entry formulas live in the tests as
-oracles; floats agree with them bit for bit.
+per x (``linalg.LeadingElimination``).
 
-The weights come from ``basefamily.phi0_sq_table`` and the squared norms
-from ``basefamily.dn_sq_table``, one table each per build.  The leading
-coefficient of each virtual-state polynomial is the base one,
-``basefamily.c_n``, at the twisted parameters.
+Exact tuples take the cofactor route.  The bordered determinant is linear
+in its last column, so P_(D,n)(x) = sum_j cof_j(x) r_j(x) P_n(x+j-1) /
+(C_(D,n) varphi_(M+1)(x)), where the M+1 cofactors cof_j(x) (the
+elimination reducing the unit columns) do not depend on n.  They are
+taken once per x, folded with r_j(x)/varphi_(M+1)(x) and cleared to
+integers once; each base row P_n(y) is cleared once; each grid value is
+then one integer dot product over C_(D,n), one rational per entry.  The
+last cofactor is the M x M Casoratian of the denominator polynomial, so
+Xi_D(x) on the main grid is cof_(M+1)(x)/(C_D varphi_M(x)); the shifted
+table of Xi_D (lambda+delta) keeps one elimination per x.  Float tuples
+(the q->1 checks) take the per-entry route: each P_(D,n)(x) reduces its
+bordered column with the recorded elimination, in the order of the
+per-entry formulas, because the printed q->1 gaps pin that rounding.
+The per-entry formulas live in the tests as oracles; exact values equal
+them, floats agree with them bit for bit.
+
+The orthogonality weights come from ``basefamily.phi0_sq_table`` and the
+squared norms from ``basefamily.dn_sq_table``, one table each per build.
+The leading coefficient of each virtual-state polynomial is the base one,
+``basefamily.c_n``, at the twisted parameters; those of the deformed
+polynomials are one table per build, stepped by the ratio of consecutive
+base coefficients (``leading_pdn_table``).
 
 The second-order difference equations in x are not checked here: divided
 by the ground state P_0 they are the dual three-term recurrence, whose one
@@ -44,8 +60,10 @@ residual the dual table computes (``dualsystem.DualTable``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
+from .backend import rat
 from .basefamily import (
     RacahColumns,
     alpha_const,
@@ -66,9 +84,10 @@ from .errors import (
     DegreeMismatch,
     InadmissibleParams,
     NonPositiveWeight,
+    ZeroDenominator,
     ZeroEntry,
 )
-from .linalg import LeadingElimination, generic_det, gram_residuals
+from .linalg import LeadingElimination, _cleared_int_rows, generic_det, gram_residuals
 from .params import R, ParamSet, ell, energy, eta, index_set, ipow, shift, twist, validate
 from .poly import Poly, interpolate
 
@@ -89,9 +108,17 @@ class GridTable:
     docstring) are formed once per table.  Entries, factors and the column
     fill are made on first use and held only as long as the table, so
     float values stay tied to the working precision they were made at.
-    Every product is taken in the order of the per-entry formulas, and the
-    determinants see the same rows, in the same order, and the same
-    elimination steps, so float results agree bit for bit.
+
+    Two routes give P_(D,n)(x).  ``pdn_row``, for exact tuples, is the
+    cofactor route: the cofactor weights of each x (``cofactor_weights``)
+    dotted with the cleared base row (``base_row``), on integers.  ``pdn``, for
+    float tuples, reduces each bordered column with the recorded
+    elimination: every product is taken in the order of the per-entry
+    formulas, and the determinants see the same rows, in the same order,
+    and the same elimination steps, so float results agree with those
+    formulas bit for bit, which the q->1 gaps need.  ``xi`` is the
+    denominator polynomial by one whole elimination, for the shifted
+    table; on the main table ``cofactors`` gives it.
     """
 
     def __init__(self, D: Sequence[int], p: ParamSet):
@@ -222,15 +249,59 @@ class GridTable:
             lambda: LeadingElimination([self.xi_row(x + j) for j in range(self.M + 1)]),
         )
 
+    def cofactors(self, x: int) -> tuple:
+        """The M+1 cofactors of the bordered column at x (exact tuples):
+        ``elimination(x).det(e_j)``, j = 1..M+1.  The last is the M x M
+        Casoratian of the denominator polynomial at x."""
+
+        def make():
+            elim, M = self.elimination(x), self.M
+            return tuple(elim.det([int(i == j) for i in range(M + 1)]) for j in range(M + 1))
+
+        return self._get(("cof", x), make)
+
+    def cofactor_weights(self, x: int) -> tuple:
+        """The cofactor weights at x cleared to integers: ((W_1, ...,
+        W_(M+1)), L) with W_j / L = cof_j(x) * r_j(x) / varphi_(M+1)(x)."""
+
+        def make():
+            phi = self.varphi(x, self.M + 1)
+            row = [c * self.rj(j, x) / phi for j, c in enumerate(self.cofactors(x), start=1)]
+            (ws,), (den,) = _cleared_int_rows([row])
+            return ws, den
+
+        return self._get(("weights", x), make)
+
+    def base_row(self, n: int, size: int) -> tuple:
+        """The base values P_n(0..size-1) cleared by one lcm: (U, F) with
+        P_n(y) = U[y] / F."""
+        (us,), (den,) = _cleared_int_rows([[self.base_column(y)[n] for y in range(size)]])
+        return us, den
+
+    def pdn_row(self, n: int, size: int) -> list:
+        """Grid values P_(D,n)(0..size-1) of an exact tuple: at each x the
+        dot product of the cofactor weights with the cleared base values
+        P_n(x..x+M), over C_(D,n); one rational per entry."""
+        us, f = self.base_row(n, size + self.M)
+        cdn = self.cdn(n)
+        num, den = cdn.denominator, f * cdn.numerator
+        row = []
+        for x in range(size):
+            ws, lx = self.cofactor_weights(x)
+            row.append(rat(num * sum(map(mul, ws, us[x:x + len(ws)])), den * lx))
+        return row
+
     def xi(self, x: int):
-        """Grid value of the denominator polynomial (any integer x)."""
+        """Grid value of the denominator polynomial (any integer x), by one
+        whole elimination: the route of the shifted table."""
         M = self.M
         det = generic_det([self.xi_row(x + j) for j in range(M)])
         return det / (self.cd() * self.varphi(x, M))
 
     def pdn(self, n: int, x: int):
-        """Grid value of the deformed polynomial via the bordered determinant;
-        only the last column, r_j(x) * P_n(x+j-1), depends on n."""
+        """Grid value of the deformed polynomial via the bordered determinant,
+        the per-entry route of float tuples; only the last column,
+        r_j(x) * P_n(x+j-1), depends on n."""
         M = self.M
         column = [self.rj(j, x) * self.base_column(x + j - 1)[n] for j in range(1, M + 2)]
         return self.elimination(x).det(column) / (self.cdn(n) * self.varphi(x, M + 1))
@@ -256,17 +327,46 @@ def leading_xi(D: Sequence[int], p: ParamSet):
     return acc
 
 
-def leading_pdn(n: int, D: Sequence[int], p: ParamSet, lead_xi):
-    """Closed-form leading coefficient of P_(D,n); ``lead_xi`` is
-    ``leading_xi(D, p)``, which does not depend on n."""
-    acc = lead_xi * c_n(n, p)
-    if p.family == R:
-        for j, dj in enumerate(D, start=1):
-            acc = acc * (p.c + j - 1) / (p.c + dj + n)
-    else:
-        for j, dj in enumerate(D, start=1):
-            acc = acc * (1 - p.c * ipow(p.q, j - 1)) / (1 - p.c * ipow(p.q, dj + n))
-    return acc
+def leading_pdn_table(D: Sequence[int], p: ParamSet, lead_xi) -> tuple:
+    """Closed-form leading coefficients of P_(D,n), n = 0..N; ``lead_xi``
+    is ``leading_xi(D, p)``, which does not depend on n.
+
+    The coefficient is lead_xi * c_n * prod_j (c+j-1)/(c+d_j+n) (R; for qR
+    (1-c*q^(j-1))/(1-c*q^(d_j+n))).  The table starts at n = 0, where
+    c_0 = 1, and steps by the ratio of consecutive coefficients,
+    c_(n+1)/c_n = (dt+2n)(dt+2n+1) / ((dt+n)(a+n)(b+n)(c+n)) (R; for qR
+    (1-dt*q^(2n))(1-dt*q^(2n+1)) / ((1-dt*q^n)(1-a*q^n)(1-b*q^n)(1-c*q^n))),
+    times prod_j (c+d_j+n)/(c+d_j+n+1), so each step is O(M), not O(n).
+
+    No divisor vanishes for a tuple that passes ``validate``, n < N.  For
+    R: a+n = n-N < 0; c > 0; d+max(D)+1 < a+b gives a+b-d-1 > 0, so
+    dt = (a+b-d-1)+c > 0 and b > d+1-a > 0.  For qR, with 0 < q < 1:
+    1-a*q^n = 1-q^(n-N) != 0; qd < c < 1; ab < d*q^(max(D)+1) < 1 with
+    a > 1 gives 0 < b < 1 and 0 < dt = abc/(dq) < c < 1.  Where a divisor
+    does vanish, ZeroDenominator.
+    """
+    a, b, c, dt, N = p.a, p.b, p.c, p.dtilde, p.N
+
+    def factor(u, k):
+        # the linear factor u+k (R) or 1-u*q^k (qR)
+        return u + k if p.family == R else 1 - u * ipow(p.q, k)
+
+    def checked(den, n):
+        if den == 0:
+            raise ZeroDenominator(f"leading coefficient of P_(D,{n}) divides by zero")
+        return den
+
+    num, den = lead_xi, 1
+    for j, dj in enumerate(D, start=1):
+        num, den = num * factor(c, j - 1), den * factor(c, dj)
+    out = [rat(num) / checked(den, 0)]
+    for n in range(N):
+        num = factor(dt, 2 * n) * factor(dt, 2 * n + 1)
+        den = factor(dt, n) * factor(a, n) * factor(b, n) * factor(c, n)
+        for dj in D:
+            num, den = num * factor(c, dj + n), den * factor(c, dj + n + 1)
+        out.append(out[-1] * num / checked(den, n + 1))
+    return tuple(out)
 
 
 @dataclass
@@ -331,7 +431,10 @@ def build_mi_system(p: ParamSet, D: Sequence[int]) -> MISystem:
     p_delta = shift(p, 1, "delta")
     tab = GridTable(D, p)
 
-    xi_grid = {x: tab.xi(x) for x in range(0, max(N + 2, ellD + 1))}
+    cd = tab.cd()
+    xi_grid = {
+        x: tab.cofactors(x)[-1] / (cd * tab.varphi(x, M)) for x in range(max(N + 2, ellD + 1))
+    }
     if xi_grid[0] != 1:
         raise CrossCheckMismatch(f"denominator polynomial is {xi_grid[0]} at x=0, not 1")
     for x in range(N + 1):
@@ -354,11 +457,12 @@ def build_mi_system(p: ParamSet, D: Sequence[int]) -> MISystem:
     pdn_polys: List[Poly] = []
     pdn_grid: List[tuple] = []
     etas = [eta(x, p_pdn) for x in range(ellD + N + 1)]
+    leads = leading_pdn_table(D, p, lead_xi)
     for n in range(N + 1):
         deg = ellD + n
-        row = [tab.pdn(n, x) for x in range(max(deg, N) + 1)]
+        row = tab.pdn_row(n, max(deg, N) + 1)
         pol = interpolate(etas[: deg + 1], row[: deg + 1])
-        if (pol.degree or 0) != deg or pol[deg] != leading_pdn(n, D, p, lead_xi):
+        if (pol.degree or 0) != deg or pol[deg] != leads[n]:
             raise DegreeMismatch(f"deformed polynomial n={n} degree/leading coefficient")
         for x, v in zip(range(deg + 1, N + 1), pol.values(etas[deg + 1 : N + 1])):
             if v != row[x]:

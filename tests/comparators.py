@@ -12,7 +12,9 @@ replaced them: Newton divided differences for ``poly.interpolate``, one
 full Gaussian elimination per matrix for ``linalg.LeadingElimination``,
 the per-entry Casoratian factors that ``multiindexed.GridTable`` forms
 from pieces held once per table (``varphi_m``, ``rj_factor``,
-``norm_const_cd``, ``dtn_sq_value``), and the dense semidefinite
+``norm_const_cd``, ``dtn_sq_value``), the product form of each deformed
+polynomial's leading coefficient that ``multiindexed.leading_pdn_table``
+replaced by one ratio table (``leading_pdn``), and the dense semidefinite
 factorization that ``shapeinv.factor_upper`` restricts to the band.  The
 ring arithmetic that ``Poly`` no longer has is here as plain functions,
 with the checks that ``linalg.eigen_misses`` replaced: the band
@@ -45,7 +47,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import mpmath
 
-from dualracah.basefamily import alpha_const, etilde_v, poch, potential, qpoch, varphi
+from dualracah.basefamily import alpha_const, c_n, etilde_v, poch, potential, qpoch, varphi
 from dualracah.backend import rat
 from dualracah.errors import (
     CrossCheckMismatch,
@@ -824,6 +826,20 @@ def dtn_sq_value(n: int, D: Sequence[int], p: ParamSet):
     en = energy(n, p)
     for j, dj in enumerate(D):
         acc = acc * (en - etilde_v(dj, p)) / (al * potential(j, p, "Bprime"))
+    return acc
+
+
+def leading_pdn(n: int, D: Sequence[int], p: ParamSet, lead_xi):
+    """Closed-form leading coefficient of P_(D,n) as one O(n) product;
+    ``lead_xi`` is ``leading_xi(D, p)`` (the route
+    ``multiindexed.leading_pdn_table`` replaced by its ratio table)."""
+    acc = lead_xi * c_n(n, p)
+    if p.family == R:
+        for j, dj in enumerate(D, start=1):
+            acc = acc * (p.c + j - 1) / (p.c + dj + n)
+    else:
+        for j, dj in enumerate(D, start=1):
+            acc = acc * (1 - p.c * ipow(p.q, j - 1)) / (1 - p.c * ipow(p.q, dj + n))
     return acc
 
 

@@ -9,6 +9,7 @@ import sys
 import textwrap
 from contextlib import contextmanager
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from dualracah.errors import (
     IndexOutOfRange,
     InadmissibleParams,
     NonPositiveWeight,
+    ZeroDenominator,
     ZeroEntry,
 )
 from dualracah.linalg import LeadingElimination
@@ -29,12 +31,15 @@ from dualracah.multiindexed import (
     GridTable,
     MISystem,
     build_mi_system,
+    leading_pdn_table,
+    leading_xi,
     sign_changes,
     verify_ortho,
 )
-from dualracah.params import QR, R, eta, make_params, shift, validate
+from dualracah.params import QR, R, ell, eta, make_params, shift, validate
 from dualracah.pipeline import Pipeline
-from comparators import dtn_sq_value, norm_const_cd, rj_factor, varphi_m
+from dualracah.qlimit import float_tables, matched_q_params
+from comparators import dtn_sq_value, leading_pdn, norm_const_cd, rj_factor, varphi_m
 from conftest import per_entry_pdn, per_entry_xi, std_params, verify_difference_eq
 
 FAMILIES = (R, QR)
@@ -267,27 +272,150 @@ def test_table_factors_equal_per_entry_functions(family, D):
         assert tab.dtn(n) == dtn_sq_value(n, D, p)
 
 
-# Each fault corrupts one table entry or held factor (doubles it) so that
-# exactly one build certification sees it, at R, N=5, D=(1,2).
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("D", ((),) + INDEX_SETS + ((1, 2, 3),))
+@pytest.mark.parametrize("N", [1, 5, 10])
+def test_cofactor_route_matches_per_entry_route(family, D, N):
+    """The exact build's grids, from the cofactor weights and the cleared
+    base values, are the per-entry bordered eliminations' rationals: every
+    P_(D,n)(x) that the interpolation reads, past the grid too
+    (x <= ell_D + N), and every Xi_D(x) of the build (x <= N + 1)."""
+    p = _tuple_for_three_indices(family, N)
+    oracle, tab = GridTable(D, p), GridTable(D, p)
+    top = ell(D) + N
+    for n in range(N + 1):
+        row = tab.pdn_row(n, top + 1)
+        assert all(type(v) is Fraction for v in row)
+        assert row == [oracle.pdn(n, x) for x in range(top + 1)]
+    s = build_mi_system(p, D)
+    assert sorted(s.xi_grid) == list(range(max(N + 2, ell(D) + 1)))
+    for x, v in s.xi_grid.items():
+        assert type(v) is Fraction and v == oracle.xi(x)
+    for n in range(N + 1):
+        assert s.pdn_grid[n] == tuple(oracle.pdn(n, x) for x in range(N + 1))
+
+
+def _counted(monkeypatch, owner, names):
+    """Count the calls of the named methods of owner."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        orig = getattr(owner, name)
+
+        def counting(self, *args, _name=name, _orig=orig):
+            calls[_name] += 1
+            return _orig(self, *args)
+
+        monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_exact_build_takes_cofactors_once_per_x(monkeypatch):
+    """An exact build reduces M+1 unit columns per x of the main grid
+    (x <= ell_D + N) and one determinant per x of the shifted denominator
+    (-1 <= x <= N+1): O(N) eliminations, not one per (n, x).  It never
+    takes the per-entry route GridTable.pdn."""
+    det = _counted(monkeypatch, LeadingElimination, ["det"])
+    routes = _counted(monkeypatch, GridTable, ["pdn", "xi"])
+    N, D = 10, (1, 2)
+    build_mi_system(std_params(R, N), D)
+    M, top = len(D), ell(D) + N
+    assert det["det"] == (M + 1) * (top + 1) + (N + 3) == 52
+    assert routes == {"pdn": 0, "xi": N + 3}
+
+
+def test_float_tables_take_the_per_entry_route(monkeypatch):
+    """The q->1 float tables go through GridTable.pdn only: the q->1 gaps
+    pin the per-entry elimination's operation order."""
+    calls = _counted(monkeypatch, GridTable,
+                     ["pdn", "pdn_row", "cofactors", "cofactor_weights", "base_row"])
+    N = 4
+    float_tables(matched_q_params(std_params(R, N), 3, 53), (1, 2), 53)
+    assert calls == {"pdn": (N + 1) ** 2, "pdn_row": 0, "cofactors": 0, "cofactor_weights": 0,
+                     "base_row": 0}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("D", INDEX_SETS)
+@pytest.mark.parametrize("N", [1, 6, 11])
+def test_leading_coefficient_table_equals_product_form(family, D, N):
+    p = std_params(family, N)
+    lead = leading_xi(D, p)
+    table = leading_pdn_table(D, p, lead)
+    assert all(type(v) is Fraction for v in table)
+    assert table == tuple(leading_pdn(n, D, p, lead) for n in range(N + 1))
+
+
+@pytest.mark.parametrize("family,b,c,msg", [
+    (R, rat(0), rat(1, 2), r"P_\(D,1\) divides by zero"),       # b + 0 = 0
+    (R, rat(10), rat(-2), r"P_\(D,0\) divides by zero"),        # c + d_1 = 0
+    (QR, rat(4), rat(1, 2), r"P_\(D,3\) divides by zero"),      # 1 - b*q^2 = 0
+], ids=["R-b", "R-c", "qR-b"])
+def test_leading_coefficient_table_refuses_a_zero_divisor(family, b, c, msg):
+    """Outside the admissible ranges a ratio divisor may vanish: the table
+    raises instead of dividing by it."""
+    p = make_params(family, 5, b=b, c=c, d=rat(2, 5), q=rat(1, 2) if family == QR else None)
+    assert validate(p, (2,)) != []
+    with pytest.raises(ZeroDenominator, match=msg):
+        leading_pdn_table((2,), p, rat(1))
+
+
+def _twice(v):
+    return 2 * v
+
+
+def _twice_each(values):
+    return tuple(2 * v for v in values)
+
+
+def _twice_at(k):
+    """Doubles integer k of a cleared (integers, denominator) pair."""
+
+    def corrupt(cleared):
+        ints, den = cleared
+        return ints[:k] + [2 * ints[k]] + ints[k + 1:], den
+
+    return corrupt
+
+
+def _wrong_multiplier(elim):
+    """A copy of the elimination with its first multiplier doubled: every
+    cofactor but the last, the pivot product, changes."""
+    elim = copy.copy(elim)
+    first, *rest = elim.multipliers
+    elim.multipliers = [[2 * first[0]] + first[1:]] + rest
+    return elim
+
+
+# Each fault corrupts one input of the build (the cofactors or the
+# elimination at one x, one cofactor weight, one cleared base value, or
+# one held factor): (GridTable method, which calls it hits, how the result
+# is corrupted, the message), so that exactly one build certification sees
+# it, at R, N=5, D=(1,2).
 FAULTS = {
-    "xi_at_zero": ("xi", lambda t, p, x: t.p == p and x == 0,
+    # doubled cofactors at x double Xi_D(x), checked before any P_(D,n)(x)
+    "xi_at_zero": ("cofactors", lambda t, p, x: x == 0, _twice_each,
                    r"denominator polynomial is 2 at x=0, not 1"),
-    "xi_interpolant": ("xi", lambda t, p, x: t.p == p and x == 6,
+    "xi_interpolant": ("cofactors", lambda t, p, x: x == 6, _twice_each,
                        r"denominator interpolant misses the grid at x=6"),
-    "pdn_off_nodes": ("pdn", lambda t, p, n, x: (n, x) == (0, 5),
+    # one doubled cofactor weight (row j=1) changes P_(D,n)(5) for every n
+    "pdn_off_nodes": ("cofactor_weights", lambda t, p, x: x == 5, _twice_at(0),
                       r"deformed polynomial n=0 interpolant misses the grid at x=5"),
-    # a doubled pivot product of the virtual-state elimination at x=5
-    # doubles P_(D,n)(5) for every n
-    "pdn_elimination": ("elimination", lambda t, p, x: t.p == p and x == 5,
+    # a wrong multiplier of the virtual-state elimination at x=5 leaves
+    # Xi_D(5) alone and changes P_(D,n)(5) for every n
+    "pdn_elimination": ("elimination", lambda t, p, x: t.p == p and x == 5, _wrong_multiplier,
                         r"deformed polynomial n=0 interpolant misses the grid at x=5"),
+    # one doubled cleared base value P_0(5): the entries at x=3, 4, 5 read
+    # it, all past the nodes 0..2 of n=0
+    "pdn_base_value": ("base_row", lambda t, p, n, size: n == 0, _twice_at(5),
+                       r"deformed polynomial n=0 interpolant misses the grid at x=3"),
     # a doubled C_(D,n) halves P_2 on the whole grid; with a leading
     # coefficient that is wrong the same way, only the x=0 value shows it
-    "pdn_at_zero": ("cdn", lambda t, p, n: n == 2, r"n=2 is 1/2 at x=0, not 1"),
-    "ground_state": ("xi", lambda t, p, x: t.p != p and x == 3,
+    "pdn_at_zero": ("cdn", lambda t, p, n: n == 2, _twice, r"n=2 is 1/2 at x=0, not 1"),
+    "ground_state": ("xi", lambda t, p, x: t.p != p and x == 3, _twice,
                      r"ground state differs from the shifted denominator at x=3"),
     # a doubled varphi_M(0)/varphi_(M+1)(0), held once per table, doubles
     # every C_(D,n): the closed-form leading coefficient of P_0 sees it
-    "dtn_constant": ("varphi_ratio", lambda t, p: t.p == p,
+    "dtn_constant": ("varphi_ratio", lambda t, p: t.p == p, _twice,
                      r"deformed polynomial n=0 degree/leading coefficient"),
 }
 
@@ -297,40 +425,35 @@ FAULT_ERRORS = {"dtn_constant": DegreeMismatch}
 
 @contextmanager
 def corrupted_table(fault):
-    """GridTable (and, for pdn_at_zero, leading_pdn) with one entry or
-    factor doubled."""
-    attr, hit, _ = FAULTS[fault]
+    """GridTable (and, for pdn_at_zero, leading_pdn_table) with one input
+    corrupted."""
+    attr, hit, corrupt, _ = FAULTS[fault]
     p = std_params(R, 5)
     orig = getattr(GridTable, attr)
-    orig_lead = multiindexed.leading_pdn
+    orig_leads = multiindexed.leading_pdn_table
 
     def corrupted(self, *args):
         v = orig(self, *args)
-        if not hit(self, p, *args):
-            return v
-        if isinstance(v, LeadingElimination):
-            v = copy.copy(v)
-            v.product = 2 * v.product
-            return v
-        return 2 * v
+        return corrupt(v) if hit(self, p, *args) else v
 
-    def halved_lead(n, *args):
-        return orig_lead(n, *args) / (2 if n == 2 else 1)
+    def halved_lead(*args):
+        leads = orig_leads(*args)
+        return leads[:2] + (leads[2] / 2,) + leads[3:]
 
     setattr(GridTable, attr, corrupted)
     if fault == "pdn_at_zero":
-        multiindexed.leading_pdn = halved_lead
+        multiindexed.leading_pdn_table = halved_lead
     try:
         yield p, (1, 2)
     finally:
         setattr(GridTable, attr, orig)
-        multiindexed.leading_pdn = orig_lead
+        multiindexed.leading_pdn_table = orig_leads
 
 
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 def test_corrupted_table_entry_raises(fault):
     with corrupted_table(fault) as (p, D):
-        with pytest.raises(FAULT_ERRORS.get(fault, CrossCheckMismatch), match=FAULTS[fault][2]):
+        with pytest.raises(FAULT_ERRORS.get(fault, CrossCheckMismatch), match=FAULTS[fault][3]):
             build_mi_system(p, D)
     build_mi_system(p, D)  # the patch is gone again
 
@@ -349,9 +472,9 @@ def test_leading_xi_formed_once_per_build(monkeypatch):
     monkeypatch.setattr(multiindexed, "leading_xi", counted)
     build_mi_system(std_params(R, 6), (1, 2))
     assert len(calls) == 1
-    orig_pdn = multiindexed.leading_pdn
-    monkeypatch.setattr(multiindexed, "leading_pdn",
-                        lambda n, D, p, lead: orig_pdn(n, D, p, 2 * lead if n == 3 else lead))
+    orig_table = multiindexed.leading_pdn_table
+    monkeypatch.setattr(multiindexed, "leading_pdn_table", lambda D, p, lead: tuple(
+        2 * v if n == 3 else v for n, v in enumerate(orig_table(D, p, lead))))
     with pytest.raises(DegreeMismatch, match=r"deformed polynomial n=3 degree/leading"):
         build_mi_system(std_params(R, 6), (1, 2))
     monkeypatch.setattr(multiindexed, "leading_xi", lambda D, p: 2 * orig(D, p))
@@ -432,6 +555,6 @@ def test_build_certifications_survive_python_O():
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True,
         check=True,
     ).stdout
-    for fault, (_, _, msg) in FAULTS.items():
+    for fault, (*_, msg) in FAULTS.items():
         assert re.search(rf"^{fault} raised: .*{msg}", out, re.M), fault
     assert "matched_q_params raised" in out
