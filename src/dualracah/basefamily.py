@@ -96,6 +96,8 @@ def potential(x: int, p: ParamSet, which: str = "B"):
             den = (1 - d * ipow(q, 2 * x)) * (1 - d * ipow(q, 2 * x + 1))
         else:
             raise ValueError(f"unknown potential {which!r}")
+    if num == 0:  # B(N), D(0): also where den vanishes (D(0) at d=1; d=q for qR)
+        return num
     if den == 0:
         raise ZeroDenominator(f"potential {which} denominator vanishes at x={x}")
     return num / den

@@ -7,10 +7,11 @@ nodes.  At X_n, with A = X_n - X_(n-1) and G = X_(n+1) - X_n, the node
 data are R0 = A*G, R1 = G - A and Rm1 = -b_dual[n]*R0; the triple keeps
 R0's as its values on the spectrum it was solved on.
 
-Everything else rests on the eigenbasis that the Hamiltonian certifies
-(``DualHamiltonian.eigenbasis``): h_tilde*V = V*diag(X), the columns of V
-the dual polynomials, and diag(Ebar)*V = V*T with T the dual Jacobi matrix
-(T[n+1][n] = a_dual[n], T[n][n] = b_dual[n], T[n-1][n] = c_dual[n]).
+Everything else rests on the eigenbasis: h_tilde*V = V*diag(X), the
+columns of V the dual polynomials (the r-table's grid certificate), and
+diag(Ebar)*V = V*T with T the dual Jacobi matrix (T[n+1][n] = a_dual[n],
+T[n][n] = b_dual[n], T[n-1][n] = c_dual[n]), which the Hamiltonian
+certifies (``DualHamiltonian.eigenbasis``).
 Every operator built from h_tilde and diag(Ebar) then acts on V as V
 times a tridiagonal matrix, V is invertible, and the node data make both
 identities hold for any T and any increasing X:
@@ -25,8 +26,8 @@ identities hold for any T and any increasing X:
   Rm1 = -b_dual*R0), that is a_dual[n]*e_(n+1); likewise a-*V, with
   X_(n+1) and the sign reversed, gives c_dual[n]*e_(n-1).
 
-What is left to certify is the eigenbasis, that the triple was solved on
-this Hamiltonian's spectrum and, for the ladder operators, which divide
+What is left to certify is the dual recurrence, that the triple was solved
+on this Hamiltonian's spectrum and, for the ladder operators, which divide
 by R0, that R0 does not vanish there.  ``verify_closure`` and
 ``verify_ladder`` certify that much and raise otherwise; M and B are test
 oracles (``tests/comparators.py``).

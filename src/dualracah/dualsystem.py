@@ -12,15 +12,16 @@ The table also owns the dual orthogonality V^T*diag(weights)*V =
 diag(norms), computed once (``DualTable.ortho_residual``); it is the dual
 suite's check (``dual_ortho``).
 
-The Hamiltonian owns its eigenbasis.  Its eigenvalues X(0..N) are read
-from the one X grid; where h_tilde*V and V*diag(X) differ is found once
-per Hamiltonian and listed by ``verify_spectrum``.  The eigenbasis is
-certified once per Hamiltonian (``DualHamiltonian.eigenbasis``): the eigen
-residual is zero and the dual recurrence holds on every entry.  X is
-strictly increasing and V[0] is all ones by construction, so V is
-invertible.  Each is a cached property, which ``dataclasses.replace()``
-starts afresh.  Two Hamiltonians commute when both certify the same V
-(``commutator_check``): each is then V*diag(X)*V^(-1).
+The Hamiltonian owns its eigenbasis.  h_tilde is the r-table's band
+matrix R, X(0..N) the one X grid and column n of V column n of P over
+P_0(n) != 0, so h_tilde*V = V*diag(X) is ``recurrence.extract_r``'s
+certificate R*P = P*diag(X); ``verify_spectrum`` only lists its misses.
+The eigenbasis is certified once per Hamiltonian by the dual recurrence
+(``DualHamiltonian.eigenbasis``).  X is strictly increasing and V[0] is
+all ones by construction, so V is invertible.  Each is a cached property,
+which ``dataclasses.replace()`` starts afresh.  Two Hamiltonians commute
+when both certify the same V (``commutator_check``): each is then
+V*diag(X)*V^(-1).
 
 Every identity here is checked on one of the two integer kernels of
 ``linalg``: the recurrence and eigen residuals on the band kernel
@@ -153,20 +154,18 @@ class DualHamiltonian:
     @cached_property
     def eigen_residual(self) -> list:
         """Nonzero entries (x, n, r) of h_tilde*V - V*diag(X), in row-major
-        order; empty = an eigenbasis.  Found once by the band kernel and
-        shared by the spectrum check and the certification."""
+        order; empty = an eigenbasis.  Found once by the band kernel, for
+        the spectrum listing alone."""
         return eigen_misses(self.h_tilde.rows, list(zip(*self.V.rows)), self.energies)
 
     @cached_property
     def eigenbasis(self) -> DualTable:
         """The dual table, certified as an invertible eigenbasis of h_tilde.
 
-        h_tilde*V = V*diag(X), then diag(Ebar)*V = V*T; CrossCheckMismatch
-        at the first that fails.  V is then invertible: no column vanishes
-        (V[0] is all ones, ``dual_values``) and the eigenvalues are distinct
-        (``build_X`` raises NonMonotone unless X strictly increases)."""
-        if self.eigen_residual:
-            raise CrossCheckMismatch("h_tilde*V differs from V*diag(X)")
+        diag(Ebar)*V = V*T, or CrossCheckMismatch (h_tilde*V = V*diag(X) is
+        the r-table's grid certificate).  V is then invertible: no column
+        vanishes (V[0] is all ones, ``dual_values``) and the eigenvalues are
+        distinct (``build_X`` raises NonMonotone unless X strictly increases)."""
         self.dual.certify_recurrence()
         return self.dual
 
@@ -184,8 +183,8 @@ def build_hamiltonians(xp: XPoly, t: RecTable, dual: DualTable) -> DualHamiltoni
 
 def verify_spectrum(h: DualHamiltonian) -> list:
     """Exact eigen-check h_tilde*V = V*diag(X), ("eigen", x, n) per differing
-    entry; empty = pass.  X(0) = 0, X increasing (``build_X``) and the band
-    of h_tilde (``RecTable.rows``) hold by construction."""
+    entry; empty = pass, as ``recurrence.extract_r`` certifies.  X(0) = 0, X
+    increasing (``build_X``) and the band of h_tilde hold by construction."""
     return [("eigen", x, n) for x, n, _ in h.eigen_residual]
 
 

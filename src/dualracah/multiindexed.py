@@ -38,7 +38,8 @@ integers once; each base row P_n(y) is cleared once; each grid value is
 then one integer dot product over C_(D,n), one rational per entry.  The
 last cofactor is the M x M Casoratian of the denominator polynomial, so
 Xi_D(x) on the main grid is cof_(M+1)(x)/(C_D varphi_M(x)); the shifted
-table of Xi_D (lambda+delta) keeps one elimination per x.  Float tuples
+table of Xi_D (lambda+delta) keeps one elimination per x <= N, where it is
+certified equal to P_(D,0)(x) and not kept.  Float tuples
 (the q->1 checks) take the per-entry route: each P_(D,n)(x) reduces its
 bordered column with the recorded elimination, in the order of the
 per-entry formulas, because the printed q->1 gaps pin that rounding.
@@ -378,8 +379,7 @@ class MISystem:
     xi_poly: Poly
     pdn_polys: Tuple[Poly, ...]
     xi_grid: Dict[int, object]          # x -> Xi(x; lambda), x = 0..N+1
-    xi_grid_delta: Dict[int, object]    # x -> Xi(x; lambda+delta), x = 0..N+1
-    pdn_grid: Tuple[tuple, ...]         # [n][x], x = 0..N
+    pdn_grid: Tuple[tuple, ...]         # [n][x], x = 0..N; row 0 is Xi(x; lambda+delta)
     dDn_sq: Tuple                       # full squared norms
     weights: Tuple                      # orthogonality weights, x = 0..N
 
@@ -392,32 +392,22 @@ class MISystem:
         return ell(self.D)
 
     def bd(self, x: int):
-        """Deformed birth-type potential."""
+        """Deformed birth-type potential; Xi_D(lambda+delta) read as P_(D,0)."""
         p, M = self.params, self.M
         base = potential(x, shift(p, M, "tilde"), "B")
         if base == 0:
             return base
-        return (
-            base
-            * self.xi_grid[x]
-            / self.xi_grid[x + 1]
-            * self.xi_grid_delta[x + 1]
-            / self.xi_grid_delta[x]
-        )
+        ground = self.pdn_grid[0]
+        return base * self.xi_grid[x] / self.xi_grid[x + 1] * ground[x + 1] / ground[x]
 
     def dd(self, x: int):
-        """Deformed death-type potential."""
+        """Deformed death-type potential; Xi_D(lambda+delta) read as P_(D,0)."""
         p, M = self.params, self.M
         base = potential(x, shift(p, M, "tilde"), "D")
         if base == 0:
             return base
-        return (
-            base
-            * self.xi_grid[x + 1]
-            / self.xi_grid[x]
-            * self.xi_grid_delta[x - 1]
-            / self.xi_grid_delta[x]
-        )
+        ground = self.pdn_grid[0]
+        return base * self.xi_grid[x + 1] / self.xi_grid[x] * ground[x - 1] / ground[x]
 
 
 def build_mi_system(p: ParamSet, D: Sequence[int]) -> MISystem:
@@ -475,9 +465,8 @@ def build_mi_system(p: ParamSet, D: Sequence[int]) -> MISystem:
         pdn_grid.append(tuple(row[: N + 1]))
 
     tab_delta = GridTable(D, p_delta)
-    xi_grid_delta = {x: tab_delta.xi(x) for x in range(-1, N + 2)}
     for x in range(N + 1):
-        if pdn_grid[0][x] != xi_grid_delta[x]:
+        if pdn_grid[0][x] != tab_delta.xi(x):
             raise CrossCheckMismatch(
                 f"ground state differs from the shifted denominator at x={x}"
             )
@@ -500,7 +489,6 @@ def build_mi_system(p: ParamSet, D: Sequence[int]) -> MISystem:
         xi_poly=xi_poly,
         pdn_polys=tuple(pdn_polys),
         xi_grid=xi_grid,
-        xi_grid_delta=xi_grid_delta,
         pdn_grid=tuple(pdn_grid),
         dDn_sq=tuple(dDn),
         weights=tuple(weights),

@@ -88,6 +88,9 @@ def validate(p: ParamSet, D: Sequence[int]) -> list:
     """Admissibility violations (empty list = admissible).
 
     The inequalities are applied literally, with max(D)=0 for empty D.
+    Each virtual state, the base polynomial of degree d_j at the twisted
+    tuple, must keep that degree: no factor dt'+k (R; 1-dt'*q^k for qR),
+    k = d_j..2d_j-1, of its leading coefficient vanishes (dt' twisted).
     """
     dmax = max(D) if D else 0
     out = []
@@ -106,6 +109,10 @@ def validate(p: ParamSet, D: Sequence[int]) -> list:
             out.append("qd<c<1")
         if not (ab < p.d * ipow(p.q, dmax + 1)):
             out.append("ab<d*q^(max(D)+1)")
+    dt = twist(p).dtilde
+    ks = [k for dj in D for k in range(dj, 2 * dj)]
+    if any((dt + k if p.family == R else 1 - dt * ipow(p.q, k)) == 0 for k in ks):
+        out.append("deg xi_(d_j) = d_j")
     return out
 
 

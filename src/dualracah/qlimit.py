@@ -91,28 +91,22 @@ def _raw(v) -> tuple:
     return sign, int(man), exp, bc
 
 
-def _send(f, frame) -> None:
-    """One frame: its marshal data, after their length in 8 bytes."""
-    data = marshal.dumps(frame)
-    f.write(len(data).to_bytes(8, "little"))
-    f.write(data)
-
-
 def _send_ladder(args, f) -> None:
-    """The worker's frames on f: ("table", raw table) for each k, then
-    ("done", compute seconds); or ("error", class name, message) alone.
+    """The worker's frames on f, one marshal record each: ("table", raw
+    table) for each k, then ("done", compute seconds); or ("error", class
+    name, message) alone.
     Every table is computed before the first is written, so the worker
     does not wait for its reader while work is left."""
     t0 = time.perf_counter()
     try:
         tables = [[[_raw(v) for v in row] for row in t] for t in ladder_tables(*args)]
     except Exception as e:
-        _send(f, ("error", type(e).__name__, str(e)))
+        marshal.dump(("error", type(e).__name__, str(e)), f)
         return
     seconds = time.perf_counter() - t0
     for t in tables:
-        _send(f, ("table", t))
-    _send(f, ("done", seconds))
+        marshal.dump(("table", t), f)
+    marshal.dump(("done", seconds), f)
 
 
 class Ladder:
@@ -168,10 +162,9 @@ class Ladder:
 
     def _frame(self):
         """The worker's next frame, or None where its data ends early."""
-        size = int.from_bytes(self._pipe.read(8), "little")
         try:
-            return marshal.loads(self._pipe.read(size))
-        except (EOFError, ValueError):
+            return marshal.load(self._pipe)
+        except (EOFError, ValueError, TypeError):
             return None
 
     def _read(self) -> Iterator[list]:

@@ -9,8 +9,8 @@ exact orthogonality projection, the 1+2L band of the weighted Gram
 matrix of the grid table (``linalg.gram_band``, which forms its L+1 upper
 diagonals: the matrix is symmetric), and certified by the relation that defines
 them: read on the grid, the band recurrence is R*P = P*diag(X).  That
-check, and the recurrence as a polynomial identity at nodes past the grid
-(``verify_recurrence``), are one kernel, ``linalg.eigen_misses``.
+check, and the recurrence as a polynomial identity at the nodes past the
+grid (``verify_recurrence``), are one kernel, ``linalg.eigen_misses``.
 """
 
 from __future__ import annotations
@@ -144,22 +144,21 @@ def extract_r(s: MISystem, xp: XPoly) -> RecTable:
 def verify_recurrence(s: MISystem, xp: XPoly, t: RecTable) -> list:
     """Exact check of the band recurrence as a polynomial identity,
     X * P_n = sum_k r[(n,k)] * P_(n+k), for every label n <= N - L whose
-    full band fits; failures are ("poly", n), empty = pass.
+    full band fits (none when L > N); failures are ("poly", n), empty = pass.
 
     Both sides have degree at most K = deg X + max_m deg P_m, so the
     identity holds iff it holds at the K+1 distinct nodes eta(0..K), at
-    lambda + M*delta; on the grid x <= N the values are the held grid
-    values.  The other rows hold only on the grid, where ``extract_r``
-    certifies every row.
+    lambda + M*delta.  At the grid nodes x <= N it is row n of the
+    certificate R*P = P*diag(X) of ``extract_r``, whose grid values are the
+    certified interpolants' values; so only the K - N nodes past the grid
+    are evaluated here.  The other rows hold only on the grid.
     """
     K = xp.poly.degree + max(p.degree or 0 for p in s.pdn_polys)
     p_m = shift(s.params, s.M, "delta")
     nodes = [eta(x, p_m) for x in range(K + 1)]
     if len(set(nodes)) != len(nodes):
         raise CrossCheckMismatch("coincident nodes for the polynomial recurrence check")
-    N = s.params.N
-    past = nodes[N + 1 :]
-    vectors = list(zip(*s.pdn_grid)) + list(zip(*(p.values(past) for p in s.pdn_polys)))
-    xs = [xp.grid[x] for x in range(N + 1)] + xp.poly.values(past)
-    misses = eigen_misses(t.rows[: t.N - t.L + 1], vectors, xs)
+    past = nodes[s.params.N + 1 :]
+    vectors = list(zip(*(p.values(past) for p in s.pdn_polys)))
+    misses = eigen_misses(t.rows[: max(0, t.N - t.L + 1)], vectors, xp.poly.values(past))
     return [("poly", n) for n in sorted({n for n, _, _ in misses})]

@@ -228,7 +228,7 @@ def _suite_mi(cfg: RunConfig, pipe: Pipeline) -> dict:
     # the difference equation of P_n at x is P_0(x) times entry (n, x) of
     # the dual table's recurrence residual
     fails += [
-        [str(n), str(x), str(s.xi_grid_delta[x] * r)]
+        [str(n), str(x), str(s.pdn_grid[0][x] * r)]
         for n, x, r in pipe.dual().recurrence_residual
     ]
     signs = []
@@ -428,16 +428,16 @@ def emit_tables(cfg: RunConfig, what: str, out_dir: str) -> List[str]:
                     rows.append({"n": n, "k": k, "r": rat_to_str(t.r[(n, k)])})
             payload = {"L": t.L, "rows": rows}
         elif what == "hamiltonian":
-            h = pipe.hamiltonian(cfg.Y)
-            sym = shapeinv.symmetric_form(h, cfg.precision)
+            rows = pipe.rectable(cfg.Y).rows
+            sym = shapeinv.symmetric_form(rows, s.dDn_sq, cfg.precision)
             w.writerow(["x", "y", "exact", "symmetric"])
             for x in range(N + 1):
                 for y in range(N + 1):
                     w.writerow([
-                        x, y, rat_to_str(h.h_tilde[x, y]), real_str(sym[x][y], cfg.precision),
+                        x, y, rat_to_str(rows[x][y]), real_str(sym[x][y], cfg.precision),
                     ])
             payload = {
-                "exact": [[rat_to_str(v) for v in row] for row in h.h_tilde.rows],
+                "exact": [[rat_to_str(v) for v in row] for row in rows],
                 "symmetric": [[real_str(v, cfg.precision) for v in row] for row in sym],
                 "precision": cfg.precision,
             }

@@ -1,8 +1,9 @@
 """Semidefinite factorization and the shape-invariance test.
 
-The band Hamiltonian h_tilde is exact; its similarity transform to a real
-symmetric matrix needs square roots, so it is formed here, at the working
-precision the caller gives (``symmetric_form``).  That matrix is positive
+The band Hamiltonian h_tilde, the r-table's rows, is exact; its similarity
+transform to a real symmetric matrix needs square roots and the squared
+norms, so it is formed here from those two, at the working precision the
+caller gives (``symmetric_form``).  That matrix is positive
 semi-definite with a zero ground level, so its upper-triangular factor has
 a zero last row.  Shape invariance would force the spectrum at shrunk size
 N-1 to be an affine rescaling of the tail of the original spectrum; that
@@ -26,29 +27,27 @@ from typing import List, Optional, Tuple
 import mpmath
 
 from .bigreal import DEFAULT_PRECISION, big_sqrt, to_real
-from .dualsystem import DualHamiltonian
 from .errors import CrossCheckMismatch, InadmissibleCandidate, NegativePivot
 from .params import R, ParamSet, validate
 from .pipeline import Pipeline
 from .poly import Poly
 
 
-def symmetric_form(h: DualHamiltonian, precision: int) -> list:
-    """Rows of the real symmetric matrix similar to h.h_tilde, entry (x, y)
-    being h_tilde[x, y] * sqrt(d_x^2 / d_y^2), at ``precision`` bits; the
-    norm ratio is that of the dual weights d_n^2/Xi(1), where Xi(1) cancels.
+def symmetric_form(rows, d_sq, precision: int) -> list:
+    """Rows of the real symmetric matrix similar to h_tilde = ``rows`` (an
+    r-table's), entry (x, y) being rows[x][y] * sqrt(d_sq[x] / d_sq[y]), at
+    ``precision`` bits, ``d_sq`` the squared norms (``MISystem.dDn_sq``).
 
     A negative norm ratio raises NegativeRadicand (``big_sqrt``).
     """
-    w = h.dual.weights
     with mpmath.workprec(precision):
         return [
             [
-                to_real(r, precision) * big_sqrt(w[x] / w[y], precision)
+                to_real(r, precision) * big_sqrt(d_sq[x] / d_sq[y], precision)
                 if x != y and r != 0 else to_real(r, precision)
                 for y, r in enumerate(row)
             ]
-            for x, row in enumerate(h.h_tilde.rows)
+            for x, row in enumerate(rows)
         ]
 
 
@@ -152,6 +151,11 @@ class SIReport:
         return any(v.admissible and v.spectral_pass for v in self.verdicts)
 
 
+def _symmetric(pipe: Pipeline, Y: Poly, precision: int) -> list:
+    # from the r-table and the squared norms: no dual table, no Hamiltonian
+    return symmetric_form(pipe.rectable(Y).rows, pipe.system().dDn_sq, precision)
+
+
 def si_test(
     pipe: Pipeline,
     Y: Poly,
@@ -180,7 +184,7 @@ def si_test(
                 spectral_pass, first_fail = False, x
                 break
         if aad is None:
-            A = factor_upper(symmetric_form(pipe.hamiltonian(Y), precision), precision)
+            A = factor_upper(_symmetric(pipe, Y, precision), precision)
             w = _bandwidth(A)
             with mpmath.workprec(precision):
                 # A[x][z] != 0 only for x <= z <= x + w
@@ -190,7 +194,7 @@ def si_test(
                     )
                     for x, y in _band(N, w)
                 }
-        A2 = factor_upper(symmetric_form(cand.hamiltonian(Y), precision), precision)
+        A2 = factor_upper(_symmetric(cand, Y, precision), precision)
         w2 = _bandwidth(A2)
         with mpmath.workprec(precision):
             k = to_real(kappa, precision)

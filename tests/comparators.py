@@ -49,6 +49,7 @@ import mpmath
 
 from dualracah.basefamily import alpha_const, c_n, etilde_v, poch, potential, qpoch, varphi
 from dualracah.backend import rat
+from dualracah.bigreal import big_sqrt, to_real
 from dualracah.errors import (
     CrossCheckMismatch,
     DualRacahError,
@@ -841,6 +842,23 @@ def leading_pdn(n: int, D: Sequence[int], p: ParamSet, lead_xi):
         for j, dj in enumerate(D, start=1):
             acc = acc * (1 - p.c * ipow(p.q, j - 1)) / (1 - p.c * ipow(p.q, dj + n))
     return acc
+
+
+def hamiltonian_symmetric_form(h, precision: int) -> list:
+    """Rows of the real symmetric matrix similar to a Hamiltonian's
+    h_tilde, the norm ratio read from its dual table's weights
+    d_n^2/Xi(1) (the route ``shapeinv.symmetric_form`` replaced by the
+    r-table's rows and the squared norms)."""
+    w = h.dual.weights
+    with mpmath.workprec(precision):
+        return [
+            [
+                to_real(r, precision) * big_sqrt(w[x] / w[y], precision)
+                if x != y and r != 0 else to_real(r, precision)
+                for y, r in enumerate(row)
+            ]
+            for x, row in enumerate(h.h_tilde.rows)
+        ]
 
 
 def dense_factor_upper(h_sym, precision: int) -> list:

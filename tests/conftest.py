@@ -163,6 +163,7 @@ def verify_difference_eq(s) -> list:
     route ``dualsystem.DualTable.recurrence_residual`` replaced, kept as an
     oracle); empty = pass."""
     p, N = s.params, s.params.N
+    ground = s.pdn_grid[0]  # the shifted denominator Xi_D(x; lambda+delta)
     failures = []
     for n in range(N + 1):
         en = energy(n, p)
@@ -171,12 +172,12 @@ def verify_difference_eq(s) -> list:
             bc = s.bd(x)
             if bc != 0:
                 acc = acc + bc * (
-                    s.pdn_grid[n][x] - s.xi_grid_delta[x] / s.xi_grid_delta[x + 1] * s.pdn_grid[n][x + 1]
+                    s.pdn_grid[n][x] - ground[x] / ground[x + 1] * s.pdn_grid[n][x + 1]
                 )
             dc = s.dd(x)
             if dc != 0:
                 acc = acc + dc * (
-                    s.pdn_grid[n][x] - s.xi_grid_delta[x] / s.xi_grid_delta[x - 1] * s.pdn_grid[n][x - 1]
+                    s.pdn_grid[n][x] - ground[x] / ground[x - 1] * s.pdn_grid[n][x - 1]
                 )
             if acc != en * s.pdn_grid[n][x]:
                 failures.append((n, x, acc - en * s.pdn_grid[n][x]))

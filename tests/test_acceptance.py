@@ -21,8 +21,8 @@ from dualracah.backend import rat
 from dualracah.closure import verify_closure, verify_ladder
 from dualracah.dualsystem import commutator_check, dual_ortho, verify_spectrum
 from dualracah.errors import SingularR0
-from dualracah.multiindexed import build_mi_system, sign_changes, verify_ortho
-from dualracah.params import QR, R, ParamSet, ipow, validate
+from dualracah.multiindexed import GridTable, build_mi_system, sign_changes, verify_ortho
+from dualracah.params import QR, R, ParamSet, ipow, shift, validate
 from dualracah.qlimit import qlimit_check
 from dualracah.recurrence import verify_recurrence
 from dualracah.shapeinv import si_test
@@ -97,8 +97,9 @@ def test_criterion_2_multi_indexed_construction(pipe):
             # the build itself asserts degrees, leading coefficients,
             # normalization, and positivity
             s = pipe(family, N, D).system()
+            p_delta = shift(s.params, 1, "delta")
             assert s.pdn_grid[0] == tuple(
-                s.xi_grid_delta[x] for x in range(N + 1)
+                GridTable(D, p_delta).xi(x) for x in range(N + 1)
             )
             assert verify_ortho(s) == []
             assert verify_difference_eq(s) == []

@@ -13,9 +13,10 @@ from dualracah.basefamily import (
     rec_coeffs,
 )
 from dualracah.errors import InadmissibleParams, NonPositiveWeight
-from dualracah.params import QR, R, ParamSet, energy, eta, make_params, twist
+from dualracah import report
+from dualracah.params import QR, R, ParamSet, energy, eta, make_params, twist, validate
 from dualracah.qlimit import LADDER_KS, matched_q_params
-from dualracah.backend import rat
+from dualracah.backend import rat, rat_to_str
 from conftest import (
     ctilde_closed_form,
     dn_sq,
@@ -165,6 +166,27 @@ def test_boundary_potentials(family):
     p = std_params(family, 5)
     assert potential(p.N, p, "B") == 0
     assert potential(0, p, "D") == 0
+
+
+@pytest.mark.parametrize("family,d", [(R, rat(1)), (QR, rat(1, 2))], ids=["R-d=1", "qR-d=q"])
+def test_death_potential_vanishes_at_zero_where_its_denominator_does(family, d):
+    """At d = 1 (d = q for qR) the denominator of D(x) vanishes at x = 0
+    together with the factor x (1 - q^x): D(0) is still 0, so C_0 = 0 and
+    B_0 = -A_0 keep P_1(0) = 1 for the dual tuple, whose C_n is D(n) at p.
+    The base suite passes on such an admissible tuple."""
+    if family == R:
+        p = make_params(R, 5, b=10, c=rat(1, 2), d=d)
+    else:
+        q = rat(1, 2)
+        p = make_params(QR, 5, b=q ** 10, c=rat(3, 4), d=d, q=q)
+    assert validate(p, ()) == []
+    assert potential(0, p, "D") == 0
+    assert rec_coeffs(0, p.dual())[2] == 0
+    cfg = report.parse_config({
+        "family": family, "N": 5, "b": rat_to_str(p.b), "c": rat_to_str(p.c),
+        "d": rat_to_str(d), **({"q": "1/2"} if family == QR else {}), "suites": ["base"],
+    })
+    assert report.run_suite(cfg)[1]
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from dualracah import closure, report
+from dualracah import closure, recurrence, report
 from dualracah.backend import rat, rat_to_str
 from dualracah.closure import verify_closure, verify_ladder
 from dualracah.dualsystem import dual_ortho, verify_spectrum
@@ -294,16 +294,16 @@ def _doubled(values, k):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_closure_and_ladder_read_no_norm_or_weight(family, pipe):
     """A corrupted V fails the eigenbasis certification of the closure and
-    ladder checks.  A corrupted squared norm or weight is listed by the
-    dual orthogonality; the closure and ladder checks rest on the
-    eigenbasis alone and pass."""
+    ladder checks: the dual recurrence misses row 2 from column 2 on.  A
+    corrupted squared norm or weight is listed by the dual orthogonality;
+    the closure and ladder checks rest on the eigenbasis alone and pass."""
     h = pipe(family, 5, (1,)).hamiltonian(Y_ONE)
     trip = pipe(family, 5, (1,)).closure(Y_ONE)
     # replace() copies h and its dual table with every cached property
     # started afresh
     bad_v = _with_v(h, _corrupt(h.V, 2, 3))
     for fn in (verify_closure, verify_ladder):
-        with pytest.raises(CrossCheckMismatch, match=r"h_tilde\*V differs"):
+        with pytest.raises(CrossCheckMismatch, match=r"V\*T at \(x,n\)=\(2,2\)"):
             fn(replace(bad_v), trip)
     for field in ("norms", "weights"):
         bad = replace(h, dual=replace(h.dual, **{field: _doubled(getattr(h.dual, field), 4)}))
@@ -313,13 +313,29 @@ def test_closure_and_ladder_read_no_norm_or_weight(family, pipe):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_corrupted_hamiltonian_fails_eigen_certification(family, pipe):
-    h = pipe(family, 5, (1,)).hamiltonian(Y_ONE)
-    trip = pipe(family, 5, (1,)).closure(Y_ONE)
+def test_corrupted_hamiltonian_fails_eigen_certification(family, pipe, monkeypatch):
+    """h_tilde*V = V*diag(X) is certified where h_tilde is made, as the
+    r-table's grid certificate: the Gram entry behind r[(1,1)] bumped stops
+    extract_r.  A Hamiltonian corrupted after that is listed, row 1, by the
+    spectrum check; the closure and ladder checks rest on the table's
+    certificate and do not read h_tilde."""
+    pl = pipe(family, 5, (1,))
+    h, trip = pl.hamiltonian(Y_ONE), pl.closure(Y_ONE)
+    bad = replace(h, h_tilde=_corrupt(h.h_tilde, 1, 2))
+    assert verify_spectrum(bad) == [("eigen", 1, n) for n in range(6) if h.V[2, n] != 0]
     for fn in (verify_closure, verify_ladder):
-        bad = replace(h, h_tilde=_corrupt(h.h_tilde, 1, 2))
-        with pytest.raises(CrossCheckMismatch, match=r"h_tilde\*V differs"):
-            fn(bad, trip)
+        fn(replace(bad), trip)
+    band = recurrence.gram_band
+
+    def bumped(*args):
+        gram = band(*args)
+        return {**gram, (1, 2): gram[(1, 2)] + rat(1, 3)}
+
+    monkeypatch.setattr(recurrence, "gram_band", bumped)
+    with pytest.raises(
+        CrossCheckMismatch, match=r"band recurrence misses the grid at \(n,x\)=\(1,0\)"
+    ):
+        recurrence.extract_r(pl.system(), pl.xpoly(Y_ONE))
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -462,14 +478,16 @@ def test_scalar_route_matches_dense_oracle(family, N, pipe, monkeypatch):
         assert (residual == []) == (t is trip)
         assert any(m == n for m, n, _ in residual) == (t in bent_corr)
     # off-spectrum grid values enter only through the gaps; an interior one
-    # is an eigenvalue, so it breaks h_tilde*V = V*diag(X), which both
-    # library checks certify before they read the spectrum
+    # is an eigenvalue, so it breaks h_tilde*V = V*diag(X), which the
+    # spectrum check lists, and the spectrum every triple was solved on,
+    # which both library checks compare before they read the triple
     interior = dict(h.x_grid)
     interior[N // 2] += c
     interior = replace(h, x_grid=interior)
+    assert {n for _, n, _ in interior.eigen_residual} == {N // 2}
     for t in triples:
         for fn in (verify_closure, verify_ladder):
-            with pytest.raises(CrossCheckMismatch, match=r"h_tilde\*V differs"):
+            with pytest.raises(CrossCheckMismatch, match="solved on another spectrum"):
                 fn(replace(interior), t)
     hs = [h]
     for k in (-1, N + 1):
@@ -545,7 +563,8 @@ def _closure_ladder_run(family):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_closure_and_ladder_suites_take_no_dense_product(family, monkeypatch):
     """A passing run of the closure and ladder suites, every stage they read
-    built in it, forms no dense product, h_tilde*V included."""
+    built in it, forms no dense product and no eigen residual: h_tilde*V
+    = V*diag(X) is the r-table's grid certificate."""
     cfg, p = _closure_ladder_run(family)
     calls = []
     matmul = SquareMatrix.__matmul__
@@ -558,7 +577,7 @@ def test_closure_and_ladder_suites_take_no_dense_product(family, monkeypatch):
     h = p.hamiltonian(cfg.Y)
     assert report._suite_closure(cfg, p)["pass"]
     assert report._suite_ladder(cfg, p)["pass"]
-    assert "eigen_residual" in vars(h)
+    assert "eigen_residual" not in vars(h)
     assert calls == []
 
 
@@ -605,9 +624,9 @@ def test_passing_closure_check_builds_no_matrix(monkeypatch):
 
 def test_certifications_survive_python_O():
     """Under -O the interpolation kernel's node certificate, the closure
-    checks and every eigenbasis certification still raise: none of them is
-    an assert.  Two eigenpairs swapped pass the eigen-check and fail the
-    dual recurrence."""
+    checks, the grid certificate of the r-table behind h_tilde and the
+    eigenbasis certification still raise: none of them is an assert.  Two
+    eigenpairs swapped pass the eigen-check and fail the dual recurrence."""
     script = textwrap.dedent(
         """
         from dataclasses import replace
@@ -635,12 +654,15 @@ def test_certifications_survive_python_O():
             poly.prod = prod
 
         trip = closure.solve_closure(h)
-        rows = [list(r) for r in h.h_tilde.rows]
-        rows[1][2] += 1
+        # the table behind h_tilde, its Gram entry (1, 2) bumped
+        band = recurrence.gram_band
+        recurrence.gram_band = lambda *args: {**band(*args), (1, 2): 1}
         try:
-            closure.verify_closure(replace(h, h_tilde=SquareMatrix(rows)), trip)
+            recurrence.extract_r(s, xp)
         except CrossCheckMismatch as e:
             print("eigen:", e)
+        finally:
+            recurrence.gram_band = band
 
         a_dual = list(h.dual.a_dual)
         a_dual[2] += 1
@@ -686,7 +708,7 @@ def test_certifications_survive_python_O():
         check=True,
     ).stdout
     assert "kernel: interpolant misses its node value at j=0" in out
-    assert "eigen: h_tilde*V differs from V*diag(X)" in out
+    assert "eigen: band recurrence misses the grid at (n,x)=(1,0)" in out
     assert "jacobi: diag(Ebar)*V differs from V*T at (x,n)=(0,2)" in out
     assert "closure: diag(Ebar)*V differs from V*T at (x,n)=(0,2)" in out
     assert "swapped: diag(Ebar)*V differs from V*T at (x,n)=(1,0)" in out

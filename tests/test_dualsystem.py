@@ -10,7 +10,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from dualracah import closure, dualsystem, linalg, report
+from dualracah import closure, dualsystem, linalg, recurrence, report
 from dualracah.backend import rat, rat_to_str
 from dualracah.basefamily import racah_value
 from dualracah.bigreal import big_sqrt
@@ -189,11 +189,11 @@ def test_band_structure(family, D, pipe):
 def test_symmetric_form(family, pipe):
     """Products of mirrored symmetric entries equal the exact rational
     mirror products; the symmetric matrix is numerically symmetric."""
-    t = pipe(family, 5, (1,)).rectable(Y_ONE)
-    h = pipe(family, 5, (1,)).hamiltonian(Y_ONE)
+    pl = pipe(family, 5, (1,))
+    t = pl.rectable(Y_ONE)
     from dualracah.bigreal import to_real
     from dualracah.shapeinv import symmetric_form
-    sym = symmetric_form(h, 256)
+    sym = symmetric_form(t.rows, pl.system().dDn_sq, 256)
     with mpmath.workprec(256):
         tol = mpmath.mpf(2) ** -120
         for x in range(6):
@@ -214,16 +214,25 @@ def test_commutativity_of_seeds(family, pipe):
     assert dense_commutator(h1, h2) == []
 
 
-def test_commutator_checker_sanity(pipe):
+def test_commutator_checker_sanity(pipe, monkeypatch):
     """One corrupted band entry of h2: the dense commutator no longer
-    vanishes, and the check stops at h2's eigenbasis certificate."""
-    h1 = pipe(R, 5, (1,)).hamiltonian(Y_ONE)
+    vanishes, and the spectrum listing names h2's row 0.  The commutator
+    check rests on the grid certificate of the r-table that h_tilde is, so
+    the corruption is stopped where that table is made: the Gram entry
+    behind r[(0,1)] zeroed fails extract_r at (n,x) = (0,0)."""
+    pl = pipe(R, 5, (1,))
+    h1 = pl.hamiltonian(Y_ONE)
     rows = [list(r) for r in h1.h_tilde.rows]
     rows[0][1] = rows[0][1] + 1
     h2 = replace(h1, h_tilde=SquareMatrix(rows))
     assert dense_commutator(h1, h2) != []
-    with pytest.raises(CrossCheckMismatch, match=r"h_tilde\*V differs from V\*diag\(X\)"):
-        commutator_check(h1, h2)
+    assert verify_spectrum(h2) == [("eigen", 0, j) for j in range(6) if h1.V[1, j] != 0]
+    band = recurrence.gram_band
+    monkeypatch.setattr(recurrence, "gram_band", lambda *args: {**band(*args), (0, 1): 0})
+    with pytest.raises(
+        CrossCheckMismatch, match=r"band recurrence misses the grid at \(n,x\)=\(0,0\)"
+    ):
+        recurrence.extract_r(pl.system(), pl.xpoly(Y_ONE))
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -256,14 +265,16 @@ def test_eigenbasis_shared_across_seeds(family, pipe):
     assert matrix_is_zero(matrix_sub(lhs, rhs))
 
 
-def test_spectrum_reports_each_entry_and_shares_hv(pipe, monkeypatch):
-    """The spectrum check and the closure check share one run of the eigen
-    kernel, which forms no h_tilde*V product; a skewed entry of h_tilde is
-    reported at every position of its row that it reaches."""
+def test_spectrum_reports_each_entry_in_one_kernel_run(pipe, monkeypatch):
+    """The spectrum listing is one run of the eigen kernel, which forms no
+    h_tilde*V product; the closure check does not run it, since the
+    eigen identity is the r-table's grid certificate.  A skewed entry of
+    h_tilde is reported at every position of its row that it reaches."""
     from dualracah import closure, dualsystem
 
     h = pipe(R, 5, (1,)).hamiltonian(Y_ONE)
     trip = pipe(R, 5, (1,)).closure(Y_ONE)
+    h.dual.recurrence_residual  # the shared dual table's residual, formed uncounted
     fresh = replace(h)  # same matrices, no cached property carried over
     calls, kernel_calls = [], []
     matmul, kernel = SquareMatrix.__matmul__, dualsystem.eigen_misses
@@ -278,8 +289,9 @@ def test_spectrum_reports_each_entry_and_shares_hv(pipe, monkeypatch):
 
     monkeypatch.setattr(SquareMatrix, "__matmul__", counted)
     monkeypatch.setattr(dualsystem, "eigen_misses", counted_kernel)
-    assert verify_spectrum(fresh) == []
     closure.verify_closure(fresh, trip)
+    assert kernel_calls == [] and "eigen_residual" not in vars(fresh)
+    assert verify_spectrum(fresh) == []
     assert not any(a is fresh.h_tilde and b is fresh.V for a, b in calls)
     assert len(kernel_calls) == 1
     monkeypatch.undo()
@@ -288,6 +300,25 @@ def test_spectrum_reports_each_entry_and_shares_hv(pipe, monkeypatch):
     rows[1][2] += rat(1, 7)
     bad = replace(h, h_tilde=SquareMatrix(rows))
     assert verify_spectrum(bad) == [("eigen", 1, j) for j in range(6) if h.V[2, j] != 0]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("D", INDEX_SETS)
+def test_eigen_residual_is_the_grid_certificate_over_the_ground_state(family, D, pipe):
+    """h_tilde*V = V*diag(X) is extract_r's certificate R*P = P*diag(X)
+    with column x divided by P_0(x).  With any one r-table entry corrupted,
+    the grid misses and the eigen residual of the Hamiltonian built on that
+    table name the same (n, x) entries, and each grid residual is P_0(x)
+    times the eigen one."""
+    pl = pipe(family, 5, D)
+    s, xp, t = pl.system(), pl.xpoly(Y_ONE), pl.rectable(Y_ONE)
+    X = [xp.grid[x] for x in range(6)]
+    for key in t.r:
+        bad = replace(t, r={**t.r, key: t.r[key] + rat(1, 3)})
+        grid = linalg.eigen_misses(bad.rows, list(zip(*s.pdn_grid)), X)
+        eigen = build_hamiltonians(xp, bad, pl.dual()).eigen_residual
+        assert grid and [(n, x) for n, x, _ in grid] == [(n, x) for n, x, _ in eigen]
+        assert all(g == s.pdn_grid[0][x] * e for (_, x, g), (_, _, e) in zip(grid, eigen))
 
 
 def _bumped(m: SquareMatrix, i: int, j: int) -> SquareMatrix:
@@ -384,6 +415,7 @@ def test_hamiltonian_keeps_one_spectrum_and_no_stale_certificate(pipe):
     assert "energies" not in {f.name for f in fields(h)}
     assert h.energies == tuple(h.x_grid[n] for n in range(6))
     assert h.eigenbasis is h.dual and h.dual.ortho_residual == []
+    assert verify_spectrum(h) == []
     cached = {"eigen_residual", "eigenbasis"}
     assert cached <= set(vars(h))
     assert not cached & set(vars(replace(h)))
@@ -419,8 +451,10 @@ def test_vanishing_ground_state_raises_zero_denominator(family, pipe):
 
 
 def test_commutator_certification_survives_python_O():
-    """Under -O one corrupted band entry of h2 still stops the commutator
-    check: it is not an assert."""
+    """Under -O the commutator check still refuses two eigenbases and a
+    dual table that misses its recurrence, a bumped Gram entry still stops
+    extract_r, and one corrupted band entry of h2 is still listed by the
+    spectrum check: none of them is an assert."""
     script = textwrap.dedent(
         """
         from dataclasses import replace
@@ -432,16 +466,35 @@ def test_commutator_certification_survives_python_O():
         from dualracah.poly import Poly
 
         assert False, "asserts must be stripped"
-        s = multiindexed.build_mi_system(make_params("R", 4, b=9, c=rat(1, 2), d=rat(2, 5)), (1,))
-        xp = recurrence.build_X(s, Poly([rat(1)]))
-        h = dualsystem.build_hamiltonians(
-            xp, recurrence.extract_r(s, xp), dualsystem.dual_values(s))
+        p = make_params("R", 4, b=9, c=rat(1, 2), d=rat(2, 5))
+
+        def hamiltonian(D):
+            s = multiindexed.build_mi_system(p, D)
+            xp = recurrence.build_X(s, Poly([rat(1)]))
+            return dualsystem.build_hamiltonians(
+                xp, recurrence.extract_r(s, xp), dualsystem.dual_values(s))
+
+        h = hamiltonian((1,))
         rows = [list(r) for r in h.h_tilde.rows]
         rows[2][3] += 1
+        print("listed:", dualsystem.verify_spectrum(replace(h, h_tilde=SquareMatrix(rows))))
+        a_dual = list(h.dual.a_dual)
+        a_dual[2] += 1
+        bad = replace(h, dual=replace(h.dual, a_dual=tuple(a_dual)))
+        for other in (bad, hamiltonian((2,))):
+            try:
+                dualsystem.commutator_check(h, other)
+            except CrossCheckMismatch as e:
+                print("commute:", e)
+
+        # the table behind h, its Gram entry (2, 3) zeroed
+        band = recurrence.gram_band
+        recurrence.gram_band = lambda *args: {**band(*args), (2, 3): 0}
         try:
-            dualsystem.commutator_check(h, replace(h, h_tilde=SquareMatrix(rows)))
+            s = multiindexed.build_mi_system(p, (1,))
+            recurrence.extract_r(s, recurrence.build_X(s, Poly([rat(1)])))
         except CrossCheckMismatch as e:
-            print("commute:", e)
+            print("table:", e)
         """
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -450,4 +503,7 @@ def test_commutator_certification_survives_python_O():
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True,
         check=True,
     ).stdout
-    assert "commute: h_tilde*V differs from V*diag(X)" in out
+    assert "listed: [('eigen', 2, 0)," in out
+    assert "commute: diag(Ebar)*V differs from V*T at (x,n)=(0,2)" in out
+    assert "commute: the Hamiltonians are not diagonal in one eigenbasis V" in out
+    assert "table: band recurrence misses the grid at (n,x)=(2,0)" in out

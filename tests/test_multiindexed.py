@@ -103,9 +103,18 @@ def test_positivity(family, D, pipe):
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("D", INDEX_SETS)
 def test_ground_state_is_shifted_denominator(family, D, pipe):
-    s = pipe(family, 6, D).system()
-    for x in range(7):
-        assert s.pdn_grid[0][x] == s.xi_grid_delta[x]
+    """The shifted table's Xi_D(x; lambda+delta) is the per-entry
+    determinant on x = -1..N+1 and the ground state P_(D,0)(x) on 0..N,
+    which is where the deformed potentials read it; the system keeps no
+    copy of it."""
+    N = 6
+    p_delta = shift(std_params(family, N), 1, "delta")
+    tab_delta = GridTable(D, p_delta)
+    s = pipe(family, N, D).system()
+    assert not hasattr(s, "xi_grid_delta")
+    for x in range(-1, N + 2):
+        assert tab_delta.xi(x) == per_entry_xi(x, D, p_delta)
+    assert s.pdn_grid[0] == tuple(tab_delta.xi(x) for x in range(N + 1))
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -193,7 +202,7 @@ def test_checker_flags_corruption(pipe):
     weights[2] = weights[2] + 1
     corrupt = type(s)(
         params=s.params, D=s.D, xi_poly=s.xi_poly, pdn_polys=s.pdn_polys,
-        xi_grid=s.xi_grid, xi_grid_delta=s.xi_grid_delta, pdn_grid=s.pdn_grid,
+        xi_grid=s.xi_grid, pdn_grid=s.pdn_grid,
         dDn_sq=s.dDn_sq, weights=tuple(weights),
     )
     fails = verify_ortho(corrupt)
@@ -229,13 +238,10 @@ def test_denominator_positive_beyond_grid(family, pipe):
 @pytest.mark.parametrize("N", [4, 5, 6])
 def test_table_matches_per_entry_route(family, D, N, pipe):
     p = std_params(family, N)
-    p_delta = shift(p, 1, "delta")
-    tab, tab_delta = GridTable(D, p), GridTable(D, p_delta)
+    tab = GridTable(D, p)
     s = pipe(family, N, D).system()
     for x in range(N + 2):
         assert tab.xi(x) == per_entry_xi(x, D, p) == s.xi_grid[x]
-    for x in range(-1, N + 2):
-        assert tab_delta.xi(x) == per_entry_xi(x, D, p_delta) == s.xi_grid_delta[x]
     for n in range(N + 1):
         for x in range(N + 1):
             v = per_entry_pdn(n, x, D, p)
@@ -312,15 +318,16 @@ def _counted(monkeypatch, owner, names):
 def test_exact_build_takes_cofactors_once_per_x(monkeypatch):
     """An exact build reduces M+1 unit columns per x of the main grid
     (x <= ell_D + N) and one determinant per x of the shifted denominator
-    (-1 <= x <= N+1): O(N) eliminations, not one per (n, x).  It never
-    takes the per-entry route GridTable.pdn."""
+    (0 <= x <= N, where the ground state is certified against it): O(N)
+    eliminations, not one per (n, x).  It never takes the per-entry route
+    GridTable.pdn."""
     det = _counted(monkeypatch, LeadingElimination, ["det"])
     routes = _counted(monkeypatch, GridTable, ["pdn", "xi"])
     N, D = 10, (1, 2)
     build_mi_system(std_params(R, N), D)
     M, top = len(D), ell(D) + N
-    assert det["det"] == (M + 1) * (top + 1) + (N + 3) == 52
-    assert routes == {"pdn": 0, "xi": N + 3}
+    assert det["det"] == (M + 1) * (top + 1) + (N + 1) == 50
+    assert routes == {"pdn": 0, "xi": N + 1}
 
 
 def test_float_tables_take_the_per_entry_route(monkeypatch):

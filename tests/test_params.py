@@ -80,6 +80,32 @@ def test_validate_flags_violations():
     assert validate(pq, (1,)) != []
 
 
+@pytest.mark.parametrize("family,N,b,c,D", [
+    (R, 2, rat(49, 10), rat(1, 2), (1,)),           # dt' = -1: xi_1 is constant
+    (QR, 3, rat(1, 256), rat(1, 2), (2,)),          # dt' = 4 = q^(-2): xi_2 has degree 1
+], ids=["R", "qR"])
+def test_validate_refuses_a_virtual_state_that_loses_its_degree(family, N, b, c, D):
+    """The range inequalities hold, but the leading coefficient of the
+    virtual state of degree d_j (the base one at the twisted tuple)
+    vanishes; the build would stop at the degree of Xi_D, so validate
+    refuses the tuple, and run_suite with it."""
+    from dualracah import report
+    from dualracah.basefamily import c_n
+    from dualracah.errors import InadmissibleParams
+
+    q = rat(1, 2) if family == QR else None
+    d = rat(1, 2) if family == QR else rat(2, 5)
+    p = make_params(family, N, b=b, c=c, d=d, q=q)
+    assert validate(p, D) == ["deg xi_(d_j) = d_j"] and validate(p, ()) == []
+    assert c_n(D[-1], twist(p)) == 0
+    raw = {"family": family, "N": N, "b": str(b), "c": str(c), "d": str(d), "D": list(D),
+           "suites": ["mi"]}
+    if q is not None:
+        raw["q"] = str(q)
+    with pytest.raises(InadmissibleParams, match="deg xi"):
+        report.run_suite(report.parse_config(raw))
+
+
 def test_shift_additive_and_multiplicative():
     p = std_params(R, 5)
     p2 = shift(p, 2, "delta")

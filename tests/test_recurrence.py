@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from dualracah import recurrence
+from dualracah import recurrence, report
 from dualracah.backend import rat
 from dualracah.basefamily import rec_coeffs
 from dualracah.errors import (
@@ -21,6 +21,7 @@ from dualracah.errors import (
     ZeroPolynomial,
 )
 from dualracah.params import QR, R, ParamSet, eta, ipow, shift
+from dualracah.pipeline import Pipeline
 from dualracah.poly import Poly
 from dualracah.recurrence import (
     build_X,
@@ -282,6 +283,24 @@ def test_change_vanishing_on_the_grid_fails_past_it(family, N, D, pipe):
     got = verify_recurrence(bad, xp, t)
     assert got == poly_recurrence_failures(bad, xp, t)
     assert ("poly", 1) in got
+
+
+@pytest.mark.parametrize("raw,L", [
+    ({"family": "R", "N": 3, "b": "11", "D": [4], "Y": ["1"]}, 5),
+    ({"family": "R", "N": 3, "b": "9", "D": [2], "Y": ["0", "0", "0", "1"]}, 6),
+    ({"family": "qR", "N": 2, "b": "1/1048576", "q": "1/2", "D": [1, 2, 3], "Y": ["1"]}, 4),
+], ids=["R-L5", "R-L6", "qR-L4"])
+def test_no_row_is_checked_when_the_band_exceeds_the_grid(raw, L):
+    """With L > N no label has its full band, so the polynomial identity
+    is checked on no row: the suite passes and agrees with the Poly-product
+    oracle.  A negative slice bound once kept the first 2N+2-L rows, whose
+    bands do not fit, and failed them."""
+    cfg = report.parse_config(dict(raw, c="1/2", d="2/5", suites=["recurrence"]))
+    pl = Pipeline(cfg.params(), cfg.D)
+    s, xp, t = pl.system(), pl.xpoly(cfg.Y), pl.rectable(cfg.Y)
+    assert t.L == L > cfg.N
+    assert report._suite_recurrence(cfg, pl)["pass"]
+    assert verify_recurrence(s, xp, t) == poly_recurrence_failures(s, xp, t) == []
 
 
 @pytest.mark.parametrize("family,N,D", FAULT_GRID)

@@ -21,7 +21,7 @@ from dualracah.shapeinv import (
     symmetric_form,
 )
 from dualracah.errors import InadmissibleCandidate
-from comparators import dense_factor_upper
+from comparators import dense_factor_upper, hamiltonian_symmetric_form
 from conftest import Y_ONE, std_params
 
 FAMILIES = (R, QR)
@@ -65,10 +65,15 @@ def test_factor_upper_rejects_indefinite():
         factor_upper(h, 128)
 
 
+def _sym(pl, precision, Y=Y_ONE):
+    """The symmetric form of the pipeline's Hamiltonian, from its r-table
+    and squared norms."""
+    return symmetric_form(pl.rectable(Y).rows, pl.system().dDn_sq, precision)
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_hamiltonian_factorization_reconstructs(family, pipe):
-    h = pipe(family, 5, (1,)).hamiltonian(Y_ONE)
-    a = factor_upper(symmetric_form(h, 256), 256)
+    a = factor_upper(_sym(pipe(family, 5, (1,)), 256), 256)
     # zero ground level forces a zero last row
     assert all(v == 0 for v in a[5])
 
@@ -121,15 +126,17 @@ def test_extra_candidate_is_tested(pipe):
 
 def test_si_test_factors_each_hamiltonian_once(pipe, monkeypatch):
     """One symmetric form and one factorization of the pipeline's own
-    Hamiltonian per call, and one of each per admissible candidate."""
-    from dualracah import shapeinv
+    Hamiltonian per call, and one of each per admissible candidate, each
+    form from an r-table and its squared norms: si_test builds no dual
+    table and no Hamiltonian."""
+    from dualracah import dualsystem, shapeinv
 
-    formed, factored = [], []
+    formed, factored, built = [], [], []
     form, factor = shapeinv.symmetric_form, shapeinv.factor_upper
 
-    def counted_form(h, precision):
-        formed.append(h)
-        return form(h, precision)
+    def counted_form(rows, d_sq, precision):
+        formed.append(rows)
+        return form(rows, d_sq, precision)
 
     def counted_factor(h_sym, precision):
         factored.append(h_sym)
@@ -137,19 +144,36 @@ def test_si_test_factors_each_hamiltonian_once(pipe, monkeypatch):
 
     monkeypatch.setattr(shapeinv, "symmetric_form", counted_form)
     monkeypatch.setattr(shapeinv, "factor_upper", counted_factor)
-    pl = pipe(R, 6, ())
+    for name in ("dual_values", "build_hamiltonians"):
+        monkeypatch.setattr(dualsystem, name, lambda *args, _name=name: built.append(_name))
+    pl = Pipeline(std_params(R, 6), ())
     rep = si_test(pl, Y_ONE)
     admissible = [v for v in rep.verdicts if v.admissible]
     assert len(admissible) == 2 and len(factored) == 1 + len(admissible)
-    assert len({id(h) for h in formed}) == len(formed) == 1 + len(admissible)
-    assert sum(h is pl.hamiltonian(Y_ONE) for h in formed) == 1
+    assert len({id(rows) for rows in formed}) == len(formed) == 1 + len(admissible)
+    assert sum(rows is pl.rectable(Y_ONE).rows for rows in formed) == 1
+    assert built == []
+
+
+@pytest.mark.parametrize("precision", [53, 256])
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("D", [(), (1,), (1, 2)])
+def test_symmetric_form_equals_hamiltonian_route(family, D, precision, pipe):
+    """The symmetric form from the r-table's rows and the squared norms
+    equals, bit for bit, the one from the Hamiltonian and its dual weights
+    d_n^2/Xi(1): Xi(1) cancels in the ratio, which is the same reduced
+    rational."""
+    pl = pipe(family, 7, D)
+    new = _sym(pl, precision)
+    old = hamiltonian_symmetric_form(pl.hamiltonian(Y_ONE), precision)
+    assert [[v._mpf_ for v in row] for row in new] == [[v._mpf_ for v in row] for row in old]
 
 
 def _dense_residuals(pl, Y, precision):
     """si_test's matrix residual per admissible candidate, every sum over
     the whole matrix, on the dense factors (the loops the band replaced)."""
     N, xp = pl.params.N, pl.xpoly(Y)
-    A = dense_factor_upper(symmetric_form(pl.hamiltonian(Y), precision), precision)
+    A = dense_factor_upper(_sym(pl, precision, Y), precision)
     out = {}
     for name, p2 in builtin_candidates(pl.params):
         try:
@@ -158,7 +182,7 @@ def _dense_residuals(pl, Y, precision):
             continue
         cand = Pipeline(p2, pl.D)
         kappa = (xp.grid[2] - xp.grid[1]) / cand.xpoly(Y).grid[1]
-        A2 = dense_factor_upper(symmetric_form(cand.hamiltonian(Y), precision), precision)
+        A2 = dense_factor_upper(_sym(cand, precision, Y), precision)
         with mpmath.workprec(precision):
             k, e1 = to_real(kappa, precision), to_real(xp.grid[1], precision)
             residual = mpmath.mpf(0)
@@ -183,8 +207,7 @@ def _assert_factors_equal(h, precision):
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("D", [(), (1,), (1, 2)])
 def test_band_factor_equals_dense_on_hamiltonians(family, D, precision, pipe):
-    h = pipe(family, 7, D).hamiltonian(Y_ONE)
-    sym = symmetric_form(h, precision)
+    sym = _sym(pipe(family, 7, D), precision)
     w = _bandwidth(sym)
     assert 0 < w < len(sym) - 1  # the band is narrower than the matrix
     a = _assert_factors_equal(sym, precision)
