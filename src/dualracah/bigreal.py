@@ -2,7 +2,7 @@
 
 Everything identity-critical stays rational; these helpers only serve the
 symmetric Hamiltonian entries, the semidefinite factorization, and the q->1
-limit checks.
+limit checks, each at the working precision its caller passes.
 """
 
 from __future__ import annotations
@@ -11,10 +11,8 @@ import mpmath
 
 from .errors import NegativeRadicand
 
-DEFAULT_PRECISION = 256
 
-
-def to_real(x, prec: int = DEFAULT_PRECISION):
+def to_real(x, prec: int):
     """Correctly rounded conversion of a rational (or mpf) to mpf at prec bits."""
     with mpmath.workprec(prec):
         if isinstance(x, mpmath.mpf):
@@ -22,7 +20,7 @@ def to_real(x, prec: int = DEFAULT_PRECISION):
         return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
 
 
-def big_sqrt(x, prec: int = DEFAULT_PRECISION):
+def big_sqrt(x, prec: int):
     with mpmath.workprec(prec):
         v = x if isinstance(x, mpmath.mpf) else to_real(x, prec)
         if v < 0:
@@ -30,7 +28,7 @@ def big_sqrt(x, prec: int = DEFAULT_PRECISION):
         return mpmath.sqrt(v)
 
 
-def real_str(x, prec: int = DEFAULT_PRECISION) -> str:
+def real_str(x, prec: int) -> str:
     """Serialize with an explicit precision annotation, e.g. "1.414...@256"."""
     digits = max(1, int(prec * 0.30103))
     return f"{mpmath.nstr(x, digits)}@{prec}"

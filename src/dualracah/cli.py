@@ -7,6 +7,10 @@ Two subcommands:
 * ``tables``: emit CSV/JSON tables (polynomial grids, recurrence
   coefficients, Hamiltonians, spectra, dual tables).
 
+The config file is the whole run, its working precision included; the
+command line only names the config and, with ``--out``, where the output
+goes.
+
 Exit status: 0 all checks passed, 1 a verification failed, 2 bad
 configuration (an unwritable ``--out`` included) or inadmissible
 parameters.  A ``verify`` report path is checked before any suite runs.
@@ -22,7 +26,7 @@ from typing import Optional, Sequence
 
 from .errors import ConfigError, DualRacahError, InadmissibleParams
 from .report import (
-    TABLE_KINDS, check_precision, emit_tables, load_config, run_suite, write_report,
+    TABLE_KINDS, emit_tables, load_config, run_suite, write_report,
 )
 
 
@@ -35,8 +39,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="path to a JSON run config")
-    common.add_argument("--precision", type=int, default=None,
-                        help="override the working precision (bits)")
 
     vp = sub.add_parser("verify", parents=[common], help="run verification suites")
     vp.add_argument("--out", default=None,
@@ -66,28 +68,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.precision is not None:
-            cfg.precision = check_precision(args.precision)
-        if args.out is not None:
-            cfg.out = args.out
-
         if args.command == "verify":
-            if cfg.out:
-                _check_writable(cfg.out)
+            if args.out:
+                _check_writable(args.out)
             report, ok = run_suite(cfg)
-            if cfg.out:
+            if args.out:
                 try:
-                    write_report(report, cfg.out)
+                    write_report(report, args.out)
                 except OSError as e:
                     raise ConfigError(f"cannot write report: {e}") from e
-                print(f"report written to {cfg.out}", file=sys.stderr)
+                print(f"report written to {args.out}", file=sys.stderr)
             else:
                 json.dump(report, sys.stdout, indent=2, sort_keys=True)
                 sys.stdout.write("\n")
             return 0 if ok else 1
 
         try:
-            paths = emit_tables(cfg, args.what, cfg.out or ".")
+            paths = emit_tables(cfg, args.what, args.out or ".")
         except OSError as e:
             raise ConfigError(f"cannot write tables: {e}") from e
         for path in paths:

@@ -45,10 +45,6 @@ class DegreeMismatch(DualRacahError):
     pass
 
 
-class ZeroEntry(DualRacahError):
-    pass
-
-
 class CrossCheckMismatch(DualRacahError):
     pass
 

@@ -86,10 +86,9 @@ from .errors import (
     InadmissibleParams,
     NonPositiveWeight,
     ZeroDenominator,
-    ZeroEntry,
 )
 from .linalg import LeadingElimination, _cleared_int_rows, generic_det, gram_residuals
-from .params import R, ParamSet, ell, energy, eta, index_set, ipow, shift, twist, validate
+from .params import R, ParamSet, ell, energy, eta, factor, index_set, ipow, shift, twist, validate
 from .poly import Poly, interpolate
 
 
@@ -317,14 +316,9 @@ def leading_xi(D: Sequence[int], p: ParamSet):
     acc = 1
     for j, dj in enumerate(D):
         acc = acc * c_n(dj, tw)
-        if p.family == R:
-            acc = acc * multi_poch(us, j)
-            for dk in D[j + 1:]:
-                acc = acc / (dt + dj + dk)
-        else:
-            acc = acc * multi_qpoch(us, j, p.q)
-            for dk in D[j + 1:]:
-                acc = acc / (1 - dt * ipow(p.q, dj + dk))
+        acc = acc * (multi_poch(us, j) if p.family == R else multi_qpoch(us, j, p.q))
+        for dk in D[j + 1:]:
+            acc = acc / factor(p, dt, dj + dk)
     return acc
 
 
@@ -348,10 +342,6 @@ def leading_pdn_table(D: Sequence[int], p: ParamSet, lead_xi) -> tuple:
     """
     a, b, c, dt, N = p.a, p.b, p.c, p.dtilde, p.N
 
-    def factor(u, k):
-        # the linear factor u+k (R) or 1-u*q^k (qR)
-        return u + k if p.family == R else 1 - u * ipow(p.q, k)
-
     def checked(den, n):
         if den == 0:
             raise ZeroDenominator(f"leading coefficient of P_(D,{n}) divides by zero")
@@ -359,13 +349,13 @@ def leading_pdn_table(D: Sequence[int], p: ParamSet, lead_xi) -> tuple:
 
     num, den = lead_xi, 1
     for j, dj in enumerate(D, start=1):
-        num, den = num * factor(c, j - 1), den * factor(c, dj)
+        num, den = num * factor(p, c, j - 1), den * factor(p, c, dj)
     out = [rat(num) / checked(den, 0)]
     for n in range(N):
-        num = factor(dt, 2 * n) * factor(dt, 2 * n + 1)
-        den = factor(dt, n) * factor(a, n) * factor(b, n) * factor(c, n)
+        num = factor(p, dt, 2 * n) * factor(p, dt, 2 * n + 1)
+        den = factor(p, dt, n) * factor(p, a, n) * factor(p, b, n) * factor(p, c, n)
         for dj in D:
-            num, den = num * factor(c, dj + n), den * factor(c, dj + n + 1)
+            num, den = num * factor(p, c, dj + n), den * factor(p, c, dj + n + 1)
         out.append(out[-1] * num / checked(den, n + 1))
     return tuple(out)
 
@@ -501,11 +491,9 @@ def verify_ortho(s: MISystem) -> list:
 
 
 def sign_changes(seq: Sequence) -> int:
-    for i, v in enumerate(seq):
-        if v == 0:
-            raise ZeroEntry(f"zero entry at position {i}")
-    flips = 0
-    for u, v in zip(seq, seq[1:]):
-        if (u > 0) != (v > 0):
-            flips += 1
-    return flips
+    """Sign changes of seq over its nonzero entries.  On a P_(D,n) row or a
+    dual column, a three-term relation whose off-diagonal coefficients have
+    one sign puts every zero strictly inside, between entries of opposite
+    sign, so skipping it loses no change."""
+    signs = [v > 0 for v in seq if v != 0]
+    return sum(u != v for u, v in zip(signs, signs[1:]))

@@ -110,10 +110,14 @@ def validate(p: ParamSet, D: Sequence[int]) -> list:
         if not (ab < p.d * ipow(p.q, dmax + 1)):
             out.append("ab<d*q^(max(D)+1)")
     dt = twist(p).dtilde
-    ks = [k for dj in D for k in range(dj, 2 * dj)]
-    if any((dt + k if p.family == R else 1 - dt * ipow(p.q, k)) == 0 for k in ks):
+    if any(factor(p, dt, k) == 0 for dj in D for k in range(dj, 2 * dj)):
         out.append("deg xi_(d_j) = d_j")
     return out
+
+
+def factor(p: ParamSet, u, k: int):
+    """The linear factor u+k (R) or 1-u*q^k (qR) of the closed forms."""
+    return u + k if p.family == R else 1 - u * ipow(p.q, k)
 
 
 def shift(p: ParamSet, k: int, kind: str = "delta") -> ParamSet:

@@ -31,13 +31,13 @@ from typing import Iterator, Sequence, Tuple
 import mpmath
 
 from . import errors
-from .bigreal import DEFAULT_PRECISION, to_real
+from .bigreal import to_real
 from .multiindexed import GridTable, MISystem
 from .params import QR, ParamSet, R
 from .errors import DualRacahError, InadmissibleParams
 
 
-def matched_q_params(p_r: ParamSet, k: int, precision: int = DEFAULT_PRECISION) -> ParamSet:
+def matched_q_params(p_r: ParamSet, k: int, precision: int) -> ParamSet:
     """The q-family tuple (q^-N, q^b, q^c, q^d) at q = 1 - 10^-k, in floats."""
     if p_r.family != R or not p_r.is_exact():
         raise InadmissibleParams("the q->1 reference must be an exact additive-family tuple")
@@ -54,7 +54,7 @@ def matched_q_params(p_r: ParamSet, k: int, precision: int = DEFAULT_PRECISION) 
         )
 
 
-def float_tables(p: ParamSet, D: Sequence[int], precision: int = DEFAULT_PRECISION):
+def float_tables(p: ParamSet, D: Sequence[int], precision: int):
     """Normalized polynomial table P[n][x] in floats."""
     N = p.N
     with mpmath.workprec(precision):
@@ -222,13 +222,11 @@ class QLimitReport:
     precision: int
 
 
-def qlimit_check(s: MISystem, ladder: Ladder = None) -> QLimitReport:
+def qlimit_check(s: MISystem, ladder: Ladder) -> QLimitReport:
     """Gap ladder of the q-family tables against the built additive system s,
     at q = 1 - 10^-k for k in LADDER_KS, at the ladder's precision.
-    `ladder` holds the float tables for (s.params, s.D); without one they
-    are computed here at DEFAULT_PRECISION."""
-    if ladder is None:
-        ladder = Ladder(s.params, s.D, DEFAULT_PRECISION)
+    `ladder` holds the float tables for (s.params, s.D), built by the
+    caller at the run's precision."""
     precision = ladder.precision
     with mpmath.workprec(precision):
         ref_p = [[to_real(v, precision) for v in row] for row in s.pdn_grid]

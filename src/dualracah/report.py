@@ -2,8 +2,10 @@
 
 A run config pins one parameter tuple, one index set and one seed
 polynomial; the requested suites then execute in dependency order and every
-verdict lands in a single JSON report.  Reports are byte-deterministic for
-a given config: all timings go to stderr, never into the report.
+verdict lands in a single JSON report.  The config keys are the fields of
+``RunConfig``, the working precision included, and nothing else; where the
+output goes is the caller's choice.  Reports are byte-deterministic for a
+given config: all timings go to stderr, never into the report.
 """
 
 from __future__ import annotations
@@ -14,12 +16,12 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Tuple
 
 from . import basefamily, closure, dualsystem, multiindexed, qlimit, recurrence, shapeinv
 from .backend import rat, rat_to_str, rat_from_str
-from .bigreal import DEFAULT_PRECISION, real_str
+from .bigreal import real_str
 from .errors import (
     ConfigError,
     CrossCheckMismatch,
@@ -34,13 +36,8 @@ from .poly import Poly
 
 SUITES = ("base", "mi", "recurrence", "dual", "closure", "ladder", "commute", "shape", "qlimit")
 
-_ALLOWED_KEYS = {
-    "family", "N", "b", "c", "d", "q", "D", "Y",
-    "precision", "suites", "si_candidates", "out",
-}
 
-
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     family: str
     N: int
@@ -53,10 +50,12 @@ class RunConfig:
     precision: int
     suites: Tuple[str, ...]
     si_candidates: Tuple[Tuple[str, Tuple[object, object, object, object]], ...]  # (a, b, c, d)
-    out: Optional[str] = None
 
     def params(self):
         return make_params(self.family, self.N, b=self.b, c=self.c, d=self.d, q=self.q)
+
+
+_ALLOWED_KEYS = frozenset(f.name for f in fields(RunConfig))
 
 
 def _cfg_rat(raw, key: str):
@@ -71,13 +70,6 @@ def _cfg_rat(raw, key: str):
 def _is_int(v) -> bool:
     # JSON true/false arrive as bool, which is an int subclass
     return isinstance(v, int) and not isinstance(v, bool)
-
-
-def check_precision(precision) -> int:
-    """The working precision in bits, from the config or from --precision."""
-    if not _is_int(precision) or precision < 53:
-        raise ConfigError(f"precision must be an integer >= 53, got {precision!r}")
-    return precision
 
 
 def parse_config(data: dict) -> RunConfig:
@@ -120,7 +112,9 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigError("Y must be a nonzero polynomial")
     if any(v < 0 for v in Y.coeffs):
         raise ConfigError("Y must have non-negative coefficients")
-    precision = check_precision(data.get("precision", DEFAULT_PRECISION))
+    precision = data.get("precision", 256)  # bits
+    if not _is_int(precision) or precision < 53:
+        raise ConfigError(f"precision must be an integer >= 53, got {precision!r}")
     suites_raw = data.get("suites", list(SUITES))
     if not isinstance(suites_raw, list) or not all(isinstance(s, str) for s in suites_raw):
         raise ConfigError(f"suites must be a list of suite names, got {suites_raw!r}")
@@ -150,13 +144,9 @@ def parse_config(data: dict) -> RunConfig:
                 f"si_candidates slots must be four rational strings (a, b, c, d), got {slots!r}"
             )
         cands.append((name, tuple(_cfg_rat(v, "si_candidates slot") for v in slots)))
-    out = data.get("out")
-    if out is not None and not isinstance(out, str):
-        raise ConfigError("out must be a path string")
     return RunConfig(
         family=family, N=N, b=b, c=c, d=d, q=q, D=D, Y=Y,
-        precision=precision, suites=suites,
-        si_candidates=tuple(cands), out=out,
+        precision=precision, suites=suites, si_candidates=tuple(cands),
     )
 
 

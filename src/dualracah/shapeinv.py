@@ -26,7 +26,7 @@ from typing import List, Optional, Tuple
 
 import mpmath
 
-from .bigreal import DEFAULT_PRECISION, big_sqrt, to_real
+from .bigreal import big_sqrt, to_real
 from .errors import CrossCheckMismatch, InadmissibleCandidate, NegativePivot
 from .params import R, ParamSet, validate
 from .pipeline import Pipeline
@@ -159,17 +159,18 @@ def _symmetric(pipe: Pipeline, Y: Poly, precision: int) -> list:
 def si_test(
     pipe: Pipeline,
     Y: Poly,
-    precision: int = DEFAULT_PRECISION,
-    extra_candidates: Optional[List[Tuple[str, ParamSet]]] = None,
+    precision: int,
+    extra_candidates: List[Tuple[str, ParamSet]],
 ) -> SIReport:
-    """Shape-invariance verdict for each candidate of the pipeline's system
-    with seed Y; every admissible candidate also gets the matrix residual
-    at ``precision`` bits."""
+    """Shape-invariance verdict for each built-in candidate of the
+    pipeline's system with seed Y, then for each of ``extra_candidates``;
+    every admissible candidate also gets the matrix residual at
+    ``precision`` bits."""
     p, D, N = pipe.params, pipe.D, pipe.params.N
     xp = pipe.xpoly(Y)
     aad = None  # band of A*A^T, A the factor of the pipeline's own Hamiltonian, formed once
     verdicts = []
-    for name, p2 in builtin_candidates(p) + list(extra_candidates or []):
+    for name, p2 in builtin_candidates(p) + list(extra_candidates):
         try:
             check_candidate(p2, D)
         except InadmissibleCandidate:

@@ -23,7 +23,7 @@ from dualracah.dualsystem import commutator_check, dual_ortho, verify_spectrum
 from dualracah.errors import SingularR0
 from dualracah.multiindexed import GridTable, build_mi_system, sign_changes, verify_ortho
 from dualracah.params import QR, R, ParamSet, ipow, shift, validate
-from dualracah.qlimit import qlimit_check
+from dualracah.qlimit import Ladder, qlimit_check
 from dualracah.recurrence import verify_recurrence
 from dualracah.shapeinv import si_test
 from comparators import EXAMPLE_NAMES, closed_form_comparators, compare_example, dense_build_ladder
@@ -202,7 +202,7 @@ def test_criterion_9_shape_invariance_verdicts(pipe):
     with criterion(9, "shape invariance holds undeformed, fails deformed"):
         for family in FAMILIES:
             s0 = pipe(family, 6, ()).system()
-            rep0 = si_test(pipe(family, 6, ()), Y_ONE)
+            rep0 = si_test(pipe(family, 6, ()), Y_ONE, 256, [])
             assert rep0.shape_invariant
             win = {v.name: v for v in rep0.verdicts}["delta_dplus"]
             assert win.kappa == (1 if family == R else 1 / s0.params.q)
@@ -210,7 +210,7 @@ def test_criterion_9_shape_invariance_verdicts(pipe):
                 assert win.matrix_residual < mpmath.mpf(10) ** -60
             for N in (4, 5, 6):
                 for D, y in CLOSURE_CASES:
-                    rep = si_test(pipe(family, N, D), SEEDS[y])
+                    rep = si_test(pipe(family, N, D), SEEDS[y], 256, [])
                     assert not rep.shape_invariant
                     for v in rep.verdicts:
                         assert not v.spectral_pass
@@ -221,7 +221,8 @@ def test_criterion_9_shape_invariance_verdicts(pipe):
 def test_criterion_10_q_to_1_limits():
     with criterion(10, "q->1 convergence, monotone within tolerance"):
         for D in ((1,), (2,), (1, 2)):
-            rep = qlimit_check(build_mi_system(std_params(R, 5), D))
+            s = build_mi_system(std_params(R, 5), D)
+            rep = qlimit_check(s, Ladder(s.params, D, 256))
             assert rep.within_tolerance
             assert rep.monotone
 

@@ -1,7 +1,10 @@
 """Config ingestion, suite orchestration, reports, tables, exit codes."""
 
+import argparse
 import csv
+import dataclasses
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -15,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualracah import multiindexed, qlimit
+from dualracah import bigreal, cli, multiindexed, qlimit, shapeinv
 from dualracah.backend import rat
 from dualracah.cli import main
 from dualracah.errors import ConfigError, CrossCheckMismatch, ZeroDenominator
@@ -260,34 +263,86 @@ def test_dual_table_rows_are_label_then_degree(tmp_path):
 
 
 def test_precision_override(tmp_path):
-    cfg_path = _write(tmp_path, "cfg.json", dict(BASE_CFG))
-    cfg = load_config(cfg_path)
-    cfg.precision = 128
-    report, ok = run_suite(cfg)
+    cfg_path = _write(tmp_path, "cfg.json", dict(BASE_CFG, precision=128))
+    report, ok = run_suite(load_config(cfg_path))
     assert ok and report["config"]["precision"] == 128
-    assert main(["verify", "--config", cfg_path, "--precision", "10"]) == 2
 
 
-@pytest.mark.parametrize("source", ["config", "flag"])
 @pytest.mark.parametrize("command", ["verify", "tables"])
-def test_low_precision_exits_2_with_one_message(tmp_path, capsys, command, source):
-    """A precision below 53 bits, from the config or from --precision, ends
-    in exit 2 with the same message, and nothing is written."""
-    data = dict(BASE_CFG, precision=10) if source == "config" else dict(BASE_CFG)
-    cfg_path = _write(tmp_path, "cfg.json", data)
+def test_low_precision_exits_2_with_one_message(tmp_path, capsys, command):
+    """A config precision below 53 bits ends in exit 2 with one message,
+    and nothing is written."""
+    cfg_path = _write(tmp_path, "cfg.json", dict(BASE_CFG, precision=10))
     out = tmp_path / "out"
     if command == "verify":
         argv = ["verify", "--config", cfg_path, "--out", str(out)]
     else:
         out.mkdir()
         argv = ["tables", "--config", cfg_path, "--what", "spectrum", "--out", str(out)]
-    if source == "flag":
-        argv += ["--precision", "10"]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.splitlines()[-1] == "error: precision must be an integer >= 53, got 10"
     assert "Traceback" not in err
     assert not out.exists() if command == "verify" else not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["verify", "tables"])
+def test_config_out_key_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch, command):
+    """Where the output goes is the command line's alone: a config naming a
+    report path under ``out`` is refused before anything is written, so no
+    table directory of that name appears and no report reaches stdout."""
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path, "cfg.json", dict(BASE_CFG, suites=["base"], out="report.json"))
+    argv = [command, "--config", "cfg.json"]
+    if command == "tables":
+        argv += ["--what", "spectrum"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err.splitlines()[-1] == "error: unknown config keys: ['out']"
+    assert out == "" and os.listdir(tmp_path) == ["cfg.json"]
+
+
+def test_tables_without_out_write_into_the_working_directory(tmp_path, capsys, monkeypatch):
+    cfg_path = _write(tmp_path, "cfg.json", BASE_CFG)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main(["tables", "--config", cfg_path, "--what", "spectrum"]) == 0
+    assert sorted(os.listdir(work)) == ["spectrum.csv", "spectrum.json"]
+    paths = capsys.readouterr().err.splitlines()
+    assert paths == [os.path.join(".", "spectrum.csv"), os.path.join(".", "spectrum.json")]
+
+
+def test_the_config_is_the_only_source_of_a_run_setting():
+    """The config schema is RunConfig's fields, frozen once parsed; the
+    command line names the config and the outputs only; and no float
+    helper below the config falls back to a precision of its own."""
+    assert _ALLOWED_KEYS == {f.name for f in dataclasses.fields(RunConfig)}
+    cfg = parse_config(dict(BASE_CFG))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.precision = 128
+
+    sub = next(
+        a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    options = {
+        name: {o for a in parser._actions for o in a.option_strings} - {"-h", "--help"}
+        for name, parser in sub.choices.items()
+    }
+    assert options == {"verify": {"--config", "--out"},
+                       "tables": {"--config", "--out", "--what"}}
+
+    checked = set()
+    for mod in (bigreal, qlimit, shapeinv):
+        for name, fn in inspect.getmembers(mod, inspect.isfunction):
+            if name.startswith("_") or fn.__module__ != mod.__name__:
+                continue
+            for param in inspect.signature(fn).parameters.values():
+                if param.name in ("prec", "precision"):
+                    assert param.default is inspect.Parameter.empty, f"{mod.__name__}.{name}"
+                    checked.add(name)
+    assert {"to_real", "big_sqrt", "real_str", "matched_q_params", "float_tables",
+            "si_test", "symmetric_form", "factor_upper"} <= checked
 
 
 def test_si_candidates_are_parsed_once_to_rationals():
@@ -627,7 +682,8 @@ def test_ladder_faults_survive_python_O(tmp_path):
 
 # sha256 of hamiltonian.csv and hamiltonian.json from `tables --what
 # hamiltonian` for the pinned report configs, at the default precision and
-# at 128 bits; they cover the exact and the symmetric columns
+# at a config precision of 128 bits; they cover the exact and the symmetric
+# columns
 PINNED_HAMILTONIAN_TABLES = [
     (PINNED_REPORTS[0][0], None,
      ("5d327ba6ac318d9ed5de4d33f2a12736a846ceaf8a60857481a2552ea7724d8a",
@@ -644,10 +700,10 @@ PINNED_HAMILTONIAN_TABLES = [
 @pytest.mark.parametrize("data,precision,digests", PINNED_HAMILTONIAN_TABLES,
                          ids=["R", "R-128", "qR"])
 def test_hamiltonian_table_bytes_are_pinned(tmp_path, data, precision, digests):
+    if precision is not None:
+        data = dict(data, precision=precision)
     cfg_path = _write(tmp_path, "cfg.json", data)
     argv = ["tables", "--config", cfg_path, "--what", "hamiltonian", "--out", str(tmp_path)]
-    if precision is not None:
-        argv += ["--precision", str(precision)]
     assert main(argv) == 0
     got = tuple(
         hashlib.sha256((tmp_path / f"hamiltonian.{ext}").read_bytes()).hexdigest()

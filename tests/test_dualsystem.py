@@ -201,7 +201,7 @@ def test_symmetric_form(family, pipe):
                 assert abs(sym[x][y] - sym[y][x]) < tol
                 k = y - x
                 if (x, k) in t.r and (y, x - y) in t.r:
-                    prod = to_real(t.r[(x, k)] * t.r[(y, -k)])
+                    prod = to_real(t.r[(x, k)] * t.r[(y, -k)], 256)
                     assert abs(sym[x][y] * sym[y][x] - prod) < tol
 
 
@@ -391,7 +391,7 @@ def test_dual_edge_coefficients_must_vanish(family, pipe):
 
 def test_big_sqrt_rejects_negative_rational():
     with pytest.raises(NegativeRadicand):
-        big_sqrt(rat(-1, 3))
+        big_sqrt(rat(-1, 3), 256)
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -24,7 +24,6 @@ from dualracah.errors import (
     InadmissibleParams,
     NonPositiveWeight,
     ZeroDenominator,
-    ZeroEntry,
 )
 from dualracah.linalg import LeadingElimination
 from dualracah.multiindexed import (
@@ -210,10 +209,13 @@ def test_checker_flags_corruption(pipe):
 
 
 def test_sign_changes_basics():
+    """Sign changes are counted over the nonzero entries: a zero between
+    opposite signs is one change, a zero between equal signs none."""
     assert sign_changes([rat(1), rat(1), rat(1)]) == 0
     assert sign_changes([rat(1), rat(-1), rat(1)]) == 2
-    with pytest.raises(ZeroEntry):
-        sign_changes([rat(1), rat(0)])
+    assert sign_changes([rat(1), rat(0), rat(-1), rat(0), rat(1)]) == 2
+    assert sign_changes([rat(1), rat(0), rat(1)]) == 0
+    assert sign_changes([rat(1), rat(0)]) == 0
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -550,7 +552,7 @@ def test_build_certifications_survive_python_O():
                 except FAULT_ERRORS.get(fault, CrossCheckMismatch) as e:
                     print(fault, "raised:", e)
         try:
-            matched_q_params(std_params("qR", 4), 3)
+            matched_q_params(std_params("qR", 4), 3, 53)
         except InadmissibleParams:
             print("matched_q_params raised")
         """

@@ -18,7 +18,8 @@ from conftest import per_entry_pdn, std_params
 
 @pytest.mark.parametrize("D", [(), (1,), (1, 2)])
 def test_convergence_ladder(D, pipe):
-    rep = qlimit_check(pipe(R, 5, D).system())
+    s = pipe(R, 5, D).system()
+    rep = qlimit_check(s, qlimit.Ladder(s.params, s.D, 256))
     assert rep.within_tolerance
     assert rep.monotone
     with mpmath.workprec(rep.precision):
@@ -28,7 +29,7 @@ def test_convergence_ladder(D, pipe):
 
 def test_matched_tuple_shape():
     p = std_params(R, 4)
-    pq = matched_q_params(p, 4)
+    pq = matched_q_params(p, 4, 256)
     with mpmath.workprec(256):
         assert abs(pq.q - (1 - mpmath.mpf(10) ** -4)) < mpmath.mpf(10) ** -70
         assert abs(pq.a * pq.q ** 4 - 1) < mpmath.mpf(10) ** -70
@@ -37,8 +38,8 @@ def test_matched_tuple_shape():
 
 def test_float_tables_normalization():
     p = std_params(R, 4)
-    pq = matched_q_params(p, 3)
-    pdn = float_tables(pq, (1,))
+    pq = matched_q_params(p, 3, 256)
+    pdn = float_tables(pq, (1,), 256)
     with mpmath.workprec(256):
         for n in range(5):
             assert abs(pdn[n][0] - 1) < mpmath.mpf(10) ** -70
@@ -48,14 +49,16 @@ def test_float_tables_normalization():
 def test_inadmissible_reference_rejected(pipe):
     bad = make_params(R, 5, b=5, c=rat(1, 2), d=rat(2, 5))
     with pytest.raises(InadmissibleParams):
-        qlimit_check(build_mi_system(bad, (1,)))
+        s = build_mi_system(bad, (1,))
+        qlimit_check(s, qlimit.Ladder(s.params, s.D, 256))
+    s = pipe(QR, 5, (1,)).system()
     with pytest.raises(InadmissibleParams):
-        qlimit_check(pipe(QR, 5, (1,)).system())  # no additive reference
+        qlimit_check(s, qlimit.Ladder(s.params, s.D, 256))  # no additive reference
 
 
 def test_matched_tuple_needs_exact_additive_reference():
     with pytest.raises(InadmissibleParams):
-        matched_q_params(std_params(QR, 4), 3)
+        matched_q_params(std_params(QR, 4), 3, 256)
 
 
 @pytest.mark.parametrize("D", [(1,), (1, 2), (1, 2, 3)])
@@ -63,8 +66,8 @@ def test_float_tables_equal_per_entry_route(D):
     """The table route reproduces every float of the per-entry route, bit
     for bit: same rows, same order, same working precision."""
     p = std_params(R, 4)
-    pq = matched_q_params(p, 4)
-    pdn = float_tables(pq, D)
+    pq = matched_q_params(p, 4, 256)
+    pdn = float_tables(pq, D, 256)
     with mpmath.workprec(256):
         ratios = qlimit._ratios(pdn)
         for n in range(5):
@@ -117,7 +120,7 @@ def test_gaps_equal_the_column_route(N, D, pipe):
     """qlimit_check's gaps are, bit for bit, those of the [x][n] column
     route on the same ladder tables."""
     s = pipe(R, N, D).system()
-    rep = qlimit_check(s)
+    rep = qlimit_check(s, qlimit.Ladder(s.params, s.D, 256))
     p_gaps, q_gaps = _column_route_gaps(s, qlimit.ladder_tables(s.params, s.D, 256), 256)
     assert [g._mpf_ for g in rep.p_gaps] == [g._mpf_ for g in p_gaps]
     assert [g._mpf_ for g in rep.q_gaps] == [g._mpf_ for g in q_gaps]

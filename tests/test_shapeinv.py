@@ -91,7 +91,7 @@ def test_candidate_admissibility(family):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_undeformed_control_is_shape_invariant(family, pipe):
     s = pipe(family, 6, ()).system()
-    rep = si_test(pipe(family, 6, ()), Y_ONE)
+    rep = si_test(pipe(family, 6, ()), Y_ONE, 256, [])
     assert rep.shape_invariant
     byname = {v.name: v for v in rep.verdicts}
     win = byname["delta_dplus"]
@@ -105,7 +105,7 @@ def test_undeformed_control_is_shape_invariant(family, pipe):
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("D", [(1,), (2,), (1, 2)])
 def test_deformed_systems_are_not_shape_invariant(family, D, pipe):
-    rep = si_test(pipe(family, 6, D), Y_ONE)
+    rep = si_test(pipe(family, 6, D), Y_ONE, 256, [])
     assert not rep.shape_invariant
     for v in rep.verdicts:
         assert not v.spectral_pass
@@ -118,7 +118,7 @@ def test_extra_candidate_is_tested(pipe):
     pl = pipe(R, 6, (1,))
     p = pl.params
     wild = dataclasses.replace(p, N=5, a=p.a + 1, b=p.b + 1, c=p.c + 2, d=p.d + 1)
-    rep = si_test(pl, Y_ONE, extra_candidates=[("wild", wild)])
+    rep = si_test(pl, Y_ONE, 256, [("wild", wild)])
     names = [v.name for v in rep.verdicts]
     assert "wild" in names
     assert not rep.shape_invariant
@@ -147,7 +147,7 @@ def test_si_test_factors_each_hamiltonian_once(pipe, monkeypatch):
     for name in ("dual_values", "build_hamiltonians"):
         monkeypatch.setattr(dualsystem, name, lambda *args, _name=name: built.append(_name))
     pl = Pipeline(std_params(R, 6), ())
-    rep = si_test(pl, Y_ONE)
+    rep = si_test(pl, Y_ONE, 256, [])
     admissible = [v for v in rep.verdicts if v.admissible]
     assert len(admissible) == 2 and len(factored) == 1 + len(admissible)
     assert len({id(rows) for rows in formed}) == len(formed) == 1 + len(admissible)
@@ -250,7 +250,7 @@ def test_band_factor_equals_dense_on_a_full_matrix(precision):
 def test_si_residual_equals_dense_loops(family, D, precision, pipe):
     pl = pipe(family, 6, D)
     dense = _dense_residuals(pl, Y_ONE, precision)
-    rep = si_test(pl, Y_ONE, precision)
+    rep = si_test(pl, Y_ONE, precision, [])
     got = {v.name: v.matrix_residual for v in rep.verdicts if v.admissible}
     assert got.keys() == dense.keys() and got
     for name in got:

@@ -86,3 +86,18 @@ def test_random_tuple_passes_every_exact_suite_and_oracle(raw):
     assert verify_recurrence(s, xp, t) == poly_recurrence_failures(s, xp, t) == []
     # the closure's tridiagonal residual in the dual eigenbasis
     assert tridiagonal_closure(pipe.hamiltonian(Y), pipe.closure(Y)) == []
+
+
+def test_grid_zero_passes_every_exact_suite():
+    """A polynomial that vanishes at a grid point: P_(D,3)(3) = 0 here (row
+    3 of the mi table is 1, 1/19, -8/19, 0, 13/19, -143/133) and dual
+    column 3 has the same zero.  The oscillation counts skip the zero, which
+    lies between entries of opposite sign, so every exact suite passes."""
+    raw = {"family": "R", "N": 5, "b": "19", "c": "2", "d": "3", "D": [],
+           "Y": ["0", "2", "1/2"], "suites": list(EXACT_SUITES)}
+    cfg = report.parse_config(raw)
+    pipe = Pipeline(cfg.params(), cfg.D)
+    assert pipe.system().pdn_grid[3][3] == 0 == pipe.dual().V[3, 3]
+    results = {name: report._SUITE_FNS[name](cfg, pipe) for name in EXACT_SUITES}
+    assert [name for name, r in results.items() if not r["pass"]] == []
+    assert results["mi"]["sign_changes"] == [0, 1, 2, 3, 4, 5]
