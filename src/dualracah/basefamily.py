@@ -14,10 +14,12 @@ exact results, high-precision floats give the float path used by the
 q->1 limit checks (base values and energies; the weight and norm tables
 take exact tuples only).
 
-Base values P_n(y) are filled a column (all n at one y) at a time by
-``RacahColumns``: exact parameters by the three-term recurrence of
-``rec_coeffs``, float ones by the terminating q-sum with its factors shared
-across the table.  ``racah_value``, the sum for a single value, serves the
+Base values P_n(y) of an exact tuple are filled a column (all n at one y)
+at a time by ``RacahColumns``, by the three-term recurrence of
+``rec_coeffs``.  The float columns of the q->1 check are the float side's
+(``qlimit.QSumColumns``: the terminating q-sum of ``racah_value`` with its
+factors shared across the table, on raw mpmath tuples), so this module
+stays float-free.  ``racah_value``, the sum for a single value, serves the
 virtual-state values (base values at the twisted parameters, formed once
 per ``multiindexed.GridTable``) and the base suite's spot row.
 
@@ -145,67 +147,34 @@ def rec_coeffs(n: int, p: ParamSet):
 
 
 class RacahColumns:
-    """Base values P_0(y)..P_N(y) at one parameter set, filled one column
-    (one y, on or off the grid) at a time.
+    """Base values P_0(y)..P_N(y) at one exact parameter set, filled one
+    column (one y, on or off the grid) at a time.
 
-    Exact parameters run the three-term recurrence in n,
+    The three-term recurrence in n,
     P_{n+1} = ((eta(y) - B_n) P_n - C_n P_{n-1}) / A_n, with the coefficients
     of ``rec_coeffs``: O(N) per column.  Each step runs on the integer
     numerators and denominators over one common denominator and is reduced
-    once, to the same rational.  Float parameters (the q-family
-    tuples of the q->1 check) keep the terminating q-sum of ``racah_value``,
-    with its k, (n, k) and (y, k) factors each formed once and combined in
-    the sum's own operation order, so every value equals ``racah_value``'s
-    bit for bit.  The factors are rounded at the working precision in force
-    when the instance is made; use it only inside that precision.
+    once, to the same rational.  Float tuples (the q-family tuples of the
+    q->1 check) are filled by ``qlimit.QSumColumns`` and refused here.
     """
 
     def __init__(self, p: ParamSet):
+        if not p.is_exact():
+            raise InadmissibleParams("float base columns are filled by the q->1 check's q-sum")
         self.p, N = p, p.N
-        if p.is_exact():
-            self._rec = [
-                [(v.numerator, v.denominator) for v in rec_coeffs(n, p)] for n in range(N)
-            ]
-            return
-        if p.family == R:
-            raise InadmissibleParams("float base columns are filled for the q-family only")
-        q, dt = p.q, p.dtilde
-        self._qk = [p.a * 0 + 1]  # q^k, k < N, by repeated products as in the sum
-        while len(self._qk) < N:
-            self._qk.append(self._qk[-1] * q)
-        self._den = [
-            (1 - p.a * u) * (1 - p.b * u) * (1 - p.c * u) * (1 - u * q) for u in self._qk
-        ]
-        self._nk = []
-        for n in range(N + 1):
-            qmn, qn = ipow(q, -n), ipow(q, n)
-            self._nk.append([(1 - qmn * u) * (1 - dt * qn * u) for u in self._qk[:n]])
+        self._rec = [[(v.numerator, v.denominator) for v in rec_coeffs(n, p)] for n in range(N)]
 
     def column(self, y: int) -> tuple:
         """(P_0(y), ..., P_N(y))."""
-        p = self.p
-        one = p.a * 0 + 1
-        if p.is_exact():
-            e = eta(y, p)
-            en, ed = e.numerator, e.denominator
-            col = [one]
-            pn, pd, qn, qd = 1, 1, 0, 1  # P_n = pn/pd, P_{n-1} = qn/qd
-            for (an, ad), (bn, bd), (cn, cd) in self._rec:
-                num = (en * bd - bn * ed) * pn * cd * qd - cn * qn * ed * bd * pd
-                v = rat(num * ad, ed * bd * pd * cd * qd * an)
-                col.append(v)
-                pn, pd, qn, qd = v.numerator, v.denominator, pn, pd
-            return tuple(col)
-        q, d = p.q, p.d
-        qmx, qx = ipow(q, -y), ipow(q, y)
-        yk = [(1 - qmx * u, 1 - d * qx * u) for u in self._qk]
-        col = []
-        for nk in self._nk:
-            term = total = one
-            for k, f in enumerate(nk):
-                term = term * (f * yk[k][0] * yk[k][1]) / self._den[k] * q
-                total = total + term
-            col.append(total)
+        e = eta(y, self.p)
+        en, ed = e.numerator, e.denominator
+        col = [rat(1)]
+        pn, pd, qn, qd = 1, 1, 0, 1  # P_n = pn/pd, P_{n-1} = qn/qd
+        for (an, ad), (bn, bd), (cn, cd) in self._rec:
+            num = (en * bd - bn * ed) * pn * cd * qd - cn * qn * ed * bd * pd
+            v = rat(num * ad, ed * bd * pd * cd * qd * an)
+            col.append(v)
+            pn, pd, qn, qd = v.numerator, v.denominator, pn, pd
         return tuple(col)
 
 

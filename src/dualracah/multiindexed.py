@@ -101,9 +101,11 @@ class GridTable:
     """Grid values of the Casoratians at one (parameters, D), each
     n-independent piece evaluated once.
 
-    Base values come a column P_0(y)..P_N(y) at a time from one
-    ``basefamily.RacahColumns`` (the three-term recurrence for exact
-    parameters; for float ones the q-sum, whose factors that object holds).
+    Base values come a column P_0(y)..P_N(y) at a time from one column
+    fill, made of the parameters by ``columns`` on first use:
+    ``basefamily.RacahColumns`` (the three-term recurrence) by default, the
+    q-sum of the float side for the q->1 tables (``qlimit.float_tables``
+    passes it), whose factors that object holds.
     The factors that depend on neither n, x nor j (listed in the module
     docstring) are formed once per table.  Entries, factors and the column
     fill are made on first use and held only as long as the table, so
@@ -121,8 +123,9 @@ class GridTable:
     table; on the main table ``cofactors`` gives it.
     """
 
-    def __init__(self, D: Sequence[int], p: ParamSet):
+    def __init__(self, D: Sequence[int], p: ParamSet, columns=RacahColumns):
         self.D, self.p, self.M = tuple(D), p, len(D)
+        self._columns = columns
         self._memo: dict = {}
 
     def _get(self, key, make):
@@ -138,7 +141,7 @@ class GridTable:
 
     def base_column(self, y: int) -> tuple:
         """Base values (P_0(y), ..., P_N(y))."""
-        fill = self._get("columns", lambda: RacahColumns(self.p))
+        fill = self._get("columns", lambda: self._columns(self.p))
         return self._get(("P", y), lambda: fill.column(y))
 
     def _shifted(self) -> list:

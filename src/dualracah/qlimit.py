@@ -7,16 +7,26 @@ module drives the very same determinant formulas with high-precision
 binary floats instead of rationals and measures the entrywise gap on a
 ladder q = 1 - 10^-k.
 
-The ladder (`ladder_tables`, one float P table per k) needs only the
-parameters, D and the precision, and feeds nothing else, so a `Ladder`
-can compute it in one forked worker while the exact suites run.  It forks
-where `os.fork` exists, more than one CPU is available to the process and
-no other thread runs; otherwise the same function runs inline when the
-tables are first read.  The worker sends each float back as its raw
-(sign, mantissa, exponent, bit count) tuple, so both routes give the same
-bits.  The dual ratio table P_n(x)/P_0(x) is formed from the P table only
-where the gaps are taken.  The exact reference is always the caller's own
-built system.
+The float base columns of those formulas, the O(N^3) terminating q-sum,
+live here (``QSumColumns``, handed to ``multiindexed.GridTable``, which
+stays float-free): they run on raw ``mpmath.libmp`` tuples, each
+operation in the order, at the precision and with the rounding of the
+mpf sum, so every value is the mpf one bit for bit.  The Casoratians
+(``GridTable.pdn``) stay on mpf.
+
+The ladder (`ladder_tables`, one float P table per k, as raw
+(sign, mantissa, exponent, bit count) tuples) needs only the parameters,
+D and the precision, and feeds nothing else, so a `Ladder` can compute it
+in one forked worker while the exact suites run.  It forks where
+`os.fork` exists, more than one CPU is available to the process and no
+other thread runs; otherwise the same function runs inline when the
+tables are first read.  The worker computes every table, then sends them
+all in one marshal record, which the reader takes to EOF and decodes from
+bytes; both routes hand over the same raw tables, so they give the same
+bits.  The reference table, the dual ratio tables P_n(x)/P_0(x) and the
+gaps are formed on raw tuples too, where the gaps are taken; only the
+gaps become mpf.  The exact reference is always the caller's own built
+system.
 """
 
 from __future__ import annotations
@@ -29,9 +39,22 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence, Tuple
 
 import mpmath
+from mpmath.libmp import (
+    fone,
+    from_int,
+    mpf_abs,
+    mpf_add,
+    mpf_div,
+    mpf_lt,
+    mpf_mul,
+    mpf_pow_int,
+    mpf_rdiv_int,
+    mpf_sub,
+    round_nearest,
+)
 
 from . import errors
-from .bigreal import to_real
+from .bigreal import real_tuple, to_real
 from .multiindexed import GridTable, MISystem
 from .params import QR, ParamSet, R
 from .errors import DualRacahError, InadmissibleParams
@@ -54,11 +77,76 @@ def matched_q_params(p_r: ParamSet, k: int, precision: int) -> ParamSet:
         )
 
 
+def _ipow(u: tuple, k: int, prec: int) -> tuple:
+    """``params.ipow`` on a raw tuple: u**k, and 1/u**(-k) for k < 0."""
+    if k >= 0:
+        return mpf_pow_int(u, k, prec, round_nearest)
+    return mpf_rdiv_int(1, mpf_pow_int(u, -k, prec, round_nearest), prec, round_nearest)
+
+
+def _one_minus(u: tuple, v: tuple, prec: int) -> tuple:
+    """1 - u*v on raw tuples."""
+    return mpf_sub(fone, mpf_mul(u, v, prec, round_nearest), prec, round_nearest)
+
+
+class QSumColumns:
+    """Float base values P_0(y)..P_N(y) of a q-family tuple, filled one
+    column (one y, on or off the grid) at a time, for ``GridTable``.
+
+    The terminating q-sum of ``basefamily.racah_value``, with its k, (n, k)
+    and (y, k) factors each formed once and combined in the sum's own
+    operation order, term = ((term * ((f * y0) * y1)) / den_k) * q, then
+    total + term, on raw tuples: every value equals ``racah_value``'s bit
+    for bit.  The working precision is read once, when the instance is
+    made; use it only inside that precision.  Each entry is returned as an
+    mpf, for ``GridTable.pdn``.
+    """
+
+    def __init__(self, p: ParamSet):
+        if p.family == R:
+            raise InadmissibleParams("float base columns are filled for the q-family only")
+        N, prec = p.N, mpmath.mp.prec
+        a, b, c, q, dt = p.a._mpf_, p.b._mpf_, p.c._mpf_, p.q._mpf_, p.dtilde._mpf_
+        self._prec, self._q, self._d = prec, q, p.d._mpf_
+        self._qk = qk = [fone]  # q^k, k < N, by repeated products as in the sum
+        while len(qk) < N:
+            qk.append(mpf_mul(qk[-1], q, prec, round_nearest))
+        self._den = []
+        for u in qk:
+            den = mpf_mul(_one_minus(a, u, prec), _one_minus(b, u, prec), prec, round_nearest)
+            den = mpf_mul(den, _one_minus(c, u, prec), prec, round_nearest)
+            self._den.append(mpf_mul(den, _one_minus(u, q, prec), prec, round_nearest))
+        self._nk = []
+        for n in range(N + 1):
+            qmn, dtqn = _ipow(q, -n, prec), mpf_mul(dt, _ipow(q, n, prec), prec, round_nearest)
+            self._nk.append([
+                mpf_mul(_one_minus(qmn, u, prec), _one_minus(dtqn, u, prec), prec, round_nearest)
+                for u in qk[:n]
+            ])
+
+    def column(self, y: int) -> tuple:
+        """(P_0(y), ..., P_N(y))."""
+        prec, rnd, q = self._prec, round_nearest, self._q
+        mul, div, add = mpf_mul, mpf_div, mpf_add
+        qmx, dqx = _ipow(q, -y, prec), mul(self._d, _ipow(q, y, prec), prec, rnd)
+        yk = [(_one_minus(qmx, u, prec), _one_minus(dqx, u, prec)) for u in self._qk]
+        make = mpmath.mp.make_mpf
+        col = []
+        for nk in self._nk:
+            term = total = fone
+            for f, (y0, y1), den in zip(nk, yk, self._den):
+                term = mul(div(mul(term, mul(mul(f, y0, prec, rnd), y1, prec, rnd), prec, rnd),
+                               den, prec, rnd), q, prec, rnd)
+                total = add(total, term, prec, rnd)
+            col.append(make(total))
+        return tuple(col)
+
+
 def float_tables(p: ParamSet, D: Sequence[int], precision: int):
-    """Normalized polynomial table P[n][x] in floats."""
+    """Normalized polynomial table P[n][x] in floats (mpf)."""
     N = p.N
     with mpmath.workprec(precision):
-        tab = GridTable(D, p)
+        tab = GridTable(D, p, QSumColumns)
         return [[tab.pdn(n, x) for x in range(N + 1)] for n in range(N + 1)]
 
 
@@ -68,9 +156,10 @@ LADDER_KS = (3, 4, 5, 6)
 
 def ladder_tables(p_r: ParamSet, D: Sequence[int], precision: int) -> Iterator[list]:
     """The float P table of the matched q-tuple at each k in LADDER_KS, one
-    at a time."""
+    at a time, each entry its raw tuple (``_raw``)."""
     for k in LADDER_KS:
-        yield float_tables(matched_q_params(p_r, k, precision), D, precision)
+        table = float_tables(matched_q_params(p_r, k, precision), D, precision)
+        yield [[_raw(v) for v in row] for row in table]
 
 
 def _forks() -> bool:
@@ -92,34 +181,49 @@ def _raw(v) -> tuple:
 
 
 def _send_ladder(args, f) -> None:
-    """The worker's frames on f, one marshal record each: ("table", raw
-    table) for each k, then ("done", compute seconds); or ("error", class
-    name, message) alone.
-    Every table is computed before the first is written, so the worker
+    """The worker's one marshal record on f: ("done", raw tables, compute
+    seconds), or ("error", class name, message).
+    Every table is computed before the record is written, so the worker
     does not wait for its reader while work is left."""
     t0 = time.perf_counter()
     try:
-        tables = [[[_raw(v) for v in row] for row in t] for t in ladder_tables(*args)]
+        tables = list(ladder_tables(*args))
     except Exception as e:
         marshal.dump(("error", type(e).__name__, str(e)), f)
         return
-    seconds = time.perf_counter() - t0
-    for t in tables:
-        marshal.dump(("table", t), f)
-    marshal.dump(("done", seconds), f)
+    marshal.dump(("done", tables, time.perf_counter() - t0), f)
+
+
+def _record(data: bytes):
+    """The worker's record decoded from its bytes, or None where the data
+    ends early or is not a record of the shape ``_send_ladder`` writes."""
+    try:
+        record = marshal.loads(data)
+    except (EOFError, ValueError, TypeError):
+        return None
+    if type(record) is not tuple or len(record) != 3:
+        return None
+    kind, first, second = record
+    if kind == "done" and type(first) is list and len(first) == len(LADDER_KS):
+        return record if type(second) is float else None
+    if kind == "error" and type(first) is str and type(second) is str:
+        return record
+    return None
 
 
 class Ladder:
     """The P tables of `ladder_tables(p_r, D, precision)`.
 
     `start` forks one worker that computes them (where the process may
-    fork and has a second CPU); `tables` yields them one at a time, read
-    from the worker or, if no worker was started, computed inline; `close`
-    kills and reaps a worker that was not read to the end.  The worker
-    always ends in `os._exit`; a library error in it comes back as its
-    class name and message and is raised again by `tables`.  `route` and
-    `compute_s` (the ladder's own compute time, set once the last table is
-    read) describe the run; `precision` is the tables' working precision."""
+    fork and has a second CPU); `tables` yields them one at a time, as raw
+    tuples, read from the worker's one record or, if no worker was
+    started, computed inline; `close` kills and reaps a worker that was not
+    read.  The worker always ends in `os._exit`; a library error in it
+    comes back as its class name and message and is raised again by
+    `tables`, and a record that ends early or is malformed raises
+    DualRacahError.  `route` and `compute_s` (the ladder's own compute
+    time, set once the last table is read) describe the run; `precision`
+    is the tables' working precision."""
 
     def __init__(self, p_r: ParamSet, D: Sequence[int], precision: int):
         self._args = (p_r, tuple(D), precision)
@@ -152,7 +256,9 @@ class Ladder:
 
     def tables(self) -> Iterator[list]:
         if self._pid is not None:
-            yield from self._read()
+            tables, seconds = self._result()
+            yield from tables
+            self.compute_s = seconds
             return
         self.compute_s, t0 = 0.0, time.perf_counter()
         for table in ladder_tables(*self._args):
@@ -160,21 +266,10 @@ class Ladder:
             yield table
             t0 = time.perf_counter()
 
-    def _frame(self):
-        """The worker's next frame, or None where its data ends early."""
-        try:
-            return marshal.load(self._pipe)
-        except (EOFError, ValueError, TypeError):
-            return None
-
-    def _read(self) -> Iterator[list]:
-        frame = self._frame()
-        while frame is not None and frame[0] == "table":
-            with mpmath.workprec(self._args[2]):
-                table = [[mpmath.mpf(t) for t in row] for row in frame[1]]
-            yield table
-            frame = self._frame()
-        self._pipe.read()  # to EOF, before the wait
+    def _result(self) -> tuple:
+        """The worker's (tables, compute seconds), read to EOF once it has
+        ended and reaped; raises where it failed."""
+        data = self._pipe.read()  # to EOF, before the wait
         self._pipe.close()
         _, status = os.waitpid(self._pid, 0)
         self._pid = self._pipe = None
@@ -182,13 +277,19 @@ class Ladder:
         if code != 0:
             how = f"signal {-code}" if code < 0 else f"exit status {code}"
             raise DualRacahError(f"the q->1 ladder worker ended without a result ({how})")
-        if frame[0] == "error":
-            _, name, message = frame
-            cls = getattr(errors, name, None)
+        record = _record(data)
+        if record is None:
+            raise DualRacahError(
+                f"the q->1 ladder worker ended without a result ({len(data)} bytes of"
+                " data that are not one record)"
+            )
+        kind, first, second = record
+        if kind == "error":
+            cls = getattr(errors, first, None)
             if isinstance(cls, type) and issubclass(cls, DualRacahError):
-                raise cls(message)
-            raise DualRacahError(f"the q->1 ladder worker raised {name}: {message}")
-        self.compute_s = frame[1]
+                raise cls(second)
+            raise DualRacahError(f"the q->1 ladder worker raised {first}: {second}")
+        return first, second
 
     def close(self) -> None:
         if self._pipe is not None:
@@ -202,14 +303,22 @@ class Ladder:
             self._pid = None
 
 
-def _ratios(pdn) -> list:
-    """The dual ratio table P_n(x)/P_0(x) of a P table, in its [n][x] order."""
-    return [[v / v0 for v, v0 in zip(row, pdn[0])] for row in pdn]
+def _ratios(pdn, prec: int) -> list:
+    """The dual ratio table P_n(x)/P_0(x) of a raw P table, in its [n][x]
+    order."""
+    return [[mpf_div(v, v0, prec, round_nearest) for v, v0 in zip(row, pdn[0])] for row in pdn]
 
 
-def _gap(table, ref):
-    """The largest entrywise |table - ref|."""
-    return max(abs(v - r) for row, ref_row in zip(table, ref) for v, r in zip(row, ref_row))
+def _gap(table, ref, prec: int) -> tuple:
+    """The largest entrywise |table - ref| of raw tables; of equal maxima
+    the first, as ``max`` keeps it."""
+    gap = None
+    for row, ref_row in zip(table, ref):
+        for v, r in zip(row, ref_row):
+            d = mpf_abs(mpf_sub(v, r, prec, round_nearest), prec, round_nearest)
+            if gap is None or mpf_lt(gap, d):
+                gap = d
+    return gap
 
 
 @dataclass
@@ -227,29 +336,30 @@ def qlimit_check(s: MISystem, ladder: Ladder) -> QLimitReport:
     at q = 1 - 10^-k for k in LADDER_KS, at the ladder's precision.
     `ladder` holds the float tables for (s.params, s.D), built by the
     caller at the run's precision."""
-    precision = ladder.precision
-    with mpmath.workprec(precision):
-        ref_p = [[to_real(v, precision) for v in row] for row in s.pdn_grid]
-        ref_q = _ratios(ref_p)
-        p_gaps, q_gaps = [], []
-        for pdn in ladder.tables():
-            p_gaps.append(_gap(pdn, ref_p))
-            q_gaps.append(_gap(_ratios(pdn), ref_q))
-        within = all(
-            g < mpmath.mpf(10) ** (-k + 2)
-            for gaps in (p_gaps, q_gaps)
-            for k, g in zip(LADDER_KS, gaps)
-        )
-        mono = all(
-            gaps[i] > gaps[i + 1]
-            for gaps in (p_gaps, q_gaps)
-            for i in range(len(gaps) - 1)
-        )
+    prec = ladder.precision
+    ref_p = [[real_tuple(v, prec) for v in row] for row in s.pdn_grid]
+    ref_q = _ratios(ref_p, prec)
+    p_gaps, q_gaps = [], []
+    for pdn in ladder.tables():
+        p_gaps.append(_gap(pdn, ref_p, prec))
+        q_gaps.append(_gap(_ratios(pdn, prec), ref_q, prec))
+    ten = from_int(10, prec, round_nearest)
+    within = all(
+        mpf_lt(g, mpf_pow_int(ten, -k + 2, prec, round_nearest))
+        for gaps in (p_gaps, q_gaps)
+        for k, g in zip(LADDER_KS, gaps)
+    )
+    mono = all(
+        mpf_lt(gaps[i + 1], gaps[i])
+        for gaps in (p_gaps, q_gaps)
+        for i in range(len(gaps) - 1)
+    )
+    make = mpmath.mp.make_mpf
     return QLimitReport(
         ks=LADDER_KS,
-        p_gaps=tuple(p_gaps),
-        q_gaps=tuple(q_gaps),
+        p_gaps=tuple(map(make, p_gaps)),
+        q_gaps=tuple(map(make, q_gaps)),
         within_tolerance=within,
         monotone=mono,
-        precision=precision,
+        precision=prec,
     )

@@ -391,65 +391,60 @@ TABLE_KINDS = ("polys", "rnk", "hamiltonian", "spectrum", "dual")
 
 
 def emit_tables(cfg: RunConfig, what: str, out_dir: str) -> List[str]:
-    """Write the requested table as CSV plus JSON; returns the paths."""
+    """Write the requested table as CSV plus JSON; returns the paths.
+
+    Every row and the payload are built before the directory is made or a
+    file opened, so a run that fails leaves nothing behind."""
     if what not in TABLE_KINDS:
         raise ConfigError(f"unknown table kind {what!r}; choose from {TABLE_KINDS}")
-    os.makedirs(out_dir, exist_ok=True)
     pipe = Pipeline(cfg.params(), cfg.D)
     s = pipe.system()
-    N = cfg.N
+    grid = range(cfg.N + 1)
+    if what == "polys":
+        header = ["n", "x", "value"]
+        rows = [[n, x, rat_to_str(s.pdn_grid[n][x])] for n in grid for x in grid]
+        payload = {"coefficients": {str(n): _poly_str(s.pdn_polys[n]) for n in grid}}
+    elif what == "rnk":
+        t = pipe.rectable(cfg.Y)
+        header = ["n", "k", "r"]
+        rows = [[n, k, rat_to_str(t.r[(n, k)])] for n in grid for k in t.band(n)]
+        payload = {"L": t.L, "rows": [{"n": n, "k": k, "r": r} for n, k, r in rows]}
+    elif what == "hamiltonian":
+        exact = pipe.rectable(cfg.Y).rows
+        sym = shapeinv.symmetric_form(exact, s.dDn_sq, cfg.precision)
+        header = ["x", "y", "exact", "symmetric"]
+        rows = [
+            [x, y, rat_to_str(exact[x][y]), real_str(sym[x][y], cfg.precision)]
+            for x in grid for y in grid
+        ]
+        payload = {
+            "exact": [[rat_to_str(v) for v in row] for row in exact],
+            "symmetric": [[real_str(v, cfg.precision) for v in row] for row in sym],
+            "precision": cfg.precision,
+        }
+    elif what == "spectrum":
+        xp = pipe.xpoly(cfg.Y)
+        header = ["n", "X"]
+        rows = [[n, rat_to_str(xp.grid[n])] for n in grid]
+        payload = {"X_coeffs": _poly_str(xp.poly),
+                   "values": {str(n): rat_to_str(xp.grid[n]) for n in grid}}
+    else:
+        dual = pipe.dual()
+        header = ["x", "n", "value"]
+        rows = [[x, n, rat_to_str(dual.V[x, n])] for x in grid for n in grid]
+        payload = {
+            "a_dual": [rat_to_str(v) for v in dual.a_dual],
+            "b_dual": [rat_to_str(v) for v in dual.b_dual],
+            "c_dual": [rat_to_str(v) for v in dual.c_dual],
+            "energies": [rat_to_str(v) for v in dual.ebar],
+        }
+    os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"{what}.csv")
     json_path = os.path.join(out_dir, f"{what}.json")
     with open(csv_path, "w", newline="") as f:
         w = csv.writer(f)
-        if what == "polys":
-            w.writerow(["n", "x", "value"])
-            for n in range(N + 1):
-                for x in range(N + 1):
-                    w.writerow([n, x, rat_to_str(s.pdn_grid[n][x])])
-            payload = {"coefficients": {str(n): _poly_str(s.pdn_polys[n]) for n in range(N + 1)}}
-        elif what == "rnk":
-            t = pipe.rectable(cfg.Y)
-            w.writerow(["n", "k", "r"])
-            rows = []
-            for n in range(N + 1):
-                for k in t.band(n):
-                    w.writerow([n, k, rat_to_str(t.r[(n, k)])])
-                    rows.append({"n": n, "k": k, "r": rat_to_str(t.r[(n, k)])})
-            payload = {"L": t.L, "rows": rows}
-        elif what == "hamiltonian":
-            rows = pipe.rectable(cfg.Y).rows
-            sym = shapeinv.symmetric_form(rows, s.dDn_sq, cfg.precision)
-            w.writerow(["x", "y", "exact", "symmetric"])
-            for x in range(N + 1):
-                for y in range(N + 1):
-                    w.writerow([
-                        x, y, rat_to_str(rows[x][y]), real_str(sym[x][y], cfg.precision),
-                    ])
-            payload = {
-                "exact": [[rat_to_str(v) for v in row] for row in rows],
-                "symmetric": [[real_str(v, cfg.precision) for v in row] for row in sym],
-                "precision": cfg.precision,
-            }
-        elif what == "spectrum":
-            xp = pipe.xpoly(cfg.Y)
-            w.writerow(["n", "X"])
-            for n in range(N + 1):
-                w.writerow([n, rat_to_str(xp.grid[n])])
-            payload = {"X_coeffs": _poly_str(xp.poly),
-                       "values": {str(n): rat_to_str(xp.grid[n]) for n in range(N + 1)}}
-        else:
-            dual = pipe.dual()
-            w.writerow(["x", "n", "value"])
-            for x in range(N + 1):
-                for n in range(N + 1):
-                    w.writerow([x, n, rat_to_str(dual.V[x, n])])
-            payload = {
-                "a_dual": [rat_to_str(v) for v in dual.a_dual],
-                "b_dual": [rat_to_str(v) for v in dual.b_dual],
-                "c_dual": [rat_to_str(v) for v in dual.c_dual],
-                "energies": [rat_to_str(v) for v in dual.ebar],
-            }
+        w.writerow(header)
+        w.writerows(rows)
     with open(json_path, "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")

@@ -38,6 +38,14 @@ closure polynomials' values on the spectrum by ``Poly.values``, the route
 that the certified node data (``ClosureTriple.r0_on_spectrum``) replaced,
 and a triple with polynomials replaced whose values on the spectrum are
 re-derived by that route.
+
+The float side of the q->1 check is here on mpf wrapper objects, the
+routes that raw ``mpmath.libmp`` tuples replaced: the q-sum base columns
+(``WrapperQSumColumns``, for ``qlimit.QSumColumns``) and the tables
+through them, the reference table, the dual ratio tables and the gaps
+(``wrapper_qlimit_gaps``, for ``qlimit.qlimit_check``), and the
+conversions ``bigreal.to_real`` and ``bigreal.big_sqrt`` inside a working
+precision per call.
 """
 
 from __future__ import annotations
@@ -54,13 +62,15 @@ from dualracah.errors import (
     CrossCheckMismatch,
     DualRacahError,
     IndexOutOfRange,
+    InadmissibleParams,
     NegativePivot,
+    NegativeRadicand,
     ShapeMismatch,
     SingularMatrix,
     SingularR0,
 )
 from dualracah.linalg import SquareMatrix, _cleared_int_rows, gram_residuals
-from dualracah.multiindexed import MISystem
+from dualracah.multiindexed import GridTable, MISystem
 from dualracah.params import QR, R, ParamSet, energy, ipow, shift
 from dualracah.poly import Poly
 from dualracah.recurrence import RecTable, XPoly
@@ -888,3 +898,96 @@ def dense_factor_upper(h_sym, precision: int) -> list:
         if err > tol * 4 * n:
             raise CrossCheckMismatch(f"A^T*A misses h_sym by {err} (tolerance {tol * 4 * n})")
     return a
+
+
+class WrapperQSumColumns:
+    """The float base columns of a q-family tuple by the terminating q-sum
+    on mpf wrapper objects: the k, (n, k) and (y, k) factors formed once
+    and combined in the sum's own operation order (the route
+    ``qlimit.QSumColumns`` runs on raw tuples).  Use it only inside the
+    working precision it was made at."""
+
+    def __init__(self, p: ParamSet):
+        if p.family == R:
+            raise InadmissibleParams("float base columns are filled for the q-family only")
+        self.p, N = p, p.N
+        q, dt = p.q, p.dtilde
+        self._qk = [p.a * 0 + 1]  # q^k, k < N, by repeated products as in the sum
+        while len(self._qk) < N:
+            self._qk.append(self._qk[-1] * q)
+        self._den = [
+            (1 - p.a * u) * (1 - p.b * u) * (1 - p.c * u) * (1 - u * q) for u in self._qk
+        ]
+        self._nk = []
+        for n in range(N + 1):
+            qmn, qn = ipow(q, -n), ipow(q, n)
+            self._nk.append([(1 - qmn * u) * (1 - dt * qn * u) for u in self._qk[:n]])
+
+    def column(self, y: int) -> tuple:
+        p = self.p
+        one = p.a * 0 + 1
+        q, d = p.q, p.d
+        qmx, qx = ipow(q, -y), ipow(q, y)
+        yk = [(1 - qmx * u, 1 - d * qx * u) for u in self._qk]
+        col = []
+        for nk in self._nk:
+            term = total = one
+            for k, f in enumerate(nk):
+                term = term * (f * yk[k][0] * yk[k][1]) / self._den[k] * q
+                total = total + term
+            col.append(total)
+        return tuple(col)
+
+
+def wrapper_float_tables(p: ParamSet, D: Sequence[int], precision: int) -> list:
+    """``qlimit.float_tables`` with the base columns of
+    ``WrapperQSumColumns``."""
+    with mpmath.workprec(precision):
+        tab = GridTable(D, p, WrapperQSumColumns)
+        return [[tab.pdn(n, x) for x in range(p.N + 1)] for n in range(p.N + 1)]
+
+
+def workprec_to_real(x, prec: int):
+    """``bigreal.to_real`` inside a working precision of prec bits."""
+    with mpmath.workprec(prec):
+        if isinstance(x, mpmath.mpf):
+            return +x
+        return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
+
+
+def workprec_big_sqrt(x, prec: int):
+    """``bigreal.big_sqrt`` inside a working precision of prec bits."""
+    with mpmath.workprec(prec):
+        v = x if isinstance(x, mpmath.mpf) else workprec_to_real(x, prec)
+        if v < 0:
+            raise NegativeRadicand(f"sqrt of negative value {v}")
+        return mpmath.sqrt(v)
+
+
+def wrapper_ratios(pdn) -> list:
+    """The dual ratio table P_n(x)/P_0(x) of an mpf P table."""
+    return [[v / v0 for v, v0 in zip(row, pdn[0])] for row in pdn]
+
+
+def wrapper_gap(table, ref):
+    """The largest entrywise |table - ref| of mpf tables."""
+    return max(abs(v - r) for row, ref_row in zip(table, ref) for v, r in zip(row, ref_row))
+
+
+def wrapper_qlimit_gaps(s: MISystem, tables, ks: Sequence[int], precision: int) -> tuple:
+    """(p_gaps, q_gaps, within_tolerance, monotone) of mpf P tables, one
+    per k in ks, against the exact system s, on mpf wrapper objects."""
+    with mpmath.workprec(precision):
+        ref_p = [[workprec_to_real(v, precision) for v in row] for row in s.pdn_grid]
+        ref_q = wrapper_ratios(ref_p)
+        p_gaps, q_gaps = [], []
+        for pdn in tables:
+            p_gaps.append(wrapper_gap(pdn, ref_p))
+            q_gaps.append(wrapper_gap(wrapper_ratios(pdn), ref_q))
+        within = all(
+            g < mpmath.mpf(10) ** (-k + 2) for gaps in (p_gaps, q_gaps) for k, g in zip(ks, gaps)
+        )
+        mono = all(
+            gaps[i] > gaps[i + 1] for gaps in (p_gaps, q_gaps) for i in range(len(gaps) - 1)
+        )
+    return p_gaps, q_gaps, within, mono

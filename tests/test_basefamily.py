@@ -15,7 +15,7 @@ from dualracah.basefamily import (
 from dualracah.errors import InadmissibleParams, NonPositiveWeight
 from dualracah import report
 from dualracah.params import QR, R, ParamSet, energy, eta, make_params, twist, validate
-from dualracah.qlimit import LADDER_KS, matched_q_params
+from dualracah.qlimit import LADDER_KS, QSumColumns, matched_q_params
 from dualracah.backend import rat, rat_to_str
 from conftest import (
     ctilde_closed_form,
@@ -51,10 +51,11 @@ def test_value_matches_polynomial(family):
 @pytest.mark.parametrize("precision", [53, 256])
 @pytest.mark.parametrize("k", [3, 6])
 def test_float_column_is_bit_identical(k, precision):
-    """The factored q-sum rounds every operation as racah_value does."""
+    """The factored q-sum on raw tuples rounds every operation as
+    racah_value does on mpf."""
     p = matched_q_params(std_params(R, 6), k, precision)
     with mpmath.workprec(precision):
-        fill = RacahColumns(p)
+        fill = QSumColumns(p)
         for y in range(p.N + 3):
             assert fill.column(y) == tuple(racah_value(n, y, p) for n in range(p.N + 1))
 
@@ -117,9 +118,15 @@ def test_nonpositive_norm_detected():
 
 
 def test_float_additive_columns_rejected():
+    """The exact column fill refuses every float tuple; the float q-sum
+    refuses the additive family."""
     p = ParamSet(R, 4, *map(mpmath.mpf, (-4, 9, 0.5, 0.375)))
     with pytest.raises(InadmissibleParams):
         RacahColumns(p)
+    with pytest.raises(InadmissibleParams):
+        QSumColumns(p)
+    with pytest.raises(InadmissibleParams):
+        RacahColumns(matched_q_params(std_params(R, 4), 3, 53))
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import marshal
 import os
 import re
 import signal
@@ -313,6 +314,37 @@ def test_tables_without_out_write_into_the_working_directory(tmp_path, capsys, m
     assert paths == [os.path.join(".", "spectrum.csv"), os.path.join(".", "spectrum.json")]
 
 
+def test_tables_of_an_inadmissible_tuple_leave_no_directory(tmp_path, capsys):
+    """Inadmissible parameters end the tables command with exit 2 before
+    the output directory is made."""
+    cfg_path = _write(tmp_path, "cfg.json", dict(BASE_CFG, b="5"))
+    out = tmp_path / "outdir"
+    assert main(["tables", "--config", cfg_path, "--what", "rnk", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_tables_that_fail_while_building_leave_no_csv(tmp_path, capsys, monkeypatch):
+    """A table that fails while it is built ends with exit 1 and leaves
+    neither its CSV nor its JSON, nor the output directory."""
+    from dualracah import recurrence
+
+    def broken(*args):
+        raise CrossCheckMismatch("r-table broken on purpose")
+
+    monkeypatch.setattr(recurrence, "extract_r", broken)
+    cfg_path = _write(tmp_path, "cfg.json", BASE_CFG)
+    out = tmp_path / "t2"
+    assert main(["tables", "--config", cfg_path, "--what", "rnk", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "verification error: r-table broken on purpose"
+    )
+    assert not out.exists()
+    out.mkdir()
+    assert main(["tables", "--config", cfg_path, "--what", "rnk", "--out", str(out)]) == 1
+    assert list(out.iterdir()) == []
+
+
 def test_the_config_is_the_only_source_of_a_run_setting():
     """The config schema is RunConfig's fields, frozen once parsed; the
     command line names the config and the outputs only; and no float
@@ -465,11 +497,20 @@ PINNED_REPORTS = [
          "suites": ["mi", "recurrence", "dual", "closure", "ladder"]},
         "2dddda81eec73ee3cadb7f2bdfe181374dc27721a4ebfed8da92cf0a2eef4a90",
     ),
+    # qR at N=24, base to shape: qR closure integers and the shape suite's
+    # float conversions of a q-family system
+    (
+        {"family": "qR", "N": 24, "b": "1/35184372088832", "q": "1/2", "c": "1/2",
+         "d": "2/5", "D": [1, 2], "Y": ["1"],
+         "suites": ["base", "mi", "recurrence", "dual", "closure", "ladder", "commute",
+                    "shape"]},
+        "a5d93bd09ef835d72c2c70f445c1074d27d023b81873dceb2d1471ce2755f4dc",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "data,digest", PINNED_REPORTS, ids=["R", "qR", "R-n14", "R-n18", "R-n48"]
+    "data,digest", PINNED_REPORTS, ids=["R", "qR", "R-n14", "R-n18", "R-n48", "qR-n24"]
 )
 def test_report_bytes_are_pinned(tmp_path, data, digest):
     report, ok = run_suite(parse_config(data))
@@ -595,6 +636,34 @@ def test_worker_fault_exits_1_with_a_message(tmp_path, capsys, monkeypatch, faul
     assert main(["verify", "--config", cfg_path]) == 1
     err = capsys.readouterr().err
     assert err.splitlines()[-1] == f"verification error: {message}"
+    assert "Traceback" not in err and len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("data", [
+    b"\x8f garbage!",
+    marshal.dumps(("done", [[[(0, 1, 0, 1)]]] * 4, 0.5))[:-7],
+    b"",
+    marshal.dumps(("done", [], 0.5)),
+    marshal.dumps(7),
+], ids=["garbage", "truncated", "empty", "no-tables", "not-a-record"])
+def test_malformed_worker_data_exits_1_with_a_message(tmp_path, capsys, monkeypatch, data):
+    """A worker that exits 0 but whose data ends early or is not one record
+    of the worker's shape ends the run with exit 1 and a message, not a
+    traceback."""
+    def send(args, f):
+        f.write(data)
+
+    forks = _forks_counted(monkeypatch)
+    monkeypatch.setattr(qlimit, "_send_ladder", send)
+    cfg_path = _write(tmp_path, "cfg.json", dict(BASE_CFG, suites=["qlimit"]))
+    assert main(["verify", "--config", cfg_path]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == (
+        "verification error: the q->1 ladder worker ended without a result"
+        f" ({len(data)} bytes of data that are not one record)"
+    )
     assert "Traceback" not in err and len(forks) == 1
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

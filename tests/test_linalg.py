@@ -25,7 +25,7 @@ from dualracah.linalg import (
 )
 from dualracah.multiindexed import GridTable
 from dualracah.params import R
-from dualracah.qlimit import matched_q_params
+from dualracah.qlimit import QSumColumns, matched_q_params
 from comparators import (
     commutator,
     exact_inverse,
@@ -224,10 +224,11 @@ def test_leading_elimination_random(rows):
 @pytest.mark.parametrize("case", sorted(LEADING))
 def test_grid_table_reaches_every_elimination_branch(case, prec):
     """GridTable.pdn over hand-made virtual-state rows equals the bordered
-    determinant by one whole elimination, exactly and in floats."""
+    determinant by one whole elimination, exactly and in floats (the float
+    columns from the q->1 check's q-sum)."""
     p = std_params(R, 4) if prec is None else matched_q_params(std_params(R, 4), 3, prec)
     with mpmath.workprec(prec or 53):
-        tab = GridTable((1, 2), p)
+        tab = GridTable((1, 2), p) if prec is None else GridTable((1, 2), p, QSumColumns)
         lead = _floats(LEADING[case], prec) if prec else [list(map(rat, r)) for r in LEADING[case]]
         tab.xi_row = lambda y: list(lead[y - 1])
         for n in range(p.N + 1):
