@@ -12,7 +12,8 @@ command line only names the config and, with ``--out``, where the output
 goes.
 
 Exit status: 0 all checks passed, 1 a verification failed, 2 bad
-configuration (an unwritable ``--out`` included) or inadmissible
+configuration (an unwritable ``--out`` included, and a float suite or the
+hamiltonian table where mpmath cannot be imported) or inadmissible
 parameters.  A ``verify`` report path is checked before any suite runs.
 """
 

@@ -5,13 +5,16 @@ polynomial; the requested suites then execute in dependency order and every
 verdict lands in a single JSON report.  The config keys are the fields of
 ``RunConfig``, the working precision included, and nothing else; where the
 output goes is the caller's choice.  Reports are byte-deterministic for a
-given config: all timings go to stderr, never into the report.
+given config: all timings go to stderr, never into the report.  The float
+side (``bigreal``, ``qlimit``, ``shapeinv``, and mpmath with them) loads
+only for a config that names the shape or qlimit suite.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import importlib.util
 import json
 import os
 import sys
@@ -19,9 +22,8 @@ import time
 from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Tuple
 
-from . import basefamily, closure, dualsystem, multiindexed, qlimit, recurrence, shapeinv
+from . import basefamily, closure, dualsystem, multiindexed, recurrence
 from .backend import rat, rat_to_str, rat_from_str
-from .bigreal import real_str
 from .errors import (
     ConfigError,
     CrossCheckMismatch,
@@ -35,6 +37,40 @@ from .pipeline import Pipeline
 from .poly import Poly
 
 SUITES = ("base", "mi", "recurrence", "dual", "closure", "ladder", "commute", "shape", "qlimit")
+
+
+def _lazy(name: str):
+    """The module ``dualracah.<name>``: the one already imported, or one
+    registered now whose body runs on its first attribute access."""
+    full = f"{__package__}.{name}"
+    if full not in sys.modules:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[full] = module = importlib.util.module_from_spec(spec)
+        setattr(sys.modules[__package__], name, module)
+        spec.loader.exec_module(module)
+    return sys.modules[full]
+
+
+# the float side, and mpmath with it, loads only for a run that needs it
+bigreal, qlimit, shapeinv = map(_lazy, ("bigreal", "qlimit", "shapeinv"))
+
+
+def _load_float_side(what: str) -> None:
+    """Run the float modules' bodies now, in the calling thread: a lazy
+    module loads without a lock, so this comes before any worker starts.
+    Where mpmath cannot be imported, a ConfigError names `what`."""
+    try:
+        for module in (bigreal, qlimit, shapeinv):
+            module.__spec__  # any attribute read loads a lazy module
+    except ImportError as e:
+        raise ConfigError(f"{what} cannot run without mpmath ({e})") from e
+
+
+def _load_for_suites(suites) -> None:
+    named = [s for s in ("shape", "qlimit") if s in suites]
+    if named:
+        _load_float_side(f"the {' and '.join(named)} suite" + "s" * (len(named) > 1))
 
 
 @dataclass(frozen=True)
@@ -144,6 +180,7 @@ def parse_config(data: dict) -> RunConfig:
                 f"si_candidates slots must be four rational strings (a, b, c, d), got {slots!r}"
             )
         cands.append((name, tuple(_cfg_rat(v, "si_candidates slot") for v in slots)))
+    _load_for_suites(suites)
     return RunConfig(
         family=family, N=N, b=b, c=c, d=d, q=q, D=D, Y=Y,
         precision=precision, suites=suites, si_candidates=tuple(cands),
@@ -304,7 +341,7 @@ def _suite_shape(cfg: RunConfig, pipe: Pipeline) -> dict:
             "spectral_pass": v.spectral_pass,
             "kappa": rat_to_str(v.kappa) if v.kappa is not None else None,
             "first_fail_x": v.first_fail_x,
-            "matrix_residual": real_str(v.matrix_residual, rep.precision)
+            "matrix_residual": bigreal.real_str(v.matrix_residual, rep.precision)
             if v.matrix_residual is not None else None,
         })
     return {"pass": True, "shape_invariant": rep.shape_invariant, "verdicts": verdicts,
@@ -319,8 +356,8 @@ def _suite_qlimit(cfg: RunConfig, pipe: Pipeline, ladder: qlimit.Ladder) -> dict
         "pass": ok,
         "failures": [] if ok else [["qlimit", "tolerance-or-monotonicity"]],
         "ks": list(rep.ks),
-        "p_gaps": [real_str(g, rep.precision) for g in rep.p_gaps],
-        "q_gaps": [real_str(g, rep.precision) for g in rep.q_gaps],
+        "p_gaps": [bigreal.real_str(g, rep.precision) for g in rep.p_gaps],
+        "q_gaps": [bigreal.real_str(g, rep.precision) for g in rep.q_gaps],
     }
 
 
@@ -358,25 +395,28 @@ def run_suite(cfg: RunConfig) -> Tuple[dict, bool]:
 
     With the qlimit suite, its float ladder starts first (in a worker
     where one can be forked) and is read when that suite runs; no worker
-    outlives the call."""
+    outlives the call.  Without the shape and qlimit suites the float
+    side is never loaded."""
     bad = validate(cfg.params(), cfg.D)
     if bad:
         raise InadmissibleParams(f"config parameters violate ranges: {bad}")
+    _load_for_suites(cfg.suites)
     pipe = Pipeline(cfg.params(), cfg.D)
-    ladder = qlimit.Ladder(pipe.params, pipe.D, cfg.precision)
+    ladder = qlimit.Ladder(pipe.params, pipe.D, cfg.precision) if "qlimit" in cfg.suites else None
     suite_fns = dict(_SUITE_FNS, qlimit=functools.partial(_suite_qlimit, ladder=ladder))
     ordered = [s for s in SUITES if s in cfg.suites]
     results: Dict[str, dict] = {}
     all_ok = True
     try:
-        if "qlimit" in ordered:
+        if ladder is not None:
             ladder.start()
         for name in ordered:
             with _Timer(f"suite {name}"):
                 results[name] = suite_fns[name](cfg, pipe)
             all_ok = all_ok and results[name]["pass"]
     finally:
-        ladder.close()
+        if ladder is not None:
+            ladder.close()
     report = {"config": _config_echo(cfg), "suites": results, "pass": all_ok}
     return report, all_ok
 
@@ -397,6 +437,8 @@ def emit_tables(cfg: RunConfig, what: str, out_dir: str) -> List[str]:
     file opened, so a run that fails leaves nothing behind."""
     if what not in TABLE_KINDS:
         raise ConfigError(f"unknown table kind {what!r}; choose from {TABLE_KINDS}")
+    if what == "hamiltonian":
+        _load_float_side("tables --what hamiltonian")
     pipe = Pipeline(cfg.params(), cfg.D)
     s = pipe.system()
     grid = range(cfg.N + 1)
@@ -414,12 +456,12 @@ def emit_tables(cfg: RunConfig, what: str, out_dir: str) -> List[str]:
         sym = shapeinv.symmetric_form(exact, s.dDn_sq, cfg.precision)
         header = ["x", "y", "exact", "symmetric"]
         rows = [
-            [x, y, rat_to_str(exact[x][y]), real_str(sym[x][y], cfg.precision)]
+            [x, y, rat_to_str(exact[x][y]), bigreal.real_str(sym[x][y], cfg.precision)]
             for x in grid for y in grid
         ]
         payload = {
             "exact": [[rat_to_str(v) for v in row] for row in exact],
-            "symmetric": [[real_str(v, cfg.precision) for v in row] for row in sym],
+            "symmetric": [[bigreal.real_str(v, cfg.precision) for v in row] for row in sym],
             "precision": cfg.precision,
         }
     elif what == "spectrum":

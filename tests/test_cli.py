@@ -4,6 +4,7 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import importlib.util
 import inspect
 import json
 import marshal
@@ -747,6 +748,145 @@ def test_ladder_faults_survive_python_O(tmp_path):
         f" (signal {signal.SIGKILL.value})"
     ]
     assert "Traceback" not in proc.stderr
+
+
+def _python(*argv, script: str) -> subprocess.CompletedProcess:
+    """Run script in a fresh interpreter that imports the library from
+    this checkout's src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script), *argv], env=env, capture_output=True,
+        text=True,
+    )
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+def test_float_module_imported_first_is_the_one_report_calls(tmp_path):
+    """A float module imported before the report front-end is the object
+    the front-end holds, so a patch of it reaches run_suite on both ladder
+    routes."""
+    script = """
+        import os, sys
+
+        from dualracah import qlimit
+        from dualracah import report
+        from dualracah.cli import main
+        from dualracah.errors import ZeroDenominator
+
+        print(all(getattr(report, n) is sys.modules["dualracah." + n]
+                  for n in ("bigreal", "qlimit", "shapeinv")))
+        print(report.qlimit is qlimit)
+
+        def pole(*args):
+            raise ZeroDenominator("pole of the q-tuple, raised on purpose")
+
+        qlimit.float_tables = pole
+        fork, forks = os.fork, []
+
+        def counted():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        os.fork, os.sched_getaffinity = counted, lambda pid: {0, 1}
+        print("worker", main(["verify", "--config", sys.argv[1]]), len(forks), flush=True)
+        del os.fork
+        print("inline", main(["verify", "--config", sys.argv[1]]), flush=True)
+        """
+    cfg_path = _write(tmp_path, "cfg.json", dict(BASE_CFG, suites=["mi", "qlimit"]))
+    proc = _python(cfg_path, script=script)
+    assert proc.stdout.splitlines() == ["True", "True", "worker 1 1", "inline 1"], proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("verification")]
+    assert errors == ["verification error: pole of the q-tuple, raised on purpose"] * 2
+
+
+_NO_MPMATH = """
+    import sys
+
+    sys.modules["mpmath"] = None
+    from dualracah.cli import main
+
+    code = main(sys.argv[1:])
+    print(code, "mpmath" in sys.modules and sys.modules["mpmath"] is not None)
+    """
+
+
+@pytest.mark.parametrize("suites,needs", [
+    (["mi", "shape"], "the shape suite"),
+    (["qlimit"], "the qlimit suite"),
+    (["base", "shape", "qlimit"], "the shape and qlimit suites"),
+])
+def test_float_suite_without_mpmath_is_a_config_error(tmp_path, suites, needs):
+    """Where mpmath cannot be imported, a config that names a float suite
+    ends in exit 2 with one line naming the suite and mpmath."""
+    cfg_path = _write(tmp_path, "cfg.json", dict(BASE_CFG, suites=suites))
+    proc = _python("verify", "--config", cfg_path, script=_NO_MPMATH)
+    assert proc.stdout.splitlines() == ["2 False"], proc.stderr
+    assert re.fullmatch(rf"error: {needs} cannot run without mpmath \(.+\)\n", proc.stderr)
+
+
+def test_hamiltonian_table_without_mpmath_is_a_config_error(tmp_path):
+    cfg_path = _write(tmp_path, "cfg.json", dict(BASE_CFG, suites=["mi"]))
+    out = tmp_path / "tables"
+    proc = _python("tables", "--config", cfg_path, "--what", "hamiltonian", "--out", str(out),
+                   script=_NO_MPMATH)
+    assert proc.stdout.splitlines() == ["2 False"], proc.stderr
+    assert re.fullmatch(
+        r"error: tables --what hamiltonian cannot run without mpmath \(.+\)\n", proc.stderr
+    )
+    assert not out.exists()
+
+
+def test_exact_run_without_mpmath_writes_its_pinned_bytes(tmp_path):
+    data, digest = PINNED_REPORTS[3]
+    cfg_path = _write(tmp_path, "cfg.json", data)
+    out = tmp_path / "report.json"
+    proc = _python("verify", "--config", cfg_path, "--out", str(out), script=_NO_MPMATH)
+    assert proc.stdout.splitlines() == ["0 False"], proc.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def _tracer_layers() -> tuple:
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.LAYERS
+
+
+@pytest.mark.parametrize("suites,loads", [
+    (["base", "mi", "recurrence", "dual", "closure", "ladder", "commute"], False),
+    (["mi", "qlimit"], True),
+], ids=["exact", "qlimit"])
+def test_float_side_loads_only_for_a_float_suite(tmp_path, suites, loads):
+    """A cost guard the host's noise cannot move.  In a fresh interpreter,
+    an exact-only verify never imports mpmath, and every layer module the
+    benchmark's tracer looks up is still registered; a config naming the
+    qlimit suite has mpmath loaded once it is read, before any worker
+    forks."""
+    script = """
+        import json, sys
+
+        import dualracah.cli
+        from dualracah import report
+
+        cfg = report.load_config(sys.argv[1])
+        after_load = "mpmath" in sys.modules
+        rep, ok = report.run_suite(cfg)
+        report.write_report(rep, sys.argv[2])
+        print(json.dumps({
+            "ok": ok, "after_load": after_load, "after_run": "mpmath" in sys.modules,
+            "registered": [n for n in sys.modules if n.startswith("dualracah.")],
+        }))
+        """
+    cfg_path = _write(tmp_path, "cfg.json", dict(BASE_CFG, suites=suites))
+    proc = _python(cfg_path, str(tmp_path / "report.json"), script=script)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["ok"] and got["after_load"] is loads and got["after_run"] is loads
+    assert {f"dualracah.{layer}" for layer in _tracer_layers()} <= set(got["registered"])
 
 
 # sha256 of hamiltonian.csv and hamiltonian.json from `tables --what
