@@ -28,42 +28,29 @@ detailed balance, B(x) phi0^2(x) = D(x+1) phi0^2(x+1), from phi0^2(0) = 1;
 the squared norms (``dn_sq_table``) are the closed-form d_0^2 times that
 table at the dual parameters.  The per-point Pochhammer formulas are kept
 in the tests as oracles.
+
+Each q-Racah closed form is its Racah form with every (u)_n read as
+(u;q)_n, so one product, ``poch`` over ``params.factor``, writes ``c_n``
+and d_0^2 for both families.  The formulas on the q->1 float route (the
+potentials, ``racah_value``, ``etilde_v``, ``varphi``) stay per family:
+the printed gaps pin their rounding order.
 """
 
 from __future__ import annotations
 
+from math import prod
+
 from .backend import rat
 from .errors import IndexOutOfRange, InadmissibleParams, NonPositiveWeight, ZeroDenominator
-from .params import R, ParamSet, eta, ipow
+from .params import R, ParamSet, eta, factor, ipow
 
 
-def poch(u, n: int):
-    """Pochhammer symbol (u)_n = u(u+1)...(u+n-1)."""
+def poch(p: ParamSet, u, n: int, k: int = 0):
+    """(u+k)_n (R) or (u*q^k; q)_n (qR): ``params.factor(p, u, i)``
+    multiplied for i = k..k+n-1 in turn."""
     acc = u * 0 + 1
-    for i in range(n):
-        acc = acc * (u + i)
-    return acc
-
-
-def qpoch(u, n: int, q):
-    """q-Pochhammer symbol (u;q)_n = (1-u)(1-uq)...(1-uq^(n-1))."""
-    acc = u * 0 + 1
-    for i in range(n):
-        acc = acc * (1 - u * ipow(q, i))
-    return acc
-
-
-def multi_poch(us, n: int):
-    acc = 1
-    for u in us:
-        acc = acc * poch(u, n)
-    return acc
-
-
-def multi_qpoch(us, n: int, q):
-    acc = 1
-    for u in us:
-        acc = acc * qpoch(u, n, q)
+    for i in range(k, k + n):
+        acc = acc * factor(p, u, i)
     return acc
 
 
@@ -202,23 +189,14 @@ def dn_sq_table(p: ParamSet) -> tuple:
     """(d_0^2, ..., d_N^2), the squared norms, for an exact tuple: by
     duality d_n^2 = d_0^2 * phi0^2(n) at the dual parameters, with d_0^2 in
     closed form."""
-    a, b, c, d, N = p.a, p.b, p.c, p.d, p.N
-    dt = p.dtilde
+    a, b, c, d, dt, N = p.a, p.b, p.c, p.d, p.dtilde, p.N
     if p.family == R:
-        d0 = (
-            (-1) ** N
-            * multi_poch((d - a + 1, d - b + 1, d - c + 1), N)
-            / (poch(dt + 1, N) * poch(d + 1, 2 * N))
-        )
+        us, scale = (d - a + 1, d - b + 1, d - c + 1), 1
     else:
         q = p.q
-        d0 = (
-            (-1) ** N
-            * multi_qpoch((d * q / a, d * q / b, d * q / c), N, q)
-            * ipow(dt, N)
-            * ipow(q, N * (N + 1) // 2)
-            / (qpoch(dt * q, N, q) * qpoch(d * q, 2 * N, q))
-        )
+        us, scale = (d * q / a, d * q / b, d * q / c), ipow(dt, N) * ipow(q, N * (N + 1) // 2)
+    den = poch(p, dt, N, 1) * poch(p, d, 2 * N, 1)
+    d0 = (-1) ** N * scale * prod(poch(p, u, N) for u in us) / den
     return _balanced_table(p.dual(), d0, "d_{}^2")
 
 
@@ -244,8 +222,4 @@ def varphi(x: int, p: ParamSet):
 
 def c_n(n: int, p: ParamSet):
     """Leading coefficient of the degree-n base polynomial."""
-    a, b, c = p.a, p.b, p.c
-    dt = p.dtilde
-    if p.family == R:
-        return poch(dt + n, n) / multi_poch((a, b, c), n)
-    return qpoch(dt * ipow(p.q, n), n, p.q) / multi_qpoch((a, b, c), n, p.q)
+    return poch(p, p.dtilde, n, n) / prod(poch(p, u, n) for u in (p.a, p.b, p.c))

@@ -61,6 +61,7 @@ residual the dual table computes (``dualsystem.DualTable``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
@@ -71,12 +72,9 @@ from .basefamily import (
     c_n,
     dn_sq_table,
     etilde_v,
-    multi_poch,
-    multi_qpoch,
     phi0_sq_table,
     poch,
     potential,
-    qpoch,
     racah_value,
     varphi,
 )
@@ -210,10 +208,10 @@ class GridTable:
             p, M = self.p, self.M
             a, b, d = p.a, p.b, p.d
             if p.family == R:
-                return poch(d - a + 1, M) * poch(d - b + 1, M)
+                return poch(p, d - a + 1, M) * poch(p, d - b + 1, M)
             q = p.q
             powers = [ipow(a * b / (d * q), j - 1) for j in range(1, M + 2)]
-            return powers, qpoch(d * q / a, M, q), qpoch(d * q / b, M, q)
+            return powers, poch(p, d * q / a, M), poch(p, d * q / b, M)
 
         return self._get("rj_den", make)
 
@@ -225,19 +223,19 @@ class GridTable:
             a, b, d = p.a, p.b, p.d
             if p.family == R:
                 num = (
-                    poch(x + a, j - 1)
-                    * poch(x + b, j - 1)
-                    * poch(x + d - a + j, M + 1 - j)
-                    * poch(x + d - b + j, M + 1 - j)
+                    poch(p, x + a, j - 1)
+                    * poch(p, x + b, j - 1)
+                    * poch(p, x + d - a + j, M + 1 - j)
+                    * poch(p, x + d - b + j, M + 1 - j)
                 )
                 return num / self._rj_den()
             q = p.q
             qx = ipow(q, x)
             num = (
-                qpoch(a * qx, j - 1, q)
-                * qpoch(b * qx, j - 1, q)
-                * qpoch(d * ipow(q, x + j) / a, M + 1 - j, q)
-                * qpoch(d * ipow(q, x + j) / b, M + 1 - j, q)
+                poch(p, a * qx, j - 1)
+                * poch(p, b * qx, j - 1)
+                * poch(p, d * ipow(q, x + j) / a, M + 1 - j)
+                * poch(p, d * ipow(q, x + j) / b, M + 1 - j)
             )
             powers, qa, qb = self._rj_den()
             return num / (powers[j - 1] * ipow(q, M * x) * qa * qb)
@@ -318,8 +316,7 @@ def leading_xi(D: Sequence[int], p: ParamSet):
     us, dt = (tw.a, tw.b, tw.c), tw.dtilde
     acc = 1
     for j, dj in enumerate(D):
-        acc = acc * c_n(dj, tw)
-        acc = acc * (multi_poch(us, j) if p.family == R else multi_qpoch(us, j, p.q))
+        acc = acc * c_n(dj, tw) * prod(poch(p, u, j) for u in us)
         for dk in D[j + 1:]:
             acc = acc / factor(p, dt, dj + dk)
     return acc

@@ -116,7 +116,8 @@ def validate(p: ParamSet, D: Sequence[int]) -> list:
 
 
 def factor(p: ParamSet, u, k: int):
-    """The linear factor u+k (R) or 1-u*q^k (qR) of the closed forms."""
+    """The linear factor u+k (R) or 1-u*q^k (qR) of the closed forms; its
+    product is either family's Pochhammer symbol (``basefamily.poch``)."""
     return u + k if p.family == R else 1 - u * ipow(p.q, k)
 
 

@@ -69,7 +69,7 @@ def matched_q_params(p_r: ParamSet, k: int, precision: int) -> ParamSet:
         return ParamSet(
             QR,
             p_r.N,
-            a=q ** to_real(-p_r.N + q * 0, precision),
+            a=q ** to_real(-p_r.N, precision),
             b=q ** to_real(p_r.b, precision),
             c=q ** to_real(p_r.c, precision),
             d=q ** to_real(p_r.d, precision),
@@ -180,18 +180,25 @@ def _raw(v) -> tuple:
     return sign, int(man), exp, bc
 
 
+def _compute(args) -> tuple:
+    """(every table of ``ladder_tables(*args)``, their compute seconds):
+    the ladder's one compute path, in the worker and inline."""
+    t0 = time.perf_counter()
+    tables = list(ladder_tables(*args))
+    return tables, time.perf_counter() - t0
+
+
 def _send_ladder(args, f) -> None:
     """The worker's one marshal record on f: ("done", raw tables, compute
     seconds), or ("error", class name, message).
     Every table is computed before the record is written, so the worker
     does not wait for its reader while work is left."""
-    t0 = time.perf_counter()
     try:
-        tables = list(ladder_tables(*args))
+        tables, seconds = _compute(args)
     except Exception as e:
         marshal.dump(("error", type(e).__name__, str(e)), f)
         return
-    marshal.dump(("done", tables, time.perf_counter() - t0), f)
+    marshal.dump(("done", tables, seconds), f)
 
 
 def _record(data: bytes):
@@ -215,15 +222,15 @@ class Ladder:
     """The P tables of `ladder_tables(p_r, D, precision)`.
 
     `start` forks one worker that computes them (where the process may
-    fork and has a second CPU); `tables` yields them one at a time, as raw
+    fork and has a second CPU); `tables` returns them, one per k, as raw
     tuples, read from the worker's one record or, if no worker was
-    started, computed inline; `close` kills and reaps a worker that was not
-    read.  The worker always ends in `os._exit`; a library error in it
-    comes back as its class name and message and is raised again by
-    `tables`, and a record that ends early or is malformed raises
-    DualRacahError.  `route` and `compute_s` (the ladder's own compute
-    time, set once the last table is read) describe the run; `precision`
-    is the tables' working precision."""
+    started, computed inline by the same ``_compute``; `close` kills and
+    reaps a worker that was not read.  The worker always ends in
+    `os._exit`; a library error in it comes back as its class name and
+    message and is raised again by `tables`, and a record that ends early
+    or is malformed raises DualRacahError.  `route` and `compute_s` (the
+    ladder's own compute time, set when the tables are read) describe the
+    run; `precision` is the tables' working precision."""
 
     def __init__(self, p_r: ParamSet, D: Sequence[int], precision: int):
         self._args = (p_r, tuple(D), precision)
@@ -254,17 +261,9 @@ class Ladder:
         os.close(w)
         self._pid, self._pipe, self.route = pid, open(r, "rb"), "worker"
 
-    def tables(self) -> Iterator[list]:
-        if self._pid is not None:
-            tables, seconds = self._result()
-            yield from tables
-            self.compute_s = seconds
-            return
-        self.compute_s, t0 = 0.0, time.perf_counter()
-        for table in ladder_tables(*self._args):
-            self.compute_s += time.perf_counter() - t0
-            yield table
-            t0 = time.perf_counter()
+    def tables(self) -> list:
+        tables, self.compute_s = self._result() if self._pid is not None else _compute(self._args)
+        return tables
 
     def _result(self) -> tuple:
         """The worker's (tables, compute seconds), read to EOF once it has

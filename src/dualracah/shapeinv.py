@@ -28,7 +28,7 @@ import mpmath
 
 from .bigreal import big_sqrt, to_real
 from .errors import CrossCheckMismatch, InadmissibleCandidate, NegativePivot
-from .params import R, ParamSet, validate
+from .params import R, ParamSet, shift, validate
 from .pipeline import Pipeline
 from .poly import Poly
 
@@ -101,19 +101,13 @@ def factor_upper(h_sym, precision: int) -> list:
 
 def builtin_candidates(p: ParamSet) -> List[Tuple[str, ParamSet]]:
     """The natural parameter transforms tested for shape invariance,
-    each stated at the shrunk size N-1."""
-    N = p.N
-    if p.family == R:
-        return [
-            ("delta", replace(p, N=N - 1, a=p.a + 1, b=p.b + 1, c=p.c + 1, d=p.d + 1)),
-            ("delta_tilde", replace(p, N=N - 1, c=p.c + 1, d=p.d + 1)),
-            ("delta_dplus", replace(p, N=N - 1, a=p.a + 1, b=p.b + 1, c=p.c + 1, d=p.d + 2)),
-        ]
-    q = p.q
+    each stated at the shrunk size N-1: the shifts by delta and by
+    delta-tilde, and delta with d shifted once more (``params.shift``)."""
+    delta = replace(shift(p, 1, "delta"), N=p.N - 1)
     return [
-        ("delta", replace(p, N=N - 1, a=p.a * q, b=p.b * q, c=p.c * q, d=p.d * q)),
-        ("delta_tilde", replace(p, N=N - 1, c=p.c * q, d=p.d * q)),
-        ("delta_dplus", replace(p, N=N - 1, a=p.a * q, b=p.b * q, c=p.c * q, d=p.d * q * q)),
+        ("delta", delta),
+        ("delta_tilde", replace(shift(p, 1, "tilde"), N=p.N - 1)),
+        ("delta_dplus", replace(delta, d=shift(delta, 1, "tilde").d)),
     ]
 
 

@@ -15,7 +15,11 @@ from pieces held once per table (``varphi_m``, ``rj_factor``,
 ``norm_const_cd``, ``dtn_sq_value``), the product form of each deformed
 polynomial's leading coefficient that ``multiindexed.leading_pdn_table``
 replaced by one ratio table (``leading_pdn``), and the dense semidefinite
-factorization that ``shapeinv.factor_upper`` restricts to the band.  The
+factorization that ``shapeinv.factor_upper`` restricts to the band.  So
+are the per-family Pochhammer helpers that ``basefamily.poch`` replaced,
+with the closed forms written through them (``c_n``, ``leading_xi``, the
+d_0^2 of ``dn_sq_table``, ``GridTable._rj_den``), and the shape-invariance
+candidates with each family's shifts spelled out.  The
 ring arithmetic that ``Poly`` no longer has is here as plain functions,
 with the checks that ``linalg.eigen_misses`` replaced: the band
 recurrence multiplied out as polynomials, the dense product h_tilde*V
@@ -55,7 +59,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import mpmath
 
-from dualracah.basefamily import alpha_const, c_n, etilde_v, poch, potential, qpoch, varphi
+from dualracah.basefamily import alpha_const, c_n, etilde_v, phi0_sq_table, potential, varphi
 from dualracah.backend import rat
 from dualracah.bigreal import big_sqrt, to_real
 from dualracah.errors import (
@@ -71,7 +75,7 @@ from dualracah.errors import (
 )
 from dualracah.linalg import SquareMatrix, _cleared_int_rows, gram_residuals
 from dualracah.multiindexed import GridTable, MISystem
-from dualracah.params import QR, R, ParamSet, energy, ipow, shift
+from dualracah.params import QR, R, ParamSet, energy, factor, ipow, shift, twist
 from dualracah.poly import Poly
 from dualracah.recurrence import RecTable, XPoly
 
@@ -767,6 +771,111 @@ def naive_det(rows) -> object:
     for k in range(1, n):
         acc = acc * m[k][k]
     return sign * acc
+
+
+def poch(u, n: int):
+    """Pochhammer symbol (u)_n = u(u+1)...(u+n-1) (with ``qpoch``,
+    ``multi_poch`` and ``multi_qpoch``, the per-family helpers that
+    ``basefamily.poch`` replaced)."""
+    acc = u * 0 + 1
+    for i in range(n):
+        acc = acc * (u + i)
+    return acc
+
+
+def qpoch(u, n: int, q):
+    """q-Pochhammer symbol (u;q)_n = (1-u)(1-uq)...(1-uq^(n-1))."""
+    acc = u * 0 + 1
+    for i in range(n):
+        acc = acc * (1 - u * ipow(q, i))
+    return acc
+
+
+def multi_poch(us, n: int):
+    acc = 1
+    for u in us:
+        acc = acc * poch(u, n)
+    return acc
+
+
+def multi_qpoch(us, n: int, q):
+    acc = 1
+    for u in us:
+        acc = acc * qpoch(u, n, q)
+    return acc
+
+
+def c_n_per_family(n: int, p: ParamSet):
+    """Leading coefficient of the degree-n base polynomial, one product per
+    family (the route of ``basefamily.c_n`` before ``basefamily.poch``)."""
+    a, b, c = p.a, p.b, p.c
+    dt = p.dtilde
+    if p.family == R:
+        return poch(dt + n, n) / multi_poch((a, b, c), n)
+    return qpoch(dt * ipow(p.q, n), n, p.q) / multi_qpoch((a, b, c), n, p.q)
+
+
+def leading_xi_per_family(D: Sequence[int], p: ParamSet):
+    """``multiindexed.leading_xi`` by the per-family helpers."""
+    tw = twist(p)
+    us, dt = (tw.a, tw.b, tw.c), tw.dtilde
+    acc = 1
+    for j, dj in enumerate(D):
+        acc = acc * c_n_per_family(dj, tw)
+        acc = acc * (multi_poch(us, j) if p.family == R else multi_qpoch(us, j, p.q))
+        for dk in D[j + 1:]:
+            acc = acc / factor(p, dt, dj + dk)
+    return acc
+
+
+def dn_sq_table_per_family(p: ParamSet) -> tuple:
+    """``basefamily.dn_sq_table`` with d_0^2 by the per-family helpers."""
+    a, b, c, d, N = p.a, p.b, p.c, p.d, p.N
+    dt = p.dtilde
+    if p.family == R:
+        d0 = (
+            (-1) ** N
+            * multi_poch((d - a + 1, d - b + 1, d - c + 1), N)
+            / (poch(dt + 1, N) * poch(d + 1, 2 * N))
+        )
+    else:
+        q = p.q
+        d0 = (
+            (-1) ** N
+            * multi_qpoch((d * q / a, d * q / b, d * q / c), N, q)
+            * ipow(dt, N)
+            * ipow(q, N * (N + 1) // 2)
+            / (qpoch(dt * q, N, q) * qpoch(d * q, 2 * N, q))
+        )
+    return tuple(d0 * v for v in phi0_sq_table(p.dual()))
+
+
+def rj_den_per_family(M: int, p: ParamSet):
+    """``GridTable._rj_den`` by the per-family helpers."""
+    a, b, d = p.a, p.b, p.d
+    if p.family == R:
+        return poch(d - a + 1, M) * poch(d - b + 1, M)
+    q = p.q
+    powers = [ipow(a * b / (d * q), j - 1) for j in range(1, M + 2)]
+    return powers, qpoch(d * q / a, M, q), qpoch(d * q / b, M, q)
+
+
+def spelled_out_candidates(p: ParamSet) -> list:
+    """``shapeinv.builtin_candidates`` with each family's shifts written
+    out (the route before ``params.shift``)."""
+    N = p.N
+    if p.family == R:
+        return [
+            ("delta", replace(p, N=N - 1, a=p.a + 1, b=p.b + 1, c=p.c + 1, d=p.d + 1)),
+            ("delta_tilde", replace(p, N=N - 1, c=p.c + 1, d=p.d + 1)),
+            ("delta_dplus", replace(p, N=N - 1, a=p.a + 1, b=p.b + 1, c=p.c + 1, d=p.d + 2)),
+        ]
+    q = p.q
+    return [
+        ("delta", replace(p, N=N - 1, a=p.a * q, b=p.b * q, c=p.c * q, d=p.d * q)),
+        ("delta_tilde", replace(p, N=N - 1, c=p.c * q, d=p.d * q)),
+        ("delta_dplus", replace(p, N=N - 1, a=p.a * q, b=p.b * q, c=p.c * q, d=p.d * q * q)),
+    ]
 
 
 def _one(p: ParamSet):

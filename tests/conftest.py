@@ -11,13 +11,23 @@ from operator import mul
 import pytest
 
 from dualracah.backend import rat
-from dualracah.basefamily import multi_poch, multi_qpoch, poch, qpoch, racah_value
+from dualracah.basefamily import racah_value
 from dualracah.errors import NonPositiveWeight, SingularMatrix
 from dualracah.linalg import _cleared_int_rows
 from dualracah.params import QR, R, energy, ipow, make_params, twist
 from dualracah.pipeline import Pipeline
 from dualracah.poly import Poly
-from comparators import dtn_sq_value, naive_det, norm_const_cd, rj_factor, varphi_m
+from comparators import (
+    dtn_sq_value,
+    multi_poch,
+    multi_qpoch,
+    naive_det,
+    norm_const_cd,
+    poch,
+    qpoch,
+    rj_factor,
+    varphi_m,
+)
 
 Y_ONE = Poly([rat(1)])
 Y_ETA = Poly([rat(0), rat(1)])

@@ -8,6 +8,7 @@ from dualracah.basefamily import (
     c_n,
     dn_sq_table,
     phi0_sq_table,
+    poch,
     potential,
     racah_value,
     rec_coeffs,
@@ -17,6 +18,7 @@ from dualracah import report
 from dualracah.params import QR, R, ParamSet, energy, eta, make_params, twist, validate
 from dualracah.qlimit import LADDER_KS, QSumColumns, matched_q_params
 from dualracah.backend import rat, rat_to_str
+from comparators import c_n_per_family, dn_sq_table_per_family, qpoch
 from conftest import (
     ctilde_closed_form,
     dn_sq,
@@ -84,6 +86,32 @@ def test_float_energy_is_bit_identical(k, precision):
         assert [energy(n, p) for n in range(p.N + 1)] == [
             energy_closed_form(n, p) for n in range(p.N + 1)
         ]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("N", [1, 6, 11])
+def test_one_pochhammer_product_matches_per_family_forms(family, N):
+    """c_n and the squared norms, written once through ``poch``, are the
+    rationals of their per-family Pochhammer forms, at p, its dual and its
+    twist (c_n) and at p (the norms)."""
+    p = std_params(family, N)
+    for t in (p, p.dual(), twist(p)):
+        for n in range(N + 1):
+            assert c_n(n, t) == c_n_per_family(n, t)
+    assert dn_sq_table(p) == dn_sq_table_per_family(p)
+
+
+@pytest.mark.parametrize("precision", [53, 256])
+@pytest.mark.parametrize("k", LADDER_KS)
+def test_float_pochhammer_is_bit_identical(k, precision):
+    """On the q->1 ladder ``poch`` rounds every factor as the q-Pochhammer
+    helper it replaced."""
+    p = matched_q_params(std_params(R, 6), k, precision)
+    a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
+    with mpmath.workprec(precision):
+        for u in (a, b, c, d, p.dtilde, d * q / a, d * q / b, a * q ** 3):
+            for n in range(2 * p.N + 1):
+                assert poch(p, u, n)._mpf_ == qpoch(u, n, q)._mpf_
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -12,6 +12,7 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from dualracah import basefamily, multiindexed, report
@@ -37,8 +38,16 @@ from dualracah.multiindexed import (
 )
 from dualracah.params import QR, R, ell, eta, make_params, shift, validate
 from dualracah.pipeline import Pipeline
-from dualracah.qlimit import float_tables, matched_q_params
-from comparators import dtn_sq_value, leading_pdn, norm_const_cd, rj_factor, varphi_m
+from dualracah.qlimit import LADDER_KS, QSumColumns, float_tables, matched_q_params
+from comparators import (
+    dtn_sq_value,
+    leading_pdn,
+    leading_xi_per_family,
+    norm_const_cd,
+    rj_den_per_family,
+    rj_factor,
+    varphi_m,
+)
 from conftest import per_entry_pdn, per_entry_xi, std_params, verify_difference_eq
 
 FAMILIES = (R, QR)
@@ -257,6 +266,48 @@ def _tuple_for_three_indices(family, N):
         return std_params(R, N)
     q = rat(1, 2)
     return make_params(QR, N, b=q ** (N + 7), c=rat(1, 2), d=rat(2, 5), q=q)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("D", [(), (1,), (2,), (1, 2), (1, 3), (1, 2, 3)])
+@pytest.mark.parametrize("N", [1, 6, 11])
+def test_leading_xi_matches_per_family_form(family, D, N):
+    """leading_xi, written once through ``basefamily.poch``, is the
+    rational of its per-family Pochhammer form."""
+    p = _tuple_for_three_indices(family, N)
+    assert validate(p, D) == []
+    assert leading_xi(D, p) == leading_xi_per_family(D, p)
+
+
+@pytest.mark.parametrize("precision", [53, 256])
+@pytest.mark.parametrize("k", LADDER_KS)
+def test_float_rj_factors_are_bit_identical(k, precision):
+    """On the q->1 ladder every r_j(x) and its held denominator round as
+    the per-family q-Pochhammer route did."""
+    p = matched_q_params(std_params(R, 6), k, precision)
+    with mpmath.workprec(precision):
+        for D in ((), (1,), (1, 2)):
+            M = len(D)
+            tab = GridTable(D, p, QSumColumns)
+            powers, qa, qb = tab._rj_den()
+            old_powers, old_qa, old_qb = rj_den_per_family(M, p)
+            assert [v._mpf_ for v in powers] == [v._mpf_ for v in old_powers]
+            assert (qa._mpf_, qb._mpf_) == (old_qa._mpf_, old_qb._mpf_)
+            for x in range(p.N + 1):
+                for j in range(1, M + 2):
+                    assert tab.rj(j, x)._mpf_ == rj_factor(j, x, M, p)._mpf_
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_exact_rj_keeps_the_rational_unit(family):
+    """With no factor left (M = 0) r_1(x) is the typed unit over the typed
+    unit: a rational, not a Python float."""
+    p = std_params(family, 4)
+    tab = GridTable((), p)
+    assert tab._rj_den() == rj_den_per_family(0, p)
+    for x in range(p.N + 1):
+        v = tab.rj(1, x)
+        assert type(v) is Fraction and v == 1
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -21,7 +21,7 @@ from dualracah.shapeinv import (
     symmetric_form,
 )
 from dualracah.errors import InadmissibleCandidate
-from comparators import dense_factor_upper, hamiltonian_symmetric_form
+from comparators import dense_factor_upper, hamiltonian_symmetric_form, spelled_out_candidates
 from conftest import Y_ONE, std_params
 
 FAMILIES = (R, QR)
@@ -76,6 +76,16 @@ def test_hamiltonian_factorization_reconstructs(family, pipe):
     a = factor_upper(_sym(pipe(family, 5, (1,)), 256), 256)
     # zero ground level forces a zero last row
     assert all(v == 0 for v in a[5])
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("N", [1, 6, 11])
+def test_candidates_from_shifts_match_spelled_out_lists(family, N):
+    """The candidates built by ``params.shift`` are the tuples of each
+    family's shifts written out, field for field."""
+    p = std_params(family, N)
+    for t in (p, p.dual()):
+        assert builtin_candidates(t) == spelled_out_candidates(t)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
