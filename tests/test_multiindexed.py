@@ -286,7 +286,7 @@ def test_float_rj_factors_are_bit_identical(k, precision):
     the per-family q-Pochhammer route did."""
     p = matched_q_params(std_params(R, 6), k, precision)
     with mpmath.workprec(precision):
-        for D in ((), (1,), (1, 2)):
+        for D in ((), (1,), (1, 2), (1, 2, 3), (1, 2, 3, 4)):
             M = len(D)
             tab = GridTable(D, p, QSumColumns)
             powers, qa, qb = tab._rj_den()
