@@ -35,15 +35,14 @@ oracles (``tests/comparators.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dualsystem import DualHamiltonian
 from .errors import CrossCheckMismatch, SingularR0
 from .poly import Poly, interpolate
 
 
-@dataclass
-class ClosureTriple:
+class ClosureTriple(NamedTuple):
     R0: Poly
     R1: Poly
     Rm1: Poly

@@ -19,9 +19,9 @@ certificate R*P = P*diag(X); ``verify_spectrum`` only lists its misses.
 The eigenbasis is certified once per Hamiltonian by the dual recurrence
 (``DualHamiltonian.eigenbasis``).  X is strictly increasing and V[0] is
 all ones by construction, so V is invertible.  Each is a cached property,
-which ``dataclasses.replace()`` starts afresh.  Two Hamiltonians commute
-when both certify the same V (``commutator_check``): each is then
-V*diag(X)*V^(-1).
+kept on its object: a record built anew from the same fields starts
+without it.  Two Hamiltonians commute when both certify the same V
+(``commutator_check``): each is then V*diag(X)*V^(-1).
 
 Every identity here is checked on one of the two integer kernels of
 ``linalg``: the recurrence and eigen residuals on the band kernel
@@ -37,7 +37,6 @@ and the positive norms, certified (``multiindexed``);
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Tuple
 
@@ -48,23 +47,33 @@ from .params import energy
 from .recurrence import RecTable, XPoly
 
 
-@dataclass
 class DualTable:
     """The dual polynomials on the grid, their recurrence and orthogonality.
 
     V[x][n] = P_x(n)/P_0(n): column n is the dual polynomial of degree n,
     row x its value at the dual grid point with coordinate ebar[x] = E_x,
     the base energy.  T is the dual Jacobi matrix, T[n+1][n] = a_dual[n],
-    T[n][n] = b_dual[n], T[n-1][n] = c_dual[n].
+    T[n][n] = b_dual[n], T[n-1][n] = c_dual[n].  Tables with equal entries
+    are equal, whatever each has cached.
     """
 
-    V: SquareMatrix
-    a_dual: Tuple      # upper recurrence coefficients, vanish at n=N
-    b_dual: Tuple
-    c_dual: Tuple      # lower recurrence coefficients, vanish at n=0
-    ebar: Tuple        # dual sinusoidal coordinate: base energies E_x
-    weights: Tuple     # dual weights dDn_sq[n]/Xi(1), n = 0..N
-    norms: Tuple       # squared dual norms 1/(Xi(1)*w_x*P_0(x)^2), x = 0..N
+    def __init__(self, V: SquareMatrix, a_dual: Tuple, b_dual: Tuple, c_dual: Tuple,
+                 ebar: Tuple, weights: Tuple, norms: Tuple):
+        self.V = V
+        self.a_dual = a_dual      # upper recurrence coefficients, vanish at n=N
+        self.b_dual = b_dual
+        self.c_dual = c_dual      # lower recurrence coefficients, vanish at n=0
+        self.ebar = ebar          # dual sinusoidal coordinate: base energies E_x
+        self.weights = weights    # dual weights dDn_sq[n]/Xi(1), n = 0..N
+        self.norms = norms        # squared dual norms 1/(Xi(1)*w_x*P_0(x)^2), x = 0..N
+
+    def _entries(self) -> tuple:
+        return self.V, self.a_dual, self.b_dual, self.c_dual, self.ebar, self.weights, self.norms
+
+    def __eq__(self, other):
+        if not isinstance(other, DualTable):
+            return NotImplemented
+        return self._entries() == other._entries()
 
     def jacobi(self) -> list:
         """T held as its columns (T[n-1][n], T[n][n], T[n+1][n]); the two
@@ -135,11 +144,11 @@ def dual_ortho(t: DualTable) -> list:
     return t.ortho_residual
 
 
-@dataclass
 class DualHamiltonian:
-    h_tilde: SquareMatrix
-    x_grid: dict             # X values on the extended range -1..N+1
-    dual: DualTable
+    def __init__(self, h_tilde: SquareMatrix, x_grid: dict, dual: DualTable):
+        self.h_tilde = h_tilde
+        self.x_grid = x_grid      # X values on the extended range -1..N+1
+        self.dual = dual
 
     @property
     def V(self) -> SquareMatrix:

@@ -60,10 +60,9 @@ residual the dual table computes (``dualsystem.DualTable``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 from operator import mul
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .backend import rat
 from .basefamily import (
@@ -360,8 +359,7 @@ def leading_pdn_table(D: Sequence[int], p: ParamSet, lead_xi) -> tuple:
     return tuple(out)
 
 
-@dataclass
-class MISystem:
+class MISystem(NamedTuple):
     """A fully built and internally verified deformed polynomial system."""
 
     params: ParamSet

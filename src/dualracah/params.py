@@ -15,8 +15,7 @@ virtual-state data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .backend import is_rational, rat
 from .errors import BadN, BadQ, IndexOutOfRange
@@ -32,8 +31,7 @@ def ipow(base, k: int):
     return 1 / (base ** (-k))
 
 
-@dataclass(frozen=True)
-class ParamSet:
+class ParamSet(NamedTuple):
     family: str
     N: int
     a: object
@@ -54,7 +52,7 @@ class ParamSet:
 
     def dual(self) -> "ParamSet":
         """Swap d with dtilde (an involution)."""
-        return replace(self, d=self.dtilde)
+        return self._replace(d=self.dtilde)
 
 
 def make_params(family: str, N: int, b, c, d, q=None) -> ParamSet:
@@ -127,12 +125,12 @@ def shift(p: ParamSet, k: int, kind: str = "delta") -> ParamSet:
         raise ValueError(f"unknown shift kind {kind!r}")
     if p.family == R:
         if kind == "delta":
-            return replace(p, a=p.a + k, b=p.b + k, c=p.c + k, d=p.d + k)
-        return replace(p, c=p.c + k, d=p.d + k)
+            return p._replace(a=p.a + k, b=p.b + k, c=p.c + k, d=p.d + k)
+        return p._replace(c=p.c + k, d=p.d + k)
     f = ipow(p.q, k)
     if kind == "delta":
-        return replace(p, a=p.a * f, b=p.b * f, c=p.c * f, d=p.d * f)
-    return replace(p, c=p.c * f, d=p.d * f)
+        return p._replace(a=p.a * f, b=p.b * f, c=p.c * f, d=p.d * f)
+    return p._replace(c=p.c * f, d=p.d * f)
 
 
 def eta(x: int, p: ParamSet):
@@ -152,5 +150,5 @@ def twist(p: ParamSet) -> ParamSet:
     """The parameter involution generating virtual-state data; it replaces
     a and b only, so the sinusoidal coordinate (d and q) is unchanged."""
     if p.family == R:
-        return replace(p, a=p.d - p.a + 1, b=p.d - p.b + 1)
-    return replace(p, a=p.d * p.q / p.a, b=p.d * p.q / p.b)
+        return p._replace(a=p.d - p.a + 1, b=p.d - p.b + 1)
+    return p._replace(a=p.d * p.q / p.a, b=p.d * p.q / p.b)

@@ -35,8 +35,7 @@ import marshal
 import os
 import threading
 import time
-from dataclasses import dataclass
-from typing import Iterator, Sequence, Tuple
+from typing import Iterator, NamedTuple, Sequence, Tuple
 
 import mpmath
 from mpmath.libmp import (
@@ -320,8 +319,7 @@ def _gap(table, ref, prec: int) -> tuple:
     return gap
 
 
-@dataclass
-class QLimitReport:
+class QLimitReport(NamedTuple):
     ks: Tuple[int, ...]
     p_gaps: Tuple          # max entrywise |q-family - additive| of the P table, per k
     q_gaps: Tuple          # same for the dual ratio table

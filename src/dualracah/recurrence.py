@@ -15,9 +15,8 @@ grid (``verify_recurrence``), are one kernel, ``linalg.eigen_misses``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 from .backend import rat
 from .errors import (
@@ -32,8 +31,7 @@ from .params import R, eta, ipow, shift
 from .poly import Poly, interpolate
 
 
-@dataclass
-class XPoly:
+class XPoly(NamedTuple):
     """X(eta) together with its certified grid values and bandwidth."""
 
     poly: Poly
@@ -96,13 +94,11 @@ def xhat_minus1(xp: XPoly, s: MISystem):
     return xp.grid[-1]
 
 
-@dataclass
 class RecTable:
     """Constant recurrence coefficients r[(n,k)] for the band |k| <= L."""
 
-    r: Dict[Tuple[int, int], object]
-    L: int
-    N: int
+    def __init__(self, r: Dict[Tuple[int, int], object], L: int, N: int):
+        self.r, self.L, self.N = r, L, N
 
     def band(self, n: int):
         return range(-min(self.L, n), min(self.L, self.N - n) + 1)

@@ -12,15 +12,13 @@ only for a config that names the shape or qlimit suite.
 
 from __future__ import annotations
 
-import csv
 import functools
 import importlib.util
 import json
 import os
 import sys
 import time
-from dataclasses import dataclass, fields, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import basefamily, closure, dualsystem, multiindexed, recurrence
 from .backend import rat, rat_to_str, rat_from_str
@@ -73,8 +71,7 @@ def _load_for_suites(suites) -> None:
         _load_float_side(f"the {' and '.join(named)} suite" + "s" * (len(named) > 1))
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     family: str
     N: int
     b: object
@@ -91,7 +88,7 @@ class RunConfig:
         return make_params(self.family, self.N, b=self.b, c=self.c, d=self.d, q=self.q)
 
 
-_ALLOWED_KEYS = frozenset(f.name for f in fields(RunConfig))
+_ALLOWED_KEYS = frozenset(RunConfig._fields)
 
 
 def _cfg_rat(raw, key: str):
@@ -155,9 +152,14 @@ def parse_config(data: dict) -> RunConfig:
     if not isinstance(suites_raw, list) or not all(isinstance(s, str) for s in suites_raw):
         raise ConfigError(f"suites must be a list of suite names, got {suites_raw!r}")
     suites = tuple(suites_raw)
+    if not suites:
+        raise ConfigError("suites must name at least one suite")
     bad = [s for s in suites if s not in SUITES]
     if bad:
         raise ConfigError(f"unknown suites: {bad}")
+    repeated = sorted({s for s in suites if suites.count(s) > 1})
+    if repeated:
+        raise ConfigError(f"suites named more than once: {repeated}")
     if "qlimit" in suites and family != R:
         raise ConfigError("the qlimit suite needs an additive-family reference tuple")
     cands_raw = data.get("si_candidates", [])
@@ -329,7 +331,7 @@ def _suite_commute(cfg: RunConfig, pipe: Pipeline) -> dict:
 def _suite_shape(cfg: RunConfig, pipe: Pipeline) -> dict:
     p = pipe.params
     extra = [
-        (name, replace(p, N=p.N - 1, a=a, b=b, c=c, d=d))
+        (name, p._replace(N=p.N - 1, a=a, b=b, c=c, d=d))
         for name, (a, b, c, d) in cfg.si_candidates
     ]
     rep = shapeinv.si_test(pipe, cfg.Y, precision=cfg.precision, extra_candidates=extra)
@@ -435,6 +437,8 @@ def emit_tables(cfg: RunConfig, what: str, out_dir: str) -> List[str]:
 
     Every row and the payload are built before the directory is made or a
     file opened, so a run that fails leaves nothing behind."""
+    import csv  # here: only a tables run pays for the module
+
     if what not in TABLE_KINDS:
         raise ConfigError(f"unknown table kind {what!r}; choose from {TABLE_KINDS}")
     if what == "hamiltonian":

@@ -21,8 +21,7 @@ the tests as the oracle).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import mpmath
 
@@ -103,11 +102,11 @@ def builtin_candidates(p: ParamSet) -> List[Tuple[str, ParamSet]]:
     """The natural parameter transforms tested for shape invariance,
     each stated at the shrunk size N-1: the shifts by delta and by
     delta-tilde, and delta with d shifted once more (``params.shift``)."""
-    delta = replace(shift(p, 1, "delta"), N=p.N - 1)
+    delta = shift(p, 1, "delta")._replace(N=p.N - 1)
     return [
         ("delta", delta),
-        ("delta_tilde", replace(shift(p, 1, "tilde"), N=p.N - 1)),
-        ("delta_dplus", replace(delta, d=shift(delta, 1, "tilde").d)),
+        ("delta_tilde", shift(p, 1, "tilde")._replace(N=p.N - 1)),
+        ("delta_dplus", delta._replace(d=shift(delta, 1, "tilde").d)),
     ]
 
 
@@ -125,8 +124,7 @@ def check_candidate(p2: ParamSet, D) -> None:
         raise InadmissibleCandidate(f"candidate violates ranges: {bad}")
 
 
-@dataclass
-class CandidateVerdict:
+class CandidateVerdict(NamedTuple):
     name: str
     admissible: bool
     kappa: Optional[object]
@@ -135,8 +133,7 @@ class CandidateVerdict:
     matrix_residual: Optional[object]
 
 
-@dataclass
-class SIReport:
+class SIReport(NamedTuple):
     verdicts: List[CandidateVerdict]
     precision: int
 

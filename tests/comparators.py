@@ -41,7 +41,9 @@ per column).  So are the closure node data built from the X grid, the
 closure polynomials' values on the spectrum by ``Poly.values``, the route
 that the certified node data (``ClosureTriple.r0_on_spectrum``) replaced,
 and a triple with polynomials replaced whose values on the spectrum are
-re-derived by that route.
+re-derived by that route.  For fault injection, ``replace`` copies any
+record of the library with some fields changed, each cached property
+formed afresh.
 
 The float side of the q->1 check is here on mpf wrapper objects, the
 routes that raw ``mpmath.libmp`` tuples replaced: the q-sum base columns
@@ -54,7 +56,8 @@ precision per call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import inspect
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import mpmath
@@ -527,6 +530,14 @@ def on_spectrum_by_values(c) -> tuple:
     """(R0, R1, Rm1) at each node of c's spectrum, one ``Poly.values`` per
     polynomial."""
     return tuple(zip(*(p.values(c.nodes) for p in (c.R0, c.R1, c.Rm1))))
+
+
+def replace(record, **changes):
+    """A copy of a library record with `changes` to its fields, built anew
+    through its class: no cached property of `record` carries over."""
+    cls = type(record)
+    fields = {name: getattr(record, name) for name in inspect.signature(cls).parameters}
+    return cls(**{**fields, **changes})
 
 
 def replace_closure(c, **polys):

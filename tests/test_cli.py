@@ -2,7 +2,6 @@
 
 import argparse
 import csv
-import dataclasses
 import hashlib
 import importlib.util
 import inspect
@@ -162,6 +161,21 @@ def test_q_outside_unit_interval_exits_2(tmp_path, capsys, command, q):
     assert err.splitlines()[-1] == f"error: q must lie in (0,1), got {q}"
     assert "Traceback" not in err
     assert not out.exists() if command == "verify" else not any(out.iterdir())
+
+
+@pytest.mark.parametrize("suites,msg", [
+    (["mi", "mi"], "suites named more than once: ['mi']"),
+    ([], "suites must name at least one suite"),
+], ids=["repeated", "empty"])
+def test_suite_list_is_not_coerced(tmp_path, capsys, suites, msg):
+    """A suite named twice would run once but be echoed twice, and an empty
+    list would pass having checked nothing: both are config errors, and no
+    report is written."""
+    cfg_path = _write(tmp_path, "cfg.json", dict(BASE_CFG, suites=suites))
+    out = tmp_path / "report.json"
+    assert main(["verify", "--config", cfg_path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: {msg}"
+    assert not out.exists()
 
 
 def test_inadmissible_params_exit_2(tmp_path):
@@ -346,13 +360,25 @@ def test_tables_that_fail_while_building_leave_no_csv(tmp_path, capsys, monkeypa
     assert list(out.iterdir()) == []
 
 
+def test_run_config_is_frozen_and_hashed_by_value():
+    """A parsed config refuses assignment; two parses of one config are
+    equal records with equal hashes, and a changed field makes another."""
+    data = dict(BASE_CFG, si_candidates=[{"name": "w", "slots": ["1"] * 4}])
+    cfg, again = parse_config(data), parse_config(data)
+    with pytest.raises(AttributeError):
+        cfg.suites = ("mi",)
+    assert again is not cfg and again == cfg and hash(again) == hash(cfg)
+    assert cfg._replace(precision=128) != cfg
+    assert len({cfg, again, cfg._replace(precision=128)}) == 2
+
+
 def test_the_config_is_the_only_source_of_a_run_setting():
     """The config schema is RunConfig's fields, frozen once parsed; the
     command line names the config and the outputs only; and no float
     helper below the config falls back to a precision of its own."""
-    assert _ALLOWED_KEYS == {f.name for f in dataclasses.fields(RunConfig)}
+    assert _ALLOWED_KEYS == set(RunConfig._fields)
     cfg = parse_config(dict(BASE_CFG))
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         cfg.precision = 128
 
     sub = next(
@@ -887,6 +913,31 @@ def test_float_side_loads_only_for_a_float_suite(tmp_path, suites, loads):
     got = json.loads(proc.stdout)
     assert got["ok"] and got["after_load"] is loads and got["after_run"] is loads
     assert {f"dualracah.{layer}" for layer in _tracer_layers()} <= set(got["registered"])
+
+
+@pytest.mark.parametrize("suites", [
+    ["base", "mi", "recurrence", "dual", "closure", "ladder", "commute"],
+    ["mi", "qlimit"],
+], ids=["exact", "qlimit"])
+def test_setup_loads_no_dataclasses_inspect_or_csv(tmp_path, suites):
+    """A cost guard the host's noise cannot move.  In a fresh interpreter,
+    importing the command line and reading a config, the float side
+    included, loads neither the records' former class machinery
+    (dataclasses, and inspect with it) nor csv, which only a tables run
+    writes."""
+    script = """
+        import json, sys
+
+        import dualracah.cli
+        from dualracah import report
+
+        report.load_config(sys.argv[1])
+        print(json.dumps([m for m in ("dataclasses", "inspect", "csv") if m in sys.modules]))
+        """
+    cfg_path = _write(tmp_path, "cfg.json", dict(BASE_CFG, suites=suites))
+    proc = _python(cfg_path, script=script)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
 
 
 # sha256 of hamiltonian.csv and hamiltonian.json from `tables --what

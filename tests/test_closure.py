@@ -8,7 +8,6 @@ import random
 import subprocess
 import sys
 import textwrap
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -36,6 +35,7 @@ from comparators import (
     matrix_sub,
     on_spectrum_by_values,
     poly_add,
+    replace,
     replace_closure,
     scale_cols,
     tridiagonal_closure,
@@ -629,7 +629,7 @@ def test_certifications_survive_python_O():
     eigenpairs swapped pass the eigen-check and fail the dual recurrence."""
     script = textwrap.dedent(
         """
-        from dataclasses import replace
+        from comparators import replace
         from dualracah import closure, multiindexed, poly, recurrence, dualsystem
         from dualracah.backend import rat
         from dualracah.errors import CrossCheckMismatch

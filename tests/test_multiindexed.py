@@ -8,7 +8,6 @@ import subprocess
 import sys
 import textwrap
 from contextlib import contextmanager
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -162,7 +161,7 @@ def test_mi_suite_difference_equation_matches_oracle(family, N, D, fault, pipe, 
     elif fault == "value":
         row = list(s.pdn_grid[2])
         row[3] += rat(1, 7)
-        s = replace(s, pdn_grid=s.pdn_grid[:2] + (tuple(row),) + s.pdn_grid[3:])
+        s = s._replace(pdn_grid=s.pdn_grid[:2] + (tuple(row),) + s.pdn_grid[3:])
     oracle = [list(map(str, f)) for f in verify_difference_eq(s)]
     ortho = [list(map(str, f)) for f in verify_ortho(s)]
     fails = _mi_failures(s, monkeypatch)

@@ -8,12 +8,13 @@ definition shares (``Poly.is_zero`` and a ``SquareMatrix.is_zero``, say)
 counts as used when either is.  The entry point is the only name the
 library may define for outside callers alone.
 
-Every field of a dataclass is read as an attribute in the library, too.
-A read counts for its receiver's class, as the annotations give it:
-``self`` in a method, an annotated parameter, a local bound to a call whose
-return annotation names a class, or a field or property read on such a
-receiver.  A read on a receiver of unknown class counts for every field of
-that name."""
+Every field of a class is read as an attribute in the library, too: each
+annotated name of its body (a NamedTuple's fields) and each attribute its
+``__init__`` sets on self.  A read counts for its receiver's class, as the
+annotations give it: ``self`` in a method, an annotated parameter, a local
+bound to a call whose return annotation names a class, or a field or
+property read on such a receiver.  A read on a receiver of unknown class
+counts for every field of that name."""
 
 import ast
 from pathlib import Path
@@ -78,8 +79,31 @@ def _class_of(annotation):
     return None
 
 
-def _is_field(node):
-    return isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+def _fields(cls):
+    """Field name -> class of each field of a class: the annotated names of
+    its body (a NamedTuple's fields) and the attributes its ``__init__``
+    sets on self, an attribute set from a parameter of that parameter's
+    class."""
+    out = {
+        node.target.id: _class_of(node.annotation)
+        for node in cls.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+    }
+    for init in cls.body:
+        if not (isinstance(init, ast.FunctionDef) and init.name == "__init__"):
+            continue
+        me, *args = init.args.args
+        params = {a.arg: _class_of(a.annotation) for a in args}
+        for node in ast.walk(init):
+            for target in node.targets if isinstance(node, ast.Assign) else []:
+                pairs = [(target, node.value)]
+                if isinstance(target, ast.Tuple):
+                    values = getattr(node.value, "elts", [None] * len(target.elts))
+                    pairs = zip(target.elts, values)
+                for t, v in pairs:
+                    if isinstance(t, ast.Attribute) and getattr(t.value, "id", None) == me.arg:
+                        out[t.attr] = params.get(getattr(v, "id", None))
+    return out
 
 
 def _split(scope):
@@ -106,7 +130,7 @@ class _Reads:
             if isinstance(node, ast.ClassDef):
                 returns.setdefault(node.name, set()).add(node.name)
                 self.members[node.name] = {
-                    **{m.target.id: _class_of(m.annotation) for m in node.body if _is_field(m)},
+                    **_fields(node),
                     **{m.name: _class_of(m.returns)
                        for m in node.body if isinstance(m, ast.FunctionDef)},
                 }
@@ -174,23 +198,16 @@ class _Reads:
             self._visit(node, env, scope.name if isinstance(scope, ast.ClassDef) else None)
 
 
-def _is_dataclass(node):
-    return isinstance(node, ast.ClassDef) and any(
-        "dataclass" in {getattr(d, "id", None), getattr(getattr(d, "func", None), "id", None)}
-        for d in node.decorator_list
-    )
-
-
-def test_every_dataclass_field_is_read_in_the_library():
+def test_every_field_is_read_in_the_library():
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     found = _Reads(trees).found
     fields = [
-        (module, node.name, field.target.id)
+        (module, node.name, name)
         for module, tree in trees.items()
-        for node in ast.walk(tree) if _is_dataclass(node)
-        for field in node.body if _is_field(field)
+        for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+        for name in _fields(node)
     ]
-    assert fields, "no dataclass field found"
+    assert fields, "no field found"
     unread = [
         f"{module}.{cls}.{name}"
         for module, cls, name in fields

@@ -9,6 +9,7 @@ from dualracah.errors import BadN, BadQ, IndexOutOfRange
 from dualracah.params import (
     QR,
     R,
+    ParamSet,
     ell,
     energy,
     eta,
@@ -142,6 +143,22 @@ def test_dual_is_involution():
         pd = p.dual()
         assert pd.d == p.dtilde
         assert pd.dual() == p
+
+
+@pytest.mark.parametrize("family", [R, QR])
+def test_param_set_is_frozen_and_hashed_by_value(family):
+    """A parameter tuple refuses assignment; equal tuples make equal
+    records with equal hashes, whichever way they were built, the dual of
+    the dual included."""
+    p = std_params(family, 6)
+    with pytest.raises(AttributeError):
+        p.d = rat(1, 3)
+    assert p.d == std_params(family, 6).d
+    same = [std_params(family, 6), ParamSet(*p), p.dual().dual(), shift(shift(p, 1), -1)]
+    for other in same:
+        assert other == p and hash(other) == hash(p)
+    assert len({p, *same}) == 1
+    assert p.dual() != p and hash(p.dual().dual()) == hash(p)
 
 
 def test_twist_preserves_eta():

@@ -5,7 +5,6 @@ import re
 import subprocess
 import sys
 import textwrap
-from dataclasses import replace
 from math import comb, factorial
 from pathlib import Path
 
@@ -29,7 +28,14 @@ from dualracah.recurrence import (
     verify_recurrence,
     xhat_minus1,
 )
-from comparators import poly_add, poly_mul, poly_neg, poly_recurrence_failures, poly_scale
+from comparators import (
+    poly_add,
+    poly_mul,
+    poly_neg,
+    poly_recurrence_failures,
+    poly_scale,
+    replace,
+)
 from conftest import MATRIX, SEEDS, Y_ETA, Y_ONE, r_by_solve, std_params
 
 FAMILIES = (R, QR)
@@ -418,8 +424,6 @@ def test_band_identities_survive_python_O():
     xhat_minus1 and verify_recurrence are explicit checks, not asserts."""
     script = textwrap.dedent(
         """
-        from dataclasses import replace
-
         from dualracah import multiindexed, recurrence
         from dualracah.backend import rat
         from dualracah.errors import CrossCheckMismatch
@@ -430,7 +434,7 @@ def test_band_identities_survive_python_O():
         s = multiindexed.build_mi_system(make_params("R", 5, b=10, c=rat(1, 2), d=rat(2, 5)), (1,))
         xp = recurrence.build_X(s, Poly([rat(1)]))
         try:
-            recurrence.extract_r(s, replace(xp, grid={**xp.grid, 3: xp.grid[3] + 1}))
+            recurrence.extract_r(s, xp._replace(grid={**xp.grid, 3: xp.grid[3] + 1}))
         except CrossCheckMismatch as e:
             print("grid:", e)
 
@@ -441,7 +445,7 @@ def test_band_identities_survive_python_O():
         except CrossCheckMismatch as e:
             print("X:", e)
         try:
-            recurrence.xhat_minus1(replace(xp, grid={**xp.grid, -1: xp.grid[-1] + 1}), s)
+            recurrence.xhat_minus1(xp._replace(grid={**xp.grid, -1: xp.grid[-1] + 1}), s)
         except CrossCheckMismatch as e:
             print("off-grid:", e)
 

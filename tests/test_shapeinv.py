@@ -124,10 +124,9 @@ def test_deformed_systems_are_not_shape_invariant(family, D, pipe):
 
 
 def test_extra_candidate_is_tested(pipe):
-    import dataclasses
     pl = pipe(R, 6, (1,))
     p = pl.params
-    wild = dataclasses.replace(p, N=5, a=p.a + 1, b=p.b + 1, c=p.c + 2, d=p.d + 1)
+    wild = p._replace(N=5, a=p.a + 1, b=p.b + 1, c=p.c + 2, d=p.d + 1)
     rep = si_test(pl, Y_ONE, 256, [("wild", wild)])
     names = [v.name for v in rep.verdicts]
     assert "wild" in names
