@@ -20,8 +20,9 @@ at a time by ``RacahColumns``, by the three-term recurrence of
 (``qlimit.QSumColumns``: the terminating q-sum of ``racah_value`` with its
 factors shared across the table, on raw mpmath tuples), so this module
 stays float-free.  ``racah_value``, the sum for a single value, serves the
-virtual-state values (base values at the twisted parameters, formed once
-per ``multiindexed.GridTable``) and the base suite's spot row.
+virtual states (base values at the twisted parameters: the d_k+1 nodes of
+each polynomial of an exact ``multiindexed.GridTable``, every value of a
+float one) and the base suite's spot row.
 
 The squared ground state phi0^2(0..N) is a table (``phi0_sq_table``) run by
 detailed balance, B(x) phi0^2(x) = D(x+1) phi0^2(x+1), from phi0^2(0) = 1;
@@ -40,14 +41,18 @@ from __future__ import annotations
 
 from math import prod
 
-from .backend import rat
+from .backend import is_rational, rat
 from .errors import IndexOutOfRange, InadmissibleParams, NonPositiveWeight, ZeroDenominator
 from .params import R, ParamSet, eta, factor, ipow
 
 
 def poch(p: ParamSet, u, n: int, k: int = 0):
     """(u+k)_n (R) or (u*q^k; q)_n (qR): ``params.factor(p, u, i)``
-    multiplied for i = k..k+n-1 in turn."""
+    multiplied for i = k..k+n-1 in turn.  On an exact u the numerators and
+    the denominators are multiplied as integers, into one rational."""
+    if is_rational(u):
+        fs = [factor(p, u, i) for i in range(k, k + n)]
+        return rat(prod(f.numerator for f in fs), prod(f.denominator for f in fs))
     acc = u * 0 + 1
     for i in range(k, k + n):
         acc = acc * factor(p, u, i)

@@ -10,11 +10,13 @@ are taken on integers.
   dual recurrence V*T = diag(Ebar)*V read as T^T*v_x = Ebar[x]*v_x) reads
   each row of A over its band only, and forms a rational residual only
   where the identity fails.
-* ``gram_band``, the Gram kernel: the entries i <= j <= i+w of the
-  symmetric G = rows*diag(weights)*rows^T.  A projection reads a band of
-  it; an orthogonality relation is its whole upper triangle against the
-  expected diagonal (``gram_residuals``).  The dual orthogonality is one
-  of them.
+* ``_gram_ints``, the Gram kernel: the entries i <= j <= i+w of the
+  symmetric G = rows*diag(weights)*rows^T, on the cleared rows times the
+  weights cleared once.  A projection reads a band of it as rationals
+  (``gram_band``); an orthogonality relation is its whole upper triangle
+  against the expected diagonal (``gram_residuals``), compared on
+  integers, with a rational residual formed only on a miss.  The dual
+  orthogonality is one of them.
 
 ``SquareMatrix`` holds a dense matrix of ``Fraction`` entries; ``rat``
 keeps an entry that already is one as the same object.  Its one arithmetic
@@ -85,37 +87,42 @@ class SquareMatrix:
         return [row[j] for row in self.rows]
 
 
+def _gram_ints(rows, weights, w: int) -> dict:
+    """The Gram kernel: {(i, j): (s, t)} for i <= j <= i + w, in row-major
+    order, with G[i][j] = s/t.  Rows are cleared to r_i/f_i and the weights
+    once to c/F; s is the integer dot product of r_i*c with r_j and
+    t = f_i*f_j*F, so no rational is formed."""
+    right, row_f = _cleared_int_rows(rows)
+    (cs,), (F,) = _cleared_int_rows([weights])
+    left = [list(map(mul, r, cs)) for r in right]
+    n = len(right)
+    return {
+        (i, j): (sum(map(mul, left[i], right[j])), row_f[i] * row_f[j] * F)
+        for i in range(n)
+        for j in range(i, min(n, i + w + 1))
+    }
+
+
 def gram_residuals(rows, weights, norms) -> list:
     """Residuals of the weighted Gram matrix against its expected diagonal:
     (i, j, G[i][j] - delta_ij * norms[i]) for every i <= j where that is
-    nonzero, in row-major order, from the whole upper triangle of
-    ``gram_band``.  Empty = the rows are orthogonal under the weights with
-    squared norms ``norms``.
-    """
+    nonzero, in row-major order, over the whole upper triangle.  Empty = the
+    rows are orthogonal under the weights with squared norms ``norms``.
+    Compared on integers; a residual is formed only on a miss."""
     out = []
-    for (i, j), g in gram_band(rows, weights, len(rows)).items():
-        residual = g - norms[i] if i == j else g
-        if residual != 0:
-            out.append((i, j, residual))
+    for (i, j), (s, t) in _gram_ints(rows, weights, len(rows)).items():
+        p, q = (norms[i].numerator, norms[i].denominator) if i == j else (0, 1)
+        miss = q * s - p * t
+        if miss:
+            out.append((i, j, rat(miss, q * t)))
     return out
 
 
 def gram_band(rows, weights, w: int) -> dict:
     """Entries (i, j) with i <= j <= i + w of G = rows*diag(weights)*rows^T,
-    in row-major order; G is symmetric, so G[j][i] is entry (i, j).
-
-    Each row, and each row times the weights, is cleared to integers once
-    and only those dot products are taken, so each entry is the canonical
-    rational of the dense product's entry.
-    """
-    left, row_f = _cleared_int_rows([[v * c for v, c in zip(row, weights)] for row in rows])
-    right, col_f = _cleared_int_rows(rows)
-    n = len(right)
-    return {
-        (i, j): rat(sum(map(mul, left[i], right[j])), row_f[i] * col_f[j])
-        for i in range(n)
-        for j in range(i, min(n, i + w + 1))
-    }
+    in row-major order; G is symmetric, so G[j][i] is entry (i, j).  Each
+    is the canonical rational of the dense product's entry."""
+    return {ij: rat(s, t) for ij, (s, t) in _gram_ints(rows, weights, w).items()}
 
 
 def eigen_misses(rows, vectors, values) -> list:

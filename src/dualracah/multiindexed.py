@@ -11,11 +11,12 @@ certified during the build: a failure raises, under every interpreter
 flag.
 
 Only the last Casoratian column depends on the label n.  The virtual-state
-rows, the Pochhammer factors r_j(x), the base-value columns P_0(y)..P_N(y),
-the Vandermonde products and the normalizations C_D and C_(D,n) are
-evaluated once per (parameters, D) by a ``GridTable`` that lives for one
-build.  Within the table, the pieces that depend on neither n, x nor j are
-formed once:
+rows (on an exact table each xi_(d_k), of degree d_k in eta, interpolated
+once through y = 0..d_k), the Pochhammer factors r_j(x), the base-value
+columns P_0(y)..P_N(y), the Vandermonde products and the normalizations
+C_D and C_(D,n) are evaluated once per (parameters, D) by a ``GridTable``
+that lives for one build.  Within the table, the pieces that depend on
+neither n, x nor j are formed once:
 
 - the twisted parameter set of the virtual-state values and the shifted
   sets lambda + i*delta, i < M;
@@ -132,9 +133,17 @@ class GridTable:
 
     def xi_row(self, y: int) -> list:
         """Virtual-state values xi_{d_k}(y), k = 1..M: the base values of
-        degree d_k at the twisted parameters (do not mutate)."""
+        degree d_k at the twisted parameters (do not mutate).  A float
+        table sums each by ``racah_value`` (the q->1 gaps pin its order);
+        an exact one interpolates xi_{d_k} once through y = 0..d_k (module
+        docstring) and evaluates it by integer Horner."""
         tw = self._get("twisted", lambda: twist(self.p))
-        return self._get(("xi", y), lambda: [racah_value(dk, y, tw) for dk in self.D])
+        if not self.p.is_exact():
+            return self._get(("xi", y), lambda: [racah_value(dk, y, tw) for dk in self.D])
+        polys = self._get("xi_polys", lambda: [interpolate(
+            [eta(z, tw) for z in range(dk + 1)], [racah_value(dk, z, tw) for z in range(dk + 1)]
+        ) for dk in self.D])
+        return self._get(("xi", y), lambda: [pol(eta(y, tw)) for pol in polys])
 
     def base_column(self, y: int) -> tuple:
         """Base values (P_0(y), ..., P_N(y))."""

@@ -1,5 +1,7 @@
 """Undeformed finite orthogonal families: values, duality, orthogonality."""
 
+from fractions import Fraction
+
 import mpmath
 import pytest
 
@@ -15,7 +17,7 @@ from dualracah.basefamily import (
 )
 from dualracah.errors import InadmissibleParams, NonPositiveWeight
 from dualracah import report
-from dualracah.params import QR, R, ParamSet, energy, eta, make_params, twist, validate
+from dualracah.params import QR, R, ParamSet, energy, eta, factor, make_params, twist, validate
 from dualracah.qlimit import LADDER_KS, QSumColumns, matched_q_params
 from dualracah.backend import rat, rat_to_str
 from comparators import c_n_per_family, dn_sq_table_per_family, qpoch
@@ -99,6 +101,24 @@ def test_one_pochhammer_product_matches_per_family_forms(family, N):
         for n in range(N + 1):
             assert c_n(n, t) == c_n_per_family(n, t)
     assert dn_sq_table(p) == dn_sq_table_per_family(p)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("N", [1, 6])
+def test_exact_pochhammer_is_the_factor_product(family, N):
+    """On an exact u ``poch`` multiplies the numerators and denominators as
+    integers into one rational: the product of ``params.factor`` taken one
+    factor at a time, as a ``Fraction``, for n = 0..2N from k = 0, 1, N."""
+    p = std_params(family, N)
+    tw = twist(p)
+    for u in (p.a, p.b, p.c, p.d, p.dtilde, tw.a, tw.b):
+        for k in (0, 1, N):
+            for n in range(2 * N + 1):
+                acc = rat(1)
+                for i in range(k, k + n):
+                    acc = acc * factor(p, u, i)
+                got = poch(p, u, n, k)
+                assert type(got) is Fraction and got == acc
 
 
 @pytest.mark.parametrize("precision", [53, 256])

@@ -104,13 +104,13 @@ def test_one_gram_serves_the_dual_suite_and_every_ladder(monkeypatch):
     for y in seeds:
         pl.closure(y)  # every stage before the Gram, built uncounted
     grams = []
-    band = linalg.gram_band
+    kernel = linalg._gram_ints  # the one Gram kernel of gram_band and gram_residuals
 
     def counted(*args):
         grams.append(args)
-        return band(*args)
+        return kernel(*args)
 
-    monkeypatch.setattr(linalg, "gram_band", counted)
+    monkeypatch.setattr(linalg, "_gram_ints", counted)
     assert report._suite_dual(cfg, pl)["pass"]
     for y in seeds:
         closure.verify_ladder(pl.hamiltonian(y), pl.closure(y))

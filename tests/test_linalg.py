@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualracah import linalg
 from dualracah.backend import rat
 from dualracah.errors import SingularMatrix
 from dualracah.linalg import (
@@ -24,7 +25,8 @@ from dualracah.linalg import (
     gram_residuals,
 )
 from dualracah.multiindexed import GridTable
-from dualracah.params import R
+from dualracah.params import QR, R
+from dualracah.pipeline import Pipeline
 from dualracah.qlimit import QSumColumns, matched_q_params
 from comparators import (
     commutator,
@@ -384,6 +386,32 @@ def test_gram_residuals_equal_triple_loop(n, data):
         rows = [[rat(data.draw(small)) for _ in range(n)] for _ in range(n)]
         norms = [rat(data.draw(small)) for _ in range(n)]
     assert gram_residuals(rows, weights, norms) == _ortho_loop(rows, weights, norms)
+    # one weight, one norm and one row entry moved, each on its own
+    i, x, bump = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1)), rat(1, 3)
+    moved_rows = [list(row) for row in rows]
+    moved_rows[i][x] += bump
+    for args in (
+        (rows, weights[:x] + [weights[x] + bump] + weights[x + 1:], norms),
+        (rows, weights, norms[:i] + [norms[i] + bump] + norms[i + 1:]),
+        (moved_rows, weights, norms),
+    ):
+        assert gram_residuals(*args) == _ortho_loop(*args)
+
+
+@pytest.mark.parametrize("family", [R, QR])
+def test_passing_gram_residuals_form_no_rational(family, monkeypatch):
+    """A cost guard made of counts: on tables that pass, the mi and the dual
+    orthogonality compare on integers only and call ``rat`` zero times."""
+    pipe = Pipeline(std_params(family, 6), (1, 2))
+    s, t = pipe.system(), pipe.dual()
+    cases = [
+        (s.pdn_grid, s.weights, [1 / v for v in s.dDn_sq]),
+        (list(zip(*t.V.rows)), t.weights, t.norms),
+    ]
+    calls = []
+    monkeypatch.setattr(linalg, "rat", lambda *args: calls.append(args) or rat(*args))
+    assert [gram_residuals(*case) for case in cases] == [[], []]
+    assert calls == []
 
 
 @settings(max_examples=60)

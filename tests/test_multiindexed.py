@@ -35,7 +35,7 @@ from dualracah.multiindexed import (
     sign_changes,
     verify_ortho,
 )
-from dualracah.params import QR, R, ell, eta, make_params, shift, validate
+from dualracah.params import QR, R, ell, eta, make_params, shift, twist, validate
 from dualracah.pipeline import Pipeline
 from dualracah.qlimit import LADDER_KS, QSumColumns, float_tables, matched_q_params
 from comparators import (
@@ -515,6 +515,29 @@ def test_corrupted_table_entry_raises(fault):
         with pytest.raises(FAULT_ERRORS.get(fault, CrossCheckMismatch), match=FAULTS[fault][3]):
             build_mi_system(p, D)
     build_mi_system(p, D)  # the patch is gone again
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("N", [2, 5, 9])
+def test_exact_build_sums_virtual_states_at_their_nodes_only(family, N, monkeypatch):
+    """A cost guard made of counts: an exact build sums ``racah_value`` only
+    at the d_k+1 interpolation nodes of each virtual state, once each, on
+    each of its two twisted tuples (the main and the shifted table), at
+    every N."""
+    calls = []
+    orig = multiindexed.racah_value
+
+    def counted(n, y, t):
+        calls.append((n, y, t))
+        return orig(n, y, t)
+
+    monkeypatch.setattr(multiindexed, "racah_value", counted)
+    p, D = std_params(family, N), (1, 2)
+    build_mi_system(p, D)
+    tuples = (twist(p), twist(shift(p, 1, "delta")))
+    assert sorted(calls, key=str) == sorted(
+        ((dk, y, t) for t in tuples for dk in D for y in range(dk + 1)), key=str
+    )
 
 
 def test_leading_xi_formed_once_per_build(monkeypatch):

@@ -178,13 +178,15 @@ def test_skewed_weight_misses_its_node(monkeypatch):
         interpolate([rat(k, 3) for k in range(5)], [rat(1, k + 1) for k in range(5)])
 
 
-# R, N=5, D=(1,2): ell_D = 2, so Xi_D and P_0 take 3 weights each and P_1
-# takes 4; X through Y = 1 has L = 3 and takes 4, and its value at j=0 is
-# zero, so a skew there would not show.  Each case skews one weight of one
-# interpolant.
+# R, N=5, D=(1,2): a build first interpolates the virtual states xi_1 and
+# xi_2 through 2 and 3 weights; ell_D = 2, so Xi_D and P_0 take 3 weights
+# each and P_1 takes 4; X through Y = 1 has L = 3 and takes 4, and its
+# value at j=0 is zero, so a skew there would not show.  Each case skews
+# one weight of one interpolant.
 KERNEL_FAULTS = {
     "closure-R0": (2, 2, lambda pl: closure.solve_closure(pl.hamiltonian(Y_ONE))),
-    "pdn-P1": (3 + 3 + 1, 1, lambda pl: multiindexed.build_mi_system(pl.params, pl.D)),
+    "virtual-xi2": (2 + 1, 1, lambda pl: multiindexed.build_mi_system(pl.params, pl.D)),
+    "pdn-P1": (2 + 3 + 3 + 3 + 1, 1, lambda pl: multiindexed.build_mi_system(pl.params, pl.D)),
     "X": (3, 3, lambda pl: recurrence.build_X(pl.system(), Y_ONE)),
 }
 
@@ -193,7 +195,8 @@ KERNEL_FAULTS = {
 @pytest.mark.parametrize("case", KERNEL_FAULTS)
 def test_skewed_kernel_fails_every_caller(family, case, pipe, monkeypatch):
     """A weight skewed inside the kernel fails the node certificate for a
-    closure polynomial, a deformed polynomial and X alike, at its node."""
+    closure polynomial, a virtual state, a deformed polynomial and X alike,
+    at its node."""
     k, j, build = KERNEL_FAULTS[case]
     pl = pipe(family, 5, (1, 2))
     pl.hamiltonian(Y_ONE)

@@ -15,8 +15,9 @@ from fractions import Fraction
 import pytest
 
 from dualracah import report
+from dualracah.basefamily import racah_value
 from dualracah.multiindexed import GridTable
-from dualracah.params import QR, R, ell, make_params, validate
+from dualracah.params import QR, R, ell, make_params, shift, twist, validate
 from dualracah.pipeline import Pipeline
 from dualracah.recurrence import verify_recurrence
 from comparators import poly_recurrence_failures, tridiagonal_closure
@@ -86,6 +87,21 @@ def test_random_tuple_passes_every_exact_suite_and_oracle(raw):
     assert verify_recurrence(s, xp, t) == poly_recurrence_failures(s, xp, t) == []
     # the closure's tridiagonal residual in the dual eigenbasis
     assert tridiagonal_closure(pipe.hamiltonian(Y), pipe.closure(Y)) == []
+
+
+@pytest.mark.parametrize(
+    "raw", CASES, ids=[f"{i}-{c['family']}-N{c['N']}-D{c['D']}" for i, c in enumerate(CASES)]
+)
+def test_virtual_state_rows_equal_their_sums(raw):
+    """Each exact virtual-state value, read from its interpolated
+    polynomial, is the hypergeometric sum it replaced, on the main and the
+    shifted table, past the grid as far as the cofactor route reads."""
+    cfg = report.parse_config(raw)
+    p, D = cfg.params(), cfg.D
+    for t in (p, shift(p, 1, "delta")):
+        tab, tw = GridTable(D, t), twist(t)
+        for y in range(ell(D) + cfg.N + len(D) + 2):
+            assert tab.xi_row(y) == [racah_value(dk, y, tw) for dk in D]
 
 
 def test_grid_zero_passes_every_exact_suite():
