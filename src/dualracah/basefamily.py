@@ -32,9 +32,11 @@ in the tests as oracles.
 
 Each q-Racah closed form is its Racah form with every (u)_n read as
 (u;q)_n, so one product, ``poch`` over ``params.factor``, writes ``c_n``
-and d_0^2 for both families.  The formulas on the q->1 float route (the
-potentials, ``racah_value``, ``etilde_v``, ``varphi``) stay per family:
-the printed gaps pin their rounding order.
+and d_0^2 for both families; on exact values it multiplies integer pairs
+(``poch_pair``), as do the potentials B and D, which only exact tuples
+read.  The formulas on the q->1 float route (B', ``racah_value``,
+``etilde_v``, ``varphi``) stay per family: the printed gaps pin their
+rounding order.
 """
 
 from __future__ import annotations
@@ -43,16 +45,23 @@ from math import prod
 
 from .backend import is_rational, rat
 from .errors import IndexOutOfRange, InadmissibleParams, NonPositiveWeight, ZeroDenominator
-from .params import R, ParamSet, eta, factor, ipow
+from .params import R, ParamSet, eta, factor, factor_pair, ipow, twist
+
+
+def poch_pair(p: ParamSet, u: tuple, n: int, k: int = 0) -> tuple:
+    """``poch`` of the integer pair u = (num, den) of an exact value, k of
+    either sign: the products of the numerators and of the denominators of
+    ``params.factor_pair``, unreduced."""
+    fs = [factor_pair(p, u, i) for i in range(k, k + n)]
+    return prod(f[0] for f in fs), prod(f[1] for f in fs)
 
 
 def poch(p: ParamSet, u, n: int, k: int = 0):
     """(u+k)_n (R) or (u*q^k; q)_n (qR): ``params.factor(p, u, i)``
-    multiplied for i = k..k+n-1 in turn.  On an exact u the numerators and
-    the denominators are multiplied as integers, into one rational."""
+    multiplied for i = k..k+n-1 in turn; an exact u gives the one rational
+    of ``poch_pair``."""
     if is_rational(u):
-        fs = [factor(p, u, i) for i in range(k, k + n)]
-        return rat(prod(f.numerator for f in fs), prod(f.denominator for f in fs))
+        return rat(*poch_pair(p, (u.numerator, u.denominator), n, k))
     acc = u * 0 + 1
     for i in range(k, k + n):
         acc = acc * factor(p, u, i)
@@ -60,41 +69,44 @@ def poch(p: ParamSet, u, n: int, k: int = 0):
 
 
 def potential(x: int, p: ParamSet, which: str = "B"):
-    # "Bprime" is "B" at twist(p), exactly; it is written out because the
-    # q->1 floats pin its operation order, which the twisted tuple rounds
-    # differently in the last bit.
-    a, b, c, d = p.a, p.b, p.c, p.d
-    if p.family == R:
-        if which == "B":
-            num = -(x + a) * (x + b) * (x + c) * (x + d)
-            den = (2 * x + d) * (2 * x + 1 + d)
-        elif which == "D":
-            num = -(x + d - a) * (x + d - b) * (x + d - c) * x
-            den = (2 * x - 1 + d) * (2 * x + d)
-        elif which == "Bprime":
-            num = -(x + d - a + 1) * (x + d - b + 1) * (x + c) * (x + d)
-            den = (2 * x + d) * (2 * x + 1 + d)
-        else:
-            raise ValueError(f"unknown potential {which!r}")
-    else:
-        q = p.q
+    """B(x) = -prod_(u = a,b,c,d) f(u, x) / (f(d, 2x) f(d, 2x+1)) and
+    D(x) = -t prod_(u = d-a, d-b, d-c, d-d) f(u, x) / (f(d, 2x-1) f(d, 2x))
+    with f = ``params.factor``, for qR with d-u read as d/u and t = dtilde
+    (t = 1 for R): for exact tuples only, one rational of integer pairs
+    (``params.factor_pair``).  It is 0 where the numerator vanishes (B(N),
+    D(0)), also where the denominator does (D(0) at d=1; d=q for qR).
+    "Bprime" is "B" at twist(p); for floats (qR) it is written out because
+    the q->1 gaps pin its operation order."""
+    if which == "Bprime":
+        if p.is_exact():
+            return potential(x, twist(p), "B")
+        a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
         qx = ipow(q, x)
-        if which == "B":
-            num = -(1 - a * qx) * (1 - b * qx) * (1 - c * qx) * (1 - d * qx)
-            den = (1 - d * ipow(q, 2 * x)) * (1 - d * ipow(q, 2 * x + 1))
-        elif which == "D":
-            num = -p.dtilde * (1 - d * qx / a) * (1 - d * qx / b) * (1 - d * qx / c) * (1 - qx)
-            den = (1 - d * ipow(q, 2 * x - 1)) * (1 - d * ipow(q, 2 * x))
-        elif which == "Bprime":
-            num = -(1 - d * qx * q / a) * (1 - d * qx * q / b) * (1 - c * qx) * (1 - d * qx)
-            den = (1 - d * ipow(q, 2 * x)) * (1 - d * ipow(q, 2 * x + 1))
-        else:
-            raise ValueError(f"unknown potential {which!r}")
-    if num == 0:  # B(N), D(0): also where den vanishes (D(0) at d=1; d=q for qR)
-        return num
-    if den == 0:
+        num = -(1 - d * qx * q / a) * (1 - d * qx * q / b) * (1 - c * qx) * (1 - d * qx)
+        den = (1 - d * ipow(q, 2 * x)) * (1 - d * ipow(q, 2 * x + 1))
+        if num == 0:
+            return num
+        if den == 0:
+            raise ZeroDenominator(f"potential {which} denominator vanishes at x={x}")
+        return num / den
+    if which not in ("B", "D"):
+        raise ValueError(f"unknown potential {which!r}")
+    a, b, c, d = ((v.numerator, v.denominator) for v in (p.a, p.b, p.c, p.d))
+    fs, us, k = [(-1, 1)], (a, b, c, d), 2 * x
+    if which == "D" and p.family == R:
+        us, k = [(d[0] * u[1] - u[0] * d[1], d[1] * u[1]) for u in us], k - 1
+    elif which == "D":
+        qn, qd = p.q.numerator, p.q.denominator
+        fs = [(-a[0] * b[0] * c[0] * d[1] * qd, a[1] * b[1] * c[1] * d[0] * qn)]
+        us, k = [(d[0] * u[1], d[1] * u[0]) for u in us], k - 1
+    fs += [factor_pair(p, u, x) for u in us]
+    num = prod(f[0] for f in fs)
+    if num == 0:
+        return rat(0)
+    (d0, e0), (d1, e1) = factor_pair(p, d, k), factor_pair(p, d, k + 1)
+    if d0 * d1 == 0:
         raise ZeroDenominator(f"potential {which} denominator vanishes at x={x}")
-    return num / den
+    return rat(num * e0 * e1, prod(f[1] for f in fs) * d0 * d1)
 
 
 def racah_value(n: int, x: int, p: ParamSet):

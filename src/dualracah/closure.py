@@ -1,11 +1,13 @@
 """Closure relation and ladder operators, certified in the dual eigenbasis.
 
 The three closure polynomials are the interpolants of degree <= N through
-node data built from the X grid, by the library's one interpolation
-(``poly.interpolate``, on cleared integers), which certifies each at its
-nodes.  At X_n, with A = X_n - X_(n-1) and G = X_(n+1) - X_n, the node
-data are R0 = A*G, R1 = G - A and Rm1 = -b_dual[n]*R0; the triple keeps
-R0's as its values on the spectrum it was solved on.
+node data built from the X grid (``closure_nodes``), by one call of the
+library's one interpolation (``poly.interpolate``, three rows on cleared
+integers), which certifies each at its nodes.  At X_n, with A = X_n -
+X_(n-1) and G = X_(n+1) - X_n, the node data are R0 = A*G, R1 = G - A and
+Rm1 = -b_dual[n]*R0.  The checks read the node data alone (R0's are its
+values on the spectrum), so only the closure suite, which prints the
+polynomials, solves for them.
 
 Everything else rests on the eigenbasis: h_tilde*V = V*diag(X), the
 columns of V the dual polynomials (the r-table's grid certificate), and
@@ -42,6 +44,13 @@ from .errors import CrossCheckMismatch, SingularR0
 from .poly import Poly, interpolate
 
 
+class ClosureNodes(NamedTuple):
+    nodes: tuple           # the spectrum X(0..N)
+    r0_on_spectrum: tuple  # node data of R0, R1 and Rm1: R0 at each node
+    r1_on_spectrum: tuple
+    rm1_on_spectrum: tuple
+
+
 class ClosureTriple(NamedTuple):
     R0: Poly
     R1: Poly
@@ -54,30 +63,36 @@ class ClosureTriple(NamedTuple):
         return self.R0[0] == 0
 
 
-def solve_closure(h: DualHamiltonian) -> ClosureTriple:
-    """R0, R1 and Rm1 as the interpolants of degree <= N through their node
-    data on the spectrum, which ``interpolate`` certifies at every node; R0's
-    node data are then its values on the spectrum."""
+def closure_nodes(h: DualHamiltonian) -> ClosureNodes:
+    """The node data of R0, R1 and Rm1 on h's spectrum, from its X grid."""
     X = h.x_grid
-    nodes = h.energies
     b_dual = h.dual.b_dual
-
-    beta0 = [(X[j + 1] - X[j]) * (X[j] - X[j - 1]) for j in range(len(nodes))]
-    beta1 = [X[j + 1] - 2 * X[j] + X[j - 1] for j in range(len(nodes))]
+    beta0 = [(X[j + 1] - X[j]) * (X[j] - X[j - 1]) for j in range(len(h.energies))]
+    beta1 = [X[j + 1] - 2 * X[j] + X[j - 1] for j in range(len(h.energies))]
     betam1 = [-b0 * b_dual[j] for j, b0 in enumerate(beta0)]
-    polys = [interpolate(nodes, beta) for beta in (beta0, beta1, betam1)]
-    return ClosureTriple(*polys, nodes, tuple(beta0))
+    return ClosureNodes(h.energies, tuple(beta0), tuple(beta1), tuple(betam1))
 
 
-def verify_closure(h: DualHamiltonian, c: ClosureTriple) -> None:
-    """Certify the closure relation: h's eigenbasis, then that c was solved
-    on h's spectrum; CrossCheckMismatch at the first that fails."""
+def solve_closure(h: DualHamiltonian, data: ClosureNodes = None) -> ClosureTriple:
+    """R0, R1 and Rm1 as the interpolants of degree <= N through their node
+    data on the spectrum (``data``, else ``closure_nodes(h)``), by one
+    ``interpolate`` of the three rows, which certifies every node; R0's
+    node data are then its values on the spectrum."""
+    d = closure_nodes(h) if data is None else data
+    polys = interpolate(d.nodes, d.r0_on_spectrum, d.r1_on_spectrum, d.rm1_on_spectrum)
+    return ClosureTriple(*polys, d.nodes, d.r0_on_spectrum)
+
+
+def verify_closure(h: DualHamiltonian, c) -> None:
+    """Certify the closure relation: h's eigenbasis, then that c (node data
+    or a triple solved from them) was built on h's spectrum;
+    CrossCheckMismatch at the first that fails."""
     h.eigenbasis  # raises unless certified
     if c.nodes != h.energies:
         raise CrossCheckMismatch("closure triple was solved on another spectrum")
 
 
-def verify_ladder(h: DualHamiltonian, c: ClosureTriple) -> None:
+def verify_ladder(h: DualHamiltonian, c) -> None:
     """Certify both ladder actions: what ``verify_closure`` certifies, then
     R0 != 0 on the spectrum (SingularR0 otherwise).  R0 is the product of
     the two gaps at each node and X increases strictly on 0..N, so only an

@@ -24,14 +24,15 @@ operation, the product (the same integer clearing, each entry one
 canonical rational), is the tests' dense oracle: the library forms no
 product.
 
-The small Casoratians have one elimination kernel over any field (their
-entries are floats in the q->1 checks; nothing here imports a float
-library).  ``LeadingElimination`` eliminates the leading columns of a
-matrix once and records the pivot rows, the multipliers, the sign and the
-running product of the pivots; ``det`` then reduces any last column with
-those records.  A bordered Casoratian whose leading columns do not depend
-on the label is thus eliminated once for every label.  ``generic_det`` is
-the same kernel on one whole matrix.
+The small Casoratians have two elimination kernels.  The exact one,
+``bordered_dets``, eliminates the leading columns of an integer matrix
+once, fraction-free (Bareiss), and gives the determinant with each
+further column as the last: bordered by the unit columns, every cofactor
+of a bordered column at once.  ``LeadingElimination``, the float route's
+(the q->1 checks; nothing here imports a float library), records one
+elimination of the leading columns for any last column, in the order of
+one elimination of the whole matrix, so a float determinant rounds as
+that elimination does.
 """
 
 from __future__ import annotations
@@ -147,6 +148,31 @@ def eigen_misses(rows, vectors, values) -> list:
     return out
 
 
+def bordered_dets(rows) -> list:
+    """det[leading n-1 columns | column t] for each further column t of an
+    integer matrix of n >= 1 rows, by one fraction-free (Bareiss)
+    elimination: each entry is then a minor of the row-permuted matrix, so
+    every division by the previous pivot is exact.  A leading column
+    without a pivot makes every determinant zero."""
+    m = [list(r) for r in rows]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        pivot = next((i for i in range(k, n) if m[i][k]), None)
+        if pivot is None:
+            return [0] * (len(m[0]) - n + 1)
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        top = m[k]
+        pk = top[k]
+        for row in m[k + 1:]:
+            f = row[k]
+            row[k + 1:] = [(pk * v - f * t) // prev for v, t in zip(row[k + 1:], top[k + 1:])]
+        prev = pk
+    return [sign * v for v in m[-1][n - 1:]]
+
+
 class LeadingElimination:
     """Gaussian elimination of the n-1 leading columns of an n x n matrix,
     recorded for any last column.
@@ -199,11 +225,3 @@ class LeadingElimination:
                 c[i] = c[i] - f * top
         acc = c[-1] if self.product is None else self.product * c[-1]
         return self.sign * acc
-
-
-def generic_det(rows) -> object:
-    """Determinant over any field scalars: ``LeadingElimination`` of the
-    whole matrix (for rationals the division steps are exact)."""
-    if not rows:
-        return 1
-    return LeadingElimination([r[:-1] for r in rows]).det([r[-1] for r in rows])

@@ -26,24 +26,25 @@ neither n, x nor j are formed once:
   ab/(dq) by j and the two q-Pochhammer symbols, multiplied with q^(Mx)
   in the per-entry order.
 
-varphi_(M+1)(x) extends the held varphi_M(x) by its last factors.  The
-M virtual-state columns of each bordered Casoratian are eliminated once
-per x (``linalg.LeadingElimination``).
+varphi_(M+1)(x) extends the held varphi_M(x) by its last factors.
 
-Exact tuples take the cofactor route.  The bordered determinant is linear
-in its last column, so P_(D,n)(x) = sum_j cof_j(x) r_j(x) P_n(x+j-1) /
-(C_(D,n) varphi_(M+1)(x)), where the M+1 cofactors cof_j(x) (the
-elimination reducing the unit columns) do not depend on n.  They are
-taken once per x, folded with r_j(x)/varphi_(M+1)(x) and cleared to
-integers once; each base row P_n(y) is cleared once; each grid value is
-then one integer dot product over C_(D,n), one rational per entry.  The
-last cofactor is the M x M Casoratian of the denominator polynomial, so
-Xi_D(x) on the main grid is cof_(M+1)(x)/(C_D varphi_M(x)); the shifted
-table of Xi_D (lambda+delta) keeps one elimination per x <= N, where it is
-certified equal to P_(D,0)(x) and not kept.  Float tuples
-(the q->1 checks) take the per-entry route: each P_(D,n)(x) reduces its
-bordered column with the recorded elimination, in the order of the
-per-entry formulas, because the printed q->1 gaps pin that rounding.
+Exact tuples take the cofactor route, on integers.  The bordered
+determinant is linear in its last column, so P_(D,n)(x) = sum_j cof_j(x)
+r_j(x) P_n(x+j-1) / (C_(D,n) varphi_(M+1)(x)), where the M+1 cofactors
+cof_j(x) do not depend on n: one fraction-free elimination of the cleared
+virtual-state rows per x gives them all (``linalg.bordered_dets``).  Each
+r_j(x) is one rational of integer Pochhammer pairs; the cofactors are
+folded with r_j(x)/varphi_(M+1)(x) and cleared to integers once, one gcd
+per weight; each base row P_n(y) is cleared once; each grid value is then
+one integer dot product over C_(D,n), one rational per entry.  The last
+cofactor is the M x M Casoratian of the denominator polynomial, so
+Xi_D(x) = cof_(M+1)(x)/(C_D varphi_M(x)), on the main table and on the
+shifted one (lambda+delta, x <= N), where it is certified equal to
+P_(D,0)(x) and not kept.  Float tuples (the q->1 checks) take the
+per-entry route: the M virtual-state columns are eliminated once per x
+(``linalg.LeadingElimination``) and each P_(D,n)(x) reduces its bordered
+column with that record, in the order of the per-entry formulas, because
+the printed q->1 gaps pin that rounding.
 The per-entry formulas live in the tests as oracles; exact values equal
 them, floats agree with them bit for bit.
 
@@ -61,7 +62,7 @@ residual the dual table computes (``dualsystem.DualTable``).
 
 from __future__ import annotations
 
-from math import prod
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
@@ -74,6 +75,7 @@ from .basefamily import (
     etilde_v,
     phi0_sq_table,
     poch,
+    poch_pair,
     potential,
     racah_value,
     varphi,
@@ -85,7 +87,7 @@ from .errors import (
     NonPositiveWeight,
     ZeroDenominator,
 )
-from .linalg import LeadingElimination, _cleared_int_rows, generic_det, gram_residuals
+from .linalg import LeadingElimination, _cleared_int_rows, bordered_dets, gram_residuals
 from .params import R, ParamSet, ell, energy, eta, factor, index_set, ipow, shift, twist, validate
 from .poly import Poly, interpolate
 
@@ -116,9 +118,8 @@ class GridTable:
     elimination: every product is taken in the order of the per-entry
     formulas, and the determinants see the same rows, in the same order,
     and the same elimination steps, so float results agree with those
-    formulas bit for bit, which the q->1 gaps need.  ``xi`` is the
-    denominator polynomial by one whole elimination, for the shifted
-    table; on the main table ``cofactors`` gives it.
+    formulas bit for bit, which the q->1 gaps need.  ``xi``, the
+    denominator polynomial, is the last of ``cofactors``.
     """
 
     def __init__(self, D: Sequence[int], p: ParamSet, columns=RacahColumns):
@@ -224,20 +225,24 @@ class GridTable:
         return self._get("rj_den", make)
 
     def rj(self, j: int, x: int):
-        """Pochhammer-ratio factor multiplying the bordered column entry in row j."""
+        """Pochhammer-ratio factor multiplying the bordered column entry in
+        row j: with a', b' the twisted a, b, (a+x)_(j-1) (b+x)_(j-1)
+        (a'+x+j-1)_(M+1-j) (b'+x+j-1)_(M+1-j) over ``_rj_den`` (q-shifted
+        symbols for qR, over q^(Mx) too).  Exact: one rational of
+        ``poch_pair`` products; floats (qR): the per-entry order."""
 
         def make():
             p, M = self.p, self.M
-            a, b, d = p.a, p.b, p.d
-            if p.family == R:
-                num = (
-                    poch(p, x + a, j - 1)
-                    * poch(p, x + b, j - 1)
-                    * poch(p, x + d - a + j, M + 1 - j)
-                    * poch(p, x + d - b + j, M + 1 - j)
-                )
-                return num / self._rj_den()
-            q = p.q
+            den = self._rj_den()
+            if p.is_exact():
+                tw = self._get("twisted", lambda: twist(p))
+                a, b, ta, tb = ((v.numerator, v.denominator) for v in (p.a, p.b, tw.a, tw.b))
+                fs = [poch_pair(p, u, j - 1, x) for u in (a, b)]
+                fs += [poch_pair(p, u, M + 1 - j, x + j - 1) for u in (ta, tb)]
+                dens = [den] if p.family == R else [den[0][j - 1], ipow(p.q, M * x), *den[1:]]
+                fs += [(v.denominator, v.numerator) for v in dens]
+                return rat(prod(f[0] for f in fs), prod(f[1] for f in fs))
+            a, b, d, q = p.a, p.b, p.d, p.q
             qx = ipow(q, x)
             num = (
                 poch(p, a * qx, j - 1)
@@ -245,39 +250,43 @@ class GridTable:
                 * poch(p, d * ipow(q, x + j) / a, M + 1 - j)
                 * poch(p, d * ipow(q, x + j) / b, M + 1 - j)
             )
-            powers, qa, qb = self._rj_den()
+            powers, qa, qb = den
             return num / (powers[j - 1] * ipow(q, M * x) * qa * qb)
 
         return self._get(("rj", j, x), make)
 
-    def elimination(self, x: int) -> LeadingElimination:
-        """The M virtual-state columns of the bordered Casoratian at x,
-        eliminated once for every label n."""
-        return self._get(
-            ("elim", x),
-            lambda: LeadingElimination([self.xi_row(x + j) for j in range(self.M + 1)]),
-        )
-
     def cofactors(self, x: int) -> tuple:
         """The M+1 cofactors of the bordered column at x (exact tuples):
-        ``elimination(x).det(e_j)``, j = 1..M+1.  The last is the M x M
-        Casoratian of the denominator polynomial at x."""
+        ([c_1, ..., c_(M+1)], F) with cof_j(x) = c_j/F.  The virtual-state
+        rows cleared to U_i/f_i, F = prod f_i, and c_j = f_j*det[U | e_j]
+        by one ``bordered_dets``.  The last is the M x M Casoratian of the
+        denominator polynomial."""
 
         def make():
-            elim, M = self.elimination(x), self.M
-            return tuple(elim.det([int(i == j) for i in range(M + 1)]) for j in range(M + 1))
+            M = self.M
+            us, fs = _cleared_int_rows([self.xi_row(x + i) for i in range(M + 1)])
+            units = [[int(i == j) for j in range(M + 1)] for i in range(M + 1)]
+            dets = bordered_dets([u + e for u, e in zip(us, units)])
+            return [f * v for f, v in zip(fs, dets)], prod(fs)
 
         return self._get(("cof", x), make)
 
     def cofactor_weights(self, x: int) -> tuple:
         """The cofactor weights at x cleared to integers: ((W_1, ...,
-        W_(M+1)), L) with W_j / L = cof_j(x) * r_j(x) / varphi_(M+1)(x)."""
+        W_(M+1)), L) with W_j / L = cof_j(x) * r_j(x) / varphi_(M+1)(x),
+        each reduced by one gcd."""
 
         def make():
             phi = self.varphi(x, self.M + 1)
-            row = [c * self.rj(j, x) / phi for j, c in enumerate(self.cofactors(x), start=1)]
-            (ws,), (den,) = _cleared_int_rows([row])
-            return ws, den
+            cs, F = self.cofactors(x)
+            row = []
+            for j, c in enumerate(cs, start=1):
+                r = self.rj(j, x)
+                num, den = c * r.numerator * phi.denominator, F * r.denominator * phi.numerator
+                g = gcd(num, den)
+                row.append((num // g, den // g))
+            L = lcm(*[den for _, den in row])
+            return [num * (L // den) for num, den in row], L
 
         return self._get(("weights", x), make)
 
@@ -301,19 +310,23 @@ class GridTable:
         return row
 
     def xi(self, x: int):
-        """Grid value of the denominator polynomial (any integer x), by one
-        whole elimination: the route of the shifted table."""
-        M = self.M
-        det = generic_det([self.xi_row(x + j) for j in range(M)])
-        return det / (self.cd() * self.varphi(x, M))
+        """Grid value of the denominator polynomial of an exact tuple (any
+        integer x): the last cofactor over C_D varphi_M(x), one rational."""
+        cs, F = self.cofactors(x)
+        v = self.cd() * self.varphi(x, self.M)
+        return rat(cs[-1] * v.denominator, F * v.numerator)
 
     def pdn(self, n: int, x: int):
         """Grid value of the deformed polynomial via the bordered determinant,
         the per-entry route of float tuples; only the last column,
-        r_j(x) * P_n(x+j-1), depends on n."""
+        r_j(x) * P_n(x+j-1), depends on n, so the M virtual-state columns
+        are eliminated once per x."""
         M = self.M
         column = [self.rj(j, x) * self.base_column(x + j - 1)[n] for j in range(1, M + 2)]
-        return self.elimination(x).det(column) / (self.cdn(n) * self.varphi(x, M + 1))
+        elim = self._get(("elim", x), lambda: LeadingElimination(
+            [self.xi_row(x + j) for j in range(M + 1)]
+        ))
+        return elim.det(column) / (self.cdn(n) * self.varphi(x, M + 1))
 
 
 def leading_xi(D: Sequence[int], p: ParamSet):
@@ -418,10 +431,7 @@ def build_mi_system(p: ParamSet, D: Sequence[int]) -> MISystem:
     p_delta = shift(p, 1, "delta")
     tab = GridTable(D, p)
 
-    cd = tab.cd()
-    xi_grid = {
-        x: tab.cofactors(x)[-1] / (cd * tab.varphi(x, M)) for x in range(max(N + 2, ellD + 1))
-    }
+    xi_grid = {x: tab.xi(x) for x in range(max(N + 2, ellD + 1))}
     if xi_grid[0] != 1:
         raise CrossCheckMismatch(f"denominator polynomial is {xi_grid[0]} at x=0, not 1")
     for x in range(N + 1):

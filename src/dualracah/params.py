@@ -119,6 +119,16 @@ def factor(p: ParamSet, u, k: int):
     return u + k if p.family == R else 1 - u * ipow(p.q, k)
 
 
+def factor_pair(p: ParamSet, u: tuple, k: int) -> tuple:
+    """``factor(p, u, k)`` for the integer pair u = (num, den) of an exact
+    value and k of either sign, as an unreduced integer pair."""
+    n, d = u
+    if p.family == R:
+        return n + k * d, d
+    qn, qd = (p.q.numerator, p.q.denominator) if k >= 0 else (p.q.denominator, p.q.numerator)
+    return d * qd ** abs(k) - n * qn ** abs(k), d * qd ** abs(k)
+
+
 def shift(p: ParamSet, k: int, kind: str = "delta") -> ParamSet:
     """Shift by k*delta (all four slots) or k*delta-tilde (c,d slots only)."""
     if kind not in ("delta", "tilde"):

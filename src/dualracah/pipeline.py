@@ -1,10 +1,11 @@
 """The verification objects of one (parameters, index set) pair, built lazily.
 
 The objects form one dependency chain: the deformed system, then per seed
-polynomial Y the map X(eta), the (1+2L)-band table, the Hamiltonian and the
-closure relation.  The system and the dual table serve every seed.  Each
-stage is built on first use and kept; stages are called through their
-modules, so a replaced module function is what the pipeline runs.
+polynomial Y the map X(eta), the (1+2L)-band table, the Hamiltonian, the
+closure's node data and the closure polynomials.  The system and the dual
+table serve every seed.  Each stage is built on first use and kept; stages
+are called through their modules, so a replaced module function is what
+the pipeline runs.
 """
 
 from __future__ import annotations
@@ -45,5 +46,10 @@ class Pipeline:
             self.xpoly(Y), self.rectable(Y), self.dual()
         ))
 
+    def closure_nodes(self, Y: Poly) -> closure.ClosureNodes:
+        return self._get(("closure_nodes", Y), lambda: closure.closure_nodes(self.hamiltonian(Y)))
+
     def closure(self, Y: Poly) -> closure.ClosureTriple:
-        return self._get(("closure", Y), lambda: closure.solve_closure(self.hamiltonian(Y)))
+        return self._get(("closure", Y), lambda: closure.solve_closure(
+            self.hamiltonian(Y), self.closure_nodes(Y)
+        ))

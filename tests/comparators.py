@@ -10,6 +10,12 @@ down by matching the eta^1 coefficient.
 Replaced library routes live here too, as oracles for the kernels that
 replaced them: Newton divided differences for ``poly.interpolate``, one
 full Gaussian elimination per matrix for ``linalg.LeadingElimination``,
+and the rational eliminations that ``linalg.bordered_dets`` replaced on
+exact tuples (``generic_det``, the whole matrix, and
+``elimination_cofactors``, one recorded elimination reducing each unit
+column), with the per-entry rational formulas of the potentials B and D
+(``potential_per_entry``), which ``basefamily.potential`` forms from
+integer pairs,
 the per-entry Casoratian factors that ``multiindexed.GridTable`` forms
 from pieces held once per table (``varphi_m``, ``rj_factor``,
 ``norm_const_cd``, ``dtn_sq_value``), the product form of each deformed
@@ -75,8 +81,9 @@ from dualracah.errors import (
     ShapeMismatch,
     SingularMatrix,
     SingularR0,
+    ZeroDenominator,
 )
-from dualracah.linalg import SquareMatrix, _cleared_int_rows, gram_residuals
+from dualracah.linalg import LeadingElimination, SquareMatrix, _cleared_int_rows, gram_residuals
 from dualracah.multiindexed import GridTable, MISystem
 from dualracah.params import QR, R, ParamSet, energy, factor, ipow, shift, twist
 from dualracah.poly import Poly
@@ -782,6 +789,52 @@ def naive_det(rows) -> object:
     for k in range(1, n):
         acc = acc * m[k][k]
     return sign * acc
+
+
+def generic_det(rows) -> object:
+    """Determinant over any field scalars: ``linalg.LeadingElimination`` of
+    the whole matrix (the exact Casoratian route before
+    ``linalg.bordered_dets``)."""
+    if not rows:
+        return 1
+    return LeadingElimination([r[:-1] for r in rows]).det([r[-1] for r in rows])
+
+
+def elimination_cofactors(rows) -> list:
+    """The cofactors of a bordered last column: the n x (n-1) leading
+    ``rows`` eliminated once, then each unit column reduced with the record
+    (the route ``multiindexed.GridTable.cofactors`` replaced)."""
+    elim, n = LeadingElimination(rows), len(rows)
+    return [elim.det([int(i == j) for i in range(n)]) for j in range(n)]
+
+
+def potential_per_entry(x: int, p: ParamSet, which: str):
+    """B(x) or D(x) by the per-family rational formula, one Fraction
+    operation per factor (the route ``basefamily.potential`` replaced for
+    exact tuples): 0 where the numerator vanishes, ZeroDenominator where
+    only the denominator does."""
+    a, b, c, d = p.a, p.b, p.c, p.d
+    if p.family == R:
+        if which == "B":
+            num = -(x + a) * (x + b) * (x + c) * (x + d)
+            den = (2 * x + d) * (2 * x + 1 + d)
+        else:
+            num = -(x + d - a) * (x + d - b) * (x + d - c) * x
+            den = (2 * x - 1 + d) * (2 * x + d)
+    else:
+        q = p.q
+        qx = ipow(q, x)
+        if which == "B":
+            num = -(1 - a * qx) * (1 - b * qx) * (1 - c * qx) * (1 - d * qx)
+            den = (1 - d * ipow(q, 2 * x)) * (1 - d * ipow(q, 2 * x + 1))
+        else:
+            num = -p.dtilde * (1 - d * qx / a) * (1 - d * qx / b) * (1 - d * qx / c) * (1 - qx)
+            den = (1 - d * ipow(q, 2 * x - 1)) * (1 - d * ipow(q, 2 * x))
+    if num == 0:
+        return rat(0)
+    if den == 0:
+        raise ZeroDenominator(f"potential {which} denominator vanishes at x={x}")
+    return num / den
 
 
 def poch(u, n: int):

@@ -11,16 +11,19 @@ from dualracah.basefamily import (
     dn_sq_table,
     phi0_sq_table,
     poch,
+    poch_pair,
     potential,
     racah_value,
     rec_coeffs,
 )
-from dualracah.errors import InadmissibleParams, NonPositiveWeight
+from dualracah.errors import InadmissibleParams, NonPositiveWeight, ZeroDenominator
 from dualracah import report
-from dualracah.params import QR, R, ParamSet, energy, eta, factor, make_params, twist, validate
+from dualracah.params import (
+    QR, R, ParamSet, energy, eta, factor, make_params, shift, twist, validate,
+)
 from dualracah.qlimit import LADDER_KS, QSumColumns, matched_q_params
 from dualracah.backend import rat, rat_to_str
-from comparators import c_n_per_family, dn_sq_table_per_family, qpoch
+from comparators import c_n_per_family, dn_sq_table_per_family, potential_per_entry, qpoch
 from conftest import (
     ctilde_closed_form,
     dn_sq,
@@ -29,6 +32,7 @@ from conftest import (
     rec_coeffs_closed_form,
     std_params,
 )
+from test_sweep import CASES as SWEEP
 
 FAMILIES = (R, QR)
 
@@ -294,3 +298,63 @@ def test_virtual_state_values_nonzero(family):
         vals = [racah_value(v, x, twist(p)) for x in range(p.N + 2)]
         assert all(val != 0 for val in vals)
         assert vals[0] == 1
+
+
+def _potential_outcome(fn, x, p, which):
+    """The value, or the name of the error, of one potential."""
+    try:
+        return fn(x, p, which)
+    except ZeroDenominator:
+        return "ZeroDenominator"
+
+
+@pytest.mark.parametrize(
+    "raw", SWEEP, ids=[f"{i}-{c['family']}-N{c['N']}-D{c['D']}" for i, c in enumerate(SWEEP)]
+)
+def test_exact_potentials_equal_per_entry_formula(raw):
+    """B and D from integer pairs are the per-entry rational formula's
+    value, or its ZeroDenominator, at x = -1..N+2 on each sweep tuple, at
+    the parameters the library reads them at: the tuple, its dual and its
+    tilde shift by M."""
+    cfg = report.parse_config(raw)
+    p = cfg.params()
+    for t in (p, p.dual(), shift(p, len(cfg.D), "tilde")):
+        for which in ("B", "D"):
+            for x in range(-1, p.N + 3):
+                got = _potential_outcome(potential, x, t, which)
+                assert got == _potential_outcome(potential_per_entry, x, t, which)
+                assert got == "ZeroDenominator" or type(got) is Fraction
+
+
+@pytest.mark.parametrize("family,d", [
+    (R, rat(1)), (R, rat(3)), (QR, rat(1, 2)), (QR, rat(1, 4)),
+], ids=["R-d=1", "R-d=3", "qR-d=q", "qR-d=q^2"])
+def test_exact_potentials_at_vanishing_denominators(family, d):
+    """Where a denominator factor vanishes, B and D are 0 if the numerator
+    vanishes too (D(0) at d=1, d=q) and raise ZeroDenominator otherwise
+    (D(-1) at d=3, d=q^2), as the per-entry formula does; B(N) = 0."""
+    q = rat(1, 2) if family == QR else None
+    p = make_params(family, 5, b=10 if family == R else q ** 10, c=rat(3, 4), d=d, q=q)
+    outcomes = {}
+    for which in ("B", "D"):
+        for x in range(-1, p.N + 3):
+            got = outcomes[which, x] = _potential_outcome(potential, x, p, which)
+            assert got == _potential_outcome(potential_per_entry, x, p, which)
+    assert outcomes["B", p.N] == 0
+    assert outcomes["D", 0] == 0
+    assert (outcomes["D", -1] == "ZeroDenominator") == (d in (3, rat(1, 4)))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_poch_pair_takes_negative_offsets(family):
+    """poch_pair at offsets k < 0 (the q-powers at x = -1 of r_j(x)) is
+    the rational of the per-factor product."""
+    p = std_params(family, 5)
+    for u in (p.a, p.b, rat(-7, 3), rat(0)):
+        for k in (-3, -1, 0, 2):
+            for n in range(4):
+                num, den = poch_pair(p, (u.numerator, u.denominator), n, k)
+                want = rat(1)
+                for i in range(k, k + n):
+                    want *= factor(p, u, i)
+                assert rat(num, den) == want == poch(p, u, n, k)

@@ -415,16 +415,17 @@ def test_wrong_beta_node_value_fails(family, which, pipe, monkeypatch):
     are the construction they rest on."""
     j = 3
     h = pipe(family, 5, (1, 2)).hamiltonian(Y_ONE)
-    calls = []
+    orig = closure.closure_nodes
 
-    def skewed(nodes, values):
-        # in place: the triple then holds the same wrong value
-        calls.append(None)
-        if len(calls) == which + 1:
-            values[j] += rat(1, 7)
-        return interpolate(nodes, values)
+    def skewed(hh):
+        # one row of the node data: the triple then holds the same wrong value
+        data = orig(hh)
+        field = data._fields[1 + which]
+        row = list(getattr(data, field))
+        row[j] += rat(1, 7)
+        return data._replace(**{field: tuple(row)})
 
-    monkeypatch.setattr(closure, "interpolate", skewed)
+    monkeypatch.setattr(closure, "closure_nodes", skewed)
     bad = closure.solve_closure(h)
     assert bad.r0_on_spectrum == tuple(bad.R0.values(bad.nodes))
     residual = tridiagonal_closure(h, bad)
@@ -548,11 +549,11 @@ def test_node_data_make_the_tridiagonal_identities_hold(family, N, pipe):
         assert tridiagonal_closure(hh, bent) != []
 
 
-def _closure_ladder_run(family):
-    """The config of a closure and ladder run at N=10, D={1,2}, and its
-    pipeline."""
+def _closure_ladder_run(family, suites=("closure", "ladder")):
+    """The config of a run at N=10, D={1,2} (closure and ladder suites by
+    default), and its pipeline."""
     params = std_params(family, 10)
-    raw = {"family": family, "N": 10, "D": [1, 2], "suites": ["closure", "ladder"]}
+    raw = {"family": family, "N": 10, "D": [1, 2], "suites": list(suites)}
     raw.update({k: rat_to_str(getattr(params, k)) for k in ("b", "c", "d")})
     if family == QR:
         raw["q"] = rat_to_str(params.q)
@@ -601,6 +602,40 @@ def test_closure_and_ladder_suites_evaluate_no_polynomial(family, monkeypatch):
     assert report._suite_ladder(cfg, p)["pass"]
     assert calls == []
     assert trip.r0_on_spectrum == tuple(trip.R0.values(trip.nodes))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_solve_closure_makes_one_interpolation(family, pipe, monkeypatch):
+    """A cost guard: the triple is one ``interpolate`` call of three rows,
+    the node data of ``closure_nodes``, which are the X-grid formulas'."""
+    h = pipe(family, 6, (1, 2)).hamiltonian(Y_ONE)
+    calls = []
+
+    def counted(nodes, *rows):
+        calls.append(len(rows))
+        return interpolate(nodes, *rows)
+
+    monkeypatch.setattr(closure, "interpolate", counted)
+    trip = closure.solve_closure(h)
+    data = closure.closure_nodes(h)
+    assert calls == [3]
+    assert tuple(zip(*data[1:])) == closure_node_data(h) == on_spectrum_by_values(trip)
+    assert (trip.nodes, trip.r0_on_spectrum) == (data.nodes, data.r0_on_spectrum)
+    assert data.nodes == h.energies
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_ladder_only_config_makes_no_closure_interpolation(family, monkeypatch):
+    """A cost guard: the ladder suite reads the closure's node data alone,
+    so a ladder-only run never solves for the closure polynomials."""
+    calls = []
+    monkeypatch.setattr(closure, "interpolate", lambda *args: calls.append(args))
+    cfg, p = _closure_ladder_run(family)
+    assert report._suite_ladder(cfg, p)["pass"]
+    assert ("closure", cfg.Y) not in p._memo
+    cfg, _ = _closure_ladder_run(family, ["ladder"])
+    assert report.run_suite(cfg)[1]
+    assert calls == []
 
 
 def test_passing_closure_check_builds_no_matrix(monkeypatch):

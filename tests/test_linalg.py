@@ -1,9 +1,10 @@
 """Exact linear algebra: cleared-integer products and Gram residuals,
 checked against the rational-arithmetic routes they replaced, and the
 fraction-free echelon kernel kept as a test oracle in conftest (its
-determinant, square and overdetermined solves).  The Casoratian kernel,
-``LeadingElimination``, is checked against ``comparators.naive_det``,
-exactly and bit for bit in floats."""
+determinant, square and overdetermined solves).  The float Casoratian
+kernel, ``LeadingElimination``, is checked against ``comparators.naive_det``,
+exactly and bit for bit in floats; the exact one, ``bordered_dets``, against
+the rational eliminations it replaced."""
 
 import math
 from itertools import permutations
@@ -20,7 +21,7 @@ from dualracah.linalg import (
     LeadingElimination,
     SquareMatrix,
     _cleared_int_rows,
-    generic_det,
+    bordered_dets,
     gram_band,
     gram_residuals,
 )
@@ -30,7 +31,9 @@ from dualracah.pipeline import Pipeline
 from dualracah.qlimit import QSumColumns, matched_q_params
 from comparators import (
     commutator,
+    elimination_cofactors,
     exact_inverse,
+    generic_det,
     identity_matrix,
     matrix_add,
     matrix_is_zero,
@@ -220,6 +223,36 @@ def test_leading_elimination_random(rows):
     with mpmath.workprec(53):
         got, want = generic_det(frows), naive_det(frows)
     assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("case", sorted(LEADING))
+def test_bordered_dets_equal_the_rational_eliminations(case):
+    """On integer rows one fraction-free elimination gives every bordered
+    determinant: bordered by the unit columns, the cofactors that one
+    recorded rational elimination reduces column by column; bordered by a
+    last column, the whole elimination's determinant.  The cases reach
+    every branch: a swap at either step and no pivot in either column."""
+    lead = LEADING[case]
+    units = [row + [int(i == j) for j in range(3)] for i, row in enumerate(lead)]
+    assert bordered_dets(units) == elimination_cofactors([list(map(rat, r)) for r in lead])
+    for col in ([1, 1, 1], [3, -2, 5], [0, 0, 9]):
+        rows = [row + [c] for row, c in zip(lead, col)]
+        assert bordered_dets(rows) == [generic_det([list(map(rat, r)) for r in rows])]
+    assert bordered_dets([[7]]) == [7] and bordered_dets([[2, 3, 0]]) == [2, 3, 0]
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, 3))).flatmap(
+    lambda nk: st.lists(st.lists(st.integers(-4, 4), min_size=sum(nk) - 1, max_size=sum(nk) - 1),
+                        min_size=nk[0], max_size=nk[0])))
+def test_bordered_dets_random(rows):
+    """Each bordered determinant equals the naive rational elimination of
+    the leading columns and that column."""
+    n = len(rows)
+    want = [naive_det([[rat(v) for v in r[:n - 1] + [r[t]]] for r in rows])
+            for t in range(n - 1, len(rows[0]))]
+    assert bordered_dets(rows) == want
+    assert all(type(v) is int for v in bordered_dets(rows))
 
 
 @pytest.mark.parametrize("prec", [None, 53, 256])
@@ -430,3 +463,16 @@ def test_gram_band_equals_dense_product(n, data):
     upper = [(i, j) for i in range(n) for j in range(i, n) if j - i <= w]
     assert list(band.items()) == [((i, j), dense[i, j]) for i, j in upper]
     assert all(dense[i, j] == dense[j, i] for i, j in upper)
+
+
+@pytest.mark.parametrize("case", sorted(LEADING))
+def test_grid_table_cofactors_reach_every_branch(case):
+    """GridTable.cofactors over hand-made virtual-state rows, each row with
+    its own denominators, are the cofactors of the recorded rational
+    elimination."""
+    tab = GridTable((1, 2), std_params(R, 4))
+    lead = [[rat(v, (i + 2) * (k + 1)) for k, v in enumerate(row)]
+            for i, row in enumerate(LEADING[case])]
+    tab.xi_row = lambda y: list(lead[y - 1])
+    cs, F = tab.cofactors(1)
+    assert [rat(c, F) for c in cs] == elimination_cofactors(lead)

@@ -1,7 +1,6 @@
 """Determinant-built deformed systems: normalization, orthogonality,
 difference equations, norms, oscillation counts."""
 
-import copy
 import os
 import re
 import subprocess
@@ -25,7 +24,7 @@ from dualracah.errors import (
     NonPositiveWeight,
     ZeroDenominator,
 )
-from dualracah.linalg import LeadingElimination
+from dualracah import linalg
 from dualracah.multiindexed import (
     GridTable,
     MISystem,
@@ -40,6 +39,8 @@ from dualracah.pipeline import Pipeline
 from dualracah.qlimit import LADDER_KS, QSumColumns, float_tables, matched_q_params
 from comparators import (
     dtn_sq_value,
+    elimination_cofactors,
+    generic_det,
     leading_pdn,
     leading_xi_per_family,
     norm_const_cd,
@@ -368,18 +369,49 @@ def _counted(monkeypatch, owner, names):
 
 
 def test_exact_build_takes_cofactors_once_per_x(monkeypatch):
-    """An exact build reduces M+1 unit columns per x of the main grid
-    (x <= ell_D + N) and one determinant per x of the shifted denominator
-    (0 <= x <= N, where the ground state is certified against it): O(N)
-    eliminations, not one per (n, x).  It never takes the per-entry route
-    GridTable.pdn."""
-    det = _counted(monkeypatch, LeadingElimination, ["det"])
+    """An exact build takes one integer elimination per x of the main grid
+    (x <= ell_D + N), which gives all M+1 cofactors, and one per x of the
+    shifted denominator (0 <= x <= N, where the ground state is certified
+    against it): O(N) eliminations, not one per (n, x).  It never takes
+    the per-entry route GridTable.pdn."""
+    dets = []
+    orig = multiindexed.bordered_dets
+    monkeypatch.setattr(multiindexed, "bordered_dets", lambda rows: dets.append(rows) or orig(rows))
     routes = _counted(monkeypatch, GridTable, ["pdn", "xi"])
     N, D = 10, (1, 2)
     build_mi_system(std_params(R, N), D)
-    M, top = len(D), ell(D) + N
-    assert det["det"] == (M + 1) * (top + 1) + (N + 1) == 50
-    assert routes == {"pdn": 0, "xi": N + 1}
+    top = ell(D) + N
+    assert len(dets) == (top + 1) + (N + 1) == 24
+    assert routes == {"pdn": 0, "xi": (N + 2) + (N + 1)}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("D", [(), (1,), (2,), (1, 2), (1, 3), (1, 2, 3)])
+@pytest.mark.parametrize("N", [1, 5, 10])
+def test_integer_cofactors_equal_the_rational_elimination(family, D, N):
+    """The integer cofactors at x = -1..ell_D+N are the recorded rational
+    elimination's cofactors of the same virtual-state rows, and Xi_D(x) on
+    the main and the shifted table is the whole rational elimination's
+    M x M determinant over C_D varphi_M(x)."""
+    p = _tuple_for_three_indices(family, N)
+    M = len(D)
+    for t in (p, shift(p, 1, "delta")):
+        tab = GridTable(D, t)
+        for x in range(-1, ell(D) + N + 1):
+            rows = [tab.xi_row(x + i) for i in range(M + 1)]
+            cs, F = tab.cofactors(x)
+            assert [rat(c, F) for c in cs] == elimination_cofactors(rows)
+            det = generic_det(rows[:M])
+            assert tab.xi(x) == det / (tab.cd() * tab.varphi(x, M))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_exact_build_constructs_no_leading_elimination(family, monkeypatch):
+    """A cost guard: LeadingElimination is the float route's kernel; an
+    exact build, main and shifted table alike, constructs none."""
+    made = _counted(monkeypatch, linalg.LeadingElimination, ["__init__"])
+    build_mi_system(_tuple_for_three_indices(family, 6), (1, 2, 3))
+    assert made == {"__init__": 0}
 
 
 def test_float_tables_take_the_per_entry_route(monkeypatch):
@@ -422,8 +454,10 @@ def _twice(v):
     return 2 * v
 
 
-def _twice_each(values):
-    return tuple(2 * v for v in values)
+def _twice_all(cleared):
+    """Doubles every integer of a cleared (integers, denominator) pair."""
+    ints, den = cleared
+    return [2 * v for v in ints], den
 
 
 def _twice_at(k):
@@ -436,32 +470,22 @@ def _twice_at(k):
     return corrupt
 
 
-def _wrong_multiplier(elim):
-    """A copy of the elimination with its first multiplier doubled: every
-    cofactor but the last, the pivot product, changes."""
-    elim = copy.copy(elim)
-    first, *rest = elim.multipliers
-    elim.multipliers = [[2 * first[0]] + first[1:]] + rest
-    return elim
-
-
-# Each fault corrupts one input of the build (the cofactors or the
-# elimination at one x, one cofactor weight, one cleared base value, or
-# one held factor): (GridTable method, which calls it hits, how the result
+# Each fault corrupts one input of the build (the cofactors at one x, one
+# cofactor weight, one cleared base value, or one held factor): (GridTable method, which calls it hits, how the result
 # is corrupted, the message), so that exactly one build certification sees
 # it, at R, N=5, D=(1,2).
 FAULTS = {
     # doubled cofactors at x double Xi_D(x), checked before any P_(D,n)(x)
-    "xi_at_zero": ("cofactors", lambda t, p, x: x == 0, _twice_each,
+    "xi_at_zero": ("cofactors", lambda t, p, x: x == 0, _twice_all,
                    r"denominator polynomial is 2 at x=0, not 1"),
-    "xi_interpolant": ("cofactors", lambda t, p, x: x == 6, _twice_each,
+    "xi_interpolant": ("cofactors", lambda t, p, x: x == 6, _twice_all,
                        r"denominator interpolant misses the grid at x=6"),
     # one doubled cofactor weight (row j=1) changes P_(D,n)(5) for every n
     "pdn_off_nodes": ("cofactor_weights", lambda t, p, x: x == 5, _twice_at(0),
                       r"deformed polynomial n=0 interpolant misses the grid at x=5"),
-    # a wrong multiplier of the virtual-state elimination at x=5 leaves
-    # Xi_D(5) alone and changes P_(D,n)(5) for every n
-    "pdn_elimination": ("elimination", lambda t, p, x: t.p == p and x == 5, _wrong_multiplier,
+    # a wrong first cofactor of the integer elimination at x=5 leaves
+    # Xi_D(5), the last, alone and changes P_(D,n)(5) for every n
+    "pdn_elimination": ("cofactors", lambda t, p, x: t.p == p and x == 5, _twice_at(0),
                         r"deformed polynomial n=0 interpolant misses the grid at x=5"),
     # one doubled cleared base value P_0(5): the entries at x=3, 4, 5 read
     # it, all past the nodes 0..2 of n=0

@@ -1,7 +1,12 @@
 """Polynomial arithmetic and certified exact interpolation, the integer
 kernel checked against the Newton route it replaced."""
 
+import os
+import subprocess
+import sys
+import textwrap
 from math import prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -203,3 +208,100 @@ def test_skewed_kernel_fails_every_caller(family, case, pipe, monkeypatch):
     _skew_weight(monkeypatch, k)
     with pytest.raises(CrossCheckMismatch, match=f"interpolant misses its node value at j={j}"):
         build(pl)
+
+
+values = st.one_of(st.just(0), coeff)
+
+
+@settings(max_examples=100)
+@given(st.data(), nodes, st.integers(1, 4))
+def test_multi_row_kernel_equals_one_row_calls(data, zs, k):
+    """Several value rows on one node set give, coefficient for
+    coefficient, the interpolants of one-row calls: rows with zero entries,
+    an all-zero row, and nodes where one row or none is nonzero (the
+    one-row fold and the skipped node)."""
+    zs = [rat(z) for z in zs]
+    rows = [[rat(v) for v in data.draw(st.lists(values, min_size=len(zs), max_size=len(zs)))]
+            for _ in range(k)]
+    rows.append([rat(0)] * len(zs))
+    got = interpolate(zs, *rows)
+    assert type(got) is tuple and len(got) == k + 1
+    for pol, row in zip(got, rows):
+        one = interpolate(zs, row)
+        assert pol.coeffs == one.coeffs and pol == newton_interpolate(zs, row)
+        assert all(type(c) is type(rat(0)) for c in pol.coeffs)
+    assert got[-1] == Poly()
+
+
+class _SkewedProduct(int):
+    """A cleared value that the build multiplies wrongly (its own __mul__
+    doubles) while the node check, which computes W*b, reads it right."""
+
+    def __mul__(self, other):
+        return 2 * int.__mul__(self, other)
+
+
+def _skew_row_value(monkeypatch, row, j):
+    """From now on the kernel builds with cleared value j of value row
+    `row` skewed (``_SkewedProduct``); the node check sees it unchanged."""
+    cleared = poly._cleared_int_rows
+
+    def skewed(rows):
+        ints, factors = cleared(rows)
+        ints[1 + row][j] = _SkewedProduct(ints[1 + row][j])
+        return ints, factors
+
+    monkeypatch.setattr(poly, "_cleared_int_rows", skewed)
+
+
+@pytest.mark.parametrize("row", [0, 1, 2])
+def test_corrupted_row_value_fails_its_row(row, monkeypatch):
+    """A value corrupted inside the kernel, in one of three rows, fails that
+    row's node certificate at that node, whether its node is shared with
+    the other rows (j=2) or only that row is nonzero there (j=3), and also
+    in a one-row call."""
+    zs = [rat(k, 3) for k in range(5)]
+    rows = [[rat(1, k + r + 1) if k != 3 or r == row else rat(0) for k in range(5)]
+            for r in range(3)]
+    for j in (2, 3):
+        with monkeypatch.context() as m:
+            _skew_row_value(m, row, j)
+            with pytest.raises(CrossCheckMismatch,
+                               match=rf"interpolant misses its node value at j={j} in row {row}"):
+                interpolate(zs, *rows)
+    _skew_row_value(monkeypatch, 0, 2)
+    with pytest.raises(CrossCheckMismatch, match="interpolant misses its node value at j=2 in row 0"):
+        interpolate(zs, rows[row])
+
+
+def test_corrupted_row_value_fails_under_python_O():
+    """Under -O the row certificate still raises: it is not an assert."""
+    tests = Path(__file__).resolve().parent
+    script = textwrap.dedent(
+        """
+        from dualracah import poly
+        from dualracah.backend import rat
+        from dualracah.errors import CrossCheckMismatch
+        from test_poly import _SkewedProduct
+
+        assert False, "asserts must be stripped"
+        cleared = poly._cleared_int_rows
+
+        def skewed(rows):
+            ints, factors = cleared(rows)
+            ints[2][2] = _SkewedProduct(ints[2][2])
+            return ints, factors
+
+        poly._cleared_int_rows = skewed
+        zs = [rat(k, 3) for k in range(5)]
+        try:
+            poly.interpolate(zs, *[[rat(1, k + r + 1) for k in range(5)] for r in range(3)])
+        except CrossCheckMismatch as e:
+            print("raised:", e)
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert "raised: interpolant misses its node value at j=2 in row 1" in out
