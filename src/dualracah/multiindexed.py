@@ -88,13 +88,15 @@ from .errors import (
     ZeroDenominator,
 )
 from .linalg import LeadingElimination, _cleared_int_rows, bordered_dets, gram_residuals
-from .params import R, ParamSet, ell, energy, eta, factor, index_set, ipow, shift, twist, validate
+from .params import (
+    R, ParamSet, ell, energy, eta, factor, factor_pair, index_set, ipow, shift, twist, validate,
+)
 from .poly import Poly, interpolate
 
 
 def _one(p: ParamSet):
     # typed multiplicative unit (rational or float, matching the parameters)
-    return p.b * 0 + 1
+    return rat(1) if p.is_exact() else p.b * 0 + 1
 
 
 class GridTable:
@@ -144,7 +146,7 @@ class GridTable:
         polys = self._get("xi_polys", lambda: [interpolate(
             [eta(z, tw) for z in range(dk + 1)], [racah_value(dk, z, tw) for z in range(dk + 1)]
         ) for dk in self.D])
-        return self._get(("xi", y), lambda: [pol(eta(y, tw)) for pol in polys])
+        return self._get(("xi", y), lambda: [pol(z) for z in [eta(y, tw)] for pol in polys])
 
     def base_column(self, y: int) -> tuple:
         """Base values (P_0(y), ..., P_N(y))."""
@@ -352,7 +354,8 @@ def leading_pdn_table(D: Sequence[int], p: ParamSet, lead_xi) -> tuple:
     c_0 = 1, and steps by the ratio of consecutive coefficients,
     c_(n+1)/c_n = (dt+2n)(dt+2n+1) / ((dt+n)(a+n)(b+n)(c+n)) (R; for qR
     (1-dt*q^(2n))(1-dt*q^(2n+1)) / ((1-dt*q^n)(1-a*q^n)(1-b*q^n)(1-c*q^n))),
-    times prod_j (c+d_j+n)/(c+d_j+n+1), so each step is O(M), not O(n).
+    times prod_j (c+d_j+n)/(c+d_j+n+1), so each step is O(M), not O(n):
+    one rational of integer factor pairs (``params.factor_pair``).
 
     No divisor vanishes for a tuple that passes ``validate``, n < N.  For
     R: a+n = n-N < 0; c > 0; d+max(D)+1 < a+b gives a+b-d-1 > 0, so
@@ -361,23 +364,25 @@ def leading_pdn_table(D: Sequence[int], p: ParamSet, lead_xi) -> tuple:
     a > 1 gives 0 < b < 1 and 0 < dt = abc/(dq) < c < 1.  Where a divisor
     does vanish, ZeroDenominator.
     """
-    a, b, c, dt, N = p.a, p.b, p.c, p.dtilde, p.N
+    a, b, c, dt = ((v.numerator, v.denominator) for v in (p.a, p.b, p.c, p.dtilde))
 
-    def checked(den, n):
+    def ratio(ups, downs, n):
+        # prod f(ups) / prod f(downs) as an integer pair, f = factor_pair
+        us, ds = [factor_pair(p, *uk) for uk in ups], [factor_pair(p, *uk) for uk in downs]
+        den = prod(f[0] for f in ds)
         if den == 0:
             raise ZeroDenominator(f"leading coefficient of P_(D,{n}) divides by zero")
-        return den
+        return prod(f[0] for f in us) * prod(f[1] for f in ds), prod(f[1] for f in us) * den
 
-    num, den = lead_xi, 1
-    for j, dj in enumerate(D, start=1):
-        num, den = num * factor(p, c, j - 1), den * factor(p, c, dj)
-    out = [rat(num) / checked(den, 0)]
-    for n in range(N):
-        num = factor(p, dt, 2 * n) * factor(p, dt, 2 * n + 1)
-        den = factor(p, dt, n) * factor(p, a, n) * factor(p, b, n) * factor(p, c, n)
-        for dj in D:
-            num, den = num * factor(p, c, dj + n), den * factor(p, c, dj + n + 1)
-        out.append(out[-1] * num / checked(den, n + 1))
+    num, den = ratio([(c, j) for j in range(len(D))], [(c, dj) for dj in D], 0)
+    out = [rat(lead_xi.numerator * num, lead_xi.denominator * den)]
+    for n in range(p.N):
+        num, den = ratio(
+            [(dt, 2 * n), (dt, 2 * n + 1)] + [(c, dj + n) for dj in D],
+            [(dt, n), (a, n), (b, n), (c, n)] + [(c, dj + n + 1) for dj in D],
+            n + 1,
+        )
+        out.append(rat(out[-1].numerator * num, out[-1].denominator * den))
     return tuple(out)
 
 

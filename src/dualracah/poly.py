@@ -100,12 +100,11 @@ def interpolate(nodes: Sequence, values: Sequence, *more: Sequence):
     w_j = prod_(k != j) (a_j - a_k).  With W = lcm(w_j) each interpolant in
     s = L*z has the integer coefficients c = sum_j b_j*(W/w_j)*m(s)/(s - a_j)
     over D*W: per node, (W/w_j) times each quotient coefficient is formed
-    once and added b_j times to every row with b_j != 0 (with one such
-    row, b_j folds into W/w_j instead).  Before any
-    reduction C(a_j) = W*b_j is certified at every node of every row by
-    integer Horner on c, or CrossCheckMismatch; the coefficient of z^i is
-    then the one rational c_i*L^i / (D*W).  The degree is at most n - 1;
-    the callers certify it.
+    once and added b_j times to every row with b_j != 0 (a single row
+    folds b_j into W/w_j instead).  Before any reduction C(a_j) =
+    W*b_j is certified at every node of every row by integer Horner on c,
+    or CrossCheckMismatch; the coefficient of z^i is then the one rational
+    c_i*L^i / (D*W).  The degree is at most n - 1; the callers certify it.
     """
     rows = (values, *more)
     n = len(nodes)
@@ -122,27 +121,27 @@ def interpolate(nodes: Sequence, values: Sequence, *more: Sequence):
     weights = [prod(aj - ak for k, ak in enumerate(a) if k != j) for j, aj in enumerate(a)]
     W = lcm(*weights)
     cs = [[0] * n for _ in rows]
-    for aj, wj, bj in zip(a, weights, zip(*bs)):
-        live = [(c, v) for c, v in zip(cs, bj) if v]
-        if not live:
-            continue
-        s = W // wj
-        if len(live) == 1:  # one row: its b_j folds into W/w_j
-            (c, v), = live
-            t = v * s
+    if not more:  # one row: its b_j folds into W/w_j
+        c = cs[0]
+        for aj, wj, bj in zip(a, weights, bs[0]):
+            if bj:
+                t = bj * (W // wj)
+                q = master[n]
+                c[n - 1] += t * q
+                for i in range(n - 1, 0, -1):
+                    q = master[i] + aj * q
+                    c[i - 1] += t * q
+    else:
+        for aj, wj, bj in zip(a, weights, zip(*bs)):
+            live = [(c, v) for c, v in zip(cs, bj) if v]
+            s = W // wj
             q = master[n]
-            c[n - 1] += t * q
-            for i in range(n - 1, 0, -1):
-                q = master[i] + aj * q
-                c[i - 1] += t * q
-            continue
-        q = master[n]
-        for i in range(n, 0, -1):
-            if i < n:
-                q = master[i] + aj * q
-            t = s * q
-            for c, v in live:
-                c[i - 1] += v * t
+            for i in range(n, 0, -1):
+                if i < n:
+                    q = master[i] + aj * q
+                t = s * q
+                for c, v in live:
+                    c[i - 1] += v * t
     polys = []
     for r, (c, b, D) in enumerate(zip(cs, bs, Ds)):
         for j, aj in enumerate(a):
