@@ -70,13 +70,12 @@ def poch(p: ParamSet, u, n: int, k: int = 0):
 
 def potential(x: int, p: ParamSet, which: str = "B"):
     """B(x) = -prod_(u = a,b,c,d) f(u, x) / (f(d, 2x) f(d, 2x+1)) and
-    D(x) = -t prod_(u = d-a, d-b, d-c, d-d) f(u, x) / (f(d, 2x-1) f(d, 2x))
-    with f = ``params.factor``, for qR with d-u read as d/u and t = dtilde
-    (t = 1 for R): for exact tuples only, one rational of integer pairs
-    (``params.factor_pair``).  It is 0 where the numerator vanishes (B(N),
-    D(0)), also where the denominator does (D(0) at d=1; d=q for qR).
-    "Bprime" is "B" at twist(p); for floats (qR) it is written out because
-    the q->1 gaps pin its operation order."""
+    D(x) = -t prod_(u = d-a, d-b, d-c, d-d) f(u, x) / (f(d, 2x-1) f(d, 2x)),
+    f = ``params.factor``, for qR with d-u read as d/u and t = dtilde (else
+    1): exact tuples only, one rational of ``params.factor_pair``s; 0 where
+    the numerator vanishes, also where the denominator does (D(0) at d=1,
+    d=q).  "Bprime" is "B" at twist(p), written out for floats (qR): the
+    q->1 gaps pin its operation order."""
     if which == "Bprime":
         if p.is_exact():
             return potential(x, twist(p), "B")
@@ -232,8 +231,15 @@ def alpha_const(p: ParamSet):
 
 
 def varphi(x: int, p: ParamSet):
-    if p.family == R:
-        return (2 * x + p.d + 1) / (p.d + 1)
+    """(2x+d+1)/(d+1) (R) or (q^-x - d*q^(x+1))/(1-dq) (qR), that is
+    q^-x f(d, 2x+1) / f(d, 1) with f = ``params.factor``: one rational of
+    integer pairs for an exact tuple, the qR formula's order for floats."""
+    if p.is_exact():
+        d = (p.d.numerator, p.d.denominator)
+        (n1, d1), (n2, d2) = factor_pair(p, d, 2 * x + 1), factor_pair(p, d, 1)
+        q = (1, 1) if p.family == R else (p.q.denominator, p.q.numerator)
+        qn, qd = q if x >= 0 else q[::-1]
+        return rat(n1 * d2 * qn ** abs(x), d1 * n2 * qd ** abs(x))
     return (ipow(p.q, -x) - p.d * ipow(p.q, x + 1)) / (1 - p.d * p.q)
 
 

@@ -164,8 +164,7 @@ def bordered_dets(rows) -> list:
         if pivot != k:
             m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
-        top = m[k]
-        pk = top[k]
+        top, pk = m[k], m[k][k]
         for row in m[k + 1:]:
             f = row[k]
             row[k + 1:] = [(pk * v - f * t) // prev for v, t in zip(row[k + 1:], top[k + 1:])]

@@ -228,10 +228,8 @@ class GridTable:
 
     def rj(self, j: int, x: int):
         """Pochhammer-ratio factor multiplying the bordered column entry in
-        row j: with a', b' the twisted a, b, (a+x)_(j-1) (b+x)_(j-1)
-        (a'+x+j-1)_(M+1-j) (b'+x+j-1)_(M+1-j) over ``_rj_den`` (q-shifted
-        symbols for qR, over q^(Mx) too).  Exact: one rational of
-        ``poch_pair`` products; floats (qR): the per-entry order."""
+        row j; exact: one rational of ``poch_pair`` products over
+        ``_rj_den``, floats (qR): the per-entry order."""
 
         def make():
             p, M = self.p, self.M
@@ -259,10 +257,9 @@ class GridTable:
 
     def cofactors(self, x: int) -> tuple:
         """The M+1 cofactors of the bordered column at x (exact tuples):
-        ([c_1, ..., c_(M+1)], F) with cof_j(x) = c_j/F.  The virtual-state
-        rows cleared to U_i/f_i, F = prod f_i, and c_j = f_j*det[U | e_j]
-        by one ``bordered_dets``.  The last is the M x M Casoratian of the
-        denominator polynomial."""
+        ([c_1, ..., c_(M+1)], F) with cof_j(x) = c_j/F; for virtual-state
+        rows cleared to U_i/f_i, F = prod f_i and c_j = f_j*det[U | e_j] by
+        one ``bordered_dets``.  The last is the M x M Casoratian."""
 
         def make():
             M = self.M

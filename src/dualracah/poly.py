@@ -125,20 +125,16 @@ def interpolate(nodes: Sequence, values: Sequence, *more: Sequence):
         c = cs[0]
         for aj, wj, bj in zip(a, weights, bs[0]):
             if bj:
-                t = bj * (W // wj)
-                q = master[n]
-                c[n - 1] += t * q
-                for i in range(n - 1, 0, -1):
+                t, q = bj * (W // wj), 0
+                for i in range(n, 0, -1):
                     q = master[i] + aj * q
                     c[i - 1] += t * q
     else:
         for aj, wj, bj in zip(a, weights, zip(*bs)):
             live = [(c, v) for c, v in zip(cs, bj) if v]
-            s = W // wj
-            q = master[n]
+            s, q = W // wj, 0
             for i in range(n, 0, -1):
-                if i < n:
-                    q = master[i] + aj * q
+                q = master[i] + aj * q
                 t = s * q
                 for c, v in live:
                     c[i - 1] += v * t

@@ -68,7 +68,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import mpmath
 
-from dualracah.basefamily import alpha_const, c_n, etilde_v, phi0_sq_table, potential, varphi
+from dualracah.basefamily import alpha_const, c_n, etilde_v, phi0_sq_table, potential
 from dualracah.backend import rat
 from dualracah.bigreal import big_sqrt, to_real
 from dualracah.errors import (
@@ -946,13 +946,21 @@ def _one(p: ParamSet):
     return p.b * 0 + 1
 
 
+def varphi_per_family(x: int, p: ParamSet):
+    """The per-family formula of ``basefamily.varphi``, one rational or
+    float operation at a time (the exact route it replaced)."""
+    if p.family == R:
+        return (2 * x + p.d + 1) / (p.d + 1)
+    return (ipow(p.q, -x) - p.d * ipow(p.q, x + 1)) / (1 - p.d * p.q)
+
+
 def varphi_m(x: int, M: int, p: ParamSet):
     """Vandermonde-type product of eta differences; 1 for M <= 1 (the
     per-entry route of ``GridTable.varphi``)."""
     acc = _one(p)
     for k in range(2, M + 1):
         for j in range(1, k):
-            acc = acc * varphi(x + j - 1, shift(p, k - j - 1, "delta"))
+            acc = acc * varphi_per_family(x + j - 1, shift(p, k - j - 1, "delta"))
     return acc
 
 
