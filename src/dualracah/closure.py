@@ -85,8 +85,7 @@ def solve_closure(h: DualHamiltonian, data: ClosureNodes = None) -> ClosureTripl
 
 def verify_closure(h: DualHamiltonian, c) -> None:
     """Certify the closure relation: h's eigenbasis, then that c (node data
-    or a triple solved from them) was built on h's spectrum;
-    CrossCheckMismatch at the first that fails."""
+    or a triple) was built on h's spectrum; CrossCheckMismatch otherwise."""
     h.eigenbasis  # raises unless certified
     if c.nodes != h.energies:
         raise CrossCheckMismatch("closure triple was solved on another spectrum")

@@ -151,9 +151,8 @@ def eigen_misses(rows, vectors, values) -> list:
 def bordered_dets(rows) -> list:
     """det[leading n-1 columns | column t] for each further column t of an
     integer matrix of n >= 1 rows, by one fraction-free (Bareiss)
-    elimination: each entry is then a minor of the row-permuted matrix, so
-    every division by the previous pivot is exact.  A leading column
-    without a pivot makes every determinant zero."""
+    elimination (each entry a minor, each division by the last pivot
+    exact); a leading column without a pivot makes every one zero."""
     m = [list(r) for r in rows]
     n = len(m)
     sign, prev = 1, 1

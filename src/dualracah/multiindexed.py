@@ -146,7 +146,12 @@ class GridTable:
         polys = self._get("xi_polys", lambda: [interpolate(
             [eta(z, tw) for z in range(dk + 1)], [racah_value(dk, z, tw) for z in range(dk + 1)]
         ) for dk in self.D])
-        return self._get(("xi", y), lambda: [pol(z) for z in [eta(y, tw)] for pol in polys])
+
+        def row():
+            z = eta(y, tw)
+            return [pol(z) for pol in polys]
+
+        return self._get(("xi", y), row)
 
     def base_column(self, y: int) -> tuple:
         """Base values (P_0(y), ..., P_N(y))."""
