@@ -402,7 +402,7 @@ def test_integer_cofactors_equal_the_rational_elimination(family, D, N):
             cs, F = tab.cofactors(x)
             assert [rat(c, F) for c in cs] == elimination_cofactors(rows)
             det = generic_det(rows[:M])
-            assert tab.xi(x) == det / (tab.cd() * tab.varphi(x, M))
+            assert tab.xi(x) == det / (norm_const_cd(D, t) * varphi_m(x, M, t))
 
 
 @pytest.mark.parametrize("family", FAMILIES)
