@@ -55,8 +55,7 @@ class ClosureTriple(NamedTuple):
     R0: Poly
     R1: Poly
     Rm1: Poly
-    nodes: tuple           # the spectrum X(0..N) the triple was solved on
-    r0_on_spectrum: tuple  # R0 at each node: its node data
+    data: ClosureNodes  # the node data the triple was solved for
 
     @property
     def r0_vanishes_at_zero(self) -> bool:
@@ -73,25 +72,25 @@ def closure_nodes(h: DualHamiltonian) -> ClosureNodes:
     return ClosureNodes(h.energies, tuple(beta0), tuple(beta1), tuple(betam1))
 
 
-def solve_closure(h: DualHamiltonian, data: ClosureNodes = None) -> ClosureTriple:
+def solve_closure(h: DualHamiltonian) -> ClosureTriple:
     """R0, R1 and Rm1 as the interpolants of degree <= N through their node
-    data on the spectrum (``data``, else ``closure_nodes(h)``), by one
-    ``interpolate`` of the three rows, which certifies every node; R0's
-    node data are then its values on the spectrum."""
-    d = closure_nodes(h) if data is None else data
+    data on h's spectrum (``closure_nodes``), by one ``interpolate`` of the
+    three rows, which certifies every node; R0's node data are then its
+    values on the spectrum."""
+    d = closure_nodes(h)
     polys = interpolate(d.nodes, d.r0_on_spectrum, d.r1_on_spectrum, d.rm1_on_spectrum)
-    return ClosureTriple(*polys, d.nodes, d.r0_on_spectrum)
+    return ClosureTriple(*polys, d)
 
 
-def verify_closure(h: DualHamiltonian, c) -> None:
-    """Certify the closure relation: h's eigenbasis, then that c (node data
-    or a triple) was built on h's spectrum; CrossCheckMismatch otherwise."""
+def verify_closure(h: DualHamiltonian, c: ClosureNodes) -> None:
+    """Certify the closure relation: h's eigenbasis, then that the node
+    data c were built on h's spectrum; CrossCheckMismatch otherwise."""
     h.eigenbasis  # raises unless certified
     if c.nodes != h.energies:
         raise CrossCheckMismatch("closure triple was solved on another spectrum")
 
 
-def verify_ladder(h: DualHamiltonian, c) -> None:
+def verify_ladder(h: DualHamiltonian, c: ClosureNodes) -> None:
     """Certify both ladder actions: what ``verify_closure`` certifies, then
     R0 != 0 on the spectrum (SingularR0 otherwise).  R0 is the product of
     the two gaps at each node and X increases strictly on 0..N, so only an

@@ -96,7 +96,7 @@ from .poly import Poly, interpolate
 
 def _one(p: ParamSet):
     # typed multiplicative unit (rational or float, matching the parameters)
-    return rat(1) if p.is_exact() else p.b * 0 + 1
+    return p.b * 0 + 1
 
 
 class GridTable:

@@ -50,6 +50,4 @@ class Pipeline:
         return self._get(("closure_nodes", Y), lambda: closure.closure_nodes(self.hamiltonian(Y)))
 
     def closure(self, Y: Poly) -> closure.ClosureTriple:
-        return self._get(("closure", Y), lambda: closure.solve_closure(
-            self.hamiltonian(Y), self.closure_nodes(Y)
-        ))
+        return self._get(("closure", Y), lambda: closure.solve_closure(self.hamiltonian(Y)))

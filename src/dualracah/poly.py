@@ -100,8 +100,8 @@ def interpolate(nodes: Sequence, values: Sequence, *more: Sequence):
     w_j = prod_(k != j) (a_j - a_k).  With W = lcm(w_j) each interpolant in
     s = L*z has the integer coefficients c = sum_j b_j*(W/w_j)*m(s)/(s - a_j)
     over D*W: per node, (W/w_j) times each quotient coefficient is formed
-    once and added b_j times to every row with b_j != 0 (a single row
-    folds b_j into W/w_j instead).  Before any reduction C(a_j) =
+    once and added b_j times to every row with b_j != 0; one row is the
+    one-row case of the same loop.  Before any reduction C(a_j) =
     W*b_j is certified at every node of every row by integer Horner on c,
     or CrossCheckMismatch; the coefficient of z^i is then the one rational
     c_i*L^i / (D*W).  The degree is at most n - 1; the callers certify it.
@@ -121,23 +121,14 @@ def interpolate(nodes: Sequence, values: Sequence, *more: Sequence):
     weights = [prod(aj - ak for k, ak in enumerate(a) if k != j) for j, aj in enumerate(a)]
     W = lcm(*weights)
     cs = [[0] * n for _ in rows]
-    if not more:  # one row: its b_j folds into W/w_j
-        c = cs[0]
-        for aj, wj, bj in zip(a, weights, bs[0]):
-            if bj:
-                t, q = bj * (W // wj), 0
-                for i in range(n, 0, -1):
-                    q = master[i] + aj * q
-                    c[i - 1] += t * q
-    else:
-        for aj, wj, bj in zip(a, weights, zip(*bs)):
-            live = [(c, v) for c, v in zip(cs, bj) if v]
-            s, q = W // wj, 0
-            for i in range(n, 0, -1):
-                q = master[i] + aj * q
-                t = s * q
-                for c, v in live:
-                    c[i - 1] += v * t
+    for aj, wj, bj in zip(a, weights, zip(*bs)):
+        live = [(c, v) for c, v in zip(cs, bj) if v]
+        s, q = W // wj, 0
+        for i in range(n, 0, -1):
+            q = master[i] + aj * q
+            t = s * q
+            for c, v in live:
+                c[i - 1] += v * t
     polys = []
     for r, (c, b, D) in enumerate(zip(cs, bs, Ds)):
         for j, aj in enumerate(a):

@@ -300,7 +300,7 @@ def _suite_dual(cfg: RunConfig, pipe: Pipeline) -> dict:
 def _suite_closure(cfg: RunConfig, pipe: Pipeline) -> dict:
     h = pipe.hamiltonian(cfg.Y)
     trip = pipe.closure(cfg.Y)
-    closure.verify_closure(h, trip)
+    closure.verify_closure(h, trip.data)
     return {
         "pass": True,
         "failures": [],

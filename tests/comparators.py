@@ -45,7 +45,7 @@ operators' columns against a_dual and c_dual), and as explicit matrices
 bracket and by spectral calculus, and the inverse of V by one exact solve
 per column).  So are the closure node data built from the X grid, the
 closure polynomials' values on the spectrum by ``Poly.values``, the route
-that the certified node data (``ClosureTriple.r0_on_spectrum``) replaced,
+that the certified node data (``ClosureNodes.r0_on_spectrum``) replaced,
 and a triple with polynomials replaced whose values on the spectrum are
 re-derived by that route.  For fault injection, ``replace`` copies any
 record of the library with some fields changed, each cached property
@@ -536,7 +536,7 @@ def closure_node_data(h) -> tuple:
 def on_spectrum_by_values(c) -> tuple:
     """(R0, R1, Rm1) at each node of c's spectrum, one ``Poly.values`` per
     polynomial."""
-    return tuple(zip(*(p.values(c.nodes) for p in (c.R0, c.R1, c.Rm1))))
+    return tuple(zip(*(p.values(c.data.nodes) for p in (c.R0, c.R1, c.Rm1))))
 
 
 def replace(record, **changes):
@@ -551,7 +551,8 @@ def replace_closure(c, **polys):
     """c with some of R0, R1 and Rm1 replaced, R0's values on the spectrum
     re-derived from the polynomial it then holds."""
     bent = replace(c, **polys)
-    return replace(bent, r0_on_spectrum=tuple(bent.R0.values(bent.nodes)))
+    r0 = tuple(bent.R0.values(bent.data.nodes))
+    return replace(bent, data=bent.data._replace(r0_on_spectrum=r0))
 
 
 def tridiagonal_closure(h, c) -> list:

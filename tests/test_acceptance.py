@@ -161,12 +161,12 @@ def test_criterion_6_closure_relation_evidence(pipe):
                     t0 = time.perf_counter()
                     h = pipe(family, N, D).hamiltonian(SEEDS[y])
                     trip = pipe(family, N, D).closure(SEEDS[y])
-                    verify_closure(h, trip)
+                    verify_closure(h, trip.data)
                     assert time.perf_counter() - t0 < 300
             # undeformed control: classical degree pattern (2, 1, 2)
             h0 = pipe(family, 5, ()).hamiltonian(Y_ONE)
             trip0 = pipe(family, 5, ()).closure(Y_ONE)
-            verify_closure(h0, trip0)
+            verify_closure(h0, trip0.data)
             assert (trip0.R0.degree or 0) <= 2
             assert (trip0.R1.degree or 0) <= 1
             assert (trip0.Rm1.degree or 0) <= 2
@@ -183,9 +183,9 @@ def test_criterion_7_ladder_operators(pipe):
                         with pytest.raises(SingularR0):
                             dense_build_ladder(h, trip)
                         with pytest.raises(SingularR0):
-                            verify_ladder(h, trip)
+                            verify_ladder(h, trip.data)
                         continue
-                    verify_ladder(h, trip)
+                    verify_ladder(h, trip.data)
                     a_plus, _ = dense_build_ladder(h, trip)
                     assert all(v == 0 for v in (a_plus @ h.V).column(N))
 

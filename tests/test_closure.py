@@ -109,7 +109,7 @@ def test_closure_residual_is_zero(family, D, y, N, pipe):
     h = pipe(family, N, D).hamiltonian(SEEDS[y])
     trip = pipe(family, N, D).closure(SEEDS[y])
     assert (trip.R0, trip.R1, trip.Rm1) == vandermonde_closure(h)
-    verify_closure(h, trip)
+    verify_closure(h, trip.data)
     assert tridiagonal_closure(h, trip) == []
     assert matrix_is_zero(_horner_residual(h, trip))
     assert matrix_is_zero(dense_verify_closure(h, trip))
@@ -121,7 +121,7 @@ def test_undeformed_control_degrees(family, pipe):
     degree pattern (2, 1, 2) and the residual still vanishes."""
     h = pipe(family, 5, ()).hamiltonian(Y_ONE)
     trip = pipe(family, 5, ()).closure(Y_ONE)
-    verify_closure(h, trip)
+    verify_closure(h, trip.data)
     assert tridiagonal_closure(h, trip) == []
     assert (trip.R0.degree or 0) <= 2
     assert (trip.R1.degree or 0) <= 1
@@ -162,7 +162,7 @@ def test_node_data_are_the_values_on_the_spectrum(family, N, pipe):
     for D, y in MATRIX:
         h, trip = pipe(family, N, D).hamiltonian(SEEDS[y]), pipe(family, N, D).closure(SEEDS[y])
         assert on_spectrum_by_values(trip) == closure_node_data(h)
-        assert trip.r0_on_spectrum == tuple(r0 for r0, _, _ in closure_node_data(h))
+        assert trip.data.r0_on_spectrum == tuple(r0 for r0, _, _ in closure_node_data(h))
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -190,12 +190,12 @@ def test_triple_of_another_spectrum_is_refused(family, pipe):
     pl = pipe(family, 5, (1,))
     h_eta, trip = pl.hamiltonian(Y_ETA), pl.closure(Y_ONE)
     assert h_eta.V == pl.hamiltonian(Y_ONE).V
-    assert h_eta.energies != trip.nodes
+    assert h_eta.energies != trip.data.nodes
     for fn in (verify_closure, verify_ladder):
         with pytest.raises(
             CrossCheckMismatch, match="closure triple was solved on another spectrum"
         ):
-            fn(h_eta, trip)
+            fn(h_eta, trip.data)
 
 
 def test_spectral_fn_reproduces_polynomials(pipe):
@@ -214,7 +214,7 @@ def test_spectral_fn_reproduces_polynomials(pipe):
 def test_ladder_actions_exact(family, D, pipe):
     h = pipe(family, 6, D).hamiltonian(Y_ONE)
     trip = pipe(family, 6, D).closure(Y_ONE)
-    verify_ladder(h, trip)
+    verify_ladder(h, trip.data)
     assert tridiagonal_ladder(h, trip) == []
     assert dense_verify_ladder(h, dense_build_ladder(h, trip)) == []
 
@@ -224,9 +224,10 @@ def test_ladder_degenerate_seed_raises(family, pipe):
     h = pipe(family, 6, (1,)).hamiltonian(Y_ETA)
     trip = pipe(family, 6, (1,)).closure(Y_ETA)
     msg = r"R0 vanishes on the spectrum \(degenerate seed with Y\(0\)=0\)"
-    for fn in (dense_build_ladder, tridiagonal_ladder, verify_ladder):
+    cases = ((dense_build_ladder, trip), (tridiagonal_ladder, trip), (verify_ladder, trip.data))
+    for fn, c in cases:
         with pytest.raises(SingularR0, match=msg):
-            fn(h, trip)
+            fn(h, c)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -235,7 +236,7 @@ def test_ladder_boundary_annihilation(family, pipe):
     by verify_ladder, and on the dense operators."""
     h = pipe(family, 5, (1,)).hamiltonian(Y_ONE)
     trip = pipe(family, 5, (1,)).closure(Y_ONE)
-    verify_ladder(h, trip)
+    verify_ladder(h, trip.data)
     a_plus, a_minus = dense_build_ladder(h, trip)
     top = (a_plus @ h.V).column(5)
     bottom = (a_minus @ h.V).column(0)
@@ -266,11 +267,11 @@ def test_inverse_and_ladder_match_generic_oracles(family, D, y, N, pipe):
     vinv = exact_inverse(h.V)
     assert h.V @ vinv == identity_matrix(N + 1)
     if trip.r0_vanishes_at_zero:
-        for fn in (dense_build_ladder, verify_ladder):
+        for fn, c in ((dense_build_ladder, trip), (verify_ladder, trip.data)):
             with pytest.raises(SingularR0):
-                fn(h, trip)
+                fn(h, c)
         return
-    verify_ladder(h, trip)
+    verify_ladder(h, trip.data)
     assert dense_build_ladder(h, trip, vinv) == _spectral_ladder(h, trip)
 
 
@@ -304,12 +305,12 @@ def test_closure_and_ladder_read_no_norm_or_weight(family, pipe):
     bad_v = _with_v(h, _corrupt(h.V, 2, 3))
     for fn in (verify_closure, verify_ladder):
         with pytest.raises(CrossCheckMismatch, match=r"V\*T at \(x,n\)=\(2,2\)"):
-            fn(replace(bad_v), trip)
+            fn(replace(bad_v), trip.data)
     for field in ("norms", "weights"):
         bad = replace(h, dual=replace(h.dual, **{field: _doubled(getattr(h.dual, field), 4)}))
         assert dual_ortho(bad.dual) != []
-        verify_closure(bad, trip)
-        verify_ladder(bad, trip)
+        verify_closure(bad, trip.data)
+        verify_ladder(bad, trip.data)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -324,7 +325,7 @@ def test_corrupted_hamiltonian_fails_eigen_certification(family, pipe, monkeypat
     bad = replace(h, h_tilde=_corrupt(h.h_tilde, 1, 2))
     assert verify_spectrum(bad) == [("eigen", 1, n) for n in range(6) if h.V[2, n] != 0]
     for fn in (verify_closure, verify_ladder):
-        fn(replace(bad), trip)
+        fn(replace(bad), trip.data)
     band = recurrence.gram_band
 
     def bumped(*args):
@@ -361,7 +362,7 @@ def test_corrupted_dual_coefficient_fails_exactly_its_column(family, pipe):
         assert dense_verify_ladder(bad, ladder) == [(name, k)]
         for fn in (verify_closure, verify_ladder):
             with pytest.raises(CrossCheckMismatch, match=rf"V\*T at \(x,n\)=\(0,{k}\)"):
-                fn(replace(bad), trip)
+                fn(replace(bad), trip.data)
 
 
 def _with_v(h, v):
@@ -401,7 +402,7 @@ def test_eigenbasis_certification_faults(family, pipe):
         assert verify_spectrum(replace(bad)) == []
         for fn in (verify_closure, verify_ladder):
             with pytest.raises(CrossCheckMismatch, match=message):
-                fn(replace(bad), trip)
+                fn(replace(bad), trip.data)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -410,9 +411,9 @@ def test_wrong_beta_node_value_fails(family, which, pipe, monkeypatch):
     """One wrong node value of beta0, beta1 or beta-1 is interpolated and
     held alike, so solve_closure returns.  The tridiagonal closure residual
     then lists column j alone, equal to the dense and Horner oracles'; its
-    diagonal entry is -Rm1 = b_dual*R0.  The library checks read the triple
-    only for its spectrum and R0 != 0 there, so they pass: the node data
-    are the construction they rest on."""
+    diagonal entry is -Rm1 = b_dual*R0.  The library checks read the
+    triple's node data only for their spectrum and R0 != 0 there, so they
+    pass: the node data are the construction they rest on."""
     j = 3
     h = pipe(family, 5, (1, 2)).hamiltonian(Y_ONE)
     orig = closure.closure_nodes
@@ -427,15 +428,15 @@ def test_wrong_beta_node_value_fails(family, which, pipe, monkeypatch):
 
     monkeypatch.setattr(closure, "closure_nodes", skewed)
     bad = closure.solve_closure(h)
-    assert bad.r0_on_spectrum == tuple(bad.R0.values(bad.nodes))
+    assert bad.data.r0_on_spectrum == tuple(bad.R0.values(bad.data.nodes))
     residual = tridiagonal_closure(h, bad)
     assert residual and {n for _, n, _ in residual} == {j}
     if which == 2:
         assert [(m, n) for m, n, _ in residual] == [(j, j)]
     assert h.V @ from_entries(h.V.n, residual) == dense_verify_closure(h, bad)
     assert h.V @ from_entries(h.V.n, residual) == _horner_residual(h, bad) @ h.V
-    verify_closure(h, bad)
-    verify_ladder(h, bad)
+    verify_closure(h, bad.data)
+    verify_ladder(h, bad.data)
 
 
 def _ladder_outcome(fn):
@@ -471,8 +472,8 @@ def test_scalar_route_matches_dense_oracle(family, N, pipe, monkeypatch):
     for t in triples:
         with monkeypatch.context() as mp:
             mp.setattr(SquareMatrix, "__matmul__", _refuse_product)
-            verify_closure(h, t)
-            verify_ladder(h, t)
+            verify_closure(h, t.data)
+            verify_ladder(h, t.data)
             residual = tridiagonal_closure(h, t)
         assert all(abs(m - n) <= 1 for m, n, _ in residual)
         assert h.V @ from_entries(N + 1, residual) == dense_verify_closure(h, t)
@@ -481,7 +482,7 @@ def test_scalar_route_matches_dense_oracle(family, N, pipe, monkeypatch):
     # off-spectrum grid values enter only through the gaps; an interior one
     # is an eigenvalue, so it breaks h_tilde*V = V*diag(X), which the
     # spectrum check lists, and the spectrum every triple was solved on,
-    # which both library checks compare before they read the triple
+    # which both library checks compare before they read the node data
     interior = dict(h.x_grid)
     interior[N // 2] += c
     interior = replace(h, x_grid=interior)
@@ -489,7 +490,7 @@ def test_scalar_route_matches_dense_oracle(family, N, pipe, monkeypatch):
     for t in triples:
         for fn in (verify_closure, verify_ladder):
             with pytest.raises(CrossCheckMismatch, match="solved on another spectrum"):
-                fn(replace(interior), t)
+                fn(replace(interior), t.data)
     hs = [h]
     for k in (-1, N + 1):
         grid = dict(h.x_grid)
@@ -500,7 +501,7 @@ def test_scalar_route_matches_dense_oracle(family, N, pipe, monkeypatch):
     outcomes = []
     for hh in hs:
         for t in triples:
-            verify_ladder(hh, t)
+            verify_ladder(hh, t.data)
             got = tridiagonal_ladder(hh, t)
             if t in bent_corr:
                 assert got != []
@@ -601,7 +602,7 @@ def test_closure_and_ladder_suites_evaluate_no_polynomial(family, monkeypatch):
     assert report._suite_closure(cfg, p)["pass"]
     assert report._suite_ladder(cfg, p)["pass"]
     assert calls == []
-    assert trip.r0_on_spectrum == tuple(trip.R0.values(trip.nodes))
+    assert trip.data.r0_on_spectrum == tuple(trip.R0.values(trip.data.nodes))
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -620,7 +621,7 @@ def test_solve_closure_makes_one_interpolation(family, pipe, monkeypatch):
     data = closure.closure_nodes(h)
     assert calls == [3]
     assert tuple(zip(*data[1:])) == closure_node_data(h) == on_spectrum_by_values(trip)
-    assert (trip.nodes, trip.r0_on_spectrum) == (data.nodes, data.r0_on_spectrum)
+    assert trip.data == data
     assert data.nodes == h.energies
 
 
@@ -652,8 +653,8 @@ def test_passing_closure_check_builds_no_matrix(monkeypatch):
         init(self, rows)
 
     monkeypatch.setattr(SquareMatrix, "__init__", counted)
-    verify_closure(h, trip)
-    verify_ladder(h, trip)
+    verify_closure(h, trip.data)
+    verify_ladder(h, trip.data)
     assert built == []
 
 
@@ -707,11 +708,11 @@ def test_certifications_survive_python_O():
         except CrossCheckMismatch as e:
             print("jacobi:", e)
         try:
-            closure.verify_closure(replace(h, dual=bad_dual), trip)
+            closure.verify_closure(replace(h, dual=bad_dual), trip.data)
         except CrossCheckMismatch as e:
             print("closure:", e)
 
-        def run(tag, fn, bad, t=trip):
+        def run(tag, fn, bad, t=trip.data):
             try:
                 fn(bad, t)
             except CrossCheckMismatch as e:

@@ -113,7 +113,7 @@ def test_one_gram_serves_the_dual_suite_and_every_ladder(monkeypatch):
     monkeypatch.setattr(linalg, "_gram_ints", counted)
     assert report._suite_dual(cfg, pl)["pass"]
     for y in seeds:
-        closure.verify_ladder(pl.hamiltonian(y), pl.closure(y))
+        closure.verify_ladder(pl.hamiltonian(y), pl.closure(y).data)
     assert pl.hamiltonian(seeds[0]).energies != pl.hamiltonian(seeds[1]).energies
     assert len(grams) == 1
 
@@ -289,7 +289,7 @@ def test_spectrum_reports_each_entry_in_one_kernel_run(pipe, monkeypatch):
 
     monkeypatch.setattr(SquareMatrix, "__matmul__", counted)
     monkeypatch.setattr(dualsystem, "eigen_misses", counted_kernel)
-    closure.verify_closure(fresh, trip)
+    closure.verify_closure(fresh, trip.data)
     assert kernel_calls == [] and "eigen_residual" not in vars(fresh)
     assert verify_spectrum(fresh) == []
     assert not any(a is fresh.h_tilde and b is fresh.V for a, b in calls)

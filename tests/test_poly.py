@@ -217,8 +217,8 @@ values = st.one_of(st.just(0), coeff)
 @given(st.data(), nodes, st.integers(1, 4))
 def test_multi_row_kernel_equals_one_row_calls(data, zs, k):
     """Several value rows on one node set give, coefficient for
-    coefficient, the interpolants of one-row calls (which fold b_j into
-    W/w_j): rows with zero entries, an all-zero row, and nodes where one
+    coefficient, the interpolants of one-row calls and of the Newton
+    oracle: rows with zero entries, an all-zero row, and nodes where one
     row or none is nonzero."""
     zs = [rat(z) for z in zs]
     rows = [[rat(v) for v in data.draw(st.lists(values, min_size=len(zs), max_size=len(zs)))]
@@ -259,7 +259,7 @@ def test_corrupted_row_value_fails_its_row(row, monkeypatch):
     """A value corrupted inside the kernel, in one of three rows, fails that
     row's node certificate at that node, whether its node is shared with
     the other rows (j=2) or only that row is nonzero there (j=3), and also
-    in a one-row call, where b_j folds into W/w_j."""
+    in a one-row call."""
     zs = [rat(k, 3) for k in range(5)]
     rows = [[rat(1, k + r + 1) if k != 3 or r == row else rat(0) for k in range(5)]
             for r in range(3)]
