@@ -24,15 +24,15 @@ operation, the product (the same integer clearing, each entry one
 canonical rational), is the tests' dense oracle: the library forms no
 product.
 
-The small Casoratians have two elimination kernels.  The exact one,
-``bordered_dets``, eliminates the leading columns of an integer matrix
-once, fraction-free (Bareiss), and gives the determinant with each
-further column as the last: bordered by the unit columns, every cofactor
-of a bordered column at once.  ``LeadingElimination``, the float route's
-(the q->1 checks; nothing here imports a float library), records one
-elimination of the leading columns for any last column, in the order of
-one elimination of the whole matrix, so a float determinant rounds as
-that elimination does.
+The small Casoratians have one elimination design in two arithmetics:
+eliminate the leading columns once and carry every further column through
+the same steps, giving the determinant with each further column as the
+last.  ``bordered_dets`` does it on integers, fraction-free (Bareiss);
+bordered by the unit columns, it gives every cofactor of a bordered column
+at once.  ``leading_dets`` does it by Gaussian elimination for the float
+route (the q->1 checks; nothing here imports a float library), each
+further column in the operation order of one elimination of the whole
+matrix, so a float determinant rounds as that elimination does.
 """
 
 from __future__ import annotations
@@ -171,55 +171,26 @@ def bordered_dets(rows) -> list:
     return [sign * v for v in m[-1][n - 1:]]
 
 
-class LeadingElimination:
-    """Gaussian elimination of the n-1 leading columns of an n x n matrix,
-    recorded for any last column.
-
-    ``rows`` holds the n rows of leading entries.  Each step takes the
-    first row with a nonzero entry in its column as the pivot row.  The
-    last column sees the same operations, in the same order, as in one
-    elimination of the whole matrix, and the last pivot is multiplied onto
-    the running product last, so float determinants agree bit for bit with
-    that elimination.  If some leading column has no pivot, every last
-    column gives a zero determinant.
-    """
-
-    __slots__ = ("pivots", "multipliers", "sign", "product", "zero")
-
-    def __init__(self, rows):
-        m = [list(r) for r in rows]
-        n = len(m)
-        self.pivots, self.multipliers = [], []
-        self.sign, self.product, self.zero = 1, None, None
-        for k in range(n - 1):
-            pivot = next((i for i in range(k, n) if m[i][k] != 0), None)
-            if pivot is None:
-                self.zero = m[0][0] * 0
-                return
-            if pivot != k:
-                m[k], m[pivot] = m[pivot], m[k]
-                self.sign = -self.sign
-            top = m[k]
-            fs = []
-            for row in m[k + 1:]:
-                f = row[k] / top[k]
-                for j in range(k + 1, n - 1):
-                    row[j] = row[j] - f * top[j]
-                fs.append(f)
-            self.pivots.append(pivot)
-            self.multipliers.append(fs)
-            self.product = top[k] if k == 0 else self.product * top[k]
-
-    def det(self, column) -> object:
-        """Determinant of the matrix bordered by ``column`` on the right."""
-        if self.zero is not None:
-            return self.zero
-        c = list(column)
-        for k, (pivot, fs) in enumerate(zip(self.pivots, self.multipliers)):
-            if pivot != k:
-                c[k], c[pivot] = c[pivot], c[k]
-            top = c[k]
-            for i, f in enumerate(fs, start=k + 1):
-                c[i] = c[i] - f * top
-        acc = c[-1] if self.product is None else self.product * c[-1]
-        return self.sign * acc
+def leading_dets(rows) -> list:
+    """``bordered_dets`` over any field, by Gaussian elimination: the first
+    nonzero entry of a column is its pivot, and each further column sees
+    the operations of one elimination of the whole matrix with it as the
+    last, in that order, the last pivot multiplied onto the running
+    product last, so a float determinant rounds as that elimination does.
+    A leading column without a pivot makes every one zero."""
+    m = [list(r) for r in rows]
+    n = len(m)
+    sign, product = 1, None
+    for k in range(n - 1):
+        pivot = next((i for i in range(k, n) if m[i][k] != 0), None)
+        if pivot is None:
+            return [m[0][0] * 0] * (len(m[0]) - n + 1)
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        top = m[k]
+        for row in m[k + 1:]:
+            f = row[k] / top[k]
+            row[k + 1:] = [v - f * t for v, t in zip(row[k + 1:], top[k + 1:])]
+        product = top[k] if product is None else product * top[k]
+    return [sign * (v if product is None else product * v) for v in m[-1][n - 1:]]

@@ -21,7 +21,8 @@ neither n, x nor j are formed once:
 - the twisted parameter set of the virtual-state values and the shifted
   sets lambda + i*delta, i < M;
 - the pairs (etilde_(d_j), alpha*B'(j)) shared by C_D and every dtn(n);
-- the ratio varphi_M(0)/varphi_(M+1)(0) that starts every dtn(n);
+- the ratio varphi_M(0)/varphi_(M+1)(0) that starts every dtn(n), and
+  the dual tuple whose sinusoidal coordinate is each dtn(n)'s energy;
 - the denominator of r_j(x): one constant for R; for qR the powers of
   ab/(dq) by j and the two q-Pochhammer symbols, multiplied with q^(Mx)
   in the per-entry order.
@@ -40,11 +41,11 @@ one integer dot product over C_(D,n), one rational per entry.  The last
 cofactor is the M x M Casoratian of the denominator polynomial, so
 Xi_D(x) = cof_(M+1)(x)/(C_D varphi_M(x)), on the main table and on the
 shifted one (lambda+delta, x <= N), where it is certified equal to
-P_(D,0)(x) and not kept.  Float tuples (the q->1 checks) take the
-per-entry route: the M virtual-state columns are eliminated once per x
-(``linalg.LeadingElimination``) and each P_(D,n)(x) reduces its bordered
-column with that record, in the order of the per-entry formulas, because
-the printed q->1 gaps pin that rounding.
+P_(D,0)(x) and not kept.  Float tuples (the q->1 checks) take the same
+design in floats: one elimination of the M virtual-state columns per x
+carries the bordered column of every n (``linalg.leading_dets``), each in
+the operation order of the per-entry formulas, because the printed q->1
+gaps pin that rounding.
 The per-entry formulas live in the tests as oracles; exact values equal
 them, floats agree with them bit for bit.
 
@@ -87,9 +88,9 @@ from .errors import (
     NonPositiveWeight,
     ZeroDenominator,
 )
-from .linalg import LeadingElimination, _cleared_int_rows, bordered_dets, gram_residuals
+from .linalg import _cleared_int_rows, bordered_dets, gram_residuals, leading_dets
 from .params import (
-    R, ParamSet, ell, energy, eta, factor, factor_pair, index_set, ipow, shift, twist, validate,
+    R, ParamSet, ell, eta, factor, factor_pair, index_set, ipow, shift, twist, validate,
 )
 from .poly import Poly, interpolate
 
@@ -113,15 +114,16 @@ class GridTable:
     fill are made on first use and held only as long as the table, so
     float values stay tied to the working precision they were made at.
 
-    Two routes give P_(D,n)(x).  ``pdn_row``, for exact tuples, is the
-    cofactor route: the cofactor weights of each x (``cofactor_weights``)
-    dotted with the cleared base row (``base_row``), on integers.  ``pdn``, for
-    float tuples, reduces each bordered column with the recorded
-    elimination: every product is taken in the order of the per-entry
-    formulas, and the determinants see the same rows, in the same order,
-    and the same elimination steps, so float results agree with those
-    formulas bit for bit, which the q->1 gaps need.  ``xi``, the
-    denominator polynomial, is the last of ``cofactors``.
+    Two routes give P_(D,n)(x), each one elimination per x.  ``pdn_row``,
+    for exact tuples, is the cofactor route: the cofactor weights of each
+    x (``cofactor_weights``) dotted with the cleared base row
+    (``base_row``), on integers.  ``pdn_column``, for float tuples, gives
+    every n at one x from one ``leading_dets``: every product is taken in
+    the order of the per-entry formulas, and the determinants see the same
+    rows, in the same order, and the same elimination steps, so float
+    results agree with those formulas bit for bit, which the q->1 gaps
+    need.  ``xi``, the denominator polynomial, is the last of
+    ``cofactors``.
     """
 
     def __init__(self, D: Sequence[int], p: ParamSet, columns=RacahColumns):
@@ -194,7 +196,7 @@ class GridTable:
         """Deformation factor of the squared norm."""
 
         def make():
-            acc, en = self.varphi_ratio(), energy(n, self.p)
+            acc, en = self.varphi_ratio(), eta(n, self._get("dual", self.p.dual))
             for et, alb in self._energy_pairs():
                 acc = acc * (en - et) / alb
             return acc
@@ -235,30 +237,26 @@ class GridTable:
         """Pochhammer-ratio factor multiplying the bordered column entry in
         row j; exact: one rational of ``poch_pair`` products over
         ``_rj_den``, floats (qR): the per-entry order."""
-
-        def make():
-            p, M = self.p, self.M
-            den = self._rj_den()
-            if p.is_exact():
-                tw = self._get("twisted", lambda: twist(p))
-                a, b, ta, tb = ((v.numerator, v.denominator) for v in (p.a, p.b, tw.a, tw.b))
-                fs = [poch_pair(p, u, j - 1, x) for u in (a, b)]
-                fs += [poch_pair(p, u, M + 1 - j, x + j - 1) for u in (ta, tb)]
-                dens = [den] if p.family == R else [den[0][j - 1], ipow(p.q, M * x), *den[1:]]
-                fs += [(v.denominator, v.numerator) for v in dens]
-                return rat(prod(f[0] for f in fs), prod(f[1] for f in fs))
-            a, b, d, q = p.a, p.b, p.d, p.q
-            qx = ipow(q, x)
-            num = (
-                poch(p, a * qx, j - 1)
-                * poch(p, b * qx, j - 1)
-                * poch(p, d * ipow(q, x + j) / a, M + 1 - j)
-                * poch(p, d * ipow(q, x + j) / b, M + 1 - j)
-            )
-            powers, qa, qb = den
-            return num / (powers[j - 1] * ipow(q, M * x) * qa * qb)
-
-        return self._get(("rj", j, x), make)
+        p, M = self.p, self.M
+        den = self._rj_den()
+        if p.is_exact():
+            tw = self._get("twisted", lambda: twist(p))
+            a, b, ta, tb = ((v.numerator, v.denominator) for v in (p.a, p.b, tw.a, tw.b))
+            fs = [poch_pair(p, u, j - 1, x) for u in (a, b)]
+            fs += [poch_pair(p, u, M + 1 - j, x + j - 1) for u in (ta, tb)]
+            dens = [den] if p.family == R else [den[0][j - 1], ipow(p.q, M * x), *den[1:]]
+            fs += [(v.denominator, v.numerator) for v in dens]
+            return rat(prod(f[0] for f in fs), prod(f[1] for f in fs))
+        a, b, d, q = p.a, p.b, p.d, p.q
+        qx = ipow(q, x)
+        num = (
+            poch(p, a * qx, j - 1)
+            * poch(p, b * qx, j - 1)
+            * poch(p, d * ipow(q, x + j) / a, M + 1 - j)
+            * poch(p, d * ipow(q, x + j) / b, M + 1 - j)
+        )
+        powers, qa, qb = den
+        return num / (powers[j - 1] * ipow(q, M * x) * qa * qb)
 
     def cofactors(self, x: int) -> tuple:
         """The M+1 cofactors of the bordered column at x (exact tuples):
@@ -320,17 +318,16 @@ class GridTable:
         v = self.cd() * self.varphi(x, self.M)
         return rat(cs[-1] * v.denominator, F * v.numerator)
 
-    def pdn(self, n: int, x: int):
-        """Grid value of the deformed polynomial via the bordered determinant,
-        the per-entry route of float tuples; only the last column,
-        r_j(x) * P_n(x+j-1), depends on n, so the M virtual-state columns
-        are eliminated once per x."""
-        M = self.M
-        column = [self.rj(j, x) * self.base_column(x + j - 1)[n] for j in range(1, M + 2)]
-        elim = self._get(("elim", x), lambda: LeadingElimination(
-            [self.xi_row(x + j) for j in range(M + 1)]
-        ))
-        return elim.det(column) / (self.cdn(n) * self.varphi(x, M + 1))
+    def pdn_column(self, x: int) -> list:
+        """Grid values P_(D,n)(x), n = 0..N, of float tuples: only the last
+        bordered column, r_j(x) * P_n(x+j-1), depends on n, so one
+        ``leading_dets`` of the M virtual-state columns at x carries all."""
+        rows = []
+        for j in range(1, self.M + 2):
+            r = self.rj(j, x)
+            rows.append(self.xi_row(x + j - 1) + [r * v for v in self.base_column(x + j - 1)])
+        phi = self.varphi(x, self.M + 1)
+        return [det / (self.cdn(n) * phi) for n, det in enumerate(leading_dets(rows))]
 
 
 def leading_xi(D: Sequence[int], p: ParamSet):

@@ -15,6 +15,7 @@ virtual-state data.
 
 from __future__ import annotations
 
+from math import log2
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .backend import is_rational, rat
@@ -89,6 +90,9 @@ def validate(p: ParamSet, D: Sequence[int]) -> list:
     Each virtual state, the base polynomial of degree d_j at the twisted
     tuple, must keep that degree: no factor dt'+k (R; 1-dt'*q^k for qR),
     k = d_j..2d_j-1, of its leading coefficient vanishes (dt' twisted).
+    One k at most makes it vanish (``_vanishing_k``), so neither that nor
+    the qR range check grows with max(D).  A qR tuple with b = 0 or d = 0,
+    which fails 0<ab<d<1, has no twisted tuple and no degree check.
     """
     dmax = max(D) if D else 0
     out = []
@@ -105,12 +109,31 @@ def validate(p: ParamSet, D: Sequence[int]) -> list:
             out.append("0<ab<d<1")
         if not (p.q * p.d < p.c < 1):
             out.append("qd<c<1")
-        if not (ab < p.d * ipow(p.q, dmax + 1)):
+        # q^k, k >= cap, are on one side of ab/d: if ab/d > 0, q <= 1-1/qd
+        # gives q^k < e^(-k/qd) <= 2^-B < ab/d for k >= B*qd, B the bit
+        # length of the denominator of ab/d; else the sign of d decides.
+        r = ab / p.d if p.d != 0 else 0
+        cap = r.denominator.bit_length() * p.q.denominator if r > 0 else 1
+        if not (ab < p.d * ipow(p.q, min(dmax + 1, cap))):
             out.append("ab<d*q^(max(D)+1)")
-    dt = twist(p).dtilde
-    if any(factor(p, dt, k) == 0 for dj in D for k in range(dj, 2 * dj)):
+    k = _vanishing_k(p, twist(p).dtilde) if p.family == R or p.b * p.d != 0 else None
+    if k is not None and any(dj <= k < 2 * dj for dj in D):
         out.append("deg xi_(d_j) = d_j")
     return out
+
+
+def _vanishing_k(p: ParamSet, u):
+    """The one k >= 1 with ``factor(p, u, k) == 0`` (u exact), or None.
+    R: k = -u.  qR: u = (qd/qn)^k in lowest terms, q = qn/qd; k is read off
+    the logarithms (rounding far below 1/2 for any numerator that fits in
+    memory) and checked on integers."""
+    if p.family == R:
+        return -u.numerator if u.denominator == 1 and u < 0 else None
+    num, qn, qd = u.numerator, p.q.numerator, p.q.denominator
+    if num <= 1:
+        return None
+    k = round(log2(num) / log2(qd))
+    return k if k >= 1 and qd ** k == num and qn ** k == u.denominator else None
 
 
 def factor(p: ParamSet, u, k: int):

@@ -12,7 +12,8 @@ live here (``QSumColumns``, handed to ``multiindexed.GridTable``, which
 stays float-free): they run on raw ``mpmath.libmp`` tuples, each
 operation in the order, at the precision and with the rounding of the
 mpf sum, so every value is the mpf one bit for bit.  The Casoratians
-(``GridTable.pdn``) stay on mpf.
+stay on mpf: one elimination per x carries every n
+(``GridTable.pdn_column``).
 
 The ladder (`ladder_tables`, one float P table per k, as raw
 (sign, mantissa, exponent, bit count) tuples) needs only the parameters,
@@ -98,7 +99,7 @@ class QSumColumns:
     total + term, on raw tuples: every value equals ``racah_value``'s bit
     for bit.  The working precision is read once, when the instance is
     made; use it only inside that precision.  Each entry is returned as an
-    mpf, for ``GridTable.pdn``.
+    mpf, for ``GridTable.pdn_column``.
     """
 
     def __init__(self, p: ParamSet):
@@ -142,11 +143,12 @@ class QSumColumns:
 
 
 def float_tables(p: ParamSet, D: Sequence[int], precision: int):
-    """Normalized polynomial table P[n][x] in floats (mpf)."""
-    N = p.N
+    """Normalized polynomial table P[n][x] in floats (mpf), built one x at
+    a time (``GridTable.pdn_column``) and transposed."""
     with mpmath.workprec(precision):
         tab = GridTable(D, p, QSumColumns)
-        return [[tab.pdn(n, x) for x in range(N + 1)] for n in range(N + 1)]
+        columns = [tab.pdn_column(x) for x in range(p.N + 1)]
+    return [list(row) for row in zip(*columns)]
 
 
 #: exponents k of the ladder q = 1 - 10^-k

@@ -9,13 +9,17 @@ down by matching the eta^1 coefficient.
 
 Replaced library routes live here too, as oracles for the kernels that
 replaced them: Newton divided differences for ``poly.interpolate``, one
-full Gaussian elimination per matrix for ``linalg.LeadingElimination``,
-and the rational eliminations that ``linalg.bordered_dets`` replaced on
+full Gaussian elimination per matrix (``naive_det``) and one recorded
+elimination of the leading columns replayed for each last column
+(``LeadingElimination``) for ``linalg.leading_dets``, and the rational
+eliminations that ``linalg.bordered_dets`` replaced on
 exact tuples (``generic_det``, the whole matrix, and
 ``elimination_cofactors``, one recorded elimination reducing each unit
 column), with the per-entry rational formulas of the potentials B and D
 (``potential_per_entry``), which ``basefamily.potential`` forms from
 integer pairs,
+the admissibility check with its degree check by every factor
+(``validate_per_k``, for ``params.validate``),
 the per-entry Casoratian factors that ``multiindexed.GridTable`` forms
 from pieces held once per table (``varphi_m``, ``rj_factor``,
 ``norm_const_cd``, ``dtn_sq_value``), the product form of each deformed
@@ -83,7 +87,7 @@ from dualracah.errors import (
     SingularR0,
     ZeroDenominator,
 )
-from dualracah.linalg import LeadingElimination, SquareMatrix, _cleared_int_rows, gram_residuals
+from dualracah.linalg import SquareMatrix, _cleared_int_rows, gram_residuals
 from dualracah.multiindexed import GridTable, MISystem
 from dualracah.params import QR, R, ParamSet, energy, factor, ipow, shift, twist
 from dualracah.poly import Poly
@@ -764,8 +768,8 @@ def newton_interpolate(nodes, values) -> Poly:
 
 def naive_det(rows) -> object:
     """Determinant over any field by one Gaussian elimination of the whole
-    matrix, first nonzero entry as pivot (the route
-    ``linalg.LeadingElimination`` replaced, kept as an oracle)."""
+    matrix, first nonzero entry as pivot (the route that the recorded
+    elimination of the leading columns replaced, kept as an oracle)."""
     m = [list(r) for r in rows]
     n = len(m)
     if n == 0:
@@ -792,9 +796,65 @@ def naive_det(rows) -> object:
     return sign * acc
 
 
+class LeadingElimination:
+    """Gaussian elimination of the n-1 leading columns of an n x n matrix,
+    recorded for any last column (the float Casoratian route that
+    ``linalg.leading_dets`` replaced, one replay per (n, x), kept as an
+    oracle).
+
+    ``rows`` holds the n rows of leading entries.  Each step takes the
+    first row with a nonzero entry in its column as the pivot row.  The
+    last column sees the same operations, in the same order, as in one
+    elimination of the whole matrix, and the last pivot is multiplied onto
+    the running product last, so float determinants agree bit for bit with
+    that elimination.  If some leading column has no pivot, every last
+    column gives a zero determinant.
+    """
+
+    __slots__ = ("pivots", "multipliers", "sign", "product", "zero")
+
+    def __init__(self, rows):
+        m = [list(r) for r in rows]
+        n = len(m)
+        self.pivots, self.multipliers = [], []
+        self.sign, self.product, self.zero = 1, None, None
+        for k in range(n - 1):
+            pivot = next((i for i in range(k, n) if m[i][k] != 0), None)
+            if pivot is None:
+                self.zero = m[0][0] * 0
+                return
+            if pivot != k:
+                m[k], m[pivot] = m[pivot], m[k]
+                self.sign = -self.sign
+            top = m[k]
+            fs = []
+            for row in m[k + 1:]:
+                f = row[k] / top[k]
+                for j in range(k + 1, n - 1):
+                    row[j] = row[j] - f * top[j]
+                fs.append(f)
+            self.pivots.append(pivot)
+            self.multipliers.append(fs)
+            self.product = top[k] if k == 0 else self.product * top[k]
+
+    def det(self, column) -> object:
+        """Determinant of the matrix bordered by ``column`` on the right."""
+        if self.zero is not None:
+            return self.zero
+        c = list(column)
+        for k, (pivot, fs) in enumerate(zip(self.pivots, self.multipliers)):
+            if pivot != k:
+                c[k], c[pivot] = c[pivot], c[k]
+            top = c[k]
+            for i, f in enumerate(fs, start=k + 1):
+                c[i] = c[i] - f * top
+        acc = c[-1] if self.product is None else self.product * c[-1]
+        return self.sign * acc
+
+
 def generic_det(rows) -> object:
-    """Determinant over any field scalars: ``linalg.LeadingElimination`` of
-    the whole matrix (the exact Casoratian route before
+    """Determinant over any field scalars: ``LeadingElimination`` of the
+    whole matrix (the exact Casoratian route before
     ``linalg.bordered_dets``)."""
     if not rows:
         return 1
@@ -807,6 +867,34 @@ def elimination_cofactors(rows) -> list:
     (the route ``multiindexed.GridTable.cofactors`` replaced)."""
     elim, n = LeadingElimination(rows), len(rows)
     return [elim.det([int(i == j) for i in range(n)]) for j in range(n)]
+
+
+def validate_per_k(p: ParamSet, D: Sequence[int]) -> list:
+    """``params.validate`` with its degree check by every factor dt'+k
+    (R; 1-dt'*q^k for qR), k = d_j..2d_j-1, and the power q^(max(D)+1)
+    formed in full (the route that reads off the one vanishing k
+    replaced, kept as an oracle; its cost grows with max(D))."""
+    dmax = max(D) if D else 0
+    out = []
+    if p.family == R:
+        if not (0 < p.d < p.a + p.b):
+            out.append("0<d<a+b")
+        if not (0 < p.c < 1 + p.d):
+            out.append("0<c<1+d")
+        if not (p.d + dmax + 1 < p.a + p.b):
+            out.append("d+max(D)+1<a+b")
+    else:
+        ab = p.a * p.b
+        if not (0 < ab < p.d < 1):
+            out.append("0<ab<d<1")
+        if not (p.q * p.d < p.c < 1):
+            out.append("qd<c<1")
+        if not (ab < p.d * ipow(p.q, dmax + 1)):
+            out.append("ab<d*q^(max(D)+1)")
+    dt = twist(p).dtilde
+    if any(factor(p, dt, k) == 0 for dj in D for k in range(dj, 2 * dj)):
+        out.append("deg xi_(d_j) = d_j")
+    return out
 
 
 def potential_per_entry(x: int, p: ParamSet, which: str):
@@ -1126,7 +1214,8 @@ def wrapper_float_tables(p: ParamSet, D: Sequence[int], precision: int) -> list:
     ``WrapperQSumColumns``."""
     with mpmath.workprec(precision):
         tab = GridTable(D, p, WrapperQSumColumns)
-        return [[tab.pdn(n, x) for x in range(p.N + 1)] for n in range(p.N + 1)]
+        columns = [tab.pdn_column(x) for x in range(p.N + 1)]
+    return [list(row) for row in zip(*columns)]
 
 
 def workprec_to_real(x, prec: int):

@@ -2,7 +2,8 @@
 checked against the rational-arithmetic routes they replaced, and the
 fraction-free echelon kernel kept as a test oracle in conftest (its
 determinant, square and overdetermined solves).  The float Casoratian
-kernel, ``LeadingElimination``, is checked against ``comparators.naive_det``,
+kernel, ``leading_dets``, is checked against the recorded elimination it
+replaced (``comparators.LeadingElimination``) and ``comparators.naive_det``,
 exactly and bit for bit in floats; the exact one, ``bordered_dets``, against
 the rational eliminations it replaced."""
 
@@ -18,18 +19,19 @@ from dualracah import linalg
 from dualracah.backend import rat
 from dualracah.errors import SingularMatrix
 from dualracah.linalg import (
-    LeadingElimination,
     SquareMatrix,
     _cleared_int_rows,
     bordered_dets,
     gram_band,
     gram_residuals,
+    leading_dets,
 )
 from dualracah.multiindexed import GridTable
 from dualracah.params import QR, R
 from dualracah.pipeline import Pipeline
 from dualracah.qlimit import QSumColumns, matched_q_params
 from comparators import (
+    LeadingElimination,
     commutator,
     elimination_cofactors,
     exact_inverse,
@@ -188,13 +190,18 @@ def _floats(rows, prec):
 
 @pytest.mark.parametrize("case", sorted(LEADING))
 def test_leading_elimination_equals_naive_det(case):
+    """One elimination carries every last column: each determinant is the
+    recorded elimination's (the route it replaced) and the whole
+    elimination's.  The record shows which branch the case reaches."""
     lead = [[rat(v) for v in row] for row in LEADING[case]]
+    cols = [[rat(c) for c in col] for col in LAST_COLUMNS]
+    got = leading_dets([row + [col[i] for col in cols] for i, row in enumerate(lead)])
     elim = LeadingElimination(lead)
-    for col in LAST_COLUMNS:
-        rows = [row + [rat(c)] for row, c in zip(lead, col)]
-        assert elim.det([rat(c) for c in col]) == naive_det(rows) == generic_det(rows)
+    for v, col in zip(got, cols, strict=True):
+        rows = [row + [c] for row, c in zip(lead, col)]
+        assert type(v) is type(elim.det(col)) and v == elim.det(col) == naive_det(rows)
         if case.startswith("no_pivot"):
-            assert naive_det(rows) == 0
+            assert v == 0
     assert (elim.zero is not None) == case.startswith("no_pivot")
     assert (elim.sign == -1) == case.startswith("swap")
 
@@ -202,27 +209,53 @@ def test_leading_elimination_equals_naive_det(case):
 @pytest.mark.parametrize("prec", [53, 256])
 @pytest.mark.parametrize("case", sorted(LEADING))
 def test_leading_elimination_is_bit_identical_in_floats(case, prec):
-    """Same operations in the same order as one whole elimination, so the
-    float determinants agree to the last bit (the q->1 tables rely on it)."""
-    for col in LAST_COLUMNS:
-        rows = _floats([row + [c] for row, c in zip(LEADING[case], col)], prec)
-        with mpmath.workprec(prec):
-            got = LeadingElimination([r[:-1] for r in rows]).det([r[-1] for r in rows])
-            want = naive_det(rows)
-        assert type(got) is type(want) and got == want
-        assert repr(got) == repr(want)
+    """Same operations in the same order as one whole elimination and as
+    the recorded elimination's replay, so the float determinants agree to
+    the last bit (the q->1 tables rely on it)."""
+    rows = _floats(LEADING[case], prec)
+    cols = [_floats([col], prec)[0] for col in LAST_COLUMNS]
+    with mpmath.workprec(prec):
+        got = leading_dets([row + [col[i] for col in cols] for i, row in enumerate(rows)])
+        elim = LeadingElimination(rows)
+        for v, col in zip(got, cols, strict=True):
+            want = naive_det([row + [c] for row, c in zip(rows, col)])
+            assert type(v) is type(want) and v._mpf_ == want._mpf_ == elim.det(col)._mpf_
+
+
+@pytest.mark.parametrize("prec", [None, 53, 256])
+def test_leading_dets_of_one_row(prec):
+    """With no leading column (M = 0) each determinant is its entry, times
+    the sign as the recorded elimination gives it."""
+    row = [rat(-2, 3), rat(0), rat(5, 7)]
+    if prec:
+        row = _floats([row], prec)[0]
+    with mpmath.workprec(prec or 53):
+        got = leading_dets([row])
+        want = [LeadingElimination([[]]).det([v]) for v in row]
+    assert [type(v) for v in got] == [type(v) for v in want] == [type(row[0])] * 3
+    assert got == want == row
+    if prec:
+        assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
 
 
 @settings(max_examples=60)
-@given(st.integers(1, 5).flatmap(lambda n: st.lists(
-    st.lists(small, min_size=n, max_size=n), min_size=n, max_size=n)))
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, 3))).flatmap(
+    lambda nk: st.lists(st.lists(small, min_size=sum(nk) - 1, max_size=sum(nk) - 1),
+                        min_size=nk[0], max_size=nk[0])))
 def test_leading_elimination_random(rows):
+    """Every carried column's determinant is the recorded elimination's
+    and the whole elimination's, exactly and bit for bit in floats."""
+    n = len(rows)
     rows = [[rat(v) for v in row] for row in rows]
-    assert generic_det(rows) == naive_det(rows)
     frows = _floats(rows, 53)
-    with mpmath.workprec(53):
-        got, want = generic_det(frows), naive_det(frows)
-    assert repr(got) == repr(want)
+    for m in (rows, frows):
+        with mpmath.workprec(53):
+            got = leading_dets(m)
+            elim = LeadingElimination([r[:n - 1] for r in m])
+            for t, v in zip(range(n - 1, len(m[0])), got, strict=True):
+                col = [r[t] for r in m]
+                want = naive_det([r[:n - 1] + [c] for r, c in zip(m, col)])
+                assert repr(v) == repr(want) == repr(elim.det(col))
 
 
 @pytest.mark.parametrize("case", sorted(LEADING))
@@ -258,18 +291,19 @@ def test_bordered_dets_random(rows):
 @pytest.mark.parametrize("prec", [None, 53, 256])
 @pytest.mark.parametrize("case", sorted(LEADING))
 def test_grid_table_reaches_every_elimination_branch(case, prec):
-    """GridTable.pdn over hand-made virtual-state rows equals the bordered
-    determinant by one whole elimination, exactly and in floats (the float
-    columns from the q->1 check's q-sum)."""
+    """GridTable.pdn_column over hand-made virtual-state rows equals the
+    bordered determinant by one whole elimination, exactly and in floats
+    (the float columns from the q->1 check's q-sum), for every n."""
     p = std_params(R, 4) if prec is None else matched_q_params(std_params(R, 4), 3, prec)
     with mpmath.workprec(prec or 53):
         tab = GridTable((1, 2), p) if prec is None else GridTable((1, 2), p, QSumColumns)
         lead = _floats(LEADING[case], prec) if prec else [list(map(rat, r)) for r in LEADING[case]]
         tab.xi_row = lambda y: list(lead[y - 1])
-        for n in range(p.N + 1):
+        column = tab.pdn_column(1)
+        assert len(column) == p.N + 1
+        for n, got in enumerate(column):
             rows = [lead[j] + [tab.rj(j + 1, 1) * tab.base_column(1 + j)[n]] for j in range(3)]
             want = naive_det(rows) / (tab.cdn(n) * tab.varphi(1, 3))
-            got = tab.pdn(n, 1)
             assert type(got) is type(want) and repr(got) == repr(want)
 
 

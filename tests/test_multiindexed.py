@@ -24,7 +24,6 @@ from dualracah.errors import (
     NonPositiveWeight,
     ZeroDenominator,
 )
-from dualracah import linalg
 from dualracah.multiindexed import (
     GridTable,
     MISystem,
@@ -233,7 +232,7 @@ def test_value_route_matches_interpolant_off_grid(family, pipe):
     p = s.params
     for n in (0, 3, 5):
         x = p.N + 1
-        assert s.pdn_polys[n](eta(x, shift(p, s.M, "delta"))) == GridTable(s.D, p).pdn(n, x)
+        assert s.pdn_polys[n](eta(x, shift(p, s.M, "delta"))) == GridTable(s.D, p).pdn_column(x)[n]
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -253,10 +252,13 @@ def test_table_matches_per_entry_route(family, D, N, pipe):
     s = pipe(family, N, D).system()
     for x in range(N + 2):
         assert tab.xi(x) == per_entry_xi(x, D, p) == s.xi_grid[x]
-    for n in range(N + 1):
-        for x in range(N + 1):
+    for x in range(N + 1):
+        column, fresh = tab.pdn_column(x), GridTable(D, p).pdn_column(x)
+        assert len(column) == N + 1
+        for n in range(N + 1):
             v = per_entry_pdn(n, x, D, p)
-            assert tab.pdn(n, x) == v == GridTable(D, p).pdn(n, x) == s.pdn_grid[n][x]
+            assert column[n] == v == fresh[n] == s.pdn_grid[n][x]
+    for n in range(N + 1):
         assert s.dDn_sq[n] == basefamily.dn_sq_table(p)[n] * tab.dtn(n)
 
 
@@ -336,22 +338,25 @@ def test_table_factors_equal_per_entry_functions(family, D):
 @pytest.mark.parametrize("N", [1, 5, 10])
 def test_cofactor_route_matches_per_entry_route(family, D, N):
     """The exact build's grids, from the cofactor weights and the cleared
-    base values, are the per-entry bordered eliminations' rationals: every
+    base values, are the bordered eliminations' rationals (one rational
+    elimination per x carrying every n, ``GridTable.pdn_column``): every
     P_(D,n)(x) that the interpolation reads, past the grid too
     (x <= ell_D + N), and every Xi_D(x) of the build (x <= N + 1)."""
     p = _tuple_for_three_indices(family, N)
     oracle, tab = GridTable(D, p), GridTable(D, p)
     top = ell(D) + N
+    columns = [oracle.pdn_column(x) for x in range(top + 1)]
+    assert all(type(v) is Fraction for column in columns for v in column)
     for n in range(N + 1):
         row = tab.pdn_row(n, top + 1)
         assert all(type(v) is Fraction for v in row)
-        assert row == [oracle.pdn(n, x) for x in range(top + 1)]
+        assert row == [column[n] for column in columns]
     s = build_mi_system(p, D)
     assert sorted(s.xi_grid) == list(range(max(N + 2, ell(D) + 1)))
     for x, v in s.xi_grid.items():
         assert type(v) is Fraction and v == oracle.xi(x)
     for n in range(N + 1):
-        assert s.pdn_grid[n] == tuple(oracle.pdn(n, x) for x in range(N + 1))
+        assert s.pdn_grid[n] == tuple(column[n] for column in columns[:N + 1])
 
 
 def _counted(monkeypatch, owner, names):
@@ -373,16 +378,16 @@ def test_exact_build_takes_cofactors_once_per_x(monkeypatch):
     (x <= ell_D + N), which gives all M+1 cofactors, and one per x of the
     shifted denominator (0 <= x <= N, where the ground state is certified
     against it): O(N) eliminations, not one per (n, x).  It never takes
-    the per-entry route GridTable.pdn."""
+    the float tuples' route GridTable.pdn_column."""
     dets = []
     orig = multiindexed.bordered_dets
     monkeypatch.setattr(multiindexed, "bordered_dets", lambda rows: dets.append(rows) or orig(rows))
-    routes = _counted(monkeypatch, GridTable, ["pdn", "xi"])
+    routes = _counted(monkeypatch, GridTable, ["pdn_column", "xi"])
     N, D = 10, (1, 2)
     build_mi_system(std_params(R, N), D)
     top = ell(D) + N
     assert len(dets) == (top + 1) + (N + 1) == 24
-    assert routes == {"pdn": 0, "xi": (N + 2) + (N + 1)}
+    assert routes == {"pdn_column": 0, "xi": (N + 2) + (N + 1)}
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -405,24 +410,37 @@ def test_integer_cofactors_equal_the_rational_elimination(family, D, N):
             assert tab.xi(x) == det / (norm_const_cd(D, t) * varphi_m(x, M, t))
 
 
+def _counted_leading_dets(monkeypatch) -> list:
+    """The row lists of every linalg.leading_dets call the library makes."""
+    made, orig = [], multiindexed.leading_dets
+    monkeypatch.setattr(multiindexed, "leading_dets", lambda rows: made.append(rows) or orig(rows))
+    return made
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_exact_build_constructs_no_leading_elimination(family, monkeypatch):
-    """A cost guard: LeadingElimination is the float route's kernel; an
-    exact build, main and shifted table alike, constructs none."""
-    made = _counted(monkeypatch, linalg.LeadingElimination, ["__init__"])
+    """A cost guard: leading_dets, on GridTable.pdn_column, is the float
+    route's kernel; an exact build, main and shifted table alike, calls
+    neither."""
+    made = _counted_leading_dets(monkeypatch)
+    routes = _counted(monkeypatch, GridTable, ["pdn_column"])
     build_mi_system(_tuple_for_three_indices(family, 6), (1, 2, 3))
-    assert made == {"__init__": 0}
+    assert made == [] and routes == {"pdn_column": 0}
 
 
 def test_float_tables_take_the_per_entry_route(monkeypatch):
-    """The q->1 float tables go through GridTable.pdn only: the q->1 gaps
-    pin the per-entry elimination's operation order."""
+    """The q->1 float tables go through GridTable.pdn_column only, one
+    column and one elimination per x carrying every n (the q->1 gaps pin
+    the per-entry elimination's operation order), and never through the
+    exact tuples' cofactor route."""
+    made = _counted_leading_dets(monkeypatch)
     calls = _counted(monkeypatch, GridTable,
-                     ["pdn", "pdn_row", "cofactors", "cofactor_weights", "base_row"])
-    N = 4
-    float_tables(matched_q_params(std_params(R, N), 3, 53), (1, 2), 53)
-    assert calls == {"pdn": (N + 1) ** 2, "pdn_row": 0, "cofactors": 0, "cofactor_weights": 0,
+                     ["pdn_column", "pdn_row", "cofactors", "cofactor_weights", "base_row"])
+    N, D = 4, (1, 2)
+    float_tables(matched_q_params(std_params(R, N), 3, 53), D, 53)
+    assert calls == {"pdn_column": N + 1, "pdn_row": 0, "cofactors": 0, "cofactor_weights": 0,
                      "base_row": 0}
+    assert [(len(rows), len(rows[0])) for rows in made] == [(len(D) + 1, len(D) + N + 1)] * (N + 1)
 
 
 @pytest.mark.parametrize("family", FAMILIES)

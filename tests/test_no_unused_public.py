@@ -1,12 +1,15 @@
-"""Every public module-level function and class of the library, and every
-public method and property of its classes, is used by the library itself.
+"""Every module-level function and class of the library, public or
+private, and every public method and property of its classes, is used by
+the library itself.
 
 A name counts as used when some part of ``src/dualracah`` other than its
 own definition refers to it: as a plain name, as an attribute, or in an
 import.  The match is by name alone, so a method whose name another
 definition shares (``Poly.is_zero`` and a ``SquareMatrix.is_zero``, say)
 counts as used when either is.  The entry point is the only name the
-library may define for outside callers alone.
+library may define for outside callers alone.  A private module-level
+helper that only the tests call counts as unused: a route that a new one
+replaced leaves no helper behind.
 
 Every field of a class is read as an attribute in the library, too: each
 annotated name of its body (a NamedTuple's fields) and each attribute its
@@ -40,11 +43,12 @@ def _names(tree, skip) -> set:
     return out
 
 
-def _public(body):
+def _definitions(body, private: bool = False):
+    """The functions and classes of body, public or private ones."""
     return [
         node for node in body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
+        and node.name.startswith("_") == private
     ]
 
 
@@ -52,10 +56,10 @@ def test_every_public_definition_is_used_in_the_library():
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     public = []
     for module, tree in trees.items():
-        for node in _public(tree.body):
+        for node in _definitions(tree.body):
             public.append((module, node.name, node))
             if isinstance(node, ast.ClassDef):
-                public += [(module, f"{node.name}.{m.name}", m) for m in _public(node.body)]
+                public += [(module, f"{node.name}.{m.name}", m) for m in _definitions(node.body)]
     defined = {(module, name) for module, name, _ in public}
     assert EXCEPTIONS <= defined, "an exception names a definition that is gone"
     unused = [
@@ -63,6 +67,19 @@ def test_every_public_definition_is_used_in_the_library():
         for module, name, node in public
         if (module, name) not in EXCEPTIONS
         and not any(node.name in _names(tree, node) for tree in trees.values())
+    ]
+    assert unused == []
+
+
+def test_every_private_module_level_definition_is_used_in_the_library():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    private = [(module, node) for module, tree in trees.items()
+               for node in _definitions(tree.body, private=True)]
+    assert private, "no private definition found"
+    unused = [
+        f"{module}.{node.name}"
+        for module, node in private
+        if not any(node.name in _names(tree, node) for tree in trees.values())
     ]
     assert unused == []
 

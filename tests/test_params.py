@@ -1,7 +1,13 @@
 """Parameter sets, admissibility, shifts, coordinates, and the twist."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from dualracah.backend import rat
@@ -20,6 +26,7 @@ from dualracah.params import (
     twist,
     validate,
 )
+from comparators import validate_per_k
 from conftest import std_params
 
 
@@ -105,6 +112,79 @@ def test_validate_refuses_a_virtual_state_that_loses_its_degree(family, N, b, c,
         raw["q"] = str(q)
     with pytest.raises(InadmissibleParams, match="deg xi"):
         report.run_suite(report.parse_config(raw))
+
+
+@pytest.mark.parametrize("family", [R, QR])
+@pytest.mark.parametrize("k", range(1, 8))
+def test_validate_finds_the_one_vanishing_degree_factor(family, k):
+    """At a tuple whose twisted dt' makes the degree factor at k vanish
+    (dt' = -k for R, q^-k for qR), validate refuses exactly the index sets
+    with some d_j <= k < 2d_j, as the per-k loop does."""
+    N, q = 3, (rat(1, 3) if family == QR else None)
+    if family == R:
+        c, d = rat(1, 2), rat(2, 5)
+        b = d + N + 1 + c + k  # dt' = d+N+1-b+c
+    else:
+        c, d = rat(1, 2), rat(1, 2)
+        b = d * c * q ** (N + 1 + k)  # dt' = d*c*q^(N+1)/b
+    p = make_params(family, N, b=b, c=c, d=d, q=q)
+    assert twist(p).dtilde == (-k if family == R else q ** -k)
+    for D in [(1,), (2,), (3,), (1, 4), (2, 5), (k,), (k + 1,), (1, 2, 3, 4, 5, 6, 7, 8)]:
+        got = validate(p, D)
+        assert got == validate_per_k(p, D)
+        assert ("deg xi_(d_j) = d_j" in got) == any(dj <= k < 2 * dj for dj in D)
+
+
+fractions = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+
+
+@given(st.sampled_from([R, QR]), st.integers(1, 6), fractions, fractions, fractions,
+       st.fractions(min_value=0, max_value=1, max_denominator=12).filter(lambda v: 0 < v < 1),
+       st.lists(st.integers(1, 9), max_size=4, unique=True).map(sorted))
+def test_validate_equals_the_per_k_loop(family, N, b, c, d, q, D):
+    """On any tuple, admissible or not, validate gives the per-k loop's
+    list: the same violations in the same order.  (The loop divides by
+    zero at a qR tuple with b = 0 or d = 0, which has no twisted tuple.)"""
+    assume(family == R or b * d != 0)
+    p = make_params(family, N, b=b, c=c, d=d, q=q if family == QR else None)
+    assert validate(p, D) == validate_per_k(p, D)
+
+
+@pytest.mark.parametrize("b,d", [(rat(0), rat(1, 2)), (rat(1, 64), rat(0))])
+def test_validate_refuses_a_qr_tuple_without_a_twist(b, d, tmp_path, capsys):
+    """A qR tuple with b = 0 or d = 0 fails 0<ab<d<1 and has no twisted
+    tuple (its slots divide by b, its dt' by d): validate lists the range
+    violation, and a run refuses the config with exit 2."""
+    from dualracah.cli import main
+
+    p = make_params(QR, 3, b=b, c=rat(1, 2), d=d, q=rat(1, 2))
+    assert validate(p, (1, 2)) == validate(p, ()) and "0<ab<d<1" in validate(p, ())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": QR, "N": 3, "b": str(b), "c": "1/2", "d": str(d),
+                               "q": "1/2", "D": [1, 2], "Y": ["1"], "suites": ["mi"]}))
+    assert main(["verify", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: config parameters violate ranges:")
+
+
+@pytest.mark.parametrize("family", [R, QR])
+def test_validate_of_a_huge_index_exits_at_once(family, tmp_path):
+    """A config with max(D) = 10^7 is refused with exit 2 within seconds:
+    neither the degree check nor the qR range check grows with max(D)."""
+    raw = {"family": family, "N": 3, "b": "8", "c": "1/2", "d": "2/5", "D": [10 ** 7],
+           "Y": ["1"], "suites": ["mi"]}
+    if family == QR:
+        raw.update(b="1/64", d="1/2", q="1/2")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dualracah.cli", "verify", "--config", str(cfg)],
+        env=env, capture_output=True, text=True, timeout=5,
+    )
+    assert proc.returncode == 2
+    bad = "d+max(D)+1<a+b" if family == R else "ab<d*q^(max(D)+1)"
+    assert proc.stderr == f"error: config parameters violate ranges: ['{bad}']\n"
 
 
 def test_shift_additive_and_multiplicative():

@@ -20,7 +20,7 @@ from dualracah.multiindexed import GridTable
 from dualracah.params import QR, R, ell, make_params, shift, twist, validate
 from dualracah.pipeline import Pipeline
 from dualracah.recurrence import verify_recurrence
-from comparators import poly_recurrence_failures, tridiagonal_closure
+from comparators import poly_recurrence_failures, tridiagonal_closure, validate_per_k
 from conftest import r_by_solve
 
 SEED = 31
@@ -34,10 +34,9 @@ def _unit(rng) -> Fraction:
     return Fraction(rng.randint(1, den - 1), den)
 
 
-def _draw(rng) -> dict:
-    """One admissible run config, drawn from rng.  The ranges are met by
-    construction; a draw that ``params.validate`` refuses all the same (a
-    virtual state that loses its degree) is drawn again."""
+def _draw_tuple(rng) -> tuple:
+    """(family, N, D, b, c, d, q) drawn from rng, in the ranges of the
+    admissibility inequalities."""
     family, N = rng.choice((R, QR)), rng.randint(2, 9)
     D = sorted(rng.sample(range(1, 6), rng.randint(0, 3)))
     top = max(D, default=0)
@@ -50,6 +49,14 @@ def _draw(rng) -> dict:
         q, d = _unit(rng), _unit(rng)
         c = q * d + (1 - q * d) * _unit(rng)
         b = d * q ** (top + 1 + N) * _unit(rng)
+    return family, N, D, b, c, d, q
+
+
+def _draw(rng) -> dict:
+    """One admissible run config, drawn from rng.  The ranges are met by
+    construction; a draw that ``params.validate`` refuses all the same (a
+    virtual state that loses its degree) is drawn again."""
+    family, N, D, b, c, d, q = _draw_tuple(rng)
     if validate(make_params(family, N, b=b, c=c, d=d, q=q), D):
         return _draw(rng)
     Y = [Fraction(rng.randint(0, 4), 2) for _ in range(rng.randint(1, 3))]
@@ -76,11 +83,13 @@ def test_random_tuple_passes_every_exact_suite_and_oracle(raw):
 
     p, D, N, Y = pipe.params, pipe.D, cfg.N, cfg.Y
     s, xp, t = pipe.system(), pipe.xpoly(Y), pipe.rectable(Y)
-    # the cofactor grid, past the grid as far as the interpolation reads
+    # the cofactor grid, past the grid as far as the interpolation reads,
+    # against one rational elimination per x carrying every n
     cofactor, per_entry = GridTable(D, p), GridTable(D, p)
     top = ell(D) + N
+    columns = [per_entry.pdn_column(x) for x in range(top + 1)]
     for n in range(N + 1):
-        assert cofactor.pdn_row(n, top + 1) == [per_entry.pdn(n, x) for x in range(top + 1)]
+        assert cofactor.pdn_row(n, top + 1) == [column[n] for column in columns]
     # r by the Gram band, against the overdetermined solves
     assert t.r == r_by_solve(s, xp)
     # the polynomial recurrence past the grid, against the Poly products
@@ -117,3 +126,17 @@ def test_grid_zero_passes_every_exact_suite():
     results = {name: report._SUITE_FNS[name](cfg, pipe) for name in EXACT_SUITES}
     assert [name for name, r in results.items() if not r["pass"]] == []
     assert results["mi"]["sign_changes"] == [0, 1, 2, 3, 4, 5]
+
+
+def test_validate_equals_the_per_k_loop_on_the_drawn_tuples():
+    """params.validate, which finds the one k where a degree factor can
+    vanish, gives the per-k loop's list on the sweep's draws, the ones the
+    sweep draws again included."""
+    rng, refused = random.Random(SEED), 0
+    for _ in range(400):
+        family, N, D, b, c, d, q = _draw_tuple(rng)
+        p = make_params(family, N, b=b, c=c, d=d, q=q)
+        got = validate(p, D)
+        assert got == validate_per_k(p, D)
+        refused += got == ["deg xi_(d_j) = d_j"]
+    assert refused > 0
