@@ -9,20 +9,19 @@ potentials (``rec_coeffs``), the energy is the sinusoidal coordinate
 (``dn_sq_table``).  Likewise the virtual-state data are the base data at
 the twisted parameters of ``params.twist``.
 
-The functions are duck-typed over the scalar field: exact rationals give
-exact results, high-precision floats give the float path used by the
-q->1 limit checks (base values and energies; the weight and norm tables
-take exact tuples only).
+The library calls these functions on exact tuples only.  The q->1 check
+runs its float tables on the float side (``qlimit``: the terminating
+q-sum of ``racah_value`` in ``QSumColumns`` and the Casoratian pieces, on
+raw mpmath tuples), so this module stays float-free; ``racah_value``,
+``etilde_v`` and ``alpha_const`` are still written over any scalar field,
+and the tests check the float side against them.
 
-Base values P_n(y) of an exact tuple are filled a column (all n at one y)
-at a time by ``RacahColumns``, by the three-term recurrence of
-``rec_coeffs``.  The float columns of the q->1 check are the float side's
-(``qlimit.QSumColumns``: the terminating q-sum of ``racah_value`` with its
-factors shared across the table, on raw mpmath tuples), so this module
-stays float-free.  ``racah_value``, the sum for a single value, serves the
-virtual states (base values at the twisted parameters: the d_k+1 nodes of
-each polynomial of an exact ``multiindexed.GridTable``, every value of a
-float one) and the base suite's spot row.
+Base values P_n(y) are filled a column (all n at one y) at a time by
+``RacahColumns``, by the three-term recurrence of ``rec_coeffs``.
+``racah_value``, the sum for a single value, serves the virtual states
+(base values at the twisted parameters: the d_k+1 nodes of each
+polynomial of a ``multiindexed.GridTable``) and the base suite's spot
+row.
 
 The squared ground state phi0^2(0..N) is a table (``phi0_sq_table``) run by
 detailed balance, B(x) phi0^2(x) = D(x+1) phi0^2(x+1), from phi0^2(0) = 1;
@@ -32,20 +31,19 @@ in the tests as oracles.
 
 Each q-Racah closed form is its Racah form with every (u)_n read as
 (u;q)_n, so one product, ``poch`` over ``params.factor``, writes ``c_n``
-and d_0^2 for both families; on exact values it multiplies integer pairs
-(``poch_pair``), as do the potentials B and D, which only exact tuples
-read.  The formulas on the q->1 float route (B', ``racah_value``,
-``etilde_v``, ``varphi``) stay per family: the printed gaps pin their
-rounding order.
+and d_0^2 for both families; it multiplies integer pairs (``poch_pair``),
+as do the potentials B and D and ``varphi``.  The per-family formulas
+of the float route (B', r_j, ``varphi``, the q-Pochhammer symbol) live
+in the tests as oracles of ``qlimit``.
 """
 
 from __future__ import annotations
 
 from math import prod
 
-from .backend import is_rational, rat
+from .backend import rat
 from .errors import IndexOutOfRange, InadmissibleParams, NonPositiveWeight, ZeroDenominator
-from .params import R, ParamSet, eta, factor, factor_pair, ipow, twist
+from .params import R, ParamSet, eta, factor_pair, ipow
 
 
 def poch_pair(p: ParamSet, u: tuple, n: int, k: int = 0) -> tuple:
@@ -57,15 +55,10 @@ def poch_pair(p: ParamSet, u: tuple, n: int, k: int = 0) -> tuple:
 
 
 def poch(p: ParamSet, u, n: int, k: int = 0):
-    """(u+k)_n (R) or (u*q^k; q)_n (qR): ``params.factor(p, u, i)``
-    multiplied for i = k..k+n-1 in turn; an exact u gives the one rational
-    of ``poch_pair``."""
-    if is_rational(u):
-        return rat(*poch_pair(p, (u.numerator, u.denominator), n, k))
-    acc = u * 0 + 1
-    for i in range(k, k + n):
-        acc = acc * factor(p, u, i)
-    return acc
+    """(u+k)_n (R) or (u*q^k; q)_n (qR) of an exact u: the product of
+    ``params.factor(p, u, i)`` for i = k..k+n-1, as the one rational of
+    ``poch_pair``."""
+    return rat(*poch_pair(p, (u.numerator, u.denominator), n, k))
 
 
 def potential(x: int, p: ParamSet, which: str = "B"):
@@ -74,20 +67,7 @@ def potential(x: int, p: ParamSet, which: str = "B"):
     f = ``params.factor``, for qR with d-u read as d/u and t = dtilde (else
     1): exact tuples only, one rational of ``params.factor_pair``s; 0 where
     the numerator vanishes, also where the denominator does (D(0) at d=1,
-    d=q).  "Bprime" is "B" at twist(p), written out for floats (qR): the
-    q->1 gaps pin its operation order."""
-    if which == "Bprime":
-        if p.is_exact():
-            return potential(x, twist(p), "B")
-        a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
-        qx = ipow(q, x)
-        num = -(1 - d * qx * q / a) * (1 - d * qx * q / b) * (1 - c * qx) * (1 - d * qx)
-        den = (1 - d * ipow(q, 2 * x)) * (1 - d * ipow(q, 2 * x + 1))
-        if num == 0:
-            return num
-        if den == 0:
-            raise ZeroDenominator(f"potential {which} denominator vanishes at x={x}")
-        return num / den
+    d=q)."""
     if which not in ("B", "D"):
         raise ValueError(f"unknown potential {which!r}")
     a, b, c, d = ((v.numerator, v.denominator) for v in (p.a, p.b, p.c, p.d))
@@ -232,15 +212,13 @@ def alpha_const(p: ParamSet):
 
 def varphi(x: int, p: ParamSet):
     """(2x+d+1)/(d+1) (R) or (q^-x - d*q^(x+1))/(1-dq) (qR), that is
-    q^-x f(d, 2x+1) / f(d, 1) with f = ``params.factor``: one rational of
-    integer pairs for an exact tuple, the qR formula's order for floats."""
-    if p.is_exact():
-        d = (p.d.numerator, p.d.denominator)
-        (n1, d1), (n2, d2) = factor_pair(p, d, 2 * x + 1), factor_pair(p, d, 1)
-        q = (1, 1) if p.family == R else (p.q.denominator, p.q.numerator)
-        qn, qd = q if x >= 0 else q[::-1]
-        return rat(n1 * d2 * qn ** abs(x), d1 * n2 * qd ** abs(x))
-    return (ipow(p.q, -x) - p.d * ipow(p.q, x + 1)) / (1 - p.d * p.q)
+    q^-x f(d, 2x+1) / f(d, 1) with f = ``params.factor``, for an exact
+    tuple: one rational of integer pairs."""
+    d = (p.d.numerator, p.d.denominator)
+    (n1, d1), (n2, d2) = factor_pair(p, d, 2 * x + 1), factor_pair(p, d, 1)
+    q = (1, 1) if p.family == R else (p.q.denominator, p.q.numerator)
+    qn, qd = q if x >= 0 else q[::-1]
+    return rat(n1 * d2 * qn ** abs(x), d1 * n2 * qd ** abs(x))
 
 
 def c_n(n: int, p: ParamSet):

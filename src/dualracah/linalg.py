@@ -24,15 +24,14 @@ operation, the product (the same integer clearing, each entry one
 canonical rational), is the tests' dense oracle: the library forms no
 product.
 
-The small Casoratians have one elimination design in two arithmetics:
-eliminate the leading columns once and carry every further column through
-the same steps, giving the determinant with each further column as the
-last.  ``bordered_dets`` does it on integers, fraction-free (Bareiss);
-bordered by the unit columns, it gives every cofactor of a bordered column
-at once.  ``leading_dets`` does it by Gaussian elimination for the float
-route (the q->1 checks; nothing here imports a float library), each
-further column in the operation order of one elimination of the whole
-matrix, so a float determinant rounds as that elimination does.
+The small Casoratians have one elimination design: eliminate the leading
+columns once and carry every further column through the same steps,
+giving the determinant with each further column as the last.
+``bordered_dets`` does it on integers, fraction-free (Bareiss); bordered
+by the unit columns, it gives every cofactor of a bordered column at
+once.  The float tables of the q->1 check take the same design by
+Gaussian elimination on raw mpmath tuples, on the float side
+(``qlimit``); this module imports no float library.
 """
 
 from __future__ import annotations
@@ -169,28 +168,3 @@ def bordered_dets(rows) -> list:
             row[k + 1:] = [(pk * v - f * t) // prev for v, t in zip(row[k + 1:], top[k + 1:])]
         prev = pk
     return [sign * v for v in m[-1][n - 1:]]
-
-
-def leading_dets(rows) -> list:
-    """``bordered_dets`` over any field, by Gaussian elimination: the first
-    nonzero entry of a column is its pivot, and each further column sees
-    the operations of one elimination of the whole matrix with it as the
-    last, in that order, the last pivot multiplied onto the running
-    product last, so a float determinant rounds as that elimination does.
-    A leading column without a pivot makes every one zero."""
-    m = [list(r) for r in rows]
-    n = len(m)
-    sign, product = 1, None
-    for k in range(n - 1):
-        pivot = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if pivot is None:
-            return [m[0][0] * 0] * (len(m[0]) - n + 1)
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        top = m[k]
-        for row in m[k + 1:]:
-            f = row[k] / top[k]
-            row[k + 1:] = [v - f * t for v, t in zip(row[k + 1:], top[k + 1:])]
-        product = top[k] if product is None else product * top[k]
-    return [sign * (v if product is None else product * v) for v in m[-1][n - 1:]]

@@ -41,13 +41,13 @@ one integer dot product over C_(D,n), one rational per entry.  The last
 cofactor is the M x M Casoratian of the denominator polynomial, so
 Xi_D(x) = cof_(M+1)(x)/(C_D varphi_M(x)), on the main table and on the
 shifted one (lambda+delta, x <= N), where it is certified equal to
-P_(D,0)(x) and not kept.  Float tuples (the q->1 checks) take the same
-design in floats: one elimination of the M virtual-state columns per x
-carries the bordered column of every n (``linalg.leading_dets``), each in
-the operation order of the per-entry formulas, because the printed q->1
-gaps pin that rounding.
-The per-entry formulas live in the tests as oracles; exact values equal
-them, floats agree with them bit for bit.
+P_(D,0)(x) and not kept.  The per-entry formulas live in the tests as
+oracles, and the exact values equal them.
+
+The tables take exact tuples only; a float tuple is refused with
+InadmissibleParams.  The float tables of the q->1 check follow the same
+design on raw mpmath tuples on the float side (``qlimit.float_tables``),
+so this module stays float-free.
 
 The orthogonality weights come from ``basefamily.phi0_sq_table`` and the
 squared norms from ``basefamily.dn_sq_table``, one table each per build.
@@ -88,47 +88,42 @@ from .errors import (
     NonPositiveWeight,
     ZeroDenominator,
 )
-from .linalg import _cleared_int_rows, bordered_dets, gram_residuals, leading_dets
+from .linalg import _cleared_int_rows, bordered_dets, gram_residuals
 from .params import (
     R, ParamSet, ell, eta, factor, factor_pair, index_set, ipow, shift, twist, validate,
 )
 from .poly import Poly, interpolate
 
 
-def _one(p: ParamSet):
-    # typed multiplicative unit (rational or float, matching the parameters)
-    return p.b * 0 + 1
+def _exact_only(p: ParamSet) -> None:
+    """Refuse a float tuple: the Casoratian tables are exact."""
+    if not p.is_exact():
+        raise InadmissibleParams(
+            "the Casoratian tables take exact tuples only; float tuples take the q->1"
+            " route (qlimit.float_tables)"
+        )
 
 
 class GridTable:
     """Grid values of the Casoratians at one (parameters, D), each
     n-independent piece evaluated once.
 
-    Base values come a column P_0(y)..P_N(y) at a time from one column
-    fill, made of the parameters by ``columns`` on first use:
-    ``basefamily.RacahColumns`` (the three-term recurrence) by default, the
-    q-sum of the float side for the q->1 tables (``qlimit.float_tables``
-    passes it), whose factors that object holds.
-    The factors that depend on neither n, x nor j (listed in the module
-    docstring) are formed once per table.  Entries, factors and the column
-    fill are made on first use and held only as long as the table, so
-    float values stay tied to the working precision they were made at.
+    Base values come a column P_0(y)..P_N(y) at a time from one
+    ``basefamily.RacahColumns`` (the three-term recurrence), made on first
+    use.  The factors that depend on neither n, x nor j (listed in the
+    module docstring) are formed once per table.  Entries and factors are
+    made on first use and held only as long as the table.  A float tuple
+    is refused with InadmissibleParams.
 
-    Two routes give P_(D,n)(x), each one elimination per x.  ``pdn_row``,
-    for exact tuples, is the cofactor route: the cofactor weights of each
-    x (``cofactor_weights``) dotted with the cleared base row
-    (``base_row``), on integers.  ``pdn_column``, for float tuples, gives
-    every n at one x from one ``leading_dets``: every product is taken in
-    the order of the per-entry formulas, and the determinants see the same
-    rows, in the same order, and the same elimination steps, so float
-    results agree with those formulas bit for bit, which the q->1 gaps
-    need.  ``xi``, the denominator polynomial, is the last of
-    ``cofactors``.
+    ``pdn_row`` is the cofactor route, one elimination per x: the cofactor
+    weights of each x (``cofactor_weights``) dotted with the cleared base
+    row (``base_row``), on integers.  ``xi``, the denominator polynomial,
+    is the last of ``cofactors``.
     """
 
-    def __init__(self, D: Sequence[int], p: ParamSet, columns=RacahColumns):
+    def __init__(self, D: Sequence[int], p: ParamSet):
+        _exact_only(p)
         self.D, self.p, self.M = tuple(D), p, len(D)
-        self._columns = columns
         self._memo: dict = {}
 
     def _get(self, key, make):
@@ -136,15 +131,15 @@ class GridTable:
             self._memo[key] = make()
         return self._memo[key]
 
+    def _twisted(self) -> ParamSet:
+        return self._get("twisted", lambda: twist(self.p))
+
     def xi_row(self, y: int) -> list:
         """Virtual-state values xi_{d_k}(y), k = 1..M: the base values of
-        degree d_k at the twisted parameters (do not mutate).  A float
-        table sums each by ``racah_value`` (the q->1 gaps pin its order);
-        an exact one interpolates xi_{d_k} once through y = 0..d_k (module
-        docstring) and evaluates it by integer Horner."""
-        tw = self._get("twisted", lambda: twist(self.p))
-        if not self.p.is_exact():
-            return self._get(("xi", y), lambda: [racah_value(dk, y, tw) for dk in self.D])
+        degree d_k at the twisted parameters (do not mutate), each
+        xi_{d_k} interpolated once through y = 0..d_k (module docstring)
+        and evaluated by integer Horner."""
+        tw = self._twisted()
         polys = self._get("xi_polys", lambda: [interpolate(
             [eta(z, tw) for z in range(dk + 1)], [racah_value(dk, z, tw) for z in range(dk + 1)]
         ) for dk in self.D])
@@ -157,7 +152,7 @@ class GridTable:
 
     def base_column(self, y: int) -> tuple:
         """Base values (P_0(y), ..., P_N(y))."""
-        fill = self._get("columns", lambda: self._columns(self.p))
+        fill = self._get("columns", lambda: RacahColumns(self.p))
         return self._get(("P", y), lambda: fill.column(y))
 
     def _shifted(self) -> list:
@@ -167,7 +162,7 @@ class GridTable:
     def varphi(self, x: int, m: int):
         """Vandermonde-type product of eta differences; 1 for m <= 1."""
         if m <= 1:
-            return _one(self.p)
+            return rat(1)
 
         def extend():
             acc, ps = self.varphi(x, m - 1), self._shifted()
@@ -180,11 +175,9 @@ class GridTable:
     def _energy_pairs(self) -> list:
         # (etilde_(d_j), alpha * B'(j)), j = 0..M-1
         def make():
-            p = self.p
+            p, tw = self.p, self._twisted()
             al = alpha_const(p)
-            return [
-                (etilde_v(dj, p), al * potential(j, p, "Bprime")) for j, dj in enumerate(self.D)
-            ]
+            return [(etilde_v(dj, p), al * potential(j, tw, "B")) for j, dj in enumerate(self.D)]
 
         return self._get("pairs", make)
 
@@ -208,7 +201,7 @@ class GridTable:
 
         def make():
             pairs = self._energy_pairs()
-            acc = _one(self.p) / self.varphi(0, self.M)
+            acc = rat(1) / self.varphi(0, self.M)
             for j, (et, alb) in enumerate(pairs):
                 for et_k, _ in pairs[j + 1:]:
                     acc = acc * (et - et_k) / alb
@@ -235,28 +228,15 @@ class GridTable:
 
     def rj(self, j: int, x: int):
         """Pochhammer-ratio factor multiplying the bordered column entry in
-        row j; exact: one rational of ``poch_pair`` products over
-        ``_rj_den``, floats (qR): the per-entry order."""
-        p, M = self.p, self.M
+        row j: one rational of ``poch_pair`` products over ``_rj_den``."""
+        p, M, tw = self.p, self.M, self._twisted()
         den = self._rj_den()
-        if p.is_exact():
-            tw = self._get("twisted", lambda: twist(p))
-            a, b, ta, tb = ((v.numerator, v.denominator) for v in (p.a, p.b, tw.a, tw.b))
-            fs = [poch_pair(p, u, j - 1, x) for u in (a, b)]
-            fs += [poch_pair(p, u, M + 1 - j, x + j - 1) for u in (ta, tb)]
-            dens = [den] if p.family == R else [den[0][j - 1], ipow(p.q, M * x), *den[1:]]
-            fs += [(v.denominator, v.numerator) for v in dens]
-            return rat(prod(f[0] for f in fs), prod(f[1] for f in fs))
-        a, b, d, q = p.a, p.b, p.d, p.q
-        qx = ipow(q, x)
-        num = (
-            poch(p, a * qx, j - 1)
-            * poch(p, b * qx, j - 1)
-            * poch(p, d * ipow(q, x + j) / a, M + 1 - j)
-            * poch(p, d * ipow(q, x + j) / b, M + 1 - j)
-        )
-        powers, qa, qb = den
-        return num / (powers[j - 1] * ipow(q, M * x) * qa * qb)
+        a, b, ta, tb = ((v.numerator, v.denominator) for v in (p.a, p.b, tw.a, tw.b))
+        fs = [poch_pair(p, u, j - 1, x) for u in (a, b)]
+        fs += [poch_pair(p, u, M + 1 - j, x + j - 1) for u in (ta, tb)]
+        dens = [den] if p.family == R else [den[0][j - 1], ipow(p.q, M * x), *den[1:]]
+        fs += [(v.denominator, v.numerator) for v in dens]
+        return rat(prod(f[0] for f in fs), prod(f[1] for f in fs))
 
     def cofactors(self, x: int) -> tuple:
         """The M+1 cofactors of the bordered column at x (exact tuples):
@@ -317,17 +297,6 @@ class GridTable:
         cs, F = self.cofactors(x)
         v = self.cd() * self.varphi(x, self.M)
         return rat(cs[-1] * v.denominator, F * v.numerator)
-
-    def pdn_column(self, x: int) -> list:
-        """Grid values P_(D,n)(x), n = 0..N, of float tuples: only the last
-        bordered column, r_j(x) * P_n(x+j-1), depends on n, so one
-        ``leading_dets`` of the M virtual-state columns at x carries all."""
-        rows = []
-        for j in range(1, self.M + 2):
-            r = self.rj(j, x)
-            rows.append(self.xi_row(x + j - 1) + [r * v for v in self.base_column(x + j - 1)])
-        phi = self.varphi(x, self.M + 1)
-        return [det / (self.cdn(n) * phi) for n, det in enumerate(leading_dets(rows))]
 
 
 def leading_xi(D: Sequence[int], p: ParamSet):
@@ -425,6 +394,7 @@ class MISystem(NamedTuple):
 
 
 def build_mi_system(p: ParamSet, D: Sequence[int]) -> MISystem:
+    _exact_only(p)
     violations = validate(p, D)
     if violations:
         raise InadmissibleParams(f"parameter ranges violated: {violations}")

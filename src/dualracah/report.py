@@ -352,6 +352,7 @@ def _suite_shape(cfg: RunConfig, pipe: Pipeline) -> dict:
 def _suite_qlimit(cfg: RunConfig, pipe: Pipeline, ladder: qlimit.Ladder) -> dict:
     rep = qlimit.qlimit_check(pipe.system(), ladder=ladder)
     print(f"[timing] qlimit ladder {ladder.route}: {ladder.compute_s:.3f}s", file=sys.stderr)
+    print(f"[timing] qlimit wait: {ladder.wait_s:.3f}s", file=sys.stderr)
     ok = rep.within_tolerance and rep.monotone
     return {
         "pass": ok,

@@ -11,7 +11,9 @@ Replaced library routes live here too, as oracles for the kernels that
 replaced them: Newton divided differences for ``poly.interpolate``, one
 full Gaussian elimination per matrix (``naive_det``) and one recorded
 elimination of the leading columns replayed for each last column
-(``LeadingElimination``) for ``linalg.leading_dets``, and the rational
+(``LeadingElimination``) for ``leading_dets``, the Gaussian elimination
+over any field that carries every further column (the float Casoratian
+kernel that moved to raw tuples in ``qlimit``), and the rational
 eliminations that ``linalg.bordered_dets`` replaced on
 exact tuples (``generic_det``, the whole matrix, and
 ``elimination_cofactors``, one recorded elimination reducing each unit
@@ -57,11 +59,18 @@ formed afresh.
 
 The float side of the q->1 check is here on mpf wrapper objects, the
 routes that raw ``mpmath.libmp`` tuples replaced: the q-sum base columns
-(``WrapperQSumColumns``, for ``qlimit.QSumColumns``) and the tables
-through them, the reference table, the dual ratio tables and the gaps
-(``wrapper_qlimit_gaps``, for ``qlimit.qlimit_check``), and the
+(``WrapperQSumColumns``, for ``qlimit.QSumColumns``); the float
+Casoratian tables (``WrapperGridTable`` with ``pdn_column``, for
+``qlimit.float_tables``), whose pieces are the per-family float formulas
+that left the library: the virtual states by ``racah_value`` at the
+twisted tuple, ``rj_factor`` with ``qpoch``, ``varphi_m`` with
+``varphi_per_family``, and B' (``bprime``) inside ``norm_const_cd`` and
+``dtn_sq_value``; the reference table, the dual ratio tables and the gaps
+(``wrapper_qlimit_gaps``, for ``qlimit.qlimit_check``); and the
 conversions ``bigreal.to_real`` and ``bigreal.big_sqrt`` inside a working
-precision per call.
+precision per call.  ``pdn_column`` reads any table with the pieces of
+``GridTable``, so on an exact ``GridTable`` it is the per-entry oracle of
+the cofactor route.
 """
 
 from __future__ import annotations
@@ -72,7 +81,9 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import mpmath
 
-from dualracah.basefamily import alpha_const, c_n, etilde_v, phi0_sq_table, potential
+from dualracah.basefamily import (
+    alpha_const, c_n, etilde_v, phi0_sq_table, potential, racah_value,
+)
 from dualracah.backend import rat
 from dualracah.bigreal import big_sqrt, to_real
 from dualracah.errors import (
@@ -88,7 +99,7 @@ from dualracah.errors import (
     ZeroDenominator,
 )
 from dualracah.linalg import SquareMatrix, _cleared_int_rows, gram_residuals
-from dualracah.multiindexed import GridTable, MISystem
+from dualracah.multiindexed import MISystem
 from dualracah.params import QR, R, ParamSet, energy, factor, ipow, shift, twist
 from dualracah.poly import Poly
 from dualracah.recurrence import RecTable, XPoly
@@ -852,6 +863,32 @@ class LeadingElimination:
         return self.sign * acc
 
 
+def leading_dets(rows) -> list:
+    """``linalg.bordered_dets`` over any field, by Gaussian elimination:
+    the first nonzero entry of a column is its pivot, and each further
+    column sees the operations of one elimination of the whole matrix with
+    it as the last, in that order, the last pivot multiplied onto the
+    running product last, so a float determinant rounds as that
+    elimination does (the float Casoratian kernel that ``qlimit`` runs on
+    raw tuples).  A leading column without a pivot makes every one zero."""
+    m = [list(r) for r in rows]
+    n = len(m)
+    sign, product = 1, None
+    for k in range(n - 1):
+        pivot = next((i for i in range(k, n) if m[i][k] != 0), None)
+        if pivot is None:
+            return [m[0][0] * 0] * (len(m[0]) - n + 1)
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        top = m[k]
+        for row in m[k + 1:]:
+            f = row[k] / top[k]
+            row[k + 1:] = [v - f * t for v, t in zip(row[k + 1:], top[k + 1:])]
+        product = top[k] if product is None else product * top[k]
+    return [sign * (v if product is None else product * v) for v in m[-1][n - 1:]]
+
+
 def generic_det(rows) -> object:
     """Determinant over any field scalars: ``LeadingElimination`` of the
     whole matrix (the exact Casoratian route before
@@ -923,6 +960,24 @@ def potential_per_entry(x: int, p: ParamSet, which: str):
         return rat(0)
     if den == 0:
         raise ZeroDenominator(f"potential {which} denominator vanishes at x={x}")
+    return num / den
+
+
+def bprime(x: int, p: ParamSet):
+    """B'(x), the potential B at twist(p): ``basefamily.potential`` there
+    for R; for qR its formula written out over any scalars, in the
+    operation order that the printed q->1 gaps pin (the float branch that
+    left ``basefamily.potential``)."""
+    if p.family == R:
+        return potential(x, twist(p), "B")
+    a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
+    qx = ipow(q, x)
+    num = -(1 - d * qx * q / a) * (1 - d * qx * q / b) * (1 - c * qx) * (1 - d * qx)
+    den = (1 - d * ipow(q, 2 * x)) * (1 - d * ipow(q, 2 * x + 1))
+    if num == 0:
+        return num
+    if den == 0:
+        raise ZeroDenominator(f"potential Bprime denominator vanishes at x={x}")
     return num / den
 
 
@@ -1094,7 +1149,7 @@ def norm_const_cd(D: Sequence[int], p: ParamSet):
     et = [etilde_v(dj, p) for dj in D]
     for j in range(M):
         for k in range(j + 1, M):
-            acc = acc * (et[j] - et[k]) / (al * potential(j, p, "Bprime"))
+            acc = acc * (et[j] - et[k]) / (al * bprime(j, p))
     return acc
 
 
@@ -1106,7 +1161,7 @@ def dtn_sq_value(n: int, D: Sequence[int], p: ParamSet):
     al = alpha_const(p)
     en = energy(n, p)
     for j, dj in enumerate(D):
-        acc = acc * (en - etilde_v(dj, p)) / (al * potential(j, p, "Bprime"))
+        acc = acc * (en - etilde_v(dj, p)) / (al * bprime(j, p))
     return acc
 
 
@@ -1209,12 +1264,62 @@ class WrapperQSumColumns:
         return tuple(col)
 
 
+def pdn_column(tab, x: int) -> list:
+    """Grid values P_(D,n)(x), n = 0..N, of a table with the pieces of
+    ``multiindexed.GridTable`` (``xi_row``, ``rj``, ``base_column``,
+    ``varphi``, ``cdn``): only the last bordered column, r_j(x) *
+    P_n(x+j-1), depends on n, so one ``leading_dets`` of the M
+    virtual-state columns at x carries all (the route
+    ``GridTable.pdn_column`` took, on exact and float tuples)."""
+    rows = []
+    for j in range(1, tab.M + 2):
+        r = tab.rj(j, x)
+        rows.append(tab.xi_row(x + j - 1) + [r * v for v in tab.base_column(x + j - 1)])
+    phi = tab.varphi(x, tab.M + 1)
+    return [det / (tab.cdn(n) * phi) for n, det in enumerate(leading_dets(rows))]
+
+
+class WrapperGridTable:
+    """The pieces of ``multiindexed.GridTable`` for a float q-family tuple
+    on mpf wrapper objects, each by its per-entry float formula (the
+    float route that ``qlimit.float_tables`` runs on raw tuples): the
+    virtual states by ``racah_value`` at the twisted tuple, the base
+    columns by ``WrapperQSumColumns``, ``rj_factor``, ``varphi_m`` and
+    C_(D,n) by ``norm_const_cd`` and ``dtn_sq_value``.  Use it only inside
+    the working precision it was made at."""
+
+    def __init__(self, D: Sequence[int], p: ParamSet):
+        self.D, self.p, self.M = tuple(D), p, len(D)
+        self._fill, self._columns, self._cdn = WrapperQSumColumns(p), {}, {}
+
+    def xi_row(self, y: int) -> list:
+        tw = twist(self.p)
+        return [racah_value(dk, y, tw) for dk in self.D]
+
+    def base_column(self, y: int) -> tuple:
+        if y not in self._columns:
+            self._columns[y] = self._fill.column(y)
+        return self._columns[y]
+
+    def rj(self, j: int, x: int):
+        return rj_factor(j, x, self.M, self.p)
+
+    def varphi(self, x: int, m: int):
+        return varphi_m(x, m, self.p)
+
+    def cdn(self, n: int):
+        if n not in self._cdn:
+            D, p = self.D, self.p
+            self._cdn[n] = (-1) ** self.M * norm_const_cd(D, p) * dtn_sq_value(n, D, p)
+        return self._cdn[n]
+
+
 def wrapper_float_tables(p: ParamSet, D: Sequence[int], precision: int) -> list:
-    """``qlimit.float_tables`` with the base columns of
-    ``WrapperQSumColumns``."""
+    """``qlimit.float_tables`` on mpf wrapper objects (``WrapperGridTable``
+    and ``pdn_column``), an mpf table [n][x]."""
     with mpmath.workprec(precision):
-        tab = GridTable(D, p, WrapperQSumColumns)
-        columns = [tab.pdn_column(x) for x in range(p.N + 1)]
+        tab = WrapperGridTable(D, p)
+        columns = [pdn_column(tab, x) for x in range(p.N + 1)]
     return [list(row) for row in zip(*columns)]
 
 

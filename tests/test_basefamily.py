@@ -17,13 +17,15 @@ from dualracah.basefamily import (
     rec_coeffs,
 )
 from dualracah.errors import InadmissibleParams, NonPositiveWeight, ZeroDenominator
-from dualracah import report
+from dualracah import qlimit, report
 from dualracah.params import (
     QR, R, ParamSet, energy, eta, factor, make_params, shift, twist, validate,
 )
 from dualracah.qlimit import LADDER_KS, QSumColumns, matched_q_params
 from dualracah.backend import rat, rat_to_str
-from comparators import c_n_per_family, dn_sq_table_per_family, potential_per_entry, qpoch
+from comparators import (
+    bprime, c_n_per_family, dn_sq_table_per_family, potential_per_entry, qpoch,
+)
 from conftest import (
     ctilde_closed_form,
     dn_sq,
@@ -62,10 +64,27 @@ def test_float_column_is_bit_identical(k, precision):
     """The factored q-sum on raw tuples rounds every operation as
     racah_value does on mpf."""
     p = matched_q_params(std_params(R, 6), k, precision)
+    fill = QSumColumns(p, precision)
     with mpmath.workprec(precision):
-        fill = QSumColumns(p)
         for y in range(p.N + 3):
-            assert fill.column(y) == tuple(racah_value(n, y, p) for n in range(p.N + 1))
+            assert fill.column(y) == tuple(racah_value(n, y, p)._mpf_ for n in range(p.N + 1))
+
+
+@pytest.mark.parametrize("precision", [53, 256])
+@pytest.mark.parametrize("k", LADDER_KS)
+@pytest.mark.parametrize("N", [4, 6])
+def test_twisted_columns_equal_racah_value_above_N(N, k, precision):
+    """At the twisted tuple and given degrees, also above N, the q-sum on
+    raw tuples gives the virtual-state values of racah_value bit for bit;
+    one power table serves both tuples of a q."""
+    p = matched_q_params(std_params(R, N), k, precision)
+    degrees = (1, 2, 5, 9)
+    with mpmath.workprec(precision):
+        tw = twist(p)
+        base = QSumColumns(p, precision)
+        fill = QSumColumns(tw, precision, degrees, base._pw)
+        for y in range(N + 3):
+            assert fill.column(y) == tuple(racah_value(dk, y, tw)._mpf_ for dk in degrees)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -128,14 +147,15 @@ def test_exact_pochhammer_is_the_factor_product(family, N):
 @pytest.mark.parametrize("precision", [53, 256])
 @pytest.mark.parametrize("k", LADDER_KS)
 def test_float_pochhammer_is_bit_identical(k, precision):
-    """On the q->1 ladder ``poch`` rounds every factor as the q-Pochhammer
-    helper it replaced."""
+    """On the q->1 ladder the raw Pochhammer prefix products round every
+    factor as the q-Pochhammer helper of the mpf route, at every length."""
     p = matched_q_params(std_params(R, 6), k, precision)
     a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
+    powers = qlimit._Powers(q._mpf_, precision)
     with mpmath.workprec(precision):
         for u in (a, b, c, d, p.dtilde, d * q / a, d * q / b, a * q ** 3):
-            for n in range(2 * p.N + 1):
-                assert poch(p, u, n)._mpf_ == qpoch(u, n, q)._mpf_
+            got = qlimit._poch_prefix(u._mpf_, 2 * p.N, powers, precision)
+            assert got == [qpoch(u, n, q)._mpf_ for n in range(2 * p.N + 1)]
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -176,7 +196,7 @@ def test_float_additive_columns_rejected():
     with pytest.raises(InadmissibleParams):
         RacahColumns(p)
     with pytest.raises(InadmissibleParams):
-        QSumColumns(p)
+        QSumColumns(p, 53)
     with pytest.raises(InadmissibleParams):
         RacahColumns(matched_q_params(std_params(R, 4), 3, 53))
 
@@ -288,7 +308,7 @@ def test_primed_potentials_are_twisted(family):
     p = std_params(family, 5)
     t = twist(p)
     for x in range(p.N + 1):
-        assert potential(x, p, "Bprime") == potential(x, t, "B")
+        assert bprime(x, p) == potential(x, t, "B")
 
 
 @pytest.mark.parametrize("family", FAMILIES)

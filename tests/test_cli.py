@@ -582,17 +582,23 @@ def ladder_route(request, monkeypatch):
 def test_pinned_reports_on_both_ladder_routes(tmp_path, capsys, ladder_route, data, digest):
     """The pinned report bytes hold whether the q->1 ladder runs in the
     forked worker or inline.  A run with the qlimit suite prints one timing
-    line for the ladder, naming its route; a run without it prints none."""
+    line for the ladder, naming its route, and one for how long the suite
+    waited on the worker, 0 inline; a run without it prints neither."""
     cfg_path = _write(tmp_path, "cfg.json", data)
     out = tmp_path / "report.json"
     assert main(["verify", "--config", cfg_path, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
-    lines = [line for line in capsys.readouterr().err.splitlines() if "qlimit ladder" in line]
+    err = capsys.readouterr().err.splitlines()
+    lines = [line for line in err if "qlimit ladder" in line]
+    waits = [line for line in err if "qlimit wait" in line]
     if "qlimit" in data.get("suites", SUITES):
-        assert len(lines) == 1
+        assert len(lines) == len(waits) == 1
         assert re.fullmatch(rf"\[timing\] qlimit ladder {ladder_route}: \d+\.\d{{3}}s", lines[0])
+        assert re.fullmatch(r"\[timing\] qlimit wait: \d+\.\d{3}s", waits[0])
+        if ladder_route == "inline":
+            assert waits[0] == "[timing] qlimit wait: 0.000s"
     else:
-        assert lines == []
+        assert lines == waits == []
 
 
 def test_ladder_error_exits_1_with_the_same_line_on_both_routes(

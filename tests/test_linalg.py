@@ -2,10 +2,12 @@
 checked against the rational-arithmetic routes they replaced, and the
 fraction-free echelon kernel kept as a test oracle in conftest (its
 determinant, square and overdetermined solves).  The float Casoratian
-kernel, ``leading_dets``, is checked against the recorded elimination it
-replaced (``comparators.LeadingElimination``) and ``comparators.naive_det``,
-exactly and bit for bit in floats; the exact one, ``bordered_dets``, against
-the rational eliminations it replaced."""
+kernel on raw tuples, ``qlimit._leading_dets``, is checked bit for bit
+against the mpf elimination it replaced (``comparators.leading_dets``),
+the recorded elimination before that (``comparators.LeadingElimination``)
+and ``comparators.naive_det``, which agree exactly on rationals too; the
+exact kernel, ``bordered_dets``, against the rational eliminations it
+replaced."""
 
 import math
 from itertools import permutations
@@ -24,23 +26,25 @@ from dualracah.linalg import (
     bordered_dets,
     gram_band,
     gram_residuals,
-    leading_dets,
 )
 from dualracah.multiindexed import GridTable
 from dualracah.params import QR, R
 from dualracah.pipeline import Pipeline
-from dualracah.qlimit import QSumColumns, matched_q_params
+from dualracah.qlimit import _FloatCasoratian, _leading_dets, matched_q_params
 from comparators import (
     LeadingElimination,
+    WrapperGridTable,
     commutator,
     elimination_cofactors,
     exact_inverse,
     generic_det,
     identity_matrix,
+    leading_dets,
     matrix_add,
     matrix_is_zero,
     matrix_sub,
     naive_det,
+    pdn_column,
     scale_cols,
     transpose,
 )
@@ -190,9 +194,10 @@ def _floats(rows, prec):
 
 @pytest.mark.parametrize("case", sorted(LEADING))
 def test_leading_elimination_equals_naive_det(case):
-    """One elimination carries every last column: each determinant is the
-    recorded elimination's (the route it replaced) and the whole
-    elimination's.  The record shows which branch the case reaches."""
+    """On rationals the mpf route's elimination carries every last column:
+    each determinant is the recorded elimination's (the route it replaced)
+    and the whole elimination's.  The record shows which branch the case
+    reaches."""
     lead = [[rat(v) for v in row] for row in LEADING[case]]
     cols = [[rat(c) for c in col] for col in LAST_COLUMNS]
     got = leading_dets([row + [col[i] for col in cols] for i, row in enumerate(lead)])
@@ -206,26 +211,35 @@ def test_leading_elimination_equals_naive_det(case):
     assert (elim.sign == -1) == case.startswith("swap")
 
 
+def _raw(rows) -> list:
+    """The raw tuples of mpf rows."""
+    return [[v._mpf_ for v in row] for row in rows]
+
+
 @pytest.mark.parametrize("prec", [53, 256])
 @pytest.mark.parametrize("case", sorted(LEADING))
 def test_leading_elimination_is_bit_identical_in_floats(case, prec):
-    """Same operations in the same order as one whole elimination and as
-    the recorded elimination's replay, so the float determinants agree to
-    the last bit (the q->1 tables rely on it)."""
+    """The raw-tuple elimination takes the same operations in the same
+    order as the mpf one it replaced, as one whole elimination and as the
+    recorded elimination's replay, so the float determinants agree to the
+    last bit (the q->1 tables rely on it)."""
     rows = _floats(LEADING[case], prec)
     cols = [_floats([col], prec)[0] for col in LAST_COLUMNS]
+    full = [row + [col[i] for col in cols] for i, row in enumerate(rows)]
+    got = _leading_dets(_raw(full), prec)
     with mpmath.workprec(prec):
-        got = leading_dets([row + [col[i] for col in cols] for i, row in enumerate(rows)])
+        mpf_route = leading_dets(full)
         elim = LeadingElimination(rows)
-        for v, col in zip(got, cols, strict=True):
+        for v, w, col in zip(got, mpf_route, cols, strict=True):
             want = naive_det([row + [c] for row, c in zip(rows, col)])
-            assert type(v) is type(want) and v._mpf_ == want._mpf_ == elim.det(col)._mpf_
+            assert v == w._mpf_ == want._mpf_ == elim.det(col)._mpf_
 
 
 @pytest.mark.parametrize("prec", [None, 53, 256])
 def test_leading_dets_of_one_row(prec):
     """With no leading column (M = 0) each determinant is its entry, times
-    the sign as the recorded elimination gives it."""
+    the sign as the recorded elimination gives it: on rationals by the mpf
+    route's elimination, in floats by the raw one too."""
     row = [rat(-2, 3), rat(0), rat(5, 7)]
     if prec:
         row = _floats([row], prec)[0]
@@ -235,7 +249,7 @@ def test_leading_dets_of_one_row(prec):
     assert [type(v) for v in got] == [type(v) for v in want] == [type(row[0])] * 3
     assert got == want == row
     if prec:
-        assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
+        assert _leading_dets(_raw([row]), prec) == [v._mpf_ for v in got] == _raw([want])[0]
 
 
 @settings(max_examples=60)
@@ -244,7 +258,8 @@ def test_leading_dets_of_one_row(prec):
                         min_size=nk[0], max_size=nk[0])))
 def test_leading_elimination_random(rows):
     """Every carried column's determinant is the recorded elimination's
-    and the whole elimination's, exactly and bit for bit in floats."""
+    and the whole elimination's, exactly and bit for bit in floats, where
+    the raw-tuple elimination gives it too."""
     n = len(rows)
     rows = [[rat(v) for v in row] for row in rows]
     frows = _floats(rows, 53)
@@ -256,6 +271,8 @@ def test_leading_elimination_random(rows):
                 col = [r[t] for r in m]
                 want = naive_det([r[:n - 1] + [c] for r, c in zip(m, col)])
                 assert repr(v) == repr(want) == repr(elim.det(col))
+            if m is frows:
+                assert _leading_dets(_raw(m), 53) == [v._mpf_ for v in got]
 
 
 @pytest.mark.parametrize("case", sorted(LEADING))
@@ -288,23 +305,44 @@ def test_bordered_dets_random(rows):
     assert all(type(v) is int for v in bordered_dets(rows))
 
 
+class _HandMadeRows:
+    """A stand-in for the virtual-state q-sum of a raw table: its column at
+    y is hand-made row y-1."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def column(self, y: int) -> tuple:
+        return tuple(self.rows[y - 1])
+
+
 @pytest.mark.parametrize("prec", [None, 53, 256])
 @pytest.mark.parametrize("case", sorted(LEADING))
 def test_grid_table_reaches_every_elimination_branch(case, prec):
-    """GridTable.pdn_column over hand-made virtual-state rows equals the
-    bordered determinant by one whole elimination, exactly and in floats
-    (the float columns from the q->1 check's q-sum), for every n."""
+    """A table column over hand-made virtual-state rows equals the
+    bordered determinant by one whole elimination, for every n: exactly
+    on an exact GridTable (the per-entry route ``pdn_column``), and bit
+    for bit in floats on the q->1 check's raw table against the mpf
+    pieces of the route it replaced."""
     p = std_params(R, 4) if prec is None else matched_q_params(std_params(R, 4), 3, prec)
     with mpmath.workprec(prec or 53):
-        tab = GridTable((1, 2), p) if prec is None else GridTable((1, 2), p, QSumColumns)
-        lead = _floats(LEADING[case], prec) if prec else [list(map(rat, r)) for r in LEADING[case]]
+        if prec is None:
+            tab = GridTable((1, 2), p)
+            lead = [list(map(rat, r)) for r in LEADING[case]]
+        else:
+            tab, raw = WrapperGridTable((1, 2), p), _FloatCasoratian(p, (1, 2), prec)
+            lead = _floats(LEADING[case], prec)
+            raw._xi = _HandMadeRows(_raw(lead))
         tab.xi_row = lambda y: list(lead[y - 1])
-        column = tab.pdn_column(1)
+        column = pdn_column(tab, 1) if prec is None else raw.column(1)
         assert len(column) == p.N + 1
         for n, got in enumerate(column):
             rows = [lead[j] + [tab.rj(j + 1, 1) * tab.base_column(1 + j)[n]] for j in range(3)]
             want = naive_det(rows) / (tab.cdn(n) * tab.varphi(1, 3))
-            assert type(got) is type(want) and repr(got) == repr(want)
+            if prec is None:
+                assert type(got) is type(want) and got == want
+            else:
+                assert got == want._mpf_
 
 
 def test_solve_hand_2x2():

@@ -13,7 +13,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from dualracah import basefamily, multiindexed, report
+from dualracah import basefamily, multiindexed, qlimit, report
 from dualracah.backend import rat
 from dualracah.basefamily import racah_value, rec_coeffs
 from dualracah.errors import (
@@ -35,14 +35,16 @@ from dualracah.multiindexed import (
 )
 from dualracah.params import QR, R, ell, eta, make_params, shift, twist, validate
 from dualracah.pipeline import Pipeline
-from dualracah.qlimit import LADDER_KS, QSumColumns, float_tables, matched_q_params
+from dualracah.qlimit import LADDER_KS, float_tables, matched_q_params
 from comparators import (
+    WrapperGridTable,
     dtn_sq_value,
     elimination_cofactors,
     generic_det,
     leading_pdn,
     leading_xi_per_family,
     norm_const_cd,
+    pdn_column,
     rj_den_per_family,
     rj_factor,
     varphi_m,
@@ -232,7 +234,7 @@ def test_value_route_matches_interpolant_off_grid(family, pipe):
     p = s.params
     for n in (0, 3, 5):
         x = p.N + 1
-        assert s.pdn_polys[n](eta(x, shift(p, s.M, "delta"))) == GridTable(s.D, p).pdn_column(x)[n]
+        assert s.pdn_polys[n](eta(x, shift(p, s.M, "delta"))) == pdn_column(GridTable(s.D, p), x)[n]
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -253,7 +255,7 @@ def test_table_matches_per_entry_route(family, D, N, pipe):
     for x in range(N + 2):
         assert tab.xi(x) == per_entry_xi(x, D, p) == s.xi_grid[x]
     for x in range(N + 1):
-        column, fresh = tab.pdn_column(x), GridTable(D, p).pdn_column(x)
+        column, fresh = pdn_column(tab, x), pdn_column(GridTable(D, p), x)
         assert len(column) == N + 1
         for n in range(N + 1):
             v = per_entry_pdn(n, x, D, p)
@@ -284,20 +286,25 @@ def test_leading_xi_matches_per_family_form(family, D, N):
 @pytest.mark.parametrize("precision", [53, 256])
 @pytest.mark.parametrize("k", LADDER_KS)
 def test_float_rj_factors_are_bit_identical(k, precision):
-    """On the q->1 ladder every r_j(x) and its held denominator round as
-    the per-family q-Pochhammer route did."""
+    """On the q->1 ladder every piece the raw float table holds rounds as
+    the per-entry mpf route: r_j(x) and its held denominator (the
+    per-family q-Pochhammer route), varphi_m(x), and every C_(D,n) from the
+    held energy pairs and B'."""
     p = matched_q_params(std_params(R, 6), k, precision)
-    with mpmath.workprec(precision):
-        for D in ((), (1,), (1, 2), (1, 2, 3), (1, 2, 3, 4)):
-            M = len(D)
-            tab = GridTable(D, p, QSumColumns)
-            powers, qa, qb = tab._rj_den()
+    for D in ((), (1,), (1, 2), (1, 2, 3), (1, 2, 3, 4)):
+        M = len(D)
+        tab = qlimit._FloatCasoratian(p, D, precision)
+        with mpmath.workprec(precision):
             old_powers, old_qa, old_qb = rj_den_per_family(M, p)
-            assert [v._mpf_ for v in powers] == [v._mpf_ for v in old_powers]
-            assert (qa._mpf_, qb._mpf_) == (old_qa._mpf_, old_qb._mpf_)
+            oracle = WrapperGridTable(D, p)
+            assert tab._alpha_powers == [v._mpf_ for v in old_powers]
+            assert (tab._qa, tab._qb) == (old_qa._mpf_, old_qb._mpf_)
             for x in range(p.N + 1):
                 for j in range(1, M + 2):
-                    assert tab.rj(j, x)._mpf_ == rj_factor(j, x, M, p)._mpf_
+                    assert tab.rj(j, x) == rj_factor(j, x, M, p)._mpf_
+                for m in range(M + 2):
+                    assert tab._varphi(x, m) == varphi_m(x, m, p)._mpf_
+            assert tab._cdn == [oracle.cdn(n)._mpf_ for n in range(p.N + 1)]
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -339,13 +346,13 @@ def test_table_factors_equal_per_entry_functions(family, D):
 def test_cofactor_route_matches_per_entry_route(family, D, N):
     """The exact build's grids, from the cofactor weights and the cleared
     base values, are the bordered eliminations' rationals (one rational
-    elimination per x carrying every n, ``GridTable.pdn_column``): every
+    elimination per x carrying every n, ``comparators.pdn_column``): every
     P_(D,n)(x) that the interpolation reads, past the grid too
     (x <= ell_D + N), and every Xi_D(x) of the build (x <= N + 1)."""
     p = _tuple_for_three_indices(family, N)
     oracle, tab = GridTable(D, p), GridTable(D, p)
     top = ell(D) + N
-    columns = [oracle.pdn_column(x) for x in range(top + 1)]
+    columns = [pdn_column(oracle, x) for x in range(top + 1)]
     assert all(type(v) is Fraction for column in columns for v in column)
     for n in range(N + 1):
         row = tab.pdn_row(n, top + 1)
@@ -377,17 +384,16 @@ def test_exact_build_takes_cofactors_once_per_x(monkeypatch):
     """An exact build takes one integer elimination per x of the main grid
     (x <= ell_D + N), which gives all M+1 cofactors, and one per x of the
     shifted denominator (0 <= x <= N, where the ground state is certified
-    against it): O(N) eliminations, not one per (n, x).  It never takes
-    the float tuples' route GridTable.pdn_column."""
+    against it): O(N) eliminations, not one per (n, x)."""
     dets = []
     orig = multiindexed.bordered_dets
     monkeypatch.setattr(multiindexed, "bordered_dets", lambda rows: dets.append(rows) or orig(rows))
-    routes = _counted(monkeypatch, GridTable, ["pdn_column", "xi"])
+    routes = _counted(monkeypatch, GridTable, ["xi"])
     N, D = 10, (1, 2)
     build_mi_system(std_params(R, N), D)
     top = ell(D) + N
     assert len(dets) == (top + 1) + (N + 1) == 24
-    assert routes == {"pdn_column": 0, "xi": (N + 2) + (N + 1)}
+    assert routes == {"xi": (N + 2) + (N + 1)}
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -411,36 +417,53 @@ def test_integer_cofactors_equal_the_rational_elimination(family, D, N):
 
 
 def _counted_leading_dets(monkeypatch) -> list:
-    """The row lists of every linalg.leading_dets call the library makes."""
-    made, orig = [], multiindexed.leading_dets
-    monkeypatch.setattr(multiindexed, "leading_dets", lambda rows: made.append(rows) or orig(rows))
+    """The (row count, row length) of every call of the float side's
+    elimination, ``qlimit._leading_dets``."""
+    made, orig = [], qlimit._leading_dets
+
+    def counted(rows, prec):
+        made.append((len(rows), len(rows[0])))
+        return orig(rows, prec)
+
+    monkeypatch.setattr(qlimit, "_leading_dets", counted)
     return made
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_exact_build_constructs_no_leading_elimination(family, monkeypatch):
-    """A cost guard: leading_dets, on GridTable.pdn_column, is the float
-    route's kernel; an exact build, main and shifted table alike, calls
-    neither."""
+    """A cost guard: the Gaussian elimination on raw tuples is the float
+    route's kernel; an exact build, main and shifted table alike, never
+    calls it, nor fills a float column."""
     made = _counted_leading_dets(monkeypatch)
-    routes = _counted(monkeypatch, GridTable, ["pdn_column"])
+    routes = _counted(monkeypatch, qlimit.QSumColumns, ["column"])
     build_mi_system(_tuple_for_three_indices(family, 6), (1, 2, 3))
-    assert made == [] and routes == {"pdn_column": 0}
+    assert made == [] and routes == {"column": 0}
 
 
 def test_float_tables_take_the_per_entry_route(monkeypatch):
-    """The q->1 float tables go through GridTable.pdn_column only, one
-    column and one elimination per x carrying every n (the q->1 gaps pin
-    the per-entry elimination's operation order), and never through the
-    exact tuples' cofactor route."""
+    """The q->1 float tables take one elimination per x carrying every n
+    (the q->1 gaps pin the per-entry elimination's operation order), fill
+    each q-sum column once per y, base and virtual-state alike, and never
+    go through the exact tuples' GridTable."""
     made = _counted_leading_dets(monkeypatch)
-    calls = _counted(monkeypatch, GridTable,
-                     ["pdn_column", "pdn_row", "cofactors", "cofactor_weights", "base_row"])
+    columns = _counted(monkeypatch, qlimit.QSumColumns, ["column"])
+    tables = _counted(monkeypatch, GridTable, ["__init__"])
     N, D = 4, (1, 2)
     float_tables(matched_q_params(std_params(R, N), 3, 53), D, 53)
-    assert calls == {"pdn_column": N + 1, "pdn_row": 0, "cofactors": 0, "cofactor_weights": 0,
-                     "base_row": 0}
-    assert [(len(rows), len(rows[0])) for rows in made] == [(len(D) + 1, len(D) + N + 1)] * (N + 1)
+    assert made == [(len(D) + 1, len(D) + N + 1)] * (N + 1)
+    assert columns == {"column": 2 * (N + len(D) + 1)} and tables == {"__init__": 0}
+
+
+@pytest.mark.parametrize("build", [GridTable, build_mi_system])
+def test_float_tuple_is_refused_with_the_q_route_named(build):
+    """The Casoratian tables take exact tuples only: a float tuple, of
+    either family, ends in InadmissibleParams naming the q->1 route, not in
+    an AttributeError."""
+    pq = matched_q_params(std_params(R, 4), 3, 53)
+    pr = pq._replace(family=R, q=None)
+    for p in (pq, pr):
+        with pytest.raises(InadmissibleParams, match=r"q->1 route \(qlimit.float_tables\)"):
+            build((1, 2), p) if build is GridTable else build(p, (1, 2))
 
 
 @pytest.mark.parametrize("family", FAMILIES)

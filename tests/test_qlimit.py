@@ -1,6 +1,7 @@
 """Convergence of the q-family to the additive family as q -> 1."""
 
 import os
+import time
 
 import mpmath
 import pytest
@@ -59,8 +60,8 @@ def test_float_tables_normalization():
     pdn = float_tables(pq, (1,), 256)
     with mpmath.workprec(256):
         for n in range(5):
-            assert abs(pdn[n][0] - 1) < mpmath.mpf(10) ** -70
-        assert qlimit._ratios(_raw_table(pdn), 256)[0] == [fone] * 5
+            assert abs(mpmath.mp.make_mpf(pdn[n][0]) - 1) < mpmath.mpf(10) ** -70
+        assert qlimit._ratios(pdn, 256)[0] == [fone] * 5
 
 
 def test_inadmissible_reference_rejected(pipe):
@@ -80,24 +81,25 @@ def test_matched_tuple_needs_exact_additive_reference():
 
 @pytest.mark.parametrize("D", [(1,), (1, 2), (1, 2, 3)])
 def test_float_tables_equal_per_entry_route(D):
-    """The table route reproduces every float of the per-entry route, bit
-    for bit: same rows, same order, same working precision."""
+    """The raw table route reproduces every float of the per-entry mpf
+    route, bit for bit: same rows, same order, same working precision."""
     p = std_params(R, 4)
     pq = matched_q_params(p, 4, 256)
     pdn = float_tables(pq, D, 256)
     with mpmath.workprec(256):
-        ratios = qlimit._ratios(_raw_table(pdn), 256)
+        ratios = qlimit._ratios(pdn, 256)
+        want = [[per_entry_pdn(n, x, D, pq) for x in range(5)] for n in range(5)]
         for n in range(5):
             for x in range(5):
-                assert pdn[n][x] == per_entry_pdn(n, x, D, pq)
-                assert ratios[n][x] == (pdn[n][x] / pdn[0][x])._mpf_
+                assert pdn[n][x] == want[n][x]._mpf_
+                assert ratios[n][x] == (want[n][x] / want[0][x])._mpf_
 
 
 def test_float_columns_stay_at_their_precision(pipe):
     """qlimit_check at 53, 256 and again 53 bits in one process; after each,
     the float tables of every ladder step equal the per-entry racah_value
-    route at that precision: the q-sum factors of one table never reach
-    another table or precision."""
+    route at that precision: the pieces of one table never reach another
+    table or precision."""
     s = pipe(R, 5, (1,)).system()
     D = s.D
     for prec in (53, 256, 53):
@@ -106,7 +108,8 @@ def test_float_columns_stay_at_their_precision(pipe):
             pq = matched_q_params(s.params, k, prec)
             pdn = float_tables(pq, D, prec)
             with mpmath.workprec(prec):
-                assert pdn == [[per_entry_pdn(n, x, D, pq) for x in range(6)] for n in range(6)]
+                want = [[per_entry_pdn(n, x, D, pq)._mpf_ for x in range(6)] for n in range(6)]
+            assert pdn == want
 
 
 def _column_route_gaps(s, tables, precision):
@@ -206,6 +209,31 @@ def test_ladder_runs_inline_without_a_worker(cpus, fork_error, pipe, monkeypatch
     ladder.close()
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+def test_wait_is_the_time_blocked_on_the_worker(pipe, monkeypatch):
+    """wait_s is how long reading the tables blocked on the worker: at
+    least the time a slowed worker still needed when they were asked for;
+    inline it is 0."""
+    compute = qlimit._compute
+
+    def slow(args):
+        time.sleep(0.2)
+        return compute(args)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(qlimit, "_compute", slow)
+    s = pipe(R, 4, (1,)).system()
+    ladder = qlimit.Ladder(s.params, s.D, 53)
+    assert ladder.wait_s is None
+    ladder.start()
+    assert ladder.route == "worker"
+    tables = ladder.tables()
+    assert ladder.wait_s >= 0.15
+    monkeypatch.setattr(qlimit, "_compute", compute)
+    inline = qlimit.Ladder(s.params, s.D, 53)
+    assert inline.tables() == tables and inline.wait_s == 0
+
+
 class _HeldLadder:
     """A ladder whose raw tables are already computed."""
 
@@ -237,6 +265,25 @@ def test_raw_tuple_routes_equal_the_wrapper_routes(N, D, precision, pipe):
     assert (rep.within_tolerance, rep.monotone) == (within, mono)
 
 
+#: (D, b - N) of the ladder oracle: the R workload (b = N+5) with D = ()
+#: and six sets up to 3, and a 4-index set up to 8, admissible at b = N+12
+LADDER_INDEX_SETS = [((1,), 5), ((2,), 5), ((1, 2), 5), ((1, 3), 5), ((2, 3), 5),
+                     ((1, 2, 3), 5), ((), 5), ((1, 3, 5, 8), 12)]
+
+
+@pytest.mark.parametrize("precision", [53, 256])
+@pytest.mark.parametrize("D,b", LADDER_INDEX_SETS, ids=[str(D) for D, _ in LADDER_INDEX_SETS])
+@pytest.mark.parametrize("N", [1, 3, 6, 14])
+def test_float_tables_equal_the_wrapper_route(N, D, b, precision):
+    """Every ladder table, raw from start to finish, equals the mpf
+    wrapper route of the per-entry formulas (``WrapperGridTable``, the
+    route it replaced) bit for bit, at every k."""
+    p = make_params(R, N, b=N + b, c=rat(1, 2), d=rat(2, 5))
+    for k, table in zip(LADDER_KS, qlimit.ladder_tables(p, D, precision)):
+        pq = matched_q_params(p, k, precision)
+        assert table == _raw_table(wrapper_float_tables(pq, D, precision))
+
+
 @pytest.mark.parametrize("precision", [53, 256])
 def test_conversions_equal_the_workprec_route(precision):
     """to_real and big_sqrt give the raw tuples they gave inside a working
@@ -262,22 +309,19 @@ def test_conversions_equal_the_workprec_route(precision):
             assert big_sqrt(x, precision)._mpf_ == workprec_big_sqrt(x, precision)._mpf_
 
 
-#: mpf wrapper arithmetic calls of float_tables at N=4 and N=8, R workload
-#: with D = {1, 2}, 256 bits, k = 3.  The O(N^3) q-sum runs on raw tuples;
-#: a return to wrapper arithmetic there raises these counts.  The dual
-#: tuple of the energies is formed once per table, not once per n.
-WRAPPER_CALLS = {
-    4: {"__add__": 103, "__mul__": 1151, "__rmul__": 30, "__rsub__": 268, "__rtruediv__": 45,
-        "__sub__": 116, "__truediv__": 168},
-    8: {"__add__": 175, "__mul__": 2195, "__rmul__": 90, "__rsub__": 428, "__rtruediv__": 77,
-        "__sub__": 316, "__truediv__": 312},
-}
+#: mpf wrapper arithmetic calls of one float table, R workload with
+#: D = {1, 2}, 256 bits, k = 3, at N=4 and at N=8: none.  The table runs on
+#: raw tuples from start to finish; a return to wrapper arithmetic
+#: anywhere in it, per entry or per table, raises these counts.
+WRAPPER_CALLS = {}
 
 
-@pytest.mark.parametrize("N", sorted(WRAPPER_CALLS))
+@pytest.mark.parametrize("N", [4, 8])
 def test_float_tables_wrapper_call_counts(N, monkeypatch):
-    """A cost guard made of counts, not times: the number of mpf wrapper
-    products, quotients, sums and differences of one float table."""
+    """A cost guard made of counts, not times: the mpf wrapper products,
+    quotients, sums and differences of one float table are the pinned
+    counts, at N and at the other size alike, so a table does none per
+    entry."""
     counts = {}
     for name in ("__mul__", "__rmul__", "__truediv__", "__rtruediv__",
                  "__add__", "__radd__", "__sub__", "__rsub__"):
@@ -288,7 +332,11 @@ def test_float_tables_wrapper_call_counts(N, monkeypatch):
             return _orig(a, b)
 
         monkeypatch.setattr(mpmath.mpf, name, counted)
-    pq = matched_q_params(std_params(R, N), 3, 256)
-    counts.clear()
-    float_tables(pq, (1, 2), 256)
-    assert counts == WRAPPER_CALLS[N]
+
+    def calls(size):
+        pq = matched_q_params(std_params(R, size), 3, 256)
+        counts.clear()
+        float_tables(pq, (1, 2), 256)
+        return dict(counts)
+
+    assert calls(N) == WRAPPER_CALLS == calls(12 - N)

@@ -20,7 +20,9 @@ from dualracah.multiindexed import GridTable
 from dualracah.params import QR, R, ell, make_params, shift, twist, validate
 from dualracah.pipeline import Pipeline
 from dualracah.recurrence import verify_recurrence
-from comparators import poly_recurrence_failures, tridiagonal_closure, validate_per_k
+from comparators import (
+    pdn_column, poly_recurrence_failures, tridiagonal_closure, validate_per_k,
+)
 from conftest import r_by_solve
 
 SEED = 31
@@ -87,7 +89,7 @@ def test_random_tuple_passes_every_exact_suite_and_oracle(raw):
     # against one rational elimination per x carrying every n
     cofactor, per_entry = GridTable(D, p), GridTable(D, p)
     top = ell(D) + N
-    columns = [per_entry.pdn_column(x) for x in range(top + 1)]
+    columns = [pdn_column(per_entry, x) for x in range(top + 1)]
     for n in range(N + 1):
         assert cofactor.pdn_row(n, top + 1) == [column[n] for column in columns]
     # r by the Gram band, against the overdetermined solves
